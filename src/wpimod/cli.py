@@ -9,7 +9,6 @@ with a schema version field "v": 1; key order is sorted, so identical inputs
 from __future__ import annotations
 
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -52,28 +51,23 @@ class InputError(Exception):
     pass
 
 
-def _threads() -> int:
-    """Worker cap from the environment; all current code paths are sequential."""
-    try:
-        return max(1, int(os.environ.get("WPI_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except FileNotFoundError:
         raise InputError(f"file not found: {path}")
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         )
+    if not isinstance(obj, dict):
+        raise InputError(f"{path}: top level must be a JSON object")
+    return obj
 
 
 def _check_version(obj: dict, path: str):
-    if obj.get("v") != 1:
+    if type(obj.get("v")) is not int or obj["v"] != 1:
         raise InputError(f"{path}: expected schema version field \"v\": 1")
 
 
@@ -320,7 +314,6 @@ def tensor_check_cmd(weights_path, depth, mode):
             "command": "tensor-check",
             "mode": mode,
             "depth": depth,
-            "threads": _threads(),
             "conditions": conditions,
             "singular_dimensions": {
                 ",".join(str(c) for c in off): dim for off, dim in dims.items()

@@ -14,7 +14,9 @@ class Pyramid:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(int(p) for p in rows)
+        rows = tuple(rows)
+        if any(type(p) is not int for p in rows):
+            raise ValueError("row lengths must be integers")
         if not rows:
             raise ValueError("pyramid needs at least one row")
         if rows[0] < 1:

@@ -10,6 +10,7 @@ maximal set of relations held by a tableau.
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 from .pyramid import Pyramid
@@ -113,14 +114,15 @@ class RelationSet:
 
     @staticmethod
     def from_json(pi: Pyramid, obj: dict) -> "RelationSet":
-        edges = [
-            Relation(
+        edges = []
+        for e in obj["edges"]:
+            if type(e["strict"]) is not bool:
+                raise ValueError('"strict" must be a JSON boolean')
+            edges.append(Relation(
                 TriIndex(e["greater"]["k"], e["greater"]["i"], e["greater"]["j"]),
                 TriIndex(e["lesser"]["k"], e["lesser"]["i"], e["lesser"]["j"]),
-                bool(e["strict"]),
-            )
-            for e in obj["edges"]
-        ]
+                e["strict"],
+            ))
         return RelationSet(pi, edges)
 
 
@@ -521,28 +523,38 @@ def _literal_admissible(C: RelationSet):
     return True, {"reason": "admissible", "witnesses": witnesses}
 
 
-def _row_relabelings(pi: Pyramid):
-    """Every product of within-row (layer, position) relabelings, identity first.
+def _row_relabelings(pi: Pyramid, support=None):
+    """Products of within-row (layer, position) relabelings, identity first.
+
+    With no support, every product of within-row permutations, in
+    lexicographic order of the row-by-row image tuples.  With a support (a
+    set of triples), one relabeling per injective image of the supported
+    pairs of each row, the other pairs taking the leftover targets in
+    increasing order: that completion is the least of all relabelings
+    agreeing on the support, so the sequence is the unrestricted one with
+    every relabeling dropped that moves the support like an earlier one.
 
     Yields {row: mapping} dictionaries consumable by `permute`, one row entry
     per non-identity row mapping.
     """
-    import itertools
-
-    rows = []
+    per_row = []
     for i in range(1, pi.n + 1):
         pairs = sorted((t.k, t.j) for t in all_indices(pi) if t.i == i)
-        rows.append((i, pairs))
-    per_row = [
-        [dict(zip(pairs, perm)) for perm in itertools.permutations(pairs)]
-        for _, pairs in rows
-    ]
+        moved = pairs if support is None else [
+            p for p in pairs if TriIndex(p[0], i, p[1]) in support
+        ]
+        images = []
+        for perm in itertools.permutations(pairs, len(moved)):
+            head = dict(zip(moved, perm))
+            rest = iter(sorted(set(pairs) - set(perm)))
+            images.append(tuple(head[p] if p in head else next(rest) for p in pairs))
+        images.sort()
+        identity = tuple(pairs)
+        per_row.append(
+            [(i, None if im == identity else dict(zip(pairs, im))) for im in images]
+        )
     for combo in itertools.product(*per_row):
-        yield {
-            row: mapping
-            for (row, _), mapping in zip(rows, combo)
-            if any(a != b for a, b in mapping.items())
-        }
+        yield {row: mapping for row, mapping in combo if mapping is not None}
 
 
 def is_admissible(C: RelationSet):
@@ -552,14 +564,22 @@ def is_admissible(C: RelationSet):
     row, so admissibility is invariant under within-row relabelings; the
     labelled characterization (lexicographic order compatibility and the
     bridging condition) is checked over every relabeling, identity first.
-    Returns (verdict, certificate); a passing certificate carries the
-    relabeling under which the labelled conditions hold, a failing one names
-    the identity-labeling obstruction.
+    Only how a relabeling moves the triples of C changes the image, so one
+    relabeling per such move is tried: the least one, which is the first the
+    full enumeration would meet.  A relabeling is a row-preserving bijection
+    of triples, so it keeps C critical or noncritical; a critical C fails
+    under every relabeling and is rejected with its own witness, unsearched.
+    Returns (verdict, certificate); a passing certificate carries the least
+    relabeling, in row-by-row lexicographic order, under which the labelled
+    conditions hold; a failing one names the identity-labeling obstruction.
     """
     if not is_satisfiable(C):
         return False, {"reason": "unsatisfiable"}
+    pair = critical_pair(C)
+    if pair is not None:
+        return False, {"reason": "critical", "witness": pair}
     first_fail = None
-    for relabeling in _row_relabelings(C.pyramid):
+    for relabeling in _row_relabelings(C.pyramid, vertices(C)):
         sC = C
         try:
             for row, mapping in relabeling.items():

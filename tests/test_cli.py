@@ -164,3 +164,49 @@ def test_reports_are_byte_identical(tmp_path, capsys):
     run(argv)
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_non_object_top_level_is_input_error(tmp_path, capsys):
+    rels = write_relations(tmp_path, "s.json", standard_gl2())
+    p = tmp_path / "list.json"
+    p.write_text("[1, 2]\n", encoding="utf-8")
+    for argv in (
+        ["check-admissible", "--relations", str(p)],
+        ["enumerate-basis", "--relations", rels, "--tableau", str(p)],
+        ["tensor-check", "--weights", str(p)],
+    ):
+        code, report = invoke(capsys, argv)
+        assert code == 4 and "JSON object" in report["error"]
+
+
+def _edited_relations(tmp_path, edit):
+    obj = {"v": 1, "pyramid": GL2.to_json(), **standard_gl2().to_json()}
+    edit(obj)
+    p = tmp_path / "edited.json"
+    p.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    return str(p)
+
+
+def test_strict_must_be_boolean(tmp_path, capsys):
+    path = _edited_relations(tmp_path, lambda o: o["edges"][0].update(strict="false"))
+    code, report = invoke(capsys, ["check-admissible", "--relations", path])
+    assert code == 4 and "strict" in report["error"]
+
+
+def test_version_must_be_integer_one(tmp_path, capsys):
+    path = _edited_relations(tmp_path, lambda o: o.update(v=True))
+    code, report = invoke(capsys, ["check-admissible", "--relations", path])
+    assert code == 4 and '"v": 1' in report["error"]
+
+
+def test_row_lengths_must_be_integers(tmp_path, capsys):
+    path = _edited_relations(tmp_path, lambda o: o.update(pyramid={"rows": [1, 1.5]}))
+    code, report = invoke(capsys, ["check-admissible", "--relations", path])
+    assert code == 4 and "integers" in report["error"]
+
+
+def test_tensor_check_report_has_no_threads_field(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("WPI_THREADS", "4")
+    path = write_weights(tmp_path, "w.json", [(1, 0), (1, 0)])
+    code, report = invoke(capsys, ["tensor-check", "--weights", path, "--depth", "1"])
+    assert code == 0 and "threads" not in report

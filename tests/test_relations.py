@@ -1,6 +1,7 @@
 """Relation sets: satisfaction, criticality, reduction, admissibility."""
 
 import random
+import time
 
 import pytest
 
@@ -24,6 +25,8 @@ from wpimod import (
     standard_set,
 )
 from wpimod.relations import (
+    _literal_admissible,
+    _row_relabelings,
     closure_order,
     equivalent,
     has_cross,
@@ -238,6 +241,66 @@ def test_admissibility_permutation_invariance():
     for C in relation_subsets(GL2, 3):
         sC = permute(C, 2, swap)
         assert is_admissible(C)[0] == is_admissible(sC)[0]
+
+
+def _reference_is_admissible(C):
+    """The labelled conditions tried under every within-row relabeling in turn."""
+    if not is_satisfiable(C):
+        return False, {"reason": "unsatisfiable"}
+    first_fail = None
+    for relabeling in _row_relabelings(C.pyramid):
+        sC = C
+        try:
+            for row, mapping in relabeling.items():
+                sC = permute(sC, row, mapping)
+        except ValueError:
+            continue
+        ok, cert = _literal_admissible(sC)
+        if ok:
+            if relabeling:
+                cert["relabeling"] = {
+                    row: sorted((a, b) for a, b in m.items() if a != b)
+                    for row, m in relabeling.items()
+                }
+            return True, cert
+        if first_fail is None:
+            first_fail = cert
+    return False, first_fail
+
+
+GL4 = Pyramid((1, 1, 1, 1))
+
+
+def test_admissibility_certificate_matches_full_relabeling_search():
+    # gl_4 sets that pass only under a 2-, 3- or 4-cycle of the top row
+    gl4 = [
+        RelationSet(GL4, [rel((1, 3, 1), (1, 4, 3), True),
+                          rel((1, 4, 4), (1, 3, 1), False)]),
+        RelationSet(GL4, [rel((1, 3, 2), (1, 4, 2), True),
+                          rel((1, 4, 4), (1, 3, 2), False)]),
+        RelationSet(GL4, [rel((1, 1, 1), (1, 2, 1), True),
+                          rel((1, 3, 1), (1, 4, 1), True),
+                          rel((1, 4, 4), (1, 3, 1), False)]),
+    ]
+    for C in gl4:
+        assert "relabeling" in _reference_is_admissible(C)[1]
+    for C in [*relation_subsets(GL2, 5), *relation_subsets(P12, 5),
+              *relation_subsets(GL3, 3), *gl4]:
+        assert is_admissible(C) == _reference_is_admissible(C), C
+
+
+@pytest.mark.parametrize("pi, edges", [
+    (Pyramid((1, 1, 1, 1, 1)), [((1, 3, 1), (1, 4, 2), True),
+                                ((1, 4, 2), (1, 3, 2), False)]),
+    (Pyramid((2, 2, 2)), [((1, 2, 1), (1, 3, 2), True),
+                          ((1, 3, 2), (1, 2, 2), False)]),
+])
+def test_two_edge_unbridged_sets_decided_quickly(pi, edges):
+    C = RelationSet(pi, [rel(*e) for e in edges])
+    start = time.monotonic()
+    ok, cert = is_admissible(C)
+    assert time.monotonic() - start < 0.5
+    assert not ok and cert["reason"] == "unbridged"
 
 
 def test_permute_validation():
