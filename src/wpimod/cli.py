@@ -195,7 +195,7 @@ def rr_remove_cmd(relations_path, triple_str):
 @main.command("enumerate-basis")
 @click.option("--relations", "relations_path", required=True, type=str)
 @click.option("--tableau", "tableau_path", type=str, default=None)
-@click.option("--radius", type=int, default=2, show_default=True)
+@click.option("--radius", type=click.IntRange(min=0), default=2, show_default=True)
 def enumerate_basis_cmd(relations_path, tableau_path, radius):
     """List the window shifts satisfying the relation set around a seed."""
     C = _load_relations(relations_path)
@@ -227,9 +227,10 @@ def enumerate_basis_cmd(relations_path, tableau_path, radius):
 @main.command("verify-relations")
 @click.option("--relations", "relations_path", required=True, type=str)
 @click.option("--tableau", "tableau_path", type=str, default=None)
-@click.option("--radius", type=int, default=2, show_default=True)
-@click.option("--budget", type=int, default=2, show_default=True)
-@click.option("--instantiations", type=int, default=3, show_default=True)
+@click.option("--radius", type=click.IntRange(min=0), default=2, show_default=True)
+@click.option("--budget", type=click.IntRange(min=1), default=2, show_default=True)
+@click.option("--instantiations", type=click.IntRange(min=1), default=3,
+              show_default=True)
 @click.option("--seed", type=int, default=1, show_default=True)
 def verify_relations_cmd(relations_path, tableau_path, radius, budget, instantiations, seed):
     """Run the defining-relation oracle; exit 3 on violations, 5 on overflow."""
@@ -284,7 +285,7 @@ def irreducible_cmd(relations_path, tableau_path):
 
 @main.command("tensor-check")
 @click.option("--weights", "weights_path", required=True, type=str)
-@click.option("--depth", type=int, default=3, show_default=True)
+@click.option("--depth", type=click.IntRange(min=0), default=3, show_default=True)
 @click.option("--mode", type=click.Choice(["generic", "integral"]), default="generic",
               show_default=True)
 def tensor_check_cmd(weights_path, depth, mode):

@@ -33,6 +33,7 @@ from .tableau import (
     TriIndex,
     all_indices,
     mutable_indices,
+    row_indices,
     shift,
 )
 
@@ -131,11 +132,7 @@ class ActionContext:
             t: assignment.value(*window.seed.entry(t))
             for t in all_indices(self.pyramid)
         }
-        self._row_index = {
-            r: [t for t in all_indices(self.pyramid) if t.i == r]
-            for r in range(0, self.n + 1)
-        }
-        self._row_index[0] = []
+        self._row_index = {r: row_indices(self.pyramid, r) for r in range(self.n + 1)}
         self._cache: dict = {}
 
     def value(self, t: TriIndex, d: TableauDelta) -> Fraction:
@@ -151,32 +148,28 @@ class ActionContext:
 
     # -- diagonal series ---------------------------------------------------
 
+    def _diag_series(self, r: int, sup: int, d: TableauDelta):
+        """The diagonal series of the r-th torus family, truncated at u^-sup."""
+        num = UniPoly.one()
+        for _, v in self.row_values(r, d):
+            num = num * UniPoly.linear(v + r - 1)
+        den = UniPoly((0,) * self.pyramid.p(r) + (1,))
+        for _, v in self.row_values(r - 1, d):
+            den = den * UniPoly.linear(v + r - 1)
+        return poly_series_quotient(num, den, sup)
+
     def d_series_coeff(self, r: int, sup: int, d: TableauDelta) -> Fraction:
         """Coefficient of u^-sup in the diagonal series of the r-th torus family."""
         key = ("d", r, sup, self._row_sig((r - 1, r), d))
         if key not in self._cache:
-            num = UniPoly.one()
-            for _, v in self.row_values(r, d):
-                num = num * UniPoly.linear(v + r - 1)
-            den = UniPoly((0,) * self.pyramid.p(r) + (1,))
-            for _, v in self.row_values(r - 1, d):
-                den = den * UniPoly.linear(v + r - 1)
-            series = poly_series_quotient(num, den, sup)
-            self._cache[key] = series.coeff(sup) if sup <= series.order else Fraction(0)
+            self._cache[key] = self._diag_series(r, sup, d).coeff(sup)
         return self._cache[key]
 
     def dprime_series_coeff(self, r: int, sup: int, d: TableauDelta) -> Fraction:
         """Coefficient of u^-sup in the inverse of the diagonal series."""
         key = ("dp", r, sup, self._row_sig((r - 1, r), d))
         if key not in self._cache:
-            num = UniPoly.one()
-            for _, v in self.row_values(r, d):
-                num = num * UniPoly.linear(v + r - 1)
-            den = UniPoly((0,) * self.pyramid.p(r) + (1,))
-            for _, v in self.row_values(r - 1, d):
-                den = den * UniPoly.linear(v + r - 1)
-            series = poly_series_quotient(num, den, sup).inverse()
-            self._cache[key] = series.coeff(sup)
+            self._cache[key] = self._diag_series(r, sup, d).inverse().coeff(sup)
         return self._cache[key]
 
     # -- ladder coefficient pieces ----------------------------------------
@@ -599,7 +592,7 @@ def verify_defining_relations(
     for d in window.members:
         tab = window.tableau(d)
         for i in range(1, tab.pyramid.n + 1):
-            row = [t for t in all_indices(tab.pyramid) if t.i == i]
+            row = row_indices(tab.pyramid, i)
             for x in range(len(row)):
                 for y in range(x + 1, len(row)):
                     if tab.entry(row[x]) == tab.entry(row[y]):

@@ -19,6 +19,7 @@ from .tableau import (
     TriIndex,
     all_indices,
     entry_int_diff,
+    row_indices,
     valid_index,
 )
 
@@ -214,7 +215,7 @@ def satisfies(C: RelationSet, l: Tableau) -> bool:
             return False
     comp = component_partition(C)
     for i in range(1, l.pyramid.n + 1):
-        row = [t for t in all_indices(l.pyramid) if t.i == i]
+        row = row_indices(l.pyramid, i)
         for a in range(len(row)):
             for b in range(a + 1, len(row)):
                 if entry_int_diff(l, row[a], row[b]) is not None:
@@ -224,35 +225,43 @@ def satisfies(C: RelationSet, l: Tableau) -> bool:
     return True
 
 
-def _constraint_graph(C: RelationSet):
-    """Edges lesser -> greater with weight: x_greater >= x_lesser + w."""
-    adj: dict[TriIndex, list[tuple[TriIndex, int]]] = {}
-    for e in C.edges:
-        adj.setdefault(e.lesser, []).append((e.greater, 1 if e.strict else 0))
-    return adj
+def _arcs(C: RelationSet) -> list[tuple[TriIndex, TriIndex, int]]:
+    """Arcs (u, v, w) meaning x_v >= x_u + w, one per edge of C."""
+    return [(e.lesser, e.greater, 1 if e.strict else 0) for e in C.edges]
 
 
-def _has_positive_cycle(verts, arcs) -> bool:
-    """Bellman-Ford style check on arcs (u, v, w) meaning x_v >= x_u + w."""
-    dist = {v: 0 for v in verts}
-    for it in range(len(verts) + 1):
+def _least_solution(verts, arcs):
+    """Least nonnegative integral solution of the arcs (u, v, w): x_v >= x_u + w.
+
+    Bellman-Ford longest paths from a virtual zero source (Cormen et al.,
+    section 24.4); None when a positive cycle makes the system infeasible.
+    """
+    x = {v: 0 for v in verts}
+    for _ in range(len(x) + 1):
         changed = False
         for u, v, w in arcs:
-            if dist[u] + w > dist[v]:
-                dist[v] = dist[u] + w
+            if x[u] + w > x[v]:
+                x[v] = x[u] + w
                 changed = True
         if not changed:
-            return False
-    return True
+            return x
+    return None
+
+
+def _symbolic_tableau(pi: Pyramid, entries: dict[TriIndex, tuple]) -> Tableau:
+    """The tableau with the given entries and a fresh class g0, g1, ... elsewhere."""
+    entries = dict(entries)
+    fresh = 0
+    for t in all_indices(pi):
+        if t not in entries:
+            entries[t] = (f"g{fresh}", 0)
+            fresh += 1
+    return Tableau(pi, entries)
 
 
 def is_satisfiable(C: RelationSet) -> bool:
     """Some tableau satisfies C (the edge system admits an integral solution)."""
-    verts = vertices(C)
-    arcs = [
-        (e.lesser, e.greater, 1 if e.strict else 0) for e in C.edges
-    ]
-    return not _has_positive_cycle(verts, arcs)
+    return _least_solution(vertices(C), _arcs(C)) is not None
 
 
 def critical_pair(C: RelationSet):
@@ -262,18 +271,15 @@ def critical_pair(C: RelationSet):
     """
     for comp in decompose(C):
         vs = sorted(vertices(comp))
-        base_arcs = [
-            (e.lesser, e.greater, 1 if e.strict else 0) for e in comp.edges
-        ]
-        if _has_positive_cycle(vs, base_arcs):
+        base_arcs = _arcs(comp)
+        if _least_solution(vs, base_arcs) is None:
             continue  # nothing satisfies this component
         for x in range(len(vs)):
             for y in range(x + 1, len(vs)):
                 a, b = vs[x], vs[y]
                 if a.i != b.i:
                     continue
-                arcs = base_arcs + [(a, b, 0), (b, a, 0)]
-                if not _has_positive_cycle(vs, arcs):
+                if _least_solution(vs, base_arcs + [(a, b, 0), (b, a, 0)]) is not None:
                     return (a, b)
     return None
 
@@ -282,41 +288,22 @@ def is_noncritical_set(C: RelationSet) -> bool:
     return critical_pair(C) is None
 
 
-def tight_offsets(comp: RelationSet) -> dict[TriIndex, int]:
-    """Least nonnegative offsets satisfying the component's edges (longest paths)."""
-    vs = vertices(comp)
-    succ: dict[TriIndex, list[tuple[TriIndex, int]]] = {}
-    for e in comp.edges:
-        succ.setdefault(e.greater, []).append((e.lesser, 1 if e.strict else 0))
-    off = {v: 0 for v in vs}
-    for _ in range(len(vs)):
-        changed = False
-        for g in vs:
-            for l, w in succ.get(g, ()):
-                if off[l] + w > off[g]:
-                    off[g] = off[l] + w
-                    changed = True
-        if not changed:
-            break
-    return off
-
-
 def noncritical_satisfying_tableau(C: RelationSet) -> Tableau:
     """A canonical symbolic tableau satisfying C with all same-row entries distinct.
 
-    Component triples share a class; everything else gets its own class.  Raises
-    when C is unsatisfiable or no noncritical satisfying assignment exists in a
-    small search box.
+    Component triples share a class; everything else gets its own class.  Each
+    component starts from its least solution, bumping entries up by at most 3
+    until same-row entries differ; for a noncritical C the least solution
+    already separates them.  Raises when C is unsatisfiable or no noncritical
+    satisfying assignment exists in that search box.
     """
     if not is_satisfiable(C):
         raise ValueError("relation set is unsatisfiable")
-    pi = C.pyramid
     entries: dict[TriIndex, tuple] = {}
-    comps = decompose(C)
-    for idx, comp in enumerate(comps):
+    for idx, comp in enumerate(decompose(C)):
         cls = f"c{idx}"
         vs = sorted(vertices(comp))
-        base = tight_offsets(comp)
+        base = _least_solution(vs, _arcs(comp))
         rows: dict[int, list[TriIndex]] = {}
         for v in vs:
             rows.setdefault(v.i, []).append(v)
@@ -358,12 +345,7 @@ def noncritical_satisfying_tableau(C: RelationSet) -> Tableau:
             raise ValueError("no noncritical satisfying tableau in search box")
         for v in vs:
             entries[v] = (cls, found[v])
-    fresh = 0
-    for t in all_indices(pi):
-        if t not in entries:
-            entries[t] = (f"g{fresh}", 0)
-            fresh += 1
-    return Tableau(pi, entries)
+    return _symbolic_tableau(C.pyramid, entries)
 
 
 def critical_satisfying_tableau(C: RelationSet):
@@ -376,33 +358,18 @@ def critical_satisfying_tableau(C: RelationSet):
     if pair is None:
         return None
     a, b = pair
-    pi = C.pyramid
     entries: dict[TriIndex, tuple] = {}
     for idx, comp in enumerate(decompose(C)):
-        cls = f"c{idx}"
         vs = vertices(comp)
-        arcs = [(e.lesser, e.greater, 1 if e.strict else 0) for e in comp.edges]
+        arcs = _arcs(comp)
         if a in vs:
             arcs += [(a, b, 0), (b, a, 0)]
-        off = {v: 0 for v in vs}
-        for _ in range(len(vs) + 1):
-            changed = False
-            for src, dst, w in arcs:
-                if off[src] + w > off[dst]:
-                    off[dst] = off[src] + w
-                    changed = True
-            if not changed:
-                break
-        else:
+        off = _least_solution(vs, arcs)
+        if off is None:
             raise ValueError("offset relaxation did not converge")
         for v in vs:
-            entries[v] = (cls, off[v])
-    fresh = 0
-    for t in all_indices(pi):
-        if t not in entries:
-            entries[t] = (f"g{fresh}", 0)
-            fresh += 1
-    return Tableau(pi, entries)
+            entries[v] = (f"c{idx}", off[v])
+    return _symbolic_tableau(C.pyramid, entries)
 
 
 def has_cross(comp: Component):
@@ -539,7 +506,7 @@ def _row_relabelings(pi: Pyramid, support=None):
     """
     per_row = []
     for i in range(1, pi.n + 1):
-        pairs = sorted((t.k, t.j) for t in all_indices(pi) if t.i == i)
+        pairs = sorted((t.k, t.j) for t in row_indices(pi, i))
         moved = pairs if support is None else [
             p for p in pairs if TriIndex(p[0], i, p[1]) in support
         ]
@@ -695,7 +662,7 @@ def maximal_set(l: Tableau) -> RelationSet:
     """Reduced representative of the maximal set of relations held by the tableau."""
     pi = l.pyramid
     for i in range(1, pi.n + 1):
-        row = [t for t in all_indices(pi) if t.i == i]
+        row = row_indices(pi, i)
         for x in range(len(row)):
             for y in range(x + 1, len(row)):
                 d = entry_int_diff(l, row[x], row[y])

@@ -33,6 +33,13 @@ def all_indices(pi: Pyramid) -> list[TriIndex]:
     return out
 
 
+def row_indices(pi: Pyramid, i: int) -> list[TriIndex]:
+    """The triples of row i, in (j, k) order; empty outside 1..n."""
+    if not 1 <= i <= pi.n:
+        return []
+    return [TriIndex(k, i, j) for j in range(1, i + 1) for k in range(1, pi.p(j) + 1)]
+
+
 def mutable_indices(pi: Pyramid) -> list[TriIndex]:
     """Triples below the frozen top row."""
     return [t for t in all_indices(pi) if t.i < pi.n]
@@ -128,7 +135,7 @@ class Tableau:
         return {cls for cls, _ in self.entries.values()}
 
     def row_indices(self, i: int) -> list[TriIndex]:
-        return [t for t in all_indices(self.pyramid) if t.i == i]
+        return row_indices(self.pyramid, i)
 
     def __eq__(self, other) -> bool:
         return (

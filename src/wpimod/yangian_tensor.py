@@ -536,11 +536,6 @@ def drinfeld_b(M: TensorModule, m: int, order: int) -> OperatorSeries:
     return quantum_minor(M, range(1, m + 1), cols, order)
 
 
-def drinfeld_c(M: TensorModule, m: int, order: int) -> OperatorSeries:
-    rows = list(range(1, m)) + [m + 1]
-    return quantum_minor(M, rows, range(1, m + 1), order)
-
-
 # -- singular vectors -------------------------------------------------------
 
 

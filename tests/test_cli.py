@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from wpimod import tableau_to_json
 from wpimod.cli import run
 
@@ -210,3 +212,21 @@ def test_tensor_check_report_has_no_threads_field(tmp_path, capsys, monkeypatch)
     path = write_weights(tmp_path, "w.json", [(1, 0), (1, 0)])
     code, report = invoke(capsys, ["tensor-check", "--weights", path, "--depth", "1"])
     assert code == 0 and "threads" not in report
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("verify-relations", "--instantiations", "0"),
+    ("verify-relations", "--instantiations", "-1"),
+    ("verify-relations", "--budget", "0"),
+    ("verify-relations", "--budget", "-1"),
+    ("verify-relations", "--radius", "-1"),
+    ("tensor-check", "--depth", "-1"),
+    ("enumerate-basis", "--radius", "-3"),
+])
+def test_out_of_range_numbers_are_input_errors(tmp_path, capsys, command, option, value):
+    if command == "tensor-check":
+        inputs = ["--weights", write_weights(tmp_path, "w.json", [(1, 0), (1, 0)])]
+    else:
+        inputs = ["--relations", write_relations(tmp_path, "s.json", standard_gl2())]
+    code, report = invoke(capsys, [command, *inputs, option, value])
+    assert code == 4 and option in report["error"]

@@ -25,6 +25,8 @@ from wpimod import (
     standard_set,
 )
 from wpimod.relations import (
+    _arcs,
+    _least_solution,
     _literal_admissible,
     _row_relabelings,
     closure_order,
@@ -138,6 +140,50 @@ def test_noncritical_satisfying_tableau():
             RelationSet(GL2, [rel((1, 2, 1), (1, 1, 1), False),
                               rel((1, 1, 1), (1, 2, 1), True)])
         )
+
+
+def _solver_corpus():
+    return [*relation_subsets(GL2, 5), *relation_subsets(P12, 5),
+            *relation_subsets(GL3, 3)]
+
+
+def test_least_solution_contract():
+    for C in _solver_corpus():
+        vs, arcs = vertices(C), _arcs(C)
+        x = _least_solution(vs, arcs)
+        # a positive cycle is a closed chain through a strict edge
+        order = closure_order(C)
+        unsat = any(order.gt(v, v) for v in vs)
+        assert (x is None) == unsat, C
+        if x is None:
+            continue
+        assert set(x) == vs and all(val >= 0 for val in x.values())
+        assert all(x[v] >= x[u] + w for u, v, w in arcs)
+        # least: every entry is reached from a zero entry along tight arcs,
+        # so any nonnegative solution dominates it
+        reached = {v for v in vs if x[v] == 0}
+        grew = True
+        while grew:
+            grew = False
+            for u, v, w in arcs:
+                if u in reached and v not in reached and x[v] == x[u] + w:
+                    reached.add(v)
+                    grew = True
+        assert reached == vs, C
+
+
+def test_noncritical_seed_is_least_solution_per_component():
+    checked = 0
+    for C in _solver_corpus():
+        if not (is_satisfiable(C) and is_noncritical_set(C)):
+            continue
+        seed = noncritical_satisfying_tableau(C)
+        for idx, comp in enumerate(decompose(C)):
+            x = _least_solution(vertices(comp), _arcs(comp))
+            for v in vertices(comp):
+                assert seed.entry(v) == (f"c{idx}", x[v]), C
+        checked += 1
+    assert checked == 387
 
 
 def test_spread_seed_keeps_satisfaction():
