@@ -27,6 +27,7 @@ from .relations import (
     RelationSet,
     is_admissible,
     is_noncritical_set,
+    is_satisfiable,
     noncritical_satisfying_tableau,
     reduce_set,
     rr_remove,
@@ -153,6 +154,8 @@ def check_admissible_cmd(relations_path):
 def reduce_cmd(relations_path):
     """Print the unique reduced representative of a noncritical relation set."""
     C = _load_relations(relations_path)
+    if not is_satisfiable(C):
+        raise InputError("relation set is unsatisfiable")
     if not is_noncritical_set(C):
         raise InputError("relation set is critical; reduce is undefined")
     R = reduce_set(C)

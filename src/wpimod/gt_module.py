@@ -134,6 +134,7 @@ class ActionContext:
         }
         self._row_index = {r: row_indices(self.pyramid, r) for r in range(self.n + 1)}
         self._cache: dict = {}
+        self._columns: dict = {}
 
     def value(self, t: TriIndex, d: TableauDelta) -> Fraction:
         return self.base[t] + d.get(t)
@@ -254,6 +255,44 @@ class ActionContext:
 
     # -- vector-level application ------------------------------------------
 
+    def column(self, gen: tuple, d: TableauDelta, policy: str = STRICT) -> tuple:
+        """The image of the basis vector d under one generator.
+
+        Returns ((target, coefficient), ...) with nonzero coefficients, after
+        gating and the window check, cached on (gen, d, policy).  A STRICT
+        window overflow or a CriticalityError raises while the column is built,
+        so neither is ever cached.
+        """
+        key = (gen, d, policy)
+        col = self._columns.get(key)
+        if col is None:
+            col = self._columns[key] = self._build_column(gen, d, policy)
+        return col
+
+    def _build_column(self, gen: tuple, d: TableauDelta, policy: str) -> tuple:
+        fam, row, sup = gen
+        if fam in ("d", "dprime"):
+            if sup == 0:
+                return ((d, Fraction(1)),)
+            series = self.d_series_coeff if fam == "d" else self.dprime_series_coeff
+            val = series(row, sup, d)
+            return ((d, val),) if val != 0 else ()
+        terms = self.e_terms(row, sup, d) if fam == "e" else self.f_terms(row, sup, d)
+        checker = self.window.checker
+        radius = self.window.radius
+        col = []
+        for tgt, coeff in terms:
+            if not checker.satisfied(tgt):
+                continue
+            if radius is not None and tgt.norm_inf() > radius:
+                if policy == STRICT:
+                    raise WindowOverflowError(
+                        f"target {tgt!r} satisfies the relations but leaves the window"
+                    )
+                continue
+            col.append((tgt, coeff))
+        return tuple(col)
+
     def apply(self, gen: tuple, vec: dict, policy: str = STRICT) -> dict:
         """Apply one generator to a sparse vector {shift: coefficient}.
 
@@ -261,64 +300,25 @@ class ActionContext:
         Targets violating the relation set are dropped (gating); satisfying
         targets outside the window raise (strict) or are dropped (clip).
         """
-        fam, row, sup = gen
         out: dict = {}
-        checker = self.window.checker
-        radius = self.window.radius
         for d, c in vec.items():
             if c == 0:
                 continue
-            if fam == "d":
-                val = Fraction(1) if sup == 0 else self.d_series_coeff(row, sup, d)
-                if val != 0:
-                    out[d] = out.get(d, Fraction(0)) + c * val
-                continue
-            if fam == "dprime":
-                val = Fraction(1) if sup == 0 else self.dprime_series_coeff(row, sup, d)
-                if val != 0:
-                    out[d] = out.get(d, Fraction(0)) + c * val
-                continue
-            terms = (
-                self.e_terms(row, sup, d) if fam == "e" else self.f_terms(row, sup, d)
-            )
-            for tgt, coeff in terms:
-                if not checker.satisfied(tgt):
-                    continue
-                if radius is not None and tgt.norm_inf() > radius:
-                    if policy == STRICT:
-                        raise WindowOverflowError(
-                            f"target {tgt!r} satisfies the relations but leaves the window"
-                        )
-                    continue
-                out[tgt] = out.get(tgt, Fraction(0)) + c * coeff
+            for tgt, coeff in self.column(gen, d, policy):
+                prev = out.get(tgt)
+                out[tgt] = c * coeff if prev is None else prev + c * coeff
         return {d: c for d, c in out.items() if c != 0}
 
     def apply_word(self, word, d: TableauDelta, policy: str = STRICT) -> dict:
         """Apply a product of generators (rightmost acts first) to a basis vector."""
-        vec = {d: Fraction(1)}
-        for gen in reversed(word):
-            vec = self.apply(gen, vec, policy)
+        if not word:
+            return {d: Fraction(1)}
+        vec = dict(self.column(word[-1], d, policy))
+        for gen in reversed(word[:-1]):
             if not vec:
                 break
+            vec = self.apply(gen, vec, policy)
         return vec
-
-
-def _vec_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for d, c in b.items():
-        out[d] = out.get(d, Fraction(0)) - c
-    return {d: c for d, c in out.items() if c != 0}
-
-
-def _vec_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for d, c in b.items():
-        out[d] = out.get(d, Fraction(0)) + c
-    return {d: c for d, c in out.items() if c != 0}
-
-
-def _vec_scale(a: dict, s: Fraction) -> dict:
-    return {d: c * s for d, c in a.items() if c * s != 0}
 
 
 def act_A(window: BasisWindow, r: int, assignment: GenericAssignment) -> dict:
@@ -613,6 +613,7 @@ def verify_defining_relations(
         for t in range(instantiations)
     ]
 
+    eligible_by_margins: dict = {}
     for fam, idx, lhs, rhs in _relation_cases(l.pyramid, budget):
         status = report["families"].setdefault(fam, "pass")
         if status == "fail" and max_violations:
@@ -622,24 +623,30 @@ def verify_defining_relations(
             raise WindowOverflowError(
                 f"window radius {radius} is too small for relation family {fam}"
             )
-        eligible = [
-            d
-            for d in window.members
-            if all(
-                abs(v) <= radius - margins.get(t.i, 0)
-                for t, v in ((t, d.get(t)) for t in window.free)
-            )
-        ]
+        profile = tuple(sorted(margins.items()))
+        eligible = eligible_by_margins.get(profile)
+        if eligible is None:
+            eligible = eligible_by_margins[profile] = [
+                d
+                for d in window.members
+                if all(
+                    abs(d.get(t)) <= radius - margins.get(t.i, 0)
+                    for t in window.free
+                )
+            ]
+        # lhs - rhs as one signed sum; every sign is +1 or -1
+        terms = lhs + [(-sign, word) for sign, word in rhs]
         for ctx in contexts:
             for d in eligible:
                 acc: dict = {}
                 try:
-                    for sign, word in lhs:
-                        acc = _vec_add(acc, _vec_scale(ctx.apply_word(word, d), sign))
-                    for sign, word in rhs:
-                        acc = _vec_sub(acc, _vec_scale(ctx.apply_word(word, d), sign))
+                    for sign, word in terms:
+                        for dd, c in ctx.apply_word(word, d).items():
+                            prev = acc.get(dd, 0)
+                            acc[dd] = prev + c if sign > 0 else prev - c
                 except CriticalityError as exc:
                     acc = {"criticality": str(exc)}
+                acc = {dd: c for dd, c in acc.items() if c != 0}
                 if acc:
                     report["families"][fam] = "fail"
                     report["violations"].append(
@@ -699,8 +706,7 @@ def cyclicity_probe(
         nxt = []
         for d in frontier:
             for gen in gens:
-                vec = ctx.apply(gen, {d: Fraction(1)}, policy=CLIP)
-                for tgt in vec:
+                for tgt, _ in ctx.column(gen, d, CLIP):
                     if tgt not in reached:
                         reached.add(tgt)
                         nxt.append(tgt)

@@ -352,8 +352,11 @@ def critical_satisfying_tableau(C: RelationSet):
     """A symbolic tableau satisfying C that equates a same-row pair, or None.
 
     Witnesses set-level criticality: the returned tableau satisfies every edge
-    of C while the pair reported by critical_pair coincides.
+    of C while the pair reported by critical_pair coincides.  Raises when C is
+    unsatisfiable.
     """
+    if not is_satisfiable(C):
+        raise ValueError("relation set is unsatisfiable")
     pair = critical_pair(C)
     if pair is None:
         return None

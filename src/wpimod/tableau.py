@@ -50,14 +50,19 @@ def valid_index(pi: Pyramid, t: TriIndex) -> bool:
 
 
 class TableauDelta:
-    """Sparse integral shift with zero support on the top row."""
+    """Sparse integral shift with zero support on the top row.
 
-    __slots__ = ("offsets",)
+    Immutable: nothing changes `offsets` after construction, so the hash is
+    computed once, on first use.
+    """
+
+    __slots__ = ("offsets", "_hash")
 
     def __init__(self, offsets: dict[TriIndex, int] | None = None):
         self.offsets = {
             TriIndex(*t): int(v) for t, v in (offsets or {}).items() if v != 0
         }
+        self._hash = None
 
     @staticmethod
     def unit(t: TriIndex, amount: int = 1) -> "TableauDelta":
@@ -82,7 +87,9 @@ class TableauDelta:
         return isinstance(other, TableauDelta) and self.offsets == other.offsets
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.offsets.items()))
+        if self._hash is None:
+            self._hash = hash(frozenset(self.offsets.items()))
+        return self._hash
 
     def norm_inf(self) -> int:
         return max((abs(v) for v in self.offsets.values()), default=0)

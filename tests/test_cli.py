@@ -7,7 +7,7 @@ import pytest
 from wpimod import tableau_to_json
 from wpimod.cli import run
 
-from helpers import GL2, bad_pattern_upper, gl2_tableau, rel, standard_gl2
+from helpers import GL2, GL3, bad_pattern_upper, gl2_tableau, rel, standard_gl2
 from test_gt_module import reducible_gl3_pair
 
 
@@ -83,6 +83,17 @@ def test_reduce_drops_implied_edge(tmp_path, capsys):
     code, report = invoke(capsys, ["reduce", "--relations", path])
     assert code == 0
     assert report["edges"] == S.to_json()["edges"]
+
+
+def test_reduce_rejects_unsatisfiable_set(tmp_path, capsys):
+    from wpimod import RelationSet
+
+    C = RelationSet(GL3, [rel((1, 2, 1), (1, 3, 1), True),
+                          rel((1, 3, 1), (1, 2, 1), False)])
+    path = write_relations(tmp_path, "u.json", C)
+    code, report = invoke(capsys, ["reduce", "--relations", path])
+    assert code == 4
+    assert report == {"v": 1, "error": "relation set is unsatisfiable"}
 
 
 def test_rr_remove(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Basis windows, generator actions, the relation verifier, irreducibility."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,10 +20,13 @@ from wpimod import (
     tableau_from_values,
     verify_defining_relations,
 )
-from wpimod.exact_arith import GenericAssignment
+from wpimod.exact_arith import CriticalityError, GenericAssignment
 from wpimod.gt_module import (
+    CLIP,
+    STRICT,
     ActionContext,
     WindowOverflowError,
+    _relation_cases,
     act_A,
     act_BC_at,
 )
@@ -33,7 +37,7 @@ from wpimod.relations import (
 )
 from wpimod.tableau import shift
 
-from helpers import GL2, GL3, gl2_tableau, rel, standard_gl2
+from helpers import GL2, GL3, gl2_tableau, rel, spread_seed, standard_gl2
 
 
 def unit(t, v):
@@ -151,6 +155,83 @@ def test_window_overflow_is_an_error_not_zero():
     ctx = ActionContext(w, generic_instantiate(l.classes(), 3))
     with pytest.raises(WindowOverflowError):
         ctx.apply(("e", 1, 1), {TableauDelta(): Fraction(1)})
+
+
+def _image(fn):
+    try:
+        return fn()
+    except WindowOverflowError:
+        return "overflow"
+
+
+def test_shared_context_matches_fresh_context_per_call():
+    """Cached columns reproduce every oracle word built with no cache at all."""
+    S = standard_set(GL3)
+    seed = spread_seed(S)
+    window = enumerate_basis(S, seed, 2)
+    assignment = generic_instantiate(seed.classes(), 1)
+    shared = ActionContext(window, assignment)
+
+    def fresh(word, d, policy):
+        ctx = ActionContext(window, assignment)
+        vec = {d: Fraction(1)}
+        for gen in reversed(word):
+            vec = ctx.apply(gen, vec, policy)
+        return vec
+
+    words = sorted({
+        tuple(word)
+        for _, _, lhs, rhs in _relation_cases(GL3, 2)
+        for _, word in lhs + rhs
+    })
+    assert len(window.members) > 1
+    for word in words:
+        for d in window.members:
+            # CLIP first, so a clipped column leaking into STRICT shows
+            for policy in (CLIP, STRICT):
+                got = _image(lambda: shared.apply_word(list(word), d, policy))
+                assert got == _image(lambda: fresh(word, d, policy)), (word, d, policy)
+
+
+def test_strict_after_clip_still_overflows():
+    l = gl2_tableau(2, -1, 1)
+    w = enumerate_basis(standard_gl2(), l, 0)  # the raise target lies outside
+    ctx = ActionContext(w, generic_instantiate(l.classes(), 3))
+    gen, d0 = ("e", 1, 1), TableauDelta()
+    assert ctx.apply(gen, {d0: Fraction(1)}, CLIP) == {}
+    for _ in range(2):
+        with pytest.raises(WindowOverflowError):
+            ctx.apply(gen, {d0: Fraction(1)}, STRICT)
+        with pytest.raises(WindowOverflowError):
+            ctx.apply_word([gen], d0)
+    assert ctx.column(gen, d0, CLIP) == ()
+
+
+def test_repeated_criticality_error_names_each_shift():
+    C = RelationSet(GL3, [rel((1, 3, 1), (1, 2, 1), False),
+                          rel((1, 3, 1), (1, 2, 2), False)])
+    seed = critical_satisfying_tableau(C)
+    w = enumerate_basis(C, seed, 1)
+    ctx = ActionContext(w, generic_instantiate(seed.classes(), 1))
+    # equal row-2 entries at both shifts, which differ only in row 1
+    first, second = TableauDelta(), unit((1, 1, 1), 1)
+    assert second in w
+    for d in (first, first, second):
+        with pytest.raises(CriticalityError, match=re.escape(repr(d))):
+            ctx.apply(("e", 2, 1), {d: Fraction(1)})
+
+
+def test_delta_hash_is_cached_and_structural():
+    a, b = TriIndex(1, 1, 1), TriIndex(1, 2, 2)
+    built = TableauDelta.unit(a, 1) + TableauDelta.unit(b, -2)
+    literal = TableauDelta({b: -2, a: 1})
+    for _ in range(2):
+        assert hash(built) == hash(literal)
+    assert built == literal
+    assert {built: "x"}[literal] == "x"
+    zero = TableauDelta.unit(a, 1) + TableauDelta.unit(a, -1)
+    hash(zero)
+    assert zero == TableauDelta() and hash(zero) == hash(TableauDelta())
 
 
 def test_dprime_convolution_is_delta():

@@ -130,6 +130,16 @@ def test_critical_satisfying_tableau():
     assert critical_satisfying_tableau(standard_set(GL2)) is None
 
 
+def test_critical_satisfying_tableau_rejects_unsatisfiable_set():
+    # one component is critical, the other has no solution
+    C = RelationSet(GL3, [rel((1, 2, 1), (1, 3, 1), True),
+                          rel((1, 3, 1), (1, 2, 1), False),
+                          rel((1, 3, 2), (1, 2, 2), False),
+                          rel((1, 3, 3), (1, 2, 2), False)])
+    with pytest.raises(ValueError, match="relation set is unsatisfiable"):
+        critical_satisfying_tableau(C)
+
+
 def test_noncritical_satisfying_tableau():
     for C in (standard_set(GL2), standard_set(P12), diamond_set()):
         l = noncritical_satisfying_tableau(C)
