@@ -9,6 +9,7 @@ falls outside the window is a hard error, never a silent zero.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .exact_arith import (
@@ -22,7 +23,6 @@ from .pyramid import e_generator_min_degree
 from .relations import (
     RelationSet,
     component_partition,
-    equivalent,
     maximal_set,
     reduce_set,
     satisfies,
@@ -76,15 +76,9 @@ class BasisWindow:
         self.checker = ShiftChecker(C, seed)
         self.free = mutable_indices(seed.pyramid)
         members = []
-        stack = [{}]
-        for t in self.free:
-            stack = [
-                {**a, t: v}
-                for a in stack
-                for v in range(-self.radius, self.radius + 1)
-            ]
-        for a in stack:
-            d = TableauDelta(a)
+        box = range(-self.radius, self.radius + 1)
+        for combo in itertools.product(box, repeat=len(self.free)):
+            d = TableauDelta(dict(zip(self.free, combo)))
             if self.checker.satisfied(d):
                 members.append(d)
         members.sort(key=lambda d: d.key())
@@ -675,7 +669,7 @@ def report_passes(report: dict) -> bool:
 
 def is_irreducible(C: RelationSet, l: Tableau) -> bool:
     """The module over the window seed is irreducible iff C is maximal for the seed."""
-    return equivalent(reduce_set(C), maximal_set(l))
+    return reduce_set(C) == maximal_set(l)
 
 
 def cyclicity_probe(

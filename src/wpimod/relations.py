@@ -267,24 +267,27 @@ def is_satisfiable(C: RelationSet) -> bool:
 def critical_pair(C: RelationSet):
     """A same-row pair of one component that some satisfying tableau can equate.
 
-    Returns the pair, or None when the set is noncritical.
+    Setting a = b closes a positive cycle exactly when a strict chain already
+    joins a and b, so the first same-row pair that no strict chain orders is
+    returned, or None when the set is noncritical.  A component that nothing
+    satisfies is vacuously noncritical and contributes no pair, so callers
+    check `is_satisfiable` first.
     """
     for comp in decompose(C):
+        order = ClosureOrder(comp)
         vs = sorted(vertices(comp))
-        base_arcs = _arcs(comp)
-        if _least_solution(vs, base_arcs) is None:
+        if any(order.gt(v, v) for v in vs):
             continue  # nothing satisfies this component
         for x in range(len(vs)):
             for y in range(x + 1, len(vs)):
                 a, b = vs[x], vs[y]
-                if a.i != b.i:
-                    continue
-                if _least_solution(vs, base_arcs + [(a, b, 0), (b, a, 0)]) is not None:
+                if a.i == b.i and not (order.gt(a, b) or order.gt(b, a)):
                     return (a, b)
     return None
 
 
 def is_noncritical_set(C: RelationSet) -> bool:
+    """No satisfying tableau equates a same-row pair; see `critical_pair`."""
     return critical_pair(C) is None
 
 
@@ -425,7 +428,7 @@ def pre_admissibility_failure(C: RelationSet):
 
 
 def is_pre_admissible(C: RelationSet) -> bool:
-    return pre_admissibility_failure(C) is None
+    return is_satisfiable(C) and pre_admissibility_failure(C) is None
 
 
 def adjoining_pairs(comp: Component) -> list[tuple[TriIndex, TriIndex]]:
@@ -570,26 +573,26 @@ def is_admissible(C: RelationSet):
 
 
 def reduce_set(C: RelationSet) -> RelationSet:
-    """The unique reduced set equivalent to a noncritical C (redundant edges dropped)."""
+    """The unique reduced set equivalent to a noncritical C (redundant edges dropped).
+
+    A transitive reduction (Aho, Garey and Ullman 1972) in one pass over the
+    closure of C: edge e is redundant when another edge out of e.greater
+    continues down to e.lesser.  Weak edges descend or stay in the loop-free
+    top row and strict edges climb, so every cycle holds a strict edge and a
+    satisfiable C has none (e is no detour for itself); and every chain that
+    climbs a row holds a strict edge, so a detour for a strict e is strict.
+    """
+    if not is_satisfiable(C):
+        raise ValueError("relation set is unsatisfiable")
     if not is_noncritical_set(C):
         raise ValueError("reduce requires a noncritical relation set")
-    edges = set(C.edges)
-    changed = True
-    while changed:
-        changed = False
-        for e in sorted(edges):
-            rest = RelationSet(C.pyramid, edges - {e})
-            order = ClosureOrder(rest)
-            implied = (
-                order.gt(e.greater, e.lesser)
-                if e.strict
-                else order.geq(e.greater, e.lesser)
-            )
-            if implied:
-                edges.discard(e)
-                changed = True
-                break
-    return RelationSet(C.pyramid, edges)
+    order = ClosureOrder(C)
+    return RelationSet(C.pyramid, [
+        e for e in C.edges
+        if not any(
+            f.greater == e.greater and order.geq(f.lesser, e.lesser) for f in C.edges
+        )
+    ])
 
 
 def equivalent(C1: RelationSet, C2: RelationSet) -> bool:
@@ -639,25 +642,11 @@ def permute(C: RelationSet, row: int, mapping: dict) -> RelationSet:
 
 def held_relations(l: Tableau) -> list[Relation]:
     """Every allowed relation whose inequality the tableau satisfies."""
-    pi = l.pyramid
-    idx = all_indices(pi)
     out = []
-    for a in idx:
-        for b in idx:
-            if a == b:
-                continue
-            if a.i == b.i + 1 and b.i <= pi.n - 1:
-                d = entry_int_diff(l, a, b)
-                if d is not None and d >= 0:
-                    out.append(Relation(a, b, False))
-            if a.i == b.i - 1:
-                d = entry_int_diff(l, a, b)
-                if d is not None and d >= 1:
-                    out.append(Relation(a, b, True))
-            if a.i == pi.n and b.i == pi.n and a.j != b.j:
-                d = entry_int_diff(l, a, b)
-                if d is not None and d >= 0:
-                    out.append(Relation(a, b, False))
+    for e in all_relations(l.pyramid):
+        d = entry_int_diff(l, e.greater, e.lesser)
+        if d is not None and d >= (1 if e.strict else 0):
+            out.append(e)
     return out
 
 

@@ -143,6 +143,19 @@ def test_irreducible_exit_codes(tmp_path, capsys):
     assert code == 3 and report["irreducible"] is False
 
 
+def test_irreducible_rejects_unsatisfiable_set(tmp_path, capsys):
+    from wpimod import RelationSet
+
+    C = RelationSet(GL3, [rel((1, 2, 1), (1, 3, 1), True),
+                          rel((1, 3, 1), (1, 2, 1), False)])
+    _, l = reducible_gl3_pair()
+    rels = write_relations(tmp_path, "u.json", C)
+    tab = write_tableau(tmp_path, "l.json", l)
+    code, report = invoke(capsys, ["irreducible", "--relations", rels, "--tableau", tab])
+    assert code == 4
+    assert report == {"v": 1, "error": "relation set is unsatisfiable"}
+
+
 def test_tensor_check(tmp_path, capsys):
     from fractions import Fraction
 

@@ -30,6 +30,7 @@ from wpimod.relations import (
     _literal_admissible,
     _row_relabelings,
     closure_order,
+    critical_pair,
     equivalent,
     has_cross,
     held_relations,
@@ -386,3 +387,76 @@ def test_maximal_set_rejects_unforceable_links():
         maximal_set(gl2_tableau(2, -1, 5))
     with pytest.raises(ValueError):
         maximal_set(gl2_tableau(2, 2, 0))  # equal top entries are critical
+
+
+def test_unsatisfiable_set_is_not_pre_admissible():
+    C = RelationSet(GL3, [rel((1, 2, 1), (1, 3, 1), True),
+                          rel((1, 3, 1), (1, 2, 1), False)])
+    assert not is_satisfiable(C)
+    assert is_noncritical_set(C)  # vacuously: nothing satisfies C
+    assert not is_pre_admissible(C)
+    with pytest.raises(ValueError, match="unsatisfiable"):
+        reduce_set(C)
+
+
+def _random_gl4_sets(count, seed=23):
+    rng = random.Random(seed)
+    rels = all_relations(GL4)
+    out = []
+    while len(out) < count:
+        try:
+            out.append(RelationSet(GL4, rng.sample(rels, rng.randint(2, 7))))
+        except ValueError:
+            continue  # top-row loop
+    return out
+
+
+def _contract_corpus():
+    return [*relation_subsets(GL2, 5), *relation_subsets(P12, 5),
+            *relation_subsets(GL3, 4), *_random_gl4_sets(400)]
+
+
+def _reference_critical_pair(C):
+    """The first same-row pair that the solver can still equate, per component."""
+    for comp in decompose(C):
+        vs, arcs = sorted(vertices(comp)), _arcs(comp)
+        if _least_solution(vs, arcs) is None:
+            continue
+        for x, a in enumerate(vs):
+            for b in vs[x + 1:]:
+                equal = arcs + [(a, b, 0), (b, a, 0)]
+                if a.i == b.i and _least_solution(vs, equal) is not None:
+                    return (a, b)
+    return None
+
+
+def test_critical_pair_matches_solver_probe():
+    kinds = {"critical": 0, "noncritical": 0, "unsatisfiable": 0}
+    for C in _contract_corpus():
+        pair = critical_pair(C)
+        assert pair == _reference_critical_pair(C), C
+        if not is_satisfiable(C):
+            kinds["unsatisfiable"] += 1
+        else:
+            kinds["critical" if pair else "noncritical"] += 1
+    assert all(kinds.values()), kinds
+
+
+def test_reduce_set_is_transitive_reduction():
+    checked = 0
+    for C in _contract_corpus():
+        if not (is_satisfiable(C) and is_noncritical_set(C)):
+            continue
+        R = reduce_set(C)
+        assert R.edges <= C.edges, C
+        full, red = closure_order(C), closure_order(R)
+        for a in vertices(C):
+            for b in vertices(C):
+                assert full.geq(a, b) == red.geq(a, b), (C, a, b)
+                assert full.gt(a, b) == red.gt(a, b), (C, a, b)
+        for e in R.edges:
+            rest = closure_order(RelationSet(C.pyramid, R.edges - {e}))
+            implied = rest.gt if e.strict else rest.geq
+            assert not implied(e.greater, e.lesser), (C, e)
+        checked += 1
+    assert checked == 844
