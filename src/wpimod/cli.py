@@ -26,8 +26,6 @@ from .pyramid import Pyramid
 from .relations import (
     RelationSet,
     is_admissible,
-    is_noncritical_set,
-    is_satisfiable,
     noncritical_satisfying_tableau,
     reduce_set,
     rr_remove,
@@ -82,13 +80,16 @@ def _load_relations(path: str) -> RelationSet:
         raise InputError(f"{path}: {exc}")
 
 
-def _load_tableau(path: str):
+def _load_tableau(path: str, pi: Pyramid):
     obj = _load_json(path)
     _check_version(obj, path)
     try:
-        return tableau_from_json(obj)
+        tab = tableau_from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: {exc}")
+    if tab.pyramid != pi:
+        raise InputError(f"{path}: tableau is on {tab.pyramid}, the relations on {pi}")
+    return tab
 
 
 def _load_weights(path: str):
@@ -154,11 +155,10 @@ def check_admissible_cmd(relations_path):
 def reduce_cmd(relations_path):
     """Print the unique reduced representative of a noncritical relation set."""
     C = _load_relations(relations_path)
-    if not is_satisfiable(C):
-        raise InputError("relation set is unsatisfiable")
-    if not is_noncritical_set(C):
-        raise InputError("relation set is critical; reduce is undefined")
-    R = reduce_set(C)
+    try:
+        R = reduce_set(C)
+    except ValueError as exc:
+        raise InputError(str(exc))
     _emit(
         {
             "command": "reduce",
@@ -203,7 +203,7 @@ def enumerate_basis_cmd(relations_path, tableau_path, radius):
     """List the window shifts satisfying the relation set around a seed."""
     C = _load_relations(relations_path)
     if tableau_path is not None:
-        seed = _load_tableau(tableau_path)
+        seed = _load_tableau(tableau_path, C.pyramid)
     else:
         try:
             seed = noncritical_satisfying_tableau(C)
@@ -239,7 +239,7 @@ def verify_relations_cmd(relations_path, tableau_path, radius, budget, instantia
     """Run the defining-relation oracle; exit 3 on violations, 5 on overflow."""
     C = _load_relations(relations_path)
     if tableau_path is not None:
-        tab = _load_tableau(tableau_path)
+        tab = _load_tableau(tableau_path, C.pyramid)
     else:
         try:
             tab = noncritical_satisfying_tableau(C)
@@ -277,7 +277,7 @@ def verify_relations_cmd(relations_path, tableau_path, radius, budget, instantia
 def irreducible_cmd(relations_path, tableau_path):
     """Test irreducibility of the relation module over the given seed."""
     C = _load_relations(relations_path)
-    tab = _load_tableau(tableau_path)
+    tab = _load_tableau(tableau_path, C.pyramid)
     try:
         verdict = is_irreducible(C, tab)
     except ValueError as exc:

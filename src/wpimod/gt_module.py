@@ -22,7 +22,6 @@ from .exact_arith import (
 from .pyramid import e_generator_min_degree
 from .relations import (
     RelationSet,
-    component_partition,
     maximal_set,
     reduce_set,
     satisfies,

@@ -127,9 +127,6 @@ class RelationSet:
         return RelationSet(pi, edges)
 
 
-Component = RelationSet
-
-
 def vertices(C: RelationSet) -> set[TriIndex]:
     out = set()
     for e in C.edges:
@@ -138,7 +135,7 @@ def vertices(C: RelationSet) -> set[TriIndex]:
     return out
 
 
-def decompose(C: RelationSet) -> list[Component]:
+def decompose(C: RelationSet) -> list[RelationSet]:
     """Split into connected components, ordered by least triple."""
     parent: dict[TriIndex, TriIndex] = {}
 
@@ -207,6 +204,11 @@ def closure_order(C: RelationSet) -> ClosureOrder:
     return ClosureOrder(C)
 
 
+def _closures(C: RelationSet) -> list[tuple[RelationSet, ClosureOrder]]:
+    """Each component of C with its closure order, built once for every phase."""
+    return [(comp, ClosureOrder(comp)) for comp in decompose(C)]
+
+
 def satisfies(C: RelationSet, l: Tableau) -> bool:
     """Edge inequalities hold, and same-row integer links stay inside components."""
     for e in C.edges:
@@ -273,8 +275,11 @@ def critical_pair(C: RelationSet):
     satisfies is vacuously noncritical and contributes no pair, so callers
     check `is_satisfiable` first.
     """
-    for comp in decompose(C):
-        order = ClosureOrder(comp)
+    return _critical_pair(_closures(C))
+
+
+def _critical_pair(closures):
+    for comp, order in closures:
         vs = sorted(vertices(comp))
         if any(order.gt(v, v) for v in vs):
             continue  # nothing satisfies this component
@@ -378,7 +383,7 @@ def critical_satisfying_tableau(C: RelationSet):
     return _symbolic_tableau(C.pyramid, entries)
 
 
-def has_cross(comp: Component):
+def has_cross(comp: RelationSet):
     """A strict up-edge and a weak down-edge interleaving positions, if present."""
     for e1 in sorted(comp.edges):
         if not e1.strict:
@@ -404,15 +409,14 @@ def _lex_pair(t: TriIndex) -> tuple[int, int]:
     return (t.k, t.j)
 
 
-def pre_admissibility_failure(C: RelationSet):
-    """None if pre-admissible, else a (reason, witness) pair."""
-    pair = critical_pair(C)
+def pre_admissibility_failure(closures):
+    """None if the set with these `_closures` is pre-admissible, else (reason, witness)."""
+    pair = _critical_pair(closures)
     if pair is not None:
         return ("critical", pair)
-    for comp in decompose(C):
-        order = ClosureOrder(comp)
+    for comp, order in closures:
         vs = sorted(vertices(comp))
-        n = C.pyramid.n
+        n = comp.pyramid.n
         for a in vs:
             for b in vs:
                 if a == b or a.i != b.i:
@@ -428,12 +432,11 @@ def pre_admissibility_failure(C: RelationSet):
 
 
 def is_pre_admissible(C: RelationSet) -> bool:
-    return is_satisfiable(C) and pre_admissibility_failure(C) is None
+    return is_satisfiable(C) and pre_admissibility_failure(_closures(C)) is None
 
 
-def adjoining_pairs(comp: Component) -> list[tuple[TriIndex, TriIndex]]:
+def adjoining_pairs(comp: RelationSet, order: ClosureOrder) -> list[tuple[TriIndex, TriIndex]]:
     """Same-row comparable pairs below the top row with no triple strictly between."""
-    order = ClosureOrder(comp)
     vs = sorted(vertices(comp))
     n = comp.pyramid.n
     out = []
@@ -452,7 +455,7 @@ def adjoining_pairs(comp: Component) -> list[tuple[TriIndex, TriIndex]]:
     return out
 
 
-def _bridging_witness(comp: Component, a: TriIndex, b: TriIndex):
+def _bridging_witness(comp: RelationSet, a: TriIndex, b: TriIndex):
     """Witness edges certifying the adjoining pair (a, b), or None."""
     i = a.i
     ups = sorted(
@@ -482,13 +485,14 @@ def _bridging_witness(comp: Component, a: TriIndex, b: TriIndex):
 
 def _literal_admissible(C: RelationSet):
     """Admissibility check with the labels taken at face value."""
-    fail = pre_admissibility_failure(C)
+    closures = _closures(C)
+    fail = pre_admissibility_failure(closures)
     if fail is not None:
         reason, witness = fail
         return False, {"reason": reason, "witness": witness}
     witnesses = []
-    for comp in decompose(C):
-        for a, b in adjoining_pairs(comp):
+    for comp, order in closures:
+        for a, b in adjoining_pairs(comp, order):
             w = _bridging_witness(comp, a, b)
             if w is None:
                 return False, {"reason": "unbridged", "witness": (a, b)}
@@ -507,7 +511,7 @@ def _row_relabelings(pi: Pyramid, support=None):
     agreeing on the support, so the sequence is the unrestricted one with
     every relabeling dropped that moves the support like an earlier one.
 
-    Yields {row: mapping} dictionaries consumable by `permute`, one row entry
+    Yields {row: mapping} dictionaries consumable by `_relabel`, one row entry
     per non-identity row mapping.
     """
     per_row = []
@@ -553,10 +557,8 @@ def is_admissible(C: RelationSet):
         return False, {"reason": "critical", "witness": pair}
     first_fail = None
     for relabeling in _row_relabelings(C.pyramid, vertices(C)):
-        sC = C
         try:
-            for row, mapping in relabeling.items():
-                sC = permute(sC, row, mapping)
+            sC = _relabel(C, relabeling)
         except ValueError:
             continue  # image leaves the allowed relation patterns
         ok, cert = _literal_admissible(sC)
@@ -585,7 +587,7 @@ def reduce_set(C: RelationSet) -> RelationSet:
     if not is_satisfiable(C):
         raise ValueError("relation set is unsatisfiable")
     if not is_noncritical_set(C):
-        raise ValueError("reduce requires a noncritical relation set")
+        raise ValueError("relation set is critical; reduce is undefined")
     order = ClosureOrder(C)
     return RelationSet(C.pyramid, [
         e for e in C.edges
@@ -622,17 +624,16 @@ def permute(C: RelationSet, row: int, mapping: dict) -> RelationSet:
     mapping = {tuple(a): tuple(b) for a, b in mapping.items()}
     if sorted(mapping) != sorted(mapping.values()):
         raise ValueError("mapping must be a bijection on (layer, position) pairs")
-    for (k, j), (k2, j2) in mapping.items():
-        if not valid_index(C.pyramid, TriIndex(k, row, j)) or not valid_index(
-            C.pyramid, TriIndex(k2, row, j2)
-        ):
-            raise ValueError("mapping leaves the valid index set")
+    if not all(valid_index(C.pyramid, TriIndex(k, row, j)) for k, j in mapping):
+        raise ValueError("mapping leaves the valid index set")  # a bijection: values = keys
+    return _relabel(C, {row: mapping})
 
+
+def _relabel(C: RelationSet, relabeling: dict) -> RelationSet:
+    """Move every triple of C through a {row: {(k, j): (k2, j2)}} relabeling at once."""
     def move(t: TriIndex) -> TriIndex:
-        if t.i == row and (t.k, t.j) in mapping:
-            k2, j2 = mapping[(t.k, t.j)]
-            return TriIndex(k2, row, j2)
-        return t
+        k2, j2 = relabeling.get(t.i, {}).get((t.k, t.j), (t.k, t.j))
+        return TriIndex(k2, t.i, j2)
 
     return RelationSet(
         C.pyramid,
@@ -660,13 +661,13 @@ def maximal_set(l: Tableau) -> RelationSet:
                 d = entry_int_diff(l, row[x], row[y])
                 if d == 0:
                     raise ValueError("tableau is critical")
-    H = RelationSet(pi, held_relations(l))
-    if not is_noncritical_set(H):
+    try:  # l satisfies its held relations, so only criticality can fail here
+        C = reduce_set(RelationSet(pi, held_relations(l)))
+    except ValueError:
         raise ValueError(
             "the relations held by the tableau form a critical set; "
             "no noncritical set captures all of its integer links"
-        )
-    C = reduce_set(H)
+        ) from None
     if not satisfies(C, l):
         raise ValueError(
             "tableau holds integer links that no chain of allowed relations connects"

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from wpimod import tableau_to_json
+from wpimod import standard_set, tableau_to_json
 from wpimod.cli import run
 
 from helpers import GL2, GL3, bad_pattern_upper, gl2_tableau, rel, standard_gl2
@@ -254,3 +254,14 @@ def test_out_of_range_numbers_are_input_errors(tmp_path, capsys, command, option
         inputs = ["--relations", write_relations(tmp_path, "s.json", standard_gl2())]
     code, report = invoke(capsys, [command, *inputs, option, value])
     assert code == 4 and option in report["error"]
+
+
+def test_tableau_on_another_pyramid_is_input_error(tmp_path, capsys):
+    rel_path = write_relations(tmp_path, "gl3.json", standard_set(GL3))
+    tab_path = write_tableau(tmp_path, "gl2.json", gl2_tableau(2, -1, 0))
+    for command in ("enumerate-basis", "verify-relations", "irreducible"):
+        code, report = invoke(
+            capsys, [command, "--relations", rel_path, "--tableau", tab_path]
+        )
+        assert code == 4, command
+        assert set(report) == {"v", "error"}, command

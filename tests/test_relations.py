@@ -24,7 +24,9 @@ from wpimod import (
     satisfies,
     standard_set,
 )
+from wpimod import relations
 from wpimod.relations import (
+    ClosureOrder,
     _arcs,
     _least_solution,
     _literal_admissible,
@@ -460,3 +462,56 @@ def test_reduce_set_is_transitive_reduction():
             assert not implied(e.greater, e.lesser), (C, e)
         checked += 1
     assert checked == 844
+
+
+def _count_closure_orders(monkeypatch):
+    """The sets every ClosureOrder is built on from now on, in build order."""
+    built = []
+    init = ClosureOrder.__init__
+
+    def counting_init(self, C):
+        built.append(C)
+        init(self, C)
+
+    monkeypatch.setattr(ClosureOrder, "__init__", counting_init)
+    return built
+
+
+def test_is_admissible_builds_one_closure_per_component_per_image(monkeypatch):
+    # three components, 144 images, none of which is bridged
+    C = RelationSet(GL4, [rel((1, 2, 2), (1, 1, 1), False),
+                          rel((1, 3, 2), (1, 4, 3), True),
+                          rel((1, 4, 3), (1, 3, 3), False),
+                          rel((1, 4, 4), (1, 3, 1), False)])
+    components = len(decompose(C))
+    assert components == 3
+    images = []
+    row_relabelings = relations._row_relabelings
+
+    def counting_relabelings(pi, support=None):
+        for relabeling in row_relabelings(pi, support):
+            images.append(relabeling)
+            yield relabeling
+
+    def no_permute(*args):
+        raise AssertionError("is_admissible relabels through permute")
+
+    monkeypatch.setattr(relations, "_row_relabelings", counting_relabelings)
+    monkeypatch.setattr(relations, "permute", no_permute)
+    built = _count_closure_orders(monkeypatch)
+    ok, cert = is_admissible(C)
+    assert not ok and cert["reason"] == "unbridged"
+    assert len(images) >= 100
+    # one closure list per image tried, plus one for the up-front critical check
+    assert len(built) <= components * (len(images) + 1)
+
+
+def test_maximal_set_checks_criticality_once(monkeypatch):
+    l = spread_seed(standard_set(GL3))
+    H = RelationSet(GL3, held_relations(l))
+    components = len(decompose(H))
+    assert components >= 1
+    built = _count_closure_orders(monkeypatch)
+    maximal_set(l)
+    # the critical check's closure per component, then reduce_set's one closure
+    assert len(built) == components + 1
