@@ -123,12 +123,6 @@ class UniPoly:
             base = base * lin
         return out
 
-    def pow(self, n: int) -> "UniPoly":
-        out = UniPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def eval(self, x) -> Fraction:
         x = as_scalar(x)
         acc = Fraction(0)
@@ -260,31 +254,6 @@ def series_quotient(num: UniPoly, den: UniPoly, order: int) -> InvSeries:
     if not num.is_monic() or not den.is_monic():
         raise ValueError("series_quotient requires monic inputs")
     return poly_series_quotient(num, den, order)
-
-
-def lagrange_coefficient(
-    points: Sequence, target_index: int, numerator_values: Sequence
-) -> Fraction:
-    """Prod_j numerator_values[j] / Prod_{j != i} (points[j] - points[i]).
-
-    Coincident interpolation points signal a critical tableau and are rejected.
-    """
-    pts = [as_scalar(p) for p in points]
-    xi = pts[target_index]
-    den = Fraction(1)
-    for j, p in enumerate(pts):
-        if j == target_index:
-            continue
-        d = p - xi
-        if d == 0:
-            raise CriticalityError(
-                f"coincident interpolation points at indices {j} and {target_index}"
-            )
-        den *= d
-    num = Fraction(1)
-    for v in numerator_values:
-        num *= as_scalar(v)
-    return num / den
 
 
 class CriticalityError(ValueError):

@@ -24,6 +24,7 @@ from .relations import (
     RelationSet,
     maximal_set,
     reduce_set,
+    require_same_pyramid,
     satisfies,
 )
 from .tableau import (
@@ -69,7 +70,6 @@ class BasisWindow:
     """Finite slice of the shift lattice: all window shifts satisfying C."""
 
     def __init__(self, C: RelationSet, seed: Tableau, radius: int):
-        self.relation_set = C
         self.seed = seed
         self.radius = int(radius)
         self.checker = ShiftChecker(C, seed)
@@ -95,14 +95,9 @@ class FreeWindow:
     """Window substitute with no box bound: gating only, never overflow."""
 
     def __init__(self, C: RelationSet, seed: Tableau):
-        self.relation_set = C
         self.seed = seed
         self.radius = None
         self.checker = ShiftChecker(C, seed)
-        self.free = mutable_indices(seed.pyramid)
-
-    def tableau(self, d: TableauDelta) -> Tableau:
-        return shift(self.seed, d)
 
 
 def enumerate_basis(C: RelationSet, l: Tableau, radius: int) -> BasisWindow:
@@ -189,7 +184,9 @@ class ActionContext:
     def e_terms(self, r: int, sup: int, d: TableauDelta) -> list[tuple[TableauDelta, Fraction]]:
         """Expansion of the raising generator applied to the shift basis vector.
 
-        Returns (target shift, coefficient) pairs before gating.
+        Returns (target shift, coefficient) pairs before gating.  The target
+        row differs from row r only at the pivot, so each pivot contributes
+        the simple pole u^-gap / (u + pv + r) times the ratio.
         """
         mindeg = e_generator_min_degree(self.pyramid, r)
         if sup < mindeg:
@@ -201,27 +198,19 @@ class ActionContext:
             terms = self._cache[key]
         else:
             terms = []
-            gap = self.pyramid.p(r + 1) - self.pyramid.p(r)
             for pivot, pv in self.row_values(r, d):
-                target = d + TableauDelta.unit(pivot, +1)
                 ratio = self._ratio(r, r + 1, pivot, d)
-                num = UniPoly.one()
-                for t, v in self.row_values(r, d):
-                    if t == pivot:
-                        continue
-                    num = num * UniPoly.linear(v + r - 1)
-                den = UniPoly((0,) * gap + (1,)) if gap else UniPoly.one()
-                for t, v in self.row_values(r, target):
-                    den = den * UniPoly.linear(v + r - 1)
-                b = poly_series_quotient(num, den, sup).coeff(sup)
-                coeff = -ratio * b
+                coeff = -ratio * (-(pv + r)) ** (sup - mindeg)
                 if coeff != 0:
                     terms.append((TableauDelta.unit(pivot, +1), coeff))
             self._cache[key] = terms
         return [(d + step, c) for step, c in terms]
 
     def f_terms(self, r: int, sup: int, d: TableauDelta) -> list[tuple[TableauDelta, Fraction]]:
-        """Expansion of the lowering generator applied to the shift basis vector."""
+        """Expansion of the lowering generator applied to the shift basis vector.
+
+        Each pivot contributes the simple pole 1 / (u + pv + r - 1) times the ratio.
+        """
         if sup < 1:
             raise ValueError("lowering superscript must be at least 1")
         key = ("f", r, sup, self._row_sig((r - 1, r), d))
@@ -231,16 +220,7 @@ class ActionContext:
             terms = []
             for pivot, pv in self.row_values(r, d):
                 ratio = self._ratio(r, r - 1, pivot, d)
-                num = UniPoly.one()
-                for t, v in self.row_values(r, d):
-                    if t == pivot:
-                        continue
-                    num = num * UniPoly.linear(v + r - 1)
-                den = UniPoly.one()
-                for t, v in self.row_values(r, d):
-                    den = den * UniPoly.linear(v + r - 1)
-                c = poly_series_quotient(num, den, sup).coeff(sup)
-                coeff = ratio * c
+                coeff = ratio * (-(pv + r - 1)) ** (sup - 1)
                 if coeff != 0:
                     terms.append((TableauDelta.unit(pivot, -1), coeff))
             self._cache[key] = terms
@@ -312,61 +292,6 @@ class ActionContext:
                 break
             vec = self.apply(gen, vec, policy)
         return vec
-
-
-def act_A(window: BasisWindow, r: int, assignment: GenericAssignment) -> dict:
-    """Diagonal eigenvalues: shift -> monic polynomial (product of row factors)."""
-    ctx = ActionContext(window, assignment)
-    out = {}
-    for d in window.members:
-        p = UniPoly.one()
-        for _, v in ctx.row_values(r, d):
-            p = p * UniPoly.linear(v)
-        out[d] = p
-    return out
-
-
-def act_BC_at(
-    window: BasisWindow,
-    r: int,
-    u0: Fraction,
-    family: str,
-    vec: dict,
-    assignment: GenericAssignment,
-    policy: str = STRICT,
-) -> dict:
-    """Ladder operators evaluated at a point, by exact interpolation.
-
-    family "B" raises (targets one step up), "C" lowers.  The value at u0 is
-    the interpolation-form sum; gating and window policy as in `apply`.
-    """
-    if family not in ("B", "C"):
-        raise ValueError("family must be B or C")
-    ctx = ActionContext(window, assignment)
-    out: dict = {}
-    for d, c in vec.items():
-        for pivot, pv in ctx.row_values(r, d):
-            other = r + 1 if family == "B" else r - 1
-            ratio = ctx._ratio(r, other, pivot, d)
-            prod = Fraction(1)
-            for t, v in ctx.row_values(r, d):
-                if t == pivot:
-                    continue
-                prod *= u0 + v
-            sign = Fraction(-1) if family == "B" else Fraction(1)
-            coeff = sign * ratio * prod * c
-            step = TableauDelta.unit(pivot, +1 if family == "B" else -1)
-            tgt = d + step
-            if coeff == 0:
-                continue
-            if not window.checker.satisfied(tgt):
-                continue
-            if window.radius is not None and tgt.norm_inf() > window.radius:
-                if policy == STRICT:
-                    raise WindowOverflowError(f"target {tgt!r} leaves the window")
-                continue
-            out[tgt] = out.get(tgt, Fraction(0)) + coeff
-    return {d: c for d, c in out.items() if c != 0}
 
 
 def _relation_cases(pyramid, budget: int):
@@ -668,6 +593,7 @@ def report_passes(report: dict) -> bool:
 
 def is_irreducible(C: RelationSet, l: Tableau) -> bool:
     """The module over the window seed is irreducible iff C is maximal for the seed."""
+    require_same_pyramid(C, l)
     return reduce_set(C) == maximal_set(l)
 
 

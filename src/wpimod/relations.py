@@ -209,8 +209,18 @@ def _closures(C: RelationSet) -> list[tuple[RelationSet, ClosureOrder]]:
     return [(comp, ClosureOrder(comp)) for comp in decompose(C)]
 
 
+def require_same_pyramid(C: RelationSet, l: Tableau) -> None:
+    """Raise ValueError, naming both pyramids, unless l is on C's pyramid."""
+    if l.pyramid != C.pyramid:
+        raise ValueError(f"tableau is on {l.pyramid}, the relations on {C.pyramid}")
+
+
 def satisfies(C: RelationSet, l: Tableau) -> bool:
-    """Edge inequalities hold, and same-row integer links stay inside components."""
+    """Edge inequalities hold, and same-row integer links stay inside components.
+
+    Raises ValueError when l is on another pyramid than C.
+    """
+    require_same_pyramid(C, l)
     for e in C.edges:
         diff = entry_int_diff(l, e.greater, e.lesser)
         if diff is None or diff < (1 if e.strict else 0):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpimod import (
-    CriticalityError,
     InvSeries,
     UniPoly,
     as_scalar,
@@ -15,7 +14,7 @@ from wpimod import (
     poly_series_quotient,
     series_quotient,
 )
-from wpimod.exact_arith import lagrange_coefficient, scalar_to_json
+from wpimod.exact_arith import scalar_to_json
 
 
 def test_as_scalar_forms():
@@ -107,16 +106,6 @@ def test_inv_series_inverse():
     assert prod.constant == 1 and all(c == 0 for c in prod.coeffs)
     with pytest.raises(ZeroDivisionError):
         InvSeries(0, [1]).inverse()
-
-
-def test_lagrange_coefficient():
-    # denominator (0-1)(3-1) = -2
-    val = lagrange_coefficient([0, 1, 3], 1, [1])
-    assert val == Fraction(1, -2)
-    val = lagrange_coefficient([0, 1], 0, [2])
-    assert val == Fraction(2, 1)
-    with pytest.raises(CriticalityError):
-        lagrange_coefficient([0, 1, 1], 1, [1])
 
 
 def test_generic_instantiate_deterministic():

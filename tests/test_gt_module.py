@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 from wpimod import (
+    FreeWindow,
     Pyramid,
     RelationSet,
     TableauDelta,
     TriIndex,
-    all_indices,
     cyclicity_probe,
+    e_generator_min_degree,
     enumerate_basis,
     generic_instantiate,
     is_irreducible,
@@ -20,19 +21,18 @@ from wpimod import (
     tableau_from_values,
     verify_defining_relations,
 )
-from wpimod.exact_arith import CriticalityError, GenericAssignment
+from wpimod.exact_arith import CriticalityError, UniPoly, poly_series_quotient
 from wpimod.gt_module import (
     CLIP,
     STRICT,
     ActionContext,
     WindowOverflowError,
     _relation_cases,
-    act_A,
-    act_BC_at,
 )
 from wpimod.relations import (
     critical_satisfying_tableau,
     maximal_set,
+    noncritical_satisfying_tableau,
     satisfies,
 )
 from wpimod.tableau import shift
@@ -42,15 +42,6 @@ from helpers import GL2, GL3, gl2_tableau, rel, spread_seed, standard_gl2
 
 def unit(t, v):
     return TableauDelta.unit(TriIndex(*t), v)
-
-
-def literal_assignment(l):
-    """Assignment whose class values reproduce the tableau's literal entries."""
-    values = {}
-    for t in all_indices(l.pyramid):
-        cls, off = l.entry(t)
-        values[cls] = l.value(t) - off
-    return GenericAssignment(values, 0)
 
 
 def generic_gl2_seed():
@@ -112,21 +103,6 @@ def test_enumerate_basis_rejects_violating_seed():
         enumerate_basis(standard_gl2(), gl2_tableau(2, -1, 3), 2)
 
 
-def test_act_A_eigenvalues():
-    S = standard_gl2()
-    l = gl2_tableau(2, -1, 1)
-    w = enumerate_basis(S, l, 1)
-    eig = act_A(w, 1, literal_assignment(l))
-    assert eig[TableauDelta()].coeffs == (1, 1)  # u + 1
-    assert eig[unit((1, 1, 1), -1)].coeffs == (0, 1)  # u
-    top = act_A(w, 2, literal_assignment(l))
-    for p in top.values():
-        assert p.degree == 2
-        assert p.coeffs[-1] == 1
-        # row 2 is frozen: one shared eigenvalue (u+2)(u-1)
-        assert p.coeffs == (-2, 1, 1)
-
-
 def test_gating_blocks_forbidden_lowering():
     S = standard_gl2()
     l = gl2_tableau(2, -1, 0)  # low entry at the strict boundary
@@ -134,18 +110,85 @@ def test_gating_blocks_forbidden_lowering():
     ctx = ActionContext(w, generic_instantiate(l.classes(), 3))
     out = ctx.apply(("f", 1, 1), {TableauDelta(): Fraction(1)})
     assert out == {}
-    low = act_BC_at(w, 1, Fraction(9), "C", {TableauDelta(): Fraction(1)},
-                    generic_instantiate(l.classes(), 3))
-    assert low == {}
 
 
-def test_act_BC_raising_within_window():
-    S = standard_gl2()
-    l = gl2_tableau(2, -1, 0)
-    w = enumerate_basis(S, l, 2)
-    up = act_BC_at(w, 1, Fraction(9), "B", {TableauDelta(): Fraction(1)},
-                   generic_instantiate(l.classes(), 3))
-    assert set(up) == {unit((1, 1, 1), 1)}
+def _quotient_terms(ctx, fam, r, sup, d):
+    """Ladder terms from the full quotient of row-factor products.
+
+    The reference form of `ActionContext.e_terms` / `f_terms`: per pivot, the
+    u^-sup coefficient of prod(u + v + r - 1) over the row without the pivot,
+    divided by u^gap times the same product over the target row (raising), or
+    over the whole row (lowering).
+    """
+    pyramid = ctx.pyramid
+    terms = []
+    for pivot, _ in ctx.row_values(r, d):
+        step = TableauDelta.unit(pivot, +1 if fam == "e" else -1)
+        ratio = ctx._ratio(r, r + 1 if fam == "e" else r - 1, pivot, d)
+        num = UniPoly.one()
+        for t, v in ctx.row_values(r, d):
+            if t != pivot:
+                num = num * UniPoly.linear(v + r - 1)
+        if fam == "e":
+            gap = pyramid.p(r + 1) - pyramid.p(r)
+            den = UniPoly((0,) * gap + (1,))
+            den_row = ctx.row_values(r, d + step)
+        else:
+            den, den_row = UniPoly.one(), ctx.row_values(r, d)
+        for _, v in den_row:
+            den = den * UniPoly.linear(v + r - 1)
+        b = poly_series_quotient(num, den, sup).coeff(sup)
+        coeff = -ratio * b if fam == "e" else ratio * b
+        if coeff != 0:
+            terms.append((d + step, coeff))
+    return terms
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except CriticalityError as exc:
+        return ("critical", str(exc))
+
+
+@pytest.mark.parametrize("rows", [(1, 1), (1, 2), (2, 2), (1, 1, 1), (1, 1, 2), (1, 2, 2)],
+                         ids=lambda rows: "x".join(map(str, rows)))
+def test_closed_form_ladder_terms_match_quotient(rows):
+    pyramid = Pyramid(rows)
+    radius = 2 if pyramid.n == 2 else 1
+    S = standard_set(pyramid)
+    for seed in (noncritical_satisfying_tableau(S), spread_seed(S)):
+        window = enumerate_basis(S, seed, radius)
+        for inst in (1, 2):
+            ctx = ActionContext(window, generic_instantiate(seed.classes(), inst))
+            for r in range(1, pyramid.n):
+                lo = {"e": e_generator_min_degree(pyramid, r), "f": 1}
+                for fam, terms in (("e", ctx.e_terms), ("f", ctx.f_terms)):
+                    for sup in range(lo[fam], lo[fam] + 4):
+                        for d in window.members:
+                            got = _outcome(lambda: terms(r, sup, d))
+                            want = _outcome(lambda: _quotient_terms(ctx, fam, r, sup, d))
+                            assert got == want, (rows, inst, fam, r, sup, d)
+
+
+def _gl3_seed():
+    return noncritical_satisfying_tableau(standard_set(GL3))
+
+
+@pytest.mark.parametrize("C, l", [
+    (standard_set(GL3), gl2_tableau(2, -1, 0)),
+    (standard_gl2(), _gl3_seed()),
+], ids=["gl3-set-gl2-tableau", "gl2-set-gl3-tableau"])
+def test_seed_on_another_pyramid_is_value_error(C, l):
+    names = f"tableau is on {l.pyramid}, the relations on {C.pyramid}"
+    for call in (
+        lambda: satisfies(C, l),
+        lambda: enumerate_basis(C, l, 1),
+        lambda: FreeWindow(C, l),
+        lambda: is_irreducible(C, l),
+    ):
+        with pytest.raises(ValueError, match=re.escape(names)):
+            call()
 
 
 def test_window_overflow_is_an_error_not_zero():
