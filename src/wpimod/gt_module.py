@@ -9,8 +9,8 @@ falls outside the window is a hard error, never a silent zero.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
+from math import inf
 
 from .exact_arith import (
     CriticalityError,
@@ -22,6 +22,7 @@ from .exact_arith import (
 from .pyramid import e_generator_min_degree
 from .relations import (
     RelationSet,
+    _least_solution,
     maximal_set,
     reduce_set,
     require_same_pyramid,
@@ -42,11 +43,19 @@ class WindowOverflowError(RuntimeError):
     """A shift target satisfies the relation set but lies outside the window."""
 
 
+# Most members a basis window may hold.  `BasisWindow` raises ValueError as
+# soon as its enumeration passes this count, so an oversized radius costs a
+# bounded amount of time and memory; the CLI reports it as an input error.
+MAX_WINDOW_MEMBERS = 100_000
+
+
 class ShiftChecker:
     """Fast satisfaction test for integral shifts of a fixed seed.
 
     The class structure of the seed is shift-invariant, so the component
-    clause is checked once; per-shift work is one inequality per edge.
+    clause is checked once; per-shift work is one inequality per edge.  The
+    same inequalities, read as a difference system over the free triples,
+    let `solutions` list the accepted shifts of a box without scanning it.
     """
 
     def __init__(self, C: RelationSet, seed: Tableau):
@@ -58,6 +67,22 @@ class ShiftChecker:
             cl, ol = seed.entry(e.lesser)
             base = og - ol
             self.checks.append((e.greater, e.lesser, base, 1 if e.strict else 0))
+        # Each check reads d_g - d_l >= lo - base.  An end on the frozen top
+        # row has d = 0, which leaves a unary bound on the other end; a check
+        # with both ends frozen is the seed's own, which holds.
+        self.free = mutable_indices(seed.pyramid)
+        free = set(self.free)
+        self.arcs = []  # (l, g, c): d_g >= d_l + c
+        self.floors: dict[TriIndex, int] = {}
+        self.ceilings: dict[TriIndex, int] = {}
+        for g, l, base, lo in self.checks:
+            c = lo - base
+            if g in free and l in free:
+                self.arcs.append((l, g, c))
+            elif g in free:
+                self.floors[g] = max(self.floors.get(g, c), c)
+            elif l in free:
+                self.ceilings[l] = min(self.ceilings.get(l, -c), -c)
 
     def satisfied(self, d: TableauDelta) -> bool:
         for g, l, base, lo in self.checks:
@@ -65,21 +90,87 @@ class ShiftChecker:
                 return False
         return True
 
+    def solutions(
+        self, low: int, high: int, depth: int | None = None, cap: int | None = None
+    ) -> list[TableauDelta]:
+        """Every accepted shift with low <= d_t <= high on the free triples.
+
+        With `depth`, only shifts with -sum(d) <= depth; with `cap`, ValueError
+        as soon as more than `cap` are found.  The order is unspecified.
+
+        Each free triple's exact interval comes from two least solutions
+        (`_least_solution`): of y = d - low over the lower bounds and the arcs,
+        and of z = high - d over the upper bounds and the reversed arcs.  The
+        triples are assigned depth-first, re-tightening after each assignment.
+        Bounds consistency is exact for difference constraints, so every
+        branch ends in a member (Freuder, JACM 1982) and the cost follows the
+        members, not the box.  The arcs have no positive cycle (d = 0 solves
+        them), so neither system is ever infeasible.  The vector of upper
+        bounds is itself a solution, the shallowest one extending the partial
+        assignment, so pruning on its depth is exact as well.
+        """
+        free, n = self.free, len(self.free)
+        up = self.arcs
+        down = [(g, l, c) for l, g, c in self.arcs]
+        y = _least_solution(free, up, {t: max(0, f - low) for t, f in self.floors.items()})
+        z = _least_solution(
+            free, down, {t: max(0, high - c) for t, c in self.ceilings.items()}
+        )
+        if any(y[t] + z[t] > high - low for t in free):
+            return []
+        # Offsets first, shifts after the search: long-lived shifts allocated
+        # between its short-lived dicts would scatter over the allocator's
+        # pools and raise the process's peak memory.
+        found: list[list[int]] = []
+
+        def spare(z) -> float:
+            """Depth left over by the shallowest completion, the upper bounds."""
+            return inf if depth is None else depth - (sum(z.values()) - n * high)
+
+        def extend(pos: int, y: dict, z: dict) -> None:
+            t = free[pos]
+            lo, hi = low + y[t], high - z[t]
+            if pos == n - 1:
+                # every value of the last interval completes a member; each
+                # step down from hi costs one unit of depth
+                lo = max(lo, hi - spare(z))
+                if cap is not None and len(found) + hi - lo + 1 > cap:
+                    raise ValueError(f"basis window has more than {cap} members")
+                head = [y[u] + low for u in free[:pos]]
+                found.extend(head + [a] for a in range(lo, hi + 1))
+                return
+            # Descending values: the shallowest completion only deepens, so
+            # the first value that is too deep ends the loop.  At an end of
+            # its interval, t's own bound on that side is unchanged.
+            for a in range(hi, lo - 1, -1):
+                z2 = z if a == hi else _least_solution(free, down, {**z, t: high - a})
+                if spare(z2) < 0:
+                    break
+                y2 = y if a == lo else _least_solution(free, up, {**y, t: a - low})
+                extend(pos + 1, y2, z2)
+
+        if spare(z) < 0:
+            return []
+        if not free:
+            return [TableauDelta()]
+        extend(0, y, z)
+        return [TableauDelta(dict(zip(free, offsets))) for offsets in found]
+
 
 class BasisWindow:
-    """Finite slice of the shift lattice: all window shifts satisfying C."""
+    """Finite slice of the shift lattice: all window shifts satisfying C.
+
+    Raises ValueError when the window has more than MAX_WINDOW_MEMBERS members.
+    """
 
     def __init__(self, C: RelationSet, seed: Tableau, radius: int):
         self.seed = seed
         self.radius = int(radius)
         self.checker = ShiftChecker(C, seed)
-        self.free = mutable_indices(seed.pyramid)
-        members = []
-        box = range(-self.radius, self.radius + 1)
-        for combo in itertools.product(box, repeat=len(self.free)):
-            d = TableauDelta(dict(zip(self.free, combo)))
-            if self.checker.satisfied(d):
-                members.append(d)
+        self.free = self.checker.free
+        members = self.checker.solutions(
+            -self.radius, self.radius, cap=MAX_WINDOW_MEMBERS
+        )
         members.sort(key=lambda d: d.key())
         self.members = members
         self.member_set = set(members)

@@ -242,13 +242,18 @@ def _arcs(C: RelationSet) -> list[tuple[TriIndex, TriIndex, int]]:
     return [(e.lesser, e.greater, 1 if e.strict else 0) for e in C.edges]
 
 
-def _least_solution(verts, arcs):
-    """Least nonnegative integral solution of the arcs (u, v, w): x_v >= x_u + w.
+def _least_solution(verts, arcs, start=None):
+    """Least integral solution of the arcs (u, v, w): x_v >= x_u + w, x >= start.
 
-    Bellman-Ford longest paths from a virtual zero source (Cormen et al.,
-    section 24.4); None when a positive cycle makes the system infeasible.
+    Bellman-Ford longest paths from a virtual source with an arc of weight
+    start[v] (default 0, so the least nonnegative solution) to each vertex
+    (Cormen et al., section 24.4); None when a positive cycle makes the system
+    infeasible.  Started from the least solution of a looser system, the
+    relaxation needs only the passes that the tightening propagates.
     """
-    x = {v: 0 for v in verts}
+    x = dict.fromkeys(verts, 0)
+    if start:
+        x.update(start)
     for _ in range(len(x) + 1):
         changed = False
         for u, v, w in arcs:

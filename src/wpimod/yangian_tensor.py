@@ -275,14 +275,7 @@ class EvaluationFactor:
         """All basis shifts of total depth at most `depth`."""
         depth = int(depth)
         if depth not in self._delta_cache:
-            out = []
-            ranges = [range(-depth, 1) for _ in self.free]
-            for combo in itertools.product(*ranges):
-                if -sum(combo) > depth:
-                    continue
-                d = TableauDelta(dict(zip(self.free, combo)))
-                if self.window.checker.satisfied(d):
-                    out.append(d)
+            out = self.window.checker.solutions(-depth, 0, depth=depth)
             out.sort(key=lambda d: (self.depth_of(d), d.key()))
             self._delta_cache[depth] = out
         return self._delta_cache[depth]

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from wpimod import standard_set, tableau_to_json
+from wpimod import Pyramid, RelationSet, standard_set, tableau_to_json
 from wpimod.cli import run
+from wpimod.gt_module import MAX_WINDOW_MEMBERS
 
 from helpers import GL2, GL3, bad_pattern_upper, gl2_tableau, rel, standard_gl2
 from test_gt_module import reducible_gl3_pair
@@ -265,3 +266,13 @@ def test_tableau_on_another_pyramid_is_input_error(tmp_path, capsys):
         )
         assert code == 4, command
         assert set(report) == {"v", "error"}, command
+
+
+@pytest.mark.parametrize("command", ["enumerate-basis", "verify-relations"])
+def test_window_past_member_cap_is_input_error(tmp_path, capsys, command):
+    # every shift of the 21^6-point box satisfies the empty set on gl_4
+    path = write_relations(tmp_path, "empty.json", RelationSet(Pyramid((1, 1, 1, 1)), []))
+    code, report = invoke(capsys, [command, "--relations", path, "--radius", "10"])
+    assert code == 4
+    assert set(report) == {"v", "error"}
+    assert report["error"] == f"basis window has more than {MAX_WINDOW_MEMBERS} members"

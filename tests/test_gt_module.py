@@ -1,12 +1,17 @@
 """Basis windows, generator actions, the relation verifier, irreducibility."""
 
+import itertools
+import random
 import re
 from fractions import Fraction
 
 import pytest
 
+from wpimod import gt_module
 from wpimod import (
+    EvaluationFactor,
     FreeWindow,
+    GlWeight,
     Pyramid,
     RelationSet,
     TableauDelta,
@@ -30,14 +35,17 @@ from wpimod.gt_module import (
     _relation_cases,
 )
 from wpimod.relations import (
+    all_relations,
     critical_satisfying_tableau,
+    is_noncritical_set,
+    is_satisfiable,
     maximal_set,
     noncritical_satisfying_tableau,
     satisfies,
 )
-from wpimod.tableau import shift
+from wpimod.tableau import all_indices, mutable_indices, shift
 
-from helpers import GL2, GL3, gl2_tableau, rel, spread_seed, standard_gl2
+from helpers import GL2, GL3, gl2_tableau, rel, spread_seed, standard_gl2, try_relation_set
 
 
 def unit(t, v):
@@ -363,3 +371,110 @@ def test_cyclicity_traps_in_proper_submodule():
     assert TableauDelta() not in reached
     # the seed, by contrast, generates the whole window
     assert cyclicity_probe(w, TableauDelta(), 2) == set(w.members)
+
+
+def _box_scan(checker, free, ranges, depth=None):
+    """Every box point the checker accepts: the enumeration `solutions` replaced.
+
+    The reference form of `BasisWindow` (ranges all [-r, r]) and of
+    `EvaluationFactor.deltas` (ranges all [-depth, 0], plus -sum <= depth).
+    """
+    out = []
+    for combo in itertools.product(*ranges):
+        if depth is not None and -sum(combo) > depth:
+            continue
+        d = TableauDelta(dict(zip(free, combo)))
+        if checker.satisfied(d):
+            out.append(d)
+    return out
+
+
+def _integral_seeds(C, rng, count):
+    """Single-class integral tableaux satisfying C, as a `--tableau` file gives.
+
+    Small random entries put many relations with a top-row end right at
+    their bound, so the window's unary bounds bind.
+    """
+    found = []
+    indices = all_indices(C.pyramid)
+    for _ in range(400):
+        if len(found) == count:
+            break
+        values = {t: rng.randrange(4) for t in indices}
+        l = tableau_from_values(C.pyramid, values)
+        if satisfies(C, l):
+            found.append(l)
+    return found
+
+
+def _window_corpus():
+    """(relation set, seed, radius) cases: standard and seeded random sets."""
+    rng = random.Random(8)
+    for rows in [(1, 1), (1, 2), (2, 2), (1, 1, 1), (1, 1, 2), (1, 2, 2), (1, 1, 1, 1)]:
+        pyramid = Pyramid(rows)
+        sets = [standard_set(pyramid)]
+        rels = all_relations(pyramid)
+        while len(sets) < 4:
+            C = try_relation_set(pyramid, rng.sample(rels, rng.randint(1, 4)))
+            if C is not None and is_satisfiable(C):
+                sets.append(C)
+        small = len(mutable_indices(pyramid)) <= 4
+        for C in sets:
+            seeds = _integral_seeds(C, rng, 2)
+            if is_noncritical_set(C):
+                seeds += [noncritical_satisfying_tableau(C), spread_seed(C)]
+            else:
+                seeds.append(critical_satisfying_tableau(C))
+            for seed in seeds:
+                for radius in range(4 if small else 3):
+                    yield C, seed, radius
+    gl4 = standard_set(Pyramid((1, 1, 1, 1)))
+    yield gl4, spread_seed(gl4), 3
+
+
+def test_window_members_match_box_scan():
+    cases = tight = 0
+    for C, seed, radius in _window_corpus():
+        window = enumerate_basis(C, seed, radius)
+        box = [range(-radius, radius + 1)] * len(window.free)
+        want = sorted(_box_scan(window.checker, window.free, box), key=lambda d: d.key())
+        assert [d.key() for d in window.members] == [d.key() for d in want], (C, seed, radius)
+        cases += 1
+        tight += 0 in window.checker.floors.values() or 0 in window.checker.ceilings.values()
+    # 210 cases; in 182 of them a top-row relation sits at its bound
+    assert cases >= 200 and tight >= 100
+
+
+@pytest.mark.parametrize("weight", [
+    (1, 0), (Fraction(1, 3), Fraction(1, 7)), (2, 1, 0), (Fraction(1, 3), Fraction(1, 7), 0),
+    (3, 1), (4, 2, 0), (3, 1, 0, 0), (2,),
+], ids=str)
+def test_depth_bounded_deltas_match_box_scan(weight):
+    f = EvaluationFactor(GlWeight(weight), depth=2)
+    for k in range(5):
+        want = _box_scan(f.window.checker, f.free, [range(-k, 1)] * len(f.free), depth=k)
+        want.sort(key=lambda d: (f.depth_of(d), d.key()))
+        assert f.deltas(k) == want, (weight, k)
+
+
+def test_tight_window_cost_follows_members_not_box():
+    # standard gl_4 set at a spread seed: the window stops growing at radius
+    # 9, with every member's offsets inside [-9, 9]; radius 40 spans a box of
+    # 81^6 (about 2.8e11) points, which no scan could visit
+    S = standard_set(Pyramid((1, 1, 1, 1)))
+    seed = spread_seed(S)
+    full = enumerate_basis(S, seed, 9)
+    assert len(full.members) == 4096
+    assert len(enumerate_basis(S, seed, 8).members) < 4096
+    assert enumerate_basis(S, seed, 40).members == full.members
+
+
+def test_member_cap_counts_members(monkeypatch):
+    S = standard_set(Pyramid((1, 1, 1, 1)))
+    seed = spread_seed(S)
+    assert len(enumerate_basis(S, seed, 3).members) == 800
+    monkeypatch.setattr(gt_module, "MAX_WINDOW_MEMBERS", 800)
+    assert len(enumerate_basis(S, seed, 3).members) == 800
+    monkeypatch.setattr(gt_module, "MAX_WINDOW_MEMBERS", 799)
+    with pytest.raises(ValueError, match="basis window has more than 799 members"):
+        enumerate_basis(S, seed, 3)
