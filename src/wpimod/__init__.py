@@ -64,7 +64,6 @@ from .yangian_tensor import (  # noqa: F401
     integral_condition,
     interval_sets,
     is_generic,
-    is_good,
     only_top_singular,
     quantum_minor,
     singular_dimensions,

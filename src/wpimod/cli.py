@@ -96,9 +96,15 @@ def _load_weights(path: str):
     obj = _load_json(path)
     _check_version(obj, path)
     try:
-        weights = [GlWeight([Fraction(str(x)) for x in w]) for w in obj["weights"]]
-        points = [Fraction(str(x)) for x in obj.get("points", [0] * len(weights))]
-    except (KeyError, TypeError, ValueError) as exc:
+        raw_weights = obj["weights"]
+        if not isinstance(raw_weights, list) or not all(isinstance(w, list) for w in raw_weights):
+            raise ValueError("weights must be a JSON array of arrays")
+        raw_points = obj.get("points", [0] * len(raw_weights))
+        if not isinstance(raw_points, list):
+            raise ValueError("points must be a JSON array")
+        weights = [GlWeight([Fraction(str(x)) for x in w]) for w in raw_weights]
+        points = [Fraction(str(x)) for x in raw_points]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{path}: {exc}")
     if len(points) != len(weights):
         raise InputError(f"{path}: need one evaluation point per weight")

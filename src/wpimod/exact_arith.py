@@ -155,9 +155,6 @@ class InvSeries:
             return self.coeffs[t - 1]
         raise IndexError(f"coefficient u^-{t} beyond truncation order {self.order}")
 
-    def truncate(self, order: int) -> "InvSeries":
-        return InvSeries(self.constant, self.coeffs[:order])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, InvSeries)

@@ -126,9 +126,6 @@ class Tableau:
                 raise ValueError(f"missing entry at {tuple(t)}")
         self.assignment = assignment
 
-    def with_assignment(self, assignment: GenericAssignment) -> "Tableau":
-        return Tableau(self.pyramid, self.entries, assignment)
-
     def entry(self, t: TriIndex) -> tuple:
         return self.entries[TriIndex(*t)]
 
@@ -274,5 +271,13 @@ def tableau_from_json(obj: dict) -> Tableau:
     pi = Pyramid.from_json(obj["pyramid"])
     entries = {}
     for e in obj["entries"]:
-        entries[TriIndex(e["k"], e["i"], e["j"])] = (e["class"], e["offset"])
+        t = TriIndex(e["k"], e["i"], e["j"])
+        cls, off = e["class"], e["offset"]
+        if not isinstance(cls, str):
+            raise ValueError(f"class at {tuple(t)} must be a string")
+        if type(off) is not int:
+            raise ValueError(f"offset at {tuple(t)} must be an integer")
+        if t in entries:
+            raise ValueError(f"entry {tuple(t)} listed twice")
+        entries[t] = (cls, off)
     return Tableau(pi, entries)

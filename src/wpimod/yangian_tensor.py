@@ -79,14 +79,6 @@ def is_generic(weights) -> bool:
     return True
 
 
-def is_good(column_weights, pyramid: Pyramid | None = None) -> bool:
-    """Every per-column weight tuple is good."""
-    cols = list(column_weights)
-    if pyramid is not None and len(cols) != pyramid.rows[-1]:
-        raise ValueError("one weight tuple per pyramid column expected")
-    return all(w.is_good() for w in cols)
-
-
 def weyl_dimension(w: GlWeight) -> int:
     """Dimension of the simple module with dominant integral highest weight."""
     if not w.is_dominant_integral():
@@ -132,9 +124,6 @@ class IntervalSet:
 
     def __contains__(self, x) -> bool:
         return self.contains(x)
-
-    def is_empty(self) -> bool:
-        return not self.bounded and not self.rays
 
     def finite_list(self) -> list[Fraction]:
         if self.rays:
@@ -246,6 +235,7 @@ class EvaluationFactor:
         self.ctx = ActionContext(self.window, seed.assignment)
         self.free = mutable_indices(pi)
         self._delta_cache: dict[int, list[TableauDelta]] = {}
+        self._columns: dict = {}
 
     def highest(self) -> TableauDelta:
         return TableauDelta()
@@ -280,40 +270,48 @@ class EvaluationFactor:
             self._delta_cache[depth] = out
         return self._delta_cache[depth]
 
+    def column(self, a: int, b: int, d: TableauDelta) -> tuple:
+        """The image of the basis shift d under E_ab, as ((target, coefficient), ...).
+
+        Built once per (a, b, d) and cached: the diagonal from `gl_weight`, the
+        adjacent columns from the generator columns of the action context, and
+        an off-adjacent column as the commutator [E_a,mid, E_mid,b] of cached
+        columns, with mid the index next to b on the side of a.
+        """
+        key = (a, b, d)
+        col = self._columns.get(key)
+        if col is None:
+            if not (1 <= a <= self.n and 1 <= b <= self.n):
+                raise IndexError(f"index out of range for gl_{self.n}")
+            col = self._columns[key] = self._build_column(a, b, d)
+        return col
+
+    def _build_column(self, a: int, b: int, d: TableauDelta) -> tuple:
+        if a == b:
+            val = self.gl_weight(d)[a - 1]
+            return ((d, val),) if val != 0 else ()
+        if b == a + 1:
+            return self.ctx.column(("e", a, 1), d, CLIP)
+        if a == b + 1:
+            return self.ctx.column(("f", b, 1), d, CLIP)
+        mid = b - 1 if a < b else b + 1
+        out: dict = {}
+        for inner, outer, sign in (((mid, b), (a, mid), 1), ((a, mid), (mid, b), -1)):
+            for d1, c1 in self.column(*inner, d):
+                for d2, c2 in self.column(*outer, d1):
+                    out[d2] = out.get(d2, 0) + sign * c1 * c2
+        return tuple((t, c) for t, c in out.items() if c != 0)
+
     def E(self, a: int, b: int, vec: dict) -> dict:
         """The gl_n basis element E_ab on a sparse vector {shift: coefficient}."""
         if not (1 <= a <= self.n and 1 <= b <= self.n):
             raise IndexError(f"index out of range for gl_{self.n}")
-        if a == b:
-            out = {}
-            for d, c in vec.items():
-                val = c * self.gl_weight(d)[a - 1]
-                if val != 0:
-                    out[d] = out.get(d, Fraction(0)) + val
-            return out
-        if b == a + 1:
-            return self.ctx.apply(("e", a, 1), vec, policy=CLIP)
-        if a == b + 1:
-            return self.ctx.apply(("f", b, 1), vec, policy=CLIP)
-        mid = b - 1 if a < b else b + 1
-        first = self.E(a, mid, self.E(mid, b, vec))
-        second = self.E(mid, b, self.E(a, mid, vec))
-        out = dict(first)
-        for d, c in second.items():
-            out[d] = out.get(d, Fraction(0)) - c
+        out: dict = {}
+        for d, c in vec.items():
+            for tgt, coeff in self.column(a, b, d):
+                prev = out.get(tgt)
+                out[tgt] = c * coeff if prev is None else prev + c * coeff
         return {d: c for d, c in out.items() if c != 0}
-
-
-def evaluation_action(f: EvaluationFactor, i: int, j: int, r: int) -> dict:
-    """Matrix of t_ij^(r) = E_ij * a^(r-1) over the depth-bounded basis."""
-    if r < 1:
-        raise ValueError("superscript must be at least 1")
-    scale = f.point ** (r - 1)
-    out = {}
-    for d in f.deltas(f.depth):
-        img = f.E(i, j, {d: Fraction(1)})
-        out[d] = {tgt: c * scale for tgt, c in img.items() if c * scale != 0}
-    return out
 
 
 # -- tensor modules ---------------------------------------------------------
@@ -344,13 +342,6 @@ class TensorModule:
             for i, c in enumerate(f.root_offset(d)):
                 out[i] += c
         return tuple(out)
-
-    def gl_weight(self, key) -> tuple[Fraction, ...]:
-        acc = [Fraction(0)] * self.n
-        for f, d in zip(self.factors, key):
-            for i, v in enumerate(f.gl_weight(d)):
-                acc[i] += v
-        return tuple(acc)
 
     def basis(self, depth: int | None = None) -> list[tuple]:
         depth = self.depth if depth is None else int(depth)
@@ -394,10 +385,13 @@ def _slot_t(M: TensorModule, slot: int, a: int, b: int, arg_shift, vec: dict, or
     for key, ser in vec.items():
         if a == b:
             _series_accum(out, key, ser)
-        img = f.E(a, b, {key[slot]: Fraction(1)})
-        for d2, coeff in img.items():
+        col = f.column(a, b, key[slot])
+        if not col:
+            continue
+        prod = ser * geom
+        for d2, coeff in col:
             k2 = key[:slot] + (d2,) + key[slot + 1:]
-            _series_accum(out, k2, ser * _scale_series(geom, coeff))
+            _series_accum(out, k2, _scale_series(prod, coeff))
     return out
 
 
@@ -422,32 +416,16 @@ def _as_series_vec(vec: dict, order: int) -> dict:
     return out
 
 
-def t_series_apply(M: TensorModule, i: int, j: int, vec: dict, order: int,
-                   arg_shift=0, lo: int = 0, hi: int | None = None) -> dict:
-    """Apply t_ij(u - arg_shift) to a vector; coefficients become series."""
-    hi = len(M.factors) if hi is None else hi
-    return _tensor_t(M, i, j, arg_shift, _as_series_vec(vec, order), order, lo, hi)
-
-
-def t_coefficient(M: TensorModule, i: int, j: int, r: int, vec: dict,
-                  lo: int = 0, hi: int | None = None) -> dict:
+def t_coefficient(M: TensorModule, i: int, j: int, r: int, vec: dict) -> dict:
     """Apply the single generator coefficient t_ij^(r) (t^(0) is delta_ij)."""
     if r == 0:
         return dict(vec) if i == j else {}
-    out_ser = t_series_apply(M, i, j, vec, r, 0, lo, hi)
+    out_ser = _tensor_t(M, i, j, 0, _as_series_vec(vec, r), r, 0, len(M.factors))
     out = {}
     for key, s in out_ser.items():
         c = s.coeff(r)
         if c != 0:
             out[key] = c
-    return out
-
-
-def coproduct_action(M: TensorModule, i: int, j: int, r: int) -> dict:
-    """Matrix of t_ij^(r) over the depth-bounded tensor basis."""
-    out = {}
-    for key in M.basis():
-        out[key] = t_coefficient(M, i, j, r, {key: Fraction(1)})
     return out
 
 
@@ -518,10 +496,6 @@ class OperatorSeries:
 def quantum_minor(M: TensorModule, a_rows, b_cols, order: int,
                   lo: int = 0, hi: int | None = None) -> OperatorSeries:
     return OperatorSeries(M, a_rows, b_cols, order, lo, hi)
-
-
-def drinfeld_a(M: TensorModule, m: int, order: int) -> OperatorSeries:
-    return quantum_minor(M, range(1, m + 1), range(1, m + 1), order)
 
 
 def drinfeld_b(M: TensorModule, m: int, order: int) -> OperatorSeries:

@@ -276,3 +276,53 @@ def test_window_past_member_cap_is_input_error(tmp_path, capsys, command):
     assert code == 4
     assert set(report) == {"v", "error"}
     assert report["error"] == f"basis window has more than {MAX_WINDOW_MEMBERS} members"
+
+
+@pytest.mark.parametrize("body", [
+    {"weights": [["1/0", "0"], ["1", "0"]]},
+    {"weights": [["1", "0"], ["1", "0"]], "points": ["0", "1/0"]},
+    {"weights": [["1", "0"], ["1", "0"]], "points": "01"},
+    {"weights": ["10", ["1", "0"]]},
+    {"weights": "10"},
+], ids=["zero-denominator-weight", "zero-denominator-point", "points-string",
+        "weight-string", "weights-string"])
+def test_malformed_weights_are_input_errors(tmp_path, capsys, body):
+    p = tmp_path / "w.json"
+    p.write_text(json.dumps({"v": 1, **body}) + "\n", encoding="utf-8")
+    code, report = invoke(capsys, ["tensor-check", "--weights", str(p), "--depth", "1"])
+    assert code == 4
+    assert set(report) == {"v", "error"}
+
+
+def _duplicate_first_entry(obj):
+    obj["entries"].append(dict(obj["entries"][0], offset=obj["entries"][0]["offset"] + 1))
+
+
+def _set_every_class(cls):
+    def edit(obj):
+        for e in obj["entries"]:
+            e["class"] = cls
+    return edit
+
+
+@pytest.mark.parametrize("command", ["enumerate-basis", "verify-relations", "irreducible"])
+@pytest.mark.parametrize("edit", [
+    # entries[1] is the top-row triple (1, 2, 1) at offset 0; each bad offset
+    # below, read leniently, would still give a tableau satisfying the set
+    lambda o: o["entries"][1].update(offset=0.5),
+    lambda o: o["entries"][1].update(offset="0"),
+    lambda o: o["entries"][1].update(offset=True),
+    _set_every_class(["a"]),
+    _set_every_class({"a": 1}),
+    _duplicate_first_entry,
+], ids=["float-offset", "string-offset", "bool-offset", "list-class", "object-class",
+        "duplicate-triple"])
+def test_malformed_tableau_entries_are_input_errors(tmp_path, capsys, command, edit):
+    rels = write_relations(tmp_path, "s.json", standard_gl2())
+    obj = {"v": 1, **tableau_to_json(gl2_tableau(2, -1, 1))}
+    edit(obj)
+    p = tmp_path / "l.json"
+    p.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    code, report = invoke(capsys, [command, "--relations", rels, "--tableau", str(p)])
+    assert code == 4
+    assert set(report) == {"v", "error"}

@@ -13,18 +13,13 @@ from wpimod import (
     integral_condition,
     interval_sets,
     is_generic,
-    is_good,
     only_top_singular,
     quantum_minor,
     singular_dimensions,
     weyl_dimension,
 )
-from wpimod.yangian_tensor import (
-    coproduct_action,
-    drinfeld_a,
-    evaluation_action,
-    t_coefficient,
-)
+from wpimod.gt_module import CLIP
+from wpimod.yangian_tensor import t_coefficient
 
 
 def test_dual_weight():
@@ -56,7 +51,6 @@ def test_is_good():
     assert GlWeight((2, 1, 0)).is_good()
     assert not GlWeight((0, 1, 0)).is_good()  # difference equals the index gap
     assert GlWeight((Fraction(1, 2), 0, 7)).is_good()
-    assert is_good([GlWeight((2, 0)), GlWeight((3, 1))])
 
 
 def test_interval_sets_single_chain():
@@ -86,13 +80,28 @@ def test_integral_condition():
 
 
 def test_evaluation_action_r1_matrix():
-    f = EvaluationFactor(GlWeight((1, 0)), point=0, depth=2)
-    mat = evaluation_action(f, 2, 1, 1)
-    top = f.highest()
-    (lowered,) = [d for d in f.deltas(1) if d != top]
-    assert set(mat[top]) == {lowered}
+    M = TensorModule([EvaluationFactor(GlWeight((1, 0)), point=0, depth=2)], depth=2)
+    top = M.highest()
+    (lowered,) = [k for k in M.basis(1) if k != top]
+    assert set(t_coefficient(M, 2, 1, 1, {top: Fraction(1)})) == {lowered}
     # point 0 kills every higher coefficient
-    assert all(v == {} for v in evaluation_action(f, 2, 1, 2).values())
+    assert all(t_coefficient(M, 2, 1, 2, {k: Fraction(1)}) == {} for k in M.basis(2))
+
+
+def test_evaluation_action_scales_by_powers_of_the_point():
+    # t_ij(u) = delta_ij + E_ij / (u - a), so t_ij^(r) = a^(r-1) E_ij on one factor
+    a = Fraction(3, 2)
+    M = TensorModule([EvaluationFactor(GlWeight((2, 1, 0)), point=a, depth=2)], depth=2)
+    (f,) = M.factors
+    for key in M.basis(2):
+        for i in range(1, 4):
+            for j in range(1, 4):
+                first = t_coefficient(M, i, j, 1, {key: Fraction(1)})
+                image = f.E(i, j, {key[0]: Fraction(1)})
+                assert first == {(d,): c for d, c in image.items()}
+                for r in (2, 3):
+                    scaled = {k: c * a ** (r - 1) for k, c in first.items()}
+                    assert t_coefficient(M, i, j, r, {key: Fraction(1)}) == scaled
 
 
 def test_evaluation_action_diagonal_on_highest():
@@ -111,17 +120,20 @@ def test_coproduct_top_vector():
     top = M.highest()
     img = t_coefficient(M, 1, 1, 1, {top: Fraction(1)})
     assert img[top] == lam.values[0] + mu.values[0]
-    mat = coproduct_action(M, 1, 1, 1)
-    assert mat[top][top] == lam.values[0] + mu.values[0]
+    # t_11^(1) is primitive, so it acts on every basis vector by the summed E_11 weight
+    for key in M.basis():
+        expected = sum(f.gl_weight(d)[0] for f, d in zip(M.factors, key))
+        assert t_coefficient(M, 1, 1, 1, {key: Fraction(1)}) == (
+            {key: expected} if expected != 0 else {}
+        )
 
 
 def test_coproduct_weight_additivity():
     M = TensorModule([EvaluationFactor(GlWeight((1, 0)), depth=2),
                       EvaluationFactor(GlWeight((Fraction(1, 3), 0)), depth=2)],
                      depth=2)
-    mat = coproduct_action(M, 2, 1, 1)
-    for src, img in mat.items():
-        for tgt in img:
+    for src in M.basis():
+        for tgt in t_coefficient(M, 2, 1, 1, {src: Fraction(1)}):
             assert M.depth_of(tgt) == M.depth_of(src) + 1
 
 
@@ -158,7 +170,7 @@ def test_drinfeld_a_on_highest():
     lam = GlWeight((2, -1))
     M = TensorModule([EvaluationFactor(lam, depth=1)], depth=1)
     top = M.highest()
-    s = drinfeld_a(M, 2, 3).apply({top: Fraction(1)})[top]
+    s = quantum_minor(M, [1, 2], [1, 2], 3).apply({top: Fraction(1)})[top]
     assert s.constant == 1
     assert s.coeff(1) == lam.values[0] + lam.values[1]
 
@@ -195,3 +207,76 @@ def test_violating_pair_gains_singular_vector():
                       EvaluationFactor(mu, depth=2)], depth=2)
     assert len(find_singular_vectors(M, (1,))) >= 1
     assert not only_top_singular(M, 2)
+
+
+def _recursive_E(f, a, b, vec):
+    """E_ab as the nested commutator, recomputed on every call."""
+    if a == b:
+        out = {}
+        for d, c in vec.items():
+            val = c * f.gl_weight(d)[a - 1]
+            if val != 0:
+                out[d] = out.get(d, Fraction(0)) + val
+        return out
+    if b == a + 1:
+        return f.ctx.apply(("e", a, 1), vec, policy=CLIP)
+    if a == b + 1:
+        return f.ctx.apply(("f", b, 1), vec, policy=CLIP)
+    mid = b - 1 if a < b else b + 1
+    out = dict(_recursive_E(f, a, mid, _recursive_E(f, mid, b, vec)))
+    for d, c in _recursive_E(f, mid, b, _recursive_E(f, a, mid, vec)).items():
+        out[d] = out.get(d, Fraction(0)) - c
+    return {d: c for d, c in out.items() if c != 0}
+
+
+@pytest.mark.parametrize("point", [0, Fraction(-2, 5)])
+@pytest.mark.parametrize("weight", [
+    (1, 0),
+    (2, 1, 0),
+    (Fraction(1, 3), Fraction(1, 7), 0),
+    (2, 2, 0, -1),
+    (5, 3, 2, 1, 0),
+])
+def test_cached_columns_match_recursive_commutators(weight, point):
+    depth = 3 if len(weight) <= 3 else 2
+    f = EvaluationFactor(GlWeight(weight), point, depth)
+    ref = EvaluationFactor(GlWeight(weight), point, depth)
+    shifts = f.deltas(depth)
+    mixed = {d: Fraction(k + 1, 3) for k, d in enumerate(shifts)}
+    for a in range(1, f.n + 1):
+        for b in range(1, f.n + 1):
+            for d in shifts:
+                assert f.E(a, b, {d: Fraction(1)}) == _recursive_E(ref, a, b, {d: Fraction(1)})
+            assert f.E(a, b, mixed) == _recursive_E(ref, a, b, mixed)
+
+
+def test_each_column_is_built_once(monkeypatch):
+    f = EvaluationFactor(GlWeight((3, Fraction(1, 2), 0, -1)), Fraction(1, 3), depth=2)
+    calls = []
+    build = f.ctx.column
+
+    def counting_column(gen, d, policy):
+        calls.append((gen, d, policy))
+        return build(gen, d, policy)
+
+    monkeypatch.setattr(f.ctx, "column", counting_column)
+    shifts = f.deltas(2)
+    pairs = [(a, b) for a in range(1, 5) for b in range(1, 5)]
+    first = [f.E(a, b, {d: Fraction(1)}) for a, b in pairs for d in shifts]
+    assert calls and len(calls) == len(set(calls))
+    built = len(calls)
+    second = [f.E(a, b, {d: Fraction(1)}) for a, b in pairs for d in shifts]
+    assert len(calls) == built
+    assert second == first
+
+
+def test_out_of_range_indices_raise():
+    f = EvaluationFactor(GlWeight((1, 0)), depth=1)
+    M = TensorModule([f, EvaluationFactor(GlWeight((2, 0)), depth=1)], depth=1)
+    for a, b in ((0, 0), (0, 1), (3, 3), (1, 3)):
+        with pytest.raises(IndexError):
+            f.E(a, b, {})
+        with pytest.raises(IndexError):
+            f.column(a, b, f.highest())
+        with pytest.raises(IndexError):
+            quantum_minor(M, [a], [b], 2).apply({M.highest(): Fraction(1)})
