@@ -20,6 +20,7 @@ from .tableau import (
     all_indices,
     entry_int_diff,
     row_indices,
+    triple_from_json,
     valid_index,
 )
 
@@ -120,9 +121,7 @@ class RelationSet:
             if type(e["strict"]) is not bool:
                 raise ValueError('"strict" must be a JSON boolean')
             edges.append(Relation(
-                TriIndex(e["greater"]["k"], e["greater"]["i"], e["greater"]["j"]),
-                TriIndex(e["lesser"]["k"], e["lesser"]["i"], e["lesser"]["j"]),
-                e["strict"],
+                triple_from_json(e["greater"]), triple_from_json(e["lesser"]), e["strict"]
             ))
         return RelationSet(pi, edges)
 

@@ -267,11 +267,19 @@ def tableau_to_json(l: Tableau) -> dict:
     return {"pyramid": l.pyramid.to_json(), "entries": ents}
 
 
+def triple_from_json(obj: dict) -> TriIndex:
+    """The triple of a {"k", "i", "j"} object whose three fields are JSON integers."""
+    for name in ("k", "i", "j"):
+        if type(obj[name]) is not int:
+            raise ValueError(f'triple field "{name}" must be a JSON integer')
+    return TriIndex(obj["k"], obj["i"], obj["j"])
+
+
 def tableau_from_json(obj: dict) -> Tableau:
     pi = Pyramid.from_json(obj["pyramid"])
     entries = {}
     for e in obj["entries"]:
-        t = TriIndex(e["k"], e["i"], e["j"])
+        t = triple_from_json(e)
         cls, off = e["class"], e["offset"]
         if not isinstance(cls, str):
             raise ValueError(f"class at {tuple(t)} must be a string")

@@ -360,38 +360,39 @@ class TensorModule:
         return [k for k in self.basis(depth) if self.root_offset(k) == offset]
 
 
-def _const_series(c, order: int) -> InvSeries:
-    return InvSeries(c, [0] * order)
-
-
-def _scale_series(s: InvSeries, c) -> InvSeries:
-    c = as_scalar(c)
-    return InvSeries(s.constant * c, [x * c for x in s.coeffs])
-
-
-def _series_accum(out: dict, key, s: InvSeries):
-    if key in out:
-        out[key] = out[key] + s
-    else:
-        out[key] = s
+def _add_into(out: dict, key, ser: list, c=None):
+    """out[key] += c*ser (ser if c is None) on lists [c_0, ..., c_T]; sums keep the shorter."""
+    tgt = out.get(key)
+    if tgt is None:
+        out[key] = list(ser) if c is None else [c * x if x else x for x in ser]
+        return
+    del tgt[len(ser):]
+    for t in range(len(tgt)):
+        x = ser[t]
+        if x:
+            tgt[t] += x if c is None else c * x
 
 
 def _slot_t(M: TensorModule, slot: int, a: int, b: int, arg_shift, vec: dict, order: int) -> dict:
-    """t_ab(u - arg_shift) acting on factor `slot` of series-valued vectors."""
+    """t_ab(u - arg_shift) acting on factor `slot` of coefficient-list vectors.
+
+    t_ab(u - s) = delta_ab + E_ab/(u - pole) with pole = s + point; dividing a
+    series by (u - pole) is the recurrence p_0 = 0, p_t = c_{t-1} + pole*p_{t-1}.
+    """
     f = M.factors[slot]
-    pole = as_scalar(arg_shift) + f.point
-    geom = InvSeries(0, [pole ** (m - 1) for m in range(1, order + 1)])
+    pole = arg_shift + f.point
     out: dict = {}
     for key, ser in vec.items():
         if a == b:
-            _series_accum(out, key, ser)
+            _add_into(out, key, ser)
         col = f.column(a, b, key[slot])
         if not col:
             continue
-        prod = ser * geom
+        p = [0] * min(len(ser), order + 1)
+        for t in range(1, len(p)):
+            p[t] = ser[t - 1] + pole * p[t - 1] if pole and p[t - 1] else ser[t - 1]
         for d2, coeff in col:
-            k2 = key[:slot] + (d2,) + key[slot + 1:]
-            _series_accum(out, k2, _scale_series(prod, coeff))
+            _add_into(out, key[:slot] + (d2,) + key[slot + 1:], p, coeff)
     return out
 
 
@@ -405,15 +406,16 @@ def _tensor_t(M: TensorModule, a: int, b: int, arg_shift, vec: dict, order: int,
         if not inner:
             continue
         for key, ser in _slot_t(M, lo, a, mid, arg_shift, inner, order).items():
-            _series_accum(out, key, ser)
+            _add_into(out, key, ser)
     return out
 
 
 def _as_series_vec(vec: dict, order: int) -> dict:
-    out = {}
-    for key, c in vec.items():
-        out[key] = c if isinstance(c, InvSeries) else _const_series(c, order)
-    return out
+    """Scalar and InvSeries values as coefficient lists [c_0, ..., c_T]."""
+    return {
+        key: [c.constant, *c.coeffs] if isinstance(c, InvSeries) else [as_scalar(c)] + [0] * order
+        for key, c in vec.items()
+    }
 
 
 def t_coefficient(M: TensorModule, i: int, j: int, r: int, vec: dict) -> dict:
@@ -421,12 +423,7 @@ def t_coefficient(M: TensorModule, i: int, j: int, r: int, vec: dict) -> dict:
     if r == 0:
         return dict(vec) if i == j else {}
     out_ser = _tensor_t(M, i, j, 0, _as_series_vec(vec, r), r, 0, len(M.factors))
-    out = {}
-    for key, s in out_ser.items():
-        c = s.coeff(r)
-        if c != 0:
-            out[key] = c
-    return out
+    return {key: s[r] for key, s in out_ser.items() if s[r] != 0}
 
 
 def _perm_sign(perm) -> int:
@@ -488,9 +485,8 @@ class OperatorSeries:
                 if not cur:
                     break
             for key, s in cur.items():
-                _series_accum(out, key, _scale_series(s, sgn))
-        zero = _const_series(0, self.order)
-        return {k: s for k, s in out.items() if s != zero}
+                _add_into(out, key, s if sgn > 0 else [-x for x in s])
+        return {k: InvSeries(s[0], s[1:]) for k, s in out.items() if any(s)}
 
 
 def quantum_minor(M: TensorModule, a_rows, b_cols, order: int,

@@ -326,3 +326,30 @@ def test_malformed_tableau_entries_are_input_errors(tmp_path, capsys, command, e
     code, report = invoke(capsys, [command, "--relations", rels, "--tableau", str(p)])
     assert code == 4
     assert set(report) == {"v", "error"}
+
+
+_NON_INTEGER_TRIPLE_FIELDS = [("k", True), ("k", 1.0), ("i", 2.0), ("j", True)]
+
+
+@pytest.mark.parametrize("side", ["greater", "lesser"])
+@pytest.mark.parametrize("field, value", _NON_INTEGER_TRIPLE_FIELDS)
+def test_relation_triples_must_be_integers(tmp_path, capsys, side, field, value):
+    # read leniently, true and 1.0 would pass as the index 1 and 2.0 as 2
+    path = _edited_relations(tmp_path, lambda o: o["edges"][1][side].update({field: value}))
+    code, report = invoke(capsys, ["check-admissible", "--relations", path])
+    assert code == 4
+    assert set(report) == {"v", "error"} and f'"{field}"' in report["error"]
+
+
+@pytest.mark.parametrize("field, value", _NON_INTEGER_TRIPLE_FIELDS)
+def test_triples_must_be_integers_for_enumerate_basis(tmp_path, capsys, field, value):
+    rels = write_relations(tmp_path, "s.json", standard_gl2())
+    obj = {"v": 1, **tableau_to_json(gl2_tableau(2, -1, 1))}
+    obj["entries"][1][field] = value
+    p = tmp_path / "l.json"
+    p.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    bad_rels = _edited_relations(tmp_path, lambda o: o["edges"][0]["lesser"].update({field: value}))
+    for argv in (["--relations", rels, "--tableau", str(p)], ["--relations", bad_rels]):
+        code, report = invoke(capsys, ["enumerate-basis", *argv])
+        assert code == 4, argv
+        assert set(report) == {"v", "error"} and f'"{field}"' in report["error"]

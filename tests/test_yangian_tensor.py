@@ -1,5 +1,7 @@
 """Evaluation modules, coproduct, quantum minors, singular-vector probes."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from wpimod import (
     singular_dimensions,
     weyl_dimension,
 )
+from wpimod.exact_arith import InvSeries
 from wpimod.gt_module import CLIP
 from wpimod.yangian_tensor import t_coefficient
 
@@ -280,3 +283,133 @@ def test_out_of_range_indices_raise():
             f.column(a, b, f.highest())
         with pytest.raises(IndexError):
             quantum_minor(M, [a], [b], 2).apply({M.highest(): Fraction(1)})
+
+
+# -- reference: the full truncated product with the geometric series ---------
+
+
+def _ref_scale(s, c):
+    return InvSeries(s.constant * c, [x * c for x in s.coeffs])
+
+
+def _ref_accum(out, key, s):
+    out[key] = out[key] + s if key in out else s
+
+
+def _ref_slot_t(M, slot, a, b, arg_shift, vec, order):
+    """t_ab(u - arg_shift) on one factor as ser * (sum_m pole^(m-1) u^-m)."""
+    f = M.factors[slot]
+    pole = Fraction(arg_shift) + f.point
+    geom = InvSeries(0, [pole ** (m - 1) for m in range(1, order + 1)])
+    out = {}
+    for key, ser in vec.items():
+        if a == b:
+            _ref_accum(out, key, ser)
+        col = f.column(a, b, key[slot])
+        if not col:
+            continue
+        prod = ser * geom
+        for d2, coeff in col:
+            _ref_accum(out, key[:slot] + (d2,) + key[slot + 1:], _ref_scale(prod, coeff))
+    return out
+
+
+def _ref_tensor_t(M, a, b, arg_shift, vec, order, lo, hi):
+    if hi - lo == 1:
+        return _ref_slot_t(M, lo, a, b, arg_shift, vec, order)
+    out = {}
+    for mid in range(1, M.n + 1):
+        inner = _ref_tensor_t(M, mid, b, arg_shift, vec, order, lo + 1, hi)
+        if inner:
+            for key, ser in _ref_slot_t(M, lo, a, mid, arg_shift, inner, order).items():
+                _ref_accum(out, key, ser)
+    return out
+
+
+def _ref_series_vec(vec, order):
+    return {k: c if isinstance(c, InvSeries) else InvSeries(c, [0] * order)
+            for k, c in vec.items()}
+
+
+def _ref_t_coefficient(M, i, j, r, vec):
+    out = _ref_tensor_t(M, i, j, 0, _ref_series_vec(vec, r), r, 0, len(M.factors))
+    return {k: s.coeff(r) for k, s in out.items() if s.coeff(r) != 0}
+
+
+def _ref_minor_apply(M, rows, cols, order, vec):
+    """The signed sum over permutations; all-zero series are dropped."""
+    vec = _ref_series_vec(vec, order)
+    out = {}
+    for sigma in itertools.permutations(range(len(rows))):
+        sgn = 1
+        for x, y in itertools.combinations(sigma, 2):
+            sgn = -sgn if x > y else sgn
+        cur = vec
+        for pos in range(len(rows) - 1, -1, -1):
+            cur = _ref_tensor_t(M, rows[sigma[pos]], cols[pos], pos, cur, order, 0,
+                                len(M.factors))
+        for key, s in cur.items():
+            _ref_accum(out, key, _ref_scale(s, sgn))
+    return {k: s for k, s in out.items()
+            if s.constant != 0 or any(c != 0 for c in s.coeffs)}
+
+
+_POLE_MODULES = {
+    # every perfbench job sits at point 0; these put the pole elsewhere too
+    "gl2-two": ([((1, 0), 0), ((Fraction(1, 3), Fraction(1, 7)), Fraction(-2, 5))], 2),
+    "gl2-three": ([((1, 0), Fraction(3, 2)), ((Fraction(2, 3), -1), 0),
+                   ((Fraction(1, 2), Fraction(1, 5)), Fraction(-2, 5))], 2),
+    "gl3-two": ([((2, 1, 0), Fraction(3, 2)), ((Fraction(1, 3), Fraction(1, 7), 0),
+                                               Fraction(-2, 5))], 1),
+}
+
+
+def _pole_module(name):
+    factors, depth = _POLE_MODULES[name]
+    return TensorModule([EvaluationFactor(GlWeight(w), p, depth) for w, p in factors], depth)
+
+
+def _random_series(rng, order):
+    def frac():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+    return InvSeries(frac(), [frac() for _ in range(order)])
+
+
+@pytest.mark.parametrize("name", sorted(_POLE_MODULES))
+def test_t_coefficient_matches_geometric_series_product(name):
+    M = _pole_module(name)
+    rng = random.Random(20261018)
+    keys = M.basis()
+    mixed = {k: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for k in keys}
+    for i in range(1, M.n + 1):
+        for j in range(1, M.n + 1):
+            for r in range(1, 7):
+                for key in keys:
+                    vec = {key: Fraction(1)}
+                    assert t_coefficient(M, i, j, r, vec) == _ref_t_coefficient(M, i, j, r, vec)
+                assert t_coefficient(M, i, j, r, mixed) == _ref_t_coefficient(M, i, j, r, mixed)
+                # series-valued input of mixed orders, none shorter than r
+                series = {k: _random_series(rng, r + rng.randint(0, 2)) for k in keys[:4]}
+                assert t_coefficient(M, i, j, r, series) == _ref_t_coefficient(M, i, j, r, series)
+
+
+@pytest.mark.parametrize("name", sorted(_POLE_MODULES))
+def test_quantum_minor_matches_geometric_series_product(name):
+    M = _pole_module(name)
+    rng = random.Random(20261019)
+    keys = M.basis()
+    minors = [((a,), (b,)) for a in range(1, M.n + 1) for b in range(1, M.n + 1)]
+    minors += [((1, 2), (1, 2)), ((2, 1), (1, 2)), ((1, 2), (2, M.n))]
+    for order in range(1, 7):
+        inputs = [{k: Fraction(1)} for k in keys[:5]]
+        # series values shorter than, equal to and longer than the truncation
+        # order, alone and mixed in one vector
+        for delta in (-1, 0, 2):
+            inputs.append({k: _random_series(rng, max(order + delta, 0)) for k in keys[:3]})
+        inputs.append({k: _random_series(rng, order + rng.randint(-1, 2)) for k in keys[:6]})
+        for rows, cols in minors:
+            op = quantum_minor(M, rows, cols, order)
+            for vec in inputs:
+                got = op.apply(vec)
+                assert got == _ref_minor_apply(M, rows, cols, order, vec)
+                assert all(isinstance(s, InvSeries) for s in got.values())
