@@ -2,7 +2,9 @@
 
 Everything downstream (tableau actions, relation verification, singular-vector
 kernels) runs on these types.  Scalars are plain `fractions.Fraction`; there is
-no floating-point mode anywhere in the package.
+no floating-point mode anywhere in the package.  The generator actions can also
+run on residues mod the prime `MODULUS`, where reduction is a ring map from the
+rationals whose denominators it keeps invertible (see `gt_module.ActionContext`).
 """
 
 from __future__ import annotations
@@ -251,6 +253,17 @@ def series_quotient(num: UniPoly, den: UniPoly, order: int) -> InvSeries:
     if not num.is_monic() or not den.is_monic():
         raise ValueError("series_quotient requires monic inputs")
     return poly_series_quotient(num, den, order)
+
+
+# The Mersenne prime 2^61 - 1: the modulus of the residue mode of the generator
+# actions (`gt_module.ActionContext`).
+MODULUS = 2**61 - 1
+
+
+def residue(x, m: int) -> int:
+    """The residue of a rational mod m, in [0, m); its denominator must be a unit."""
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, m) % m
 
 
 class CriticalityError(ValueError):

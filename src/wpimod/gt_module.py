@@ -10,14 +10,14 @@ falls outside the window is a hard error, never a silent zero.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 
 from .exact_arith import (
+    MODULUS,
     CriticalityError,
     GenericAssignment,
-    UniPoly,
     generic_instantiate,
-    poly_series_quotient,
+    residue,
 )
 from .pyramid import e_generator_min_degree
 from .relations import (
@@ -199,24 +199,82 @@ CLIP = "clip"
 STRICT = "strict"
 
 
-class ActionContext:
-    """Instantiated generator actions over a basis window."""
+def _reduction_is_faithful(values, radius: int | None, n: int, m: int) -> bool:
+    """Whether mod m, every window difference and value-plus-row-constant is
+    nonzero exactly when it is nonzero.
 
-    def __init__(self, window: BasisWindow, assignment: GenericAssignment):
+    A window value is one of `values` plus an offset of at most `radius`; the
+    actions divide by differences of two such values and take powers of a
+    value plus a row constant in 0..n.  With D a common denominator, each of
+    these quantities times D is an integer below m in absolute value when
+    max |D v| + D (radius + n + 1) < m / 2, so it vanishes mod m only if it
+    vanishes, and D itself is a unit mod the prime m.  A window with no radius
+    gives no such bound.
+    """
+    if radius is None:
+        return False
+    values = [Fraction(v) for v in values]
+    D = lcm(*(v.denominator for v in values))
+    return 2 * (max(abs(D * v) for v in values) + D * (radius + n + 1)) < m
+
+
+class ActionContext:
+    """Instantiated generator actions over a basis window.
+
+    Coefficients are exact `Fraction`s, or, with the internal `_modulus`, residues
+    in [0, m) computed by the same code: reduction mod a prime is a ring map, so
+    each residue is the reduction of the exact coefficient.  The modulus is kept
+    only when `_reduction_is_faithful` holds for the window.  Then every
+    difference the actions divide by or multiply is zero mod m exactly when it
+    is zero, so the e and f columns have the exact supports and CriticalityError
+    is raised exactly where the exact context raises it.  Otherwise the context
+    falls back to `Fraction` and `modulus` is None.
+    """
+
+    def __init__(
+        self,
+        window: BasisWindow,
+        assignment: GenericAssignment,
+        _modulus: int | None = None,
+    ):
         self.window = window
         self.pyramid = window.seed.pyramid
         self.n = self.pyramid.n
         self.assignment = assignment
-        self.base = {
+        base = {
             t: assignment.value(*window.seed.entry(t))
             for t in all_indices(self.pyramid)
         }
+        if _modulus is not None and not _reduction_is_faithful(
+            base.values(), window.radius, self.n, _modulus
+        ):
+            _modulus = None
+        self.modulus = _modulus
+        if _modulus is None:
+            self.base, self.one = base, Fraction(1)
+        else:
+            self.base = {t: residue(v, _modulus) for t, v in base.items()}
+            self.one = 1
         self._row_index = {r: row_indices(self.pyramid, r) for r in range(self.n + 1)}
         self._cache: dict = {}
         self._columns: dict = {}
 
-    def value(self, t: TriIndex, d: TableauDelta) -> Fraction:
-        return self.base[t] + d.get(t)
+    def _reduce(self, x):
+        return x if self.modulus is None else x % self.modulus
+
+    def _divide(self, num, den):
+        m = self.modulus
+        return num / den if m is None else num * pow(den, -1, m) % m
+
+    def _nonzero(self, vec: dict) -> dict:
+        """vec with every coefficient reduced and the zero ones dropped."""
+        m = self.modulus
+        if m is None:
+            return {d: c for d, c in vec.items() if c != 0}
+        return {d: r for d, c in vec.items() if (r := c % m)}
+
+    def value(self, t: TriIndex, d: TableauDelta):
+        return self._reduce(self.base[t] + d.get(t))
 
     def row_values(self, r: int, d: TableauDelta) -> list[tuple[TriIndex, Fraction]]:
         return [(t, self.value(t, d)) for t in self._row_index.get(r, ())]
@@ -228,39 +286,52 @@ class ActionContext:
 
     # -- diagonal series ---------------------------------------------------
 
-    def _diag_series(self, r: int, sup: int, d: TableauDelta):
-        """The diagonal series of the r-th torus family, truncated at u^-sup."""
-        num = UniPoly.one()
-        for _, v in self.row_values(r, d):
-            num = num * UniPoly.linear(v + r - 1)
-        den = UniPoly((0,) * self.pyramid.p(r) + (1,))
-        for _, v in self.row_values(r - 1, d):
-            den = den * UniPoly.linear(v + r - 1)
-        return poly_series_quotient(num, den, sup)
+    def _diag_coeff(self, fam: str, r: int, sup: int, d: TableauDelta):
+        """Coefficient of u^-sup in the r-th diagonal series (d) or its inverse (dprime).
 
-    def d_series_coeff(self, r: int, sup: int, d: TableauDelta) -> Fraction:
+        The series is prod(u + a) / (u^p prod(u + b)), a over row r and b over
+        row r - 1 (each entry plus r - 1), p = p_r.  Both sides have the same
+        degree, so in x = 1/u it is prod(1 + a x) / prod(1 + b x), and the
+        inverse swaps a and b.  One coefficient list per (family, row, row
+        signature) comes from the recurrences c_t += a c_{t-1} (times 1 + a x)
+        and c_t -= b c_{t-1} (over 1 + b x); a higher superscript rebuilds it
+        at least twice as long.
+        """
+        key = (fam, r, self._row_sig((r - 1, r), d))
+        coeffs = self._cache.get(key, ())
+        if len(coeffs) <= sup:
+            a = [v + r - 1 for _, v in self.row_values(r, d)]
+            b = [v + r - 1 for _, v in self.row_values(r - 1, d)]
+            if fam == "dprime":
+                a, b = b, a
+            length = max(sup + 1, 2 * len(coeffs))
+            c = [self.one] + [0 * self.one] * (length - 1)
+            for x in a:
+                for t in range(length - 1, 0, -1):
+                    c[t] += x * c[t - 1]
+            for x in b:
+                for t in range(1, length):
+                    c[t] -= x * c[t - 1]
+            coeffs = self._cache[key] = [self._reduce(x) for x in c]
+        return coeffs[sup]
+
+    def d_series_coeff(self, r: int, sup: int, d: TableauDelta):
         """Coefficient of u^-sup in the diagonal series of the r-th torus family."""
-        key = ("d", r, sup, self._row_sig((r - 1, r), d))
-        if key not in self._cache:
-            self._cache[key] = self._diag_series(r, sup, d).coeff(sup)
-        return self._cache[key]
+        return self._diag_coeff("d", r, sup, d)
 
-    def dprime_series_coeff(self, r: int, sup: int, d: TableauDelta) -> Fraction:
+    def dprime_series_coeff(self, r: int, sup: int, d: TableauDelta):
         """Coefficient of u^-sup in the inverse of the diagonal series."""
-        key = ("dp", r, sup, self._row_sig((r - 1, r), d))
-        if key not in self._cache:
-            self._cache[key] = self._diag_series(r, sup, d).inverse().coeff(sup)
-        return self._cache[key]
+        return self._diag_coeff("dprime", r, sup, d)
 
     # -- ladder coefficient pieces ----------------------------------------
 
-    def _ratio(self, r: int, other_row: int, pivot: TriIndex, d: TableauDelta) -> Fraction:
+    def _ratio(self, r: int, other_row: int, pivot: TriIndex, d: TableauDelta):
         """Prod over the other row of (entry - pivot) over the same-row denominator."""
         pv = self.value(pivot, d)
-        num = Fraction(1)
+        num = self.one
         for _, v in self.row_values(other_row, d):
             num *= v - pv
-        den = Fraction(1)
+        den = self.one
         for t, v in self.row_values(r, d):
             if t == pivot:
                 continue
@@ -270,7 +341,7 @@ class ActionContext:
                     f"coincident entries in row {r} at shift {d!r}"
                 )
             den *= diff
-        return num / den
+        return self._divide(num, den)
 
     def e_terms(self, r: int, sup: int, d: TableauDelta) -> list[tuple[TableauDelta, Fraction]]:
         """Expansion of the raising generator applied to the shift basis vector.
@@ -291,7 +362,7 @@ class ActionContext:
             terms = []
             for pivot, pv in self.row_values(r, d):
                 ratio = self._ratio(r, r + 1, pivot, d)
-                coeff = -ratio * (-(pv + r)) ** (sup - mindeg)
+                coeff = self._reduce(-ratio * (-(pv + r)) ** (sup - mindeg))
                 if coeff != 0:
                     terms.append((TableauDelta.unit(pivot, +1), coeff))
             self._cache[key] = terms
@@ -311,7 +382,7 @@ class ActionContext:
             terms = []
             for pivot, pv in self.row_values(r, d):
                 ratio = self._ratio(r, r - 1, pivot, d)
-                coeff = ratio * (-(pv + r - 1)) ** (sup - 1)
+                coeff = self._reduce(ratio * (-(pv + r - 1)) ** (sup - 1))
                 if coeff != 0:
                     terms.append((TableauDelta.unit(pivot, -1), coeff))
             self._cache[key] = terms
@@ -336,10 +407,7 @@ class ActionContext:
     def _build_column(self, gen: tuple, d: TableauDelta, policy: str) -> tuple:
         fam, row, sup = gen
         if fam in ("d", "dprime"):
-            if sup == 0:
-                return ((d, Fraction(1)),)
-            series = self.d_series_coeff if fam == "d" else self.dprime_series_coeff
-            val = series(row, sup, d)
+            val = self.one if sup == 0 else self._diag_coeff(fam, row, sup, d)
             return ((d, val),) if val != 0 else ()
         terms = self.e_terms(row, sup, d) if fam == "e" else self.f_terms(row, sup, d)
         checker = self.window.checker
@@ -369,14 +437,13 @@ class ActionContext:
             if c == 0:
                 continue
             for tgt, coeff in self.column(gen, d, policy):
-                prev = out.get(tgt)
-                out[tgt] = c * coeff if prev is None else prev + c * coeff
-        return {d: c for d, c in out.items() if c != 0}
+                out[tgt] = out.get(tgt, 0) + c * coeff
+        return self._nonzero(out)
 
     def apply_word(self, word, d: TableauDelta, policy: str = STRICT) -> dict:
         """Apply a product of generators (rightmost acts first) to a basis vector."""
         if not word:
-            return {d: Fraction(1)}
+            return {d: self.one}
         vec = dict(self.column(word[-1], d, policy))
         for gen in reversed(word[:-1]):
             if not vec:
@@ -538,9 +605,9 @@ def _relation_cases(pyramid, budget: int):
         for j in (i - 1, i + 1):
             if not 1 <= j <= n - 1:
                 continue
-            for r in list(e_sups(i))[:2]:
-                for s in list(e_sups(i))[:2]:
-                    for t in list(e_sups(j))[:1]:
+            for r in e_sups(i)[:2]:
+                for s in e_sups(i)[:2]:
+                    for t in e_sups(j)[:1]:
                         lhs = []
                         for a, b in ((r, s), (s, r)):
                             lhs += [
@@ -616,11 +683,12 @@ def verify_defining_relations(
                         report["families"]["critical"] = "fail"
                         return report
 
+    # Residues are decided mod MODULUS; a nonzero one proves a violation, which
+    # is recomputed in an exact context so that its detail is in Fraction.
     classes = l.classes()
-    contexts = [
-        ActionContext(window, generic_instantiate(classes, seed0 + t))
-        for t in range(instantiations)
-    ]
+    assignments = [generic_instantiate(classes, seed0 + t) for t in range(instantiations)]
+    contexts = [ActionContext(window, a, _modulus=MODULUS) for a in assignments]
+    exact: dict[int, ActionContext] = {}
 
     eligible_by_margins: dict = {}
     for fam, idx, lhs, rhs in _relation_cases(l.pyramid, budget):
@@ -645,17 +713,13 @@ def verify_defining_relations(
             ]
         # lhs - rhs as one signed sum; every sign is +1 or -1
         terms = lhs + [(-sign, word) for sign, word in rhs]
-        for ctx in contexts:
+        for k, ctx in enumerate(contexts):
             for d in eligible:
-                acc: dict = {}
-                try:
-                    for sign, word in terms:
-                        for dd, c in ctx.apply_word(word, d).items():
-                            prev = acc.get(dd, 0)
-                            acc[dd] = prev + c if sign > 0 else prev - c
-                except CriticalityError as exc:
-                    acc = {"criticality": str(exc)}
-                acc = {dd: c for dd, c in acc.items() if c != 0}
+                acc = _residual(ctx, terms, d)
+                if acc and ctx.modulus is not None:
+                    if k not in exact:
+                        exact[k] = ActionContext(window, assignments[k])
+                    acc = _residual(exact[k], terms, d)
                 if acc:
                     report["families"][fam] = "fail"
                     report["violations"].append(
@@ -678,6 +742,21 @@ def verify_defining_relations(
     return report
 
 
+def _residual(ctx: ActionContext, terms, d: TableauDelta) -> dict:
+    """lhs - rhs of one relation case on the basis vector d, zeros dropped.
+
+    A formula that meets coincident entries gives {"criticality": message}.
+    """
+    acc: dict = {}
+    try:
+        for sign, word in terms:
+            for dd, c in ctx.apply_word(word, d).items():
+                acc[dd] = acc.get(dd, 0) + sign * c
+    except CriticalityError as exc:
+        return {"criticality": str(exc)}
+    return ctx._nonzero(acc)
+
+
 def report_passes(report: dict) -> bool:
     return not report["violations"]
 
@@ -698,10 +777,12 @@ def cyclicity_probe(
 
     Eigenvalue separation makes every summand with a nonzero coefficient
     reachable, so the closure of supports is the generated subspace's basis.
+    Only supports are read, and each column entry is one product of guarded
+    differences, so the residue context gives the exact reached set.
     """
     if assignment is None:
         assignment = generic_instantiate(window.seed.classes(), 1)
-    ctx = ActionContext(window, assignment)
+    ctx = ActionContext(window, assignment, _modulus=MODULUS)
     pyramid = window.seed.pyramid
     gens = []
     for i in range(1, pyramid.n):

@@ -14,7 +14,7 @@ import itertools
 from fractions import Fraction
 
 from .exact_arith import InvSeries, as_scalar
-from .gt_module import CLIP, ActionContext, FreeWindow
+from .gt_module import CLIP, MAX_WINDOW_MEMBERS, ActionContext, FreeWindow
 from .pyramid import Pyramid
 from .relations import maximal_set
 from .tableau import TableauDelta, TriIndex, mutable_indices, tableau_from_values
@@ -262,10 +262,15 @@ class EvaluationFactor:
         )
 
     def deltas(self, depth: int) -> list[TableauDelta]:
-        """All basis shifts of total depth at most `depth`."""
+        """All basis shifts of total depth at most `depth`.
+
+        Raises ValueError past MAX_WINDOW_MEMBERS shifts, as a basis window does.
+        """
         depth = int(depth)
         if depth not in self._delta_cache:
-            out = self.window.checker.solutions(-depth, 0, depth=depth)
+            out = self.window.checker.solutions(
+                -depth, 0, depth=depth, cap=MAX_WINDOW_MEMBERS
+            )
             out.sort(key=lambda d: (self.depth_of(d), d.key()))
             self._delta_cache[depth] = out
         return self._delta_cache[depth]

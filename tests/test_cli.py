@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from wpimod import Pyramid, RelationSet, standard_set, tableau_to_json
+from wpimod import Pyramid, RelationSet, standard_set, tableau_to_json, yangian_tensor
 from wpimod.cli import run
 from wpimod.gt_module import MAX_WINDOW_MEMBERS
 
@@ -276,6 +276,19 @@ def test_window_past_member_cap_is_input_error(tmp_path, capsys, command):
     assert code == 4
     assert set(report) == {"v", "error"}
     assert report["error"] == f"basis window has more than {MAX_WINDOW_MEMBERS} members"
+
+
+def test_tensor_depth_past_member_cap_is_input_error(tmp_path, capsys, monkeypatch):
+    # a generic gl_2 factor is infinite-dimensional: depth 5 has 6 basis shifts
+    path = write_weights(tmp_path, "w.json", [("1/3", "1/7"), ("1/5", "1/2")])
+    argv = ["tensor-check", "--weights", path, "--depth", "5"]
+    monkeypatch.setattr(yangian_tensor, "MAX_WINDOW_MEMBERS", 6)
+    code, report = invoke(capsys, argv)
+    assert code == 0 and report["only_top_line"] is True
+    monkeypatch.setattr(yangian_tensor, "MAX_WINDOW_MEMBERS", 5)
+    code, report = invoke(capsys, argv)
+    assert code == 4
+    assert report == {"v": 1, "error": "basis window has more than 5 members"}
 
 
 @pytest.mark.parametrize("body", [

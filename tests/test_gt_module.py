@@ -14,6 +14,7 @@ from wpimod import (
     GlWeight,
     Pyramid,
     RelationSet,
+    Tableau,
     TableauDelta,
     TriIndex,
     cyclicity_probe,
@@ -26,7 +27,13 @@ from wpimod import (
     tableau_from_values,
     verify_defining_relations,
 )
-from wpimod.exact_arith import CriticalityError, UniPoly, poly_series_quotient
+from wpimod.exact_arith import (
+    MODULUS,
+    CriticalityError,
+    UniPoly,
+    poly_series_quotient,
+    residue,
+)
 from wpimod.gt_module import (
     CLIP,
     STRICT,
@@ -45,7 +52,17 @@ from wpimod.relations import (
 )
 from wpimod.tableau import all_indices, mutable_indices, shift
 
-from helpers import GL2, GL3, gl2_tableau, rel, spread_seed, standard_gl2, try_relation_set
+from helpers import (
+    GL2,
+    GL3,
+    bad_pattern_lower,
+    bad_pattern_upper,
+    gl2_tableau,
+    rel,
+    spread_seed,
+    standard_gl2,
+    try_relation_set,
+)
 
 
 def unit(t, v):
@@ -371,6 +388,96 @@ def test_cyclicity_traps_in_proper_submodule():
     assert TableauDelta() not in reached
     # the seed, by contrast, generates the whole window
     assert cyclicity_probe(w, TableauDelta(), 2) == set(w.members)
+
+
+def _reduced(image):
+    if not isinstance(image, dict):
+        return image
+    return {d: r for d, c in image.items() if (r := residue(c, MODULUS))}
+
+
+@pytest.mark.parametrize("rows", [(1, 1), (1, 2), (2, 2), (1, 1, 1)],
+                         ids=lambda rows: "x".join(map(str, rows)))
+def test_modular_images_are_exact_images_reduced(rows):
+    pyramid = Pyramid(rows)
+    S = standard_set(pyramid)
+    seed = spread_seed(S)
+    window = enumerate_basis(S, seed, 2)
+    assignment = generic_instantiate(seed.classes(), 2)
+    modular = ActionContext(window, assignment, _modulus=MODULUS)
+    assert modular.modulus == MODULUS  # the guard keeps small windows modular
+    exact = ActionContext(window, assignment)
+    words = sorted({
+        tuple(word)
+        for _, _, lhs, rhs in _relation_cases(pyramid, 2)
+        for _, word in lhs + rhs
+    })
+    gens = sorted({gen for word in words for gen in word})
+    assert {fam for fam, _, _ in gens} == {"d", "dprime", "e", "f"}
+    for d in window.members:
+        for gen in gens:
+            for policy in (CLIP, STRICT):
+                got = _image(lambda: dict(modular.column(gen, d, policy)))
+                want = _image(lambda: dict(exact.column(gen, d, policy)))
+                assert got == _reduced(want), (rows, gen, d, policy)
+        for word in words:
+            got = _image(lambda: modular.apply_word(list(word), d))
+            want = _image(lambda: exact.apply_word(list(word), d))
+            assert got == _reduced(want), (rows, word, d)
+    assert cyclicity_probe(window, TableauDelta(), 2) == set(window.members)
+
+
+def _oracle_cases():
+    for bad in (bad_pattern_upper(), bad_pattern_lower()):
+        yield bad, noncritical_satisfying_tableau(bad), 0
+    for rows in ((1, 1), (1, 2), (2, 2), (1, 1, 1)):
+        S = standard_set(Pyramid(rows))
+        yield S, spread_seed(S), 1
+
+
+@pytest.mark.parametrize("C, seed, max_violations", list(_oracle_cases()),
+                         ids=["upper", "lower", "1x1", "1x2", "2x2", "1x1x1"])
+def test_modular_oracle_report_equals_exact_report(monkeypatch, C, seed, max_violations):
+    def report():
+        return verify_defining_relations(
+            C, seed, 2, 3, instantiations=3, max_violations=max_violations
+        )
+
+    got = report()
+    monkeypatch.setattr(gt_module, "MODULUS", None)
+    want = report()
+    assert got == want
+    # the negative controls fail, the standard sets pass
+    assert report_passes(got) == (max_violations == 1)
+
+
+P = MODULUS
+
+
+@pytest.mark.parametrize("C, offsets", [
+    # a top-row entry and the row-1 entry of one class p apart: mod p the
+    # raising coefficient at the seed vanishes, so the reached set shrinks
+    (RelationSet(GL2, [rel((1, 2, 1), (1, 2, 2), False)]),
+     {(1, 2, 1): P, (1, 2, 2): P - 1, (1, 1, 1): 0}),
+    # two row-2 entries of one class p apart: mod p they coincide, a false
+    # CriticalityError or a pow() ValueError
+    (standard_set(GL3),
+     {(1, 3, 1): P + 10, (1, 3, 2): 5, (1, 3, 3): -10,
+      (1, 2, 1): P, (1, 2, 2): 0, (1, 1, 1): 3}),
+], ids=["gl2-rows-p-apart", "gl3-same-row-p-apart"])
+def test_guard_falls_back_to_fraction(monkeypatch, C, offsets):
+    seed = Tableau(C.pyramid, {TriIndex(*t): ("a", off) for t, off in offsets.items()})
+    window = enumerate_basis(C, seed, 2)
+    ctx = ActionContext(window, generic_instantiate(seed.classes(), 1), _modulus=MODULUS)
+    assert ctx.modulus is None
+
+    def run():
+        report = verify_defining_relations(C, seed, 2, 2, instantiations=2)
+        return report, cyclicity_probe(window, TableauDelta(), 2)
+
+    got = run()
+    monkeypatch.setattr(gt_module, "MODULUS", None)
+    assert got == run()
 
 
 def _box_scan(checker, free, ranges, depth=None):
