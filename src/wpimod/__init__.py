@@ -8,14 +8,12 @@ from .exact_arith import (  # noqa: F401
     CriticalityError,
     GenericAssignment,
     InvSeries,
-    Scalar,
     UniPoly,
     as_scalar,
     generic_instantiate,
     poly_series_quotient,
-    series_quotient,
 )
-from .pyramid import Pyramid, columns, e_generator_min_degree  # noqa: F401
+from .pyramid import Pyramid, e_generator_min_degree  # noqa: F401
 from .tableau import (  # noqa: F401
     Tableau,
     TableauDelta,
@@ -59,7 +57,6 @@ from .yangian_tensor import (  # noqa: F401
     EvaluationFactor,
     GlWeight,
     TensorModule,
-    dual_weight,
     find_singular_vectors,
     integral_condition,
     interval_sets,

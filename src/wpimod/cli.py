@@ -45,6 +45,13 @@ EXIT_FALSE = 3
 EXIT_INPUT = 4
 EXIT_OVERFLOW = 5
 
+# Upper bounds of verify-relations' --instantiations and --budget.  Each
+# instantiation keeps its action contexts until the run ends, and the relation
+# cases grow with the square of the budget, so an unbounded value costs
+# unbounded time and memory; the defaults are 3 and 2.
+MAX_INSTANTIATIONS = 64
+MAX_BUDGET = 16
+
 
 class InputError(Exception):
     pass
@@ -237,9 +244,10 @@ def enumerate_basis_cmd(relations_path, tableau_path, radius):
 @click.option("--relations", "relations_path", required=True, type=str)
 @click.option("--tableau", "tableau_path", type=str, default=None)
 @click.option("--radius", type=click.IntRange(min=0), default=2, show_default=True)
-@click.option("--budget", type=click.IntRange(min=1), default=2, show_default=True)
-@click.option("--instantiations", type=click.IntRange(min=1), default=3,
+@click.option("--budget", type=click.IntRange(min=1, max=MAX_BUDGET), default=2,
               show_default=True)
+@click.option("--instantiations", type=click.IntRange(min=1, max=MAX_INSTANTIATIONS),
+              default=3, show_default=True)
 @click.option("--seed", type=int, default=1, show_default=True)
 def verify_relations_cmd(relations_path, tableau_path, radius, budget, instantiations, seed):
     """Run the defining-relation oracle; exit 3 on violations, 5 on overflow."""

@@ -1,27 +1,27 @@
-"""Exact scalar, polynomial and inverse-power-series arithmetic.
+"""Exact scalars, the residue modulus, generic instantiation, and the truncated
+series type that quantum-minor images are returned in.
 
-Everything downstream (tableau actions, relation verification, singular-vector
-kernels) runs on these types.  Scalars are plain `fractions.Fraction`; there is
-no floating-point mode anywhere in the package.  The generator actions can also
-run on residues mod the prime `MODULUS`, where reduction is a ring map from the
-rationals whose denominators it keeps invertible (see `gt_module.ActionContext`).
+Scalars are plain `fractions.Fraction`; there is no floating-point mode anywhere
+in the package.  The generator actions and the Yangian series run on plain
+coefficient lists (see `gt_module.ActionContext` and `yangian_tensor._slot_t`);
+`OperatorSeries.apply` hands its images back as `InvSeries`.  The generator
+actions can also run on residues mod the prime `MODULUS`, where reduction is a
+ring map from the rationals whose denominators it keeps invertible.  `UniPoly`
+and `poly_series_quotient` remain as the reference expansion the ladder tests
+compare against.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-Scalar = Fraction
+from typing import Iterable
 
 
 def as_scalar(x) -> Fraction:
     """Coerce ints, strings like "3/7" and Fractions to a Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, str):
-        return Fraction(x)
     return Fraction(x)
 
 
@@ -58,14 +58,6 @@ class UniPoly:
         """The monic linear polynomial u + c."""
         return UniPoly((as_scalar(c), Fraction(1)))
 
-    @staticmethod
-    def from_roots_shifted(shifts: Sequence) -> "UniPoly":
-        """Product of (u + s) over the given shifts."""
-        p = UniPoly.one()
-        for s in shifts:
-            p = p * UniPoly.linear(s)
-        return p
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -80,25 +72,6 @@ class UniPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(n)
-            ]
-        )
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if not self.coeffs or not other.coeffs:
             return UniPoly.zero()
@@ -109,28 +82,6 @@ class UniPoly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return UniPoly(out)
-
-    def scale(self, c) -> "UniPoly":
-        c = as_scalar(c)
-        return UniPoly([a * c for a in self.coeffs])
-
-    def shift_argument(self, c) -> "UniPoly":
-        """Return p(u + c)."""
-        c = as_scalar(c)
-        out = UniPoly.zero()
-        base = UniPoly.one()
-        lin = UniPoly.linear(c)
-        for a in self.coeffs:
-            out = out + base.scale(a)
-            base = base * lin
-        return out
-
-    def eval(self, x) -> Fraction:
-        x = as_scalar(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __repr__(self) -> str:
         return f"UniPoly({[str(c) for c in self.coeffs]})"
@@ -164,21 +115,12 @@ class InvSeries:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self) -> int:
-        return hash((self.constant, self.coeffs))
-
     def __add__(self, other: "InvSeries") -> "InvSeries":
         order = min(self.order, other.order)
         return InvSeries(
             self.constant + other.constant,
             [self.coeffs[i] + other.coeffs[i] for i in range(order)],
         )
-
-    def __neg__(self) -> "InvSeries":
-        return InvSeries(-self.constant, [-c for c in self.coeffs])
-
-    def __sub__(self, other: "InvSeries") -> "InvSeries":
-        return self + (-other)
 
     def __mul__(self, other: "InvSeries") -> "InvSeries":
         order = min(self.order, other.order)
@@ -244,15 +186,6 @@ def poly_series_quotient(num: UniPoly, den: UniPoly, order: int) -> InvSeries:
             if t - gap < len(taylor):
                 full[t] = taylor[t - gap]
     return InvSeries(full[0], full[1:])
-
-
-def series_quotient(num: UniPoly, den: UniPoly, order: int) -> InvSeries:
-    """Expansion of num/den as 1 + sum_{t>=1} c_t u^{-t} for monic equal-degree inputs."""
-    if num.degree != den.degree:
-        raise ValueError("series_quotient requires equal degrees")
-    if not num.is_monic() or not den.is_monic():
-        raise ValueError("series_quotient requires monic inputs")
-    return poly_series_quotient(num, den, order)
 
 
 # The Mersenne prime 2^61 - 1: the modulus of the residue mode of the generator

@@ -315,14 +315,6 @@ class ActionContext:
             coeffs = self._cache[key] = [self._reduce(x) for x in c]
         return coeffs[sup]
 
-    def d_series_coeff(self, r: int, sup: int, d: TableauDelta):
-        """Coefficient of u^-sup in the diagonal series of the r-th torus family."""
-        return self._diag_coeff("d", r, sup, d)
-
-    def dprime_series_coeff(self, r: int, sup: int, d: TableauDelta):
-        """Coefficient of u^-sup in the inverse of the diagonal series."""
-        return self._diag_coeff("dprime", r, sup, d)
-
     # -- ladder coefficient pieces ----------------------------------------
 
     def _ratio(self, r: int, other_row: int, pivot: TriIndex, d: TableauDelta):
@@ -343,50 +335,39 @@ class ActionContext:
             den *= diff
         return self._divide(num, den)
 
-    def e_terms(self, r: int, sup: int, d: TableauDelta) -> list[tuple[TableauDelta, Fraction]]:
-        """Expansion of the raising generator applied to the shift basis vector.
+    def ladder_terms(self, fam: str, r: int, sup: int, d: TableauDelta) -> list[tuple[TableauDelta, Fraction]]:
+        """Expansion of the raising (e) or lowering (f) generator on the shift basis vector.
 
         Returns (target shift, coefficient) pairs before gating.  The target
-        row differs from row r only at the pivot, so each pivot contributes
-        the simple pole u^-gap / (u + pv + r) times the ratio.
+        row differs from row r only at the pivot, one step up (e) or down (f).
+        Each pivot contributes its ratio against the other row times a simple
+        pole: -u^-gap / (u + pv + r) against row r + 1 for e, from the least
+        superscript p_{r+1} - p_r + 1, and 1 / (u + pv + r - 1) against row
+        r - 1 for f, from superscript 1.
         """
-        mindeg = e_generator_min_degree(self.pyramid, r)
-        if sup < mindeg:
+        if fam == "e":
+            other, pole, lo, step = r + 1, r, e_generator_min_degree(self.pyramid, r), +1
+        else:
+            other, pole, lo, step = r - 1, r - 1, 1, -1
+        if sup < lo:
             raise ValueError(
-                f"raising superscript {sup} below the minimum {mindeg} for row {r}"
+                f"{'raising' if fam == 'e' else 'lowering'} superscript {sup}"
+                f" below the minimum {lo} for row {r}"
             )
-        key = ("e", r, sup, self._row_sig((r, r + 1), d))
+        key = (fam, r, sup, self._row_sig((min(r, other), max(r, other)), d))
         if key in self._cache:
             terms = self._cache[key]
         else:
             terms = []
             for pivot, pv in self.row_values(r, d):
-                ratio = self._ratio(r, r + 1, pivot, d)
-                coeff = self._reduce(-ratio * (-(pv + r)) ** (sup - mindeg))
+                ratio = self._ratio(r, other, pivot, d)
+                if fam == "e":
+                    ratio = -ratio
+                coeff = self._reduce(ratio * (-(pv + pole)) ** (sup - lo))
                 if coeff != 0:
-                    terms.append((TableauDelta.unit(pivot, +1), coeff))
+                    terms.append((TableauDelta.unit(pivot, step), coeff))
             self._cache[key] = terms
-        return [(d + step, c) for step, c in terms]
-
-    def f_terms(self, r: int, sup: int, d: TableauDelta) -> list[tuple[TableauDelta, Fraction]]:
-        """Expansion of the lowering generator applied to the shift basis vector.
-
-        Each pivot contributes the simple pole 1 / (u + pv + r - 1) times the ratio.
-        """
-        if sup < 1:
-            raise ValueError("lowering superscript must be at least 1")
-        key = ("f", r, sup, self._row_sig((r - 1, r), d))
-        if key in self._cache:
-            terms = self._cache[key]
-        else:
-            terms = []
-            for pivot, pv in self.row_values(r, d):
-                ratio = self._ratio(r, r - 1, pivot, d)
-                coeff = self._reduce(ratio * (-(pv + r - 1)) ** (sup - 1))
-                if coeff != 0:
-                    terms.append((TableauDelta.unit(pivot, -1), coeff))
-            self._cache[key] = terms
-        return [(d + step, c) for step, c in terms]
+        return [(d + move, c) for move, c in terms]
 
     # -- vector-level application ------------------------------------------
 
@@ -409,7 +390,7 @@ class ActionContext:
         if fam in ("d", "dprime"):
             val = self.one if sup == 0 else self._diag_coeff(fam, row, sup, d)
             return ((d, val),) if val != 0 else ()
-        terms = self.e_terms(row, sup, d) if fam == "e" else self.f_terms(row, sup, d)
+        terms = self.ladder_terms(fam, row, sup, d)
         checker = self.window.checker
         radius = self.window.radius
         col = []

@@ -30,11 +30,6 @@ class Pyramid:
     def n(self) -> int:
         return len(self.rows)
 
-    @property
-    def total(self) -> int:
-        """N, the total number of boxes."""
-        return sum(self.rows)
-
     def p(self, i: int) -> int:
         """Row length p_i, with p_0 = 0 for convenience."""
         if i == 0:
@@ -58,23 +53,8 @@ class Pyramid:
         return Pyramid(obj["rows"])
 
 
-def columns(pi: Pyramid) -> list[int]:
-    """Column heights q_1 >= ... >= q_l, l = p_n; q_k = n - i + 1 for p_{i-1} < k <= p_i."""
-    qs = []
-    for k in range(1, pi.rows[-1] + 1):
-        qs.append(sum(1 for p in pi.rows if p >= k))
-    return qs
-
-
 def e_generator_min_degree(pi: Pyramid, i: int) -> int:
     """Least superscript r for which the i-th raising generator exists: p_{i+1} - p_i + 1."""
     if not 1 <= i <= pi.n - 1:
         raise ValueError(f"row index {i} out of range for pyramid with {pi.n} rows")
     return pi.p(i + 1) - pi.p(i) + 1
-
-
-def rows_from_columns(qs) -> tuple[int, ...]:
-    """Inverse of `columns`: recover row lengths from column heights."""
-    qs = list(qs)
-    n = qs[0] if qs else 0
-    return tuple(sum(1 for q in qs if q >= n - i + 1) for i in range(1, n + 1))

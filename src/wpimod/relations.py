@@ -199,10 +199,6 @@ class ClosureOrder:
         return self._best.get(a, {}).get(b, 0) == 1
 
 
-def closure_order(C: RelationSet) -> ClosureOrder:
-    return ClosureOrder(C)
-
-
 def _closures(C: RelationSet) -> list[tuple[RelationSet, ClosureOrder]]:
     """Each component of C with its closure order, built once for every phase."""
     return [(comp, ClosureOrder(comp)) for comp in decompose(C)]
@@ -609,10 +605,6 @@ def reduce_set(C: RelationSet) -> RelationSet:
             f.greater == e.greater and order.geq(f.lesser, e.lesser) for f in C.edges
         )
     ])
-
-
-def equivalent(C1: RelationSet, C2: RelationSet) -> bool:
-    return reduce_set(C1) == reduce_set(C2)
 
 
 def is_maximal_triple(C: RelationSet, t: TriIndex) -> bool:

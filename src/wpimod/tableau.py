@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact_arith import GenericAssignment, UniPoly, as_scalar
+from .exact_arith import GenericAssignment, as_scalar
 from .pyramid import Pyramid
 
 
@@ -138,9 +138,6 @@ class Tableau:
     def classes(self) -> set:
         return {cls for cls, _ in self.entries.values()}
 
-    def row_indices(self, i: int) -> list[TriIndex]:
-        return row_indices(self.pyramid, i)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Tableau)
@@ -183,55 +180,11 @@ def entry_int_diff(l: Tableau, a: TriIndex, b: TriIndex):
 def is_noncritical(l: Tableau) -> bool:
     """No two entries coincide within any row below the top."""
     for i in range(1, l.pyramid.n):
-        row = l.row_indices(i)
+        row = row_indices(l.pyramid, i)
         for a in range(len(row)):
             for b in range(a + 1, len(row)):
                 if entries_equal(l, row[a], row[b]):
                     return False
-    return True
-
-
-def weight(l: Tableau) -> list[Fraction]:
-    """Row-sum weight of a one-column tableau: sum(row k) - sum(row k-1) + k - 1."""
-    if l.pyramid.rows != (1,) * l.pyramid.n:
-        raise ValueError("weight is defined for one-column pyramids only")
-    w = []
-    prev = Fraction(0)
-    for k in range(1, l.pyramid.n + 1):
-        cur = sum((l.value(t) for t in l.row_indices(k)), Fraction(0))
-        w.append(cur - prev + k - 1)
-        prev = cur
-    return w
-
-
-def row_polynomial(l: Tableau, r: int, i: int) -> UniPoly:
-    """Monic product of (u + entry) over the layers of position i in row r."""
-    shifts = [
-        l.value(TriIndex(k, r, i)) for k in range(1, l.pyramid.p(i) + 1)
-    ]
-    return UniPoly.from_roots_shifted(shifts)
-
-
-def is_standard(l: Tableau) -> bool:
-    """Interlacing with strict right inequalities, plus non-integral layer gaps."""
-    pi = l.pyramid
-    for r in range(1, pi.n):
-        for i in range(1, r + 1):
-            for k in range(1, pi.p(i) + 1):
-                up = entry_int_diff(l, TriIndex(k, r + 1, i), TriIndex(k, r, i))
-                if up is None or up < 0:
-                    return False
-                if i + 1 <= r + 1 and k <= pi.p(i + 1):
-                    dn = entry_int_diff(l, TriIndex(k, r, i), TriIndex(k, r + 1, i + 1))
-                    if dn is None or dn <= 0:
-                        return False
-    # distinct layers at one position must not be integer-linked
-    for i in range(1, pi.n + 1):
-        for j in range(1, i + 1):
-            for k1 in range(1, pi.p(j) + 1):
-                for k2 in range(k1 + 1, pi.p(j) + 1):
-                    if entry_int_diff(l, TriIndex(k1, i, j), TriIndex(k2, i, j)) is not None:
-                        return False
     return True
 
 

@@ -62,11 +62,6 @@ class GlWeight:
         return f"GlWeight({[str(v) for v in self.values]})"
 
 
-def dual_weight(w: GlWeight) -> GlWeight:
-    """Reversal with negation; an involution."""
-    return GlWeight(tuple(-v for v in reversed(w.values)))
-
-
 def is_generic(weights) -> bool:
     """No cross-family entry difference is an integer."""
     ws = list(weights)
@@ -97,25 +92,26 @@ def weyl_dimension(w: GlWeight) -> int:
 
 
 class IntervalSet:
-    """A union of finite integer sets and half-infinite integer rays.
+    """A union of bounded integer intervals and half-infinite integer rays.
 
-    A ray is (anchor, direction, excluded): the values anchor + direction*z for
-    z >= 0, minus the excluded finite set.  Membership is exact.
+    A bounded part is (lo, hi, excluded): the values lo + z for integers z >= 0
+    up to hi, minus the excluded finite set.  A ray is (anchor, direction,
+    excluded): the values anchor + direction*z for z >= 0, minus the excluded
+    set.  Values are Fractions and excluded sets frozensets of them.
+    Membership is exact and costs the same however long a part is.
     """
 
     __slots__ = ("bounded", "rays")
 
     def __init__(self, bounded=(), rays=()):
-        self.bounded = frozenset(as_scalar(v) for v in bounded)
-        self.rays = tuple(
-            (as_scalar(a), int(d), frozenset(as_scalar(x) for x in ex))
-            for a, d, ex in rays
-        )
+        self.bounded = tuple(bounded)
+        self.rays = tuple(rays)
 
     def contains(self, x) -> bool:
         x = as_scalar(x)
-        if x in self.bounded:
-            return True
+        for lo, hi, excluded in self.bounded:
+            if lo <= x <= hi and (x - lo).denominator == 1 and x not in excluded:
+                return True
         for anchor, direction, excluded in self.rays:
             gap = (x - anchor) * direction
             if gap.denominator == 1 and gap >= 0 and x not in excluded:
@@ -124,11 +120,6 @@ class IntervalSet:
 
     def __contains__(self, x) -> bool:
         return self.contains(x)
-
-    def finite_list(self) -> list[Fraction]:
-        if self.rays:
-            raise ValueError("set contains an infinite ray")
-        return sorted(self.bounded)
 
 
 def _integer_chains(values, indices):
@@ -157,25 +148,18 @@ def interval_sets(l_values, i: int, j: int) -> tuple[IntervalSet, IntervalSet]:
         raise ValueError("need 1 <= i < j <= len(l_values)")
     values = [as_scalar(v) for v in l_values]
     chains = _integer_chains(values, range(i, j + 1))
-    minus_bounded: set = set()
-    minus_rays = []
-    plus_bounded: set = set()
-    plus_rays = []
+    minus_bounded, minus_rays, plus_bounded, plus_rays = [], [], [], []
     for chain in chains:
         members = frozenset(v for _, v in chain)
         first = chain[0]  # largest index
         last = chain[-1]  # smallest index
-        filled = set()
-        v = first[1]
-        while v <= last[1]:
-            filled.add(v)
-            v += 1
+        span = (first[1], last[1], members)
         if first[0] == j:
-            minus_bounded |= filled - members
+            minus_bounded.append(span)
         else:
             minus_rays.append((first[1], -1, members))
         if last[0] == i:
-            plus_bounded |= filled - members
+            plus_bounded.append(span)
         else:
             plus_rays.append((last[1], +1, members))
     return (
@@ -349,12 +333,30 @@ class TensorModule:
         return tuple(out)
 
     def basis(self, depth: int | None = None) -> list[tuple]:
+        """Keys of total depth at most `depth`, in (depth, keys) order.
+
+        Each factor's shifts are listed by depth, so the walk takes from each
+        factor only the shifts that fit in the depth left.  Raises ValueError
+        past MAX_WINDOW_MEMBERS keys, as a basis window does.
+        """
         depth = self.depth if depth is None else int(depth)
+        per = [[(f.depth_of(d), d) for d in f.deltas(depth)] for f in self.factors]
         out = []
-        per = [f.deltas(depth) for f in self.factors]
-        for key in itertools.product(*per):
-            if self.depth_of(key) <= depth:
-                out.append(key)
+
+        def walk(slot: int, left: int, prefix: tuple) -> None:
+            if slot == len(per):
+                out.append(prefix)
+                if len(out) > MAX_WINDOW_MEMBERS:
+                    raise ValueError(
+                        f"tensor basis has more than {MAX_WINDOW_MEMBERS} members"
+                    )
+                return
+            for k, d in per[slot]:
+                if k > left:
+                    break
+                walk(slot + 1, left - k, prefix + (d,))
+
+        walk(0, depth, ())
         out.sort(key=lambda k: (self.depth_of(k), tuple(d.key() for d in k)))
         return out
 

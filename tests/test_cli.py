@@ -5,7 +5,7 @@ import json
 import pytest
 
 from wpimod import Pyramid, RelationSet, standard_set, tableau_to_json, yangian_tensor
-from wpimod.cli import run
+from wpimod.cli import MAX_BUDGET, MAX_INSTANTIATIONS, run
 from wpimod.gt_module import MAX_WINDOW_MEMBERS
 
 from helpers import GL2, GL3, bad_pattern_upper, gl2_tableau, rel, standard_gl2
@@ -244,6 +244,7 @@ def test_tensor_check_report_has_no_threads_field(tmp_path, capsys, monkeypatch)
     ("verify-relations", "--instantiations", "-1"),
     ("verify-relations", "--budget", "0"),
     ("verify-relations", "--budget", "-1"),
+    ("verify-relations", "--instantiations", "1000000"),
     ("verify-relations", "--radius", "-1"),
     ("tensor-check", "--depth", "-1"),
     ("enumerate-basis", "--radius", "-3"),
@@ -255,6 +256,20 @@ def test_out_of_range_numbers_are_input_errors(tmp_path, capsys, command, option
         inputs = ["--relations", write_relations(tmp_path, "s.json", standard_gl2())]
     code, report = invoke(capsys, [command, *inputs, option, value])
     assert code == 4 and option in report["error"]
+
+
+@pytest.mark.parametrize("option, cap", [
+    ("--instantiations", MAX_INSTANTIATIONS),
+    ("--budget", MAX_BUDGET),
+])
+def test_verify_relations_input_bounds(tmp_path, capsys, option, cap):
+    path = write_relations(tmp_path, "s.json", standard_gl2())
+    argv = ["verify-relations", "--relations", path]
+    code, report = invoke(capsys, [*argv, option, str(cap + 1)])
+    assert code == 4 and set(report) == {"v", "error"}
+    assert option in report["error"] and f"<={cap}" in report["error"]
+    code, report = invoke(capsys, [*argv, option, str(cap)])
+    assert code == 0 and report[option[2:]] == cap
 
 
 def test_tableau_on_another_pyramid_is_input_error(tmp_path, capsys):
@@ -279,16 +294,19 @@ def test_window_past_member_cap_is_input_error(tmp_path, capsys, command):
 
 
 def test_tensor_depth_past_member_cap_is_input_error(tmp_path, capsys, monkeypatch):
-    # a generic gl_2 factor is infinite-dimensional: depth 5 has 6 basis shifts
-    path = write_weights(tmp_path, "w.json", [("1/3", "1/7"), ("1/5", "1/2")])
-    argv = ["tensor-check", "--weights", path, "--depth", "5"]
-    monkeypatch.setattr(yangian_tensor, "MAX_WINDOW_MEMBERS", 6)
-    code, report = invoke(capsys, argv)
-    assert code == 0 and report["only_top_line"] is True
-    monkeypatch.setattr(yangian_tensor, "MAX_WINDOW_MEMBERS", 5)
-    code, report = invoke(capsys, argv)
-    assert code == 4
-    assert report == {"v": 1, "error": "basis window has more than 5 members"}
+    # a generic gl_2 factor is infinite-dimensional: depth 5 has 6 basis shifts,
+    # and the tensor product of two such factors has 21 keys of depth <= 5
+    one = write_weights(tmp_path, "one.json", [("1/3", "1/7")])
+    two = write_weights(tmp_path, "two.json", [("1/3", "1/7"), ("1/5", "1/2")])
+    for path, size, error in ((one, 6, "basis window"), (two, 21, "tensor basis")):
+        argv = ["tensor-check", "--weights", path, "--depth", "5"]
+        monkeypatch.setattr(yangian_tensor, "MAX_WINDOW_MEMBERS", size)
+        code, report = invoke(capsys, argv)
+        assert code == 0 and report["only_top_line"] is True
+        monkeypatch.setattr(yangian_tensor, "MAX_WINDOW_MEMBERS", size - 1)
+        code, report = invoke(capsys, argv)
+        assert code == 4
+        assert report == {"v": 1, "error": f"{error} has more than {size - 1} members"}
 
 
 @pytest.mark.parametrize("body", [

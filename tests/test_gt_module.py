@@ -140,7 +140,7 @@ def test_gating_blocks_forbidden_lowering():
 def _quotient_terms(ctx, fam, r, sup, d):
     """Ladder terms from the full quotient of row-factor products.
 
-    The reference form of `ActionContext.e_terms` / `f_terms`: per pivot, the
+    The reference form of `ActionContext.ladder_terms`: per pivot, the
     u^-sup coefficient of prod(u + v + r - 1) over the row without the pivot,
     divided by u^gap times the same product over the target row (raising), or
     over the whole row (lowering).
@@ -188,10 +188,10 @@ def test_closed_form_ladder_terms_match_quotient(rows):
             ctx = ActionContext(window, generic_instantiate(seed.classes(), inst))
             for r in range(1, pyramid.n):
                 lo = {"e": e_generator_min_degree(pyramid, r), "f": 1}
-                for fam, terms in (("e", ctx.e_terms), ("f", ctx.f_terms)):
+                for fam in ("e", "f"):
                     for sup in range(lo[fam], lo[fam] + 4):
                         for d in window.members:
-                            got = _outcome(lambda: terms(r, sup, d))
+                            got = _outcome(lambda: ctx.ladder_terms(fam, r, sup, d))
                             want = _outcome(lambda: _quotient_terms(ctx, fam, r, sup, d))
                             assert got == want, (rows, inst, fam, r, sup, d)
 
@@ -311,9 +311,9 @@ def test_dprime_convolution_is_delta():
     for total in range(1, 5):
         acc = Fraction(0)
         for s in range(total + 1):
-            a = Fraction(1) if s == 0 else ctx.dprime_series_coeff(2, s, d0)
+            a = Fraction(1) if s == 0 else ctx._diag_coeff("dprime", 2, s, d0)
             b = (Fraction(1) if total - s == 0
-                 else ctx.d_series_coeff(2, total - s, d0))
+                 else ctx._diag_coeff("d", 2, total - s, d0))
             acc += a * b
         assert acc == 0
 

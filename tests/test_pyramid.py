@@ -2,8 +2,7 @@
 
 import pytest
 
-from wpimod import Pyramid, columns, e_generator_min_degree
-from wpimod.pyramid import rows_from_columns
+from wpimod import Pyramid, e_generator_min_degree
 
 
 def test_rows_validation():
@@ -12,26 +11,6 @@ def test_rows_validation():
     with pytest.raises(ValueError):
         Pyramid((0, 1))
     assert Pyramid((1, 2, 2)).n == 3
-    assert Pyramid((1, 2, 2)).total == 5
-
-
-def test_columns_examples():
-    assert columns(Pyramid((1, 1, 1))) == [3]
-    assert columns(Pyramid((2, 2))) == [2, 2]
-    assert columns(Pyramid((1, 2))) == [2, 1]
-
-
-def test_columns_sum_and_monotone():
-    for rows in [(1,), (1, 1), (1, 2), (1, 3), (2, 2), (1, 2, 4)]:
-        pi = Pyramid(rows)
-        qs = columns(pi)
-        assert sum(qs) == pi.total
-        assert qs == sorted(qs, reverse=True)
-
-
-def test_rows_from_columns_involution():
-    for rows in [(1,), (1, 1), (1, 2), (2, 2), (1, 2, 4), (1, 1, 3)]:
-        assert rows_from_columns(columns(Pyramid(rows))) == rows
 
 
 def test_e_generator_min_degree():

@@ -31,9 +31,7 @@ from wpimod.relations import (
     _least_solution,
     _literal_admissible,
     _row_relabelings,
-    closure_order,
     critical_pair,
-    equivalent,
     has_cross,
     held_relations,
     vertices,
@@ -165,7 +163,7 @@ def test_least_solution_contract():
         vs, arcs = vertices(C), _arcs(C)
         x = _least_solution(vs, arcs)
         # a positive cycle is a closed chain through a strict edge
-        order = closure_order(C)
+        order = ClosureOrder(C)
         unsat = any(order.gt(v, v) for v in vs)
         assert (x is None) == unsat, C
         if x is None:
@@ -208,12 +206,12 @@ def test_spread_seed_keeps_satisfaction():
 
 def test_closure_order():
     S = standard_set(GL3)
-    order = closure_order(S)
+    order = ClosureOrder(S)
     assert order.gt(TriIndex(1, 3, 1), TriIndex(1, 3, 2))
     assert order.geq(TriIndex(1, 3, 1), TriIndex(1, 2, 1))
     assert not order.gt(TriIndex(1, 3, 1), TriIndex(1, 2, 1))
     single = RelationSet(GL2, [rel((1, 2, 1), (1, 1, 1), False)])
-    o = closure_order(single)
+    o = ClosureOrder(single)
     assert o.geq(TriIndex(1, 2, 1), TriIndex(1, 1, 1))
     assert not o.gt(TriIndex(1, 2, 1), TriIndex(1, 1, 1))
 
@@ -247,7 +245,7 @@ def test_reduce():
     # implied top-row relation is dropped
     C = RelationSet(GL2, list(S.edges) + [rel((1, 2, 1), (1, 2, 2), False)])
     assert reduce_set(C) == S
-    assert equivalent(C, S)
+    assert reduce_set(C) == reduce_set(S)
     with pytest.raises(ValueError):
         reduce_set(RelationSet(GL2, [rel((1, 2, 1), (1, 2, 2), False)]))
 
@@ -374,9 +372,9 @@ def test_permute_validation():
 def test_maximal_set_gl2():
     l = gl2_tableau(2, -1, 0)
     M = maximal_set(l)
-    assert equivalent(M, standard_set(GL2))
+    assert reduce_set(M) == reduce_set(standard_set(GL2))
     # every held relation is implied by the maximal set
-    order = closure_order(M)
+    order = ClosureOrder(M)
     for e in held_relations(l):
         assert (order.gt if e.strict else order.geq)(e.greater, e.lesser)
     assert satisfies(M, l)
@@ -451,13 +449,13 @@ def test_reduce_set_is_transitive_reduction():
             continue
         R = reduce_set(C)
         assert R.edges <= C.edges, C
-        full, red = closure_order(C), closure_order(R)
+        full, red = ClosureOrder(C), ClosureOrder(R)
         for a in vertices(C):
             for b in vertices(C):
                 assert full.geq(a, b) == red.geq(a, b), (C, a, b)
                 assert full.gt(a, b) == red.gt(a, b), (C, a, b)
         for e in R.edges:
-            rest = closure_order(RelationSet(C.pyramid, R.edges - {e}))
+            rest = ClosureOrder(RelationSet(C.pyramid, R.edges - {e}))
             implied = rest.gt if e.strict else rest.geq
             assert not implied(e.greater, e.lesser), (C, e)
         checked += 1

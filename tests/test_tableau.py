@@ -5,23 +5,22 @@ from fractions import Fraction
 import pytest
 
 from wpimod import (
+    EvaluationFactor,
+    GlWeight,
     Pyramid,
     Tableau,
     TableauDelta,
     TriIndex,
     all_indices,
     mutable_indices,
+    satisfies,
     shift,
+    standard_set,
     tableau_from_json,
     tableau_from_values,
     tableau_to_json,
 )
-from wpimod.tableau import (
-    is_noncritical,
-    is_standard,
-    row_polynomial,
-    weight,
-)
+from wpimod.tableau import is_noncritical
 
 from helpers import GL2, P12, gl2_tableau
 
@@ -58,45 +57,33 @@ def test_top_row_shift_rejected():
 
 
 def test_weight_example():
-    l = tableau_from_values(GL2, {
-        TriIndex(1, 2, 1): 1,
-        TriIndex(1, 2, 2): -1,
-        TriIndex(1, 1, 1): 1,
-    })
-    assert weight(l) == [Fraction(1), Fraction(0)]
+    # the highest-weight tableau of (1, 0): top row l = (1, -1), row 1 entry 1
+    f = EvaluationFactor(GlWeight((1, 0)), depth=0)
+    assert [f.seed.value(t) for t in all_indices(GL2)] == [1, 1, -1]
+    assert f.gl_weight(f.highest()) == (Fraction(1), Fraction(0))
 
 
 def test_weight_shift_is_simple_root():
-    l = gl2_tableau(2, -1, 0)
-    w0 = weight(l)
-    w1 = weight(shift(l, TableauDelta.unit(TriIndex(1, 1, 1), 1)))
+    f = EvaluationFactor(GlWeight((2, 0)), depth=0)
+    w0 = f.gl_weight(f.highest())
+    w1 = f.gl_weight(TableauDelta.unit(TriIndex(1, 1, 1), 1))
     assert [a - b for a, b in zip(w1, w0)] == [Fraction(1), Fraction(-1)]
 
 
-def test_weight_needs_one_column():
-    seeds = {t: ("c", 0) for t in all_indices(P12)}
-    with pytest.raises(ValueError):
-        weight(Tableau(P12, seeds))
-
-
-def test_row_polynomial():
-    l = gl2_tableau(2, -1, 1)
-    p = row_polynomial(l, 1, 1)
-    assert p.coeffs == (1, 1)  # u + 1
-    q = row_polynomial(l, 2, 1) * row_polynomial(l, 2, 2)
-    assert q.degree == 2
+def _is_standard(l):
+    return satisfies(standard_set(l.pyramid), l)
 
 
 def test_is_standard_examples():
-    assert is_standard(gl2_tableau(2, -1, 1))
-    assert is_standard(gl2_tableau(2, -1, 2))  # weak boundary
-    assert not is_standard(gl2_tableau(2, -1, -1))  # strictness fails
+    assert _is_standard(gl2_tableau(2, -1, 1))
+    assert _is_standard(gl2_tableau(2, -1, 2))  # weak boundary
+    assert not _is_standard(gl2_tableau(2, -1, -1))  # strictness fails
 
 
 def test_standard_implies_noncritical():
     for low in range(-1, 3):
         l = gl2_tableau(2, -1, low)
-        if is_standard(l):
+        if _is_standard(l):
             assert is_noncritical(l)
 
 

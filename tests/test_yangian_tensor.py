@@ -1,7 +1,9 @@
 """Evaluation modules, coproduct, quantum minors, singular-vector probes."""
 
+import functools
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,6 @@ from wpimod import (
     EvaluationFactor,
     GlWeight,
     TensorModule,
-    dual_weight,
     find_singular_vectors,
     integral_condition,
     interval_sets,
@@ -22,14 +23,8 @@ from wpimod import (
 )
 from wpimod.exact_arith import InvSeries
 from wpimod.gt_module import CLIP
+from wpimod.gt_module import MAX_WINDOW_MEMBERS
 from wpimod.yangian_tensor import t_coefficient
-
-
-def test_dual_weight():
-    assert dual_weight(GlWeight((1, 0))) == GlWeight((0, -1))
-    w = GlWeight((3, Fraction(1, 2), -2))
-    assert dual_weight(dual_weight(w)) == w
-    assert dual_weight(GlWeight((0, 0, 0))) == GlWeight((0, 0, 0))
 
 
 def test_weyl_dimension():
@@ -56,13 +51,20 @@ def test_is_good():
     assert GlWeight((Fraction(1, 2), 0, 7)).is_good()
 
 
+def _members(s, lo=-6, hi=6):
+    """The halves in [lo, hi] that belong to an interval set."""
+    return [x for x in (Fraction(k, 2) for k in range(2 * lo, 2 * hi + 1)) if x in s]
+
+
 def test_interval_sets_single_chain():
     minus, plus = interval_sets((3, 0), 1, 2)
-    assert sorted(minus.finite_list()) == [1, 2]
-    assert sorted(plus.finite_list()) == [1, 2]
+    assert not minus.rays and not plus.rays
+    assert _members(minus) == [1, 2]
+    assert _members(plus) == [1, 2]
     minus, plus = interval_sets((1, -1), 1, 2)
-    assert minus.finite_list() == [0]
-    assert plus.finite_list() == [0]
+    assert not minus.rays and not plus.rays
+    assert _members(minus) == [0]
+    assert _members(plus) == [0]
 
 
 def test_interval_sets_unlinked_pair():
@@ -80,6 +82,123 @@ def test_integral_condition():
     assert not integral_condition(GlWeight((1, 0)), GlWeight((3, 1)))
     with pytest.raises(ValueError):
         integral_condition(GlWeight((0, 1, 0)), GlWeight((0, 1, 0)))
+
+
+@functools.lru_cache(maxsize=None)
+def _listed_interval_sets(l_values, i, j):
+    """The (minus, plus) sets with every bounded integer listed: the reference."""
+    chains = []
+    for idx in range(j, i - 1, -1):
+        v = Fraction(l_values[idx - 1])
+        for chain in chains:
+            if (v - chain[0][1]).denominator == 1:
+                chain.append((idx, v))
+                break
+        else:
+            chains.append([(idx, v)])
+    minus, plus = (set(), []), (set(), [])
+    for chain in chains:
+        members = {v for _, v in chain}
+        (first_idx, first), (last_idx, last) = chain[0], chain[-1]
+        filled = set()
+        v = first
+        while v <= last:
+            filled.add(v)
+            v += 1
+        if first_idx == j:
+            minus[0].update(filled - members)
+        else:
+            minus[1].append((first, -1, members))
+        if last_idx == i:
+            plus[0].update(filled - members)
+        else:
+            plus[1].append((last, +1, members))
+    return minus, plus
+
+
+def _listed_contains(part, x):
+    listed, rays = part
+    return x in listed or any(
+        ((x - a) * d).denominator == 1 and (x - a) * d >= 0 and x not in ex
+        for a, d, ex in rays
+    )
+
+
+def _listed_integral_condition(lam, mu):
+    ls, ms = lam.l_values(), mu.l_values()
+    for i in range(1, lam.n + 1):
+        for j in range(i + 1, lam.n + 1):
+            lminus, lplus = _listed_interval_sets(ls, i, j)
+            if not _listed_contains(lminus, ms[j - 1]) and not _listed_contains(lplus, ms[i - 1]):
+                continue
+            mminus, mplus = _listed_interval_sets(ms, i, j)
+            if _listed_contains(mminus, ls[j - 1]) or _listed_contains(mplus, ls[i - 1]):
+                return False
+    return True
+
+
+def test_integral_condition_matches_listed_intervals():
+    halves = [Fraction(k, 2) for k in range(-8, 9)]
+    gl2 = [GlWeight(w) for w in itertools.product(halves, repeat=2)]
+    verdicts = set()
+    for lam in gl2:
+        for mu in gl2:
+            got = integral_condition(lam, mu)
+            assert got == _listed_integral_condition(lam, mu), (lam, mu)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+    rng = random.Random(20261018)
+    entries = halves + [Fraction(k, 3) for k in range(-12, 13, 4)]
+    checked = 0
+    while checked < 400:
+        lam, mu = (GlWeight([rng.choice(entries) for _ in range(3)]) for _ in range(2))
+        if lam.is_good() and mu.is_good():
+            assert integral_condition(lam, mu) == _listed_integral_condition(lam, mu), (lam, mu)
+            checked += 1
+
+
+def test_integral_condition_cost_does_not_grow_with_the_gap():
+    # the same chain shapes as gap 20, whose verdict the listed reference gives
+    assert _listed_integral_condition(GlWeight((20, 0)), GlWeight((1, 0))) is True
+    assert _listed_integral_condition(GlWeight((20, 0)), GlWeight((1, -1))) is False
+    start = time.perf_counter()
+    assert integral_condition(GlWeight((10**12, 0)), GlWeight((1, 0))) is True
+    assert not integral_condition(GlWeight((10**12, 0)), GlWeight((1, -1)))
+    assert time.perf_counter() - start < 1.0
+
+
+def _product_scan_basis(M, depth):
+    """TensorModule.basis as a scan of every product of factor shifts: the reference."""
+    keys = [k for k in itertools.product(*(f.deltas(depth) for f in M.factors))
+            if M.depth_of(k) <= depth]
+    keys.sort(key=lambda k: (M.depth_of(k), tuple(d.key() for d in k)))
+    return keys
+
+
+@pytest.mark.parametrize("weights", [
+    [(1, 0)],
+    [(1, 0), (3, 1)],
+    [(Fraction(1, 2), 0), (Fraction(1, 3), Fraction(1, 5))],
+    [(2, 1, 0), (Fraction(1, 3), Fraction(1, 7), 0)],
+    [(1, 0), (Fraction(1, 2), 0), (2, 0)],
+    [(2, 2, 0, -1), (1, 0, 0, 0)],
+], ids=lambda ws: "-".join("x".join(str(v) for v in w) for w in ws))
+def test_basis_walk_matches_product_scan(weights):
+    M = TensorModule([EvaluationFactor(GlWeight(w), depth=4) for w in weights], depth=4)
+    for depth in range(5):
+        assert M.basis(depth) == _product_scan_basis(M, depth), depth
+
+
+def test_basis_past_member_cap_is_value_error_quickly():
+    # four generic gl_2 factors have 81 shifts each at depth 80: C(84, 4) keys,
+    # and 81^4 = 43M products for a scan
+    ws = [(Fraction(1, 3), Fraction(1, 7)), (Fraction(1, 5), Fraction(1, 2)),
+          (Fraction(2, 9), 0), (Fraction(1, 11), Fraction(3, 4))]
+    M = TensorModule([EvaluationFactor(GlWeight(w), depth=80) for w in ws], depth=80)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"more than {MAX_WINDOW_MEMBERS} members"):
+        M.basis()
+    assert time.perf_counter() - start < 5.0
 
 
 def test_evaluation_action_r1_matrix():
