@@ -5,10 +5,10 @@ Scalars are plain `fractions.Fraction`; there is no floating-point mode anywhere
 in the package.  The generator actions and the Yangian series run on plain
 coefficient lists (see `gt_module.ActionContext` and `yangian_tensor._slot_t`);
 `OperatorSeries.apply` hands its images back as `InvSeries`.  The generator
-actions can also run on residues mod the prime `MODULUS`, where reduction is a
-ring map from the rationals whose denominators it keeps invertible.  `UniPoly`
-and `poly_series_quotient` remain as the reference expansion the ladder tests
-compare against.
+actions and the Yangian series can also run on residues mod the prime
+`MODULUS`, where reduction is a ring map from the rationals whose denominators
+it keeps invertible.  `UniPoly` and `poly_series_quotient` remain as the
+reference expansion the ladder tests compare against.
 """
 
 from __future__ import annotations
@@ -189,14 +189,22 @@ def poly_series_quotient(num: UniPoly, den: UniPoly, order: int) -> InvSeries:
 
 
 # The Mersenne prime 2^61 - 1: the modulus of the residue mode of the generator
-# actions (`gt_module.ActionContext`).
+# actions (`gt_module.ActionContext`) and of the Yangian kernel decision
+# (`yangian_tensor.find_singular_vectors`).
 MODULUS = 2**61 - 1
 
 
 def residue(x, m: int) -> int:
-    """The residue of a rational mod m, in [0, m); its denominator must be a unit."""
+    """The residue of a rational mod m, in [0, m).
+
+    Raises ZeroDivisionError when the denominator is not a unit mod m.
+    """
     x = Fraction(x)
-    return x.numerator * pow(x.denominator, -1, m) % m
+    try:
+        inv = pow(x.denominator, -1, m)
+    except ValueError:
+        raise ZeroDivisionError(f"{x} has a denominator that is not a unit mod {m}") from None
+    return x.numerator * inv % m
 
 
 class CriticalityError(ValueError):

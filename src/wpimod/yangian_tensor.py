@@ -5,7 +5,9 @@ a one-column pyramid, pulled back through the evaluation map
 t_ij(u) -> delta_ij + E_ij/(u - a).  The coproduct spreads t_ij(u) over the
 factors; quantum minors and the Drinfeld B-series are computed as exact
 truncated series, and singular vectors are exact kernels of the resulting
-linear systems on weight spaces.
+linear systems on weight spaces.  A weight space whose B-series images are
+independent mod the prime `MODULUS` has no kernel, and is decided there; only
+the others are solved in `Fraction`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exact_arith import InvSeries, as_scalar
+from .exact_arith import MODULUS, InvSeries, as_scalar, residue
 from .gt_module import CLIP, MAX_WINDOW_MEMBERS, ActionContext, FreeWindow
 from .pyramid import Pyramid
 from .relations import maximal_set
@@ -220,6 +222,7 @@ class EvaluationFactor:
         self.free = mutable_indices(pi)
         self._delta_cache: dict[int, list[TableauDelta]] = {}
         self._columns: dict = {}
+        self._residue_columns: dict = {}
 
     def highest(self) -> TableauDelta:
         return TableauDelta()
@@ -275,6 +278,21 @@ class EvaluationFactor:
             col = self._columns[key] = self._build_column(a, b, d)
         return col
 
+    def _column(self, a: int, b: int, d: TableauDelta, m: int | None) -> tuple:
+        """`column(a, b, d)`, or with a modulus m its nonzero residues, reduced once.
+
+        Raises ZeroDivisionError when a coefficient's denominator is not a unit mod m.
+        """
+        if m is None:
+            return self.column(a, b, d)
+        key = (a, b, d, m)
+        col = self._residue_columns.get(key)
+        if col is None:
+            col = self._residue_columns[key] = tuple(
+                (t, r) for t, c in self.column(a, b, d) if (r := residue(c, m))
+            )
+        return col
+
     def _build_column(self, a: int, b: int, d: TableauDelta) -> tuple:
         if a == b:
             val = self.gl_weight(d)[a - 1]
@@ -318,6 +336,7 @@ class TensorModule:
             raise ValueError("all factors must share the same rank")
         self.n = self.factors[0].n
         self.depth = int(depth)
+        self._weight_spaces: dict[int, dict[tuple, list[tuple]]] = {}
 
     def highest(self) -> tuple:
         return tuple(f.highest() for f in self.factors)
@@ -361,66 +380,92 @@ class TensorModule:
         return out
 
     def weight_space(self, offset) -> list[tuple]:
-        """Basis keys whose root-height offset equals the given tuple."""
+        """Basis keys whose root-height offset equals the given tuple, in basis order.
+
+        The basis of each depth is grouped by root offset once.
+        """
         offset = tuple(int(c) for c in offset)
         depth = sum(offset)
-        return [k for k in self.basis(depth) if self.root_offset(k) == offset]
+        spaces = self._weight_spaces.get(depth)
+        if spaces is None:
+            spaces = {}
+            for k in self.basis(depth):
+                spaces.setdefault(self.root_offset(k), []).append(k)
+            self._weight_spaces[depth] = spaces
+        return list(spaces.get(offset, ()))
 
 
-def _add_into(out: dict, key, ser: list, c=None):
-    """out[key] += c*ser (ser if c is None) on lists [c_0, ..., c_T]; sums keep the shorter."""
+def _add_into(out: dict, key, ser: list, c=None, m: int | None = None):
+    """out[key] += c*ser (ser if c is None) on lists [c_0, ..., c_T]; sums keep the shorter.
+
+    With a modulus m the entries are integers and each product c*x is reduced
+    mod m; sums are not, so an entry stays a small multiple of m at most.
+    """
     tgt = out.get(key)
     if tgt is None:
-        out[key] = list(ser) if c is None else [c * x if x else x for x in ser]
+        if c is None:
+            out[key] = list(ser)
+        else:
+            out[key] = [c * x if x else x for x in ser] if m is None else [c * x % m for x in ser]
         return
     del tgt[len(ser):]
     for t in range(len(tgt)):
         x = ser[t]
         if x:
-            tgt[t] += x if c is None else c * x
+            tgt[t] += x if c is None else (c * x if m is None else c * x % m)
 
 
-def _slot_t(M: TensorModule, slot: int, a: int, b: int, arg_shift, vec: dict, order: int) -> dict:
+def _slot_t(M: TensorModule, slot: int, a: int, b: int, arg_shift, vec: dict, order: int,
+            m: int | None = None) -> dict:
     """t_ab(u - arg_shift) acting on factor `slot` of coefficient-list vectors.
 
     t_ab(u - s) = delta_ab + E_ab/(u - pole) with pole = s + point; dividing a
     series by (u - pole) is the recurrence p_0 = 0, p_t = c_{t-1} + pole*p_{t-1}.
+    With a modulus m the coefficients are residues mod m.
     """
     f = M.factors[slot]
     pole = arg_shift + f.point
+    if m is not None:
+        pole = residue(pole, m)
     out: dict = {}
     for key, ser in vec.items():
         if a == b:
             _add_into(out, key, ser)
-        col = f.column(a, b, key[slot])
+        col = f._column(a, b, key[slot], m)
         if not col:
             continue
         p = [0] * min(len(ser), order + 1)
         for t in range(1, len(p)):
-            p[t] = ser[t - 1] + pole * p[t - 1] if pole and p[t - 1] else ser[t - 1]
+            x = ser[t - 1]
+            if pole and p[t - 1]:
+                x = x + pole * p[t - 1] if m is None else (x + pole * p[t - 1]) % m
+            p[t] = x
         for d2, coeff in col:
-            _add_into(out, key[:slot] + (d2,) + key[slot + 1:], p, coeff)
+            _add_into(out, key[:slot] + (d2,) + key[slot + 1:], p, coeff, m)
     return out
 
 
-def _tensor_t(M: TensorModule, a: int, b: int, arg_shift, vec: dict, order: int, lo: int, hi: int) -> dict:
+def _tensor_t(M: TensorModule, a: int, b: int, arg_shift, vec: dict, order: int, lo: int, hi: int,
+              m: int | None = None) -> dict:
     """Iterated-coproduct image of t_ab(u - arg_shift) on factor slots [lo, hi)."""
     if hi - lo == 1:
-        return _slot_t(M, lo, a, b, arg_shift, vec, order)
+        return _slot_t(M, lo, a, b, arg_shift, vec, order, m)
     out: dict = {}
     for mid in range(1, M.n + 1):
-        inner = _tensor_t(M, mid, b, arg_shift, vec, order, lo + 1, hi)
+        inner = _tensor_t(M, mid, b, arg_shift, vec, order, lo + 1, hi, m)
         if not inner:
             continue
-        for key, ser in _slot_t(M, lo, a, mid, arg_shift, inner, order).items():
+        for key, ser in _slot_t(M, lo, a, mid, arg_shift, inner, order, m).items():
             _add_into(out, key, ser)
     return out
 
 
-def _as_series_vec(vec: dict, order: int) -> dict:
-    """Scalar and InvSeries values as coefficient lists [c_0, ..., c_T]."""
+def _as_series_vec(vec: dict, order: int, m: int | None = None) -> dict:
+    """Scalar and InvSeries values as coefficient lists [c_0, ..., c_T], or their residues mod m."""
+    scalar = as_scalar if m is None else (lambda x: residue(x, m))
     return {
-        key: [c.constant, *c.coeffs] if isinstance(c, InvSeries) else [as_scalar(c)] + [0] * order
+        key: [scalar(x) for x in (c.constant, *c.coeffs)] if isinstance(c, InvSeries)
+        else [scalar(c)] + [0] * order
         for key, c in vec.items()
     }
 
@@ -468,12 +513,18 @@ class OperatorSeries:
             or len(set(self.b_cols)) < len(self.b_cols)
         )
 
-    def apply(self, vec: dict) -> dict:
-        """Image of a vector; keys map to truncated series."""
+    def apply(self, vec: dict, _modulus: int | None = None) -> dict:
+        """Image of a vector; keys map to truncated series.
+
+        The series are exact `InvSeries`; with the internal `_modulus` m they are
+        the same coefficients reduced mod m, as lists [c_0, ..., c_T] of residues,
+        and ZeroDivisionError is raised where a denominator is not a unit mod m.
+        """
         if self.repeated:
             return {}
+        m = _modulus
         r = len(self.a_rows)
-        vec = _as_series_vec(vec, self.order)
+        vec = _as_series_vec(vec, self.order, m)
         out: dict = {}
         for sigma in itertools.permutations(range(r)):
             sgn = _perm_sign(sigma)
@@ -488,11 +539,14 @@ class OperatorSeries:
                     self.order,
                     self.lo,
                     self.hi,
+                    m,
                 )
                 if not cur:
                     break
             for key, s in cur.items():
                 _add_into(out, key, s if sgn > 0 else [-x for x in s])
+        if m is not None:
+            return {k: r for k, s in out.items() if any(r := [x % m for x in s])}
         return {k: InvSeries(s[0], s[1:]) for k, s in out.items() if any(s)}
 
 
@@ -542,11 +596,45 @@ def _rational_kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fracti
     return basis
 
 
+def _independent_mod(M: TensorModule, keys, order: int, m: int) -> bool:
+    """True when the B-series images of `keys` are linearly independent mod the prime m.
+
+    Each key's image, a sparse vector over (m_idx, target key, t), is reduced
+    against the echelon vectors of the keys before it; the first that reduces to
+    zero stops the elimination.  Reduction mod m never raises rank, so True
+    proves that the rational kernel is zero.  Raises ZeroDivisionError where a
+    denominator is not a unit mod m.
+    """
+    ops = [drinfeld_b(M, k, order) for k in range(1, M.n)]
+    echelon = []  # (pivot, vector that is 1 at its pivot and 0 at earlier pivots)
+    for key in keys:
+        vec = {}
+        for k, op in enumerate(ops):
+            for ok, s in op.apply({key: 1}, _modulus=m).items():
+                for t, c in enumerate(s):
+                    if c:
+                        vec[k, ok, t] = c
+        for pivot, e in echelon:
+            c = vec.get(pivot)
+            if c:
+                for coord, x in e.items():
+                    vec[coord] = (vec.get(coord, 0) - c * x) % m
+        vec = {coord: x for coord, x in vec.items() if x}
+        if not vec:
+            return False
+        pivot, c = next(iter(vec.items()))
+        inv = pow(c, -1, m)
+        echelon.append((pivot, {coord: x * inv % m for coord, x in vec.items()}))
+    return True
+
+
 def find_singular_vectors(M: TensorModule, offset, order: int | None = None) -> list[dict]:
     """Exact kernel of all B-series coefficients on one weight space.
 
     `offset` gives per-row lowering counts; the returned vectors are sparse
-    dicts over the weight-space basis keys.
+    dicts over the weight-space basis keys.  A weight space whose images are
+    independent mod `MODULUS` has no kernel; the others, and those with a
+    denominator that is not a unit mod `MODULUS`, are solved in `Fraction`.
     """
     offset = tuple(int(c) for c in offset)
     keys = M.weight_space(offset)
@@ -554,6 +642,11 @@ def find_singular_vectors(M: TensorModule, offset, order: int | None = None) -> 
         return []
     if order is None:
         order = M.n * max(sum(offset), 1) + M.n
+    try:
+        if _independent_mod(M, keys, order, MODULUS):
+            return []
+    except ZeroDivisionError:
+        pass
     rows = []
     images = []
     for key in keys:

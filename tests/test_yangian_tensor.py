@@ -21,7 +21,8 @@ from wpimod import (
     singular_dimensions,
     weyl_dimension,
 )
-from wpimod.exact_arith import InvSeries
+import wpimod.yangian_tensor as yt
+from wpimod.exact_arith import MODULUS, InvSeries
 from wpimod.gt_module import CLIP
 from wpimod.gt_module import MAX_WINDOW_MEMBERS
 from wpimod.yangian_tensor import t_coefficient
@@ -329,6 +330,120 @@ def test_violating_pair_gains_singular_vector():
                       EvaluationFactor(mu, depth=2)], depth=2)
     assert len(find_singular_vectors(M, (1,))) >= 1
     assert not only_top_singular(M, 2)
+
+
+def _tensor(weights, points, depth):
+    return TensorModule(
+        [EvaluationFactor(GlWeight(w), p, depth) for w, p in zip(weights, points)], depth
+    )
+
+
+def _count_exact_kernels(monkeypatch):
+    calls = []
+    kernel = yt._rational_kernel
+
+    def counting_kernel(rows, ncols):
+        calls.append(ncols)
+        return kernel(rows, ncols)
+
+    monkeypatch.setattr(yt, "_rational_kernel", counting_kernel)
+    return calls
+
+
+def _order(M, offset):
+    return M.n * max(sum(offset), 1) + M.n
+
+
+def test_weight_space_groups_the_basis_once_per_depth(monkeypatch):
+    M = _tensor([(2, 1, 0), (Fraction(1, 3), Fraction(1, 7), 0)], [0, Fraction(1, 2)], 3)
+    ref = _tensor([(2, 1, 0), (Fraction(1, 3), Fraction(1, 7), 0)], [0, Fraction(1, 2)], 3)
+    calls = []
+    basis = TensorModule.basis
+    monkeypatch.setattr(TensorModule, "basis", lambda self, depth=None: (
+        calls.append(depth) if self is M else None) or basis(self, depth))
+    offsets = [c for c in itertools.product(range(4), repeat=2) if sum(c) <= 3]
+    for offset in offsets * 2:
+        space = M.weight_space(offset)
+        assert space == [k for k in ref.basis(sum(offset)) if ref.root_offset(k) == offset]
+        space.clear()  # the caller's copy; the module keeps its own
+    assert sorted(calls) == [0, 1, 2, 3]
+
+
+def test_unit_denominators_decide_all_but_the_top_line_mod_p(monkeypatch):
+    calls = _count_exact_kernels(monkeypatch)
+    M = _tensor([("1/3", 0), ("1/5", "1/7")], [0, 1], 3)
+    assert singular_dimensions(M) == {(0,): 1, (1,): 0, (2,): 0, (3,): 0}
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("modulus, weights", [
+    (3, [("1/3", 0), ("1/5", "1/7")]),
+    (MODULUS, [(Fraction(1, MODULUS), 0), ("1/3", "1/5")]),
+])
+def test_denominator_divisible_by_the_modulus_falls_back_to_fraction(
+        monkeypatch, modulus, weights):
+    monkeypatch.setattr(yt, "MODULUS", modulus)
+    calls = _count_exact_kernels(monkeypatch)
+    M = _tensor(weights, [0, 1], 3)
+    # the exact result: only the top line is singular
+    assert singular_dimensions(M) == {(0,): 1, (1,): 0, (2,): 0, (3,): 0}
+    assert len(calls) == 4
+    with pytest.raises(ZeroDivisionError):
+        yt._independent_mod(M, M.weight_space((1,)), _order(M, (1,)), modulus)
+
+
+def test_rank_drop_mod_p_is_decided_in_fraction(monkeypatch):
+    monkeypatch.setattr(yt, "MODULUS", 3)
+    calls = _count_exact_kernels(monkeypatch)
+    M = _tensor([("2", "0"), ("1", "0")], [0, 1], 3)
+    keys = M.weight_space((1,))
+    assert len(keys) == 2
+    assert not yt._independent_mod(M, keys, _order(M, (1,)), 3)
+    assert yt._independent_mod(M, keys, _order(M, (1,)), MODULUS)
+    assert find_singular_vectors(M, (1,)) == []
+    assert calls == [2]
+
+
+def _exact_nullity(M, offset):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(yt, "_independent_mod", lambda *args: False)
+        return len(find_singular_vectors(M, offset))
+
+
+def _corpus_pairs(n, count, rng):
+    """Generic, integral-true and integral-violated pairs of gl_n weights."""
+    pairs = {"generic": [], "integral-true": [], "integral-violated": []}
+    while any(len(v) < count for v in pairs.values()):
+        lam = sorted((rng.randint(0, 3) for _ in range(n)), reverse=True)
+        mu = sorted((rng.randint(0, 3) for _ in range(n)), reverse=True)
+        kind = "integral-true" if integral_condition(GlWeight(lam), GlWeight(mu)) \
+            else "integral-violated"
+        if len(pairs[kind]) < count:
+            pairs[kind].append((lam, mu))
+        if len(pairs["generic"]) < count:
+            pairs["generic"].append(([Fraction(x, 1) + Fraction(1, 2) for x in lam],
+                                     [Fraction(x, 1) + Fraction(1, 3) for x in mu]))
+    return pairs
+
+
+def test_modular_decision_matches_exact_nullity_on_a_seeded_corpus():
+    rng = random.Random(20261020)
+    seen = set()
+    for n, depth, count in ((2, 4, 6), (3, 3, 3)):
+        for kind, pairs in _corpus_pairs(n, count, rng).items():
+            for lam, mu in pairs:
+                M = _tensor([lam, mu], [0, 0], depth)
+                for offset in itertools.product(range(depth + 1), repeat=n - 1):
+                    if sum(offset) > depth or not M.weight_space(offset):
+                        continue
+                    decided = yt._independent_mod(M, M.weight_space(offset),
+                                                  _order(M, offset), MODULUS)
+                    nullity = _exact_nullity(M, offset)
+                    assert decided == (nullity == 0), (kind, lam, mu, offset)
+                    seen.add((kind, nullity > 0 and any(offset)))
+    # the corpus has extra singular vectors, and pairs without them
+    assert ("integral-violated", True) in seen
+    assert {("generic", False), ("integral-true", False)} <= seen
 
 
 def _recursive_E(f, a, b, vec):
