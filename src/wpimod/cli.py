@@ -9,6 +9,7 @@ with a schema version field "v": 1; key order is sorted, so identical inputs
 from __future__ import annotations
 
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -52,6 +53,11 @@ EXIT_OVERFLOW = 5
 MAX_INSTANTIATIONS = 64
 MAX_BUDGET = 16
 
+# Upper bound of the magnitude of a decimal exponent in a weight or point.
+# `Fraction("1e100000000")` builds 10**100000000 exactly and takes minutes.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?0*(\d+)")
+
 
 class InputError(Exception):
     pass
@@ -67,6 +73,8 @@ def _load_json(path: str) -> dict:
         raise InputError(
             f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         )
+    except ValueError as exc:  # e.g. an integer literal past int's digit limit
+        raise InputError(f"unreadable JSON in {path}: {exc}")
     if not isinstance(obj, dict):
         raise InputError(f"{path}: top level must be a JSON object")
     return obj
@@ -99,6 +107,15 @@ def _load_tableau(path: str, pi: Pyramid):
     return tab
 
 
+def _rational(x) -> Fraction:
+    """A weight or point entry as a Fraction; an exponent past MAX_EXPONENT is a ValueError."""
+    text = str(x)
+    exp = _EXPONENT.search(text)
+    if exp and (len(exp.group(1)) > len(str(MAX_EXPONENT)) or int(exp.group(1)) > MAX_EXPONENT):
+        raise ValueError(f"{text!r} has a decimal exponent above {MAX_EXPONENT} in magnitude")
+    return Fraction(text)
+
+
 def _load_weights(path: str):
     obj = _load_json(path)
     _check_version(obj, path)
@@ -109,8 +126,8 @@ def _load_weights(path: str):
         raw_points = obj.get("points", [0] * len(raw_weights))
         if not isinstance(raw_points, list):
             raise ValueError("points must be a JSON array")
-        weights = [GlWeight([Fraction(str(x)) for x in w]) for w in raw_weights]
-        points = [Fraction(str(x)) for x in raw_points]
+        weights = [GlWeight([_rational(x) for x in w]) for w in raw_weights]
+        points = [_rational(x) for x in raw_points]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{path}: {exc}")
     if len(points) != len(weights):

@@ -5,10 +5,12 @@ Scalars are plain `fractions.Fraction`; there is no floating-point mode anywhere
 in the package.  The generator actions and the Yangian series run on plain
 coefficient lists (see `gt_module.ActionContext` and `yangian_tensor._slot_t`);
 `OperatorSeries.apply` hands its images back as `InvSeries`.  The generator
-actions and the Yangian series can also run on residues mod the prime
-`MODULUS`, where reduction is a ring map from the rationals whose denominators
-it keeps invertible.  `UniPoly` and `poly_series_quotient` remain as the
-reference expansion the ladder tests compare against.
+actions, the Yangian series and the singular-vector elimination can also run
+on residues mod the prime `MODULUS`, where reduction is a ring map from the
+rationals whose denominators it keeps invertible; the elimination runs the
+same code on `Fraction`s where the residues cannot decide.  `UniPoly` and
+`poly_series_quotient` remain as the reference expansion the ladder tests
+compare against.
 """
 
 from __future__ import annotations

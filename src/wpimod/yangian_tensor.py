@@ -5,9 +5,9 @@ a one-column pyramid, pulled back through the evaluation map
 t_ij(u) -> delta_ij + E_ij/(u - a).  The coproduct spreads t_ij(u) over the
 factors; quantum minors and the Drinfeld B-series are computed as exact
 truncated series, and singular vectors are exact kernels of the resulting
-linear systems on weight spaces.  A weight space whose B-series images are
-independent mod the prime `MODULUS` has no kernel, and is decided there; only
-the others are solved in `Fraction`.
+linear systems on weight spaces.  One sparse elimination takes each kernel: run
+mod the prime `MODULUS`, it proves most kernels zero; the others it solves in
+`Fraction`.
 """
 
 from __future__ import annotations
@@ -472,6 +472,8 @@ def _as_series_vec(vec: dict, order: int, m: int | None = None) -> dict:
 
 def t_coefficient(M: TensorModule, i: int, j: int, r: int, vec: dict) -> dict:
     """Apply the single generator coefficient t_ij^(r) (t^(0) is delta_ij)."""
+    if r < 0:
+        raise ValueError(f"coefficient index r must be >= 0, got {r}")
     if r == 0:
         return dict(vec) if i == j else {}
     out_ser = _tensor_t(M, i, j, 0, _as_series_vec(vec, r), r, 0, len(M.factors))
@@ -506,6 +508,8 @@ class OperatorSeries:
         if len(self.a_rows) != len(self.b_cols):
             raise ValueError("row and column index lists must have equal length")
         self.order = int(order)
+        if self.order < 0:
+            raise ValueError(f"truncation order must be >= 0, got {order}")
         self.lo = lo
         self.hi = len(M.factors) if hi is None else hi
         self.repeated = (
@@ -513,16 +517,18 @@ class OperatorSeries:
             or len(set(self.b_cols)) < len(self.b_cols)
         )
 
-    def apply(self, vec: dict, _modulus: int | None = None) -> dict:
-        """Image of a vector; keys map to truncated series.
+    def apply(self, vec: dict) -> dict:
+        """Image of a vector; keys map to truncated `InvSeries`, all-zero ones left out."""
+        return {k: InvSeries(s[0], s[1:]) for k, s in self._series(vec, None).items()}
 
-        The series are exact `InvSeries`; with the internal `_modulus` m they are
-        the same coefficients reduced mod m, as lists [c_0, ..., c_T] of residues,
-        and ZeroDivisionError is raised where a denominator is not a unit mod m.
+    def _series(self, vec: dict, m: int | None) -> dict:
+        """Image of a vector as coefficient lists [c_0, ..., c_T], all-zero ones left out.
+
+        With a modulus m the coefficients are residues mod m, and ZeroDivisionError
+        is raised where a denominator is not a unit mod m.
         """
         if self.repeated:
             return {}
-        m = _modulus
         r = len(self.a_rows)
         vec = _as_series_vec(vec, self.order, m)
         out: dict = {}
@@ -545,9 +551,9 @@ class OperatorSeries:
                     break
             for key, s in cur.items():
                 _add_into(out, key, s if sgn > 0 else [-x for x in s])
-        if m is not None:
-            return {k: r for k, s in out.items() if any(r := [x % m for x in s])}
-        return {k: InvSeries(s[0], s[1:]) for k, s in out.items() if any(s)}
+        if m is None:
+            return {k: s for k, s in out.items() if any(s)}
+        return {k: res for k, s in out.items() if any(res := [x % m for x in s])}
 
 
 def quantum_minor(M: TensorModule, a_rows, b_cols, order: int,
@@ -563,78 +569,57 @@ def drinfeld_b(M: TensorModule, m: int, order: int) -> OperatorSeries:
 # -- singular vectors -------------------------------------------------------
 
 
-def _rational_kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the null space of an exact rational matrix."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -mat[r][fc]
-        basis.append(v)
-    return basis
+def _dependencies(M: TensorModule, keys, order: int, m: int | None):
+    """Yield a kernel vector of the B-series coefficients for each dependent key.
 
-
-def _independent_mod(M: TensorModule, keys, order: int, m: int) -> bool:
-    """True when the B-series images of `keys` are linearly independent mod the prime m.
-
-    Each key's image, a sparse vector over (m_idx, target key, t), is reduced
-    against the echelon vectors of the keys before it; the first that reduces to
-    zero stops the elimination.  Reduction mod m never raises rank, so True
-    proves that the rational kernel is zero.  Raises ZeroDivisionError where a
-    denominator is not a unit mod m.
+    Each key's image, a sparse vector over (B index, target key, t), is reduced
+    against the echelon vectors of the keys before it; each echelon vector is 1
+    at its pivot, 0 at earlier pivots, and records the combination of keys it
+    is made of.  A key whose image reduces to zero yields its kernel vector: 1
+    at the key plus the unique combination of earlier independent keys that
+    cancels its image, in key order.  These are the reduced-echelon null-space
+    basis vectors with the keys as columns.  Entries are residues mod m, or
+    `Fraction`s when m is None.  Reduction mod m never raises rank, so nothing
+    yielded mod m proves that the rational kernel is zero.  Raises
+    ZeroDivisionError where a denominator is not a unit mod m.
     """
     ops = [drinfeld_b(M, k, order) for k in range(1, M.n)]
-    echelon = []  # (pivot, vector that is 1 at its pivot and 0 at earlier pivots)
-    for key in keys:
+    echelon = []  # (pivot, vector, combination of key positions)
+    for i, key in enumerate(keys):
         vec = {}
         for k, op in enumerate(ops):
-            for ok, s in op.apply({key: 1}, _modulus=m).items():
+            for ok, s in op._series({key: 1}, m).items():
                 for t, c in enumerate(s):
                     if c:
                         vec[k, ok, t] = c
-        for pivot, e in echelon:
+        combo = {i: Fraction(1) if m is None else 1}
+        for pivot, e, e_combo in echelon:
             c = vec.get(pivot)
             if c:
-                for coord, x in e.items():
-                    vec[coord] = (vec.get(coord, 0) - c * x) % m
+                for part, src in ((vec, e), (combo, e_combo)):
+                    for coord, x in src.items():
+                        y = part.get(coord, 0) - c * x
+                        part[coord] = y if m is None else y % m
         vec = {coord: x for coord, x in vec.items() if x}
         if not vec:
-            return False
+            yield {keys[j]: c for j, c in sorted(combo.items()) if c}
+            continue
         pivot, c = next(iter(vec.items()))
-        inv = pow(c, -1, m)
-        echelon.append((pivot, {coord: x * inv % m for coord, x in vec.items()}))
-    return True
+        inv = 1 / c if m is None else pow(c, -1, m)
+        for part in (vec, combo):
+            for coord, x in part.items():
+                part[coord] = x * inv if m is None else x * inv % m
+        echelon.append((pivot, vec, combo))
 
 
 def find_singular_vectors(M: TensorModule, offset, order: int | None = None) -> list[dict]:
     """Exact kernel of all B-series coefficients on one weight space.
 
     `offset` gives per-row lowering counts; the returned vectors are sparse
-    dicts over the weight-space basis keys.  A weight space whose images are
-    independent mod `MODULUS` has no kernel; the others, and those with a
-    denominator that is not a unit mod `MODULUS`, are solved in `Fraction`.
+    dicts over the weight-space basis keys, the reduced-echelon null-space
+    basis in key order.  One elimination, `_dependencies`, runs first mod
+    `MODULUS`: no dependent key there proves the kernel zero.  Otherwise, or
+    where a denominator is not a unit mod `MODULUS`, it runs in `Fraction`.
     """
     offset = tuple(int(c) for c in offset)
     keys = M.weight_space(offset)
@@ -643,36 +628,11 @@ def find_singular_vectors(M: TensorModule, offset, order: int | None = None) -> 
     if order is None:
         order = M.n * max(sum(offset), 1) + M.n
     try:
-        if _independent_mod(M, keys, order, MODULUS):
+        if next(_dependencies(M, keys, order, MODULUS), None) is None:
             return []
     except ZeroDivisionError:
         pass
-    rows = []
-    images = []
-    for key in keys:
-        per_m = []
-        for m in range(1, M.n):
-            per_m.append(drinfeld_b(M, m, order).apply({key: Fraction(1)}))
-        images.append(per_m)
-    out_keys = set()
-    for per_m in images:
-        for img in per_m:
-            out_keys.update(img.keys())
-    out_keys = sorted(out_keys, key=lambda k: tuple(d.key() for d in k))
-    for m_idx in range(M.n - 1):
-        for ok in out_keys:
-            for t in range(order + 1):
-                row = []
-                for per_m in images:
-                    s = per_m[m_idx].get(ok)
-                    row.append(s.coeff(t) if s is not None else Fraction(0))
-                if any(c != 0 for c in row):
-                    rows.append(row)
-    kernel = _rational_kernel(rows, len(keys))
-    out = []
-    for v in kernel:
-        out.append({k: c for k, c in zip(keys, v) if c != 0})
-    return out
+    return list(_dependencies(M, keys, order, None))
 
 
 def singular_dimensions(M: TensorModule, depth: int | None = None,

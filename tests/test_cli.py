@@ -5,7 +5,7 @@ import json
 import pytest
 
 from wpimod import Pyramid, RelationSet, standard_set, tableau_to_json, yangian_tensor
-from wpimod.cli import MAX_BUDGET, MAX_INSTANTIATIONS, run
+from wpimod.cli import MAX_BUDGET, MAX_EXPONENT, MAX_INSTANTIATIONS, run
 from wpimod.gt_module import MAX_WINDOW_MEMBERS
 
 from helpers import GL2, GL3, bad_pattern_upper, gl2_tableau, rel, standard_gl2
@@ -315,14 +315,44 @@ def test_tensor_depth_past_member_cap_is_input_error(tmp_path, capsys, monkeypat
     {"weights": [["1", "0"], ["1", "0"]], "points": "01"},
     {"weights": ["10", ["1", "0"]]},
     {"weights": "10"},
+    # Fraction would expand these exponents exactly; "1e100000000" takes minutes
+    {"weights": [[f"1e{MAX_EXPONENT + 1}", "0"], ["1", "0"]]},
+    {"weights": [["1", "0"], ["1", "0"]], "points": ["0", f"2.5E-{MAX_EXPONENT + 1}"]},
+    {"weights": [[f"1e+000{MAX_EXPONENT + 1}", "0"], ["1", "0"]]},
 ], ids=["zero-denominator-weight", "zero-denominator-point", "points-string",
-        "weight-string", "weights-string"])
+        "weight-string", "weights-string", "exponent-weight", "exponent-point",
+        "padded-exponent-weight"])
 def test_malformed_weights_are_input_errors(tmp_path, capsys, body):
     p = tmp_path / "w.json"
     p.write_text(json.dumps({"v": 1, **body}) + "\n", encoding="utf-8")
     code, report = invoke(capsys, ["tensor-check", "--weights", str(p), "--depth", "1"])
     assert code == 4
     assert set(report) == {"v", "error"}
+
+
+@pytest.mark.parametrize("kind", ["relations", "tableau", "weights"])
+def test_integer_literal_past_the_digit_limit_is_input_error(tmp_path, capsys, kind):
+    # json.load raises a plain ValueError, not JSONDecodeError, past 4,300 digits
+    p = tmp_path / "huge.json"
+    p.write_text('{"v": 1, "n": ' + "9" * 5000 + "}\n", encoding="utf-8")
+    rels = write_relations(tmp_path, "s.json", standard_gl2())
+    argv = {
+        "relations": ["check-admissible", "--relations", str(p)],
+        "tableau": ["enumerate-basis", "--relations", rels, "--tableau", str(p)],
+        "weights": ["tensor-check", "--weights", str(p)],
+    }[kind]
+    code, report = invoke(capsys, argv)
+    assert code == 4
+    assert set(report) == {"v", "error"} and "huge.json" in report["error"]
+
+
+def test_decimal_exponent_at_the_bound_is_accepted(tmp_path, capsys):
+    p = tmp_path / "w.json"
+    body = {"weights": [[f"1e00{MAX_EXPONENT}", "0"], ["1", "0"]],
+            "points": ["0", f"-1e-{MAX_EXPONENT}"]}
+    p.write_text(json.dumps({"v": 1, **body}) + "\n", encoding="utf-8")
+    code, report = invoke(capsys, ["tensor-check", "--weights", str(p), "--depth", "1"])
+    assert code == 0 and report["only_top_line"] is True
 
 
 def _duplicate_first_entry(obj):

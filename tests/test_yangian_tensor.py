@@ -339,15 +339,22 @@ def _tensor(weights, points, depth):
 
 
 def _count_exact_kernels(monkeypatch):
+    """Record len(keys) for each elimination run in Fraction (m is None)."""
     calls = []
-    kernel = yt._rational_kernel
+    dependencies = yt._dependencies
 
-    def counting_kernel(rows, ncols):
-        calls.append(ncols)
-        return kernel(rows, ncols)
+    def counting_dependencies(M, keys, order, m):
+        if m is None:
+            calls.append(len(keys))
+        return dependencies(M, keys, order, m)
 
-    monkeypatch.setattr(yt, "_rational_kernel", counting_kernel)
+    monkeypatch.setattr(yt, "_dependencies", counting_dependencies)
     return calls
+
+
+def _independent(M, keys, order, m):
+    """No key's B-series image depends on earlier ones mod m."""
+    return next(yt._dependencies(M, keys, order, m), None) is None
 
 
 def _order(M, offset):
@@ -389,7 +396,7 @@ def test_denominator_divisible_by_the_modulus_falls_back_to_fraction(
     assert singular_dimensions(M) == {(0,): 1, (1,): 0, (2,): 0, (3,): 0}
     assert len(calls) == 4
     with pytest.raises(ZeroDivisionError):
-        yt._independent_mod(M, M.weight_space((1,)), _order(M, (1,)), modulus)
+        _independent(M, M.weight_space((1,)), _order(M, (1,)), modulus)
 
 
 def test_rank_drop_mod_p_is_decided_in_fraction(monkeypatch):
@@ -398,16 +405,14 @@ def test_rank_drop_mod_p_is_decided_in_fraction(monkeypatch):
     M = _tensor([("2", "0"), ("1", "0")], [0, 1], 3)
     keys = M.weight_space((1,))
     assert len(keys) == 2
-    assert not yt._independent_mod(M, keys, _order(M, (1,)), 3)
-    assert yt._independent_mod(M, keys, _order(M, (1,)), MODULUS)
+    assert not _independent(M, keys, _order(M, (1,)), 3)
+    assert _independent(M, keys, _order(M, (1,)), MODULUS)
     assert find_singular_vectors(M, (1,)) == []
     assert calls == [2]
 
 
 def _exact_nullity(M, offset):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(yt, "_independent_mod", lambda *args: False)
-        return len(find_singular_vectors(M, offset))
+    return len(list(yt._dependencies(M, M.weight_space(offset), _order(M, offset), None)))
 
 
 def _corpus_pairs(n, count, rng):
@@ -436,14 +441,97 @@ def test_modular_decision_matches_exact_nullity_on_a_seeded_corpus():
                 for offset in itertools.product(range(depth + 1), repeat=n - 1):
                     if sum(offset) > depth or not M.weight_space(offset):
                         continue
-                    decided = yt._independent_mod(M, M.weight_space(offset),
-                                                  _order(M, offset), MODULUS)
+                    decided = _independent(M, M.weight_space(offset), _order(M, offset), MODULUS)
                     nullity = _exact_nullity(M, offset)
                     assert decided == (nullity == 0), (kind, lam, mu, offset)
                     seen.add((kind, nullity > 0 and any(offset)))
     # the corpus has extra singular vectors, and pairs without them
     assert ("integral-violated", True) in seen
     assert {("generic", False), ("integral-true", False)} <= seen
+
+
+def _rational_kernel(rows, ncols):
+    """Basis of the null space of an exact rational matrix, by dense Gauss-Jordan."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = 1 / mat[rank][col]
+        mat[rank] = [x * inv for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                factor = mat[r][col]
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
+        pivots.append(col)
+        rank += 1
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -mat[r][fc]
+        basis.append(v)
+    return basis
+
+
+def _dense_singular_vectors(M, offset):
+    """find_singular_vectors from a dense Fraction matrix: one row per nonzero
+    (B index, target key, t) coefficient, one column per weight-space key."""
+    keys = M.weight_space(offset)
+    order = _order(M, offset)
+    images = [[yt.drinfeld_b(M, b, order).apply({key: Fraction(1)}) for b in range(1, M.n)]
+              for key in keys]
+    targets = sorted({ok for per_b in images for img in per_b for ok in img},
+                     key=lambda k: tuple(d.key() for d in k))
+    rows = []
+    for b_idx in range(M.n - 1):
+        for ok in targets:
+            for t in range(order + 1):
+                row = [per_b[b_idx][ok].coeff(t) if ok in per_b[b_idx] else Fraction(0)
+                       for per_b in images]
+                if any(row):
+                    rows.append(row)
+    return [{k: c for k, c in zip(keys, v) if c != 0}
+            for v in _rational_kernel(rows, len(keys))]
+
+
+def _corpus_spaces():
+    rng = random.Random(20261020)
+    for n, depth, count in ((2, 4, 6), (3, 3, 3)):
+        for pairs in _corpus_pairs(n, count, rng).values():
+            for lam, mu in pairs:
+                M = _tensor([lam, mu], [0, 0], depth)
+                for offset in itertools.product(range(depth + 1), repeat=n - 1):
+                    if sum(offset) <= depth and M.weight_space(offset):
+                        yield M, offset
+
+
+def test_singular_vectors_equal_the_dense_reduced_echelon_basis():
+    # (1,0)^{(x)3} at points 0, -1, -2 has two singular vectors at offset (1,)
+    nullity_two = _tensor([(1, 0)] * 3, [0, -1, -2], 3)
+    combined = 0
+    for M, offset in [*_corpus_spaces(), (nullity_two, (1,))]:
+        got = find_singular_vectors(M, offset)
+        ref = _dense_singular_vectors(M, offset)
+        # same keys, same Fractions, same order
+        assert [list(v.items()) for v in got] == [list(v.items()) for v in ref], offset
+        assert all(type(c) is Fraction for v in got for c in v.values())
+        combined += sum(len(v) > 1 for v in ref)
+    assert len(_dense_singular_vectors(nullity_two, (1,))) == 2
+    assert combined > 2  # vectors that combine several keys, past the nullity-2 case
+
+
+def test_negative_orders_are_value_errors():
+    M = _tensor([(1, 0), (1, 0)], [0, 0], 1)
+    vec = {M.highest(): Fraction(1)}
+    with pytest.raises(ValueError, match="got -1"):
+        t_coefficient(M, 1, 2, -1, vec)
+    with pytest.raises(ValueError, match="got -1"):
+        quantum_minor(M, (1, 2), (1, 2), -1).apply(vec)
 
 
 def _recursive_E(f, a, b, vec):
