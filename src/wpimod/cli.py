@@ -75,6 +75,8 @@ def _load_json(path: str) -> dict:
         )
     except ValueError as exc:  # e.g. an integer literal past int's digit limit
         raise InputError(f"unreadable JSON in {path}: {exc}")
+    except RecursionError:  # arrays or objects nested past the recursion limit
+        raise InputError(f"unreadable JSON in {path}: nested too deeply")
     if not isinstance(obj, dict):
         raise InputError(f"{path}: top level must be a JSON object")
     return obj

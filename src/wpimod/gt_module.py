@@ -9,6 +9,7 @@ falls outside the window is a hard error, never a silent zero.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import inf, lcm
 
@@ -173,10 +174,10 @@ class BasisWindow:
         )
         members.sort(key=lambda d: d.key())
         self.members = members
-        self.member_set = set(members)
+        self.index = {d: k for k, d in enumerate(members)}
 
     def __contains__(self, d: TableauDelta) -> bool:
-        return d in self.member_set
+        return d in self.index
 
     def tableau(self, d: TableauDelta) -> Tableau:
         return shift(self.seed, d)
@@ -258,6 +259,13 @@ class ActionContext:
         self._row_index = {r: row_indices(self.pyramid, r) for r in range(self.n + 1)}
         self._cache: dict = {}
         self._columns: dict = {}
+        # Per policy, per generator: the columns of the window members by
+        # member position, each ((member position, coefficient), ...) or None
+        # until `_member_column` builds it.
+        self._indexed = {
+            policy: defaultdict(lambda: [None] * len(window.members))
+            for policy in (CLIP, STRICT)
+        }
 
     def _reduce(self, x):
         return x if self.modulus is None else x % self.modulus
@@ -421,16 +429,56 @@ class ActionContext:
                 out[tgt] = out.get(tgt, 0) + c * coeff
         return self._nonzero(out)
 
-    def apply_word(self, word, d: TableauDelta, policy: str = STRICT) -> dict:
-        """Apply a product of generators (rightmost acts first) to a basis vector."""
+    def _member_column(self, cols: list, gen: tuple, pos: int, policy: str) -> tuple:
+        """Build cols[pos], for cols = `_indexed[policy][gen]`.
+
+        Every kept target satisfies the relations and lies in the box, so it
+        is a member.
+        """
+        index = self.window.index
+        col = cols[pos] = tuple(
+            (index[tgt], c)
+            for tgt, c in self._build_column(gen, self.window.members[pos], policy)
+        )
+        return col
+
+    def _walk(self, word, pos: int, policy: str = STRICT) -> dict:
+        """A word (rightmost acts first) on window member pos, keyed by member position.
+
+        The image is merged and reduced after every generator but the
+        leftmost, as `apply` does, so the same columns are built in the same
+        order and raise the same errors.  The leftmost generator's image is
+        returned unreduced; callers reduce what they sum it into.
+        """
         if not word:
-            return {d: self.one}
-        vec = dict(self.column(word[-1], d, policy))
-        for gen in reversed(word[:-1]):
+            return {pos: self.one}
+        table = self._indexed[policy]
+        last = len(word) - 1
+        cols = table[word[last]]
+        col = cols[pos]
+        if col is None:
+            col = self._member_column(cols, word[last], pos, policy)
+        vec = dict(col)
+        for i in range(last - 1, -1, -1):
             if not vec:
                 break
-            vec = self.apply(gen, vec, policy)
+            gen = word[i]
+            cols = table[gen]
+            out: dict = {}
+            for p, c in vec.items():
+                col = cols[p]
+                if col is None:
+                    col = self._member_column(cols, gen, p, policy)
+                for q, coeff in col:
+                    out[q] = out.get(q, 0) + c * coeff
+            vec = self._nonzero(out) if i else out
         return vec
+
+    def apply_word(self, word, d: TableauDelta, policy: str = STRICT) -> dict:
+        """Apply a product of generators (rightmost acts first) to a window member."""
+        members = self.window.members
+        image = self._walk(word, self.window.index[d], policy)
+        return {members[p]: c for p, c in self._nonzero(image).items()}
 
 
 def _relation_cases(pyramid, budget: int):
@@ -685,8 +733,8 @@ def verify_defining_relations(
         eligible = eligible_by_margins.get(profile)
         if eligible is None:
             eligible = eligible_by_margins[profile] = [
-                d
-                for d in window.members
+                k
+                for k, d in enumerate(window.members)
                 if all(
                     abs(d.get(t)) <= radius - margins.get(t.i, 0)
                     for t in window.free
@@ -695,22 +743,22 @@ def verify_defining_relations(
         # lhs - rhs as one signed sum; every sign is +1 or -1
         terms = lhs + [(-sign, word) for sign, word in rhs]
         for k, ctx in enumerate(contexts):
-            for d in eligible:
-                acc = _residual(ctx, terms, d)
+            for pos in eligible:
+                acc = _residual(ctx, terms, pos)
                 if acc and ctx.modulus is not None:
                     if k not in exact:
                         exact[k] = ActionContext(window, assignments[k])
-                    acc = _residual(exact[k], terms, d)
+                    acc = _residual(exact[k], terms, pos)
                 if acc:
                     report["families"][fam] = "fail"
                     report["violations"].append(
                         {
                             "family": fam,
                             "indices": idx,
-                            "shift": d.key(),
+                            "shift": window.members[pos].key(),
                             "detail": sorted(
-                                (dd.key() if isinstance(dd, TableauDelta) else dd, str(c))
-                                for dd, c in acc.items()
+                                (window.members[p].key() if isinstance(p, int) else p, str(c))
+                                for p, c in acc.items()
                             ),
                         }
                     )
@@ -723,16 +771,17 @@ def verify_defining_relations(
     return report
 
 
-def _residual(ctx: ActionContext, terms, d: TableauDelta) -> dict:
-    """lhs - rhs of one relation case on the basis vector d, zeros dropped.
+def _residual(ctx: ActionContext, terms, pos: int) -> dict:
+    """lhs - rhs of one relation case on window member pos, keyed by member
+    position, zeros dropped.
 
     A formula that meets coincident entries gives {"criticality": message}.
     """
     acc: dict = {}
     try:
         for sign, word in terms:
-            for dd, c in ctx.apply_word(word, d).items():
-                acc[dd] = acc.get(dd, 0) + sign * c
+            for p, c in ctx._walk(word, pos).items():
+                acc[p] = acc.get(p, 0) + sign * c
     except CriticalityError as exc:
         return {"criticality": str(exc)}
     return ctx._nonzero(acc)
@@ -760,18 +809,21 @@ def cyclicity_probe(
     reachable, so the closure of supports is the generated subspace's basis.
     Only supports are read, and each column entry is one product of guarded
     differences, so the residue context gives the exact reached set.
+
+    The reached set is the same for every budget >= 1, so columns are built
+    only at each row's lowest superscript (`e_generator_min_degree` for e, 1
+    for f); budget 0 reaches only `start`.  In `ladder_terms`, superscript s
+    has the targets of the lowest one, lo, with coefficient
+    +-ratio * (-(pv + pole))^(s - lo): its support is a subset of lo's.
     """
     if assignment is None:
         assignment = generic_instantiate(window.seed.classes(), 1)
     ctx = ActionContext(window, assignment, _modulus=MODULUS)
     pyramid = window.seed.pyramid
     gens = []
-    for i in range(1, pyramid.n):
-        lo = e_generator_min_degree(pyramid, i)
-        for sup in range(lo, lo + max(budget, 0)):
-            gens.append(("e", i, sup))
-        for sup in range(1, budget + 1):
-            gens.append(("f", i, sup))
+    if budget >= 1:
+        for i in range(1, pyramid.n):
+            gens += [("e", i, e_generator_min_degree(pyramid, i)), ("f", i, 1)]
     reached = {start}
     frontier = [start]
     while frontier:

@@ -346,6 +346,23 @@ def test_integer_literal_past_the_digit_limit_is_input_error(tmp_path, capsys, k
     assert set(report) == {"v", "error"} and "huge.json" in report["error"]
 
 
+@pytest.mark.parametrize("kind", ["relations", "tableau", "weights"])
+def test_deeply_nested_json_is_input_error(tmp_path, capsys, kind):
+    # json.load raises RecursionError, which is not a ValueError
+    p = tmp_path / "deep.json"
+    depth = 100_000
+    p.write_text('{"v": 1, "n": ' + "[" * depth + "]" * depth + "}\n", encoding="utf-8")
+    rels = write_relations(tmp_path, "s.json", standard_gl2())
+    argv = {
+        "relations": ["check-admissible", "--relations", str(p)],
+        "tableau": ["enumerate-basis", "--relations", rels, "--tableau", str(p)],
+        "weights": ["tensor-check", "--weights", str(p)],
+    }[kind]
+    code, report = invoke(capsys, argv)
+    assert code == 4
+    assert set(report) == {"v", "error"} and "deep.json" in report["error"]
+
+
 def test_decimal_exponent_at_the_bound_is_accepted(tmp_path, capsys):
     p = tmp_path / "w.json"
     body = {"weights": [[f"1e00{MAX_EXPONENT}", "0"], ["1", "0"]],

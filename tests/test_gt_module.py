@@ -390,6 +390,50 @@ def test_cyclicity_traps_in_proper_submodule():
     assert cyclicity_probe(w, TableauDelta(), 2) == set(w.members)
 
 
+def _reached_over_all_superscripts(ctx, start, budget):
+    """cyclicity_probe's closure with every superscript below the budget."""
+    pyramid = ctx.pyramid
+    gens = [
+        (fam, i, sup)
+        for i in range(1, pyramid.n)
+        for fam, lo in (("e", e_generator_min_degree(pyramid, i)), ("f", 1))
+        for sup in range(lo, lo + budget)
+    ]
+    reached, frontier = {start}, [start]
+    while frontier:
+        nxt = []
+        for d in frontier:
+            for gen in gens:
+                for tgt, _ in ctx.column(gen, d, CLIP):
+                    if tgt not in reached:
+                        reached.add(tgt)
+                        nxt.append(tgt)
+        frontier = nxt
+    return reached
+
+
+@pytest.mark.parametrize("rows", [(1, 1), (1, 2), (2, 2), (1, 1, 1), "reducible"],
+                         ids=["1x1", "1x2", "2x2", "1x1x1", "reducible-gl3"])
+def test_cyclicity_reached_set_is_the_same_for_budgets_1_to_3(rows):
+    if rows == "reducible":
+        C, seed = reducible_gl3_pair()
+    else:
+        C = standard_set(Pyramid(rows))
+        seed = spread_seed(C)
+    window = enumerate_basis(C, seed, 2)
+    # cyclicity_probe's default instantiation
+    ctx = ActionContext(window, generic_instantiate(seed.classes(), 1), _modulus=MODULUS)
+    sizes = set()
+    for start in window.members:
+        want = _reached_over_all_superscripts(ctx, start, 3)
+        sizes.add(len(want))
+        for budget in (1, 2, 3):
+            assert cyclicity_probe(window, start, budget) == want, (rows, start, budget)
+            assert _reached_over_all_superscripts(ctx, start, budget) == want
+    # the reducible window has starts that reach only part of it
+    assert (len(sizes) > 1) == (rows == "reducible")
+
+
 def _reduced(image):
     if not isinstance(image, dict):
         return image
@@ -449,6 +493,49 @@ def test_modular_oracle_report_equals_exact_report(monkeypatch, C, seed, max_vio
     assert got == want
     # the negative controls fail, the standard sets pass
     assert report_passes(got) == (max_violations == 1)
+
+
+def _reference_residual(ctx, terms, d):
+    """lhs - rhs on the basis vector d, one `apply` per generator, TableauDelta keys."""
+    acc = {}
+    try:
+        for sign, word in terms:
+            vec = {d: ctx.one}
+            for gen in reversed(word):
+                vec = ctx.apply(gen, vec)
+            for dd, c in vec.items():
+                acc[dd] = acc.get(dd, 0) + sign * c
+    except CriticalityError as exc:
+        return {"criticality": str(exc)}
+    return ctx._nonzero(acc)
+
+
+@pytest.mark.parametrize("C, seed", [(C, seed) for C, seed, _ in _oracle_cases()],
+                         ids=["upper", "lower", "1x1", "1x2", "2x2", "1x1x1"])
+def test_indexed_residual_equals_per_word_apply(C, seed):
+    """`_residual` over member positions is the residual summed over shifts."""
+    radius = 2
+    window = enumerate_basis(C, seed, radius)
+    members = window.members
+    assignment = generic_instantiate(seed.classes(), 1)
+    checked = 0
+    for modulus in (MODULUS, None):
+        walked = ActionContext(window, assignment, _modulus=modulus)
+        reference = ActionContext(window, assignment, _modulus=modulus)
+        assert walked.modulus == modulus
+        for _, _, lhs, rhs in _relation_cases(C.pyramid, 3):
+            margins = gt_module._word_row_margins(lhs + rhs)
+            terms = lhs + [(-sign, word) for sign, word in rhs]
+            for pos, d in enumerate(members):
+                if any(abs(d.get(t)) > radius - margins.get(t.i, 0) for t in window.free):
+                    continue
+                got = _image(lambda: gt_module._residual(walked, terms, pos))
+                if isinstance(got, dict):
+                    got = {members[p] if isinstance(p, int) else p: c for p, c in got.items()}
+                assert got == _image(lambda: _reference_residual(reference, terms, d)), (
+                    modulus, terms, d)
+                checked += 1
+    assert checked > 0
 
 
 P = MODULUS
