@@ -229,7 +229,9 @@ class ActionContext:
     difference the actions divide by or multiply is zero mod m exactly when it
     is zero, so the e and f columns have the exact supports and CriticalityError
     is raised exactly where the exact context raises it.  Otherwise the context
-    falls back to `Fraction` and `modulus` is None.
+    falls back to `Fraction` and `modulus` is None.  The internal `_radius`
+    bounds the offsets in that check in place of the window's radius; a caller
+    that passes it acts only on shifts within it.
     """
 
     def __init__(
@@ -237,6 +239,7 @@ class ActionContext:
         window: BasisWindow,
         assignment: GenericAssignment,
         _modulus: int | None = None,
+        _radius: int | None = None,
     ):
         self.window = window
         self.pyramid = window.seed.pyramid
@@ -247,7 +250,7 @@ class ActionContext:
             for t in all_indices(self.pyramid)
         }
         if _modulus is not None and not _reduction_is_faithful(
-            base.values(), window.radius, self.n, _modulus
+            base.values(), window.radius if _radius is None else _radius, self.n, _modulus
         ):
             _modulus = None
         self.modulus = _modulus

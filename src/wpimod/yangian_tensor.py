@@ -7,7 +7,8 @@ factors; quantum minors and the Drinfeld B-series are computed as exact
 truncated series, and singular vectors are exact kernels of the resulting
 linear systems on weight spaces.  One sparse elimination takes each kernel: run
 mod the prime `MODULUS`, it proves most kernels zero; the others it solves in
-`Fraction`.
+`Fraction`.  Inside, tensor keys are tuples of positions in each factor's
+member list, and the modular run builds its E_ab columns on residues.
 """
 
 from __future__ import annotations
@@ -23,14 +24,20 @@ from .tableau import TableauDelta, TriIndex, mutable_indices, tableau_from_value
 
 
 class GlWeight:
-    """A gl_n highest weight (lambda_1, ..., lambda_n) with exact entries."""
+    """A gl_n highest weight (lambda_1, ..., lambda_n) with exact entries.
 
-    __slots__ = ("values",)
+    The shifted coordinates and the interval sets are computed once per
+    weight, so a sweep over pairs reuses them across partners.
+    """
+
+    __slots__ = ("values", "_l_values", "_interval_sets")
 
     def __init__(self, values):
         self.values = tuple(as_scalar(v) for v in values)
         if not self.values:
             raise ValueError("weight needs at least one entry")
+        self._l_values = tuple(v - i for i, v in enumerate(self.values))
+        self._interval_sets: dict = {}
 
     @property
     def n(self) -> int:
@@ -38,7 +45,14 @@ class GlWeight:
 
     def l_values(self) -> tuple[Fraction, ...]:
         """The shifted coordinates l_i = lambda_i - i + 1."""
-        return tuple(v - i for i, v in enumerate(self.values))
+        return self._l_values
+
+    def interval_sets(self, i: int, j: int) -> tuple["IntervalSet", "IntervalSet"]:
+        """`interval_sets(self.l_values(), i, j)`, computed once per (i, j)."""
+        sets = self._interval_sets.get((i, j))
+        if sets is None:
+            sets = self._interval_sets[i, j] = interval_sets(self._l_values, i, j)
+        return sets
 
     def is_good(self) -> bool:
         """Entry differences within indices 1..n-1 non-integral or above the index gap."""
@@ -180,11 +194,11 @@ def integral_condition(lam: GlWeight, mu: GlWeight) -> bool:
     ms = mu.l_values()
     for i in range(1, lam.n + 1):
         for j in range(i + 1, lam.n + 1):
-            lminus, lplus = interval_sets(ls, i, j)
+            lminus, lplus = lam.interval_sets(i, j)
             first = ms[j - 1] not in lminus and ms[i - 1] not in lplus
             if first:
                 continue
-            mminus, mplus = interval_sets(ms, i, j)
+            mminus, mplus = mu.interval_sets(i, j)
             second = ls[j - 1] not in mminus and ls[i - 1] not in mplus
             if not second:
                 return False
@@ -221,8 +235,15 @@ class EvaluationFactor:
         self.ctx = ActionContext(self.window, seed.assignment)
         self.free = mutable_indices(pi)
         self._delta_cache: dict[int, list[TableauDelta]] = {}
+        # Columns are keyed by position in `members`, which grows as columns
+        # reach new shifts; `index` maps each shift to its position.
+        self.members: list[TableauDelta] = []
+        self.index: dict[TableauDelta, int] = {}
         self._columns: dict = {}
-        self._residue_columns: dict = {}
+        self._residue_contexts: dict = {}
+        # The residue context acts only on shifts with offsets up to this radius.
+        self._residue_radius = self.depth + 2 * n
+        self._poles: dict = {}
 
     def highest(self) -> TableauDelta:
         return TableauDelta()
@@ -239,13 +260,17 @@ class EvaluationFactor:
 
     def gl_weight(self, d: TableauDelta) -> tuple[Fraction, ...]:
         """Eigenvalues of the diagonal E_kk on the shifted basis vector."""
-        sums = [Fraction(0)] * (self.n + 1)
-        for t in self.ctx._row_index[self.n]:
-            sums[self.n] += self.ctx.value(t, d)
+        return self._gl_weight(self.ctx, d)
+
+    def _gl_weight(self, ctx: ActionContext, d: TableauDelta) -> tuple:
+        """`gl_weight` from the values of ctx, so residues for a residue context."""
+        sums = [0 * ctx.one] * (self.n + 1)
+        for t in ctx._row_index[self.n]:
+            sums[self.n] += ctx.value(t, d)
         for t in self.free:
-            sums[t.i] += self.ctx.value(t, d)
+            sums[t.i] += ctx.value(t, d)
         return tuple(
-            sums[k] - sums[k - 1] + (k - 1) for k in range(1, self.n + 1)
+            ctx._reduce(sums[k] - sums[k - 1] + (k - 1)) for k in range(1, self.n + 1)
         )
 
     def deltas(self, depth: int) -> list[TableauDelta]:
@@ -265,49 +290,93 @@ class EvaluationFactor:
     def column(self, a: int, b: int, d: TableauDelta) -> tuple:
         """The image of the basis shift d under E_ab, as ((target, coefficient), ...).
 
-        Built once per (a, b, d) and cached: the diagonal from `gl_weight`, the
-        adjacent columns from the generator columns of the action context, and
-        an off-adjacent column as the commutator [E_a,mid, E_mid,b] of cached
-        columns, with mid the index next to b on the side of a.
+        `_column` over member positions, with the positions mapped back to shifts.
         """
-        key = (a, b, d)
+        members = self.members
+        return tuple((members[p], c) for p, c in self._column(a, b, self._position(d), None))
+
+    def _position(self, d: TableauDelta) -> int:
+        """The position of shift d in `members`, appending it on first sight."""
+        pos = self.index.get(d)
+        if pos is None:
+            pos = self.index[d] = len(self.members)
+            self.members.append(d)
+        return pos
+
+    def _pole(self, arg_shift: int, m: int | None):
+        """The pole arg_shift + point of t_ab(u - arg_shift), or its residue mod m.
+
+        Computed once per (integer shift, modulus).  Raises ZeroDivisionError
+        when the point's denominator is not a unit mod m.
+        """
+        key = (arg_shift, m)
+        pole = self._poles.get(key)
+        if pole is None:
+            pole = arg_shift + self.point
+            if m is not None:
+                pole = residue(pole, m)
+            self._poles[key] = pole
+        return pole
+
+    def _residue_context(self, m: int, d: TableauDelta) -> ActionContext | None:
+        """The residue context mod m, if it may act on shift d, else None.
+
+        It may when `_reduction_is_faithful` holds for `_residue_radius` (the
+        context decides that once, and keeps its modulus only if so) and d
+        lies within that radius.
+        """
+        ctx = self._residue_contexts.get(m)
+        if ctx is None:
+            ctx = self._residue_contexts[m] = ActionContext(
+                self.window, self.seed.assignment, _modulus=m, _radius=self._residue_radius
+            )
+        if ctx.modulus is None or d.norm_inf() > self._residue_radius:
+            return None
+        return ctx
+
+    def _column(self, a: int, b: int, pos: int, m: int | None) -> tuple:
+        """The image of `members[pos]` under E_ab, as ((target position, coefficient), ...).
+
+        Built once per (a, b, pos, m) and cached: the diagonal from
+        `gl_weight`, the adjacent columns from the e and f columns of an
+        action context, and an off-adjacent column as the commutator
+        [E_a,mid, E_mid,b] of cached columns, with mid the index next to b on
+        the side of a.  With m None the context is the exact one.  With a
+        modulus m the coefficients are the nonzero residues of the exact
+        ones: built the same way from the residue context where
+        `_residue_context` allows, and otherwise by reducing the exact column.
+        Reduction mod m is a ring map, so both give the same residues.
+        Raises ZeroDivisionError when a coefficient's denominator is not a
+        unit mod m.
+        """
+        key = (a, b, pos, m)
         col = self._columns.get(key)
         if col is None:
             if not (1 <= a <= self.n and 1 <= b <= self.n):
                 raise IndexError(f"index out of range for gl_{self.n}")
-            col = self._columns[key] = self._build_column(a, b, d)
+            col = self._columns[key] = self._build_column(a, b, pos, m)
         return col
 
-    def _column(self, a: int, b: int, d: TableauDelta, m: int | None) -> tuple:
-        """`column(a, b, d)`, or with a modulus m its nonzero residues, reduced once.
-
-        Raises ZeroDivisionError when a coefficient's denominator is not a unit mod m.
-        """
-        if m is None:
-            return self.column(a, b, d)
-        key = (a, b, d, m)
-        col = self._residue_columns.get(key)
-        if col is None:
-            col = self._residue_columns[key] = tuple(
-                (t, r) for t, c in self.column(a, b, d) if (r := residue(c, m))
+    def _build_column(self, a: int, b: int, pos: int, m: int | None) -> tuple:
+        d = self.members[pos]
+        ctx = self.ctx if m is None else self._residue_context(m, d)
+        if ctx is None:
+            return tuple(
+                (p, r) for p, c in self._column(a, b, pos, None) if (r := residue(c, m))
             )
-        return col
-
-    def _build_column(self, a: int, b: int, d: TableauDelta) -> tuple:
         if a == b:
-            val = self.gl_weight(d)[a - 1]
-            return ((d, val),) if val != 0 else ()
-        if b == a + 1:
-            return self.ctx.column(("e", a, 1), d, CLIP)
-        if a == b + 1:
-            return self.ctx.column(("f", b, 1), d, CLIP)
+            val = self._gl_weight(ctx, d)[a - 1]
+            return ((pos, val),) if val != 0 else ()
+        if abs(a - b) == 1:
+            gen = ("e", a, 1) if b == a + 1 else ("f", b, 1)
+            return tuple((self._position(t), c) for t, c in ctx.column(gen, d, CLIP))
         mid = b - 1 if a < b else b + 1
         out: dict = {}
         for inner, outer, sign in (((mid, b), (a, mid), 1), ((a, mid), (mid, b), -1)):
-            for d1, c1 in self.column(*inner, d):
-                for d2, c2 in self.column(*outer, d1):
-                    out[d2] = out.get(d2, 0) + sign * c1 * c2
-        return tuple((t, c) for t, c in out.items() if c != 0)
+            for p1, c1 in self._column(*inner, pos, m):
+                for p2, c2 in self._column(*outer, p1, m):
+                    out[p2] = out.get(p2, 0) + sign * c1 * c2
+        return tuple(ctx._nonzero(out).items())
 
     def E(self, a: int, b: int, vec: dict) -> dict:
         """The gl_n basis element E_ab on a sparse vector {shift: coefficient}."""
@@ -394,6 +463,14 @@ class TensorModule:
             self._weight_spaces[depth] = spaces
         return list(spaces.get(offset, ()))
 
+    def _positions(self, key: tuple) -> tuple[int, ...]:
+        """A key of shifts as the tuple of their member positions, one per factor."""
+        return tuple(f._position(d) for f, d in zip(self.factors, key))
+
+    def _shifts(self, positions: tuple[int, ...]) -> tuple:
+        """The key of shifts at the given member positions."""
+        return tuple(f.members[p] for f, p in zip(self.factors, positions))
+
 
 def _add_into(out: dict, key, ser: list, c=None, m: int | None = None):
     """out[key] += c*ser (ser if c is None) on lists [c_0, ..., c_T]; sums keep the shorter.
@@ -415,18 +492,17 @@ def _add_into(out: dict, key, ser: list, c=None, m: int | None = None):
             tgt[t] += x if c is None else (c * x if m is None else c * x % m)
 
 
-def _slot_t(M: TensorModule, slot: int, a: int, b: int, arg_shift, vec: dict, order: int,
+def _slot_t(M: TensorModule, slot: int, a: int, b: int, arg_shift: int, vec: dict, order: int,
             m: int | None = None) -> dict:
     """t_ab(u - arg_shift) acting on factor `slot` of coefficient-list vectors.
 
-    t_ab(u - s) = delta_ab + E_ab/(u - pole) with pole = s + point; dividing a
-    series by (u - pole) is the recurrence p_0 = 0, p_t = c_{t-1} + pole*p_{t-1}.
-    With a modulus m the coefficients are residues mod m.
+    Keys are tuples of member positions, one per factor.  t_ab(u - s) =
+    delta_ab + E_ab/(u - pole) with pole = s + point; dividing a series by
+    (u - pole) is the recurrence p_0 = 0, p_t = c_{t-1} + pole*p_{t-1}.  With a
+    modulus m the coefficients are residues mod m.
     """
     f = M.factors[slot]
-    pole = arg_shift + f.point
-    if m is not None:
-        pole = residue(pole, m)
+    pole = f._pole(arg_shift, m)
     out: dict = {}
     for key, ser in vec.items():
         if a == b:
@@ -445,7 +521,7 @@ def _slot_t(M: TensorModule, slot: int, a: int, b: int, arg_shift, vec: dict, or
     return out
 
 
-def _tensor_t(M: TensorModule, a: int, b: int, arg_shift, vec: dict, order: int, lo: int, hi: int,
+def _tensor_t(M: TensorModule, a: int, b: int, arg_shift: int, vec: dict, order: int, lo: int, hi: int,
               m: int | None = None) -> dict:
     """Iterated-coproduct image of t_ab(u - arg_shift) on factor slots [lo, hi)."""
     if hi - lo == 1:
@@ -476,8 +552,9 @@ def t_coefficient(M: TensorModule, i: int, j: int, r: int, vec: dict) -> dict:
         raise ValueError(f"coefficient index r must be >= 0, got {r}")
     if r == 0:
         return dict(vec) if i == j else {}
+    vec = {M._positions(key): c for key, c in vec.items()}
     out_ser = _tensor_t(M, i, j, 0, _as_series_vec(vec, r), r, 0, len(M.factors))
-    return {key: s[r] for key, s in out_ser.items() if s[r] != 0}
+    return {M._shifts(key): s[r] for key, s in out_ser.items() if s[r] != 0}
 
 
 def _perm_sign(perm) -> int:
@@ -519,13 +596,16 @@ class OperatorSeries:
 
     def apply(self, vec: dict) -> dict:
         """Image of a vector; keys map to truncated `InvSeries`, all-zero ones left out."""
-        return {k: InvSeries(s[0], s[1:]) for k, s in self._series(vec, None).items()}
+        M = self.M
+        vec = {M._positions(key): c for key, c in vec.items()}
+        return {M._shifts(k): InvSeries(s[0], s[1:]) for k, s in self._series(vec, None).items()}
 
     def _series(self, vec: dict, m: int | None) -> dict:
         """Image of a vector as coefficient lists [c_0, ..., c_T], all-zero ones left out.
 
-        With a modulus m the coefficients are residues mod m, and ZeroDivisionError
-        is raised where a denominator is not a unit mod m.
+        Keys are tuples of member positions, in and out.  With a modulus m the
+        coefficients are residues mod m, and ZeroDivisionError is raised where
+        a denominator is not a unit mod m.
         """
         if self.repeated:
             return {}
@@ -540,7 +620,7 @@ class OperatorSeries:
                     self.M,
                     self.a_rows[sigma[pos]],
                     self.b_cols[pos],
-                    Fraction(pos),
+                    pos,
                     cur,
                     self.order,
                     self.lo,
@@ -572,10 +652,10 @@ def drinfeld_b(M: TensorModule, m: int, order: int) -> OperatorSeries:
 def _dependencies(M: TensorModule, keys, order: int, m: int | None):
     """Yield a kernel vector of the B-series coefficients for each dependent key.
 
-    Each key's image, a sparse vector over (B index, target key, t), is reduced
-    against the echelon vectors of the keys before it; each echelon vector is 1
-    at its pivot, 0 at earlier pivots, and records the combination of keys it
-    is made of.  A key whose image reduces to zero yields its kernel vector: 1
+    Each key's image, a sparse vector over (B index, target key, t) with the
+    target as member positions, is reduced against the echelon vectors of the
+    keys before it; each echelon vector is 1 at its pivot, 0 at earlier
+    pivots, and records the combination of keys it is made of.  A key whose image reduces to zero yields its kernel vector: 1
     at the key plus the unique combination of earlier independent keys that
     cancels its image, in key order.  These are the reduced-echelon null-space
     basis vectors with the keys as columns.  Entries are residues mod m, or
@@ -587,8 +667,9 @@ def _dependencies(M: TensorModule, keys, order: int, m: int | None):
     echelon = []  # (pivot, vector, combination of key positions)
     for i, key in enumerate(keys):
         vec = {}
+        start = {M._positions(key): 1}
         for k, op in enumerate(ops):
-            for ok, s in op._series({key: 1}, m).items():
+            for ok, s in op._series(start, m).items():
                 for t, c in enumerate(s):
                     if c:
                         vec[k, ok, t] = c
@@ -620,13 +701,23 @@ def find_singular_vectors(M: TensorModule, offset, order: int | None = None) -> 
     basis in key order.  One elimination, `_dependencies`, runs first mod
     `MODULUS`: no dependent key there proves the kernel zero.  Otherwise, or
     where a denominator is not a unit mod `MODULUS`, it runs in `Fraction`.
+
+    The default truncation order (n - 1)*k, for k factors, gives the kernel of
+    the whole series.  A factor acts through t_ab(u - s) = delta_ab +
+    E_ab/(u - s - point), one simple pole, and B_m is an m-by-m quantum minor,
+    a sum of products of m such operators under the k-fold coproduct.  So on
+    the weight space B_m(u) = P(u)/Q(u) with one scalar Q of degree m*k for
+    every key and deg P <= deg Q.  If c_0, ..., c_{mk} of a combination's
+    image vanish, then P = Q * (P/Q) is a polynomial in O(u^-1), so P = 0.
+    With m <= n - 1 the order (n - 1)*k covers every B_m.  An explicit
+    `order` truncates there instead.
     """
     offset = tuple(int(c) for c in offset)
     keys = M.weight_space(offset)
     if not keys:
         return []
     if order is None:
-        order = M.n * max(sum(offset), 1) + M.n
+        order = (M.n - 1) * len(M.factors)
     try:
         if next(_dependencies(M, keys, order, MODULUS), None) is None:
             return []

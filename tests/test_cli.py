@@ -180,6 +180,19 @@ def test_tensor_check(tmp_path, capsys):
     assert report["singular_dimensions"]["1"] >= 1
 
 
+def test_tensor_check_five_generic_gl2_factors_is_clean(tmp_path, capsys):
+    # the paper: any number of generic factors gives an irreducible product
+    path = write_weights(tmp_path, "five.json", [
+        ("1/3", "1/7"), ("2/5", "1/11"), ("1/13", "3/7"), ("5/3", "2/9"), ("1/17", "4/5"),
+    ])
+    code = run(["tensor-check", "--weights", path, "--depth", "1"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        '{"command":"tensor-check","conditions":{"generic":true},"depth":1,'
+        '"mode":"generic","only_top_line":true,"singular_dimensions":{"0":1,"1":0},"v":1}\n'
+    )
+
+
 def test_reports_are_byte_identical(tmp_path, capsys):
     rels = write_relations(tmp_path, "s.json", standard_gl2())
     tab = write_tableau(tmp_path, "l.json", gl2_tableau(2, -1, 1))

@@ -22,7 +22,7 @@ from wpimod import (
     weyl_dimension,
 )
 import wpimod.yangian_tensor as yt
-from wpimod.exact_arith import MODULUS, InvSeries
+from wpimod.exact_arith import MODULUS, InvSeries, residue
 from wpimod.gt_module import CLIP
 from wpimod.gt_module import MAX_WINDOW_MEMBERS
 from wpimod.yangian_tensor import t_coefficient
@@ -735,3 +735,216 @@ def test_quantum_minor_matches_geometric_series_product(name):
                 got = op.apply(vec)
                 assert got == _ref_minor_apply(M, rows, cols, order, vec)
                 assert all(isinstance(s, InvSeries) for s in got.values())
+
+
+# -- truncation order (n - 1)*k ----------------------------------------------
+
+
+_GENERIC_GL2 = [("1/3", "1/7"), ("2/5", "1/11"), ("1/13", "3/7"), ("5/3", "2/9"),
+                ("1/17", "4/5"), ("1/19", "2/23"), ("3/29", "1/31"), ("5/37", "2/41")]
+
+
+@pytest.mark.parametrize("k", [5, 6, 7, 8])
+def test_many_generic_gl2_factors_have_only_the_top_line(k):
+    weights = _GENERIC_GL2[:k]
+    assert is_generic([GlWeight(w) for w in weights])
+    M = _tensor(weights, [0] * k, 1)
+    assert singular_dimensions(M) == {(0,): 1, (1,): 0}
+
+
+def _seeded_weights(rng, n, kind):
+    """A gl_n weight: dominant integral, or generic, with each entry off the integers
+    by a fraction over its own prime."""
+    if kind == "integral":
+        return sorted((rng.randint(0, 2) for _ in range(n)), reverse=True)
+    return [rng.randint(-3, 3) + Fraction(rng.randint(1, q - 1), q)
+            for q in rng.sample((3, 5, 7, 11, 13), n)]
+
+
+def test_default_order_kernel_equals_the_kernel_five_orders_past_it():
+    rng = random.Random(20261022)
+    nonzero = 0
+    for n, max_k, depth in ((2, 6, 2), (3, 4, 1), (4, 3, 1)):
+        for k in range(2, max_k + 1):
+            for kind in ("generic", "integral"):
+                weights = [_seeded_weights(rng, n, kind) for _ in range(k)]
+                points = [0] * k if kind == "integral" else \
+                    [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)]
+                M = _tensor(weights, points, depth)
+                bound = (n - 1) * k
+                for offset in itertools.product(range(depth + 1), repeat=n - 1):
+                    if sum(offset) > depth:
+                        continue
+                    got = find_singular_vectors(M, offset)
+                    assert [list(v.items()) for v in got] == [
+                        list(v.items()) for v in find_singular_vectors(M, offset, bound + 5)
+                    ], (weights, points, offset)
+                    nonzero += bool(got) and any(offset)
+    assert nonzero  # the corpus has singular vectors past the top line
+
+
+# -- residue columns and member positions ------------------------------------
+
+
+def _seeded_factors(rng):
+    """gl_2, gl_3 and gl_4 weights, generic and dominant integral, at nonzero points."""
+    return [(_seeded_weights(rng, n, kind),
+             rng.choice((-1, 1)) * Fraction(rng.randint(1, 9), rng.randint(2, 5)))
+            for n in (2, 3, 4) for kind in ("generic", "generic", "integral")]
+
+
+# a unit denominator mod MODULUS, but too large for the faithfulness check, so
+# its residue columns are reduced exact ones
+_LARGE_WEIGHT = (2**60 - 1, 0)
+
+
+def test_residue_columns_equal_reduced_exact_columns():
+    rng = random.Random(20261021)
+    paths = set()
+    for weight, point in _seeded_factors(rng) + [(_LARGE_WEIGHT, Fraction(1, 3))]:
+        f = EvaluationFactor(GlWeight(weight), point, 3)
+        ref = EvaluationFactor(GlWeight(weight), point, 3)
+        for d in f.deltas(3):
+            paths.add((f.n, f._residue_context(MODULUS, d) is not None))
+            pos = f._position(d)
+            for a in range(1, f.n + 1):
+                for b in range(1, f.n + 1):
+                    got = {f.members[p]: r for p, r in f._column(a, b, pos, MODULUS)}
+                    exact = _recursive_E(ref, a, b, {d: Fraction(1)})
+                    reduced = {t: r for t, c in exact.items() if (r := residue(c, MODULUS))}
+                    assert got == reduced, (weight, point, a, b, d)
+    # every rank ran on residue contexts; the large weight reduced exact columns
+    assert {(2, True), (3, True), (4, True), (2, False)} <= paths
+
+
+def _shift_column(f, a, b, d, cache):
+    """E_ab on shift d keyed by shifts: the reference for the position-keyed columns."""
+    key = (a, b, d)
+    if key not in cache:
+        if a == b:
+            val = f.gl_weight(d)[a - 1]
+            col = ((d, val),) if val != 0 else ()
+        elif abs(a - b) == 1:
+            col = f.ctx.column(("e", a, 1) if b == a + 1 else ("f", b, 1), d, CLIP)
+        else:
+            mid = b - 1 if a < b else b + 1
+            out = {}
+            for inner, outer, sign in (((mid, b), (a, mid), 1), ((a, mid), (mid, b), -1)):
+                for d1, c1 in _shift_column(f, *inner, d, cache):
+                    for d2, c2 in _shift_column(f, *outer, d1, cache):
+                        out[d2] = out.get(d2, 0) + sign * c1 * c2
+            col = tuple((t, c) for t, c in out.items() if c != 0)
+        cache[key] = col
+    return cache[key]
+
+
+def _shift_slot_t(M, slot, a, b, arg_shift, vec, order, caches):
+    f = M.factors[slot]
+    pole = arg_shift + f.point
+    out = {}
+    for key, ser in vec.items():
+        if a == b:
+            yt._add_into(out, key, ser)
+        col = _shift_column(f, a, b, key[slot], caches[slot])
+        if col:
+            p = [0] * min(len(ser), order + 1)
+            for t in range(1, len(p)):
+                p[t] = ser[t - 1] + pole * p[t - 1]
+            for d2, c in col:
+                yt._add_into(out, key[:slot] + (d2,) + key[slot + 1:], p, c)
+    return out
+
+
+def _shift_tensor_t(M, a, b, arg_shift, vec, order, lo, caches):
+    if lo == len(M.factors) - 1:
+        return _shift_slot_t(M, lo, a, b, arg_shift, vec, order, caches)
+    out = {}
+    for mid in range(1, M.n + 1):
+        inner = _shift_tensor_t(M, mid, b, arg_shift, vec, order, lo + 1, caches)
+        if inner:
+            for key, ser in _shift_slot_t(M, lo, a, mid, arg_shift, inner, order, caches).items():
+                yt._add_into(out, key, ser)
+    return out
+
+
+def _shift_series(M, rows, cols, order, vec, caches):
+    """A quantum minor on {shift key: scalar}, as coefficient lists, all-zero ones left out."""
+    out = {}
+    for sigma in itertools.permutations(range(len(rows))):
+        sgn = 1
+        for x, y in itertools.combinations(sigma, 2):
+            sgn = -sgn if x > y else sgn
+        cur = {k: [Fraction(c)] + [0] * order for k, c in vec.items()}
+        for pos in range(len(rows) - 1, -1, -1):
+            cur = _shift_tensor_t(M, rows[sigma[pos]], cols[pos], pos, cur, order, 0, caches)
+            if not cur:
+                break
+        for key, s in cur.items():
+            yt._add_into(out, key, s if sgn > 0 else [-x for x in s])
+    return {k: s for k, s in out.items() if any(s)}
+
+
+def _shift_kernel(M, offset, order, caches):
+    """The reduced-echelon kernel basis of the B-series coefficients, over shift keys."""
+    keys = M.weight_space(offset)
+    echelon, kernel = [], []
+    for i, key in enumerate(keys):
+        vec = {}
+        for m in range(1, M.n):
+            image = _shift_series(M, range(1, m + 1), [*range(1, m), m + 1], order,
+                                  {key: 1}, caches)
+            for ok, s in image.items():
+                vec.update({(m, ok, t): c for t, c in enumerate(s) if c})
+        combo = {i: Fraction(1)}
+        for pivot, e, e_combo in echelon:
+            c = vec.get(pivot)
+            if c:
+                for part, src in ((vec, e), (combo, e_combo)):
+                    for coord, x in src.items():
+                        part[coord] = part.get(coord, 0) - c * x
+        vec = {coord: x for coord, x in vec.items() if x}
+        if not vec:
+            kernel.append({keys[j]: c for j, c in sorted(combo.items()) if c})
+            continue
+        pivot, c = next(iter(vec.items()))
+        vec = {coord: x / c for coord, x in vec.items()}
+        echelon.append((pivot, vec, {j: x / c for j, x in combo.items()}))
+    return kernel
+
+
+_KEYED_MODULES = {
+    **_POLE_MODULES,
+    # extra singular vectors: a violating pair, and nullity two at offset (1,)
+    "gl2-violating": ([((1, 0), 0), ((3, 1), 0)], 2),
+    "gl2-nullity-two": ([((1, 0), 0), ((1, 0), -1), ((1, 0), -2)], 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KEYED_MODULES))
+def test_position_keys_match_a_shift_keyed_reference(name):
+    factors, depth = _KEYED_MODULES[name]
+    M = TensorModule([EvaluationFactor(GlWeight(w), p, depth) for w, p in factors], depth)
+    caches = [{} for _ in M.factors]
+    keys = M.basis()
+    pairs = [(i, j) for i in range(1, M.n + 1) for j in range(1, M.n + 1)]
+    for i, j in pairs:
+        for r in (1, 2, 3):
+            for key in keys:
+                got = t_coefficient(M, i, j, r, {key: Fraction(1)})
+                ref = _shift_series(M, (i,), (j,), r, {key: 1}, caches)
+                assert list(got.items()) == [(k, s[r]) for k, s in ref.items() if s[r]]
+    for rows, cols in [((a,), (b,)) for a, b in pairs] + [((1, 2), (1, 2)), ((2, 1), (1, M.n))]:
+        for order in (1, 3):
+            op = quantum_minor(M, rows, cols, order)
+            for key in keys:
+                got = op.apply({key: Fraction(1)})
+                ref = _shift_series(M, rows, cols, order, {key: 1}, caches)
+                assert list(got.items()) == [(k, InvSeries(s[0], s[1:])) for k, s in ref.items()]
+    kernels = 0
+    for offset in itertools.product(range(depth + 1), repeat=M.n - 1):
+        if sum(offset) <= depth:
+            got = find_singular_vectors(M, offset)
+            ref = _shift_kernel(M, offset, (M.n - 1) * len(M.factors), caches)
+            assert [list(v.items()) for v in got] == [list(v.items()) for v in ref], offset
+            kernels += len(got)
+    assert kernels >= 1
