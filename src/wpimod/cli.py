@@ -38,6 +38,7 @@ from .yangian_tensor import (
     TensorModule,
     integral_condition,
     is_generic,
+    only_top_line,
     singular_dimensions,
 )
 
@@ -343,9 +344,7 @@ def tensor_check_cmd(weights_path, depth, mode):
         dims = singular_dimensions(M, depth)
     except ValueError as exc:
         raise InputError(str(exc))
-    only_top = all(
-        dim == (1 if not any(off) else 0) for off, dim in dims.items()
-    )
+    only_top = only_top_line(dims)
     _emit(
         {
             "command": "tensor-check",

@@ -158,10 +158,30 @@ class ShiftChecker:
         return [TableauDelta(dict(zip(free, offsets))) for offsets in found]
 
 
+class _Positions(dict):
+    """A window's member positions by shift.  An unseen shift raises
+    ValueError naming it, or, when the members grow, is appended to them."""
+
+    __slots__ = ("members", "grows")
+
+    def __init__(self, members: list, grows: bool):
+        super().__init__(zip(members, range(len(members))))
+        self.members, self.grows = members, grows
+
+    def __missing__(self, d: TableauDelta) -> int:
+        if not self.grows:
+            raise ValueError(f"shift {d!r} is not a member of the window")
+        pos = self[d] = len(self.members)
+        self.members.append(d)
+        return pos
+
+
 class BasisWindow:
     """Finite slice of the shift lattice: all window shifts satisfying C.
 
-    Raises ValueError when the window has more than MAX_WINDOW_MEMBERS members.
+    `members` are sorted by key, and `index` maps each to its position; a
+    shift that is not a member raises ValueError there.  Raises ValueError
+    when the window has more than MAX_WINDOW_MEMBERS members.
     """
 
     def __init__(self, C: RelationSet, seed: Tableau, radius: int):
@@ -174,7 +194,7 @@ class BasisWindow:
         )
         members.sort(key=lambda d: d.key())
         self.members = members
-        self.index = {d: k for k, d in enumerate(members)}
+        self.index = _Positions(members, grows=False)
 
     def __contains__(self, d: TableauDelta) -> bool:
         return d in self.index
@@ -184,12 +204,17 @@ class BasisWindow:
 
 
 class FreeWindow:
-    """Window substitute with no box bound: gating only, never overflow."""
+    """Window substitute with no box bound: gating only, never overflow.
+
+    `index` appends an unseen shift to `members`, so positions never move.
+    """
 
     def __init__(self, C: RelationSet, seed: Tableau):
         self.seed = seed
         self.radius = None
         self.checker = ShiftChecker(C, seed)
+        self.members: list[TableauDelta] = []
+        self.index = _Positions(self.members, grows=True)
 
 
 def enumerate_basis(C: RelationSet, l: Tableau, radius: int) -> BasisWindow:
@@ -221,6 +246,10 @@ def _reduction_is_faithful(values, radius: int | None, n: int, m: int) -> bool:
 
 class ActionContext:
     """Instantiated generator actions over a basis window.
+
+    Columns are keyed by the window's member positions and stored once per
+    (policy, generator), whether the oracle's word walks, the cyclicity
+    probe, an evaluation factor or the shift-keyed `column` reads them.
 
     Coefficients are exact `Fraction`s, or, with the internal `_modulus`, residues
     in [0, m) computed by the same code: reduction mod a prime is a ring map, so
@@ -261,11 +290,10 @@ class ActionContext:
             self.one = 1
         self._row_index = {r: row_indices(self.pyramid, r) for r in range(self.n + 1)}
         self._cache: dict = {}
-        self._columns: dict = {}
         # Per policy, per generator: the columns of the window members by
         # member position, each ((member position, coefficient), ...) or None
-        # until `_member_column` builds it.
-        self._indexed = {
+        # until `_build_column` builds it.
+        self._columns = {
             policy: defaultdict(lambda: [None] * len(window.members))
             for policy in (CLIP, STRICT)
         }
@@ -386,26 +414,40 @@ class ActionContext:
         """The image of the basis vector d under one generator.
 
         Returns ((target, coefficient), ...) with nonzero coefficients, after
-        gating and the window check, cached on (gen, d, policy).  A STRICT
-        window overflow or a CriticalityError raises while the column is built,
-        so neither is ever cached.
+        gating and the window check: `_column_at` d's position, mapped back to
+        members.  Raises ValueError when d is not a member of a `BasisWindow`.
         """
-        key = (gen, d, policy)
-        col = self._columns.get(key)
+        members = self.window.members
+        col = self._column_at(gen, self.window.index[d], policy)
+        return tuple((members[q], c) for q, c in col)
+
+    def _column_at(self, gen: tuple, pos: int, policy: str) -> tuple:
+        """The column of member pos, ((member position, coefficient), ...), built once.
+
+        A STRICT window overflow or a CriticalityError raises while the column
+        is built, so neither is ever stored.
+        """
+        cols = self._columns[policy][gen]
+        if pos >= len(cols):  # a FreeWindow's members grow
+            cols += [None] * (len(self.window.members) - len(cols))
+        col = cols[pos]
         if col is None:
-            col = self._columns[key] = self._build_column(gen, d, policy)
+            col = cols[pos] = self._build_column(gen, pos, policy)
         return col
 
-    def _build_column(self, gen: tuple, d: TableauDelta, policy: str) -> tuple:
+    def _build_column(self, gen: tuple, pos: int, policy: str) -> tuple:
+        """The column of member pos.  Every kept target satisfies the relations
+        and lies in the box, so it is a member; a `FreeWindow` appends new ones."""
         fam, row, sup = gen
+        d = self.window.members[pos]
         if fam in ("d", "dprime"):
             val = self.one if sup == 0 else self._diag_coeff(fam, row, sup, d)
-            return ((d, val),) if val != 0 else ()
-        terms = self.ladder_terms(fam, row, sup, d)
+            return ((pos, val),) if val != 0 else ()
         checker = self.window.checker
         radius = self.window.radius
+        index = self.window.index
         col = []
-        for tgt, coeff in terms:
+        for tgt, coeff in self.ladder_terms(fam, row, sup, d):
             if not checker.satisfied(tgt):
                 continue
             if radius is not None and tgt.norm_inf() > radius:
@@ -414,7 +456,7 @@ class ActionContext:
                         f"target {tgt!r} satisfies the relations but leaves the window"
                     )
                 continue
-            col.append((tgt, coeff))
+            col.append((index[tgt], coeff))
         return tuple(col)
 
     def apply(self, gen: tuple, vec: dict, policy: str = STRICT) -> dict:
@@ -432,19 +474,6 @@ class ActionContext:
                 out[tgt] = out.get(tgt, 0) + c * coeff
         return self._nonzero(out)
 
-    def _member_column(self, cols: list, gen: tuple, pos: int, policy: str) -> tuple:
-        """Build cols[pos], for cols = `_indexed[policy][gen]`.
-
-        Every kept target satisfies the relations and lies in the box, so it
-        is a member.
-        """
-        index = self.window.index
-        col = cols[pos] = tuple(
-            (index[tgt], c)
-            for tgt, c in self._build_column(gen, self.window.members[pos], policy)
-        )
-        return col
-
     def _walk(self, word, pos: int, policy: str = STRICT) -> dict:
         """A word (rightmost acts first) on window member pos, keyed by member position.
 
@@ -455,12 +484,12 @@ class ActionContext:
         """
         if not word:
             return {pos: self.one}
-        table = self._indexed[policy]
+        table = self._columns[policy]
         last = len(word) - 1
         cols = table[word[last]]
         col = cols[pos]
         if col is None:
-            col = self._member_column(cols, word[last], pos, policy)
+            col = cols[pos] = self._build_column(word[last], pos, policy)
         vec = dict(col)
         for i in range(last - 1, -1, -1):
             if not vec:
@@ -471,17 +500,22 @@ class ActionContext:
             for p, c in vec.items():
                 col = cols[p]
                 if col is None:
-                    col = self._member_column(cols, gen, p, policy)
+                    col = cols[p] = self._build_column(gen, p, policy)
                 for q, coeff in col:
                     out[q] = out.get(q, 0) + c * coeff
             vec = self._nonzero(out) if i else out
         return vec
 
     def apply_word(self, word, d: TableauDelta, policy: str = STRICT) -> dict:
-        """Apply a product of generators (rightmost acts first) to a window member."""
+        """Apply a product of generators (rightmost acts first) to a member of a `BasisWindow`."""
         members = self.window.members
         image = self._walk(word, self.window.index[d], policy)
         return {members[p]: c for p, c in self._nonzero(image).items()}
+
+
+def _commutator(x: tuple, y: tuple) -> list:
+    """The words of the commutator [x, y] = xy - yx."""
+    return [(1, [x, y]), (-1, [y, x])]
 
 
 def _relation_cases(pyramid, budget: int):
@@ -504,24 +538,14 @@ def _relation_cases(pyramid, budget: int):
         for j in range(i, n + 1):
             for r in d_sups:
                 for s in d_sups:
-                    yield (
-                        "dd",
-                        {"i": i, "j": j, "r": r, "s": s},
-                        [
-                            (1, [("d", i, r), ("d", j, s)]),
-                            (-1, [("d", j, s), ("d", i, r)]),
-                        ],
-                        [],
-                    )
+                    lhs = _commutator(("d", i, r), ("d", j, s))
+                    yield ("dd", {"i": i, "j": j, "r": r, "s": s}, lhs, [])
     # 2: ladder pairing against the torus
     for i in range(1, n):
         for j in range(1, n):
             for r in e_sups(i):
                 for s in f_sups:
-                    lhs = [
-                        (1, [("e", i, r), ("f", j, s)]),
-                        (-1, [("f", j, s), ("e", i, r)]),
-                    ]
+                    lhs = _commutator(("e", i, r), ("f", j, s))
                     rhs = []
                     if i == j:
                         for t in range(0, r + s):
@@ -535,10 +559,7 @@ def _relation_cases(pyramid, budget: int):
             for r in d_sups:
                 for s in e_sups(j):
                     sign = (1 if i == j else 0) - (1 if i == j + 1 else 0)
-                    lhs = [
-                        (1, [("d", i, r), ("e", j, s)]),
-                        (-1, [("e", j, s), ("d", i, r)]),
-                    ]
+                    lhs = _commutator(("d", i, r), ("e", j, s))
                     rhs = [
                         (sign, [("d", i, t), ("e", j, r + s - t - 1)])
                         for t in range(0, r)
@@ -547,10 +568,7 @@ def _relation_cases(pyramid, budget: int):
                     yield ("de", {"i": i, "j": j, "r": r, "s": s}, lhs, rhs)
                 for s in f_sups:
                     sign = (1 if i == j + 1 else 0) - (1 if i == j else 0)
-                    lhs = [
-                        (1, [("d", i, r), ("f", j, s)]),
-                        (-1, [("f", j, s), ("d", i, r)]),
-                    ]
+                    lhs = _commutator(("d", i, r), ("f", j, s))
                     rhs = [
                         (sign, [("f", j, r + s - t - 1), ("d", i, t)])
                         for t in range(0, r)
@@ -612,26 +630,12 @@ def _relation_cases(pyramid, budget: int):
         for j in range(i + 2, n):
             for r in e_sups(i):
                 for s in e_sups(j):
-                    yield (
-                        "ee-far",
-                        {"i": i, "j": j, "r": r, "s": s},
-                        [
-                            (1, [("e", i, r), ("e", j, s)]),
-                            (-1, [("e", j, s), ("e", i, r)]),
-                        ],
-                        [],
-                    )
+                    lhs = _commutator(("e", i, r), ("e", j, s))
+                    yield ("ee-far", {"i": i, "j": j, "r": r, "s": s}, lhs, [])
             for r in f_sups:
                 for s in f_sups:
-                    yield (
-                        "ff-far",
-                        {"i": i, "j": j, "r": r, "s": s},
-                        [
-                            (1, [("f", i, r), ("f", j, s)]),
-                            (-1, [("f", j, s), ("f", i, r)]),
-                        ],
-                        [],
-                    )
+                    lhs = _commutator(("f", i, r), ("f", j, s))
+                    yield ("ff-far", {"i": i, "j": j, "r": r, "s": s}, lhs, [])
     # 8: cubic triples for neighbours
     for i in range(1, n):
         for j in (i - 1, i + 1):
@@ -808,6 +812,9 @@ def cyclicity_probe(
 ) -> set[TableauDelta]:
     """Shifts reachable from `start` by ladder generators inside the window.
 
+    The walk runs over member positions; a `start` that is not a member raises
+    ValueError.
+
     Eigenvalue separation makes every summand with a nonzero coefficient
     reachable, so the closure of supports is the generated subspace's basis.
     Only supports are read, and each column entry is one product of guarded
@@ -827,15 +834,15 @@ def cyclicity_probe(
     if budget >= 1:
         for i in range(1, pyramid.n):
             gens += [("e", i, e_generator_min_degree(pyramid, i)), ("f", i, 1)]
-    reached = {start}
-    frontier = [start]
+    frontier = [window.index[start]]
+    reached = set(frontier)
     while frontier:
         nxt = []
-        for d in frontier:
+        for p in frontier:
             for gen in gens:
-                for tgt, _ in ctx.column(gen, d, CLIP):
-                    if tgt not in reached:
-                        reached.add(tgt)
-                        nxt.append(tgt)
+                for q, _ in ctx._column_at(gen, p, CLIP):
+                    if q not in reached:
+                        reached.add(q)
+                        nxt.append(q)
         frontier = nxt
-    return reached
+    return {window.members[p] for p in reached}

@@ -213,7 +213,9 @@ class EvaluationFactor:
 
     The carrier is the relation module of the maximal relation set of the
     highest-weight tableau over the one-column pyramid; basis vectors are
-    integral shifts of the seed, graded by total lowering depth.
+    integral shifts of the seed, graded by total lowering depth.  Inside,
+    a shift is its position in `window.members`, which `window.index`
+    appends as columns reach new shifts.
     """
 
     def __init__(self, weight: GlWeight, point=0, depth: int = 3):
@@ -235,10 +237,6 @@ class EvaluationFactor:
         self.ctx = ActionContext(self.window, seed.assignment)
         self.free = mutable_indices(pi)
         self._delta_cache: dict[int, list[TableauDelta]] = {}
-        # Columns are keyed by position in `members`, which grows as columns
-        # reach new shifts; `index` maps each shift to its position.
-        self.members: list[TableauDelta] = []
-        self.index: dict[TableauDelta, int] = {}
         self._columns: dict = {}
         self._residue_contexts: dict = {}
         # The residue context acts only on shifts with offsets up to this radius.
@@ -292,16 +290,8 @@ class EvaluationFactor:
 
         `_column` over member positions, with the positions mapped back to shifts.
         """
-        members = self.members
-        return tuple((members[p], c) for p, c in self._column(a, b, self._position(d), None))
-
-    def _position(self, d: TableauDelta) -> int:
-        """The position of shift d in `members`, appending it on first sight."""
-        pos = self.index.get(d)
-        if pos is None:
-            pos = self.index[d] = len(self.members)
-            self.members.append(d)
-        return pos
+        members = self.window.members
+        return tuple((members[p], c) for p, c in self._column(a, b, self.window.index[d], None))
 
     def _pole(self, arg_shift: int, m: int | None):
         """The pole arg_shift + point of t_ab(u - arg_shift), or its residue mod m.
@@ -335,19 +325,19 @@ class EvaluationFactor:
         return ctx
 
     def _column(self, a: int, b: int, pos: int, m: int | None) -> tuple:
-        """The image of `members[pos]` under E_ab, as ((target position, coefficient), ...).
+        """The image of member pos under E_ab, as ((target position, coefficient), ...).
 
         Built once per (a, b, pos, m) and cached: the diagonal from
-        `gl_weight`, the adjacent columns from the e and f columns of an
-        action context, and an off-adjacent column as the commutator
-        [E_a,mid, E_mid,b] of cached columns, with mid the index next to b on
-        the side of a.  With m None the context is the exact one.  With a
-        modulus m the coefficients are the nonzero residues of the exact
-        ones: built the same way from the residue context where
-        `_residue_context` allows, and otherwise by reducing the exact column.
-        Reduction mod m is a ring map, so both give the same residues.
-        Raises ZeroDivisionError when a coefficient's denominator is not a
-        unit mod m.
+        `gl_weight`, the adjacent columns as the e and f columns of an action
+        context, which share the window's positions, and an off-adjacent
+        column as the commutator [E_a,mid, E_mid,b] of cached columns, with
+        mid the index next to b on the side of a.  With m None the context
+        is the exact one.  With a modulus m the coefficients are the nonzero
+        residues of the exact ones: built the same way from the residue
+        context where `_residue_context` allows, and otherwise by reducing the
+        exact column.  Reduction mod m is a ring map, so both give the same
+        residues.  Raises ZeroDivisionError when a coefficient's denominator
+        is not a unit mod m.
         """
         key = (a, b, pos, m)
         col = self._columns.get(key)
@@ -358,7 +348,7 @@ class EvaluationFactor:
         return col
 
     def _build_column(self, a: int, b: int, pos: int, m: int | None) -> tuple:
-        d = self.members[pos]
+        d = self.window.members[pos]
         ctx = self.ctx if m is None else self._residue_context(m, d)
         if ctx is None:
             return tuple(
@@ -369,7 +359,7 @@ class EvaluationFactor:
             return ((pos, val),) if val != 0 else ()
         if abs(a - b) == 1:
             gen = ("e", a, 1) if b == a + 1 else ("f", b, 1)
-            return tuple((self._position(t), c) for t, c in ctx.column(gen, d, CLIP))
+            return ctx._column_at(gen, pos, CLIP)
         mid = b - 1 if a < b else b + 1
         out: dict = {}
         for inner, outer, sign in (((mid, b), (a, mid), 1), ((a, mid), (mid, b), -1)):
@@ -465,11 +455,11 @@ class TensorModule:
 
     def _positions(self, key: tuple) -> tuple[int, ...]:
         """A key of shifts as the tuple of their member positions, one per factor."""
-        return tuple(f._position(d) for f, d in zip(self.factors, key))
+        return tuple(f.window.index[d] for f, d in zip(self.factors, key))
 
     def _shifts(self, positions: tuple[int, ...]) -> tuple:
         """The key of shifts at the given member positions."""
-        return tuple(f.members[p] for f, p in zip(self.factors, positions))
+        return tuple(f.window.members[p] for f, p in zip(self.factors, positions))
 
 
 def _add_into(out: dict, key, ser: list, c=None, m: int | None = None):
@@ -739,12 +729,12 @@ def singular_dimensions(M: TensorModule, depth: int | None = None,
     return out
 
 
+def only_top_line(dims: dict) -> bool:
+    """True when kernel dimensions by offset show one line at offset 0 and none elsewhere."""
+    return all(dim == (0 if any(offset) else 1) for offset, dim in dims.items())
+
+
 def only_top_singular(M: TensorModule, depth: int | None = None,
                       order: int | None = None) -> bool:
     """True when the only singular line in the probed depths is the top one."""
-    dims = singular_dimensions(M, depth, order)
-    for offset, dim in dims.items():
-        expected = 1 if all(c == 0 for c in offset) else 0
-        if dim != expected:
-            return False
-    return True
+    return only_top_line(singular_dimensions(M, depth, order))

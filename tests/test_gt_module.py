@@ -275,6 +275,41 @@ def test_strict_after_clip_still_overflows():
     assert ctx.column(gen, d0, CLIP) == ()
 
 
+def test_non_member_shift_is_a_value_error():
+    l = gl2_tableau(2, -1, 1)
+    w = enumerate_basis(standard_gl2(), l, 1)
+    ctx = ActionContext(w, generic_instantiate(l.classes(), 3))
+    outside = unit((1, 1, 1), 5)
+    assert outside not in w
+    names = re.escape(repr(outside))
+    for call in (
+        lambda: ctx.column(("f", 1, 1), outside, CLIP),
+        lambda: ctx.apply_word([("f", 1, 1)], outside),
+        lambda: cyclicity_probe(w, outside, 2),
+        lambda: cyclicity_probe(w, outside, 0),
+    ):
+        with pytest.raises(ValueError, match=names):
+            call()
+
+
+def test_shift_keyed_and_walked_reads_share_one_column(monkeypatch):
+    l = gl2_tableau(2, -1, 1)
+    w = enumerate_basis(standard_gl2(), l, 2)
+    ctx = ActionContext(w, generic_instantiate(l.classes(), 3))
+    calls = []
+    build = ctx._build_column
+
+    def counting_build(gen, pos, policy):
+        calls.append((gen, pos, policy))
+        return build(gen, pos, policy)
+
+    monkeypatch.setattr(ctx, "_build_column", counting_build)
+    gen, d = ("e", 1, 1), TableauDelta()
+    col = ctx.column(gen, d, CLIP)
+    assert col and ctx.apply_word([gen], d, CLIP) == dict(col)
+    assert calls == [(gen, w.index[d], CLIP)]
+
+
 def test_repeated_criticality_error_names_each_shift():
     C = RelationSet(GL3, [rel((1, 3, 1), (1, 2, 1), False),
                           rel((1, 3, 1), (1, 2, 2), False)])

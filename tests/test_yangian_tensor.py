@@ -578,13 +578,13 @@ def test_cached_columns_match_recursive_commutators(weight, point):
 def test_each_column_is_built_once(monkeypatch):
     f = EvaluationFactor(GlWeight((3, Fraction(1, 2), 0, -1)), Fraction(1, 3), depth=2)
     calls = []
-    build = f.ctx.column
+    build = f.ctx._build_column
 
-    def counting_column(gen, d, policy):
-        calls.append((gen, d, policy))
-        return build(gen, d, policy)
+    def counting_build(gen, pos, policy):
+        calls.append((gen, pos, policy))
+        return build(gen, pos, policy)
 
-    monkeypatch.setattr(f.ctx, "column", counting_column)
+    monkeypatch.setattr(f.ctx, "_build_column", counting_build)
     shifts = f.deltas(2)
     pairs = [(a, b) for a in range(1, 5) for b in range(1, 5)]
     first = [f.E(a, b, {d: Fraction(1)}) for a, b in pairs for d in shifts]
@@ -806,10 +806,10 @@ def test_residue_columns_equal_reduced_exact_columns():
         ref = EvaluationFactor(GlWeight(weight), point, 3)
         for d in f.deltas(3):
             paths.add((f.n, f._residue_context(MODULUS, d) is not None))
-            pos = f._position(d)
+            pos = f.window.index[d]
             for a in range(1, f.n + 1):
                 for b in range(1, f.n + 1):
-                    got = {f.members[p]: r for p, r in f._column(a, b, pos, MODULUS)}
+                    got = {f.window.members[p]: r for p, r in f._column(a, b, pos, MODULUS)}
                     exact = _recursive_E(ref, a, b, {d: Fraction(1)})
                     reduced = {t: r for t, c in exact.items() if (r := residue(c, MODULUS))}
                     assert got == reduced, (weight, point, a, b, d)
