@@ -225,7 +225,7 @@ CLIP = "clip"
 STRICT = "strict"
 
 
-def _reduction_is_faithful(values, radius: int | None, n: int, m: int) -> bool:
+def _reduction_is_faithful(values, radius: int, n: int, m: int) -> bool:
     """Whether mod m, every window difference and value-plus-row-constant is
     nonzero exactly when it is nonzero.
 
@@ -234,11 +234,8 @@ def _reduction_is_faithful(values, radius: int | None, n: int, m: int) -> bool:
     value plus a row constant in 0..n.  With D a common denominator, each of
     these quantities times D is an integer below m in absolute value when
     max |D v| + D (radius + n + 1) < m / 2, so it vanishes mod m only if it
-    vanishes, and D itself is a unit mod the prime m.  A window with no radius
-    gives no such bound.
+    vanishes, and D itself is a unit mod the prime m.
     """
-    if radius is None:
-        return False
     values = [Fraction(v) for v in values]
     D = lcm(*(v.denominator for v in values))
     return 2 * (max(abs(D * v) for v in values) + D * (radius + n + 1)) < m
@@ -253,14 +250,14 @@ class ActionContext:
 
     Coefficients are exact `Fraction`s, or, with the internal `_modulus`, residues
     in [0, m) computed by the same code: reduction mod a prime is a ring map, so
-    each residue is the reduction of the exact coefficient.  The modulus is kept
-    only when `_reduction_is_faithful` holds for the window.  Then every
-    difference the actions divide by or multiply is zero mod m exactly when it
-    is zero, so the e and f columns have the exact supports and CriticalityError
-    is raised exactly where the exact context raises it.  Otherwise the context
-    falls back to `Fraction` and `modulus` is None.  The internal `_radius`
-    bounds the offsets in that check in place of the window's radius; a caller
-    that passes it acts only on shifts within it.
+    each residue is the reduction of the exact coefficient.  Over a `BasisWindow`
+    the modulus is kept only when `_reduction_is_faithful` holds for the window.
+    Then every difference the actions divide by or multiply is zero mod m exactly
+    when it is zero, so STRICT overflow, CriticalityError and the e and f supports
+    are the exact ones.  Otherwise the context falls back to `Fraction` and
+    `modulus` is None.  A `FreeWindow` (no box, gating by shift alone) keeps
+    the modulus: a coefficient that vanishes mod m only drops a zero residue,
+    but a same-row difference divisible by m raises CriticalityError.
     """
 
     def __init__(
@@ -268,7 +265,6 @@ class ActionContext:
         window: BasisWindow,
         assignment: GenericAssignment,
         _modulus: int | None = None,
-        _radius: int | None = None,
     ):
         self.window = window
         self.pyramid = window.seed.pyramid
@@ -278,8 +274,8 @@ class ActionContext:
             t: assignment.value(*window.seed.entry(t))
             for t in all_indices(self.pyramid)
         }
-        if _modulus is not None and not _reduction_is_faithful(
-            base.values(), window.radius if _radius is None else _radius, self.n, _modulus
+        if _modulus is not None and window.radius is not None and not _reduction_is_faithful(
+            base.values(), window.radius, self.n, _modulus
         ):
             _modulus = None
         self.modulus = _modulus
@@ -507,7 +503,10 @@ class ActionContext:
         return vec
 
     def apply_word(self, word, d: TableauDelta, policy: str = STRICT) -> dict:
-        """Apply a product of generators (rightmost acts first) to a member of a `BasisWindow`."""
+        """Apply a product of generators (rightmost acts first) to a member of a
+        `BasisWindow`.  A `FreeWindow`, whose members grow, is a ValueError."""
+        if isinstance(self.window, FreeWindow):
+            raise ValueError("apply_word needs a BasisWindow, not a FreeWindow")
         members = self.window.members
         image = self._walk(word, self.window.index[d], policy)
         return {members[p]: c for p, c in self._nonzero(image).items()}

@@ -16,11 +16,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exact_arith import MODULUS, InvSeries, as_scalar, residue
+from .exact_arith import MODULUS, CriticalityError, InvSeries, as_scalar, residue
 from .gt_module import CLIP, MAX_WINDOW_MEMBERS, ActionContext, FreeWindow
 from .pyramid import Pyramid
 from .relations import maximal_set
-from .tableau import TableauDelta, TriIndex, mutable_indices, tableau_from_values
+from .tableau import TableauDelta, TriIndex, tableau_from_values
 
 
 class GlWeight:
@@ -235,12 +235,9 @@ class EvaluationFactor:
         self.relations = maximal_set(seed)
         self.window = FreeWindow(self.relations, seed)
         self.ctx = ActionContext(self.window, seed.assignment)
-        self.free = mutable_indices(pi)
         self._delta_cache: dict[int, list[TableauDelta]] = {}
         self._columns: dict = {}
-        self._residue_contexts: dict = {}
-        # The residue context acts only on shifts with offsets up to this radius.
-        self._residue_radius = self.depth + 2 * n
+        self._contexts = {None: self.ctx}  # by modulus
         self._poles: dict = {}
 
     def highest(self) -> TableauDelta:
@@ -257,19 +254,9 @@ class EvaluationFactor:
         return tuple(out)
 
     def gl_weight(self, d: TableauDelta) -> tuple[Fraction, ...]:
-        """Eigenvalues of the diagonal E_kk on the shifted basis vector."""
-        return self._gl_weight(self.ctx, d)
-
-    def _gl_weight(self, ctx: ActionContext, d: TableauDelta) -> tuple:
-        """`gl_weight` from the values of ctx, so residues for a residue context."""
-        sums = [0 * ctx.one] * (self.n + 1)
-        for t in ctx._row_index[self.n]:
-            sums[self.n] += ctx.value(t, d)
-        for t in self.free:
-            sums[t.i] += ctx.value(t, d)
-        return tuple(
-            ctx._reduce(sums[k] - sums[k - 1] + (k - 1)) for k in range(1, self.n + 1)
-        )
+        """Eigenvalues of the diagonal E_kk on the shifted basis vector: the
+        u^-1 coefficients of d_k(u), sum(row k) - sum(row k - 1) + k - 1."""
+        return tuple(self.ctx._diag_coeff("d", k, 1, d) for k in range(1, self.n + 1))
 
     def deltas(self, depth: int) -> list[TableauDelta]:
         """All basis shifts of total depth at most `depth`.
@@ -308,36 +295,18 @@ class EvaluationFactor:
             self._poles[key] = pole
         return pole
 
-    def _residue_context(self, m: int, d: TableauDelta) -> ActionContext | None:
-        """The residue context mod m, if it may act on shift d, else None.
-
-        It may when `_reduction_is_faithful` holds for `_residue_radius` (the
-        context decides that once, and keeps its modulus only if so) and d
-        lies within that radius.
-        """
-        ctx = self._residue_contexts.get(m)
-        if ctx is None:
-            ctx = self._residue_contexts[m] = ActionContext(
-                self.window, self.seed.assignment, _modulus=m, _radius=self._residue_radius
-            )
-        if ctx.modulus is None or d.norm_inf() > self._residue_radius:
-            return None
-        return ctx
-
     def _column(self, a: int, b: int, pos: int, m: int | None) -> tuple:
         """The image of member pos under E_ab, as ((target position, coefficient), ...).
 
-        Built once per (a, b, pos, m) and cached: the diagonal from
-        `gl_weight`, the adjacent columns as the e and f columns of an action
-        context, which share the window's positions, and an off-adjacent
-        column as the commutator [E_a,mid, E_mid,b] of cached columns, with
-        mid the index next to b on the side of a.  With m None the context
-        is the exact one.  With a modulus m the coefficients are the nonzero
-        residues of the exact ones: built the same way from the residue
-        context where `_residue_context` allows, and otherwise by reducing the
-        exact column.  Reduction mod m is a ring map, so both give the same
-        residues.  Raises ZeroDivisionError when a coefficient's denominator
-        is not a unit mod m.
+        Built once per (a, b, pos, m) and cached: E_aa, E_a,a+1 and E_a+1,a
+        are the d_a^(1), e_a^(1) and f_a^(1) columns of an action context,
+        which shares the window's positions, and an off-adjacent column is
+        the commutator [E_a,mid, E_mid,b] of cached columns, with mid the
+        index next to b on the side of a.  With m None the context is the
+        exact one; with a modulus m it is the factor's residue context mod
+        m, so the coefficients are the nonzero residues of the exact ones.
+        Raises ZeroDivisionError where a base value's denominator or a
+        same-row difference is divisible by m.
         """
         key = (a, b, pos, m)
         col = self._columns.get(key)
@@ -348,18 +317,17 @@ class EvaluationFactor:
         return col
 
     def _build_column(self, a: int, b: int, pos: int, m: int | None) -> tuple:
-        d = self.window.members[pos]
-        ctx = self.ctx if m is None else self._residue_context(m, d)
+        ctx = self._contexts.get(m)
         if ctx is None:
-            return tuple(
-                (p, r) for p, c in self._column(a, b, pos, None) if (r := residue(c, m))
-            )
-        if a == b:
-            val = self._gl_weight(ctx, d)[a - 1]
-            return ((pos, val),) if val != 0 else ()
-        if abs(a - b) == 1:
-            gen = ("e", a, 1) if b == a + 1 else ("f", b, 1)
-            return ctx._column_at(gen, pos, CLIP)
+            ctx = self._contexts[m] = ActionContext(self.window, self.seed.assignment, _modulus=m)
+        if abs(a - b) <= 1:
+            gen = ("d", a, 1) if a == b else ("e", a, 1) if b == a + 1 else ("f", b, 1)
+            try:
+                return ctx._column_at(gen, pos, CLIP)
+            except CriticalityError as exc:
+                if m is None:
+                    raise
+                raise ZeroDivisionError(f"{exc}, a same-row difference divisible by {m}") from exc
         mid = b - 1 if a < b else b + 1
         out: dict = {}
         for inner, outer, sign in (((mid, b), (a, mid), 1), ((a, mid), (mid, b), -1)):
@@ -701,8 +669,17 @@ def find_singular_vectors(M: TensorModule, offset, order: int | None = None) -> 
     image vanish, then P = Q * (P/Q) is a polynomial in O(u^-1), so P = 0.
     With m <= n - 1 the order (n - 1)*k covers every B_m.  An explicit
     `order` truncates there instead.
+
+    Offset 0 is decided without eliminating, at any order: its space is the
+    highest vector alone, and every B-series coefficient kills it.  Each term
+    of B_m acts first by some t_{a,m+1} with a <= m; under the coproduct it
+    is a sum of t_{a,c_1} x ... x t_{c_{k-1},m+1}, and on the factors'
+    highest vectors a term survives only if no factor gets a raising E_ij
+    (i < j), which needs a chain a >= c_1 >= ... >= m + 1.  None exists.
     """
     offset = tuple(int(c) for c in offset)
+    if not any(offset):
+        return [{M.highest(): Fraction(1)}]
     keys = M.weight_space(offset)
     if not keys:
         return []

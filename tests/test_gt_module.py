@@ -292,6 +292,13 @@ def test_non_member_shift_is_a_value_error():
             call()
 
 
+def test_apply_word_on_a_free_window_is_a_value_error():
+    ctx = EvaluationFactor(GlWeight((5, 0)), 0, 2).ctx
+    for word in ([("f", 1, 1)] * 3, [("f", 1, 1)], []):
+        with pytest.raises(ValueError, match="FreeWindow"):
+            ctx.apply_word(word, TableauDelta(), CLIP)
+
+
 def test_shift_keyed_and_walked_reads_share_one_column(monkeypatch):
     l = gl2_tableau(2, -1, 1)
     w = enumerate_basis(standard_gl2(), l, 2)
@@ -681,7 +688,8 @@ def test_window_members_match_box_scan():
 def test_depth_bounded_deltas_match_box_scan(weight):
     f = EvaluationFactor(GlWeight(weight), depth=2)
     for k in range(5):
-        want = _box_scan(f.window.checker, f.free, [range(-k, 1)] * len(f.free), depth=k)
+        free = f.window.checker.free
+        want = _box_scan(f.window.checker, free, [range(-k, 1)] * len(free), depth=k)
         want.sort(key=lambda d: (f.depth_of(d), d.key()))
         assert f.deltas(k) == want, (weight, k)
 

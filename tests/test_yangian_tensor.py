@@ -25,6 +25,7 @@ import wpimod.yangian_tensor as yt
 from wpimod.exact_arith import MODULUS, InvSeries, residue
 from wpimod.gt_module import CLIP
 from wpimod.gt_module import MAX_WINDOW_MEMBERS
+from wpimod.tableau import TriIndex
 from wpimod.yangian_tensor import t_coefficient
 
 
@@ -380,7 +381,7 @@ def test_unit_denominators_decide_all_but_the_top_line_mod_p(monkeypatch):
     calls = _count_exact_kernels(monkeypatch)
     M = _tensor([("1/3", 0), ("1/5", "1/7")], [0, 1], 3)
     assert singular_dimensions(M) == {(0,): 1, (1,): 0, (2,): 0, (3,): 0}
-    assert len(calls) == 1
+    assert len(calls) == 0  # offset 0 is the highest vector alone, decided without eliminating
 
 
 @pytest.mark.parametrize("modulus, weights", [
@@ -394,7 +395,7 @@ def test_denominator_divisible_by_the_modulus_falls_back_to_fraction(
     M = _tensor(weights, [0, 1], 3)
     # the exact result: only the top line is singular
     assert singular_dimensions(M) == {(0,): 1, (1,): 0, (2,): 0, (3,): 0}
-    assert len(calls) == 4
+    assert len(calls) == 3
     with pytest.raises(ZeroDivisionError):
         _independent(M, M.weight_space((1,)), _order(M, (1,)), modulus)
 
@@ -793,19 +794,17 @@ def _seeded_factors(rng):
             for n in (2, 3, 4) for kind in ("generic", "generic", "integral")]
 
 
-# a unit denominator mod MODULUS, but too large for the faithfulness check, so
-# its residue columns are reduced exact ones
+# entries near 2^60: every difference is a unit mod MODULUS, but too large for a
+# window's faithfulness bound
 _LARGE_WEIGHT = (2**60 - 1, 0)
 
 
 def test_residue_columns_equal_reduced_exact_columns():
     rng = random.Random(20261021)
-    paths = set()
     for weight, point in _seeded_factors(rng) + [(_LARGE_WEIGHT, Fraction(1, 3))]:
         f = EvaluationFactor(GlWeight(weight), point, 3)
         ref = EvaluationFactor(GlWeight(weight), point, 3)
         for d in f.deltas(3):
-            paths.add((f.n, f._residue_context(MODULUS, d) is not None))
             pos = f.window.index[d]
             for a in range(1, f.n + 1):
                 for b in range(1, f.n + 1):
@@ -813,8 +812,46 @@ def test_residue_columns_equal_reduced_exact_columns():
                     exact = _recursive_E(ref, a, b, {d: Fraction(1)})
                     reduced = {t: r for t, c in exact.items() if (r := residue(c, MODULUS))}
                     assert got == reduced, (weight, point, a, b, d)
-    # every rank ran on residue contexts; the large weight reduced exact columns
-    assert {(2, True), (3, True), (4, True), (2, False)} <= paths
+
+
+def _row_sum_weight(f, d, m):
+    """The gl_n weight of shift d summed over the tableau rows, row i being
+    l_1, ..., l_i at the seed: entry k is sum(row k) - sum(row k - 1) + k - 1,
+    reduced mod m unless m is None."""
+    ls = f.weight.l_values()
+    rows = [0] + [sum(ls[j - 1] + d.get(TriIndex(1, i, j)) for j in range(1, i + 1))
+                  for i in range(1, f.n + 1)]
+    weight = [rows[k] - rows[k - 1] + k - 1 for k in range(1, f.n + 1)]
+    return weight if m is None else [residue(w, m) for w in weight]
+
+
+def test_diagonal_columns_are_the_row_sum_weight():
+    rng = random.Random(20261021)
+    for weight, point in _seeded_factors(rng) + [(_LARGE_WEIGHT, Fraction(1, 3))]:
+        f = EvaluationFactor(GlWeight(weight), point, 3)
+        for d in f.deltas(3):
+            pos = f.window.index[d]
+            for m in (None, MODULUS):
+                for a, w in enumerate(_row_sum_weight(f, d, m), start=1):
+                    assert f._column(a, a, pos, m) == (((pos, w),) if w else ()), (weight, d, a, m)
+
+
+# l = (p - 1, -1, -2) with p = MODULUS: the row-2 entries differ by p
+_P_APART = [(MODULUS - 1, 0, 0), ("1/3", "1/5", "1/7")]
+
+
+def test_same_row_difference_divisible_by_the_modulus_falls_back_to_fraction(monkeypatch):
+    M = _tensor(_P_APART, [0, 0], 2)
+    f = M.factors[0]
+    with pytest.raises(ZeroDivisionError):
+        f._column(2, 3, f.window.index[f.highest()], MODULUS)
+    calls = _count_exact_kernels(monkeypatch)
+    dims = singular_dimensions(M)
+    assert dims == {(0, 0): 1, (0, 1): 0, (0, 2): 0, (1, 0): 0, (1, 1): 0, (2, 0): 0}
+    assert len(calls) == 5  # every space past offset 0
+    # every space in Fraction from the start: no factor has a residue context mod 3
+    monkeypatch.setattr(yt, "MODULUS", 3)
+    assert singular_dimensions(_tensor(_P_APART, [0, 0], 2)) == dims
 
 
 def _shift_column(f, a, b, d, cache):
