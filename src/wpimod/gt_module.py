@@ -195,12 +195,25 @@ class BasisWindow:
         members.sort(key=lambda d: d.key())
         self.members = members
         self.index = _Positions(members, grows=False)
+        self._steps: dict = {}
 
     def __contains__(self, d: TableauDelta) -> bool:
         return d in self.index
 
     def tableau(self, d: TableauDelta) -> Tableau:
         return shift(self.seed, d)
+
+    def step(self, pos: int, move: TableauDelta) -> int | None:
+        """Where ladder move `move` takes member pos: the target's position,
+        None when the target breaks the relations, or -1 when it keeps them
+        but leaves the box (the members are every satisfying box shift).
+        Decided once per (pos, move), for every context on the window."""
+        try:
+            return self._steps[pos, move]
+        except KeyError:
+            tgt = self.members[pos] + move
+            to = self._steps[pos, move] = self.index.get(tgt, -1) if self.checker.satisfied(tgt) else None
+            return to
 
 
 class FreeWindow:
@@ -215,6 +228,14 @@ class FreeWindow:
         self.checker = ShiftChecker(C, seed)
         self.members: list[TableauDelta] = []
         self.index = _Positions(self.members, grows=True)
+
+    def step(self, pos: int, move: TableauDelta) -> int | None:
+        """Where ladder move `move` takes member pos: the target's position,
+        appended to the members when new, or None when it breaks the relations.
+        Not memoised: a factor's context builds each column once, so a
+        (pos, move) seldom recurs."""
+        tgt = self.members[pos] + move
+        return self.index[tgt] if self.checker.satisfied(tgt) else None
 
 
 def enumerate_basis(C: RelationSet, l: Tableau, radius: int) -> BasisWindow:
@@ -286,13 +307,9 @@ class ActionContext:
             self.one = 1
         self._row_index = {r: row_indices(self.pyramid, r) for r in range(self.n + 1)}
         self._cache: dict = {}
-        # Per policy, per generator: the columns of the window members by
-        # member position, each ((member position, coefficient), ...) or None
-        # until `_build_column` builds it.
-        self._columns = {
-            policy: defaultdict(lambda: [None] * len(window.members))
-            for policy in (CLIP, STRICT)
-        }
+        # Per policy, per generator: {member position: ((member position,
+        # coefficient), ...)}, each column built once by `_build_column`.
+        self._columns = {policy: defaultdict(dict) for policy in (CLIP, STRICT)}
 
     def _reduce(self, x):
         return x if self.modulus is None else x % self.modulus
@@ -373,8 +390,8 @@ class ActionContext:
     def ladder_terms(self, fam: str, r: int, sup: int, d: TableauDelta) -> list[tuple[TableauDelta, Fraction]]:
         """Expansion of the raising (e) or lowering (f) generator on the shift basis vector.
 
-        Returns (target shift, coefficient) pairs before gating.  The target
-        row differs from row r only at the pivot, one step up (e) or down (f).
+        Returns the cached (move, coefficient) pairs before gating; each move
+        is the unit shift of a pivot in row r, one step up (e) or down (f).
         Each pivot contributes its ratio against the other row times a simple
         pole: -u^-gap / (u + pv + r) against row r + 1 for e, from the least
         superscript p_{r+1} - p_r + 1, and 1 / (u + pv + r - 1) against row
@@ -402,7 +419,7 @@ class ActionContext:
                 if coeff != 0:
                     terms.append((TableauDelta.unit(pivot, step), coeff))
             self._cache[key] = terms
-        return [(d + move, c) for move, c in terms]
+        return terms
 
     # -- vector-level application ------------------------------------------
 
@@ -424,35 +441,27 @@ class ActionContext:
         is built, so neither is ever stored.
         """
         cols = self._columns[policy][gen]
-        if pos >= len(cols):  # a FreeWindow's members grow
-            cols += [None] * (len(self.window.members) - len(cols))
-        col = cols[pos]
+        col = cols.get(pos)
         if col is None:
             col = cols[pos] = self._build_column(gen, pos, policy)
         return col
 
     def _build_column(self, gen: tuple, pos: int, policy: str) -> tuple:
-        """The column of member pos.  Every kept target satisfies the relations
-        and lies in the box, so it is a member; a `FreeWindow` appends new ones."""
+        """The column of member pos, each ladder target placed by `window.step`."""
         fam, row, sup = gen
         d = self.window.members[pos]
         if fam in ("d", "dprime"):
             val = self.one if sup == 0 else self._diag_coeff(fam, row, sup, d)
             return ((pos, val),) if val != 0 else ()
-        checker = self.window.checker
-        radius = self.window.radius
-        index = self.window.index
         col = []
-        for tgt, coeff in self.ladder_terms(fam, row, sup, d):
-            if not checker.satisfied(tgt):
-                continue
-            if radius is not None and tgt.norm_inf() > radius:
-                if policy == STRICT:
-                    raise WindowOverflowError(
-                        f"target {tgt!r} satisfies the relations but leaves the window"
-                    )
-                continue
-            col.append((index[tgt], coeff))
+        for move, coeff in self.ladder_terms(fam, row, sup, d):
+            to = self.window.step(pos, move)
+            if to == -1 and policy == STRICT:
+                raise WindowOverflowError(
+                    f"target {d + move!r} satisfies the relations but leaves the window"
+                )
+            if to is not None and to >= 0:
+                col.append((to, coeff))
         return tuple(col)
 
     def apply(self, gen: tuple, vec: dict, policy: str = STRICT) -> dict:
@@ -483,7 +492,7 @@ class ActionContext:
         table = self._columns[policy]
         last = len(word) - 1
         cols = table[word[last]]
-        col = cols[pos]
+        col = cols.get(pos)
         if col is None:
             col = cols[pos] = self._build_column(word[last], pos, policy)
         vec = dict(col)
@@ -494,7 +503,7 @@ class ActionContext:
             cols = table[gen]
             out: dict = {}
             for p, c in vec.items():
-                col = cols[p]
+                col = cols.get(p)
                 if col is None:
                     col = cols[p] = self._build_column(gen, p, policy)
                 for q, coeff in col:
@@ -503,10 +512,7 @@ class ActionContext:
         return vec
 
     def apply_word(self, word, d: TableauDelta, policy: str = STRICT) -> dict:
-        """Apply a product of generators (rightmost acts first) to a member of a
-        `BasisWindow`.  A `FreeWindow`, whose members grow, is a ValueError."""
-        if isinstance(self.window, FreeWindow):
-            raise ValueError("apply_word needs a BasisWindow, not a FreeWindow")
+        """Apply a product of generators (rightmost acts first) to a window member."""
         members = self.window.members
         image = self._walk(word, self.window.index[d], policy)
         return {members[p]: c for p, c in self._nonzero(image).items()}
@@ -803,12 +809,7 @@ def is_irreducible(C: RelationSet, l: Tableau) -> bool:
     return reduce_set(C) == maximal_set(l)
 
 
-def cyclicity_probe(
-    window: BasisWindow,
-    start: TableauDelta,
-    budget: int,
-    assignment: GenericAssignment | None = None,
-) -> set[TableauDelta]:
+def cyclicity_probe(window: BasisWindow, start: TableauDelta, budget: int) -> set[TableauDelta]:
     """Shifts reachable from `start` by ladder generators inside the window.
 
     The walk runs over member positions; a `start` that is not a member raises
@@ -825,9 +826,7 @@ def cyclicity_probe(
     has the targets of the lowest one, lo, with coefficient
     +-ratio * (-(pv + pole))^(s - lo): its support is a subset of lo's.
     """
-    if assignment is None:
-        assignment = generic_instantiate(window.seed.classes(), 1)
-    ctx = ActionContext(window, assignment, _modulus=MODULUS)
+    ctx = ActionContext(window, generic_instantiate(window.seed.classes(), 1), _modulus=MODULUS)
     pyramid = window.seed.pyramid
     gens = []
     if budget >= 1:

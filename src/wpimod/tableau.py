@@ -91,9 +91,6 @@ class TableauDelta:
             self._hash = hash(frozenset(self.offsets.items()))
         return self._hash
 
-    def norm_inf(self) -> int:
-        return max((abs(v) for v in self.offsets.values()), default=0)
-
     def key(self):
         """Deterministic sort key."""
         return tuple(sorted(self.offsets.items()))

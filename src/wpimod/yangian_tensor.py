@@ -668,7 +668,7 @@ def find_singular_vectors(M: TensorModule, offset, order: int | None = None) -> 
     every key and deg P <= deg Q.  If c_0, ..., c_{mk} of a combination's
     image vanish, then P = Q * (P/Q) is a polynomial in O(u^-1), so P = 0.
     With m <= n - 1 the order (n - 1)*k covers every B_m.  An explicit
-    `order` truncates there instead.
+    `order` truncates there instead; a negative one raises ValueError.
 
     Offset 0 is decided without eliminating, at any order: its space is the
     highest vector alone, and every B-series coefficient kills it.  Each term
@@ -677,6 +677,8 @@ def find_singular_vectors(M: TensorModule, offset, order: int | None = None) -> 
     highest vectors a term survives only if no factor gets a raising E_ij
     (i < j), which needs a chain a >= c_1 >= ... >= m + 1.  None exists.
     """
+    if order is not None and order < 0:
+        raise ValueError(f"truncation order must be >= 0, got {order}")
     offset = tuple(int(c) for c in offset)
     if not any(offset):
         return [{M.highest(): Fraction(1)}]

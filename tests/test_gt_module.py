@@ -191,7 +191,9 @@ def test_closed_form_ladder_terms_match_quotient(rows):
                 for fam in ("e", "f"):
                     for sup in range(lo[fam], lo[fam] + 4):
                         for d in window.members:
-                            got = _outcome(lambda: ctx.ladder_terms(fam, r, sup, d))
+                            got = _outcome(lambda: [
+                                (d + move, c) for move, c in ctx.ladder_terms(fam, r, sup, d)
+                            ])
                             want = _outcome(lambda: _quotient_terms(ctx, fam, r, sup, d))
                             assert got == want, (rows, inst, fam, r, sup, d)
 
@@ -292,11 +294,17 @@ def test_non_member_shift_is_a_value_error():
             call()
 
 
-def test_apply_word_on_a_free_window_is_a_value_error():
-    ctx = EvaluationFactor(GlWeight((5, 0)), 0, 2).ctx
-    for word in ([("f", 1, 1)] * 3, [("f", 1, 1)], []):
-        with pytest.raises(ValueError, match="FreeWindow"):
-            ctx.apply_word(word, TableauDelta(), CLIP)
+def test_apply_word_on_a_free_window_grows_it_as_apply_does():
+    walked = EvaluationFactor(GlWeight((5, 0)), 0, 2)
+    stepped = EvaluationFactor(GlWeight((5, 0)), 0, 2)
+    assert walked.window.members == []
+    for word in ([("f", 1, 1)] * 3, [("e", 1, 1), ("f", 1, 1)], [("f", 1, 1)], []):
+        vec = {TableauDelta(): stepped.ctx.one}
+        for gen in reversed(word):
+            vec = stepped.ctx.apply(gen, vec, CLIP)
+        assert walked.ctx.apply_word(word, TableauDelta(), CLIP) == vec, word
+    # the first word reached three lowerings of the row-1 entry, each appended
+    assert walked.window.members == [unit((1, 1, 1), -k) for k in range(4)]
 
 
 def test_shift_keyed_and_walked_reads_share_one_column(monkeypatch):
@@ -679,6 +687,46 @@ def test_window_members_match_box_scan():
         tight += 0 in window.checker.floors.values() or 0 in window.checker.ceilings.values()
     # 210 cases; in 182 of them a top-row relation sits at its bound
     assert cases >= 200 and tight >= 100
+
+
+def test_window_step_matches_gating_box_and_index():
+    cases = overflows = 0
+    for C, seed, radius in itertools.islice(_window_corpus(), 0, None, 10):
+        window = enumerate_basis(C, seed, radius)
+        for pos, d in enumerate(window.members):
+            for t in window.free:
+                for amount in (1, -1):
+                    move = unit(t, amount)
+                    tgt = d + move
+                    if not window.checker.satisfied(tgt):
+                        want = None
+                    elif max(map(abs, tgt.offsets.values()), default=0) > radius:
+                        want = -1
+                    else:
+                        want = window.index[tgt]
+                    for _ in range(2):  # decided, then read back
+                        assert window.step(pos, move) == want, (C, seed, radius, d, move)
+                    overflows += want == -1
+        cases += 1
+    assert cases >= 20 and overflows > 0
+
+
+def test_oracle_instantiations_share_the_window_moves(monkeypatch):
+    S = standard_set(GL3)
+    seed = spread_seed(S)
+    satisfied = gt_module.ShiftChecker.satisfied
+    counts = []
+    for instantiations in (1, 3):
+        calls = []
+
+        def counting(checker, d):
+            calls.append(d)
+            return satisfied(checker, d)
+
+        monkeypatch.setattr(gt_module.ShiftChecker, "satisfied", counting)
+        assert report_passes(verify_defining_relations(S, seed, 2, 2, instantiations))
+        counts.append(len(calls))
+    assert 0 < counts[1] <= counts[0]
 
 
 @pytest.mark.parametrize("weight", [

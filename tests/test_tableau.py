@@ -47,7 +47,6 @@ def test_delta_group_action():
     assert shift(shift(l, a), b) == l
     assert shift(l, TableauDelta()) == l
     assert (a + b) == TableauDelta()
-    assert a.norm_inf() == 2
 
 
 def test_top_row_shift_rejected():

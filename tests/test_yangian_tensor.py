@@ -533,6 +533,16 @@ def test_negative_orders_are_value_errors():
         t_coefficient(M, 1, 2, -1, vec)
     with pytest.raises(ValueError, match="got -1"):
         quantum_minor(M, (1, 2), (1, 2), -1).apply(vec)
+    # offset 0 and an empty weight space run no elimination, yet reject it too
+    assert M.weight_space((5,)) == []
+    for call in (
+        lambda: find_singular_vectors(M, (0,), -1),
+        lambda: find_singular_vectors(M, (1,), -1),
+        lambda: find_singular_vectors(M, (5,), -1),
+        lambda: singular_dimensions(M, 0, -1),
+    ):
+        with pytest.raises(ValueError, match=r"^truncation order must be >= 0, got -1$"):
+            call()
 
 
 def _recursive_E(f, a, b, vec):
