@@ -110,6 +110,16 @@ def _load_tableau(path: str, pi: Pyramid):
     return tab
 
 
+def _load_seed(tableau_path: str | None, C: RelationSet):
+    """The --tableau seed, or the noncritical satisfying tableau of C without one."""
+    if tableau_path is not None:
+        return _load_tableau(tableau_path, C.pyramid)
+    try:
+        return noncritical_satisfying_tableau(C)
+    except ValueError as exc:
+        raise InputError(str(exc))
+
+
 def _rational(x) -> Fraction:
     """A weight or point entry as a Fraction; an exponent past MAX_EXPONENT is a ValueError."""
     text = str(x)
@@ -235,13 +245,7 @@ def rr_remove_cmd(relations_path, triple_str):
 def enumerate_basis_cmd(relations_path, tableau_path, radius):
     """List the window shifts satisfying the relation set around a seed."""
     C = _load_relations(relations_path)
-    if tableau_path is not None:
-        seed = _load_tableau(tableau_path, C.pyramid)
-    else:
-        try:
-            seed = noncritical_satisfying_tableau(C)
-        except ValueError as exc:
-            raise InputError(str(exc))
+    seed = _load_seed(tableau_path, C)
     try:
         window = BasisWindow(C, seed, radius)
     except ValueError as exc:
@@ -272,13 +276,7 @@ def enumerate_basis_cmd(relations_path, tableau_path, radius):
 def verify_relations_cmd(relations_path, tableau_path, radius, budget, instantiations, seed):
     """Run the defining-relation oracle; exit 3 on violations, 5 on overflow."""
     C = _load_relations(relations_path)
-    if tableau_path is not None:
-        tab = _load_tableau(tableau_path, C.pyramid)
-    else:
-        try:
-            tab = noncritical_satisfying_tableau(C)
-        except ValueError as exc:
-            raise InputError(str(exc))
+    tab = _load_seed(tableau_path, C)
     try:
         report = verify_defining_relations(
             C, tab, radius, budget, instantiations=instantiations, seed0=seed
@@ -367,16 +365,10 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     except InputError as exc:
-        sys.stdout.write(
-            json.dumps({"v": 1, "error": str(exc)}, sort_keys=True,
-                       separators=(",", ":")) + "\n"
-        )
+        _emit({"error": str(exc)})
         return EXIT_INPUT
     except click.ClickException as exc:
-        sys.stdout.write(
-            json.dumps({"v": 1, "error": exc.format_message()}, sort_keys=True,
-                       separators=(",", ":")) + "\n"
-        )
+        _emit({"error": exc.format_message()})
         return EXIT_INPUT
     return EXIT_OK
 

@@ -159,18 +159,26 @@ class ShiftChecker:
 
 
 class _Positions(dict):
-    """A window's member positions by shift.  An unseen shift raises
-    ValueError naming it, or, when the members grow, is appended to them."""
+    """A window's member positions by shift.  An unseen shift that `checker`
+    accepts is appended to the members; any other raises ValueError naming it.
+    With no checker, the members are fixed."""
 
-    __slots__ = ("members", "grows")
+    __slots__ = ("members", "checker")
 
-    def __init__(self, members: list, grows: bool):
+    def __init__(self, members: list, checker: ShiftChecker | None = None):
         super().__init__(zip(members, range(len(members))))
-        self.members, self.grows = members, grows
+        self.members, self.checker = members, checker
 
     def __missing__(self, d: TableauDelta) -> int:
-        if not self.grows:
+        pos = self.grow(d)
+        if pos is None:
             raise ValueError(f"shift {d!r} is not a member of the window")
+        return pos
+
+    def grow(self, d: TableauDelta) -> int | None:
+        """The position of unseen shift d, appended when the checker accepts it, else None."""
+        if self.checker is None or not self.checker.satisfied(d):
+            return None
         pos = self[d] = len(self.members)
         self.members.append(d)
         return pos
@@ -194,7 +202,7 @@ class BasisWindow:
         )
         members.sort(key=lambda d: d.key())
         self.members = members
-        self.index = _Positions(members, grows=False)
+        self.index = _Positions(members)
         self._steps: dict = {}
 
     def __contains__(self, d: TableauDelta) -> bool:
@@ -219,7 +227,8 @@ class BasisWindow:
 class FreeWindow:
     """Window substitute with no box bound: gating only, never overflow.
 
-    `index` appends an unseen shift to `members`, so positions never move.
+    `index` appends an unseen shift that satisfies C to `members`, so
+    positions never move, and raises ValueError on any other shift.
     """
 
     def __init__(self, C: RelationSet, seed: Tableau):
@@ -227,15 +236,16 @@ class FreeWindow:
         self.radius = None
         self.checker = ShiftChecker(C, seed)
         self.members: list[TableauDelta] = []
-        self.index = _Positions(self.members, grows=True)
+        self.index = _Positions(self.members, self.checker)
 
     def step(self, pos: int, move: TableauDelta) -> int | None:
         """Where ladder move `move` takes member pos: the target's position,
         appended to the members when new, or None when it breaks the relations.
-        Not memoised: a factor's context builds each column once, so a
-        (pos, move) seldom recurs."""
+        Only a new target is checked.  Not memoised: a factor's context builds
+        each column once, so a (pos, move) seldom recurs."""
         tgt = self.members[pos] + move
-        return self.index[tgt] if self.checker.satisfied(tgt) else None
+        to = self.index.get(tgt)
+        return self.index.grow(tgt) if to is None else to
 
 
 def enumerate_basis(C: RelationSet, l: Tableau, radius: int) -> BasisWindow:

@@ -306,91 +306,62 @@ def is_noncritical_set(C: RelationSet) -> bool:
     return critical_pair(C) is None
 
 
+def _component_seed(pi: Pyramid, comps: list[RelationSet], extra) -> Tableau:
+    """The least offsets of each component's arcs plus the `extra` arcs that
+    start in it, component idx in class c{idx}, a fresh class elsewhere.
+
+    `comps` is `decompose(C)`; each caller makes every system solvable.
+    """
+    entries: dict[TriIndex, tuple] = {}
+    for idx, comp in enumerate(comps):
+        vs = vertices(comp)
+        off = _least_solution(vs, _arcs(comp) + [arc for arc in extra if arc[0] in vs])
+        for v in vs:
+            entries[v] = (f"c{idx}", off[v])
+    return _symbolic_tableau(pi, entries)
+
+
 def noncritical_satisfying_tableau(C: RelationSet) -> Tableau:
     """A canonical symbolic tableau satisfying C with all same-row entries distinct.
 
-    Component triples share a class; everything else gets its own class.  Each
-    component starts from its least solution, bumping entries up by at most 3
-    until same-row entries differ; for a noncritical C the least solution
-    already separates them.  Raises when C is unsatisfiable or no noncritical
-    satisfying assignment exists in that search box.
+    Component triples share a class; everything else gets its own class.  With
+    y the least solution of C's arcs at unit weights, which grows strictly up
+    every chain, each row of each component is ordered by (y, triple) and
+    consecutive entries are made to differ by a strict arc; every arc then
+    increases (y, triple), so the system is solvable whenever C is.  For a
+    noncritical C a strict chain already orders each such pair, so the seed is
+    C's own least solution.  Raises only when C is unsatisfiable.
     """
-    if not is_satisfiable(C):
+    # weak edges never lead down a row and C has no top-row loop, so every
+    # cycle holds a strict edge: unit weights are infeasible exactly when C is
+    y = _least_solution(vertices(C), [(u, v, 1) for u, v, _ in _arcs(C)])
+    if y is None:
         raise ValueError("relation set is unsatisfiable")
-    entries: dict[TriIndex, tuple] = {}
-    for idx, comp in enumerate(decompose(C)):
-        cls = f"c{idx}"
-        vs = sorted(vertices(comp))
-        base = _least_solution(vs, _arcs(comp))
+    comps = decompose(C)
+    extra = []
+    for comp in comps:
         rows: dict[int, list[TriIndex]] = {}
-        for v in vs:
+        for v in sorted(vertices(comp), key=lambda v: (y[v], v)):
             rows.setdefault(v.i, []).append(v)
-
-        def ok(assign: dict[TriIndex, int]) -> bool:
-            for e in comp.edges:
-                if e.greater in assign and e.lesser in assign:
-                    if assign[e.greater] - assign[e.lesser] < (1 if e.strict else 0):
-                        return False
-            for row in rows.values():
-                seen = set()
-                for v in row:
-                    if v in assign:
-                        if assign[v] in seen:
-                            return False
-                        seen.add(assign[v])
-            return True
-
-        found = None
-
-        def search(pos: int, assign: dict[TriIndex, int]):
-            nonlocal found
-            if found is not None:
-                return
-            if pos == len(vs):
-                found = dict(assign)
-                return
-            v = vs[pos]
-            for bump in range(0, 4):
-                assign[v] = base[v] + bump
-                if ok(assign):
-                    search(pos + 1, assign)
-                if found is not None:
-                    return
-            del assign[v]
-
-        search(0, {})
-        if found is None:
-            raise ValueError("no noncritical satisfying tableau in search box")
-        for v in vs:
-            entries[v] = (cls, found[v])
-    return _symbolic_tableau(C.pyramid, entries)
+        extra += [(u, v, 1) for row in rows.values() for u, v in zip(row, row[1:])]
+    return _component_seed(C.pyramid, comps, extra)
 
 
 def critical_satisfying_tableau(C: RelationSet):
     """A symbolic tableau satisfying C that equates a same-row pair, or None.
 
-    Witnesses set-level criticality: the returned tableau satisfies every edge
-    of C while the pair reported by critical_pair coincides.  Raises when C is
-    unsatisfiable.
+    Witnesses set-level criticality: each component takes its least solution,
+    and the one holding the pair (a, b) reported by critical_pair takes it
+    with a = b added.  Raises when C is unsatisfiable.
     """
     if not is_satisfiable(C):
         raise ValueError("relation set is unsatisfiable")
-    pair = critical_pair(C)
+    closures = _closures(C)
+    pair = _critical_pair(closures)
     if pair is None:
         return None
     a, b = pair
-    entries: dict[TriIndex, tuple] = {}
-    for idx, comp in enumerate(decompose(C)):
-        vs = vertices(comp)
-        arcs = _arcs(comp)
-        if a in vs:
-            arcs += [(a, b, 0), (b, a, 0)]
-        off = _least_solution(vs, arcs)
-        if off is None:
-            raise ValueError("offset relaxation did not converge")
-        for v in vs:
-            entries[v] = (f"c{idx}", off[v])
-    return _symbolic_tableau(C.pyramid, entries)
+    return _component_seed(C.pyramid, [comp for comp, _ in closures], [(a, b, 0), (b, a, 0)])
 
 
 def has_cross(comp: RelationSet):

@@ -78,6 +78,12 @@ def diamond_set() -> RelationSet:
     ])
 
 
+def fan_gl5() -> RelationSet:
+    """(1,5,j) >= (1,4,1) for j = 1..5: five top-row entries over one entry."""
+    return RelationSet(Pyramid((1, 1, 1, 1, 1)),
+                       [rel((1, 5, j), (1, 4, 1), False) for j in range(1, 6)])
+
+
 def gl2_tableau(top1, top2, low) -> Tableau:
     """Instantiated gl_2 one-column tableau with the given values."""
     from wpimod.tableau import tableau_from_values

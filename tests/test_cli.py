@@ -8,7 +8,7 @@ from wpimod import Pyramid, RelationSet, standard_set, tableau_to_json, yangian_
 from wpimod.cli import MAX_BUDGET, MAX_EXPONENT, MAX_INSTANTIATIONS, run
 from wpimod.gt_module import MAX_WINDOW_MEMBERS
 
-from helpers import GL2, GL3, bad_pattern_upper, gl2_tableau, rel, standard_gl2
+from helpers import GL2, GL3, bad_pattern_upper, fan_gl5, gl2_tableau, rel, standard_gl2
 from test_gt_module import reducible_gl3_pair
 
 
@@ -119,6 +119,15 @@ def test_enumerate_basis(tmp_path, capsys):
     )
     assert code == 0
     assert report["count"] == 3
+
+
+def test_enumerate_basis_seeds_a_top_row_fan(tmp_path, capsys):
+    rels = write_relations(tmp_path, "fan.json", fan_gl5())
+    code = run(["enumerate-basis", "--relations", rels, "--radius", "0"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        '{"command":"enumerate-basis","count":1,"members":[[]],"radius":0,"v":1}\n'
+    )
 
 
 def test_verify_relations_pass_and_overflow(tmp_path, capsys):

@@ -45,6 +45,7 @@ from helpers import (
     bad_pattern_lower,
     bad_pattern_upper,
     diamond_set,
+    fan_gl5,
     gl2_tableau,
     rel,
     relation_subsets,
@@ -195,6 +196,49 @@ def test_noncritical_seed_is_least_solution_per_component():
                 assert seed.entry(v) == (f"c{idx}", x[v]), C
         checked += 1
     assert checked == 387
+
+
+def test_every_satisfiable_set_gets_a_noncritical_seed():
+    seeded = 0
+    for C in _solver_corpus():
+        if not is_satisfiable(C):
+            with pytest.raises(ValueError, match="^relation set is unsatisfiable$"):
+                noncritical_satisfying_tableau(C)
+            continue
+        seed = noncritical_satisfying_tableau(C)
+        assert satisfies(C, seed), C
+        for comp in decompose(C):
+            vs = sorted(vertices(comp))
+            for x, a in enumerate(vs):
+                for b in vs[x + 1:]:
+                    if a.i == b.i:  # the top row too
+                        assert seed.entry(a) != seed.entry(b), (C, a, b)
+        seeded += not is_noncritical_set(C)
+    assert seeded > 0
+
+
+def test_critical_seed_is_least_solution_with_the_pair_equated():
+    checked = 0
+    for C in _solver_corpus():
+        if not is_satisfiable(C) or is_noncritical_set(C):
+            continue
+        a, b = critical_pair(C)
+        seed = critical_satisfying_tableau(C)
+        for idx, comp in enumerate(decompose(C)):
+            vs = vertices(comp)
+            arcs = _arcs(comp) + ([(a, b, 0), (b, a, 0)] if a in vs else [])
+            x = _least_solution(vs, arcs)
+            for v in vs:
+                assert seed.entry(v) == (f"c{idx}", x[v]), C
+        assert seed.entry(a) == seed.entry(b)
+        checked += 1
+    assert checked > 0
+
+
+def test_top_row_fan_gets_consecutive_offsets():
+    seed = noncritical_satisfying_tableau(fan_gl5())
+    assert [seed.entry(TriIndex(1, 5, j)) for j in range(1, 6)] == [("c0", v) for v in range(5)]
+    assert seed.entry(TriIndex(1, 4, 1)) == ("c0", 0)
 
 
 def test_spread_seed_keeps_satisfaction():

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ import wpimod.yangian_tensor as yt
 from wpimod.exact_arith import MODULUS, InvSeries, residue
 from wpimod.gt_module import CLIP
 from wpimod.gt_module import MAX_WINDOW_MEMBERS
-from wpimod.tableau import TriIndex
+from wpimod.tableau import TableauDelta, TriIndex
 from wpimod.yangian_tensor import t_coefficient
 
 
@@ -604,6 +605,43 @@ def test_each_column_is_built_once(monkeypatch):
     second = [f.E(a, b, {d: Fraction(1)}) for a, b in pairs for d in shifts]
     assert len(calls) == built
     assert second == first
+
+
+def test_a_shift_that_breaks_the_relations_is_not_a_factor_member():
+    # the (5, 0) pattern keeps its row-1 entry in [0, 5]; three raises leave it
+    f = EvaluationFactor(GlWeight((5, 0)), 0, 2)
+    M = TensorModule([f], 2)
+    outside = TableauDelta({TriIndex(1, 1, 1): 3})
+    before = list(f.window.members)
+    for call in (
+        lambda: f.E(1, 1, {outside: 1}),
+        lambda: f.ctx.apply(("f", 1, 1), {outside: f.ctx.one}, CLIP),
+        lambda: t_coefficient(M, 1, 2, 1, {(outside,): 1}),
+    ):
+        with pytest.raises(ValueError, match=re.escape(repr(outside))):
+            call()
+        assert f.window.members == before
+
+
+def test_free_window_checks_each_new_member_once(monkeypatch):
+    f = EvaluationFactor(GlWeight((3, Fraction(1, 2), 0)), Fraction(1, 3), depth=2)
+    checker = f.window.checker
+    satisfied = checker.satisfied
+    checked = []
+
+    def counting(d):
+        checked.append(d)
+        return satisfied(d)
+
+    monkeypatch.setattr(checker, "satisfied", counting)
+    for d in f.deltas(2):
+        for a in range(1, 4):
+            for b in range(1, 4):
+                f.E(a, b, {d: Fraction(1)})
+    members = f.window.members
+    assert len(members) > len(f.deltas(2))
+    assert all(checked.count(d) == 1 for d in members)
+    assert all(satisfied(d) for d in members)
 
 
 def test_out_of_range_indices_raise():
