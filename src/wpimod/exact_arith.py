@@ -8,7 +8,9 @@ coefficient lists (see `gt_module.ActionContext` and `yangian_tensor._slot_t`);
 actions, the Yangian series and the singular-vector elimination can also run
 on residues mod the prime `MODULUS`, where reduction is a ring map from the
 rationals whose denominators it keeps invertible; the elimination runs the
-same code on `Fraction`s where the residues cannot decide.  `UniPoly` and
+same code on `Fraction`s where the residues cannot decide.  The relation
+oracle reduces each instantiation mod its own prime (`instantiation_primes`)
+and decides them all at once mod their product (`crt_basis`).  `UniPoly` and
 `poly_series_quotient` remain as the reference expansion the ladder tests
 compare against.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 from typing import Iterable
 
 
@@ -194,6 +197,56 @@ def poly_series_quotient(num: UniPoly, den: UniPoly, order: int) -> InvSeries:
 # actions (`gt_module.ActionContext`) and of the Yangian kernel decision
 # (`yangian_tensor.find_singular_vectors`).
 MODULUS = 2**61 - 1
+
+# The first twelve primes: as Miller-Rabin bases they decide primality exactly
+# below 3.18 * 10^23 (Sorenson and Webster, Math. Comp. 2017), far above 2^61.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact for n < 3.18 * 10^23."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+# Grown on demand by `instantiation_primes`, never at import.
+_PRIMES = [MODULUS]
+
+
+def instantiation_primes(count: int) -> list[int]:
+    """One prime per oracle instantiation: MODULUS, then the primes below it
+    in descending order (2^61 - 1, 2^61 - 31, 2^61 - 45, ...).  Cached."""
+    while len(_PRIMES) < count:
+        q = _PRIMES[-1] - 2
+        while not is_prime(q):
+            q -= 2
+        _PRIMES.append(q)
+    return _PRIMES[:count]
+
+
+def crt_basis(moduli: list[int]) -> list[int]:
+    """The idempotents e_k of Z/M = prod Z/m_k, M the product of the pairwise
+    coprime moduli: e_k is 1 mod m_k and 0 mod every other.  The lift of
+    residues r_k is sum(r_k e_k) mod M."""
+    M = prod(moduli)
+    return [M // m * pow(M // m, -1, m) % M for m in moduli]
 
 
 def residue(x, m: int) -> int:

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import inf, lcm
+from math import inf, lcm, prod
 
 from .exact_arith import (
     MODULUS,
     CriticalityError,
     GenericAssignment,
+    crt_basis,
     generic_instantiate,
+    instantiation_primes,
     residue,
 )
 from .pyramid import e_generator_min_degree
@@ -289,6 +291,9 @@ class ActionContext:
     `modulus` is None.  A `FreeWindow` (no box, gating by shift alone) keeps
     the modulus: a coefficient that vanishes mod m only drops a zero residue,
     but a same-row difference divisible by m raises CriticalityError.
+
+    `_stacked` builds one residue context for several instantiations at once,
+    mod the product of one prime each (Chinese remainder theorem).
     """
 
     def __init__(
@@ -300,7 +305,6 @@ class ActionContext:
         self.window = window
         self.pyramid = window.seed.pyramid
         self.n = self.pyramid.n
-        self.assignment = assignment
         base = {
             t: assignment.value(*window.seed.entry(t))
             for t in all_indices(self.pyramid)
@@ -320,6 +324,34 @@ class ActionContext:
         # Per policy, per generator: {member position: ((member position,
         # coefficient), ...)}, each column built once by `_build_column`.
         self._columns = {policy: defaultdict(dict) for policy in (CLIP, STRICT)}
+
+    @classmethod
+    def _stacked(cls, window: BasisWindow, assignments: list) -> ActionContext | None:
+        """One residue context for all (at least one) `assignments`, or None.
+
+        Assignment k is reduced mod its own prime p_k (`instantiation_primes`),
+        and the context runs mod M = p_0 ... p_{K-1} on the CRT lifts of those
+        residues.  Z/M is the product of the fields Z/p_k, so a residue c of the
+        stacked context is, mod p_k, the residue of assignment k's own context.
+
+        None unless each reduction is faithful mod its own prime.  Then a
+        same-row difference, which is an integer within a class and never an
+        integer across classes (`GenericAssignment`), is zero mod one p_k
+        exactly when it is zero, hence zero mod M exactly when it is zero.  So
+        CriticalityError, STRICT overflow and the ladder supports are the exact
+        ones, and every denominator is a unit mod M.
+        """
+        primes = instantiation_primes(len(assignments))
+        lanes = [cls(window, a, _modulus=p) for a, p in zip(assignments, primes)]
+        if not lanes or any(lane.modulus is None for lane in lanes):
+            return None
+        stack, basis = lanes[0], crt_basis(primes)
+        stack.modulus = M = prod(primes)
+        stack.base = {
+            t: sum(lane.base[t] * e for lane, e in zip(lanes, basis)) % M
+            for t in stack.base
+        }
+        return stack
 
     def _reduce(self, x):
         return x if self.modulus is None else x % self.modulus
@@ -706,7 +738,14 @@ def verify_defining_relations(
     """Check every defining relation on all sufficiently interior window shifts.
 
     Returns a report dict with per-family status and the violations found
-    (stopping after max_violations; pass 0 for exhaustive collection).
+    (stopping after max_violations; pass 0 for exhaustive collection).  Each
+    failing case reports its least failing instantiation at that
+    instantiation's least failing position, computed in `Fraction`.
+
+    The instantiations are decided in one walk: instantiation k by residues
+    mod its own prime p_k, all at once in the `ActionContext._stacked` context
+    mod their product.  Where some reduction is not faithful, each
+    instantiation is decided in its own exact context instead.
     """
     window = BasisWindow(C, l, radius)
     report: dict = {
@@ -734,12 +773,19 @@ def verify_defining_relations(
                         report["families"]["critical"] = "fail"
                         return report
 
-    # Residues are decided mod MODULUS; a nonzero one proves a violation, which
-    # is recomputed in an exact context so that its detail is in Fraction.
+    # Each decider is a context and its lanes (instantiation k, prime p):
+    # k fails where a residual is nonzero mod p, or anywhere nonzero when p is
+    # None (k's exact context).  A failure is recomputed in k's exact context,
+    # so that its detail is in Fraction.
     classes = l.classes()
-    assignments = [generic_instantiate(classes, seed0 + t) for t in range(instantiations)]
-    contexts = [ActionContext(window, a, _modulus=MODULUS) for a in assignments]
-    exact: dict[int, ActionContext] = {}
+    assignments = [generic_instantiate(classes, seed0 + k) for k in range(instantiations)]
+    stack = None if MODULUS is None else ActionContext._stacked(window, assignments)
+    if stack is None:
+        exact = {k: ActionContext(window, a) for k, a in enumerate(assignments)}
+        deciders = [(ctx, [(k, None)]) for k, ctx in exact.items()]
+    else:
+        exact = {}
+        deciders = [(stack, list(enumerate(instantiation_primes(instantiations))))]
 
     eligible_by_margins: dict = {}
     for fam, idx, lhs, rhs in _relation_cases(l.pyramid, budget):
@@ -764,32 +810,43 @@ def verify_defining_relations(
             ]
         # lhs - rhs as one signed sum; every sign is +1 or -1
         terms = lhs + [(-sign, word) for sign, word in rhs]
-        for k, ctx in enumerate(contexts):
+        for ctx, lanes in deciders:
+            # the first failing position of each instantiation; the scan ends
+            # once the least instantiation has failed
+            first: dict[int, int] = {}
             for pos in eligible:
                 acc = _residual(ctx, terms, pos)
-                if acc and ctx.modulus is not None:
-                    if k not in exact:
-                        exact[k] = ActionContext(window, assignments[k])
-                    acc = _residual(exact[k], terms, pos)
-                if acc:
-                    report["families"][fam] = "fail"
-                    report["violations"].append(
-                        {
-                            "family": fam,
-                            "indices": idx,
-                            "shift": window.members[pos].key(),
-                            "detail": sorted(
-                                (window.members[p].key() if isinstance(p, int) else p, str(c))
-                                for p, c in acc.items()
-                            ),
-                        }
-                    )
-                    if max_violations and len(report["violations"]) >= max_violations:
-                        return report
+                if "criticality" in acc:
+                    first.setdefault(lanes[0][0], pos)
+                elif acc:
+                    for k, p in lanes:
+                        if k not in first and (p is None or any(c % p for c in acc.values())):
+                            first[k] = pos
+                if lanes[0][0] in first:
                     break
-            else:
-                continue
-            break
+            if first:
+                break
+        else:
+            continue
+        k = min(first)
+        if k not in exact:
+            exact[k] = ActionContext(window, assignments[k])
+        pos = first[k]
+        acc = _residual(exact[k], terms, pos)
+        report["families"][fam] = "fail"
+        report["violations"].append(
+            {
+                "family": fam,
+                "indices": idx,
+                "shift": window.members[pos].key(),
+                "detail": sorted(
+                    (window.members[p].key() if isinstance(p, int) else p, str(c))
+                    for p, c in acc.items()
+                ),
+            }
+        )
+        if max_violations and len(report["violations"]) >= max_violations:
+            return report
     return report
 
 

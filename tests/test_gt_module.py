@@ -1,6 +1,7 @@
 """Basis windows, generator actions, the relation verifier, irreducibility."""
 
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -31,6 +32,7 @@ from wpimod.exact_arith import (
     MODULUS,
     CriticalityError,
     UniPoly,
+    instantiation_primes,
     poly_series_quotient,
     residue,
 )
@@ -532,17 +534,79 @@ def _oracle_cases():
 @pytest.mark.parametrize("C, seed, max_violations", list(_oracle_cases()),
                          ids=["upper", "lower", "1x1", "1x2", "2x2", "1x1x1"])
 def test_modular_oracle_report_equals_exact_report(monkeypatch, C, seed, max_violations):
+    def reports():
+        return [
+            verify_defining_relations(
+                C, seed, 2, 3, instantiations=count, max_violations=max_violations
+            )
+            for count in (1, 3, 8)
+        ]
+
+    got = reports()
+    monkeypatch.setattr(gt_module, "MODULUS", None)
+    want = reports()
+    assert got == want
+    # the negative controls fail, the standard sets pass
+    assert all(report_passes(r) == (max_violations == 1) for r in got)
+
+
+@pytest.mark.parametrize("C, seed, max_violations", list(_oracle_cases())[:3],
+                         ids=["upper", "lower", "1x1"])
+def test_unfaithful_instantiation_falls_back_to_exact_contexts(
+    monkeypatch, C, seed, max_violations
+):
     def report():
         return verify_defining_relations(
             C, seed, 2, 3, instantiations=3, max_violations=max_violations
         )
 
+    faithful = gt_module._reduction_is_faithful
+    second = instantiation_primes(2)[1]
+    monkeypatch.setattr(
+        gt_module, "_reduction_is_faithful",
+        lambda values, radius, n, m: m != second and faithful(values, radius, n, m),
+    )
+    window = enumerate_basis(C, seed, 2)
+    assignments = [generic_instantiate(seed.classes(), 1 + k) for k in range(3)]
+    assert ActionContext._stacked(window, assignments[:1]) is not None
+    assert ActionContext._stacked(window, assignments) is None
     got = report()
     monkeypatch.setattr(gt_module, "MODULUS", None)
-    want = report()
-    assert got == want
-    # the negative controls fail, the standard sets pass
-    assert report_passes(got) == (max_violations == 1)
+    assert got == report()
+
+
+def test_stacked_residual_is_each_instantiations_residual():
+    """Mod p_k, the stacked context's residual is instantiation k's own residual."""
+    C = bad_pattern_upper()
+    seed = noncritical_satisfying_tableau(C)
+    radius, count = 2, 4
+    window = enumerate_basis(C, seed, radius)
+    assignments = [generic_instantiate(seed.classes(), 1 + k) for k in range(count)]
+    primes = instantiation_primes(count)
+    stack = ActionContext._stacked(window, assignments)
+    assert stack.modulus == math.prod(primes)
+    lanes = [ActionContext(window, a, _modulus=p) for a, p in zip(assignments, primes)]
+    assert [lane.modulus for lane in lanes] == primes
+    # the case the upper control fails (see the CI byte check)
+    _, _, lhs, rhs = next(
+        case for case in _relation_cases(C.pyramid, 2)
+        if case[:2] == ("ef", {"i": 2, "j": 2, "r": 1, "s": 1})
+    )
+    margins = gt_module._word_row_margins(lhs + rhs)
+    terms = lhs + [(-sign, word) for sign, word in rhs]
+    nonzero = set()
+    for pos, d in enumerate(window.members):
+        if any(abs(d.get(t)) > radius - margins.get(t.i, 0) for t in window.free):
+            continue
+        stacked = gt_module._residual(stack, terms, pos)
+        for k, (p, lane) in enumerate(zip(primes, lanes)):
+            got = {q: r for q, c in stacked.items() if (r := c % p)}
+            assert got == gt_module._residual(lane, terms, pos), (pos, k)
+            if got:
+                nonzero.add((pos, k))
+    # the case fails for every instantiation, at more than one position
+    assert {k for _, k in nonzero} == set(range(count))
+    assert len({pos for pos, _ in nonzero}) > 1
 
 
 def _reference_residual(ctx, terms, d):
