@@ -1,6 +1,6 @@
 """Command-line surface: stable JSON file formats, deterministic reports.
 
-Exit codes: 0 success / property true, 3 property false, 4 input error,
+Exit codes: 0 success / property true, 3 property false, 4 input or usage error,
 5 window overflow.  Every report is a UTF-8, newline-terminated JSON document
 with a schema version field "v": 1; key order is sorted, so identical inputs
 (including seeds) give byte-identical output.
@@ -8,12 +8,11 @@ with a schema version field "v": 1; key order is sorted, so identical inputs
 
 from __future__ import annotations
 
+import argparse
 import json
 import re
 import sys
 from fractions import Fraction
-
-import click
 
 from .exact_arith import scalar_to_json
 from .gt_module import (
@@ -173,13 +172,6 @@ def _jsonable(obj):
     return obj
 
 
-@click.group()
-def main():
-    """Exact relation Gelfand-Tsetlin modules and Yangian tensor probes."""
-
-
-@main.command("check-admissible")
-@click.option("--relations", "relations_path", required=True, type=str)
 def check_admissible_cmd(relations_path):
     """Decide admissibility of a relation set; exit 3 when not admissible."""
     C = _load_relations(relations_path)
@@ -191,11 +183,9 @@ def check_admissible_cmd(relations_path):
             "certificate": _jsonable(certificate),
         }
     )
-    sys.exit(EXIT_OK if verdict else EXIT_FALSE)
+    return EXIT_OK if verdict else EXIT_FALSE
 
 
-@main.command("reduce")
-@click.option("--relations", "relations_path", required=True, type=str)
 def reduce_cmd(relations_path):
     """Print the unique reduced representative of a noncritical relation set."""
     C = _load_relations(relations_path)
@@ -210,13 +200,9 @@ def reduce_cmd(relations_path):
             **R.to_json(),
         }
     )
-    sys.exit(EXIT_OK)
+    return EXIT_OK
 
 
-@main.command("rr-remove")
-@click.option("--relations", "relations_path", required=True, type=str)
-@click.option("--triple", "triple_str", required=True, type=str,
-              help="extremal triple as k,i,j")
 def rr_remove_cmd(relations_path, triple_str):
     """Drop all relations incident to an extremal triple."""
     C = _load_relations(relations_path)
@@ -236,13 +222,9 @@ def rr_remove_cmd(relations_path, triple_str):
             **R.to_json(),
         }
     )
-    sys.exit(EXIT_OK)
+    return EXIT_OK
 
 
-@main.command("enumerate-basis")
-@click.option("--relations", "relations_path", required=True, type=str)
-@click.option("--tableau", "tableau_path", type=str, default=None)
-@click.option("--radius", type=click.IntRange(min=0), default=2, show_default=True)
 def enumerate_basis_cmd(relations_path, tableau_path, radius):
     """List the window shifts satisfying the relation set around a seed."""
     C = _load_relations(relations_path)
@@ -262,18 +244,9 @@ def enumerate_basis_cmd(relations_path, tableau_path, radius):
             ],
         }
     )
-    sys.exit(EXIT_OK)
+    return EXIT_OK
 
 
-@main.command("verify-relations")
-@click.option("--relations", "relations_path", required=True, type=str)
-@click.option("--tableau", "tableau_path", type=str, default=None)
-@click.option("--radius", type=click.IntRange(min=0), default=2, show_default=True)
-@click.option("--budget", type=click.IntRange(min=1, max=MAX_BUDGET), default=2,
-              show_default=True)
-@click.option("--instantiations", type=click.IntRange(min=1, max=MAX_INSTANTIATIONS),
-              default=3, show_default=True)
-@click.option("--seed", type=int, default=1, show_default=True)
 def verify_relations_cmd(relations_path, tableau_path, radius, budget, instantiations, seed):
     """Run the defining-relation oracle; exit 3 on violations, 5 on overflow."""
     C = _load_relations(relations_path)
@@ -284,7 +257,7 @@ def verify_relations_cmd(relations_path, tableau_path, radius, budget, instantia
         )
     except WindowOverflowError as exc:
         _emit({"command": "verify-relations", "overflow": str(exc)})
-        sys.exit(EXIT_OVERFLOW)
+        return EXIT_OVERFLOW
     except ValueError as exc:
         raise InputError(str(exc))
     passes = report_passes(report)
@@ -301,12 +274,9 @@ def verify_relations_cmd(relations_path, tableau_path, radius, budget, instantia
             "violations": _jsonable(report["violations"]),
         }
     )
-    sys.exit(EXIT_OK if passes else EXIT_FALSE)
+    return EXIT_OK if passes else EXIT_FALSE
 
 
-@main.command("irreducible")
-@click.option("--relations", "relations_path", required=True, type=str)
-@click.option("--tableau", "tableau_path", required=True, type=str)
 def irreducible_cmd(relations_path, tableau_path):
     """Test irreducibility of the relation module over the given seed."""
     C = _load_relations(relations_path)
@@ -316,14 +286,9 @@ def irreducible_cmd(relations_path, tableau_path):
     except ValueError as exc:
         raise InputError(str(exc))
     _emit({"command": "irreducible", "irreducible": verdict})
-    sys.exit(EXIT_OK if verdict else EXIT_FALSE)
+    return EXIT_OK if verdict else EXIT_FALSE
 
 
-@main.command("tensor-check")
-@click.option("--weights", "weights_path", required=True, type=str)
-@click.option("--depth", type=click.IntRange(min=0), default=3, show_default=True)
-@click.option("--mode", type=click.Choice(["generic", "integral"]), default="generic",
-              show_default=True)
 def tensor_check_cmd(weights_path, depth, mode):
     """Probe a tensor product of evaluation modules for extra singular vectors."""
     weights, points = _load_weights(weights_path)
@@ -356,22 +321,88 @@ def tensor_check_cmd(weights_path, depth, mode):
             "only_top_line": only_top,
         }
     )
-    sys.exit(EXIT_OK if only_top else EXIT_FALSE)
+    return EXIT_OK if only_top else EXIT_FALSE
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are input errors: exit 4 with a JSON report."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+def _integer(lo=None, hi=None):
+    """An argparse type: an int in [lo, hi]; argparse prefixes the option name."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer")
+        if (lo is not None and value < lo) or (hi is not None and value > hi):
+            bound = f"x>={lo}" if hi is None else f"{lo}<=x<={hi}"
+            raise argparse.ArgumentTypeError(f"{value} is not in the range {bound}")
+        return value
+
+    return parse
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(
+        prog="wpimod",
+        description="Exact relation Gelfand-Tsetlin modules and Yangian tensor probes.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    def command(name, func, inputs=("--relations",)):
+        sub = commands.add_parser(
+            name, help=func.__doc__, description=func.__doc__, allow_abbrev=False
+        )
+        sub.set_defaults(func=func)
+        for option in inputs:
+            sub.add_argument(option, dest=option[2:] + "_path", required=True, metavar="PATH")
+        return sub
+
+    def defaulted(sub, option, **kwargs):
+        sub.add_argument(option, help="default: %(default)s", **kwargs)
+
+    command("check-admissible", check_admissible_cmd)
+    command("reduce", reduce_cmd)
+    sub = command("rr-remove", rr_remove_cmd)
+    sub.add_argument("--triple", dest="triple_str", required=True,
+                     help="extremal triple as k,i,j")
+    sub = command("enumerate-basis", enumerate_basis_cmd)
+    sub.add_argument("--tableau", dest="tableau_path", metavar="PATH")
+    defaulted(sub, "--radius", type=_integer(0), default=2)
+    sub = command("verify-relations", verify_relations_cmd)
+    sub.add_argument("--tableau", dest="tableau_path", metavar="PATH")
+    defaulted(sub, "--radius", type=_integer(0), default=2)
+    defaulted(sub, "--budget", type=_integer(1, MAX_BUDGET), default=2)
+    defaulted(sub, "--instantiations", type=_integer(1, MAX_INSTANTIATIONS), default=3)
+    defaulted(sub, "--seed", type=_integer(), default=1)
+    command("irreducible", irreducible_cmd, ("--relations", "--tableau"))
+    sub = command("tensor-check", tensor_check_cmd, ("--weights",))
+    defaulted(sub, "--depth", type=_integer(0), default=3)
+    defaulted(sub, "--mode", choices=("generic", "integral"), default="generic")
+    return parser
+
+
+# Built once: building it costs more than a parse.
+_PARSER = _build_parser()
 
 
 def run(argv=None) -> int:
     """Entry point returning the exit code instead of raising SystemExit."""
     try:
-        main.main(args=argv, standalone_mode=False)
-    except SystemExit as exc:
+        args = vars(_PARSER.parse_args(argv))
+        del args["command"]
+        return args.pop("func")(**args)
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except InputError as exc:
         _emit({"error": str(exc)})
         return EXIT_INPUT
-    except click.ClickException as exc:
-        _emit({"error": exc.format_message()})
-        return EXIT_INPUT
-    return EXIT_OK
 
 
 def console_main():

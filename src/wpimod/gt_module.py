@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 from math import inf, lcm, prod
 
 from .exact_arith import (
@@ -726,6 +727,27 @@ def _word_row_margins(words) -> dict[int, int]:
     return margins
 
 
+@lru_cache(maxsize=32)
+def _relation_table(pyramid, budget: int) -> tuple:
+    """Every case of `_relation_cases`, in its order, built once per (pyramid, budget).
+
+    Each case is (family, indices as (name, value) pairs, terms, margins):
+    terms is lhs - rhs as one signed sum of words, every sign +1 or -1, and
+    margins is the case's `_word_row_margins` as sorted (row, steps) pairs.
+    All of it is tuples, so no caller can change the cached table.
+    """
+    return tuple(
+        (
+            fam,
+            tuple(idx.items()),
+            tuple((sign, tuple(word)) for sign, word in lhs)
+            + tuple((-sign, tuple(word)) for sign, word in rhs),
+            tuple(sorted(_word_row_margins(lhs + rhs).items())),
+        )
+        for fam, idx, lhs, rhs in _relation_cases(pyramid, budget)
+    )
+
+
 def verify_defining_relations(
     C: RelationSet,
     l: Tableau,
@@ -788,18 +810,17 @@ def verify_defining_relations(
         deciders = [(stack, list(enumerate(instantiation_primes(instantiations))))]
 
     eligible_by_margins: dict = {}
-    for fam, idx, lhs, rhs in _relation_cases(l.pyramid, budget):
+    for fam, idx, terms, profile in _relation_table(l.pyramid, budget):
         status = report["families"].setdefault(fam, "pass")
         if status == "fail" and max_violations:
             continue
-        margins = _word_row_margins(lhs + rhs)
-        if any(m > radius for m in margins.values()):
+        if any(m > radius for _, m in profile):
             raise WindowOverflowError(
                 f"window radius {radius} is too small for relation family {fam}"
             )
-        profile = tuple(sorted(margins.items()))
         eligible = eligible_by_margins.get(profile)
         if eligible is None:
+            margins = dict(profile)
             eligible = eligible_by_margins[profile] = [
                 k
                 for k, d in enumerate(window.members)
@@ -808,8 +829,6 @@ def verify_defining_relations(
                     for t in window.free
                 )
             ]
-        # lhs - rhs as one signed sum; every sign is +1 or -1
-        terms = lhs + [(-sign, word) for sign, word in rhs]
         for ctx, lanes in deciders:
             # the first failing position of each instantiation; the scan ends
             # once the least instantiation has failed
@@ -837,7 +856,7 @@ def verify_defining_relations(
         report["violations"].append(
             {
                 "family": fam,
-                "indices": idx,
+                "indices": dict(idx),
                 "shift": window.members[pos].key(),
                 "detail": sorted(
                     (window.members[p].key() if isinstance(p, int) else p, str(c))

@@ -1,8 +1,13 @@
 """Command-line surface: schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import wpimod
 
 from wpimod import Pyramid, RelationSet, standard_set, tableau_to_json, yangian_tensor
 from wpimod.cli import MAX_BUDGET, MAX_EXPONENT, MAX_INSTANTIATIONS, run
@@ -266,6 +271,7 @@ def test_tensor_check_report_has_no_threads_field(tmp_path, capsys, monkeypatch)
     ("verify-relations", "--instantiations", "-1"),
     ("verify-relations", "--budget", "0"),
     ("verify-relations", "--budget", "-1"),
+    ("verify-relations", "--budget", "1000000"),
     ("verify-relations", "--instantiations", "1000000"),
     ("verify-relations", "--radius", "-1"),
     ("tensor-check", "--depth", "-1"),
@@ -277,7 +283,8 @@ def test_out_of_range_numbers_are_input_errors(tmp_path, capsys, command, option
     else:
         inputs = ["--relations", write_relations(tmp_path, "s.json", standard_gl2())]
     code, report = invoke(capsys, [command, *inputs, option, value])
-    assert code == 4 and option in report["error"]
+    assert code == 4 and set(report) == {"v", "error"}
+    assert option in report["error"] and f"{value} is not in the range" in report["error"]
 
 
 @pytest.mark.parametrize("option, cap", [
@@ -453,3 +460,88 @@ def test_triples_must_be_integers_for_enumerate_basis(tmp_path, capsys, field, v
         code, report = invoke(capsys, ["enumerate-basis", *argv])
         assert code == 4, argv
         assert set(report) == {"v", "error"} and f'"{field}"' in report["error"]
+
+
+def _inputs(tmp_path, argv):
+    """argv with {relations}, {tableau} and {weights} replaced by small input files."""
+    files = {
+        "{relations}": lambda: write_relations(tmp_path, "s.json", standard_gl2()),
+        "{tableau}": lambda: write_tableau(tmp_path, "l.json", gl2_tableau(2, -1, 1)),
+        "{weights}": lambda: write_weights(tmp_path, "w.json", [(1, 0), (1, 0)]),
+    }
+    return [files[a]() if a in files else a for a in argv]
+
+
+@pytest.mark.parametrize("argv, named", [
+    ([], "COMMAND"),
+    (["frobnicate"], "frobnicate"),
+    (["check-admissible"], "--relations"),
+    (["check-admissible", "--relations"], "--relations"),
+    (["check-admissible", "--relations", "{relations}", "--frobnicate"], "--frobnicate"),
+    (["check-admissible", "--rel", "{relations}"], "--rel"),
+    (["verify-relations", "--relations", "{relations}", "--inst", "1"], "--inst"),
+    (["verify-relations", "--relations", "{relations}", "--radius", "two"], "--radius"),
+    (["verify-relations", "--relations", "{relations}", "--seed", "1.5"], "--seed"),
+    (["tensor-check", "--weights", "{weights}", "--mode", "exact"], "--mode"),
+    (["rr-remove", "--relations", "{relations}"], "--triple"),
+    (["irreducible", "--relations", "{relations}"], "--tableau"),
+], ids=["no-command", "unknown-command", "missing-relations", "no-value", "unknown-option",
+        "abbreviated-relations", "abbreviated-instantiations", "non-integer-radius",
+        "non-integer-seed", "bad-mode", "missing-triple", "missing-tableau"])
+def test_usage_errors_are_input_errors(tmp_path, capsys, argv, named):
+    code, report = invoke(capsys, _inputs(tmp_path, argv))
+    assert code == 4 and set(report) == {"v", "error"}
+    assert named in report["error"]
+
+
+def test_a_repeated_option_keeps_its_last_value(tmp_path, capsys):
+    argv = _inputs(tmp_path, ["enumerate-basis", "--relations", "{relations}",
+                              "--tableau", "{tableau}", "--radius", "5", "--radius", "2"])
+    code, report = invoke(capsys, argv)
+    assert code == 0 and report["radius"] == 2 and report["count"] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["check-admissible", "--help"],
+    ["reduce", "--help"],
+    ["rr-remove", "--help"],
+    ["enumerate-basis", "--help"],
+    ["verify-relations", "-h"],
+    ["irreducible", "--help"],
+    ["tensor-check", "--help"],
+])
+def test_help_exits_zero(capsys, argv):
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: wpimod")
+    if argv[0] == "--help":
+        assert "verify-relations" in out and "tensor-check" in out
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    (["check-admissible", "--relations", "{relations}"], []),
+    (["reduce", "--relations", "{relations}"], []),
+    (["rr-remove", "--relations", "{relations}", "--triple", "1,2,2"], []),
+    (["enumerate-basis", "--relations", "{relations}", "--tableau", "{tableau}"],
+     ["--radius", "2"]),
+    (["verify-relations", "--relations", "{relations}", "--tableau", "{tableau}"],
+     ["--radius", "2", "--budget", "2", "--instantiations", "3", "--seed", "1"]),
+    (["irreducible", "--relations", "{relations}", "--tableau", "{tableau}"], []),
+    (["tensor-check", "--weights", "{weights}"], ["--depth", "3", "--mode", "generic"]),
+], ids=["check-admissible", "reduce", "rr-remove", "enumerate-basis", "verify-relations",
+        "irreducible", "tensor-check"])
+def test_defaults_left_out_equal_defaults_given(tmp_path, capsys, argv, defaults):
+    argv = _inputs(tmp_path, argv)
+    code = run(argv)
+    out = capsys.readouterr().out
+    assert code in (0, 3) and out.startswith('{"')
+    assert run(argv + defaults) == code
+    assert capsys.readouterr().out == out
+
+
+def test_importing_the_cli_loads_no_click():
+    src = os.path.dirname(os.path.dirname(wpimod.__file__))
+    code = "import sys, wpimod.cli; sys.exit('click' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
