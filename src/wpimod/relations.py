@@ -60,6 +60,15 @@ class RelationSet:
         if self._has_top_row_loop():
             raise ValueError("relation set contains a top-row loop")
 
+    @classmethod
+    def _subset(cls, pyramid: Pyramid, edges) -> "RelationSet":
+        """The set of `edges` drawn from a validated set, unchecked: a subset of
+        a loop-free set of allowed edges is one too."""
+        C = object.__new__(cls)
+        C.pyramid = pyramid
+        C.edges = frozenset(edges)
+        return C
+
     def _has_top_row_loop(self) -> bool:
         n = self.pyramid.n
         adj: dict[TriIndex, list[TriIndex]] = {}
@@ -153,7 +162,7 @@ def decompose(C: RelationSet) -> list[RelationSet]:
     groups: dict[TriIndex, list[Relation]] = {}
     for e in C.edges:
         groups.setdefault(find(e.greater), []).append(e)
-    comps = [RelationSet(C.pyramid, es) for es in groups.values()]
+    comps = [RelationSet._subset(C.pyramid, es) for es in groups.values()]
     comps.sort(key=lambda c: min(vertices(c)))
     return comps
 
@@ -436,37 +445,52 @@ def adjoining_pairs(comp: RelationSet, order: ClosureOrder) -> list[tuple[TriInd
     return out
 
 
-def _bridging_witness(comp: RelationSet, a: TriIndex, b: TriIndex):
-    """Witness edges certifying the adjoining pair (a, b), or None."""
+def _bridge_sets(comp: RelationSet, a: TriIndex, b: TriIndex):
+    """The middles a bridge of the same-row pair (a, b) can pass through.
+
+    Returns (ups, downs, covers, lifts): a > m for m in ups and a >= m for m in
+    downs, in the rows above and below a; m >= b for m in covers and m > b for
+    m in lifts, in the rows above and below b; each list sorted.
+    """
     i = a.i
     ups = sorted(
         e.lesser for e in comp.edges if e.strict and e.greater == a and e.lesser.i == i + 1
     )
-    downs_from_a = sorted(
+    downs = sorted(
         e.lesser for e in comp.edges if not e.strict and e.greater == a and e.lesser.i == i - 1
     )
-    covers_b = sorted(
+    covers = sorted(
         e.greater for e in comp.edges if not e.strict and e.lesser == b and e.greater.i == i + 1
     )
-    lifts_b = sorted(
+    lifts = sorted(
         e.greater for e in comp.edges if e.strict and e.lesser == b and e.greater.i == i - 1
     )
+    return ups, downs, covers, lifts
+
+
+def _bridging_witness(comp: RelationSet, a: TriIndex, b: TriIndex):
+    """Witness edges certifying the adjoining pair (a, b), or None."""
+    ups, downs, covers, lifts = _bridge_sets(comp, a, b)
     # both-rows bridge: a > m1 >= b through the row above and a >= m2 > b below
-    m1s = [m for m in ups if m in covers_b]
-    m2s = [m for m in downs_from_a if m in lifts_b]
+    m1s = [m for m in ups if m in covers]
+    m2s = [m for m in downs if m in lifts]
     if m1s and m2s:
         return {"kind": "diamond", "upper": m1s[0], "lower": m2s[0]}
     # split bridge through the row above with lexicographically ordered middles
     for m1 in ups:
-        for m2 in covers_b:
+        for m2 in covers:
             if _lex_pair(m1) < _lex_pair(m2):
                 return {"kind": "split", "from": m1, "to": m2}
     return None
 
 
-def _literal_admissible(C: RelationSet):
-    """Admissibility check with the labels taken at face value."""
-    closures = _closures(C)
+def _literal_admissible(C: RelationSet, closures=None):
+    """Admissibility check with the labels taken at face value.
+
+    `closures` are C's own `_closures`, built here when not given.
+    """
+    if closures is None:
+        closures = _closures(C)
     fail = pre_admissibility_failure(closures)
     if fail is not None:
         reason, witness = fail
@@ -481,21 +505,18 @@ def _literal_admissible(C: RelationSet):
     return True, {"reason": "admissible", "witnesses": witnesses}
 
 
-def _row_relabelings(pi: Pyramid, support=None):
-    """Products of within-row (layer, position) relabelings, identity first.
+def _row_images(pi: Pyramid, support=None):
+    """Each row's sorted (layer, position) pairs and their images, sorted.
 
-    With no support, every product of within-row permutations, in
-    lexicographic order of the row-by-row image tuples.  With a support (a
-    set of triples), one relabeling per injective image of the supported
-    pairs of each row, the other pairs taking the leftover targets in
-    increasing order: that completion is the least of all relabelings
-    agreeing on the support, so the sequence is the unrestricted one with
-    every relabeling dropped that moves the support like an earlier one.
-
-    Yields {row: mapping} dictionaries consumable by `_relabel`, one row entry
-    per non-identity row mapping.
+    An image is the tuple of targets of the row's pairs, so the least image is
+    the identity.  With no support, every within-row permutation.  With a
+    support (a set of triples), one image per injective image of the
+    supported pairs of the row, the other pairs taking the leftover targets in
+    increasing order: that completion is the least of all images agreeing on
+    the support, so the list is the unrestricted one with every image dropped
+    that moves the support like an earlier one.
     """
-    per_row = []
+    out = []
     for i in range(1, pi.n + 1):
         pairs = sorted((t.k, t.j) for t in row_indices(pi, i))
         moved = pairs if support is None else [
@@ -507,12 +528,121 @@ def _row_relabelings(pi: Pyramid, support=None):
             rest = iter(sorted(set(pairs) - set(perm)))
             images.append(tuple(head[p] if p in head else next(rest) for p in pairs))
         images.sort()
-        identity = tuple(pairs)
-        per_row.append(
-            [(i, None if im == identity else dict(zip(pairs, im))) for im in images]
-        )
+        out.append((pairs, images))
+    return out
+
+
+def _row_relabelings(pi: Pyramid, support=None):
+    """Products of within-row (layer, position) relabelings, identity first.
+
+    The product of the rows' `_row_images`, in lexicographic order of the
+    row-by-row image tuples.  Yields {row: mapping} dictionaries consumable by
+    `_relabel`, one row entry per non-identity row mapping.
+    """
+    per_row = [
+        [(i, None if im == tuple(pairs) else dict(zip(pairs, im))) for im in images]
+        for i, (pairs, images) in enumerate(_row_images(pi, support), 1)
+    ]
     for combo in itertools.product(*per_row):
         yield {row: mapping for row, mapping in combo if mapping is not None}
+
+
+def _least_passing_relabeling(C: RelationSet, closures):
+    """The least relabeling under which C meets the labelled conditions, or None.
+
+    `closures` are C's own.  A relabeling maps C's closure orders, adjoining
+    pairs and bridge middles onto the image's, so every condition is compiled
+    once into a constraint on the images of C's triples, read through `slot`
+    (where a triple's image sits in its row's image tuple):
+      - one row: the order rule, distinct positions for weak top-row edges,
+        and the split bridge of each adjoining pair of row i, read in row i + 1;
+      - two adjacent rows: no cross.  A cross needs its strict edge's greater
+        triple and its weak edge's lesser one, in row i, on one layer k with
+        j < r, and the other two, in row i + 1, on layer k with s < t; each
+        row's half of each cross is k when it holds (0 or -1 when not), so two
+        images cross exactly when some halves are equal;
+      - none: a diamond bridges its pair under every relabeling, and an
+        adjoining pair with neither a diamond nor a split candidate is
+        bridged under none.
+    """
+    n = C.pyramid.n
+    rows = _row_images(C.pyramid, vertices(C))
+    slot = {
+        TriIndex(k, i, j): s
+        for i, (pairs, _) in enumerate(rows, 1)
+        for s, (k, j) in enumerate(pairs)
+    }
+    clauses = {i: [] for i in range(1, n + 1)}  # one (p, q) with im[p] < im[q]
+    crosses = {i: [] for i in range(n + 1)}  # between rows i and i + 1
+    apart = [(slot[e.greater], slot[e.lesser]) for e in C.edges if e.greater.i == e.lesser.i]
+    for comp, order in closures:
+        vs = sorted(vertices(comp))
+        for a in vs:
+            for b in vs:
+                if a != b and a.i == b.i and (order.geq if a.i == n else order.gt)(a, b):
+                    clauses[a.i].append([(slot[a], slot[b])])
+        for a, b in adjoining_pairs(comp, order):
+            ups, downs, covers, lifts = _bridge_sets(comp, a, b)
+            if set(ups) & set(covers) and set(downs) & set(lifts):
+                continue
+            split = [(slot[m1], slot[m2]) for m1 in ups for m2 in covers if m1 != m2]
+            if not split:
+                return None
+            clauses[a.i + 1].append(split)
+        for e1 in (e for e in comp.edges if e.strict):
+            i = e1.greater.i
+            for e2 in comp.edges:
+                if not e2.strict and (e2.greater.i, e2.lesser.i) == (i + 1, i):
+                    crosses[i].append((slot[e1.greater], slot[e2.lesser],
+                                       slot[e1.lesser], slot[e2.greater]))
+
+    def fits(i, im):
+        return all(any(im[p] < im[q] for p, q in clause) for clause in clauses[i]) and (
+            i < n or all(im[p][1] != im[q][1] for p, q in apart)
+        )
+
+    def down(i, im):  # row i's halves of its crosses with row i + 1
+        return tuple(
+            im[g][0] if im[g][0] == im[l][0] and im[g][1] < im[l][1] else 0
+            for g, l, _, _ in crosses[i]
+        )
+
+    def up(i, im):  # row i's halves of its crosses with row i - 1
+        return tuple(
+            im[l][0] if im[l][0] == im[g][0] and im[g][1] < im[l][1] else -1
+            for _, _, l, g in crosses[i - 1]
+        )
+
+    def no_cross(d, u):
+        return all(x != y for x, y in zip(d, u))
+
+    # backward: keep each image of row i that some images of rows i+1..n complete
+    alive = {}
+    later = {()}  # up-halves of row i + 1's kept images
+    for i in range(n, 0, -1):
+        completes = {}
+        alive[i] = []
+        for im in rows[i - 1][1]:
+            if not fits(i, im):
+                continue
+            d = down(i, im)
+            if d not in completes:
+                completes[d] = any(no_cross(d, u) for u in later)
+            if completes[d]:
+                alive[i].append(im)
+        if not alive[i]:
+            return None
+        later = {up(i, im) for im in alive[i]}
+    # forward: the least kept image of each row that fits the row above
+    relabeling = {}
+    d = ()
+    for i in range(1, n + 1):
+        pairs = rows[i - 1][0]
+        im = next(im for im in alive[i] if no_cross(d, up(i, im)))
+        if im != tuple(pairs):
+            relabeling[i] = dict(zip(pairs, im))
+        d = down(i, im)
+    return relabeling
 
 
 def is_admissible(C: RelationSet):
@@ -521,38 +651,44 @@ def is_admissible(C: RelationSet):
     The generator formulas are symmetric under permuting entries within one
     row, so admissibility is invariant under within-row relabelings; the
     labelled characterization (lexicographic order compatibility and the
-    bridging condition) is checked over every relabeling, identity first.
-    Only how a relabeling moves the triples of C changes the image, so one
-    relabeling per such move is tried: the least one, which is the first the
-    full enumeration would meet.  A relabeling is a row-preserving bijection
-    of triples, so it keeps C critical or noncritical; a critical C fails
-    under every relabeling and is rejected with its own witness, unsearched.
-    Returns (verdict, certificate); a passing certificate carries the least
-    relabeling, in row-by-row lexicographic order, under which the labelled
-    conditions hold; a failing one names the identity-labeling obstruction.
+    bridging condition) is checked under every relabeling, identity first.
+    Only how a relabeling moves the triples of C changes the image, so the
+    relabelings searched are the products of the rows' `_row_images`, in
+    lexicographic order of the row-by-row images.  A relabeling is a
+    row-preserving bijection of triples, so it keeps C critical or
+    noncritical; a critical C fails under every relabeling and is rejected
+    with its own witness, unsearched.
+
+    Every labelled condition reads one row or two adjacent rows, so the
+    relabelings that pass form a chain of constraints, which a directional
+    pass solves without backtracking (Freuder, JACM 1982): a backward pass
+    from row n keeps each image of row i that some images of rows i+1..n
+    complete, and a forward pass from row 1 takes the least kept image of
+    each row that fits the image chosen above it.  Every kept image extends to
+    a passing relabeling, so each greedy choice is the least first row, then
+    the least second row given the first, and so on: the least relabeling of
+    the product order, the first that the product enumeration would meet.
+
+    Returns (verdict, certificate); a passing certificate carries that least
+    relabeling, when it is not the identity; a failing one names the
+    identity-labeling obstruction.
     """
-    if not is_satisfiable(C):
+    closures = _closures(C)
+    if any(order.gt(v, v) for comp, order in closures for v in vertices(comp)):
         return False, {"reason": "unsatisfiable"}
-    pair = critical_pair(C)
-    if pair is not None:
-        return False, {"reason": "critical", "witness": pair}
-    first_fail = None
-    for relabeling in _row_relabelings(C.pyramid, vertices(C)):
-        try:
-            sC = _relabel(C, relabeling)
-        except ValueError:
-            continue  # image leaves the allowed relation patterns
-        ok, cert = _literal_admissible(sC)
-        if ok:
-            if relabeling:
-                cert["relabeling"] = {
-                    row: sorted((a, b) for a, b in m.items() if a != b)
-                    for row, m in relabeling.items()
-                }
-            return True, cert
-        if first_fail is None:
-            first_fail = cert
-    return False, first_fail
+    ok, cert = _literal_admissible(C, closures)
+    if ok or cert["reason"] == "critical":
+        return ok, cert
+    relabeling = _least_passing_relabeling(C, closures)
+    if relabeling is None:
+        return False, cert
+    ok, cert = _literal_admissible(_relabel(C, relabeling))
+    assert ok and relabeling, "the row constraints disagree with the labelled conditions"
+    cert["relabeling"] = {
+        row: sorted((a, b) for a, b in m.items() if a != b)
+        for row, m in relabeling.items()
+    }
+    return True, cert
 
 
 def reduce_set(C: RelationSet) -> RelationSet:
@@ -570,7 +706,7 @@ def reduce_set(C: RelationSet) -> RelationSet:
     if not is_noncritical_set(C):
         raise ValueError("relation set is critical; reduce is undefined")
     order = ClosureOrder(C)
-    return RelationSet(C.pyramid, [
+    return RelationSet._subset(C.pyramid, [
         e for e in C.edges
         if not any(
             f.greater == e.greater and order.geq(f.lesser, e.lesser) for f in C.edges
@@ -591,7 +727,7 @@ def rr_remove(C: RelationSet, t: TriIndex) -> RelationSet:
     t = TriIndex(*t)
     if not (is_maximal_triple(C, t) or is_minimal_triple(C, t)):
         raise ValueError(f"triple {tuple(t)} is not extremal")
-    return RelationSet(
+    return RelationSet._subset(
         C.pyramid, [e for e in C.edges if t not in (e.greater, e.lesser)]
     )
 

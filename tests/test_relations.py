@@ -344,12 +344,16 @@ def test_admissibility_permutation_invariance():
         assert is_admissible(C)[0] == is_admissible(sC)[0]
 
 
-def _reference_is_admissible(C):
-    """The labelled conditions tried under every within-row relabeling in turn."""
+def _reference_is_admissible(C, support=None):
+    """The labelled conditions tried under every within-row relabeling in turn.
+
+    With a support, only the relabelings `_row_relabelings` keeps for it: the
+    least one per way of moving the supported triples.
+    """
     if not is_satisfiable(C):
         return False, {"reason": "unsatisfiable"}
     first_fail = None
-    for relabeling in _row_relabelings(C.pyramid):
+    for relabeling in _row_relabelings(C.pyramid, support):
         sC = C
         try:
             for row, mapping in relabeling.items():
@@ -370,6 +374,7 @@ def _reference_is_admissible(C):
 
 
 GL4 = Pyramid((1, 1, 1, 1))
+GL5 = Pyramid((1, 1, 1, 1, 1))
 
 
 def test_admissibility_certificate_matches_full_relabeling_search():
@@ -388,6 +393,82 @@ def test_admissibility_certificate_matches_full_relabeling_search():
     for C in [*relation_subsets(GL2, 5), *relation_subsets(P12, 5),
               *relation_subsets(GL3, 3), *gl4]:
         assert is_admissible(C) == _reference_is_admissible(C), C
+
+
+def _noncritical_sets(pi, edges, count, seed=7):
+    """`count` seeded satisfiable noncritical sets of `edges` edges on pi."""
+    rng = random.Random(seed)
+    rels = all_relations(pi)
+    out = []
+    while len(out) < count:
+        try:
+            C = RelationSet(pi, rng.sample(rels, edges))
+        except ValueError:
+            continue  # top-row loop
+        if is_satisfiable(C) and is_noncritical_set(C):
+            out.append(C)
+    return out
+
+
+def test_chain_search_matches_full_relabeling_search():
+    # the least relabeling that passes on the other conditions puts the weak
+    # top-row edge (1,3,3) >= (1,3,2) on one position, which no image may do
+    top_row_apart = RelationSet(Pyramid((1, 1, 2)), [
+        rel((1, 2, 1), (1, 3, 2), True), rel((1, 2, 2), (1, 3, 1), True),
+        rel((1, 3, 3), (1, 2, 1), False), rel((1, 3, 3), (1, 3, 2), False),
+        rel((2, 3, 3), (1, 2, 2), False)])
+    relabeled = 0
+    for C in [*_noncritical_sets(GL4, 4, 40), *_noncritical_sets(GL4, 6, 40),
+              *_noncritical_sets(Pyramid((1, 2, 2)), 4, 8), top_row_apart]:
+        expected = _reference_is_admissible(C)
+        assert is_admissible(C) == expected, C
+        relabeled += "relabeling" in expected[1]
+    assert relabeled > 0
+
+
+def test_chain_search_matches_product_search_on_larger_pyramids():
+    # the full product has 34,560 images on gl_5 and on (2,2,2); the product
+    # over the support is the search the chain replaces
+    relabeled = 0
+    for C in [*_noncritical_sets(GL5, 4, 12), *_noncritical_sets(GL5, 6, 3),
+              *_noncritical_sets(Pyramid((2, 2, 2)), 3, 15),
+              *_noncritical_sets(Pyramid((1, 2, 2)), 6, 15)]:
+        expected = _reference_is_admissible(C, vertices(C))
+        assert is_admissible(C) == expected, C
+        relabeled += "relabeling" in expected[1]
+    assert relabeled > 0
+
+
+def test_top_row_five_cycle_certificate():
+    # passes only once the whole top row of gl_5 is rotated
+    C = RelationSet(GL5, [rel((1, 2, 1), (1, 3, 3), True),
+                          rel((1, 3, 1), (1, 4, 4), True),
+                          rel((1, 3, 2), (1, 4, 2), True),
+                          rel((1, 3, 3), (1, 4, 1), True),
+                          rel((1, 4, 1), (1, 5, 1), True),
+                          rel((1, 5, 5), (1, 4, 1), False)])
+    ok, cert = is_admissible(C)
+    assert ok
+    assert cert["relabeling"] == {
+        5: [((1, 1), (1, 2)), ((1, 2), (1, 3)), ((1, 3), (1, 4)),
+            ((1, 4), (1, 5)), ((1, 5), (1, 1))],
+    }
+    assert (ok, cert) == _reference_is_admissible(C)
+
+
+def test_six_edge_gl6_set_decided_quickly():
+    # 172,800 images of its triples; the product search took over 30 s
+    C = RelationSet(Pyramid((1,) * 6), [rel((1, 4, 1), (1, 5, 1), True),
+                                        rel((1, 5, 1), (1, 6, 1), True),
+                                        rel((1, 5, 3), (1, 6, 5), True),
+                                        rel((1, 5, 4), (1, 4, 4), False),
+                                        rel((1, 6, 2), (1, 5, 2), False),
+                                        rel((1, 6, 5), (1, 5, 5), False)])
+    start = time.monotonic()
+    ok, cert = is_admissible(C)
+    assert time.monotonic() - start < 0.5
+    assert (ok, cert) == (False, {"reason": "unbridged",
+                                  "witness": (TriIndex(1, 5, 3), TriIndex(1, 5, 5))})
 
 
 @pytest.mark.parametrize("pi, edges", [
@@ -519,33 +600,25 @@ def _count_closure_orders(monkeypatch):
     return built
 
 
-def test_is_admissible_builds_one_closure_per_component_per_image(monkeypatch):
-    # three components, 144 images, none of which is bridged
+def test_is_admissible_builds_one_closure_per_component(monkeypatch):
+    # three components, 144 images, none of which is bridged: the chain search
+    # reads every image off the set's own closures, built once
     C = RelationSet(GL4, [rel((1, 2, 2), (1, 1, 1), False),
                           rel((1, 3, 2), (1, 4, 3), True),
                           rel((1, 4, 3), (1, 3, 3), False),
                           rel((1, 4, 4), (1, 3, 1), False)])
     components = len(decompose(C))
     assert components == 3
-    images = []
-    row_relabelings = relations._row_relabelings
-
-    def counting_relabelings(pi, support=None):
-        for relabeling in row_relabelings(pi, support):
-            images.append(relabeling)
-            yield relabeling
+    assert sum(1 for _ in _row_relabelings(GL4, vertices(C))) == 144
 
     def no_permute(*args):
         raise AssertionError("is_admissible relabels through permute")
 
-    monkeypatch.setattr(relations, "_row_relabelings", counting_relabelings)
     monkeypatch.setattr(relations, "permute", no_permute)
     built = _count_closure_orders(monkeypatch)
     ok, cert = is_admissible(C)
     assert not ok and cert["reason"] == "unbridged"
-    assert len(images) >= 100
-    # one closure list per image tried, plus one for the up-front critical check
-    assert len(built) <= components * (len(images) + 1)
+    assert len(built) == components
 
 
 def test_maximal_set_checks_criticality_once(monkeypatch):
