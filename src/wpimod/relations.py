@@ -536,8 +536,10 @@ def _row_relabelings(pi: Pyramid, support=None):
     """Products of within-row (layer, position) relabelings, identity first.
 
     The product of the rows' `_row_images`, in lexicographic order of the
-    row-by-row image tuples.  Yields {row: mapping} dictionaries consumable by
-    `_relabel`, one row entry per non-identity row mapping.
+    row-by-row image tuples: the enumeration whose first passing relabeling
+    `is_admissible` finds without enumerating it.  Yields {row: mapping}
+    dictionaries consumable by `_relabel`, one row entry per non-identity row
+    mapping.
     """
     per_row = [
         [(i, None if im == tuple(pairs) else dict(zip(pairs, im))) for im in images]
