@@ -277,11 +277,10 @@ class GenericAssignment:
     offsets added by callers stay inside a class.
     """
 
-    __slots__ = ("class_values", "seed")
+    __slots__ = ("class_values",)
 
-    def __init__(self, class_values: dict, seed: int):
+    def __init__(self, class_values: dict):
         self.class_values = dict(class_values)
-        self.seed = seed
 
     def value(self, class_id, offset: int = 0) -> Fraction:
         return self.class_values[class_id] + offset
@@ -298,4 +297,4 @@ def generic_instantiate(classes, trials_seed: int) -> GenericAssignment:
     for cid, res in zip(ids, residues):
         base = rng.randint(-3, 3)
         values[cid] = Fraction(base * _PRIME + res, _PRIME)
-    return GenericAssignment(values, trials_seed)
+    return GenericAssignment(values)

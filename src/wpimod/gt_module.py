@@ -206,7 +206,6 @@ class BasisWindow:
         members.sort(key=lambda d: d.key())
         self.members = members
         self.index = _Positions(members)
-        self._steps: dict = {}
 
     def __contains__(self, d: TableauDelta) -> bool:
         return d in self.index
@@ -218,20 +217,25 @@ class BasisWindow:
         """Where ladder move `move` takes member pos: the target's position,
         None when the target breaks the relations, or -1 when it keeps them
         but leaves the box (the members are every satisfying box shift).
-        Decided once per (pos, move), for every context on the window."""
-        try:
-            return self._steps[pos, move]
-        except KeyError:
-            tgt = self.members[pos] + move
-            to = self._steps[pos, move] = self.index.get(tgt, -1) if self.checker.satisfied(tgt) else None
+        With no box (`radius` None), a new target that keeps the relations
+        is appended to the members instead.  Only a target that is not
+        already a member is checked against the relations.
+        """
+        tgt = self.members[pos] + move
+        to = self.index.get(tgt)
+        if to is not None:
             return to
+        if self.radius is None:
+            return self.index.grow(tgt)
+        return -1 if self.checker.satisfied(tgt) else None
 
 
-class FreeWindow:
-    """Window substitute with no box bound: gating only, never overflow.
+class FreeWindow(BasisWindow):
+    """A basis window with no box bound: gating only, never overflow.
 
-    `index` appends an unseen shift that satisfies C to `members`, so
-    positions never move, and raises ValueError on any other shift.
+    `index` and `step` append an unseen shift that satisfies C to `members`,
+    so positions never move; `index` raises ValueError on any other shift.
+    There is no box to enumerate, so the members start empty.
     """
 
     def __init__(self, C: RelationSet, seed: Tableau):
@@ -240,15 +244,6 @@ class FreeWindow:
         self.checker = ShiftChecker(C, seed)
         self.members: list[TableauDelta] = []
         self.index = _Positions(self.members, self.checker)
-
-    def step(self, pos: int, move: TableauDelta) -> int | None:
-        """Where ladder move `move` takes member pos: the target's position,
-        appended to the members when new, or None when it breaks the relations.
-        Only a new target is checked.  Not memoised: a factor's context builds
-        each column once, so a (pos, move) seldom recurs."""
-        tgt = self.members[pos] + move
-        to = self.index.get(tgt)
-        return self.index.grow(tgt) if to is None else to
 
 
 def enumerate_basis(C: RelationSet, l: Tableau, radius: int) -> BasisWindow:
@@ -278,9 +273,11 @@ def _reduction_is_faithful(values, radius: int, n: int, m: int) -> bool:
 class ActionContext:
     """Instantiated generator actions over a basis window.
 
-    Columns are keyed by the window's member positions and stored once per
-    (policy, generator), whether the oracle's word walks, the cyclicity
-    probe, an evaluation factor or the shift-keyed `column` reads them.
+    Columns are keyed by the window's member positions.  STRICT columns are
+    stored once per generator and member, and the oracle's word walks and
+    the shift-keyed `column` share them; CLIP columns are never stored.  The
+    cyclicity probe and the evaluation factors, which read each column once,
+    call `_build_column` themselves.
 
     Coefficients are exact `Fraction`s, or, with the internal `_modulus`, residues
     in [0, m) computed by the same code: reduction mod a prime is a ring map, so
@@ -322,9 +319,9 @@ class ActionContext:
             self.one = 1
         self._row_index = {r: row_indices(self.pyramid, r) for r in range(self.n + 1)}
         self._cache: dict = {}
-        # Per policy, per generator: {member position: ((member position,
-        # coefficient), ...)}, each column built once by `_build_column`.
-        self._columns = {policy: defaultdict(dict) for policy in (CLIP, STRICT)}
+        # STRICT columns per generator: {member position: ((member position,
+        # coefficient), ...)}, each built once by `_build_column`.
+        self._columns: defaultdict = defaultdict(dict)
 
     @classmethod
     def _stacked(cls, window: BasisWindow, assignments: list) -> ActionContext | None:
@@ -470,27 +467,21 @@ class ActionContext:
         """The image of the basis vector d under one generator.
 
         Returns ((target, coefficient), ...) with nonzero coefficients, after
-        gating and the window check: `_column_at` d's position, mapped back to
-        members.  Raises ValueError when d is not a member of a `BasisWindow`.
+        gating and the window check: the one-generator `_walk` from d's
+        position, mapped back to members.  Raises ValueError when d is not a
+        member of a `BasisWindow`.
         """
         members = self.window.members
-        col = self._column_at(gen, self.window.index[d], policy)
-        return tuple((members[q], c) for q, c in col)
+        col = self._walk((gen,), self.window.index[d], policy)
+        return tuple((members[q], c) for q, c in col.items())
 
-    def _column_at(self, gen: tuple, pos: int, policy: str) -> tuple:
-        """The column of member pos, ((member position, coefficient), ...), built once.
+    def _build_column(self, gen: tuple, pos: int, policy: str) -> tuple:
+        """The column of member pos, ((member position, coefficient), ...),
+        each ladder target placed by `window.step`.
 
         A STRICT window overflow or a CriticalityError raises while the column
         is built, so neither is ever stored.
         """
-        cols = self._columns[policy][gen]
-        col = cols.get(pos)
-        if col is None:
-            col = cols[pos] = self._build_column(gen, pos, policy)
-        return col
-
-    def _build_column(self, gen: tuple, pos: int, policy: str) -> tuple:
-        """The column of member pos, each ladder target placed by `window.step`."""
         fam, row, sup = gen
         d = self.window.members[pos]
         if fam in ("d", "dprime"):
@@ -528,11 +519,13 @@ class ActionContext:
         The image is merged and reduced after every generator but the
         leftmost, as `apply` does, so the same columns are built in the same
         order and raise the same errors.  The leftmost generator's image is
-        returned unreduced; callers reduce what they sum it into.
+        returned unreduced; callers reduce what they sum it into.  A STRICT
+        walk reads and fills the context's column store, a CLIP walk a
+        scratch store of its own.
         """
         if not word:
             return {pos: self.one}
-        table = self._columns[policy]
+        table = self._columns if policy == STRICT else defaultdict(dict)
         last = len(word) - 1
         cols = table[word[last]]
         col = cols.get(pos)
@@ -924,7 +917,7 @@ def cyclicity_probe(window: BasisWindow, start: TableauDelta, budget: int) -> se
         nxt = []
         for p in frontier:
             for gen in gens:
-                for q, _ in ctx._column_at(gen, p, CLIP):
+                for q, _ in ctx._build_column(gen, p, CLIP):
                     if q not in reached:
                         reached.add(q)
                         nxt.append(q)

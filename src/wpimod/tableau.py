@@ -206,7 +206,7 @@ def tableau_from_values(pi: Pyramid, values: dict[TriIndex, object]) -> Tableau:
             cls = len(anchors) - 1
             class_values[cls] = v
         entries[TriIndex(*t)] = (cls, int(v - anchors[cls]))
-    return Tableau(pi, entries, GenericAssignment(class_values, seed=0))
+    return Tableau(pi, entries, GenericAssignment(class_values))
 
 
 def tableau_to_json(l: Tableau) -> dict:

@@ -14,13 +14,20 @@ member list, and the modular run builds its E_ab columns on residues.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .exact_arith import MODULUS, CriticalityError, InvSeries, as_scalar, residue
-from .gt_module import CLIP, MAX_WINDOW_MEMBERS, ActionContext, FreeWindow
+from .gt_module import MAX_WINDOW_MEMBERS, STRICT, ActionContext, FreeWindow
 from .pyramid import Pyramid
 from .relations import maximal_set
 from .tableau import TableauDelta, TriIndex, tableau_from_values
+
+# Most weight spaces `singular_dimensions` probes.  comb(depth + n - 1, n - 1)
+# root offsets have height <= depth, and past this count the depth is refused
+# before any is probed: a finite-dimensional product never reaches the member
+# caps, so they alone would not bound it.
+MAX_WEIGHT_SPACES = 100_000
 
 
 class GlWeight:
@@ -323,7 +330,7 @@ class EvaluationFactor:
         if abs(a - b) <= 1:
             gen = ("d", a, 1) if a == b else ("e", a, 1) if b == a + 1 else ("f", b, 1)
             try:
-                return ctx._column_at(gen, pos, CLIP)
+                return ctx._build_column(gen, pos, STRICT)
             except CriticalityError as exc:
                 if m is None:
                     raise
@@ -695,17 +702,37 @@ def find_singular_vectors(M: TensorModule, offset, order: int | None = None) -> 
     return list(_dependencies(M, keys, order, None))
 
 
+def _offsets(shape: int, depth: int):
+    """Every tuple of `shape` nonnegative integers with sum <= depth, in
+    lexicographic order."""
+    if shape == 0:
+        if depth >= 0:
+            yield ()
+        return
+    for head in range(depth + 1):
+        for tail in _offsets(shape - 1, depth - head):
+            yield (head,) + tail
+
+
 def singular_dimensions(M: TensorModule, depth: int | None = None,
                         order: int | None = None) -> dict:
-    """Kernel dimension per root-height offset, all offsets of height <= depth."""
+    """Kernel dimension per root-height offset, all offsets of height <= depth,
+    in lexicographic order.
+
+    Raises ValueError, before probing any, when there are more than
+    MAX_WEIGHT_SPACES such offsets: comb(depth + n - 1, n - 1) of them.
+    """
     depth = M.depth if depth is None else int(depth)
-    out = {}
     shape = M.n - 1
-    for combo in itertools.product(range(depth + 1), repeat=shape):
-        if sum(combo) > depth:
-            continue
-        out[combo] = len(find_singular_vectors(M, combo, order))
-    return out
+    if depth >= 0 and math.comb(depth + shape, shape) > MAX_WEIGHT_SPACES:
+        raise ValueError(
+            f"depth {depth} has more than {MAX_WEIGHT_SPACES} root offsets"
+            f" for gl_{M.n}"
+        )
+    return {
+        combo: len(find_singular_vectors(M, combo, order))
+        for combo in _offsets(shape, depth)
+    }
 
 
 def only_top_line(dims: dict) -> bool:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -336,6 +337,18 @@ def test_tensor_depth_past_member_cap_is_input_error(tmp_path, capsys, monkeypat
         code, report = invoke(capsys, argv)
         assert code == 4
         assert report == {"v": 1, "error": f"{error} has more than {size - 1} members"}
+
+
+def test_tensor_depth_past_the_weight_space_cap_is_input_error_quickly(tmp_path, capsys):
+    # a finite-dimensional pair never reaches the member caps, so only the
+    # count of root offsets, depth + 1 on gl_2, bounds its depth
+    path = write_weights(tmp_path, "w.json", [("1", "0"), ("1", "0")])
+    start = time.perf_counter()
+    code, report = invoke(capsys, ["tensor-check", "--weights", path, "--depth", "1000000000"])
+    assert time.perf_counter() - start < 5.0
+    assert code == 4 and set(report) == {"v", "error"}
+    cap = yangian_tensor.MAX_WEIGHT_SPACES
+    assert report["error"] == f"depth 1000000000 has more than {cap} root offsets for gl_2"
 
 
 @pytest.mark.parametrize("body", [

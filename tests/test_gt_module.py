@@ -322,9 +322,13 @@ def test_shift_keyed_and_walked_reads_share_one_column(monkeypatch):
 
     monkeypatch.setattr(ctx, "_build_column", counting_build)
     gen, d = ("e", 1, 1), TableauDelta()
-    col = ctx.column(gen, d, CLIP)
-    assert col and ctx.apply_word([gen], d, CLIP) == dict(col)
-    assert calls == [(gen, w.index[d], CLIP)]
+    # a CLIP read builds its column and keeps nothing
+    clipped = ctx.column(gen, d, CLIP)
+    assert clipped and not ctx._columns
+    calls.clear()
+    col = ctx.column(gen, d, STRICT)
+    assert col == clipped and ctx.apply_word([gen], d, STRICT) == dict(col)
+    assert calls == [(gen, w.index[d], STRICT)]
 
 
 def test_repeated_criticality_error_names_each_shift():
@@ -768,29 +772,39 @@ def test_window_step_matches_gating_box_and_index():
                         want = -1
                     else:
                         want = window.index[tgt]
-                    for _ in range(2):  # decided, then read back
-                        assert window.step(pos, move) == want, (C, seed, radius, d, move)
+                    assert window.step(pos, move) == want, (C, seed, radius, d, move)
                     overflows += want == -1
         cases += 1
     assert cases >= 20 and overflows > 0
 
 
-def test_oracle_instantiations_share_the_window_moves(monkeypatch):
-    S = standard_set(GL3)
-    seed = spread_seed(S)
+def test_step_checks_only_targets_that_are_not_members(monkeypatch):
     satisfied = gt_module.ShiftChecker.satisfied
-    counts = []
-    for instantiations in (1, 3):
-        calls = []
+    calls = []
 
-        def counting(checker, d):
-            calls.append(d)
-            return satisfied(checker, d)
+    def counting(checker, d):
+        calls.append(d)
+        return satisfied(checker, d)
 
-        monkeypatch.setattr(gt_module.ShiftChecker, "satisfied", counting)
-        assert report_passes(verify_defining_relations(S, seed, 2, 2, instantiations))
-        counts.append(len(calls))
-    assert 0 < counts[1] <= counts[0]
+    monkeypatch.setattr(gt_module.ShiftChecker, "satisfied", counting)
+    l = gl2_tableau(3, -1, 1)  # l_21 >= l_11 > l_22 holds for l_11 in 0..3
+    w = enumerate_basis(standard_gl2(), l, 1)
+    up, down = unit((1, 1, 1), 1), unit((1, 1, 1), -1)
+    # a member target is placed with no relation check
+    assert up in w and w.step(w.index[TableauDelta()], up) == w.index[up]
+    assert calls == []
+    # the raise from +1 keeps the relations but leaves the box: -1
+    assert w.step(w.index[up], up) == -1 and calls == [up + up]
+    # the lowering from -1 breaks l_11 > l_22: gated
+    assert w.step(w.index[down], down) is None
+    # a free window appends each new target that keeps the relations
+    f = FreeWindow(standard_gl2(), l)
+    assert f.index[TableauDelta()] == 0
+    assert f.step(0, up) == 1 and f.step(1, up) == 2
+    assert f.step(2, up) is None  # l_11 = 4 breaks l_21 >= l_11
+    assert f.members == [unit((1, 1, 1), k) for k in range(3)]
+    calls.clear()
+    assert f.step(0, up) == 1 and calls == []
 
 
 @pytest.mark.parametrize("weight", [

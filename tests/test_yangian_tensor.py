@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 import re
 import time
@@ -202,6 +203,27 @@ def test_basis_past_member_cap_is_value_error_quickly():
     with pytest.raises(ValueError, match=f"more than {MAX_WINDOW_MEMBERS} members"):
         M.basis()
     assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_singular_dimensions_lists_offsets_in_product_order(n):
+    for depth in range(-1, 6):
+        want = [c for c in itertools.product(range(depth + 1), repeat=n - 1)
+                if sum(c) <= depth]
+        assert list(yt._offsets(n - 1, depth)) == want, (n, depth)
+    # singular_dimensions probes exactly those offsets, in that order
+    M = TensorModule([EvaluationFactor(GlWeight((1,) + (0,) * (n - 1)), depth=2)], depth=2)
+    assert list(singular_dimensions(M)) == list(yt._offsets(n - 1, 2))
+
+
+def test_weight_spaces_past_the_cap_are_refused_before_any_probe(monkeypatch):
+    # a finite-dimensional gl_3 product: no member cap bounds the depth
+    M = TensorModule([EvaluationFactor(GlWeight((1, 0, 0)), depth=3) for _ in range(2)], depth=3)
+    assert len(singular_dimensions(M)) == math.comb(3 + 2, 2) == 10
+    monkeypatch.setattr(yt, "MAX_WEIGHT_SPACES", 9)
+    monkeypatch.setattr(yt, "find_singular_vectors", None)  # never reached
+    with pytest.raises(ValueError, match="depth 3 has more than 9 root offsets for gl_3"):
+        singular_dimensions(M)
 
 
 def test_evaluation_action_r1_matrix():
