@@ -238,10 +238,9 @@ def enumerate_basis_cmd(relations_path, tableau_path, radius):
             "command": "enumerate-basis",
             "radius": radius,
             "count": len(window.members),
-            "members": [
-                [[_triple(t), v] for t, v in sorted(d.offsets.items())]
-                for d in window.members
-            ],
+            # a key is sorted (triple, offset) pairs, and JSON writes every
+            # tuple, a `TriIndex` too, as a list
+            "members": [d.key() for d in window.members],
         }
     )
     return EXIT_OK

@@ -59,7 +59,10 @@ class ShiftChecker:
     The class structure of the seed is shift-invariant, so the component
     clause is checked once; per-shift work is one inequality per edge.  The
     same inequalities, read as a difference system over the free triples,
-    let `solutions` list the accepted shifts of a box without scanning it.
+    let `points` list the accepted shifts of a box without scanning it.
+
+    A shift's coordinates are its offsets over `free`, as a tuple; `slot`
+    maps each free triple to its place there.
     """
 
     def __init__(self, C: RelationSet, seed: Tableau):
@@ -75,7 +78,8 @@ class ShiftChecker:
         # row has d = 0, which leaves a unary bound on the other end; a check
         # with both ends frozen is the seed's own, which holds.
         self.free = mutable_indices(seed.pyramid)
-        free = set(self.free)
+        self.slot = {t: k for k, t in enumerate(self.free)}
+        free = self.slot
         self.arcs = []  # (l, g, c): d_g >= d_l + c
         self.floors: dict[TriIndex, int] = {}
         self.ceilings: dict[TriIndex, int] = {}
@@ -94,10 +98,26 @@ class ShiftChecker:
                 return False
         return True
 
+    def shift(self, coords: tuple[int, ...]) -> TableauDelta:
+        """The shift with the given coordinates."""
+        return TableauDelta._normal({t: v for t, v in zip(self.free, coords) if v})
+
+    def coords(self, d: TableauDelta) -> tuple[int, ...]:
+        """The coordinates of shift d."""
+        offsets = d.offsets
+        return tuple(offsets.get(t, 0) for t in self.free)
+
     def solutions(
         self, low: int, high: int, depth: int | None = None, cap: int | None = None
     ) -> list[TableauDelta]:
-        """Every accepted shift with low <= d_t <= high on the free triples.
+        """The shifts of `points`, in its order."""
+        return [self.shift(c) for c in self.points(low, high, depth, cap)]
+
+    def points(
+        self, low: int, high: int, depth: int | None = None, cap: int | None = None
+    ) -> list[tuple[int, ...]]:
+        """The coordinates of every accepted shift with low <= d_t <= high on
+        the free triples.
 
         With `depth`, only shifts with -sum(d) <= depth; with `cap`, ValueError
         as soon as more than `cap` are found.  The order is unspecified.
@@ -122,10 +142,11 @@ class ShiftChecker:
         )
         if any(y[t] + z[t] > high - low for t in free):
             return []
-        # Offsets first, shifts after the search: long-lived shifts allocated
-        # between its short-lived dicts would scatter over the allocator's
-        # pools and raise the process's peak memory.
-        found: list[list[int]] = []
+        # Coordinates only: a caller builds shifts after the search, since
+        # long-lived shifts allocated between its short-lived dicts would
+        # scatter over the allocator's pools and raise the process's peak
+        # memory.
+        found: list[tuple[int, ...]] = []
 
         def spare(z) -> float:
             """Depth left over by the shallowest completion, the upper bounds."""
@@ -140,8 +161,8 @@ class ShiftChecker:
                 lo = max(lo, hi - spare(z))
                 if cap is not None and len(found) + hi - lo + 1 > cap:
                     raise ValueError(f"basis window has more than {cap} members")
-                head = [y[u] + low for u in free[:pos]]
-                found.extend(head + [a] for a in range(lo, hi + 1))
+                head = tuple(y[u] + low for u in free[:pos])
+                found.extend(head + (a,) for a in range(lo, hi + 1))
                 return
             # Descending values: the shallowest completion only deepens, so
             # the first value that is too deep ends the loop.  At an end of
@@ -156,43 +177,48 @@ class ShiftChecker:
         if spare(z) < 0:
             return []
         if not free:
-            return [TableauDelta()]
+            return [()]
         extend(0, y, z)
-        return [TableauDelta(dict(zip(free, offsets))) for offsets in found]
+        return found
 
 
 class _Positions(dict):
-    """A window's member positions by shift.  An unseen shift that `checker`
-    accepts is appended to the members; any other raises ValueError naming it.
-    With no checker, the members are fixed."""
+    """A window's member positions by shift, and `at` its positions by
+    coordinates.  An unseen shift that `checker` accepts is appended to the
+    members; any other raises ValueError naming it.  With no checker, the
+    members are fixed."""
 
-    __slots__ = ("members", "checker")
+    __slots__ = ("members", "coords", "at", "checker")
 
-    def __init__(self, members: list, checker: ShiftChecker | None = None):
+    def __init__(self, members: list, coords: list, checker: ShiftChecker | None = None):
         super().__init__(zip(members, range(len(members))))
-        self.members, self.checker = members, checker
+        self.members, self.coords, self.checker = members, coords, checker
+        self.at = dict(zip(coords, range(len(coords))))
 
     def __missing__(self, d: TableauDelta) -> int:
-        pos = self.grow(d)
+        pos = None if self.checker is None else self.grow(d, self.checker.coords(d))
         if pos is None:
             raise ValueError(f"shift {d!r} is not a member of the window")
         return pos
 
-    def grow(self, d: TableauDelta) -> int | None:
-        """The position of unseen shift d, appended when the checker accepts it, else None."""
-        if self.checker is None or not self.checker.satisfied(d):
+    def grow(self, d: TableauDelta, coords: tuple[int, ...]) -> int | None:
+        """The position of unseen shift d, with coordinates `coords`, appended
+        when the checker accepts it, else None."""
+        if not self.checker.satisfied(d):
             return None
-        pos = self[d] = len(self.members)
+        pos = self[d] = self.at[coords] = len(self.members)
         self.members.append(d)
+        self.coords.append(coords)
         return pos
 
 
 class BasisWindow:
     """Finite slice of the shift lattice: all window shifts satisfying C.
 
-    `members` are sorted by key, and `index` maps each to its position; a
-    shift that is not a member raises ValueError there.  Raises ValueError
-    when the window has more than MAX_WINDOW_MEMBERS members.
+    `members` are sorted by key, `coords` holds their coordinates (offsets
+    over `free`), and `index` maps each member to its position; a shift
+    that is not a member raises ValueError there.  Raises ValueError when
+    the window has more than MAX_WINDOW_MEMBERS members.
     """
 
     def __init__(self, C: RelationSet, seed: Tableau, radius: int):
@@ -200,12 +226,13 @@ class BasisWindow:
         self.radius = int(radius)
         self.checker = ShiftChecker(C, seed)
         self.free = self.checker.free
-        members = self.checker.solutions(
-            -self.radius, self.radius, cap=MAX_WINDOW_MEMBERS
+        points = self.checker.points(-self.radius, self.radius, cap=MAX_WINDOW_MEMBERS)
+        pairs = sorted(
+            zip(map(self.checker.shift, points), points), key=lambda pair: pair[0].key()
         )
-        members.sort(key=lambda d: d.key())
-        self.members = members
-        self.index = _Positions(members)
+        self.members = [d for d, _ in pairs]
+        self.coords = [c for _, c in pairs]
+        self.index = _Positions(self.members, self.coords)
 
     def __contains__(self, d: TableauDelta) -> bool:
         return d in self.index
@@ -218,24 +245,35 @@ class BasisWindow:
         None when the target breaks the relations, or -1 when it keeps them
         but leaves the box (the members are every satisfying box shift).
         With no box (`radius` None), a new target that keeps the relations
-        is appended to the members instead.  Only a target that is not
-        already a member is checked against the relations.
+        is appended to the members instead.
+
+        The target is found by its coordinates, so a member target costs no
+        shift.  Only a target that is not a member and, in a basis window,
+        lies outside the box is built and checked against the relations: a
+        box shift that keeps them is a member.
         """
-        tgt = self.members[pos] + move
-        to = self.index.get(tgt)
+        coords = list(self.coords[pos])
+        slot = self.checker.slot
+        for t, v in move.offsets.items():
+            coords[slot[t]] += v
+        coords = tuple(coords)
+        to = self.index.at.get(coords)
         if to is not None:
             return to
         if self.radius is None:
-            return self.index.grow(tgt)
-        return -1 if self.checker.satisfied(tgt) else None
+            return self.index.grow(self.checker.shift(coords), coords)
+        if max(map(abs, coords), default=0) <= self.radius:
+            return None
+        return -1 if self.checker.satisfied(self.checker.shift(coords)) else None
 
 
 class FreeWindow(BasisWindow):
     """A basis window with no box bound: gating only, never overflow.
 
-    `index` and `step` append an unseen shift that satisfies C to `members`,
-    so positions never move; `index` raises ValueError on any other shift.
-    There is no box to enumerate, so the members start empty.
+    `index` and `step` append an unseen shift that satisfies C to `members`
+    (and its coordinates to `coords`), so positions never move; `index`
+    raises ValueError on any other shift.  There is no box to enumerate, so
+    the members start empty.
     """
 
     def __init__(self, C: RelationSet, seed: Tableau):
@@ -243,7 +281,8 @@ class FreeWindow(BasisWindow):
         self.radius = None
         self.checker = ShiftChecker(C, seed)
         self.members: list[TableauDelta] = []
-        self.index = _Positions(self.members, self.checker)
+        self.coords: list[tuple[int, ...]] = []
+        self.index = _Positions(self.members, self.coords, self.checker)
 
 
 def enumerate_basis(C: RelationSet, l: Tableau, radius: int) -> BasisWindow:
@@ -892,34 +931,69 @@ def cyclicity_probe(window: BasisWindow, start: TableauDelta, budget: int) -> se
     """Shifts reachable from `start` by ladder generators inside the window.
 
     The walk runs over member positions; a `start` that is not a member raises
-    ValueError.
+    ValueError.  Eigenvalue separation makes every summand with a nonzero
+    coefficient reachable, so the closure of supports is the generated
+    subspace's basis.  The supports are read off the entries, with no
+    coefficient computed.
 
-    Eigenvalue separation makes every summand with a nonzero coefficient
-    reachable, so the closure of supports is the generated subspace's basis.
-    Only supports are read, and each column entry is one product of guarded
-    differences, so the residue context gives the exact reached set.
+    The support rule.  In `ActionContext.ladder_terms`, the move of pivot t
+    in row r (up for e, down for f) has coefficient +-N / D times a power of
+    -(v_t + pole), where v_t is t's value, N is the product of
+    (v_s - v_t) over the adjacent row (r + 1 for e, r - 1 for f; row 0 is
+    empty) and D is the product of (v_s - v_t) over row r without t.  At the
+    lowest superscript the power is 1.  Under a `GenericAssignment`, two
+    values of distinct classes differ by a non-integer (the classes' residues
+    mod 997 are distinct), and two of one class differ by their offsets'
+    difference.  So a value difference is zero exactly when the two entries
+    (class, seed offset + shift) are equal, at every instantiation: the move
+    is in the support exactly when t's entry equals no entry of the adjacent
+    row, and D = 0, which raises `CriticalityError`, exactly when two entries
+    of row r are equal.  Targets are placed by `window.step`; a target that
+    breaks the relations or leaves the box is dropped.
 
-    The reached set is the same for every budget >= 1, so columns are built
-    only at each row's lowest superscript (`e_generator_min_degree` for e, 1
-    for f); budget 0 reaches only `start`.  In `ladder_terms`, superscript s
-    has the targets of the lowest one, lo, with coefficient
-    +-ratio * (-(pv + pole))^(s - lo): its support is a subset of lo's.
+    The reached set is the same for every budget >= 1, so only each row's
+    lowest superscript (`e_generator_min_degree` for e, 1 for f) is walked;
+    budget 0 reaches only `start`.  Superscript s has the targets of the
+    lowest one, lo, with coefficient +-N / D * (-(v_t + pole))^(s - lo): its
+    support is a subset of lo's.  Rows are walked as e_1, f_1, e_2, f_2, ...
+    from each member in breadth-first order, so the first member with a
+    critical row raises, naming the least such row.
     """
-    ctx = ActionContext(window, generic_instantiate(window.seed.classes(), 1), _modulus=MODULUS)
-    pyramid = window.seed.pyramid
-    gens = []
-    if budget >= 1:
-        for i in range(1, pyramid.n):
-            gens += [("e", i, e_generator_min_degree(pyramid, i)), ("f", i, 1)]
+    pyramid, seed, slot = window.seed.pyramid, window.seed, window.checker.slot
+    # per row: (triple, coordinate slot or None on the top row, class, seed offset)
+    rows = [
+        [(t, slot.get(t), *seed.entry(t)) for t in row_indices(pyramid, r)]
+        for r in range(pyramid.n + 1)
+    ]
+    moves = {
+        t: (TableauDelta.unit(t, 1), TableauDelta.unit(t, -1))
+        for t in window.free
+    }
+    ladder_rows = range(1, pyramid.n) if budget >= 1 else ()
     frontier = [window.index[start]]
     reached = set(frontier)
     while frontier:
         nxt = []
         for p in frontier:
-            for gen in gens:
-                for q, _ in ctx._build_column(gen, p, CLIP):
-                    if q not in reached:
-                        reached.add(q)
-                        nxt.append(q)
+            c = window.coords[p]
+            entries = [
+                [(cls, off if k is None else off + c[k]) for _, k, cls, off in row]
+                for row in rows
+            ]
+            for r in ladder_rows:
+                row = entries[r]
+                if len(set(row)) < len(row):
+                    raise CriticalityError(
+                        f"coincident entries in row {r} at shift {window.members[p]!r}"
+                    )
+                for other, way in ((r + 1, 0), (r - 1, 1)):
+                    adjacent = set(entries[other])
+                    for (t, *_), entry in zip(rows[r], row):
+                        if entry in adjacent:
+                            continue
+                        q = window.step(p, moves[t][way])
+                        if q is not None and q >= 0 and q not in reached:
+                            reached.add(q)
+                            nxt.append(q)
         frontier = nxt
     return {window.members[p] for p in reached}

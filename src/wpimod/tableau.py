@@ -64,6 +64,15 @@ class TableauDelta:
         }
         self._hash = None
 
+    @classmethod
+    def _normal(cls, offsets: dict[TriIndex, int]) -> "TableauDelta":
+        """The shift over `offsets` as given, which must already be normal:
+        `TriIndex` keys and nonzero `int` values.  It is kept, not copied."""
+        d = object.__new__(cls)
+        d.offsets = offsets
+        d._hash = None
+        return d
+
     @staticmethod
     def unit(t: TriIndex, amount: int = 1) -> "TableauDelta":
         return TableauDelta({t: amount})
@@ -74,11 +83,15 @@ class TableauDelta:
     def __add__(self, other: "TableauDelta") -> "TableauDelta":
         out = dict(self.offsets)
         for t, v in other.offsets.items():
-            out[t] = out.get(t, 0) + v
-        return TableauDelta(out)
+            s = out.get(t, 0) + v
+            if s:
+                out[t] = s
+            else:
+                del out[t]  # v != 0, so t was there
+        return TableauDelta._normal(out)
 
     def __neg__(self) -> "TableauDelta":
-        return TableauDelta({t: -v for t, v in self.offsets.items()})
+        return TableauDelta._normal({t: -v for t, v in self.offsets.items()})
 
     def __sub__(self, other: "TableauDelta") -> "TableauDelta":
         return self + (-other)

@@ -13,6 +13,7 @@ member list, and the modular run builds its E_ab columns on residues.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from fractions import Fraction
@@ -370,7 +371,10 @@ class TensorModule:
             raise ValueError("all factors must share the same rank")
         self.n = self.factors[0].n
         self.depth = int(depth)
-        self._weight_spaces: dict[int, dict[tuple, list[tuple]]] = {}
+        # `basis(self._grouped)` by root offset: every offset of height up to
+        # `_grouped` reads its keys here
+        self._grouped = -1
+        self._spaces: dict[tuple, list[tuple]] = {}
 
     def highest(self) -> tuple:
         return tuple(f.highest() for f in self.factors)
@@ -416,17 +420,22 @@ class TensorModule:
     def weight_space(self, offset) -> list[tuple]:
         """Basis keys whose root-height offset equals the given tuple, in basis order.
 
-        The basis of each depth is grouped by root offset once.
+        Read from the deepest basis grouped so far (`_group`): a key's depth
+        is its offset's height, so `basis(depth)` holds the whole weight
+        space of every offset of height up to depth, in the same order.  A
+        deeper offset first groups the basis of its own height.
         """
         offset = tuple(int(c) for c in offset)
-        depth = sum(offset)
-        spaces = self._weight_spaces.get(depth)
-        if spaces is None:
-            spaces = {}
-            for k in self.basis(depth):
-                spaces.setdefault(self.root_offset(k), []).append(k)
-            self._weight_spaces[depth] = spaces
-        return list(spaces.get(offset, ()))
+        if sum(offset) > self._grouped:
+            self._group(sum(offset))
+        return list(self._spaces.get(offset, ()))
+
+    def _group(self, depth: int) -> None:
+        """Group `basis(depth)` by root offset, in place of any shallower grouping."""
+        spaces: dict[tuple, list[tuple]] = {}
+        for k in self.basis(depth):
+            spaces.setdefault(self.root_offset(k), []).append(k)
+        self._spaces, self._grouped = spaces, depth
 
     def _positions(self, key: tuple) -> tuple[int, ...]:
         """A key of shifts as the tuple of their member positions, one per factor."""
@@ -721,6 +730,12 @@ def singular_dimensions(M: TensorModule, depth: int | None = None,
 
     Raises ValueError, before probing any, when there are more than
     MAX_WEIGHT_SPACES such offsets: comb(depth + n - 1, n - 1) of them.
+
+    The basis of the whole depth is grouped by root offset once, before the
+    first probe, and every weight space is read from it.  Where that basis
+    is past a member cap, the depths are grouped one by one as they are
+    first probed (heights rise 0, 1, ..., depth along the first offsets), so
+    the least depth past a cap raises its own error, after the same probes.
     """
     depth = M.depth if depth is None else int(depth)
     shape = M.n - 1
@@ -729,6 +744,9 @@ def singular_dimensions(M: TensorModule, depth: int | None = None,
             f"depth {depth} has more than {MAX_WEIGHT_SPACES} root offsets"
             f" for gl_{M.n}"
         )
+    if shape and depth > 0:
+        with contextlib.suppress(ValueError):
+            M._group(depth)
     return {
         combo: len(find_singular_vectors(M, combo, order))
         for combo in _offsets(shape, depth)

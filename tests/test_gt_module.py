@@ -446,8 +446,10 @@ def test_cyclicity_traps_in_proper_submodule():
     assert cyclicity_probe(w, TableauDelta(), 2) == set(w.members)
 
 
-def _reached_over_all_superscripts(ctx, start, budget):
-    """cyclicity_probe's closure with every superscript below the budget."""
+def _reached_over_all_superscripts(ctx, start, budget, columns=None):
+    """The closure of CLIP column supports from start, with every superscript
+    below the budget: the reference for cyclicity_probe.  `columns`, when
+    given, keeps each column built once across calls on the same context."""
     pyramid = ctx.pyramid
     gens = [
         (fam, i, sup)
@@ -455,12 +457,16 @@ def _reached_over_all_superscripts(ctx, start, budget):
         for fam, lo in (("e", e_generator_min_degree(pyramid, i)), ("f", 1))
         for sup in range(lo, lo + budget)
     ]
+    columns = {} if columns is None else columns
     reached, frontier = {start}, [start]
     while frontier:
         nxt = []
         for d in frontier:
             for gen in gens:
-                for tgt, _ in ctx.column(gen, d, CLIP):
+                col = columns.get((gen, d))
+                if col is None:
+                    col = columns[gen, d] = ctx.column(gen, d, CLIP)
+                for tgt, _ in col:
                     if tgt not in reached:
                         reached.add(tgt)
                         nxt.append(tgt)
@@ -468,8 +474,9 @@ def _reached_over_all_superscripts(ctx, start, budget):
     return reached
 
 
-@pytest.mark.parametrize("rows", [(1, 1), (1, 2), (2, 2), (1, 1, 1), "reducible"],
-                         ids=["1x1", "1x2", "2x2", "1x1x1", "reducible-gl3"])
+@pytest.mark.parametrize("rows", [(1, 1), (1, 2), (2, 2), (1, 1, 1), (1, 2, 2), (1, 1, 1, 1),
+                                  "reducible"],
+                         ids=["1x1", "1x2", "2x2", "1x1x1", "1x2x2", "1x1x1x1", "reducible-gl3"])
 def test_cyclicity_reached_set_is_the_same_for_budgets_1_to_3(rows):
     if rows == "reducible":
         C, seed = reducible_gl3_pair()
@@ -477,17 +484,62 @@ def test_cyclicity_reached_set_is_the_same_for_budgets_1_to_3(rows):
         C = standard_set(Pyramid(rows))
         seed = spread_seed(C)
     window = enumerate_basis(C, seed, 2)
-    # cyclicity_probe's default instantiation
-    ctx = ActionContext(window, generic_instantiate(seed.classes(), 1), _modulus=MODULUS)
+    # the probe reads supports off the entries, so every instantiation's
+    # coefficient closure must give its reached set
+    contexts = [
+        (ActionContext(window, generic_instantiate(seed.classes(), k), _modulus=MODULUS), {})
+        for k in (1, 2, 3)
+    ]
+    # every closure visits every member it reaches, so on the 180-member
+    # gl_4 window every 9th start still reads every member's columns
+    starts = window.members[::9] if len(window.members) > 100 else window.members
     sizes = set()
-    for start in window.members:
-        want = _reached_over_all_superscripts(ctx, start, 3)
+    for start in starts:
+        want = cyclicity_probe(window, start, 1)
         sizes.add(len(want))
-        for budget in (1, 2, 3):
+        for budget in (2, 3):
             assert cyclicity_probe(window, start, budget) == want, (rows, start, budget)
-            assert _reached_over_all_superscripts(ctx, start, budget) == want
+        for ctx, columns in contexts:
+            assert _reached_over_all_superscripts(ctx, start, 3, columns) == want, (rows, start)
+        ctx, columns = contexts[0]
+        for budget in (1, 2):
+            assert _reached_over_all_superscripts(ctx, start, budget, columns) == want
     # the reducible window has starts that reach only part of it
     assert (len(sizes) > 1) == (rows == "reducible")
+
+
+def test_cyclicity_on_a_critical_window_raises_the_column_error():
+    # row 2 of the seed holds two equal entries; some starts walk a few
+    # steps before they meet a member whose row 2 entries coincide
+    C = RelationSet(GL3, [rel((1, 3, 1), (1, 2, 1), False),
+                          rel((1, 3, 1), (1, 2, 2), False)])
+    seed = critical_satisfying_tableau(C)
+    window = enumerate_basis(C, seed, 1)
+    ctx = ActionContext(window, generic_instantiate(seed.classes(), 1), _modulus=MODULUS)
+    with pytest.raises(CriticalityError, match=re.escape(repr(TableauDelta()))):
+        cyclicity_probe(window, TableauDelta(), 1)
+    mid_walk = 0
+    for start in window.members:
+        # the column closure raises at the same member, with the same message
+        with pytest.raises(CriticalityError) as ref:
+            _reached_over_all_superscripts(ctx, start, 1)
+        with pytest.raises(CriticalityError, match=f"^{re.escape(str(ref.value))}$"):
+            cyclicity_probe(window, start, 1)
+        mid_walk += not str(ref.value).endswith(repr(start))
+    assert mid_walk > 0
+
+
+def test_cyclicity_probe_builds_no_action_context(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the probe built an instantiated context")
+
+    monkeypatch.setattr(ActionContext, "__init__", refuse)
+    monkeypatch.setattr(gt_module, "generic_instantiate", refuse)
+    C, seed = reducible_gl3_pair()
+    window = enumerate_basis(C, seed, 2)
+    assert cyclicity_probe(window, TableauDelta(), 2) == set(window.members)
+    start = TableauDelta({TriIndex(1, 1, 1): -2, TriIndex(1, 2, 2): 2})
+    assert len(cyclicity_probe(window, start, 1)) < len(window.members)
 
 
 def _reduced(image):
@@ -805,6 +857,65 @@ def test_step_checks_only_targets_that_are_not_members(monkeypatch):
     assert f.members == [unit((1, 1, 1), k) for k in range(3)]
     calls.clear()
     assert f.step(0, up) == 1 and calls == []
+
+
+def _step_windows():
+    """Seeded windows on gl_3, gl_4, (2,2) and (1,2,2): the standard set at
+    its spread seed, and three random satisfiable sets each at a satisfying
+    seed (critical where the set is), radius 1 or 2."""
+    rng = random.Random(25)
+    for rows in [(1, 1, 1), (1, 1, 1, 1), (2, 2), (1, 2, 2)]:
+        pyramid = Pyramid(rows)
+        standard = standard_set(pyramid)
+        yield standard, spread_seed(standard), 2
+        rels = all_relations(pyramid)
+        found = 0
+        while found < 3:
+            C = try_relation_set(pyramid, rng.sample(rels, rng.randint(1, 4)))
+            if C is None or not is_satisfiable(C):
+                continue
+            found += 1
+            if is_noncritical_set(C):
+                yield C, noncritical_satisfying_tableau(C), rng.randint(1, 2)
+            else:
+                yield C, critical_satisfying_tableau(C), rng.randint(1, 2)
+
+
+def test_coordinate_step_equals_the_shift_reference():
+    seen = set()
+    for C, seed, radius in _step_windows():
+        window = enumerate_basis(C, seed, radius)
+        checker = window.checker
+        assert [checker.shift(c) for c in window.coords] == window.members
+        for pos, d in enumerate(window.members):
+            for t in window.free:
+                for amount in (1, -1):
+                    move = unit(t, amount)
+                    tgt = d + move
+                    want = window.index.get(tgt)
+                    if want is None:
+                        want = -1 if checker.satisfied(tgt) else None
+                    assert window.step(pos, move) == want, (C, seed, radius, d, move)
+                    seen.add(want if want in (-1, None) else "member")
+    assert seen == {-1, None, "member"}
+
+
+def test_free_window_keeps_members_index_and_coordinates_aligned():
+    C = standard_set(Pyramid((1, 1, 1)))
+    w = FreeWindow(C, spread_seed(C))
+    assert w.index[TableauDelta()] == 0
+    rng = random.Random(5)
+    for _ in range(300):  # growth through step
+        w.step(rng.randrange(len(w.members)), unit(rng.choice(w.checker.free), rng.choice((1, -1))))
+    grown = len(w.members)
+    for d in w.checker.solutions(-3, 3):  # growth through index
+        w.index[d]
+    assert 1 < grown < len(w.members)
+    assert w.index.members is w.members and w.index.coords is w.coords
+    assert len(w.members) == len(w.coords) == len(w.index) == len(w.index.at)
+    for p, (d, c) in enumerate(zip(w.members, w.coords)):
+        assert w.index[d] == w.index.at[c] == p
+        assert w.checker.coords(d) == c and w.checker.shift(c) == d
 
 
 @pytest.mark.parametrize("weight", [

@@ -49,6 +49,18 @@ def test_delta_group_action():
     assert (a + b) == TableauDelta()
 
 
+def test_sums_and_negatives_are_normal():
+    a, b = TriIndex(1, 1, 1), TriIndex(1, 1, 2)
+    for d in (TableauDelta({a: 2, b: -1}), TableauDelta.unit(a, 3), TableauDelta()):
+        zero = d + (-d)
+        assert zero == TableauDelta() and hash(zero) == hash(TableauDelta())
+        assert zero.offsets == {}
+        assert -(-d) == d and hash(-(-d)) == hash(d)
+        assert a not in (d + TableauDelta.unit(a, -d.get(a))).offsets if d.get(a) else True
+        for t, v in (d + d + TableauDelta.unit(b, 1)).offsets.items():
+            assert type(t) is TriIndex and type(v) is int and v != 0
+
+
 def test_top_row_shift_rejected():
     l = gl2_tableau(2, -1, 1)
     with pytest.raises(ValueError):

@@ -400,6 +400,32 @@ def test_weight_space_groups_the_basis_once_per_depth(monkeypatch):
     assert sorted(calls) == [0, 1, 2, 3]
 
 
+def test_singular_dimensions_groups_one_basis_for_every_depth(monkeypatch):
+    # a finite-dimensional pair whose points differ by 1, with a singular
+    # vector at offset 1; every weight space past depth 2 is empty
+    M = _tensor([(1, 0), (1, 0)], [0, -1], 40)
+    ref = _tensor([(1, 0), (1, 0)], [0, -1], 40)
+    calls = []
+    basis = TensorModule.basis
+    monkeypatch.setattr(TensorModule, "basis", lambda self, depth=None: (
+        calls.append(depth) if self is M else None) or basis(self, depth))
+    dims = singular_dimensions(M)
+    assert calls == [40]
+    # the reference groups each depth's basis as its offset is probed
+    assert dims == {(h,): len(find_singular_vectors(ref, (h,))) for h in range(41)}
+    assert dims[(0,)] == dims[(1,)] == 1 and sum(dims.values()) == 2
+
+
+def test_singular_dimensions_past_a_cap_raises_the_least_depths_error(monkeypatch):
+    # two generic gl_2 factors: depth 5 has 21 keys, past 20, while each
+    # factor has 6 shifts; at depth 30 each factor has 31, past 20 too, so
+    # the error of the whole depth's basis would name the factor's window
+    monkeypatch.setattr(yt, "MAX_WINDOW_MEMBERS", 20)
+    M = _tensor([("1/3", "1/7"), ("1/5", "1/2")], [0, 0], 30)
+    with pytest.raises(ValueError, match="^tensor basis has more than 20 members$"):
+        singular_dimensions(M)
+
+
 def test_unit_denominators_decide_all_but_the_top_line_mod_p(monkeypatch):
     calls = _count_exact_kernels(monkeypatch)
     M = _tensor([("1/3", 0), ("1/5", "1/7")], [0, 1], 3)
