@@ -320,7 +320,10 @@ class ActionContext:
 
     Coefficients are exact `Fraction`s, or, with the internal `_modulus`, residues
     in [0, m) computed by the same code: reduction mod a prime is a ring map, so
-    each residue is the reduction of the exact coefficient.  Over a `BasisWindow`
+    each residue is the reduction of the exact coefficient.  The code runs on
+    integers (`_row_ints`): residues, or the exact entries times `_scale`, the
+    least common denominator of the seed's values, so an exact coefficient
+    becomes a `Fraction` only once, at the end.  Over a `BasisWindow`
     the modulus is kept only when `_reduction_is_faithful` holds for the window.
     Then every difference the actions divide by or multiply is zero mod m exactly
     when it is zero, so STRICT overflow, CriticalityError and the e and f supports
@@ -353,9 +356,12 @@ class ActionContext:
         self.modulus = _modulus
         if _modulus is None:
             self.base, self.one = base, Fraction(1)
+            self._scale = lcm(*(Fraction(v).denominator for v in base.values()))
+            self._ints = {t: (Fraction(v) * self._scale).numerator for t, v in base.items()}
         else:
             self.base = {t: residue(v, _modulus) for t, v in base.items()}
             self.one = 1
+            self._scale, self._ints = 1, self.base
         self._row_index = {r: row_indices(self.pyramid, r) for r in range(self.n + 1)}
         self._cache: dict = {}
         # STRICT columns per generator: {member position: ((member position,
@@ -384,7 +390,7 @@ class ActionContext:
             return None
         stack, basis = lanes[0], crt_basis(primes)
         stack.modulus = M = prod(primes)
-        stack.base = {
+        stack.base = stack._ints = {
             t: sum(lane.base[t] * e for lane, e in zip(lanes, basis)) % M
             for t in stack.base
         }
@@ -392,10 +398,6 @@ class ActionContext:
 
     def _reduce(self, x):
         return x if self.modulus is None else x % self.modulus
-
-    def _divide(self, num, den):
-        m = self.modulus
-        return num / den if m is None else num * pow(den, -1, m) % m
 
     def _nonzero(self, vec: dict) -> dict:
         """vec with every coefficient reduced and the zero ones dropped."""
@@ -409,6 +411,21 @@ class ActionContext:
 
     def row_values(self, r: int, d: TableauDelta) -> list[tuple[TriIndex, Fraction]]:
         return [(t, self.value(t, d)) for t in self._row_index.get(r, ())]
+
+    def _row_ints(self, r: int, d: TableauDelta) -> list[tuple[TriIndex, int]]:
+        """Row r at shift d as integers: each value times `_scale`, unreduced
+        (residues plus shifts, with a modulus)."""
+        ints, scale, get = self._ints, self._scale, d.offsets.get
+        return [(t, ints[t] + scale * get(t, 0)) for t in self._row_index.get(r, ())]
+
+    def _finish(self, num: int, den: int, power: int):
+        """The coefficient (num/den) / `_scale`^power of integers from `_row_ints`."""
+        m = self.modulus
+        if m is not None:
+            return num * pow(den, -1, m) % m if den != 1 else num % m
+        if power >= 0:
+            return Fraction(num, den * self._scale ** power)
+        return Fraction(num * self._scale ** -power, den)
 
     def _row_sig(self, rows: tuple[int, ...], d: TableauDelta):
         return tuple(
@@ -431,31 +448,35 @@ class ActionContext:
         key = (fam, r, self._row_sig((r - 1, r), d))
         coeffs = self._cache.get(key, ())
         if len(coeffs) <= sup:
-            a = [v + r - 1 for _, v in self.row_values(r, d)]
-            b = [v + r - 1 for _, v in self.row_values(r - 1, d)]
+            # on `_row_ints`, c_t is kept times _scale^t
+            shift = (r - 1) * self._scale
+            a = [v + shift for _, v in self._row_ints(r, d)]
+            b = [v + shift for _, v in self._row_ints(r - 1, d)]
             if fam == "dprime":
                 a, b = b, a
             length = max(sup + 1, 2 * len(coeffs))
-            c = [self.one] + [0 * self.one] * (length - 1)
+            c = [1] + [0] * (length - 1)
             for x in a:
                 for t in range(length - 1, 0, -1):
                     c[t] += x * c[t - 1]
             for x in b:
                 for t in range(1, length):
                     c[t] -= x * c[t - 1]
-            coeffs = self._cache[key] = [self._reduce(x) for x in c]
+            coeffs = self._cache[key] = [self._finish(x, 1, t) for t, x in enumerate(c)]
         return coeffs[sup]
 
     # -- ladder coefficient pieces ----------------------------------------
 
     def _ratio(self, r: int, other_row: int, pivot: TriIndex, d: TableauDelta):
         """Prod over the other row of (entry - pivot) over the same-row denominator."""
-        pv = self.value(pivot, d)
-        num = self.one
-        for _, v in self.row_values(other_row, d):
+        row = self._row_ints(r, d)
+        pv = next(v for t, v in row if t == pivot)
+        num = 1
+        others = self._row_ints(other_row, d)
+        for _, v in others:
             num *= v - pv
-        den = self.one
-        for t, v in self.row_values(r, d):
+        den = 1
+        for t, v in row:
             if t == pivot:
                 continue
             diff = v - pv
@@ -464,7 +485,8 @@ class ActionContext:
                     f"coincident entries in row {r} at shift {d!r}"
                 )
             den *= diff
-        return self._divide(num, den)
+        # each difference is _scale times the exact one
+        return self._finish(num, den, len(others) - (len(row) - 1))
 
     def ladder_terms(self, fam: str, r: int, sup: int, d: TableauDelta) -> list[tuple[TableauDelta, Fraction]]:
         """Expansion of the raising (e) or lowering (f) generator on the shift basis vector.
@@ -490,11 +512,13 @@ class ActionContext:
             terms = self._cache[key]
         else:
             terms = []
-            for pivot, pv in self.row_values(r, d):
+            for pivot in self._row_index.get(r, ()):
                 ratio = self._ratio(r, other, pivot, d)
                 if fam == "e":
                     ratio = -ratio
-                coeff = self._reduce(ratio * (-(pv + pole)) ** (sup - lo))
+                if sup > lo:
+                    ratio *= (-(self.value(pivot, d) + pole)) ** (sup - lo)
+                coeff = self._reduce(ratio)
                 if coeff != 0:
                     terms.append((TableauDelta.unit(pivot, step), coeff))
             self._cache[key] = terms

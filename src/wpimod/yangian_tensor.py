@@ -466,6 +466,43 @@ def _add_into(out: dict, key, ser: list, c=None, m: int | None = None):
             tgt[t] += x if c is None else (c * x if m is None else c * x % m)
 
 
+def _add_scaled(out: dict, key, ser: list, cn: int = 1, cd: int = 1):
+    """out[key] += (cn/cd)*ser on scaled series; sums keep the shorter.
+
+    A scaled series [D, n_0, ..., n_T] holds the exact coefficients n_t/D
+    as integers over one positive denominator D, so products and sums cost
+    integer operations only.  A sum over two denominators goes over their
+    least common multiple.
+    """
+    tgt = out.get(key)
+    if tgt is None:
+        out[key] = list(ser) if cn == cd == 1 else [ser[0] * cd] + [cn * x for x in ser[1:]]
+        return
+    del tgt[len(ser):]
+    den, tden = ser[0] * cd, tgt[0]
+    if den == tden:
+        for t in range(1, len(tgt)):
+            tgt[t] += cn * ser[t]
+        return
+    g = math.gcd(den, tden)
+    up, cn = den // g, cn * (tden // g)
+    tgt[0] = tden * up
+    for t in range(1, len(tgt)):
+        tgt[t] = tgt[t] * up + cn * ser[t]
+
+
+def _reduced(ser: list) -> list:
+    """A scaled series with its denominator and numerators divided by their gcd."""
+    g = math.gcd(*ser)
+    return ser if g == 1 else [x // g for x in ser]
+
+
+def _fractions(ser: list) -> list[Fraction]:
+    """The exact coefficients [c_0, ..., c_T] of a scaled series."""
+    den = ser[0]
+    return [Fraction(x, den) for x in ser[1:]]
+
+
 def _slot_t(M: TensorModule, slot: int, a: int, b: int, arg_shift: int, vec: dict, order: int,
             m: int | None = None) -> dict:
     """t_ab(u - arg_shift) acting on factor `slot` of coefficient-list vectors.
@@ -473,9 +510,12 @@ def _slot_t(M: TensorModule, slot: int, a: int, b: int, arg_shift: int, vec: dic
     Keys are tuples of member positions, one per factor.  t_ab(u - s) =
     delta_ab + E_ab/(u - pole) with pole = s + point; dividing a series by
     (u - pole) is the recurrence p_0 = 0, p_t = c_{t-1} + pole*p_{t-1}.  With a
-    modulus m the coefficients are residues mod m.
+    modulus m the series are residue lists [c_0, ..., c_T]; with m None they
+    are scaled series (`_add_scaled`), see `_slot_t_exact`.
     """
     f = M.factors[slot]
+    if m is None:
+        return _slot_t_exact(f, slot, a, b, arg_shift, vec, order)
     pole = f._pole(arg_shift, m)
     out: dict = {}
     for key, ser in vec.items():
@@ -488,11 +528,46 @@ def _slot_t(M: TensorModule, slot: int, a: int, b: int, arg_shift: int, vec: dic
         for t in range(1, len(p)):
             x = ser[t - 1]
             if pole and p[t - 1]:
-                x = x + pole * p[t - 1] if m is None else (x + pole * p[t - 1]) % m
+                x = (x + pole * p[t - 1]) % m
             p[t] = x
         for d2, coeff in col:
             _add_into(out, key[:slot] + (d2,) + key[slot + 1:], p, coeff, m)
     return out
+
+
+def _slot_t_exact(f: EvaluationFactor, slot: int, a: int, b: int, arg_shift: int, vec: dict,
+                  order: int) -> dict:
+    """`_slot_t` on scaled series, with the factor's exact columns.
+
+    For a series over D and pole = pn/pd, r_t = n_{t-1} pd^(t-1) + pn r_{t-1}
+    (r_0 = 0) is p_t times D pd^(t-1); each r_t is then brought over the
+    last one's denominator.  Every image series is reduced once, at the end.
+    """
+    pole = f._pole(arg_shift, None)
+    pn, pd = pole.numerator, pole.denominator
+    out: dict = {}
+    for key, ser in vec.items():
+        if a == b:
+            _add_scaled(out, key, ser)
+        col = f._column(a, b, key[slot], None)
+        if not col:
+            continue
+        size = min(len(ser) - 1, order + 1)
+        p = [ser[0]] + [0] * size
+        r, w = 0, 1
+        for t in range(1, size):
+            r = ser[t] * w + pn * r
+            p[t + 1] = r
+            w *= pd
+        if pd != 1 and size > 1:
+            w //= pd  # pd^(size - 2), the scale of the last r_t
+            p[0] *= w
+            for t in range(1, size - 1):
+                p[t + 1] *= w // pd ** (t - 1)
+        for d2, coeff in col:
+            _add_scaled(out, key[:slot] + (d2,) + key[slot + 1:], p,
+                        coeff.numerator, coeff.denominator)
+    return {key: _reduced(ser) for key, ser in out.items()}
 
 
 def _tensor_t(M: TensorModule, a: int, b: int, arg_shift: int, vec: dict, order: int, lo: int, hi: int,
@@ -500,24 +575,30 @@ def _tensor_t(M: TensorModule, a: int, b: int, arg_shift: int, vec: dict, order:
     """Iterated-coproduct image of t_ab(u - arg_shift) on factor slots [lo, hi)."""
     if hi - lo == 1:
         return _slot_t(M, lo, a, b, arg_shift, vec, order, m)
+    add = _add_scaled if m is None else _add_into
     out: dict = {}
     for mid in range(1, M.n + 1):
         inner = _tensor_t(M, mid, b, arg_shift, vec, order, lo + 1, hi, m)
         if not inner:
             continue
         for key, ser in _slot_t(M, lo, a, mid, arg_shift, inner, order, m).items():
-            _add_into(out, key, ser)
+            add(out, key, ser)
     return out
 
 
 def _as_series_vec(vec: dict, order: int, m: int | None = None) -> dict:
-    """Scalar and InvSeries values as coefficient lists [c_0, ..., c_T], or their residues mod m."""
-    scalar = as_scalar if m is None else (lambda x: residue(x, m))
-    return {
-        key: [scalar(x) for x in (c.constant, *c.coeffs)] if isinstance(c, InvSeries)
-        else [scalar(c)] + [0] * order
-        for key, c in vec.items()
-    }
+    """Scalar and InvSeries values as residue lists [c_0, ..., c_T] mod m, or,
+    with m None, as scaled series (`_add_scaled`)."""
+    out = {}
+    for key, c in vec.items():
+        xs = (c.constant, *c.coeffs) if isinstance(c, InvSeries) else (c,) + (0,) * order
+        if m is None:
+            xs = [as_scalar(x) for x in xs]
+            den = math.lcm(*(x.denominator for x in xs))
+            out[key] = [den] + [x.numerator * (den // x.denominator) for x in xs]
+        else:
+            out[key] = [residue(x, m) for x in xs]
+    return out
 
 
 def t_coefficient(M: TensorModule, i: int, j: int, r: int, vec: dict) -> dict:
@@ -528,7 +609,7 @@ def t_coefficient(M: TensorModule, i: int, j: int, r: int, vec: dict) -> dict:
         return dict(vec) if i == j else {}
     vec = {M._positions(key): c for key, c in vec.items()}
     out_ser = _tensor_t(M, i, j, 0, _as_series_vec(vec, r), r, 0, len(M.factors))
-    return {M._shifts(key): s[r] for key, s in out_ser.items() if s[r] != 0}
+    return {M._shifts(key): Fraction(s[r + 1], s[0]) for key, s in out_ser.items() if s[r + 1]}
 
 
 def _perm_sign(perm) -> int:
@@ -603,10 +684,14 @@ class OperatorSeries:
                 )
                 if not cur:
                     break
+            if m is None:
+                for key, s in cur.items():
+                    _add_scaled(out, key, s, sgn)
+                continue
             for key, s in cur.items():
                 _add_into(out, key, s if sgn > 0 else [-x for x in s])
         if m is None:
-            return {k: s for k, s in out.items() if any(s)}
+            return {k: _fractions(s) for k, s in out.items() if any(s[1:])}
         return {k: res for k, s in out.items() if any(res := [x % m for x in s])}
 
 

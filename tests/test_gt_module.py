@@ -31,6 +31,7 @@ from wpimod import (
 from wpimod.exact_arith import (
     MODULUS,
     CriticalityError,
+    GenericAssignment,
     UniPoly,
     instantiation_primes,
     poly_series_quotient,
@@ -898,6 +899,74 @@ def test_coordinate_step_equals_the_shift_reference():
                     assert window.step(pos, move) == want, (C, seed, radius, d, move)
                     seen.add(want if want in (-1, None) else "member")
     assert seen == {-1, None, "member"}
+
+
+def _fraction_ratio(ctx, r, other_row, pivot, d):
+    """`ActionContext._ratio` in `Fraction` arithmetic on `row_values`."""
+    pv = ctx.value(pivot, d)
+    num = Fraction(1)
+    for _, v in ctx.row_values(other_row, d):
+        num *= v - pv
+    den = Fraction(1)
+    for t, v in ctx.row_values(r, d):
+        if t != pivot:
+            if v == pv:
+                raise CriticalityError(f"coincident entries in row {r} at shift {d!r}")
+            den *= v - pv
+    return num / den
+
+
+def _fraction_diag(ctx, fam, r, sup, d):
+    """`ActionContext._diag_coeff`: the u^-sup coefficient of prod(1 + a x) /
+    prod(1 + b x), in `Fraction` arithmetic on `row_values`."""
+    a = [v + r - 1 for _, v in ctx.row_values(r, d)]
+    b = [v + r - 1 for _, v in ctx.row_values(r - 1, d)]
+    if fam == "dprime":
+        a, b = b, a
+    c = [Fraction(1)] + [Fraction(0)] * sup
+    for x in a:
+        for t in range(sup, 0, -1):
+            c[t] += x * c[t - 1]
+    for x in b:
+        for t in range(1, sup + 1):
+            c[t] -= x * c[t - 1]
+    return c[sup]
+
+
+def _mixed_assignment(classes):
+    """Each class at a value over its own denominator, so the least common
+    denominator of a window's entries is a product of several."""
+    dens = (3, 5, 7, 1, 11, 2, 13)
+    return GenericAssignment({
+        cls: Fraction(3 * k - 7, dens[k % len(dens)])
+        for k, cls in enumerate(sorted(classes, key=repr))
+    })
+
+
+def test_integer_rows_give_the_fraction_ratios_and_diagonals():
+    """The exact context runs on entries times their common denominator;
+    its ratios, errors and diagonal coefficients are the `Fraction` ones."""
+    outcomes = set()
+    for C, seed, radius in _step_windows():
+        window = enumerate_basis(C, seed, radius)
+        classes = seed.classes()
+        for assignment in (generic_instantiate(classes, 1), _mixed_assignment(classes)):
+            ctx = ActionContext(window, assignment)
+            for d in window.members[:40]:
+                for r in range(1, ctx.n + 1):
+                    for pivot, _ in ctx.row_values(r, d):
+                        for other in (r - 1, r + 1):
+                            got = _outcome(lambda: ctx._ratio(r, other, pivot, d))
+                            want = _outcome(lambda: _fraction_ratio(ctx, r, other, pivot, d))
+                            assert got == want, (C, seed, d, r, pivot, other)
+                            assert isinstance(got, (Fraction, tuple))
+                            outcomes.add(type(got))
+                    for fam in ("d", "dprime"):
+                        for sup in (1, 2, 5):
+                            got = ctx._diag_coeff(fam, r, sup, d)
+                            assert got == _fraction_diag(ctx, fam, r, sup, d), (C, d, fam, r, sup)
+                            assert isinstance(got, Fraction)
+    assert outcomes == {Fraction, tuple}  # both ratios and coincident entries
 
 
 def test_free_window_keeps_members_index_and_coordinates_aligned():

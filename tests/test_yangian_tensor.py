@@ -834,6 +834,32 @@ def test_quantum_minor_matches_geometric_series_product(name):
                 assert all(isinstance(s, InvSeries) for s in got.values())
 
 
+def test_scaled_series_sums_equal_fraction_sums():
+    """`_add_scaled` on integers over one denominator is `_add_into` on
+    `Fraction` lists, truncation to the shorter series included."""
+    rng = random.Random(20261019)
+
+    def frac():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+    for _ in range(400):
+        fractions, scaled = {}, {}
+        for _ in range(rng.randint(1, 5)):
+            key = rng.choice("ab")
+            ser = [frac() for _ in range(rng.randint(1, 5))]
+            c = rng.choice([None, frac()])
+            yt._add_into(fractions, key, ser, c)
+            s = yt._as_series_vec({0: InvSeries(ser[0], ser[1:])}, 0)[0]
+            if c is None:
+                yt._add_scaled(scaled, key, s)
+            else:
+                yt._add_scaled(scaled, key, s, c.numerator, c.denominator)
+        assert {k: yt._fractions(s) for k, s in scaled.items()} == fractions
+        for s in scaled.values():
+            assert s[0] > 0
+            assert yt._fractions(yt._reduced(s)) == yt._fractions(s)
+
+
 # -- truncation order (n - 1)*k ----------------------------------------------
 
 
