@@ -32,6 +32,7 @@ from .relations import (
     require_same_pyramid,
     satisfies,
 )
+from .supports import _member_entries, _row_layout, _row_support, _WallSets
 from .tableau import (
     Tableau,
     TableauDelta,
@@ -787,10 +788,12 @@ def _word_row_margins(words) -> dict[int, int]:
 def _relation_table(pyramid, budget: int) -> tuple:
     """Every case of `_relation_cases`, in its order, built once per (pyramid, budget).
 
-    Each case is (family, indices as (name, value) pairs, terms, margins):
-    terms is lhs - rhs as one signed sum of words, every sign +1 or -1, and
-    margins is the case's `_word_row_margins` as sorted (row, steps) pairs.
-    All of it is tuples, so no caller can change the cached table.
+    Each case is (family, indices as (name, value) pairs, terms, margins,
+    support words): terms is lhs - rhs as one signed sum of words, every sign
+    +1 or -1, margins is the case's `_word_row_margins` as sorted (row, steps)
+    pairs, and the support words are the frozenset of its words' nonempty
+    `_support_word`s.  All of it is immutable, so no caller can change the
+    cached table.
     """
     return tuple(
         (
@@ -799,9 +802,15 @@ def _relation_table(pyramid, budget: int) -> tuple:
             tuple((sign, tuple(word)) for sign, word in lhs)
             + tuple((-sign, tuple(word)) for sign, word in rhs),
             tuple(sorted(_word_row_margins(lhs + rhs).items())),
+            frozenset(w for _, word in lhs + rhs if (w := _support_word(word))),
         )
         for fam, idx, lhs, rhs in _relation_cases(pyramid, budget)
     )
+
+
+def _support_word(word) -> tuple:
+    """The ladder letters (family, row) of a word, in the order they act."""
+    return tuple((fam, row) for fam, row, _ in reversed(word) if fam in ("e", "f"))
 
 
 def verify_defining_relations(
@@ -824,6 +833,48 @@ def verify_defining_relations(
     mod its own prime p_k, all at once in the `ActionContext._stacked` context
     mod their product.  Where some reduction is not faithful, each
     instantiation is decided in its own exact context instead.
+
+    A case is evaluated at an eligible position only when the position is
+    in the case's hit set (`_WallSets`): elsewhere its residual is zero at
+    every instantiation, so skipping it moves no first failing position and
+    no report byte.
+
+    Why.  The Gelfand-Tsetlin formulas satisfy the defining relations as
+    identities of rational functions in the entries, on the span of all
+    integral shifts with no gating (Gelfand-Tsetlin for gl_n;
+    Futorny-Molev-Ovsienko, Adv. Math. 2010, for finite W-algebras of type
+    A).  Put x = v + eps * y, with v an instantiation's values and y generic.
+    For small eps != 0 no two entries differ by an integer, so for every
+    target the identity holds there: the sum over the walks of the case's
+    words (a walk picks a pivot for each ladder letter) of the products of
+    their coefficients is 0.  A ladder coefficient is +-N / D times a
+    polynomial (`_row_support`), and a factor x_s - x_t of N or D vanishes
+    at eps = 0, to order exactly 1, when the entries of s and t are equal,
+    and not at all otherwise.  So a step has order at least z - h in eps:
+    z is 1 when its pivot's entry equals an entry of the adjacent row (a
+    zero coefficient), and h counts the other entries of its own row equal
+    to it (a pole).  Diagonal letters have polynomial coefficients.  On
+    members h = 0 (the criticality scan), so a walk that stays on members
+    has a finite product whose value at eps = 0 is the term the relation
+    module sums: zero exactly when some z is 1, since the module drops that
+    move.  So the module's residual is minus the limit of the sum over the
+    walks that visit a target that is not a member, and that limit is zero
+    when each of them has a sum of z - h of at least 1.
+
+    The hit set holds the positions from which some walk of one of the
+    case's words visits a non-member with a sum of z - h of at most 0.  Two
+    kinds of move start such a walk: a wall, a move with a nonzero
+    coefficient whose target breaks C; and a singular target, a move with a
+    zero coefficient whose target breaks C and equals another entry of its
+    own row, followed by a move of that row (0 times a pole).  In a
+    three-letter word a zero move may also be followed by a move that makes
+    two entries of a row equal and a move of one of them, and `_WallSets`
+    counts that walk the same way.  z and h depend only on each letter's
+    family and row: a higher superscript multiplies the lowest one's
+    coefficient by a polynomial, and diagonal letters do not move.  From an
+    eligible position no walk leaves the box (the margins); a move out of
+    it (-1 from `window.step`) would count as a non-member, so the overflow
+    error stays where it was.
     """
     window = BasisWindow(C, l, radius)
     report: dict = {
@@ -833,23 +884,26 @@ def verify_defining_relations(
     }
 
     # criticality scan: equal same-row entries anywhere in the window
-    for d in window.members:
-        tab = window.tableau(d)
-        for i in range(1, tab.pyramid.n + 1):
-            row = row_indices(tab.pyramid, i)
-            for x in range(len(row)):
-                for y in range(x + 1, len(row)):
-                    if tab.entry(row[x]) == tab.entry(row[y]):
-                        report["violations"].append(
-                            {
-                                "family": "critical",
-                                "indices": {},
-                                "shift": d.key(),
-                                "detail": f"equal entries at {tuple(row[x])}, {tuple(row[y])}",
-                            }
-                        )
-                        report["families"]["critical"] = "fail"
-                        return report
+    walls = _WallSets(window)
+    for pos, coords in enumerate(window.coords):
+        for i, row in enumerate(_member_entries(walls.layout, coords)):
+            if len(set(row)) == len(row):
+                continue
+            x, y = next(
+                (walls.layout[i][x][0], walls.layout[i][y][0])
+                for x in range(len(row)) for y in range(x + 1, len(row))
+                if row[x] == row[y]
+            )
+            report["violations"].append(
+                {
+                    "family": "critical",
+                    "indices": {},
+                    "shift": window.members[pos].key(),
+                    "detail": f"equal entries at {tuple(x)}, {tuple(y)}",
+                }
+            )
+            report["families"]["critical"] = "fail"
+            return report
 
     # Each decider is a context and its lanes (instantiation k, prime p):
     # k fails where a residual is nonzero mod p, or anywhere nonzero when p is
@@ -866,7 +920,8 @@ def verify_defining_relations(
         deciders = [(stack, list(enumerate(instantiation_primes(instantiations))))]
 
     eligible_by_margins: dict = {}
-    for fam, idx, terms, profile in _relation_table(l.pyramid, budget):
+    scans: dict = {}
+    for fam, idx, terms, profile, words in _relation_table(l.pyramid, budget):
         status = report["families"].setdefault(fam, "pass")
         if status == "fail" and max_violations:
             continue
@@ -885,11 +940,15 @@ def verify_defining_relations(
                     for t in window.free
                 )
             ]
+        # the eligible positions in the case's hit set, in their order
+        scan = scans.get((words, profile))
+        if scan is None:
+            scan = scans[words, profile] = [p for p in eligible if walls.hit(words, p)]
         for ctx, lanes in deciders:
             # the first failing position of each instantiation; the scan ends
             # once the least instantiation has failed
             first: dict[int, int] = {}
-            for pos in eligible:
+            for pos in scan:
                 acc = _residual(ctx, terms, pos)
                 if "criticality" in acc:
                     first.setdefault(lanes[0][0], pos)
@@ -957,23 +1016,11 @@ def cyclicity_probe(window: BasisWindow, start: TableauDelta, budget: int) -> se
     The walk runs over member positions; a `start` that is not a member raises
     ValueError.  Eigenvalue separation makes every summand with a nonzero
     coefficient reachable, so the closure of supports is the generated
-    subspace's basis.  The supports are read off the entries, with no
-    coefficient computed.
-
-    The support rule.  In `ActionContext.ladder_terms`, the move of pivot t
-    in row r (up for e, down for f) has coefficient +-N / D times a power of
-    -(v_t + pole), where v_t is t's value, N is the product of
-    (v_s - v_t) over the adjacent row (r + 1 for e, r - 1 for f; row 0 is
-    empty) and D is the product of (v_s - v_t) over row r without t.  At the
-    lowest superscript the power is 1.  Under a `GenericAssignment`, two
-    values of distinct classes differ by a non-integer (the classes' residues
-    mod 997 are distinct), and two of one class differ by their offsets'
-    difference.  So a value difference is zero exactly when the two entries
-    (class, seed offset + shift) are equal, at every instantiation: the move
-    is in the support exactly when t's entry equals no entry of the adjacent
-    row, and D = 0, which raises `CriticalityError`, exactly when two entries
-    of row r are equal.  Targets are placed by `window.step`; a target that
-    breaks the relations or leaves the box is dropped.
+    subspace's basis.  The supports are read off the entries by
+    `_row_support`, with no coefficient computed, and the same entries raise
+    `CriticalityError` exactly where the coefficients would.  Targets are
+    placed by `window.step`; a target that breaks the relations or leaves the
+    box is dropped.
 
     The reached set is the same for every budget >= 1, so only each row's
     lowest superscript (`e_generator_min_degree` for e, 1 for f) is walked;
@@ -983,27 +1030,19 @@ def cyclicity_probe(window: BasisWindow, start: TableauDelta, budget: int) -> se
     from each member in breadth-first order, so the first member with a
     critical row raises, naming the least such row.
     """
-    pyramid, seed, slot = window.seed.pyramid, window.seed, window.checker.slot
-    # per row: (triple, coordinate slot or None on the top row, class, seed offset)
-    rows = [
-        [(t, slot.get(t), *seed.entry(t)) for t in row_indices(pyramid, r)]
-        for r in range(pyramid.n + 1)
+    layout = _row_layout(window)
+    # per row, per pivot: (up move, down move)
+    moves = [
+        [(TableauDelta.unit(t, 1), TableauDelta.unit(t, -1)) for t, *_ in row]
+        for row in layout
     ]
-    moves = {
-        t: (TableauDelta.unit(t, 1), TableauDelta.unit(t, -1))
-        for t in window.free
-    }
-    ladder_rows = range(1, pyramid.n) if budget >= 1 else ()
+    ladder_rows = range(1, window.seed.pyramid.n) if budget >= 1 else ()
     frontier = [window.index[start]]
     reached = set(frontier)
     while frontier:
         nxt = []
         for p in frontier:
-            c = window.coords[p]
-            entries = [
-                [(cls, off if k is None else off + c[k]) for _, k, cls, off in row]
-                for row in rows
-            ]
+            entries = _member_entries(layout, window.coords[p])
             for r in ladder_rows:
                 row = entries[r]
                 if len(set(row)) < len(row):
@@ -1011,11 +1050,8 @@ def cyclicity_probe(window: BasisWindow, start: TableauDelta, budget: int) -> se
                         f"coincident entries in row {r} at shift {window.members[p]!r}"
                     )
                 for other, way in ((r + 1, 0), (r - 1, 1)):
-                    adjacent = set(entries[other])
-                    for (t, *_), entry in zip(rows[r], row):
-                        if entry in adjacent:
-                            continue
-                        q = window.step(p, moves[t][way])
+                    for j in _row_support(entries, r, other):
+                        q = window.step(p, moves[r][j][way])
                         if q is not None and q >= 0 and q not in reached:
                             reached.add(q)
                             nxt.append(q)

@@ -532,23 +532,6 @@ def _row_images(pi: Pyramid, support=None):
     return out
 
 
-def _row_relabelings(pi: Pyramid, support=None):
-    """Products of within-row (layer, position) relabelings, identity first.
-
-    The product of the rows' `_row_images`, in lexicographic order of the
-    row-by-row image tuples: the enumeration whose first passing relabeling
-    `is_admissible` finds without enumerating it.  Yields {row: mapping}
-    dictionaries consumable by `_relabel`, one row entry per non-identity row
-    mapping.
-    """
-    per_row = [
-        [(i, None if im == tuple(pairs) else dict(zip(pairs, im))) for im in images]
-        for i, (pairs, images) in enumerate(_row_images(pi, support), 1)
-    ]
-    for combo in itertools.product(*per_row):
-        yield {row: mapping for row, mapping in combo if mapping is not None}
-
-
 def _least_passing_relabeling(C: RelationSet, closures):
     """The least relabeling under which C meets the labelled conditions, or None.
 

@@ -13,7 +13,7 @@ from wpimod import (
     noncritical_satisfying_tableau,
     standard_set,
 )
-from wpimod.relations import Relation
+from wpimod.relations import Relation, _row_images
 
 GL2 = Pyramid((1, 1))
 GL3 = Pyramid((1, 1, 1))
@@ -48,6 +48,23 @@ def relation_subsets(pi: Pyramid, max_edges: int = 5):
             C = try_relation_set(pi, combo)
             if C is not None:
                 yield C
+
+
+def _row_relabelings(pi: Pyramid, support=None):
+    """Products of within-row (layer, position) relabelings, identity first.
+
+    The product of the rows' `_row_images`, in lexicographic order of the
+    row-by-row image tuples: the enumeration whose first passing relabeling
+    `is_admissible` finds without enumerating it.  Yields {row: mapping}
+    dictionaries consumable by `relations._relabel`, one row entry per
+    non-identity row mapping.
+    """
+    per_row = [
+        [(i, None if im == tuple(pairs) else dict(zip(pairs, im))) for im in images]
+        for i, (pairs, images) in enumerate(_row_images(pi, support), 1)
+    ]
+    for combo in itertools.product(*per_row):
+        yield {row: mapping for row, mapping in combo if mapping is not None}
 
 
 def rel(g, l, strict) -> Relation:

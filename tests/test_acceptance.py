@@ -49,7 +49,6 @@ from wpimod import (
 )
 from wpimod.cli import run
 from wpimod.relations import (
-    _row_relabelings,
     critical_satisfying_tableau,
     is_maximal_triple,
     is_minimal_triple,
@@ -61,6 +60,7 @@ from wpimod.yangian_tensor import TensorModule, t_coefficient
 from helpers import (
     GL2,
     P12,
+    _row_relabelings,
     bad_pattern_lower,
     bad_pattern_upper,
     rel,

@@ -47,21 +47,26 @@ from wpimod.gt_module import (
 from wpimod.relations import (
     all_relations,
     critical_satisfying_tableau,
+    is_admissible,
     is_noncritical_set,
     is_satisfiable,
     maximal_set,
     noncritical_satisfying_tableau,
     satisfies,
 )
+from wpimod.supports import _WallSets
 from wpimod.tableau import all_indices, mutable_indices, shift
 
 from helpers import (
     GL2,
     GL3,
+    P12,
+    P22,
     bad_pattern_lower,
     bad_pattern_upper,
     gl2_tableau,
     rel,
+    relation_subsets,
     spread_seed,
     standard_gl2,
     try_relation_set,
@@ -707,6 +712,71 @@ def test_indexed_residual_equals_per_word_apply(C, seed):
                     modulus, terms, d)
                 checked += 1
     assert checked > 0
+
+
+def _wall_corpus():
+    """Noncritical satisfiable GL2 and P12 sets with <= 3 edges, all of them,
+    and GL3 and (2,2) sets with <= 2 edges, a seeded sample: the
+    non-admissible ones, where residuals can be nonzero (all 8 of (2,2), 3
+    of GL3's 8), and a few admissible ones."""
+    rng = random.Random(2601)
+    for pyramid, edges, bad, good in ((GL2, 3, None, None), (P12, 3, None, None),
+                                      (GL3, 2, 3, 1), (P22, 2, 8, 4)):
+        sets = [
+            C for C in relation_subsets(pyramid, edges)
+            if is_satisfiable(C) and is_noncritical_set(C)
+        ]
+        if bad is None:
+            yield from sets
+            continue
+        verdicts = [is_admissible(C)[0] for C in sets]
+        yield from rng.sample([C for C, ok in zip(sets, verdicts) if not ok], bad)
+        yield from rng.sample([C for C, ok in zip(sets, verdicts) if ok], good)
+
+
+def test_wall_sets_skip_only_zero_residuals():
+    """Every eligible (case, position) outside the case's hit set has an empty
+    exact residual in each instantiation, at the canonical and spread seeds.
+
+    With no walls, every check skipped, the corpus's nonzero residuals and the
+    upper control's reported position would all lie outside the hit sets.
+    """
+    radius, budget, count = 2, 2, 3
+    skipped = nonzero = 0
+    for C in _wall_corpus():
+        for seed in (noncritical_satisfying_tableau(C), spread_seed(C)):
+            window = enumerate_basis(C, seed, radius)
+            walls = _WallSets(window)
+            exact = [
+                ActionContext(window, generic_instantiate(seed.classes(), 1 + k))
+                for k in range(count)
+            ]
+            for fam, idx, terms, profile, words in gt_module._relation_table(
+                C.pyramid, budget
+            ):
+                margins = dict(profile)
+                for pos, d in enumerate(window.members):
+                    if any(abs(d.get(t)) > radius - margins.get(t.i, 0) for t in window.free):
+                        continue
+                    hit = walls.hit(words, pos)
+                    skipped += not hit
+                    for k, ctx in enumerate(exact):
+                        if gt_module._residual(ctx, terms, pos):
+                            nonzero += 1
+                            assert hit, (C.edges, seed.entries, fam, idx, d, k)
+    assert skipped > 0 and nonzero > 0
+    # criterion 2's upper control fails at a position of its case's hit set
+    C = bad_pattern_upper()
+    seed = noncritical_satisfying_tableau(C)
+    report = verify_defining_relations(C, seed, radius, 3, instantiations=count)
+    violation = report["violations"][0]
+    window = enumerate_basis(C, seed, radius)
+    words = next(
+        case[4] for case in gt_module._relation_table(C.pyramid, 3)
+        if case[0] == violation["family"] and dict(case[1]) == violation["indices"]
+    )
+    pos = window.index[TableauDelta(dict(violation["shift"]))]
+    assert _WallSets(window).hit(words, pos)
 
 
 P = MODULUS

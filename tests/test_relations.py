@@ -30,7 +30,6 @@ from wpimod.relations import (
     _arcs,
     _least_solution,
     _literal_admissible,
-    _row_relabelings,
     critical_pair,
     has_cross,
     held_relations,
@@ -42,6 +41,7 @@ from helpers import (
     GL2,
     GL3,
     P12,
+    _row_relabelings,
     bad_pattern_lower,
     bad_pattern_upper,
     diamond_set,
