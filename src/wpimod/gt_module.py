@@ -40,7 +40,6 @@ from .tableau import (
     all_indices,
     mutable_indices,
     row_indices,
-    shift,
 )
 
 
@@ -237,9 +236,6 @@ class BasisWindow:
 
     def __contains__(self, d: TableauDelta) -> bool:
         return d in self.index
-
-    def tableau(self, d: TableauDelta) -> Tableau:
-        return shift(self.seed, d)
 
     def step(self, pos: int, move: TableauDelta) -> int | None:
         """Where ladder move `move` takes member pos: the target's position,

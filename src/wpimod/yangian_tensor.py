@@ -3,12 +3,15 @@
 Each factor is a gl_n highest-weight module realized as a relation module over
 a one-column pyramid, pulled back through the evaluation map
 t_ij(u) -> delta_ij + E_ij/(u - a).  The coproduct spreads t_ij(u) over the
-factors; quantum minors and the Drinfeld B-series are computed as exact
-truncated series, and singular vectors are exact kernels of the resulting
-linear systems on weight spaces.  One sparse elimination takes each kernel: run
-mod the prime `MODULUS`, it proves most kernels zero; the others it solves in
-`Fraction`.  Inside, tensor keys are tuples of positions in each factor's
-member list, and the modular run builds its E_ab columns on residues.
+factors; quantum minors are computed as exact truncated series, and
+singular vectors are exact kernels of the adjacent raising series
+t_{i,i+1}(u), truncated at order k for k factors, on weight spaces.  At root
+offset c only the rows with c_i > 0 are applied, since t_{i,i+1} maps into
+the empty space at c - alpha_i when c_i = 0.  One sparse elimination takes
+each kernel: run mod the prime `MODULUS`, it proves most kernels zero; the
+others it solves in `Fraction`.  Inside, tensor keys are tuples of positions
+in each factor's member list, and the modular run builds its E_ab columns on
+residues.
 """
 
 from __future__ import annotations
@@ -586,18 +589,14 @@ def _tensor_t(M: TensorModule, a: int, b: int, arg_shift: int, vec: dict, order:
     return out
 
 
-def _as_series_vec(vec: dict, order: int, m: int | None = None) -> dict:
-    """Scalar and InvSeries values as residue lists [c_0, ..., c_T] mod m, or,
-    with m None, as scaled series (`_add_scaled`)."""
+def _as_series_vec(vec: dict, order: int) -> dict:
+    """Scalar and InvSeries values as scaled series (`_add_scaled`)."""
     out = {}
     for key, c in vec.items():
         xs = (c.constant, *c.coeffs) if isinstance(c, InvSeries) else (c,) + (0,) * order
-        if m is None:
-            xs = [as_scalar(x) for x in xs]
-            den = math.lcm(*(x.denominator for x in xs))
-            out[key] = [den] + [x.numerator * (den // x.denominator) for x in xs]
-        else:
-            out[key] = [residue(x, m) for x in xs]
+        xs = [as_scalar(x) for x in xs]
+        den = math.lcm(*(x.denominator for x in xs))
+        out[key] = [den] + [x.numerator * (den // x.denominator) for x in xs]
     return out
 
 
@@ -652,47 +651,22 @@ class OperatorSeries:
     def apply(self, vec: dict) -> dict:
         """Image of a vector; keys map to truncated `InvSeries`, all-zero ones left out."""
         M = self.M
-        vec = {M._positions(key): c for key, c in vec.items()}
-        return {M._shifts(k): InvSeries(s[0], s[1:]) for k, s in self._series(vec, None).items()}
-
-    def _series(self, vec: dict, m: int | None) -> dict:
-        """Image of a vector as coefficient lists [c_0, ..., c_T], all-zero ones left out.
-
-        Keys are tuples of member positions, in and out.  With a modulus m the
-        coefficients are residues mod m, and ZeroDivisionError is raised where
-        a denominator is not a unit mod m.
-        """
         if self.repeated:
             return {}
-        r = len(self.a_rows)
-        vec = _as_series_vec(vec, self.order, m)
+        vec = _as_series_vec({M._positions(key): c for key, c in vec.items()}, self.order)
         out: dict = {}
-        for sigma in itertools.permutations(range(r)):
+        for sigma in itertools.permutations(range(len(self.a_rows))):
             sgn = _perm_sign(sigma)
             cur = vec
-            for pos in range(r - 1, -1, -1):
-                cur = _tensor_t(
-                    self.M,
-                    self.a_rows[sigma[pos]],
-                    self.b_cols[pos],
-                    pos,
-                    cur,
-                    self.order,
-                    self.lo,
-                    self.hi,
-                    m,
-                )
+            for pos in range(len(sigma) - 1, -1, -1):
+                cur = _tensor_t(M, self.a_rows[sigma[pos]], self.b_cols[pos], pos, cur,
+                                self.order, self.lo, self.hi)
                 if not cur:
                     break
-            if m is None:
-                for key, s in cur.items():
-                    _add_scaled(out, key, s, sgn)
-                continue
             for key, s in cur.items():
-                _add_into(out, key, s if sgn > 0 else [-x for x in s])
-        if m is None:
-            return {k: _fractions(s) for k, s in out.items() if any(s[1:])}
-        return {k: res for k, s in out.items() if any(res := [x % m for x in s])}
+                _add_scaled(out, key, s, sgn)
+        out = {k: _fractions(s) for k, s in out.items() if any(s[1:])}
+        return {M._shifts(k): InvSeries(s[0], s[1:]) for k, s in out.items()}
 
 
 def quantum_minor(M: TensorModule, a_rows, b_cols, order: int,
@@ -700,39 +674,38 @@ def quantum_minor(M: TensorModule, a_rows, b_cols, order: int,
     return OperatorSeries(M, a_rows, b_cols, order, lo, hi)
 
 
-def drinfeld_b(M: TensorModule, m: int, order: int) -> OperatorSeries:
-    cols = list(range(1, m)) + [m + 1]
-    return quantum_minor(M, range(1, m + 1), cols, order)
-
-
 # -- singular vectors -------------------------------------------------------
 
 
 def _dependencies(M: TensorModule, keys, order: int, m: int | None):
-    """Yield a kernel vector of the B-series coefficients for each dependent key.
+    """Yield a kernel vector of the raising coefficients for each dependent key.
 
-    Each key's image, a sparse vector over (B index, target key, t) with the
-    target as member positions, is reduced against the echelon vectors of the
-    keys before it; each echelon vector is 1 at its pivot, 0 at earlier
-    pivots, and records the combination of keys it is made of.  A key whose image reduces to zero yields its kernel vector: 1
-    at the key plus the unique combination of earlier independent keys that
-    cancels its image, in key order.  These are the reduced-echelon null-space
-    basis vectors with the keys as columns.  Entries are residues mod m, or
-    `Fraction`s when m is None.  Reduction mod m never raises rank, so nothing
-    yielded mod m proves that the rational kernel is zero.  Raises
-    ZeroDivisionError where a denominator is not a unit mod m.
+    Each key's image, a sparse vector over (i, target key, t) holding the
+    coefficients of t_{i,i+1}(u) with the target as member positions, is
+    reduced against the echelon vectors of the keys before it; each echelon
+    vector is 1 at its pivot, 0 at earlier pivots, and records the
+    combination of keys it is made of.  Only the rows i with c_i > 0 on the
+    keys' root offset c are applied: t_{i,i+1} maps them into the space at
+    c - alpha_i, which is empty when c_i = 0.  A key whose image reduces to
+    zero yields its kernel vector: 1 at the key plus the unique combination
+    of earlier independent keys that cancels its image, in key order.  These
+    are the reduced-echelon null-space basis vectors with the keys as
+    columns.  Entries are residues mod m, or `Fraction`s when m is None.
+    Reduction mod m never raises rank, so nothing yielded mod m proves that
+    the rational kernel is zero.  Raises ZeroDivisionError where a
+    denominator is not a unit mod m.
     """
-    ops = [drinfeld_b(M, k, order) for k in range(1, M.n)]
+    rows = [i for i, c in enumerate(M.root_offset(keys[0]), 1) if c] if keys else []
+    one = [1, 1] + [0] * order if m is None else [1] + [0] * order  # 1 as a series
     echelon = []  # (pivot, vector, combination of key positions)
-    for i, key in enumerate(keys):
+    for idx, key in enumerate(keys):
         vec = {}
-        start = {M._positions(key): 1}
-        for k, op in enumerate(ops):
-            for ok, s in op._series(start, m).items():
-                for t, c in enumerate(s):
-                    if c:
-                        vec[k, ok, t] = c
-        combo = {i: Fraction(1) if m is None else 1}
+        start = {M._positions(key): one}
+        for i in rows:
+            for ok, s in _tensor_t(M, i, i + 1, 0, start, order, 0, len(M.factors), m).items():
+                cs = _fractions(s) if m is None else [x % m for x in s]
+                vec.update(((i, ok, t), c) for t, c in enumerate(cs) if c)
+        combo = {idx: Fraction(1) if m is None else 1}
         for pivot, e, e_combo in echelon:
             c = vec.get(pivot)
             if c:
@@ -753,7 +726,7 @@ def _dependencies(M: TensorModule, keys, order: int, m: int | None):
 
 
 def find_singular_vectors(M: TensorModule, offset, order: int | None = None) -> list[dict]:
-    """Exact kernel of all B-series coefficients on one weight space.
+    """Exact kernel of all raising series t_{i,i+1}(u) on one weight space.
 
     `offset` gives per-row lowering counts; the returned vectors are sparse
     dicts over the weight-space basis keys, the reduced-echelon null-space
@@ -761,22 +734,32 @@ def find_singular_vectors(M: TensorModule, offset, order: int | None = None) -> 
     `MODULUS`: no dependent key there proves the kernel zero.  Otherwise, or
     where a denominator is not a unit mod `MODULUS`, it runs in `Fraction`.
 
-    The default truncation order (n - 1)*k, for k factors, gives the kernel of
-    the whole series.  A factor acts through t_ab(u - s) = delta_ab +
-    E_ab/(u - s - point), one simple pole, and B_m is an m-by-m quantum minor,
-    a sum of products of m such operators under the k-fold coproduct.  So on
-    the weight space B_m(u) = P(u)/Q(u) with one scalar Q of degree m*k for
-    every key and deg P <= deg Q.  If c_0, ..., c_{mk} of a combination's
-    image vanish, then P = Q * (P/Q) is a polynomial in O(u^-1), so P = 0.
-    With m <= n - 1 the order (n - 1)*k covers every B_m.  An explicit
-    `order` truncates there instead; a negative one raises ValueError.
+    The kernel K_T of every t_{i,i+1}^(r) is the space of singular vectors,
+    those killed by every t_ij(u) with i < j.  The RTT relation gives
+    [t_ij^(1), t_jl^(r)] = t_il^(r) for i < j < l, so by induction on l - i
+    whatever the adjacent coefficients kill, every t_il^(r) kills.  It is
+    also the kernel of the Drinfeld series B_m(u), the quantum minors of rows
+    1..m and columns 1..m-1, m+1 (Brundan-Kleshchev): in the Gauss
+    decomposition T(u) = F(u)H(u)E(u), t_ij(u) = sum over k <= i of
+    f_ik(u)h_k(u)e_kj(u), so by induction on i the t_ij with i < j kill v
+    exactly when the e_kj do; each e_kj^(r) is a nested commutator of
+    coefficients of the e_{m,m+1}(u) = A_m(u)^-1 B_m(u), and A_m(u) is
+    invertible.
+
+    The default truncation order k, for k factors, gives the kernel of the
+    whole series.  A factor acts through t_ab(u) = delta_ab + E_ab/(u - point),
+    one simple pole, so under the k-fold coproduct t_{i,i+1}(u) = P(u)/Q(u)
+    on the weight space, with one scalar Q = prod (u - point) of degree k for
+    every key and deg P <= k.  If c_0, ..., c_k of a combination's image
+    vanish, then P = Q * (P/Q) is a polynomial in O(u^-1), so P = 0.  An
+    explicit `order` truncates there instead; a negative one raises ValueError.
 
     Offset 0 is decided without eliminating, at any order: its space is the
-    highest vector alone, and every B-series coefficient kills it.  Each term
-    of B_m acts first by some t_{a,m+1} with a <= m; under the coproduct it
-    is a sum of t_{a,c_1} x ... x t_{c_{k-1},m+1}, and on the factors'
-    highest vectors a term survives only if no factor gets a raising E_ij
-    (i < j), which needs a chain a >= c_1 >= ... >= m + 1.  None exists.
+    highest vector alone, and every t_ij(u) with i < j kills it.  Under the
+    coproduct t_ij is a sum of t_{i,c_1} x ... x t_{c_{k-1},j}, and on the
+    factors' highest vectors a term survives only if no factor gets a
+    raising E_ab (a < b), which needs a chain i >= c_1 >= ... >= j.  None
+    exists.
     """
     if order is not None and order < 0:
         raise ValueError(f"truncation order must be >= 0, got {order}")
@@ -787,7 +770,7 @@ def find_singular_vectors(M: TensorModule, offset, order: int | None = None) -> 
     if not keys:
         return []
     if order is None:
-        order = (M.n - 1) * len(M.factors)
+        order = len(M.factors)
     try:
         if next(_dependencies(M, keys, order, MODULUS), None) is None:
             return []

@@ -14,6 +14,7 @@ from wpimod import (
     standard_set,
 )
 from wpimod.relations import Relation, _row_images
+from wpimod.yangian_tensor import OperatorSeries, TensorModule, quantum_minor
 
 GL2 = Pyramid((1, 1))
 GL3 = Pyramid((1, 1, 1))
@@ -65,6 +66,13 @@ def _row_relabelings(pi: Pyramid, support=None):
     ]
     for combo in itertools.product(*per_row):
         yield {row: mapping for row, mapping in combo if mapping is not None}
+
+
+def drinfeld_b(M: TensorModule, m: int, order: int) -> OperatorSeries:
+    """The Drinfeld series B_m(u): the quantum minor of rows 1..m and columns
+    1..m-1, m+1, whose joint kernel on a weight space is the space of
+    singular vectors."""
+    return quantum_minor(M, range(1, m + 1), [*range(1, m), m + 1], order)
 
 
 def rel(g, l, strict) -> Relation:

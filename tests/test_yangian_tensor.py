@@ -30,6 +30,8 @@ from wpimod.gt_module import MAX_WINDOW_MEMBERS
 from wpimod.tableau import TableauDelta, TriIndex
 from wpimod.yangian_tensor import t_coefficient
 
+from helpers import drinfeld_b
+
 
 def test_weyl_dimension():
     assert weyl_dimension(GlWeight((2, 0))) == 3
@@ -533,7 +535,7 @@ def _dense_singular_vectors(M, offset):
     (B index, target key, t) coefficient, one column per weight-space key."""
     keys = M.weight_space(offset)
     order = _order(M, offset)
-    images = [[yt.drinfeld_b(M, b, order).apply({key: Fraction(1)}) for b in range(1, M.n)]
+    images = [[drinfeld_b(M, b, order).apply({key: Fraction(1)}) for b in range(1, M.n)]
               for key in keys]
     targets = sorted({ok for per_b in images for img in per_b for ok in img},
                      key=lambda k: tuple(d.key() for d in k))
@@ -860,7 +862,7 @@ def test_scaled_series_sums_equal_fraction_sums():
             assert yt._fractions(yt._reduced(s)) == yt._fractions(s)
 
 
-# -- truncation order (n - 1)*k ----------------------------------------------
+# -- truncation order k -------------------------------------------------------
 
 
 _GENERIC_GL2 = [("1/3", "1/7"), ("2/5", "1/11"), ("1/13", "3/7"), ("5/3", "2/9"),
@@ -894,7 +896,7 @@ def test_default_order_kernel_equals_the_kernel_five_orders_past_it():
                 points = [0] * k if kind == "integral" else \
                     [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)]
                 M = _tensor(weights, points, depth)
-                bound = (n - 1) * k
+                bound = k
                 for offset in itertools.product(range(depth + 1), repeat=n - 1):
                     if sum(offset) > depth:
                         continue
@@ -1107,3 +1109,77 @@ def test_position_keys_match_a_shift_keyed_reference(name):
             assert [list(v.items()) for v in got] == [list(v.items()) for v in ref], offset
             kernels += len(got)
     assert kernels >= 1
+
+
+# -- adjacent raising rows ----------------------------------------------------
+
+
+# half-integral, non-dominant gl_3 pairs: the integral condition holds, and
+# one order has a singular vector at offset (1,1)
+_HALF_INTEGRAL_PAIRS = [(("1/2", "-1/2", "1"), ("-1", "-1", "3/2")),
+                        (("-1", "1/2", "-1"), ("-1/2", "1", "0"))]
+
+
+def _raising_reference_modules():
+    """Seeded gl_3 and gl_4 pairs, the half-integral pairs in both orders, and
+    one 3-factor gl_2 product, each with the depth to probe."""
+    rng = random.Random(20261027)
+    for n, depth, count in ((3, 3, 3), (4, 3, 2)):
+        for pairs in _corpus_pairs(n, count, rng).values():
+            for lam, mu in pairs:
+                yield _tensor([lam, mu], [0, 0], depth), depth
+    yield _tensor([_seeded_weights(rng, 4, "generic") for _ in range(2)], [0, 0], 2), 2
+    for lam, mu in _HALF_INTEGRAL_PAIRS:
+        for pair in ((lam, mu), (mu, lam)):
+            yield _tensor(pair, [0, 0], 2), 2
+    # a singular vector at offset (1,) from the outer factors, points 0 and -2
+    yield _tensor([(2, 0), ("1/2", "-1/2"), (1, 0)], [0, Fraction(1, 3), -2], 3), 3
+
+
+def test_raising_kernel_equals_the_drinfeld_minor_kernel():
+    """The kernel of the t_{i,i+1}(u) is, vector for vector, the kernel of the
+    B-series minors B_1, ..., B_{n-1}."""
+    extra = set()
+    for M, depth in _raising_reference_modules():
+        caches = [{} for _ in M.factors]
+        for offset in itertools.product(range(depth + 1), repeat=M.n - 1):
+            if sum(offset) > depth or not M.weight_space(offset):
+                continue
+            got = [list(v.items()) for v in find_singular_vectors(M, offset)]
+            assert got == [list(v.items()) for v in _dense_singular_vectors(M, offset)], offset
+            if M.n == 3 or len(M.factors) == 3:
+                ref = _shift_kernel(M, offset, (M.n - 1) * len(M.factors), caches)
+                assert got == [list(v.items()) for v in ref], offset
+            if got and any(offset):
+                extra.add((tuple(f.weight for f in M.factors), offset))
+    # the half-integral pairs carry a vector at (1,1) in one order only
+    for lam, mu in _HALF_INTEGRAL_PAIRS:
+        lam, mu = GlWeight(lam), GlWeight(mu)
+        assert [((lam, mu), (1, 1)) in extra, ((mu, lam), (1, 1)) in extra].count(True) == 1
+    assert {len(weights) for weights, _ in extra} == {2, 3}  # more extra vectors, k = 2 and 3
+    assert any(len(offset) == 3 for _, offset in extra)  # on gl_4 too
+
+
+def test_raising_rows_off_the_offset_are_empty():
+    """Where c_i = 0, t_{i,i+1}(u) is zero on the weight space at offset c, so
+    `_dependencies` may skip that row, mod `MODULUS` and exactly."""
+    applied = 0
+    for M, depth in _raising_reference_modules():
+        order = len(M.factors)
+        for offset in itertools.product(range(depth + 1), repeat=M.n - 1):
+            keys = M.weight_space(offset)
+            if sum(offset) > depth or not keys:
+                continue
+            for i, c in enumerate(offset, 1):
+                for key in keys:
+                    pos = M._positions(key)
+                    images = [
+                        yt._tensor_t(M, i, i + 1, 0, {pos: [1] + [0] * order}, order,
+                                     0, len(M.factors), MODULUS),
+                        yt._tensor_t(M, i, i + 1, 0, yt._as_series_vec({pos: 1}, order),
+                                     order, 0, len(M.factors)),
+                    ]
+                    if c == 0:
+                        assert images == [{}, {}], (offset, i, key)
+                    applied += c > 0 and all(images)
+    assert applied  # the rows with c_i > 0 do act
