@@ -1,16 +1,15 @@
-"""Exact scalars, the residue modulus, generic instantiation, and the truncated
-series type that quantum-minor images are returned in.
+"""Exact scalars, the oracle's residue modulus, generic instantiation, and the
+truncated series type that quantum-minor images are returned in.
 
 Scalars are plain `fractions.Fraction`; there is no floating-point mode anywhere
-in the package.  The generator actions and the Yangian series run on plain
-coefficient lists (see `gt_module.ActionContext` and `yangian_tensor._slot_t`);
-`OperatorSeries.apply` hands its images back as `InvSeries`.  The generator
-actions, the Yangian series and the singular-vector elimination can also run
-on residues mod the prime `MODULUS`, where reduction is a ring map from the
-rationals whose denominators it keeps invertible; the elimination runs the
-same code on `Fraction`s where the residues cannot decide.  The relation
-oracle reduces each instantiation mod its own prime (`instantiation_primes`)
-and decides them all at once mod their product (`crt_basis`).  `UniPoly` and
+in the package.  The generator actions and the Yangian series run on integers
+over a common denominator (see `gt_module.ActionContext` and
+`yangian_tensor._slot_t`), and the singular-vector elimination is
+fraction-free; `OperatorSeries.apply` hands its images back as `InvSeries`.
+Only the relation oracle runs on residues: it reduces each instantiation mod
+its own prime (`instantiation_primes`, from `MODULUS` down), where reduction
+is a ring map from the rationals whose denominators it keeps invertible, and
+decides them all at once mod their product (`crt_basis`).  `UniPoly` and
 `poly_series_quotient` remain as the reference expansion the ladder tests
 compare against.
 """
@@ -193,9 +192,8 @@ def poly_series_quotient(num: UniPoly, den: UniPoly, order: int) -> InvSeries:
     return InvSeries(full[0], full[1:])
 
 
-# The Mersenne prime 2^61 - 1: the modulus of the residue mode of the generator
-# actions (`gt_module.ActionContext`) and of the Yangian kernel decision
-# (`yangian_tensor.find_singular_vectors`).
+# The Mersenne prime 2^61 - 1: the first of the relation oracle's instantiation
+# primes, whose residue contexts (`gt_module.ActionContext`) it runs on.
 MODULUS = 2**61 - 1
 
 # The first twelve primes: as Miller-Rabin bases they decide primality exactly

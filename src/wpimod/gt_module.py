@@ -320,14 +320,13 @@ class ActionContext:
     each residue is the reduction of the exact coefficient.  The code runs on
     integers (`_row_ints`): residues, or the exact entries times `_scale`, the
     least common denominator of the seed's values, so an exact coefficient
-    becomes a `Fraction` only once, at the end.  Over a `BasisWindow`
-    the modulus is kept only when `_reduction_is_faithful` holds for the window.
-    Then every difference the actions divide by or multiply is zero mod m exactly
-    when it is zero, so STRICT overflow, CriticalityError and the e and f supports
+    becomes a `Fraction` only once, at the end.  The modulus is kept only
+    when `_reduction_is_faithful` holds for the window's radius.  Then every
+    difference the actions divide by or multiply is zero mod m exactly when
+    it is zero, so STRICT overflow, CriticalityError and the e and f supports
     are the exact ones.  Otherwise the context falls back to `Fraction` and
-    `modulus` is None.  A `FreeWindow` (no box, gating by shift alone) keeps
-    the modulus: a coefficient that vanishes mod m only drops a zero residue,
-    but a same-row difference divisible by m raises CriticalityError.
+    `modulus` is None.  Only the oracle asks for a modulus; the evaluation
+    factors of `yangian_tensor`, over a `FreeWindow`, are exact.
 
     `_stacked` builds one residue context for several instantiations at once,
     mod the product of one prime each (Chinese remainder theorem).
@@ -346,7 +345,7 @@ class ActionContext:
             t: assignment.value(*window.seed.entry(t))
             for t in all_indices(self.pyramid)
         }
-        if _modulus is not None and window.radius is not None and not _reduction_is_faithful(
+        if _modulus is not None and not _reduction_is_faithful(
             base.values(), window.radius, self.n, _modulus
         ):
             _modulus = None

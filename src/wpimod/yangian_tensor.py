@@ -7,11 +7,11 @@ factors; quantum minors are computed as exact truncated series, and
 singular vectors are exact kernels of the adjacent raising series
 t_{i,i+1}(u), truncated at order k for k factors, on weight spaces.  At root
 offset c only the rows with c_i > 0 are applied, since t_{i,i+1} maps into
-the empty space at c - alpha_i when c_i = 0.  One sparse elimination takes
-each kernel: run mod the prime `MODULUS`, it proves most kernels zero; the
-others it solves in `Fraction`.  Inside, tensor keys are tuples of positions
-in each factor's member list, and the modular run builds its E_ab columns on
-residues.
+the empty space at c - alpha_i when c_i = 0.  One fraction-free integer
+elimination takes each kernel exactly: the series are integers over one
+denominator, and the elimination scales rows by integers instead of dividing,
+so a `Fraction` is built only for the returned vectors.  Inside, tensor keys
+are tuples of positions in each factor's member list.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .exact_arith import MODULUS, CriticalityError, InvSeries, as_scalar, residue
+from .exact_arith import InvSeries, as_scalar
 from .gt_module import MAX_WINDOW_MEMBERS, STRICT, ActionContext, FreeWindow
 from .pyramid import Pyramid
 from .relations import maximal_set
@@ -248,7 +248,6 @@ class EvaluationFactor:
         self.ctx = ActionContext(self.window, seed.assignment)
         self._delta_cache: dict[int, list[TableauDelta]] = {}
         self._columns: dict = {}
-        self._contexts = {None: self.ctx}  # by modulus
         self._poles: dict = {}
 
     def highest(self) -> TableauDelta:
@@ -289,63 +288,43 @@ class EvaluationFactor:
         `_column` over member positions, with the positions mapped back to shifts.
         """
         members = self.window.members
-        return tuple((members[p], c) for p, c in self._column(a, b, self.window.index[d], None))
+        return tuple((members[p], c) for p, c in self._column(a, b, self.window.index[d]))
 
-    def _pole(self, arg_shift: int, m: int | None):
-        """The pole arg_shift + point of t_ab(u - arg_shift), or its residue mod m.
-
-        Computed once per (integer shift, modulus).  Raises ZeroDivisionError
-        when the point's denominator is not a unit mod m.
-        """
-        key = (arg_shift, m)
-        pole = self._poles.get(key)
+    def _pole(self, arg_shift: int) -> Fraction:
+        """The pole arg_shift + point of t_ab(u - arg_shift), computed once per shift."""
+        pole = self._poles.get(arg_shift)
         if pole is None:
-            pole = arg_shift + self.point
-            if m is not None:
-                pole = residue(pole, m)
-            self._poles[key] = pole
+            pole = self._poles[arg_shift] = arg_shift + self.point
         return pole
 
-    def _column(self, a: int, b: int, pos: int, m: int | None) -> tuple:
+    def _column(self, a: int, b: int, pos: int) -> tuple:
         """The image of member pos under E_ab, as ((target position, coefficient), ...).
 
-        Built once per (a, b, pos, m) and cached: E_aa, E_a,a+1 and E_a+1,a
-        are the d_a^(1), e_a^(1) and f_a^(1) columns of an action context,
-        which shares the window's positions, and an off-adjacent column is
-        the commutator [E_a,mid, E_mid,b] of cached columns, with mid the
-        index next to b on the side of a.  With m None the context is the
-        exact one; with a modulus m it is the factor's residue context mod
-        m, so the coefficients are the nonzero residues of the exact ones.
-        Raises ZeroDivisionError where a base value's denominator or a
-        same-row difference is divisible by m.
+        Built once per (a, b, pos) and cached: E_aa, E_a,a+1 and E_a+1,a are
+        the d_a^(1), e_a^(1) and f_a^(1) columns of the factor's exact action
+        context, which shares the window's positions, and an off-adjacent
+        column is the commutator [E_a,mid, E_mid,b] of cached columns, with
+        mid the index next to b on the side of a.
         """
-        key = (a, b, pos, m)
+        key = (a, b, pos)
         col = self._columns.get(key)
         if col is None:
             if not (1 <= a <= self.n and 1 <= b <= self.n):
                 raise IndexError(f"index out of range for gl_{self.n}")
-            col = self._columns[key] = self._build_column(a, b, pos, m)
+            col = self._columns[key] = self._build_column(a, b, pos)
         return col
 
-    def _build_column(self, a: int, b: int, pos: int, m: int | None) -> tuple:
-        ctx = self._contexts.get(m)
-        if ctx is None:
-            ctx = self._contexts[m] = ActionContext(self.window, self.seed.assignment, _modulus=m)
+    def _build_column(self, a: int, b: int, pos: int) -> tuple:
         if abs(a - b) <= 1:
             gen = ("d", a, 1) if a == b else ("e", a, 1) if b == a + 1 else ("f", b, 1)
-            try:
-                return ctx._build_column(gen, pos, STRICT)
-            except CriticalityError as exc:
-                if m is None:
-                    raise
-                raise ZeroDivisionError(f"{exc}, a same-row difference divisible by {m}") from exc
+            return self.ctx._build_column(gen, pos, STRICT)
         mid = b - 1 if a < b else b + 1
         out: dict = {}
         for inner, outer, sign in (((mid, b), (a, mid), 1), ((a, mid), (mid, b), -1)):
-            for p1, c1 in self._column(*inner, pos, m):
-                for p2, c2 in self._column(*outer, p1, m):
+            for p1, c1 in self._column(*inner, pos):
+                for p2, c2 in self._column(*outer, p1):
                     out[p2] = out.get(p2, 0) + sign * c1 * c2
-        return tuple(ctx._nonzero(out).items())
+        return tuple(self.ctx._nonzero(out).items())
 
     def E(self, a: int, b: int, vec: dict) -> dict:
         """The gl_n basis element E_ab on a sparse vector {shift: coefficient}."""
@@ -449,26 +428,6 @@ class TensorModule:
         return tuple(f.window.members[p] for f, p in zip(self.factors, positions))
 
 
-def _add_into(out: dict, key, ser: list, c=None, m: int | None = None):
-    """out[key] += c*ser (ser if c is None) on lists [c_0, ..., c_T]; sums keep the shorter.
-
-    With a modulus m the entries are integers and each product c*x is reduced
-    mod m; sums are not, so an entry stays a small multiple of m at most.
-    """
-    tgt = out.get(key)
-    if tgt is None:
-        if c is None:
-            out[key] = list(ser)
-        else:
-            out[key] = [c * x if x else x for x in ser] if m is None else [c * x % m for x in ser]
-        return
-    del tgt[len(ser):]
-    for t in range(len(tgt)):
-        x = ser[t]
-        if x:
-            tgt[t] += x if c is None else (c * x if m is None else c * x % m)
-
-
 def _add_scaled(out: dict, key, ser: list, cn: int = 1, cd: int = 1):
     """out[key] += (cn/cd)*ser on scaled series; sums keep the shorter.
 
@@ -494,65 +453,33 @@ def _add_scaled(out: dict, key, ser: list, cn: int = 1, cd: int = 1):
         tgt[t] = tgt[t] * up + cn * ser[t]
 
 
-def _reduced(ser: list) -> list:
-    """A scaled series with its denominator and numerators divided by their gcd."""
-    g = math.gcd(*ser)
-    return ser if g == 1 else [x // g for x in ser]
-
-
 def _fractions(ser: list) -> list[Fraction]:
     """The exact coefficients [c_0, ..., c_T] of a scaled series."""
     den = ser[0]
     return [Fraction(x, den) for x in ser[1:]]
 
 
-def _slot_t(M: TensorModule, slot: int, a: int, b: int, arg_shift: int, vec: dict, order: int,
-            m: int | None = None) -> dict:
-    """t_ab(u - arg_shift) acting on factor `slot` of coefficient-list vectors.
+def _slot_t(M: TensorModule, slot: int, a: int, b: int, arg_shift: int, vec: dict,
+            order: int) -> dict:
+    """t_ab(u - arg_shift) acting on factor `slot` of scaled-series vectors.
 
-    Keys are tuples of member positions, one per factor.  t_ab(u - s) =
-    delta_ab + E_ab/(u - pole) with pole = s + point; dividing a series by
-    (u - pole) is the recurrence p_0 = 0, p_t = c_{t-1} + pole*p_{t-1}.  With a
-    modulus m the series are residue lists [c_0, ..., c_T]; with m None they
-    are scaled series (`_add_scaled`), see `_slot_t_exact`.
+    Keys are tuples of member positions, one per factor, and values scaled
+    series (`_add_scaled`).  t_ab(u - s) = delta_ab + E_ab/(u - pole) with
+    pole = s + point; dividing a series by (u - pole) is the recurrence
+    p_0 = 0, p_t = c_{t-1} + pole*p_{t-1}.  For a series over D and
+    pole = pn/pd, r_t = n_{t-1} pd^(t-1) + pn r_{t-1} (r_0 = 0) is p_t times
+    D pd^(t-1); each r_t is then brought over the last one's denominator.
+    Image series are not reduced to lowest terms: their values are exact
+    either way, and `Fraction` or the kernel's gcd step reduces them once.
     """
     f = M.factors[slot]
-    if m is None:
-        return _slot_t_exact(f, slot, a, b, arg_shift, vec, order)
-    pole = f._pole(arg_shift, m)
-    out: dict = {}
-    for key, ser in vec.items():
-        if a == b:
-            _add_into(out, key, ser)
-        col = f._column(a, b, key[slot], m)
-        if not col:
-            continue
-        p = [0] * min(len(ser), order + 1)
-        for t in range(1, len(p)):
-            x = ser[t - 1]
-            if pole and p[t - 1]:
-                x = (x + pole * p[t - 1]) % m
-            p[t] = x
-        for d2, coeff in col:
-            _add_into(out, key[:slot] + (d2,) + key[slot + 1:], p, coeff, m)
-    return out
-
-
-def _slot_t_exact(f: EvaluationFactor, slot: int, a: int, b: int, arg_shift: int, vec: dict,
-                  order: int) -> dict:
-    """`_slot_t` on scaled series, with the factor's exact columns.
-
-    For a series over D and pole = pn/pd, r_t = n_{t-1} pd^(t-1) + pn r_{t-1}
-    (r_0 = 0) is p_t times D pd^(t-1); each r_t is then brought over the
-    last one's denominator.  Every image series is reduced once, at the end.
-    """
-    pole = f._pole(arg_shift, None)
+    pole = f._pole(arg_shift)
     pn, pd = pole.numerator, pole.denominator
     out: dict = {}
     for key, ser in vec.items():
         if a == b:
             _add_scaled(out, key, ser)
-        col = f._column(a, b, key[slot], None)
+        col = f._column(a, b, key[slot])
         if not col:
             continue
         size = min(len(ser) - 1, order + 1)
@@ -570,22 +497,21 @@ def _slot_t_exact(f: EvaluationFactor, slot: int, a: int, b: int, arg_shift: int
         for d2, coeff in col:
             _add_scaled(out, key[:slot] + (d2,) + key[slot + 1:], p,
                         coeff.numerator, coeff.denominator)
-    return {key: _reduced(ser) for key, ser in out.items()}
+    return out
 
 
-def _tensor_t(M: TensorModule, a: int, b: int, arg_shift: int, vec: dict, order: int, lo: int, hi: int,
-              m: int | None = None) -> dict:
+def _tensor_t(M: TensorModule, a: int, b: int, arg_shift: int, vec: dict, order: int, lo: int,
+              hi: int) -> dict:
     """Iterated-coproduct image of t_ab(u - arg_shift) on factor slots [lo, hi)."""
     if hi - lo == 1:
-        return _slot_t(M, lo, a, b, arg_shift, vec, order, m)
-    add = _add_scaled if m is None else _add_into
+        return _slot_t(M, lo, a, b, arg_shift, vec, order)
     out: dict = {}
     for mid in range(1, M.n + 1):
-        inner = _tensor_t(M, mid, b, arg_shift, vec, order, lo + 1, hi, m)
+        inner = _tensor_t(M, mid, b, arg_shift, vec, order, lo + 1, hi)
         if not inner:
             continue
-        for key, ser in _slot_t(M, lo, a, mid, arg_shift, inner, order, m).items():
-            add(out, key, ser)
+        for key, ser in _slot_t(M, lo, a, mid, arg_shift, inner, order).items():
+            _add_scaled(out, key, ser)
     return out
 
 
@@ -677,62 +603,76 @@ def quantum_minor(M: TensorModule, a_rows, b_cols, order: int,
 # -- singular vectors -------------------------------------------------------
 
 
-def _dependencies(M: TensorModule, keys, order: int, m: int | None):
+def _dependencies(M: TensorModule, keys, order: int):
     """Yield a kernel vector of the raising coefficients for each dependent key.
 
-    Each key's image, a sparse vector over (i, target key, t) holding the
-    coefficients of t_{i,i+1}(u) with the target as member positions, is
-    reduced against the echelon vectors of the keys before it; each echelon
-    vector is 1 at its pivot, 0 at earlier pivots, and records the
-    combination of keys it is made of.  Only the rows i with c_i > 0 on the
-    keys' root offset c are applied: t_{i,i+1} maps them into the space at
-    c - alpha_i, which is empty when c_i = 0.  A key whose image reduces to
-    zero yields its kernel vector: 1 at the key plus the unique combination
-    of earlier independent keys that cancels its image, in key order.  These
-    are the reduced-echelon null-space basis vectors with the keys as
-    columns.  Entries are residues mod m, or `Fraction`s when m is None.
-    Reduction mod m never raises rank, so nothing yielded mod m proves that
-    the rational kernel is zero.  Raises ZeroDivisionError where a
-    denominator is not a unit mod m.
+    Each key's image, the coefficients of t_{i,i+1}(u) with the targets as
+    member positions, is one integer vector over (i, target key, t): each
+    scaled series is multiplied by L / D, with L the lcm of the image's
+    denominators D.  The key's combination starts at L times the key, so
+    the vector is always the image of its combination.  The vector is
+    reduced against the echelon vectors of the keys before it without
+    dividing: against a vector e with pivot value p, where the vector holds
+    c, with g = gcd(p, c), both the vector and its combination become
+    (p/g) times themselves minus (c/g) times e's.  Each echelon vector is 0
+    at earlier pivots and is stored divided by the gcd of its entries and
+    its combination's.  Only the rows i with c_i > 0 on the keys' root
+    offset c are applied: t_{i,i+1} maps them into the space at
+    c - alpha_i, which is empty when c_i = 0.
+
+    A key whose vector reduces to zero yields its combination divided by the
+    combination's entry at the key, as `Fraction`s in key order.  That is a
+    kernel vector, 1 at the key and supported on the earlier independent
+    keys (every echelon combination is made of independent keys only), and
+    it is the only one: two such vectors differ by a kernel vector on the
+    independent keys, whose images are linearly independent, so they agree.
+    These are the reduced-echelon null-space basis vectors with the keys as
+    columns, whatever integer multiples the reduction went through.
     """
     rows = [i for i, c in enumerate(M.root_offset(keys[0]), 1) if c] if keys else []
-    one = [1, 1] + [0] * order if m is None else [1] + [0] * order  # 1 as a series
-    echelon = []  # (pivot, vector, combination of key positions)
+    one = [1, 1] + [0] * order  # 1 as a scaled series
+    echelon = []  # (pivot, pivot value, vector, combination of key positions)
     for idx, key in enumerate(keys):
-        vec = {}
         start = {M._positions(key): one}
-        for i in rows:
-            for ok, s in _tensor_t(M, i, i + 1, 0, start, order, 0, len(M.factors), m).items():
-                cs = _fractions(s) if m is None else [x % m for x in s]
-                vec.update(((i, ok, t), c) for t, c in enumerate(cs) if c)
-        combo = {idx: Fraction(1) if m is None else 1}
-        for pivot, e, e_combo in echelon:
+        images = [(i, _tensor_t(M, i, i + 1, 0, start, order, 0, len(M.factors))) for i in rows]
+        scale = math.lcm(*(s[0] for _, image in images for s in image.values()))
+        vec = {(i, ok, t): x * (scale // s[0])
+               for i, image in images for ok, s in image.items()
+               for t, x in enumerate(s[1:]) if x}
+        combo = {idx: scale}
+        for pivot, p, e, e_combo in echelon:
             c = vec.get(pivot)
             if c:
+                g = math.gcd(p, c)
+                up, c = p // g, c // g
                 for part, src in ((vec, e), (combo, e_combo)):
+                    if up != 1:
+                        for coord in part:
+                            part[coord] *= up
                     for coord, x in src.items():
-                        y = part.get(coord, 0) - c * x
-                        part[coord] = y if m is None else y % m
+                        part[coord] = part.get(coord, 0) - c * x
         vec = {coord: x for coord, x in vec.items() if x}
         if not vec:
-            yield {keys[j]: c for j, c in sorted(combo.items()) if c}
+            den = combo[idx]
+            yield {keys[j]: Fraction(c, den) for j, c in sorted(combo.items()) if c}
             continue
-        pivot, c = next(iter(vec.items()))
-        inv = 1 / c if m is None else pow(c, -1, m)
-        for part in (vec, combo):
-            for coord, x in part.items():
-                part[coord] = x * inv if m is None else x * inv % m
-        echelon.append((pivot, vec, combo))
+        pivot, p = next(iter(vec.items()))
+        g = math.gcd(*vec.values(), *combo.values())
+        g = -g if p < 0 else g
+        if g != 1:
+            vec = {coord: x // g for coord, x in vec.items()}
+            combo = {j: x // g for j, x in combo.items()}
+        echelon.append((pivot, p // g, vec, combo))
 
 
-def find_singular_vectors(M: TensorModule, offset, order: int | None = None) -> list[dict]:
+def find_singular_vectors(M: TensorModule, offset) -> list[dict]:
     """Exact kernel of all raising series t_{i,i+1}(u) on one weight space.
 
-    `offset` gives per-row lowering counts; the returned vectors are sparse
-    dicts over the weight-space basis keys, the reduced-echelon null-space
-    basis in key order.  One elimination, `_dependencies`, runs first mod
-    `MODULUS`: no dependent key there proves the kernel zero.  Otherwise, or
-    where a denominator is not a unit mod `MODULUS`, it runs in `Fraction`.
+    `offset` gives per-row lowering counts, n - 1 nonnegative integers for
+    gl_n (ValueError otherwise); the returned vectors are sparse dicts over
+    the weight-space basis keys, the reduced-echelon null-space basis in key
+    order, with `Fraction` entries.  One fraction-free integer elimination,
+    `_dependencies`, takes them.
 
     The kernel K_T of every t_{i,i+1}^(r) is the space of singular vectors,
     those killed by every t_ij(u) with i < j.  The RTT relation gives
@@ -746,37 +686,28 @@ def find_singular_vectors(M: TensorModule, offset, order: int | None = None) -> 
     coefficients of the e_{m,m+1}(u) = A_m(u)^-1 B_m(u), and A_m(u) is
     invertible.
 
-    The default truncation order k, for k factors, gives the kernel of the
-    whole series.  A factor acts through t_ab(u) = delta_ab + E_ab/(u - point),
+    The truncation order k, for k factors, gives the kernel of the whole
+    series.  A factor acts through t_ab(u) = delta_ab + E_ab/(u - point),
     one simple pole, so under the k-fold coproduct t_{i,i+1}(u) = P(u)/Q(u)
     on the weight space, with one scalar Q = prod (u - point) of degree k for
     every key and deg P <= k.  If c_0, ..., c_k of a combination's image
-    vanish, then P = Q * (P/Q) is a polynomial in O(u^-1), so P = 0.  An
-    explicit `order` truncates there instead; a negative one raises ValueError.
+    vanish, then P = Q * (P/Q) is a polynomial in O(u^-1), so P = 0.
 
-    Offset 0 is decided without eliminating, at any order: its space is the
-    highest vector alone, and every t_ij(u) with i < j kills it.  Under the
+    Offset 0 is decided without eliminating: its space is the highest
+    vector alone, and every t_ij(u) with i < j kills it.  Under the
     coproduct t_ij is a sum of t_{i,c_1} x ... x t_{c_{k-1},j}, and on the
     factors' highest vectors a term survives only if no factor gets a
     raising E_ab (a < b), which needs a chain i >= c_1 >= ... >= j.  None
     exists.
     """
-    if order is not None and order < 0:
-        raise ValueError(f"truncation order must be >= 0, got {order}")
     offset = tuple(int(c) for c in offset)
+    if len(offset) != M.n - 1 or any(c < 0 for c in offset):
+        raise ValueError(
+            f"offset must be {M.n - 1} nonnegative integers for gl_{M.n}, got {offset}"
+        )
     if not any(offset):
         return [{M.highest(): Fraction(1)}]
-    keys = M.weight_space(offset)
-    if not keys:
-        return []
-    if order is None:
-        order = len(M.factors)
-    try:
-        if next(_dependencies(M, keys, order, MODULUS), None) is None:
-            return []
-    except ZeroDivisionError:
-        pass
-    return list(_dependencies(M, keys, order, None))
+    return list(_dependencies(M, M.weight_space(offset), len(M.factors)))
 
 
 def _offsets(shape: int, depth: int):
@@ -791,8 +722,7 @@ def _offsets(shape: int, depth: int):
             yield (head,) + tail
 
 
-def singular_dimensions(M: TensorModule, depth: int | None = None,
-                        order: int | None = None) -> dict:
+def singular_dimensions(M: TensorModule, depth: int | None = None) -> dict:
     """Kernel dimension per root-height offset, all offsets of height <= depth,
     in lexicographic order.
 
@@ -816,7 +746,7 @@ def singular_dimensions(M: TensorModule, depth: int | None = None,
         with contextlib.suppress(ValueError):
             M._group(depth)
     return {
-        combo: len(find_singular_vectors(M, combo, order))
+        combo: len(find_singular_vectors(M, combo))
         for combo in _offsets(shape, depth)
     }
 
@@ -826,7 +756,6 @@ def only_top_line(dims: dict) -> bool:
     return all(dim == (0 if any(offset) else 1) for offset, dim in dims.items())
 
 
-def only_top_singular(M: TensorModule, depth: int | None = None,
-                      order: int | None = None) -> bool:
+def only_top_singular(M: TensorModule, depth: int | None = None) -> bool:
     """True when the only singular line in the probed depths is the top one."""
-    return only_top_line(singular_dimensions(M, depth, order))
+    return only_top_line(singular_dimensions(M, depth))

@@ -75,6 +75,18 @@ def drinfeld_b(M: TensorModule, m: int, order: int) -> OperatorSeries:
     return quantum_minor(M, range(1, m + 1), [*range(1, m), m + 1], order)
 
 
+def add_into(out: dict, key, ser: list, c=None) -> None:
+    """out[key] += c*ser (ser if c is None) on `Fraction` lists [c_0, ..., c_T];
+    sums keep the shorter.  The reference for the scaled-series sums."""
+    tgt = out.get(key)
+    if tgt is None:
+        out[key] = list(ser) if c is None else [c * x for x in ser]
+        return
+    del tgt[len(ser):]
+    for t in range(len(tgt)):
+        tgt[t] += ser[t] if c is None else c * ser[t]
+
+
 def rel(g, l, strict) -> Relation:
     return Relation(TriIndex(*g), TriIndex(*l), bool(strict))
 

@@ -24,13 +24,13 @@ from wpimod import (
     weyl_dimension,
 )
 import wpimod.yangian_tensor as yt
-from wpimod.exact_arith import MODULUS, InvSeries, residue
+from wpimod.exact_arith import MODULUS, InvSeries
 from wpimod.gt_module import CLIP
 from wpimod.gt_module import MAX_WINDOW_MEMBERS
 from wpimod.tableau import TableauDelta, TriIndex
 from wpimod.yangian_tensor import t_coefficient
 
-from helpers import drinfeld_b
+from helpers import add_into, drinfeld_b
 
 
 def test_weyl_dimension():
@@ -364,23 +364,17 @@ def _tensor(weights, points, depth):
     )
 
 
-def _count_exact_kernels(monkeypatch):
-    """Record len(keys) for each elimination run in Fraction (m is None)."""
+def _count_eliminations(monkeypatch):
+    """Record len(keys) for each `_dependencies` run."""
     calls = []
     dependencies = yt._dependencies
 
-    def counting_dependencies(M, keys, order, m):
-        if m is None:
-            calls.append(len(keys))
-        return dependencies(M, keys, order, m)
+    def counting_dependencies(M, keys, order):
+        calls.append(len(keys))
+        return dependencies(M, keys, order)
 
     monkeypatch.setattr(yt, "_dependencies", counting_dependencies)
     return calls
-
-
-def _independent(M, keys, order, m):
-    """No key's B-series image depends on earlier ones mod m."""
-    return next(yt._dependencies(M, keys, order, m), None) is None
 
 
 def _order(M, offset):
@@ -428,43 +422,25 @@ def test_singular_dimensions_past_a_cap_raises_the_least_depths_error(monkeypatc
         singular_dimensions(M)
 
 
-def test_unit_denominators_decide_all_but_the_top_line_mod_p(monkeypatch):
-    calls = _count_exact_kernels(monkeypatch)
+def test_each_weight_space_past_the_top_runs_one_elimination(monkeypatch):
+    calls = _count_eliminations(monkeypatch)
     M = _tensor([("1/3", 0), ("1/5", "1/7")], [0, 1], 3)
     assert singular_dimensions(M) == {(0,): 1, (1,): 0, (2,): 0, (3,): 0}
-    assert len(calls) == 0  # offset 0 is the highest vector alone, decided without eliminating
+    # offset 0 is the highest vector alone, decided without eliminating
+    assert calls == [len(M.weight_space((h,))) for h in (1, 2, 3)]
 
 
-@pytest.mark.parametrize("modulus, weights", [
-    (3, [("1/3", 0), ("1/5", "1/7")]),
-    (MODULUS, [(Fraction(1, MODULUS), 0), ("1/3", "1/5")]),
-])
-def test_denominator_divisible_by_the_modulus_falls_back_to_fraction(
-        monkeypatch, modulus, weights):
-    monkeypatch.setattr(yt, "MODULUS", modulus)
-    calls = _count_exact_kernels(monkeypatch)
-    M = _tensor(weights, [0, 1], 3)
-    # the exact result: only the top line is singular
+def test_prime_denominator_weight_shows_only_the_top_line():
+    # an entry with denominator 2^61 - 1, the oracle's first prime
+    M = _tensor([(Fraction(1, MODULUS), 0), ("1/3", "1/5")], [0, 1], 3)
     assert singular_dimensions(M) == {(0,): 1, (1,): 0, (2,): 0, (3,): 0}
-    assert len(calls) == 3
-    with pytest.raises(ZeroDivisionError):
-        _independent(M, M.weight_space((1,)), _order(M, (1,)), modulus)
 
 
-def test_rank_drop_mod_p_is_decided_in_fraction(monkeypatch):
-    monkeypatch.setattr(yt, "MODULUS", 3)
-    calls = _count_exact_kernels(monkeypatch)
+def test_rank_drop_pair_has_no_singular_vector():
+    # the two keys' images are dependent mod 3 but not over the rationals
     M = _tensor([("2", "0"), ("1", "0")], [0, 1], 3)
-    keys = M.weight_space((1,))
-    assert len(keys) == 2
-    assert not _independent(M, keys, _order(M, (1,)), 3)
-    assert _independent(M, keys, _order(M, (1,)), MODULUS)
+    assert len(M.weight_space((1,))) == 2
     assert find_singular_vectors(M, (1,)) == []
-    assert calls == [2]
-
-
-def _exact_nullity(M, offset):
-    return len(list(yt._dependencies(M, M.weight_space(offset), _order(M, offset), None)))
 
 
 def _corpus_pairs(n, count, rng):
@@ -483,22 +459,49 @@ def _corpus_pairs(n, count, rng):
     return pairs
 
 
-def test_modular_decision_matches_exact_nullity_on_a_seeded_corpus():
+def _raising_rows(M, keys, order):
+    """The raising coefficients as a dense `Fraction` matrix: one row per
+    (i, target key, t) coefficient of t_{i,i+1}(u), one column per key."""
+    rows = [i for i, c in enumerate(M.root_offset(keys[0]), 1) if c]
+    images = []
+    for key in keys:
+        start = yt._as_series_vec({M._positions(key): 1}, order)
+        images.append({
+            (i, ok, t): c
+            for i in rows
+            for ok, s in yt._tensor_t(M, i, i + 1, 0, start, order, 0, len(M.factors)).items()
+            for t, c in enumerate(yt._fractions(s))
+        })
+    coords = sorted({coord for image in images for coord in image})
+    return [[image.get(coord, Fraction(0)) for image in images] for coord in coords]
+
+
+def test_integer_elimination_matches_the_fraction_kernel_on_a_seeded_corpus():
+    """`_dependencies` scales by integers where Gauss-Jordan divides; its
+    vectors are the dense `Fraction` kernel's, entry for entry."""
     rng = random.Random(20261020)
+    modules = [(kind, _tensor([lam, mu], [0, 0], depth))
+               for n, depth, count in ((2, 4, 6), (3, 3, 3))
+               for kind, pairs in _corpus_pairs(n, count, rng).items()
+               for lam, mu in pairs]
+    modules += [("half-integral", _tensor(pair, [0, 0], 2))
+                for lam, mu in _HALF_INTEGRAL_PAIRS for pair in ((lam, mu), (mu, lam))]
     seen = set()
-    for n, depth, count in ((2, 4, 6), (3, 3, 3)):
-        for kind, pairs in _corpus_pairs(n, count, rng).items():
-            for lam, mu in pairs:
-                M = _tensor([lam, mu], [0, 0], depth)
-                for offset in itertools.product(range(depth + 1), repeat=n - 1):
-                    if sum(offset) > depth or not M.weight_space(offset):
-                        continue
-                    decided = _independent(M, M.weight_space(offset), _order(M, offset), MODULUS)
-                    nullity = _exact_nullity(M, offset)
-                    assert decided == (nullity == 0), (kind, lam, mu, offset)
-                    seen.add((kind, nullity > 0 and any(offset)))
+    for kind, M in modules:
+        order = len(M.factors)
+        for offset in itertools.product(range(M.depth + 1), repeat=M.n - 1):
+            keys = M.weight_space(offset)
+            if sum(offset) > M.depth or not keys:
+                continue
+            got = list(yt._dependencies(M, keys, order))
+            ref = [{k: c for k, c in zip(keys, v) if c != 0}
+                   for v in _rational_kernel(_raising_rows(M, keys, order), len(keys))]
+            assert [list(v.items()) for v in got] == [list(v.items()) for v in ref], \
+                (kind, [f.weight for f in M.factors], offset)
+            assert all(type(c) is Fraction for v in got for c in v.values())
+            seen.add((kind, bool(got) and any(offset)))
     # the corpus has extra singular vectors, and pairs without them
-    assert ("integral-violated", True) in seen
+    assert {("integral-violated", True), ("half-integral", True)} <= seen
     assert {("generic", False), ("integral-true", False)} <= seen
 
 
@@ -584,16 +587,16 @@ def test_negative_orders_are_value_errors():
         t_coefficient(M, 1, 2, -1, vec)
     with pytest.raises(ValueError, match="got -1"):
         quantum_minor(M, (1, 2), (1, 2), -1).apply(vec)
-    # offset 0 and an empty weight space run no elimination, yet reject it too
-    assert M.weight_space((5,)) == []
-    for call in (
-        lambda: find_singular_vectors(M, (0,), -1),
-        lambda: find_singular_vectors(M, (1,), -1),
-        lambda: find_singular_vectors(M, (5,), -1),
-        lambda: singular_dimensions(M, 0, -1),
-    ):
-        with pytest.raises(ValueError, match=r"^truncation order must be >= 0, got -1$"):
-            call()
+
+
+def test_malformed_offsets_are_value_errors():
+    M = _tensor([("1/3", "1/7", "2/5"), ("1/5", "1/2", "3/11")], [0, 0], 2)
+    # too short, too long (both read as the top offset before), and negative
+    for offset in ((0,), (0, 0, 0), (2, -1)):
+        with pytest.raises(ValueError, match=r"^offset must be 2 nonnegative integers for gl_3, "
+                                             + re.escape(f"got {offset}") + "$"):
+            find_singular_vectors(M, offset)
+    assert find_singular_vectors(M, (0, 0)) == [{M.highest(): Fraction(1)}]
 
 
 def _recursive_E(f, a, b, vec):
@@ -837,7 +840,7 @@ def test_quantum_minor_matches_geometric_series_product(name):
 
 
 def test_scaled_series_sums_equal_fraction_sums():
-    """`_add_scaled` on integers over one denominator is `_add_into` on
+    """`_add_scaled` on integers over one denominator is `add_into` on
     `Fraction` lists, truncation to the shorter series included."""
     rng = random.Random(20261019)
 
@@ -850,16 +853,14 @@ def test_scaled_series_sums_equal_fraction_sums():
             key = rng.choice("ab")
             ser = [frac() for _ in range(rng.randint(1, 5))]
             c = rng.choice([None, frac()])
-            yt._add_into(fractions, key, ser, c)
+            add_into(fractions, key, ser, c)
             s = yt._as_series_vec({0: InvSeries(ser[0], ser[1:])}, 0)[0]
             if c is None:
                 yt._add_scaled(scaled, key, s)
             else:
                 yt._add_scaled(scaled, key, s, c.numerator, c.denominator)
         assert {k: yt._fractions(s) for k, s in scaled.items()} == fractions
-        for s in scaled.values():
-            assert s[0] > 0
-            assert yt._fractions(yt._reduced(s)) == yt._fractions(s)
+        assert all(s[0] > 0 for s in scaled.values())
 
 
 # -- truncation order k -------------------------------------------------------
@@ -896,19 +897,19 @@ def test_default_order_kernel_equals_the_kernel_five_orders_past_it():
                 points = [0] * k if kind == "integral" else \
                     [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)]
                 M = _tensor(weights, points, depth)
-                bound = k
                 for offset in itertools.product(range(depth + 1), repeat=n - 1):
                     if sum(offset) > depth:
                         continue
                     got = find_singular_vectors(M, offset)
                     assert [list(v.items()) for v in got] == [
-                        list(v.items()) for v in find_singular_vectors(M, offset, bound + 5)
+                        list(v.items())
+                        for v in yt._dependencies(M, M.weight_space(offset), k + 5)
                     ], (weights, points, offset)
                     nonzero += bool(got) and any(offset)
     assert nonzero  # the corpus has singular vectors past the top line
 
 
-# -- residue columns and member positions ------------------------------------
+# -- position columns and member positions ------------------------------------
 
 
 def _seeded_factors(rng):
@@ -918,12 +919,12 @@ def _seeded_factors(rng):
             for n in (2, 3, 4) for kind in ("generic", "generic", "integral")]
 
 
-# entries near 2^60: every difference is a unit mod MODULUS, but too large for a
-# window's faithfulness bound
+# an entry near 2^60, past the faithfulness bound of a window mod 2^61 - 1;
+# the exact columns run the same integer code at any size
 _LARGE_WEIGHT = (2**60 - 1, 0)
 
 
-def test_residue_columns_equal_reduced_exact_columns():
+def test_position_columns_equal_recursive_commutators_on_seeded_factors():
     rng = random.Random(20261021)
     for weight, point in _seeded_factors(rng) + [(_LARGE_WEIGHT, Fraction(1, 3))]:
         f = EvaluationFactor(GlWeight(weight), point, 3)
@@ -932,21 +933,17 @@ def test_residue_columns_equal_reduced_exact_columns():
             pos = f.window.index[d]
             for a in range(1, f.n + 1):
                 for b in range(1, f.n + 1):
-                    got = {f.window.members[p]: r for p, r in f._column(a, b, pos, MODULUS)}
-                    exact = _recursive_E(ref, a, b, {d: Fraction(1)})
-                    reduced = {t: r for t, c in exact.items() if (r := residue(c, MODULUS))}
-                    assert got == reduced, (weight, point, a, b, d)
+                    got = {f.window.members[p]: c for p, c in f._column(a, b, pos)}
+                    assert got == _recursive_E(ref, a, b, {d: Fraction(1)}), (weight, point, a, b, d)
 
 
-def _row_sum_weight(f, d, m):
+def _row_sum_weight(f, d):
     """The gl_n weight of shift d summed over the tableau rows, row i being
-    l_1, ..., l_i at the seed: entry k is sum(row k) - sum(row k - 1) + k - 1,
-    reduced mod m unless m is None."""
+    l_1, ..., l_i at the seed: entry k is sum(row k) - sum(row k - 1) + k - 1."""
     ls = f.weight.l_values()
     rows = [0] + [sum(ls[j - 1] + d.get(TriIndex(1, i, j)) for j in range(1, i + 1))
                   for i in range(1, f.n + 1)]
-    weight = [rows[k] - rows[k - 1] + k - 1 for k in range(1, f.n + 1)]
-    return weight if m is None else [residue(w, m) for w in weight]
+    return [rows[k] - rows[k - 1] + k - 1 for k in range(1, f.n + 1)]
 
 
 def test_diagonal_columns_are_the_row_sum_weight():
@@ -955,27 +952,17 @@ def test_diagonal_columns_are_the_row_sum_weight():
         f = EvaluationFactor(GlWeight(weight), point, 3)
         for d in f.deltas(3):
             pos = f.window.index[d]
-            for m in (None, MODULUS):
-                for a, w in enumerate(_row_sum_weight(f, d, m), start=1):
-                    assert f._column(a, a, pos, m) == (((pos, w),) if w else ()), (weight, d, a, m)
+            for a, w in enumerate(_row_sum_weight(f, d), start=1):
+                assert f._column(a, a, pos) == (((pos, w),) if w else ()), (weight, d, a)
 
 
-# l = (p - 1, -1, -2) with p = MODULUS: the row-2 entries differ by p
+# l = (p - 1, -1, -2) with p = 2^61 - 1: the row-2 entries differ by p
 _P_APART = [(MODULUS - 1, 0, 0), ("1/3", "1/5", "1/7")]
 
 
-def test_same_row_difference_divisible_by_the_modulus_falls_back_to_fraction(monkeypatch):
-    M = _tensor(_P_APART, [0, 0], 2)
-    f = M.factors[0]
-    with pytest.raises(ZeroDivisionError):
-        f._column(2, 3, f.window.index[f.highest()], MODULUS)
-    calls = _count_exact_kernels(monkeypatch)
-    dims = singular_dimensions(M)
+def test_entries_a_prime_apart_show_only_the_top_line():
+    dims = singular_dimensions(_tensor(_P_APART, [0, 0], 2))
     assert dims == {(0, 0): 1, (0, 1): 0, (0, 2): 0, (1, 0): 0, (1, 1): 0, (2, 0): 0}
-    assert len(calls) == 5  # every space past offset 0
-    # every space in Fraction from the start: no factor has a residue context mod 3
-    monkeypatch.setattr(yt, "MODULUS", 3)
-    assert singular_dimensions(_tensor(_P_APART, [0, 0], 2)) == dims
 
 
 def _shift_column(f, a, b, d, cache):
@@ -1005,14 +992,14 @@ def _shift_slot_t(M, slot, a, b, arg_shift, vec, order, caches):
     out = {}
     for key, ser in vec.items():
         if a == b:
-            yt._add_into(out, key, ser)
+            add_into(out, key, ser)
         col = _shift_column(f, a, b, key[slot], caches[slot])
         if col:
             p = [0] * min(len(ser), order + 1)
             for t in range(1, len(p)):
                 p[t] = ser[t - 1] + pole * p[t - 1]
             for d2, c in col:
-                yt._add_into(out, key[:slot] + (d2,) + key[slot + 1:], p, c)
+                add_into(out, key[:slot] + (d2,) + key[slot + 1:], p, c)
     return out
 
 
@@ -1024,7 +1011,7 @@ def _shift_tensor_t(M, a, b, arg_shift, vec, order, lo, caches):
         inner = _shift_tensor_t(M, mid, b, arg_shift, vec, order, lo + 1, caches)
         if inner:
             for key, ser in _shift_slot_t(M, lo, a, mid, arg_shift, inner, order, caches).items():
-                yt._add_into(out, key, ser)
+                add_into(out, key, ser)
     return out
 
 
@@ -1041,7 +1028,7 @@ def _shift_series(M, rows, cols, order, vec, caches):
             if not cur:
                 break
         for key, s in cur.items():
-            yt._add_into(out, key, s if sgn > 0 else [-x for x in s])
+            add_into(out, key, s if sgn > 0 else [-x for x in s])
     return {k: s for k, s in out.items() if any(s)}
 
 
@@ -1162,7 +1149,7 @@ def test_raising_kernel_equals_the_drinfeld_minor_kernel():
 
 def test_raising_rows_off_the_offset_are_empty():
     """Where c_i = 0, t_{i,i+1}(u) is zero on the weight space at offset c, so
-    `_dependencies` may skip that row, mod `MODULUS` and exactly."""
+    `_dependencies` may skip that row."""
     applied = 0
     for M, depth in _raising_reference_modules():
         order = len(M.factors)
@@ -1172,14 +1159,10 @@ def test_raising_rows_off_the_offset_are_empty():
                 continue
             for i, c in enumerate(offset, 1):
                 for key in keys:
-                    pos = M._positions(key)
-                    images = [
-                        yt._tensor_t(M, i, i + 1, 0, {pos: [1] + [0] * order}, order,
-                                     0, len(M.factors), MODULUS),
-                        yt._tensor_t(M, i, i + 1, 0, yt._as_series_vec({pos: 1}, order),
-                                     order, 0, len(M.factors)),
-                    ]
+                    image = yt._tensor_t(M, i, i + 1, 0,
+                                         yt._as_series_vec({M._positions(key): 1}, order),
+                                         order, 0, len(M.factors))
                     if c == 0:
-                        assert images == [{}, {}], (offset, i, key)
-                    applied += c > 0 and all(images)
+                        assert image == {}, (offset, i, key)
+                    applied += c > 0 and bool(image)
     assert applied  # the rows with c_i > 0 do act
