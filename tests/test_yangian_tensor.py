@@ -430,16 +430,34 @@ def test_each_weight_space_past_the_top_runs_one_elimination(monkeypatch):
     assert calls == [len(M.weight_space((h,))) for h in (1, 2, 3)]
 
 
-def test_prime_denominator_weight_shows_only_the_top_line():
-    # an entry with denominator 2^61 - 1, the oracle's first prime
-    M = _tensor([(Fraction(1, MODULUS), 0), ("1/3", "1/5")], [0, 1], 3)
+@pytest.mark.parametrize("modulus, weights", [
+    (3, [("1/3", 0), ("1/5", "1/7")]),
+    (MODULUS, [(Fraction(1, MODULUS), 0), ("1/3", "1/5")]),
+])
+def test_denominator_divisible_by_the_modulus_falls_back_to_fraction(
+        monkeypatch, modulus, weights):
+    """No elimination reduces mod a prime: a weight denominator that the
+    prime divides (3, or 2^61 - 1, the oracle's first prime) is decided by
+    the same exact integer elimination, one run per space past the top."""
+    assert any(Fraction(x).denominator % modulus == 0 for x in weights[0])
+    calls = _count_eliminations(monkeypatch)
+    M = _tensor(weights, [0, 1], 3)
+    # the exact result: only the top line is singular
     assert singular_dimensions(M) == {(0,): 1, (1,): 0, (2,): 0, (3,): 0}
+    assert len(calls) == 3
 
 
-def test_rank_drop_pair_has_no_singular_vector():
-    # the two keys' images are dependent mod 3 but not over the rationals
+def test_rank_drop_mod_p_is_decided_in_fraction():
+    """The two keys' raising images are dependent mod 3 but not over the
+    rationals; the exact elimination finds no singular vector."""
     M = _tensor([("2", "0"), ("1", "0")], [0, 1], 3)
-    assert len(M.weight_space((1,))) == 2
+    keys = M.weight_space((1,))
+    assert len(keys) == 2
+    rows = _raising_rows(M, keys, _order(M, (1,)))
+    minors = [u[0] * v[1] - u[1] * v[0] for u, v in itertools.combinations(rows, 2)]
+    assert all(m.denominator % 3 for m in minors)
+    assert all(m.numerator % 3 == 0 for m in minors)  # rank 1 mod 3
+    assert any(minors)  # rank 2 over the rationals
     assert find_singular_vectors(M, (1,)) == []
 
 
@@ -960,8 +978,14 @@ def test_diagonal_columns_are_the_row_sum_weight():
 _P_APART = [(MODULUS - 1, 0, 0), ("1/3", "1/5", "1/7")]
 
 
-def test_entries_a_prime_apart_show_only_the_top_line():
-    dims = singular_dimensions(_tensor(_P_APART, [0, 0], 2))
+def test_same_row_difference_divisible_by_the_modulus_falls_back_to_fraction():
+    """Row-2 entries a prime apart put that prime in a column denominator;
+    the exact columns keep it, and only the top line is singular."""
+    M = _tensor(_P_APART, [0, 0], 2)
+    f = M.factors[0]
+    col = f._column(3, 1, f.window.index[f.highest()])
+    assert any(c.denominator % MODULUS == 0 for _, c in col)
+    dims = singular_dimensions(M)
     assert dims == {(0, 0): 1, (0, 1): 0, (0, 2): 0, (1, 0): 0, (1, 1): 0, (2, 0): 0}
 
 
