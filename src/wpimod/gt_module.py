@@ -15,7 +15,6 @@ from functools import lru_cache
 from math import inf, lcm, prod
 
 from .exact_arith import (
-    MODULUS,
     CriticalityError,
     GenericAssignment,
     crt_basis,
@@ -359,7 +358,6 @@ class ActionContext:
             self.one = 1
             self._scale, self._ints = 1, self.base
         self._row_index = {r: row_indices(self.pyramid, r) for r in range(self.n + 1)}
-        self._cache: dict = {}
         # STRICT columns per generator: {member position: ((member position,
         # coefficient), ...)}, each built once by `_build_column`.
         self._columns: defaultdict = defaultdict(dict)
@@ -423,11 +421,6 @@ class ActionContext:
             return Fraction(num, den * self._scale ** power)
         return Fraction(num * self._scale ** -power, den)
 
-    def _row_sig(self, rows: tuple[int, ...], d: TableauDelta):
-        return tuple(
-            d.get(t) for r in rows for t in self._row_index.get(r, ())
-        )
-
     # -- diagonal series ---------------------------------------------------
 
     def _diag_coeff(self, fam: str, r: int, sup: int, d: TableauDelta):
@@ -436,30 +429,25 @@ class ActionContext:
         The series is prod(u + a) / (u^p prod(u + b)), a over row r and b over
         row r - 1 (each entry plus r - 1), p = p_r.  Both sides have the same
         degree, so in x = 1/u it is prod(1 + a x) / prod(1 + b x), and the
-        inverse swaps a and b.  One coefficient list per (family, row, row
-        signature) comes from the recurrences c_t += a c_{t-1} (times 1 + a x)
-        and c_t -= b c_{t-1} (over 1 + b x); a higher superscript rebuilds it
-        at least twice as long.
+        inverse swaps a and b.  The coefficients c_0, ..., c_sup come from the
+        recurrences c_t += a c_{t-1} (times 1 + a x) and c_t -= b c_{t-1}
+        (over 1 + b x), computed on each call: the STRICT column store and
+        the evaluation factors' column caches keep what is built from them.
         """
-        key = (fam, r, self._row_sig((r - 1, r), d))
-        coeffs = self._cache.get(key, ())
-        if len(coeffs) <= sup:
-            # on `_row_ints`, c_t is kept times _scale^t
-            shift = (r - 1) * self._scale
-            a = [v + shift for _, v in self._row_ints(r, d)]
-            b = [v + shift for _, v in self._row_ints(r - 1, d)]
-            if fam == "dprime":
-                a, b = b, a
-            length = max(sup + 1, 2 * len(coeffs))
-            c = [1] + [0] * (length - 1)
-            for x in a:
-                for t in range(length - 1, 0, -1):
-                    c[t] += x * c[t - 1]
-            for x in b:
-                for t in range(1, length):
-                    c[t] -= x * c[t - 1]
-            coeffs = self._cache[key] = [self._finish(x, 1, t) for t, x in enumerate(c)]
-        return coeffs[sup]
+        # on `_row_ints`, c_t is kept times _scale^t
+        shift = (r - 1) * self._scale
+        a = [v + shift for _, v in self._row_ints(r, d)]
+        b = [v + shift for _, v in self._row_ints(r - 1, d)]
+        if fam == "dprime":
+            a, b = b, a
+        c = [1] + [0] * sup
+        for x in a:
+            for t in range(sup, 0, -1):
+                c[t] += x * c[t - 1]
+        for x in b:
+            for t in range(1, sup + 1):
+                c[t] -= x * c[t - 1]
+        return self._finish(c[sup], 1, sup)
 
     # -- ladder coefficient pieces ----------------------------------------
 
@@ -487,8 +475,9 @@ class ActionContext:
     def ladder_terms(self, fam: str, r: int, sup: int, d: TableauDelta) -> list[tuple[TableauDelta, Fraction]]:
         """Expansion of the raising (e) or lowering (f) generator on the shift basis vector.
 
-        Returns the cached (move, coefficient) pairs before gating; each move
-        is the unit shift of a pivot in row r, one step up (e) or down (f).
+        Returns the (move, coefficient) pairs before gating, computed on each
+        call; each move is the unit shift of a pivot in row r, one step up (e)
+        or down (f).
         Each pivot contributes its ratio against the other row times a simple
         pole: -u^-gap / (u + pv + r) against row r + 1 for e, from the least
         superscript p_{r+1} - p_r + 1, and 1 / (u + pv + r - 1) against row
@@ -503,21 +492,16 @@ class ActionContext:
                 f"{'raising' if fam == 'e' else 'lowering'} superscript {sup}"
                 f" below the minimum {lo} for row {r}"
             )
-        key = (fam, r, sup, self._row_sig((min(r, other), max(r, other)), d))
-        if key in self._cache:
-            terms = self._cache[key]
-        else:
-            terms = []
-            for pivot in self._row_index.get(r, ()):
-                ratio = self._ratio(r, other, pivot, d)
-                if fam == "e":
-                    ratio = -ratio
-                if sup > lo:
-                    ratio *= (-(self.value(pivot, d) + pole)) ** (sup - lo)
-                coeff = self._reduce(ratio)
-                if coeff != 0:
-                    terms.append((TableauDelta.unit(pivot, step), coeff))
-            self._cache[key] = terms
+        terms = []
+        for pivot in self._row_index.get(r, ()):
+            ratio = self._ratio(r, other, pivot, d)
+            if fam == "e":
+                ratio = -ratio
+            if sup > lo:
+                ratio *= (-(self.value(pivot, d) + pole)) ** (sup - lo)
+            coeff = self._reduce(ratio)
+            if coeff != 0:
+                terms.append((TableauDelta.unit(pivot, step), coeff))
         return terms
 
     # -- vector-level application ------------------------------------------
@@ -906,7 +890,7 @@ def verify_defining_relations(
     # so that its detail is in Fraction.
     classes = l.classes()
     assignments = [generic_instantiate(classes, seed0 + k) for k in range(instantiations)]
-    stack = None if MODULUS is None else ActionContext._stacked(window, assignments)
+    stack = ActionContext._stacked(window, assignments)
     if stack is None:
         exact = {k: ActionContext(window, a) for k, a in enumerate(assignments)}
         deciders = [(ctx, [(k, None)]) for k, ctx in exact.items()]

@@ -7,6 +7,11 @@ j = 1..i, and position j carries p_j entry layers.
 
 from __future__ import annotations
 
+# Most triples (k, i, j) a pyramid may have: sum over j of p_j (n - j + 1).
+# A larger pyramid is refused with ValueError, since the shift lattice's
+# searches recurse once per triple; gl_31 (496 triples) is within it.
+MAX_TRIPLES = 500
+
 
 class Pyramid:
     """Left-justified pyramid with rows p_1 <= ... <= p_n."""
@@ -24,6 +29,8 @@ class Pyramid:
         for a, b in zip(rows, rows[1:]):
             if a > b:
                 raise ValueError("row lengths must be non-decreasing")
+        if sum(p * (len(rows) - j) for j, p in enumerate(rows)) > MAX_TRIPLES:
+            raise ValueError(f"pyramid has more than {MAX_TRIPLES} triples")
         self.rows = rows
 
     @property

@@ -33,22 +33,25 @@ from .tableau import TableauDelta, TriIndex, tableau_from_values
 # caps, so they alone would not bound it.
 MAX_WEIGHT_SPACES = 100_000
 
+# Most factors a `TensorModule` may have.  The coproduct costs about n^2
+# `_slot_t` calls per factor, and the basis walk recurses once per factor;
+# 64 generic gl_2 factors take a few seconds at depth 1.
+MAX_FACTORS = 64
+
 
 class GlWeight:
     """A gl_n highest weight (lambda_1, ..., lambda_n) with exact entries.
 
-    The shifted coordinates and the interval sets are computed once per
-    weight, so a sweep over pairs reuses them across partners.
+    The shifted coordinates are computed once per weight.
     """
 
-    __slots__ = ("values", "_l_values", "_interval_sets")
+    __slots__ = ("values", "_l_values")
 
     def __init__(self, values):
         self.values = tuple(as_scalar(v) for v in values)
         if not self.values:
             raise ValueError("weight needs at least one entry")
         self._l_values = tuple(v - i for i, v in enumerate(self.values))
-        self._interval_sets: dict = {}
 
     @property
     def n(self) -> int:
@@ -57,13 +60,6 @@ class GlWeight:
     def l_values(self) -> tuple[Fraction, ...]:
         """The shifted coordinates l_i = lambda_i - i + 1."""
         return self._l_values
-
-    def interval_sets(self, i: int, j: int) -> tuple["IntervalSet", "IntervalSet"]:
-        """`interval_sets(self.l_values(), i, j)`, computed once per (i, j)."""
-        sets = self._interval_sets.get((i, j))
-        if sets is None:
-            sets = self._interval_sets[i, j] = interval_sets(self._l_values, i, j)
-        return sets
 
     def is_good(self) -> bool:
         """Entry differences within indices 1..n-1 non-integral or above the index gap."""
@@ -205,11 +201,11 @@ def integral_condition(lam: GlWeight, mu: GlWeight) -> bool:
     ms = mu.l_values()
     for i in range(1, lam.n + 1):
         for j in range(i + 1, lam.n + 1):
-            lminus, lplus = lam.interval_sets(i, j)
+            lminus, lplus = interval_sets(ls, i, j)
             first = ms[j - 1] not in lminus and ms[i - 1] not in lplus
             if first:
                 continue
-            mminus, mplus = mu.interval_sets(i, j)
+            mminus, mplus = interval_sets(ms, i, j)
             second = ls[j - 1] not in mminus and ls[i - 1] not in mplus
             if not second:
                 return False
@@ -246,9 +242,7 @@ class EvaluationFactor:
         self.relations = maximal_set(seed)
         self.window = FreeWindow(self.relations, seed)
         self.ctx = ActionContext(self.window, seed.assignment)
-        self._delta_cache: dict[int, list[TableauDelta]] = {}
         self._columns: dict = {}
-        self._poles: dict = {}
 
     def highest(self) -> TableauDelta:
         return TableauDelta()
@@ -274,13 +268,9 @@ class EvaluationFactor:
         Raises ValueError past MAX_WINDOW_MEMBERS shifts, as a basis window does.
         """
         depth = int(depth)
-        if depth not in self._delta_cache:
-            out = self.window.checker.solutions(
-                -depth, 0, depth=depth, cap=MAX_WINDOW_MEMBERS
-            )
-            out.sort(key=lambda d: (self.depth_of(d), d.key()))
-            self._delta_cache[depth] = out
-        return self._delta_cache[depth]
+        out = self.window.checker.solutions(-depth, 0, depth=depth, cap=MAX_WINDOW_MEMBERS)
+        out.sort(key=lambda d: (self.depth_of(d), d.key()))
+        return out
 
     def column(self, a: int, b: int, d: TableauDelta) -> tuple:
         """The image of the basis shift d under E_ab, as ((target, coefficient), ...).
@@ -289,13 +279,6 @@ class EvaluationFactor:
         """
         members = self.window.members
         return tuple((members[p], c) for p, c in self._column(a, b, self.window.index[d]))
-
-    def _pole(self, arg_shift: int) -> Fraction:
-        """The pole arg_shift + point of t_ab(u - arg_shift), computed once per shift."""
-        pole = self._poles.get(arg_shift)
-        if pole is None:
-            pole = self._poles[arg_shift] = arg_shift + self.point
-        return pole
 
     def _column(self, a: int, b: int, pos: int) -> tuple:
         """The image of member pos under E_ab, as ((target position, coefficient), ...).
@@ -348,6 +331,8 @@ class TensorModule:
         self.factors = list(factors)
         if not self.factors:
             raise ValueError("need at least one factor")
+        if len(self.factors) > MAX_FACTORS:
+            raise ValueError(f"tensor product has more than {MAX_FACTORS} factors")
         ns = {f.n for f in self.factors}
         if len(ns) > 1:
             raise ValueError("all factors must share the same rank")
@@ -469,12 +454,14 @@ def _slot_t(M: TensorModule, slot: int, a: int, b: int, arg_shift: int, vec: dic
     p_0 = 0, p_t = c_{t-1} + pole*p_{t-1}.  For a series over D and
     pole = pn/pd, r_t = n_{t-1} pd^(t-1) + pn r_{t-1} (r_0 = 0) is p_t times
     D pd^(t-1); each r_t is then brought over the last one's denominator.
-    Image series are not reduced to lowest terms: their values are exact
-    either way, and `Fraction` or the kernel's gcd step reduces them once.
+    With point = p/pd in lowest terms, pn = p + s pd, and pn/pd is in
+    lowest terms too: gcd(p + s pd, pd) = gcd(p, pd) = 1.  Image series are
+    not reduced to lowest terms: their values are exact either way, and
+    `Fraction` or the kernel's gcd step reduces them once.
     """
     f = M.factors[slot]
-    pole = f._pole(arg_shift)
-    pn, pd = pole.numerator, pole.denominator
+    pd = f.point.denominator
+    pn = f.point.numerator + arg_shift * pd
     out: dict = {}
     for key, ser in vec.items():
         if a == b:
@@ -502,17 +489,29 @@ def _slot_t(M: TensorModule, slot: int, a: int, b: int, arg_shift: int, vec: dic
 
 def _tensor_t(M: TensorModule, a: int, b: int, arg_shift: int, vec: dict, order: int, lo: int,
               hi: int) -> dict:
-    """Iterated-coproduct image of t_ab(u - arg_shift) on factor slots [lo, hi)."""
-    if hi - lo == 1:
-        return _slot_t(M, lo, a, b, arg_shift, vec, order)
-    out: dict = {}
-    for mid in range(1, M.n + 1):
-        inner = _tensor_t(M, mid, b, arg_shift, vec, order, lo + 1, hi)
-        if not inner:
-            continue
-        for key, ser in _slot_t(M, lo, a, mid, arg_shift, inner, order).items():
-            _add_scaled(out, key, ser)
-    return out
+    """Iterated-coproduct image of t_ab(u - arg_shift) on factor slots [lo, hi).
+
+    The coproduct t_ab = sum over c of t_ac (x) t_cb makes this the sum, over
+    chains a = c_lo, ..., c_hi = b, of t_{c_s c_s+1} on each slot s.  The
+    images are built from the last slot back: `images[c]` is t_cb on slots
+    [s, hi) applied to vec, the sum over mid of t_{c,mid} on slot s applied
+    to the image of mid on [s + 1, hi).  Each (slot, index) image is built
+    once, so k slots of gl_n cost at most (k - 2) n^2 + 2n `_slot_t` calls:
+    n on the last slot, where only mid = b is nonzero, n^2 on each middle
+    one and n on the first, where only c = a is needed.
+    """
+    images = {b: vec}
+    for slot in range(hi - 1, lo - 1, -1):
+        nxt: dict = {}
+        for c in (a,) if slot == lo else range(1, M.n + 1):
+            out: dict = {}
+            for mid, inner in images.items():
+                for key, ser in _slot_t(M, slot, c, mid, arg_shift, inner, order).items():
+                    _add_scaled(out, key, ser)
+            if out:
+                nxt[c] = out
+        images = nxt
+    return images.get(a, {})
 
 
 def _as_series_vec(vec: dict, order: int) -> dict:

@@ -351,6 +351,30 @@ def test_tensor_depth_past_the_weight_space_cap_is_input_error_quickly(tmp_path,
     assert report["error"] == f"depth 1000000000 has more than {cap} root offsets for gl_2"
 
 
+@pytest.mark.parametrize("argv, body, error", [
+    (["enumerate-basis", "--radius", "0"], {"pyramid": {"rows": [1] * 45}, "edges": []},
+     "pyramid has more than 500 triples"),
+    (["tensor-check", "--depth", "1"], {"weights": [[f"1/{p}" for p in range(2, 47)]]},
+     "pyramid has more than 500 triples"),
+    (["tensor-check", "--depth", "1"], {"weights": [["1/3", "1/5"]] * 1200},
+     "tensor product has more than 64 factors"),
+    (["verify-relations"], {"pyramid": {"rows": [5000]}, "edges": []},
+     "pyramid has more than 500 triples"),
+    (["verify-relations"], {"pyramid": {"rows": [200000]}, "edges": []},
+     "pyramid has more than 500 triples"),
+], ids=["gl45-window", "gl45-weight", "1200-factors", "rows-5000", "rows-200000"])
+def test_oversized_inputs_are_input_errors_quickly(tmp_path, capsys, argv, body, error):
+    # each of these once recursed past the interpreter's limit or ran for minutes
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps({"v": 1, **body}) + "\n", encoding="utf-8")
+    option = "--weights" if argv[0] == "tensor-check" else "--relations"
+    start = time.perf_counter()
+    code, report = invoke(capsys, argv + [option, str(p)])
+    assert time.perf_counter() - start < 10.0
+    assert code == 4 and set(report) == {"v", "error"}
+    assert report["error"].endswith(error)
+
+
 @pytest.mark.parametrize("body", [
     {"weights": [["1/0", "0"], ["1", "0"]]},
     {"weights": [["1", "0"], ["1", "0"]], "points": ["0", "1/0"]},

@@ -593,6 +593,12 @@ def _oracle_cases():
         yield S, spread_seed(S), 1
 
 
+def _decide_exactly(monkeypatch):
+    """Make the oracle decide each instantiation in its own exact context,
+    the path it takes when some reduction is not faithful."""
+    monkeypatch.setattr(ActionContext, "_stacked", staticmethod(lambda window, assignments: None))
+
+
 @pytest.mark.parametrize("C, seed, max_violations", list(_oracle_cases()),
                          ids=["upper", "lower", "1x1", "1x2", "2x2", "1x1x1"])
 def test_modular_oracle_report_equals_exact_report(monkeypatch, C, seed, max_violations):
@@ -605,7 +611,7 @@ def test_modular_oracle_report_equals_exact_report(monkeypatch, C, seed, max_vio
         ]
 
     got = reports()
-    monkeypatch.setattr(gt_module, "MODULUS", None)
+    _decide_exactly(monkeypatch)
     want = reports()
     assert got == want
     # the negative controls fail, the standard sets pass
@@ -633,7 +639,7 @@ def test_unfaithful_instantiation_falls_back_to_exact_contexts(
     assert ActionContext._stacked(window, assignments[:1]) is not None
     assert ActionContext._stacked(window, assignments) is None
     got = report()
-    monkeypatch.setattr(gt_module, "MODULUS", None)
+    _decide_exactly(monkeypatch)
     assert got == report()
 
 
@@ -804,7 +810,7 @@ def test_guard_falls_back_to_fraction(monkeypatch, C, offsets):
         return report, cyclicity_probe(window, TableauDelta(), 2)
 
     got = run()
-    monkeypatch.setattr(gt_module, "MODULUS", None)
+    _decide_exactly(monkeypatch)
     assert got == run()
 
 

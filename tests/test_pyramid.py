@@ -3,6 +3,8 @@
 import pytest
 
 from wpimod import Pyramid, e_generator_min_degree
+from wpimod.pyramid import MAX_TRIPLES
+from wpimod.tableau import all_indices
 
 
 def test_rows_validation():
@@ -11,6 +13,15 @@ def test_rows_validation():
     with pytest.raises(ValueError):
         Pyramid((0, 1))
     assert Pyramid((1, 2, 2)).n == 3
+
+
+@pytest.mark.parametrize("rows", [(1,) * 30 + (5,), (1, 1, MAX_TRIPLES - 5), (MAX_TRIPLES,)])
+def test_triples_are_bounded(rows):
+    """A pyramid of MAX_TRIPLES triples is accepted, and one more is refused."""
+    assert len(all_indices(Pyramid(rows))) == MAX_TRIPLES
+    bigger = rows[:-1] + (rows[-1] + 1,)
+    with pytest.raises(ValueError, match=f"more than {MAX_TRIPLES} triples"):
+        Pyramid(bigger)
 
 
 def test_e_generator_min_degree():

@@ -803,6 +803,11 @@ _POLE_MODULES = {
                    ((Fraction(1, 2), Fraction(1, 5)), Fraction(-2, 5))], 2),
     "gl3-two": ([((2, 1, 0), Fraction(3, 2)), ((Fraction(1, 3), Fraction(1, 7), 0),
                                                Fraction(-2, 5))], 1),
+    # five factors: three middle slots, where each image is built once for
+    # all outer indices
+    "gl2-five": ([((1, 0), 0), ((Fraction(1, 3), Fraction(1, 7)), Fraction(-2, 5)),
+                  ((Fraction(2, 3), -1), Fraction(3, 2)), ((2, 0), 1),
+                  ((Fraction(1, 2), Fraction(1, 5)), Fraction(1, 3))], 1),
 }
 
 
@@ -855,6 +860,38 @@ def test_quantum_minor_matches_geometric_series_product(name):
                 got = op.apply(vec)
                 assert got == _ref_minor_apply(M, rows, cols, order, vec)
                 assert all(isinstance(s, InvSeries) for s in got.values())
+
+
+@pytest.mark.parametrize("n, k", [(2, 6), (2, 12), (3, 5)])
+def test_coproduct_builds_each_slot_image_once(monkeypatch, n, k):
+    """One `_tensor_t` over k factors of gl_n makes at most (k - 2) n^2 + 2n
+    `_slot_t` calls, whatever the vector: each (slot, index) image once."""
+    M = TensorModule(
+        [EvaluationFactor(GlWeight([Fraction(1, 7 * s + t + 2) for t in range(n)]), 0, 1)
+         for s in range(k)], 1)
+    calls = []
+    slot_t = yt._slot_t
+
+    def counted(*args):
+        calls.append(args[1])
+        return slot_t(*args)
+
+    monkeypatch.setattr(yt, "_slot_t", counted)
+    keys = M.basis()
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for vec in ({keys[0]: Fraction(1)}, {key: Fraction(1) for key in keys}):
+                calls.clear()
+                t_coefficient(M, i, j, k, vec)
+                assert len(calls) <= (k - 2) * n * n + 2 * n, (i, j)
+                assert calls.count(0) <= n and calls.count(k - 1) <= n
+
+
+def test_factors_are_bounded():
+    factors = [EvaluationFactor(GlWeight((Fraction(1, 3), Fraction(1, 5))), 0, 0)]
+    assert len(TensorModule(factors * yt.MAX_FACTORS, 0).factors) == yt.MAX_FACTORS
+    with pytest.raises(ValueError, match=f"more than {yt.MAX_FACTORS} factors"):
+        TensorModule(factors * (yt.MAX_FACTORS + 1), 0)
 
 
 def test_scaled_series_sums_equal_fraction_sums():
