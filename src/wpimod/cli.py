@@ -38,6 +38,7 @@ from .yangian_tensor import (
     integral_condition,
     is_generic,
     only_top_line,
+    require_factor_count,
     singular_dimensions,
 )
 
@@ -291,6 +292,10 @@ def irreducible_cmd(relations_path, tableau_path):
 def tensor_check_cmd(weights_path, depth, mode):
     """Probe a tensor product of evaluation modules for extra singular vectors."""
     weights, points = _load_weights(weights_path)
+    try:  # before any factor is built or any pair of weights compared
+        require_factor_count(len(weights))
+    except ValueError as exc:
+        raise InputError(str(exc))
     conditions = {"generic": is_generic(weights)}
     if mode == "integral":
         if len(weights) != 2:

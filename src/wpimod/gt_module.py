@@ -36,7 +36,6 @@ from .tableau import (
     Tableau,
     TableauDelta,
     TriIndex,
-    all_indices,
     mutable_indices,
     row_indices,
 )
@@ -340,10 +339,7 @@ class ActionContext:
         self.window = window
         self.pyramid = window.seed.pyramid
         self.n = self.pyramid.n
-        base = {
-            t: assignment.value(*window.seed.entry(t))
-            for t in all_indices(self.pyramid)
-        }
+        base = {t: assignment.value(*e) for t, e in window.seed.entries.items()}
         if _modulus is not None and not _reduction_is_faithful(
             base.values(), window.radius, self.n, _modulus
         ):
@@ -351,13 +347,15 @@ class ActionContext:
         self.modulus = _modulus
         if _modulus is None:
             self.base, self.one = base, Fraction(1)
-            self._scale = lcm(*(Fraction(v).denominator for v in base.values()))
-            self._ints = {t: (Fraction(v) * self._scale).numerator for t, v in base.items()}
+            exact = {t: Fraction(v) for t, v in base.items()}
+            self._scale = scale = lcm(*(v.denominator for v in exact.values()))
+            self._ints = {t: v.numerator * (scale // v.denominator) for t, v in exact.items()}
         else:
             self.base = {t: residue(v, _modulus) for t, v in base.items()}
             self.one = 1
             self._scale, self._ints = 1, self.base
         self._row_index = {r: row_indices(self.pyramid, r) for r in range(self.n + 1)}
+        self._moves: dict = {}  # (row, step): each pivot's unit move
         # STRICT columns per generator: {member position: ((member position,
         # coefficient), ...)}, each built once by `_build_column`.
         self._columns: defaultdict = defaultdict(dict)
@@ -390,9 +388,6 @@ class ActionContext:
         }
         return stack
 
-    def _reduce(self, x):
-        return x if self.modulus is None else x % self.modulus
-
     def _nonzero(self, vec: dict) -> dict:
         """vec with every coefficient reduced and the zero ones dropped."""
         m = self.modulus
@@ -400,17 +395,11 @@ class ActionContext:
             return {d: c for d, c in vec.items() if c != 0}
         return {d: r for d, c in vec.items() if (r := c % m)}
 
-    def value(self, t: TriIndex, d: TableauDelta):
-        return self._reduce(self.base[t] + d.get(t))
-
-    def row_values(self, r: int, d: TableauDelta) -> list[tuple[TriIndex, Fraction]]:
-        return [(t, self.value(t, d)) for t in self._row_index.get(r, ())]
-
-    def _row_ints(self, r: int, d: TableauDelta) -> list[tuple[TriIndex, int]]:
-        """Row r at shift d as integers: each value times `_scale`, unreduced
-        (residues plus shifts, with a modulus)."""
+    def _row_ints(self, r: int, d: TableauDelta) -> list[int]:
+        """Row r at shift d as integers, in row order: each value times
+        `_scale`, unreduced (residues plus shifts, with a modulus)."""
         ints, scale, get = self._ints, self._scale, d.offsets.get
-        return [(t, ints[t] + scale * get(t, 0)) for t in self._row_index.get(r, ())]
+        return [ints[t] + scale * get(t, 0) for t in self._row_index.get(r, ())]
 
     def _finish(self, num: int, den: int, power: int):
         """The coefficient (num/den) / `_scale`^power of integers from `_row_ints`."""
@@ -436,8 +425,8 @@ class ActionContext:
         """
         # on `_row_ints`, c_t is kept times _scale^t
         shift = (r - 1) * self._scale
-        a = [v + shift for _, v in self._row_ints(r, d)]
-        b = [v + shift for _, v in self._row_ints(r - 1, d)]
+        a = [v + shift for v in self._row_ints(r, d)]
+        b = [v + shift for v in self._row_ints(r - 1, d)]
         if fam == "dprime":
             a, b = b, a
         c = [1] + [0] * sup
@@ -451,37 +440,37 @@ class ActionContext:
 
     # -- ladder coefficient pieces ----------------------------------------
 
-    def _ratio(self, r: int, other_row: int, pivot: TriIndex, d: TableauDelta):
-        """Prod over the other row of (entry - pivot) over the same-row denominator."""
-        row = self._row_ints(r, d)
-        pv = next(v for t, v in row if t == pivot)
-        num = 1
-        others = self._row_ints(other_row, d)
-        for _, v in others:
-            num *= v - pv
-        den = 1
-        for t, v in row:
-            if t == pivot:
-                continue
-            diff = v - pv
-            if diff == 0:
-                raise CriticalityError(
-                    f"coincident entries in row {r} at shift {d!r}"
-                )
-            den *= diff
-        # each difference is _scale times the exact one
-        return self._finish(num, den, len(others) - (len(row) - 1))
+    def _ratios(self, r: int, other_row: int, d: TableauDelta):
+        """(power, [(pv, num, den), ...]): per pivot of row r, in row order, its
+        integer pv and the product num over the other row of (entry - pv)
+        over the product den over the rest of row r, from one `_row_ints`
+        read of each row.  Each difference is `_scale` times the exact one,
+        so the ratio is `_finish(num, den, power)`."""
+        row, others = self._row_ints(r, d), self._row_ints(other_row, d)
+        out = []
+        for p, pv in enumerate(row):
+            num = den = 1
+            for v in others:
+                num *= v - pv
+            for q, v in enumerate(row):
+                if q != p:
+                    if v == pv:
+                        raise CriticalityError(f"coincident entries in row {r} at shift {d!r}")
+                    den *= v - pv
+            out.append((pv, num, den))
+        return len(others) - (len(row) - 1), out
 
     def ladder_terms(self, fam: str, r: int, sup: int, d: TableauDelta) -> list[tuple[TableauDelta, Fraction]]:
         """Expansion of the raising (e) or lowering (f) generator on the shift basis vector.
 
         Returns the (move, coefficient) pairs before gating, computed on each
         call; each move is the unit shift of a pivot in row r, one step up (e)
-        or down (f).
-        Each pivot contributes its ratio against the other row times a simple
-        pole: -u^-gap / (u + pv + r) against row r + 1 for e, from the least
+        or down (f), built once per context.
+        Each pivot contributes its ratio (`_ratios`) times a simple pole:
+        -u^-gap / (u + pv + r) against row r + 1 for e, from the least
         superscript p_{r+1} - p_r + 1, and 1 / (u + pv + r - 1) against row
-        r - 1 for f, from superscript 1.
+        r - 1 for f, from superscript 1.  The sign and the pole's powers are
+        taken on the integers, before `_finish`.
         """
         if fam == "e":
             other, pole, lo, step = r + 1, r, e_generator_min_degree(self.pyramid, r), +1
@@ -492,16 +481,19 @@ class ActionContext:
                 f"{'raising' if fam == 'e' else 'lowering'} superscript {sup}"
                 f" below the minimum {lo} for row {r}"
             )
+        power, ratios = self._ratios(r, other, d)
+        moves = self._moves.get((r, step))
+        if moves is None:
+            moves = self._moves[r, step] = [
+                TableauDelta.unit(t, step) for t in self._row_index.get(r, ())
+            ]
+        k, shift = sup - lo, pole * self._scale
         terms = []
-        for pivot in self._row_index.get(r, ()):
-            ratio = self._ratio(r, other, pivot, d)
-            if fam == "e":
-                ratio = -ratio
-            if sup > lo:
-                ratio *= (-(self.value(pivot, d) + pole)) ** (sup - lo)
-            coeff = self._reduce(ratio)
+        for move, (pv, num, den) in zip(moves, ratios):
+            num *= (-(pv + shift)) ** k
+            coeff = self._finish(-num if fam == "e" else num, den, power + k)
             if coeff != 0:
-                terms.append((TableauDelta.unit(pivot, step), coeff))
+                terms.append((move, coeff))
         return terms
 
     # -- vector-level application ------------------------------------------

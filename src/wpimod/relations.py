@@ -11,14 +11,15 @@ maximal set of relations held by a tableau.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import NamedTuple
 
 from .pyramid import Pyramid
 from .tableau import (
+    INDEX_MEMO_SIZE,
     Tableau,
     TriIndex,
     all_indices,
-    entry_int_diff,
     row_indices,
     triple_from_json,
     valid_index,
@@ -143,8 +144,8 @@ def vertices(C: RelationSet) -> set[TriIndex]:
     return out
 
 
-def decompose(C: RelationSet) -> list[RelationSet]:
-    """Split into connected components, ordered by least triple."""
+def _roots(C: RelationSet) -> dict[TriIndex, TriIndex]:
+    """Each involved triple's component representative, by one union-find."""
     parent: dict[TriIndex, TriIndex] = {}
 
     def find(x):
@@ -153,27 +154,23 @@ def decompose(C: RelationSet) -> list[RelationSet]:
             x = parent[x]
         return x
 
-    for v in vertices(C):
-        parent[v] = v
     for e in C.edges:
-        ra, rb = find(e.greater), find(e.lesser)
+        ra = find(parent.setdefault(e.greater, e.greater))
+        rb = find(parent.setdefault(e.lesser, e.lesser))
         if ra != rb:
             parent[ra] = rb
+    return {v: find(v) for v in parent}
+
+
+def decompose(C: RelationSet) -> list[RelationSet]:
+    """Split into connected components, ordered by least triple."""
+    root = _roots(C)
     groups: dict[TriIndex, list[Relation]] = {}
     for e in C.edges:
-        groups.setdefault(find(e.greater), []).append(e)
+        groups.setdefault(root[e.greater], []).append(e)
     comps = [RelationSet._subset(C.pyramid, es) for es in groups.values()]
     comps.sort(key=lambda c: min(vertices(c)))
     return comps
-
-
-def component_partition(C: RelationSet) -> dict[TriIndex, int]:
-    """Map each involved triple to its component index."""
-    out = {}
-    for idx, comp in enumerate(decompose(C)):
-        for v in vertices(comp):
-            out[v] = idx
-    return out
 
 
 class ClosureOrder:
@@ -225,19 +222,21 @@ def satisfies(C: RelationSet, l: Tableau) -> bool:
     Raises ValueError when l is on another pyramid than C.
     """
     require_same_pyramid(C, l)
+    entries = l.entries
     for e in C.edges:
-        diff = entry_int_diff(l, e.greater, e.lesser)
-        if diff is None or diff < (1 if e.strict else 0):
+        cg, og = entries[e.greater]
+        cl, ol = entries[e.lesser]
+        if cg != cl or og - ol < (1 if e.strict else 0):
             return False
-    comp = component_partition(C)
+    root = _roots(C)
     for i in range(1, l.pyramid.n + 1):
-        row = row_indices(l.pyramid, i)
-        for a in range(len(row)):
-            for b in range(a + 1, len(row)):
-                if entry_int_diff(l, row[a], row[b]) is not None:
-                    ca, cb = comp.get(row[a]), comp.get(row[b])
-                    if ca is None or cb is None or ca != cb:
-                        return False
+        first: dict = {}  # each class's component in the row, from its first entry
+        for t in row_indices(l.pyramid, i):
+            cls, r = entries[t][0], root.get(t)
+            if cls not in first:
+                first[cls] = r
+            elif r is None or first[cls] != r:
+                return False
     return True
 
 
@@ -676,27 +675,38 @@ def is_admissible(C: RelationSet):
     return True, cert
 
 
-def reduce_set(C: RelationSet) -> RelationSet:
-    """The unique reduced set equivalent to a noncritical C (redundant edges dropped).
+def _reduced_edges(closures) -> list[Relation]:
+    """The edges of the components in `closures` that no detour implies.
 
-    A transitive reduction (Aho, Garey and Ullman 1972) in one pass over the
-    closure of C: edge e is redundant when another edge out of e.greater
-    continues down to e.lesser.  Weak edges descend or stay in the loop-free
-    top row and strict edges climb, so every cycle holds a strict edge and a
-    satisfiable C has none (e is no detour for itself); and every chain that
-    climbs a row holds a strict edge, so a detour for a strict e is strict.
+    A transitive reduction (Aho, Garey and Ullman 1972) in one pass over each
+    component's closure: edge e is redundant when another edge out of
+    e.greater continues down to e.lesser, and every such chain stays in e's
+    component.  Weak edges descend or stay in the loop-free top row and
+    strict edges climb, so every cycle holds a strict edge and a satisfiable
+    set has none (e is no detour for itself); and every chain that climbs a
+    row holds a strict edge, so a detour for a strict e is strict.
     """
+    out = []
+    for comp, order in closures:
+        succ: dict[TriIndex, list[TriIndex]] = {}
+        for f in comp.edges:
+            succ.setdefault(f.greater, []).append(f.lesser)
+        out += [
+            e for e in comp.edges
+            if not any(order.geq(m, e.lesser) for m in succ[e.greater])
+        ]
+    return out
+
+
+def reduce_set(C: RelationSet) -> RelationSet:
+    """The unique reduced set equivalent to a noncritical C (redundant edges
+    dropped), from one closure per component (`_reduced_edges`)."""
     if not is_satisfiable(C):
         raise ValueError("relation set is unsatisfiable")
-    if not is_noncritical_set(C):
+    closures = _closures(C)
+    if _critical_pair(closures) is not None:
         raise ValueError("relation set is critical; reduce is undefined")
-    order = ClosureOrder(C)
-    return RelationSet._subset(C.pyramid, [
-        e for e in C.edges
-        if not any(
-            f.greater == e.greater and order.geq(f.lesser, e.lesser) for f in C.edges
-        )
-    ])
+    return RelationSet._subset(C.pyramid, _reduced_edges(closures))
 
 
 def is_maximal_triple(C: RelationSet, t: TriIndex) -> bool:
@@ -741,31 +751,35 @@ def _relabel(C: RelationSet, relabeling: dict) -> RelationSet:
 
 def held_relations(l: Tableau) -> list[Relation]:
     """Every allowed relation whose inequality the tableau satisfies."""
+    entries = l.entries
     out = []
     for e in all_relations(l.pyramid):
-        d = entry_int_diff(l, e.greater, e.lesser)
-        if d is not None and d >= (1 if e.strict else 0):
+        cg, og = entries[e.greater]
+        cl, ol = entries[e.lesser]
+        if cg == cl and og - ol >= (1 if e.strict else 0):
             out.append(e)
     return out
 
 
 def maximal_set(l: Tableau) -> RelationSet:
-    """Reduced representative of the maximal set of relations held by the tableau."""
-    pi = l.pyramid
+    """Reduced representative of the maximal set of relations held by the tableau.
+
+    The held set needs no check: l satisfies it, and with the entries of each
+    row distinct it has no top-row loop.  Its closures, one per component,
+    serve both the criticality test and the reduction.
+    """
+    pi, entries = l.pyramid, l.entries
     for i in range(1, pi.n + 1):
-        row = row_indices(pi, i)
-        for x in range(len(row)):
-            for y in range(x + 1, len(row)):
-                d = entry_int_diff(l, row[x], row[y])
-                if d == 0:
-                    raise ValueError("tableau is critical")
-    try:  # l satisfies its held relations, so only criticality can fail here
-        C = reduce_set(RelationSet(pi, held_relations(l)))
-    except ValueError:
+        row = [entries[t] for t in row_indices(pi, i)]
+        if len(set(row)) < len(row):
+            raise ValueError("tableau is critical")
+    closures = _closures(RelationSet._subset(pi, held_relations(l)))
+    if _critical_pair(closures) is not None:
         raise ValueError(
             "the relations held by the tableau form a critical set; "
             "no noncritical set captures all of its integer links"
-        ) from None
+        )
+    C = RelationSet._subset(pi, _reduced_edges(closures))
     if not satisfies(C, l):
         raise ValueError(
             "tableau holds integer links that no chain of allowed relations connects"
@@ -784,8 +798,9 @@ def standard_set(pi: Pyramid) -> RelationSet:
     return RelationSet(pi, edges)
 
 
-def all_relations(pi: Pyramid) -> list[Relation]:
-    """The full list of allowed relation patterns for the pyramid."""
+@lru_cache(maxsize=INDEX_MEMO_SIZE)
+def all_relations(pi: Pyramid) -> tuple[Relation, ...]:
+    """The full list of allowed relation patterns for the pyramid, sorted."""
     idx = all_indices(pi)
     out = []
     for a in idx:
@@ -798,4 +813,4 @@ def all_relations(pi: Pyramid) -> list[Relation]:
                 out.append(Relation(a, b, True))
             if a.i == pi.n and b.i == pi.n and a.j != b.j:
                 out.append(Relation(a, b, False))
-    return sorted(out)
+    return tuple(sorted(out))

@@ -11,6 +11,7 @@ rationals without losing the symbolic integrality structure.  The top row
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .exact_arith import GenericAssignment, as_scalar
@@ -23,26 +24,37 @@ class TriIndex(NamedTuple):
     j: int  # position
 
 
-def all_indices(pi: Pyramid) -> list[TriIndex]:
+# Pyramids whose index tuples each memo below keeps.  The tuples are pure
+# functions of the immutable, hashable pyramid, rebuilt for every tableau,
+# window, action context and maximal set otherwise; a workload uses a few
+# pyramids at a time.
+INDEX_MEMO_SIZE = 16
+
+
+@lru_cache(maxsize=INDEX_MEMO_SIZE)
+def all_indices(pi: Pyramid) -> tuple[TriIndex, ...]:
     """Every valid triple for the pyramid, in lexicographic (i, j, k) order."""
-    out = []
-    for i in range(1, pi.n + 1):
-        for j in range(1, i + 1):
-            for k in range(1, pi.p(j) + 1):
-                out.append(TriIndex(k, i, j))
-    return out
+    return tuple(t for row in _rows(pi) for t in row)
 
 
-def row_indices(pi: Pyramid, i: int) -> list[TriIndex]:
+@lru_cache(maxsize=INDEX_MEMO_SIZE)
+def _rows(pi: Pyramid) -> tuple[tuple[TriIndex, ...], ...]:
+    """The rows' triples, in (j, k) order, at their row numbers 1..n (row 0 empty)."""
+    return ((),) + tuple(
+        tuple(TriIndex(k, i, j) for j in range(1, i + 1) for k in range(1, pi.p(j) + 1))
+        for i in range(1, pi.n + 1)
+    )
+
+
+def row_indices(pi: Pyramid, i: int) -> tuple[TriIndex, ...]:
     """The triples of row i, in (j, k) order; empty outside 1..n."""
-    if not 1 <= i <= pi.n:
-        return []
-    return [TriIndex(k, i, j) for j in range(1, i + 1) for k in range(1, pi.p(j) + 1)]
+    return _rows(pi)[i] if 1 <= i <= pi.n else ()
 
 
-def mutable_indices(pi: Pyramid) -> list[TriIndex]:
+@lru_cache(maxsize=INDEX_MEMO_SIZE)
+def mutable_indices(pi: Pyramid) -> tuple[TriIndex, ...]:
     """Triples below the frozen top row."""
-    return [t for t in all_indices(pi) if t.i < pi.n]
+    return tuple(t for t in all_indices(pi) if t.i < pi.n)
 
 
 def valid_index(pi: Pyramid, t: TriIndex) -> bool:
@@ -172,29 +184,12 @@ def shift(l: Tableau, d: TableauDelta) -> Tableau:
     return Tableau(l.pyramid, entries, l.assignment)
 
 
-def entries_equal(l: Tableau, a: TriIndex, b: TriIndex) -> bool:
-    ca, oa = l.entry(a)
-    cb, ob = l.entry(b)
-    return ca == cb and oa == ob
-
-
-def entry_int_diff(l: Tableau, a: TriIndex, b: TriIndex):
-    """Integer difference entry(a) - entry(b) if the entries share a class, else None."""
-    ca, oa = l.entry(a)
-    cb, ob = l.entry(b)
-    if ca != cb:
-        return None
-    return oa - ob
-
-
 def is_noncritical(l: Tableau) -> bool:
     """No two entries coincide within any row below the top."""
     for i in range(1, l.pyramid.n):
-        row = row_indices(l.pyramid, i)
-        for a in range(len(row)):
-            for b in range(a + 1, len(row)):
-                if entries_equal(l, row[a], row[b]):
-                    return False
+        row = [l.entries[t] for t in row_indices(l.pyramid, i)]
+        if len(set(row)) < len(row):
+            return False
     return True
 
 
@@ -202,24 +197,22 @@ def tableau_from_values(pi: Pyramid, values: dict[TriIndex, object]) -> Tableau:
     """Build an instantiated tableau from explicit rational values.
 
     Values whose difference is an integer share a class; each class is anchored
-    at its fractional representative.
+    at its first value.  In lowest terms, v - a is an integer exactly when a
+    has v's denominator and a numerator congruent to v's modulo it.
     """
     anchors: list[Fraction] = []
     entries = {}
-    class_values = {}
     for t, v in values.items():
         v = as_scalar(v)
-        cls = None
-        for idx, a in enumerate(anchors):
-            if (v - a).denominator == 1:
-                cls = idx
+        p, q = v.numerator, v.denominator
+        for cls, a in enumerate(anchors):
+            if a.denominator == q and (p - a.numerator) % q == 0:
                 break
-        if cls is None:
+        else:
+            cls = len(anchors)
             anchors.append(v)
-            cls = len(anchors) - 1
-            class_values[cls] = v
-        entries[TriIndex(*t)] = (cls, int(v - anchors[cls]))
-    return Tableau(pi, entries, GenericAssignment(class_values))
+        entries[TriIndex(*t)] = (cls, (p - anchors[cls].numerator) // q)
+    return Tableau(pi, entries, GenericAssignment(dict(enumerate(anchors))))
 
 
 def tableau_to_json(l: Tableau) -> dict:

@@ -39,6 +39,12 @@ MAX_WEIGHT_SPACES = 100_000
 MAX_FACTORS = 64
 
 
+def require_factor_count(count: int) -> None:
+    """Raise ValueError when `count` factors are more than MAX_FACTORS."""
+    if count > MAX_FACTORS:
+        raise ValueError(f"tensor product has more than {MAX_FACTORS} factors")
+
+
 class GlWeight:
     """A gl_n highest weight (lambda_1, ..., lambda_n) with exact entries.
 
@@ -331,8 +337,7 @@ class TensorModule:
         self.factors = list(factors)
         if not self.factors:
             raise ValueError("need at least one factor")
-        if len(self.factors) > MAX_FACTORS:
-            raise ValueError(f"tensor product has more than {MAX_FACTORS} factors")
+        require_factor_count(len(self.factors))
         ns = {f.n for f in self.factors}
         if len(ns) > 1:
             raise ValueError("all factors must share the same rank")

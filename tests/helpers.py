@@ -13,7 +13,16 @@ from wpimod import (
     noncritical_satisfying_tableau,
     standard_set,
 )
-from wpimod.relations import Relation, _row_images
+from wpimod.relations import (
+    ClosureOrder,
+    Relation,
+    _row_images,
+    decompose,
+    is_noncritical_set,
+    is_satisfiable,
+    vertices,
+)
+from wpimod.tableau import row_indices
 from wpimod.yangian_tensor import OperatorSeries, TensorModule, quantum_minor
 
 GL2 = Pyramid((1, 1))
@@ -85,6 +94,65 @@ def add_into(out: dict, key, ser: list, c=None) -> None:
     del tgt[len(ser):]
     for t in range(len(tgt)):
         tgt[t] += ser[t] if c is None else c * ser[t]
+
+
+def entry_int_diff(l: Tableau, a: TriIndex, b: TriIndex):
+    """Integer difference entry(a) - entry(b) if the entries share a class, else None."""
+    ca, oa = l.entry(a)
+    cb, ob = l.entry(b)
+    return oa - ob if ca == cb else None
+
+
+def reference_satisfies(C: RelationSet, l: Tableau) -> bool:
+    """`satisfies` by a pair scan of each row against the components'
+    indices in `decompose`."""
+    for e in C.edges:
+        diff = entry_int_diff(l, e.greater, e.lesser)
+        if diff is None or diff < (1 if e.strict else 0):
+            return False
+    comp = {v: idx for idx, c in enumerate(decompose(C)) for v in vertices(c)}
+    for i in range(1, l.pyramid.n + 1):
+        row = row_indices(l.pyramid, i)
+        for a in range(len(row)):
+            for b in range(a + 1, len(row)):
+                if entry_int_diff(l, row[a], row[b]) is not None:
+                    ca, cb = comp.get(row[a]), comp.get(row[b])
+                    if ca is None or cb is None or ca != cb:
+                        return False
+    return True
+
+
+def reference_maximal_set(l: Tableau) -> RelationSet:
+    """`maximal_set` by the plain pipeline: a pair scan of each row, the held
+    relations checked by `RelationSet`, their reduction through one closure
+    of the whole set, and `reference_satisfies`."""
+    pi = l.pyramid
+    for i in range(1, pi.n + 1):
+        row = row_indices(pi, i)
+        for x in range(len(row)):
+            for y in range(x + 1, len(row)):
+                if entry_int_diff(l, row[x], row[y]) == 0:
+                    raise ValueError("tableau is critical")
+    H = RelationSet(pi, [
+        e for e in all_relations(pi)
+        if (d := entry_int_diff(l, e.greater, e.lesser)) is not None
+        and d >= (1 if e.strict else 0)
+    ])
+    if not (is_satisfiable(H) and is_noncritical_set(H)):
+        raise ValueError(
+            "the relations held by the tableau form a critical set; "
+            "no noncritical set captures all of its integer links"
+        )
+    order = ClosureOrder(H)
+    C = RelationSet(pi, [
+        e for e in H.edges
+        if not any(f.greater == e.greater and order.geq(f.lesser, e.lesser) for f in H.edges)
+    ])
+    if not reference_satisfies(C, l):
+        raise ValueError(
+            "tableau holds integer links that no chain of allowed relations connects"
+        )
+    return C
 
 
 def rel(g, l, strict) -> Relation:

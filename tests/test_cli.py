@@ -10,7 +10,7 @@ import pytest
 
 import wpimod
 
-from wpimod import Pyramid, RelationSet, standard_set, tableau_to_json, yangian_tensor
+from wpimod import Pyramid, RelationSet, cli, standard_set, tableau_to_json, yangian_tensor
 from wpimod.cli import MAX_BUDGET, MAX_EXPONENT, MAX_INSTANTIATIONS, run
 from wpimod.gt_module import MAX_WINDOW_MEMBERS
 
@@ -373,6 +373,20 @@ def test_oversized_inputs_are_input_errors_quickly(tmp_path, capsys, argv, body,
     assert time.perf_counter() - start < 10.0
     assert code == 4 and set(report) == {"v", "error"}
     assert report["error"].endswith(error)
+
+
+def test_tensor_factor_count_is_checked_before_any_factor(tmp_path, capsys, monkeypatch):
+    # the count error wins over a weight that no factor can be built from
+    # ([0, 1] is critical), and no pair of weights is compared
+    def refuse(*args):
+        raise AssertionError("an oversized product reached its factors")
+
+    monkeypatch.setattr(cli, "is_generic", refuse)
+    monkeypatch.setattr(cli, "EvaluationFactor", refuse)
+    path = write_weights(tmp_path, "w.json", [("0", "1")] + [("1/3", "1/5")] * 1200)
+    code, report = invoke(capsys, ["tensor-check", "--weights", path, "--depth", "1"])
+    assert code == 4
+    assert report == {"v": 1, "error": "tensor product has more than 64 factors"}
 
 
 @pytest.mark.parametrize("body", [

@@ -55,7 +55,7 @@ from wpimod.relations import (
     satisfies,
 )
 from wpimod.supports import _WallSets
-from wpimod.tableau import all_indices, mutable_indices, shift
+from wpimod.tableau import all_indices, mutable_indices, row_indices, shift
 
 from helpers import (
     GL2,
@@ -155,19 +155,19 @@ def _quotient_terms(ctx, fam, r, sup, d):
     """
     pyramid = ctx.pyramid
     terms = []
-    for pivot, _ in ctx.row_values(r, d):
+    ratios = _int_ratios(ctx, r, r + 1 if fam == "e" else r - 1, d)
+    for (pivot, _), ratio in zip(_row_values(ctx, r, d), ratios):
         step = TableauDelta.unit(pivot, +1 if fam == "e" else -1)
-        ratio = ctx._ratio(r, r + 1 if fam == "e" else r - 1, pivot, d)
         num = UniPoly.one()
-        for t, v in ctx.row_values(r, d):
+        for t, v in _row_values(ctx, r, d):
             if t != pivot:
                 num = num * UniPoly.linear(v + r - 1)
         if fam == "e":
             gap = pyramid.p(r + 1) - pyramid.p(r)
             den = UniPoly((0,) * gap + (1,))
-            den_row = ctx.row_values(r, d + step)
+            den_row = _row_values(ctx, r, d + step)
         else:
-            den, den_row = UniPoly.one(), ctx.row_values(r, d)
+            den, den_row = UniPoly.one(), _row_values(ctx, r, d)
         for _, v in den_row:
             den = den * UniPoly.linear(v + r - 1)
         b = poly_series_quotient(num, den, sup).coeff(sup)
@@ -175,6 +175,23 @@ def _quotient_terms(ctx, fam, r, sup, d):
         if coeff != 0:
             terms.append((d + step, coeff))
     return terms
+
+
+def _row_values(ctx, r, d):
+    """Row r at shift d as (triple, value) pairs: exact values, or residues
+    mod the context's modulus."""
+    m = ctx.modulus
+    return [
+        (t, ctx.base[t] + d.get(t) if m is None else (ctx.base[t] + d.get(t)) % m)
+        for t in row_indices(ctx.pyramid, r)
+    ]
+
+
+def _int_ratios(ctx, r, other_row, d):
+    """Each pivot's ratio of row r against `other_row`, in row order, from
+    the integers of `ActionContext._ratios`."""
+    power, parts = ctx._ratios(r, other_row, d)
+    return [ctx._finish(num, den, power) for _, num, den in parts]
 
 
 def _outcome(fn):
@@ -677,6 +694,37 @@ def test_stacked_residual_is_each_instantiations_residual():
     assert len({pos for pos, _ in nonzero}) > 1
 
 
+@pytest.mark.parametrize("C, seed, max_violations", list(_oracle_cases()),
+                         ids=["upper", "lower", "1x1", "1x2", "2x2", "1x1x1"])
+def test_stacked_ladder_terms_are_each_instantiations_exact_terms(C, seed, max_violations):
+    """Mod p_k, the stacked context's ladder terms, with the raising sign and
+    the pole's powers taken on its integers, are instantiation k's exact
+    terms, and it raises CriticalityError where they do."""
+    pyramid, count = C.pyramid, 3
+    window = enumerate_basis(C, seed, 1)
+    assignments = [generic_instantiate(seed.classes(), 1 + k) for k in range(count)]
+    primes = instantiation_primes(count)
+    stack = ActionContext._stacked(window, assignments)
+    exact = [ActionContext(window, a) for a in assignments]
+    checked = 0
+    for r in range(1, pyramid.n):
+        lo = {"e": e_generator_min_degree(pyramid, r), "f": 1}
+        for fam in ("e", "f"):
+            for sup in range(lo[fam], lo[fam] + 3):
+                for d in window.members:
+                    got = _outcome(lambda: stack.ladder_terms(fam, r, sup, d))
+                    for p, ctx in zip(primes, exact):
+                        want = _outcome(lambda: ctx.ladder_terms(fam, r, sup, d))
+                        if isinstance(want, tuple):
+                            assert got == want, (fam, r, sup, d)
+                            continue
+                        assert [(m, c % p) for m, c in got] == [
+                            (m, residue(c, p)) for m, c in want
+                        ], (fam, r, sup, d, p)
+                        checked += len(want)
+    assert checked > 0
+
+
 def _reference_residual(ctx, terms, d):
     """lhs - rhs on the basis vector d, one `apply` per generator, TableauDelta keys."""
     acc = {}
@@ -978,13 +1026,14 @@ def test_coordinate_step_equals_the_shift_reference():
 
 
 def _fraction_ratio(ctx, r, other_row, pivot, d):
-    """`ActionContext._ratio` in `Fraction` arithmetic on `row_values`."""
-    pv = ctx.value(pivot, d)
+    """One pivot's ratio of `ActionContext._ratios` in `Fraction` arithmetic
+    on `_row_values`."""
+    pv = dict(_row_values(ctx, r, d))[pivot]
     num = Fraction(1)
-    for _, v in ctx.row_values(other_row, d):
+    for _, v in _row_values(ctx, other_row, d):
         num *= v - pv
     den = Fraction(1)
-    for t, v in ctx.row_values(r, d):
+    for t, v in _row_values(ctx, r, d):
         if t != pivot:
             if v == pv:
                 raise CriticalityError(f"coincident entries in row {r} at shift {d!r}")
@@ -994,9 +1043,9 @@ def _fraction_ratio(ctx, r, other_row, pivot, d):
 
 def _fraction_diag(ctx, fam, r, sup, d):
     """`ActionContext._diag_coeff`: the u^-sup coefficient of prod(1 + a x) /
-    prod(1 + b x), in `Fraction` arithmetic on `row_values`."""
-    a = [v + r - 1 for _, v in ctx.row_values(r, d)]
-    b = [v + r - 1 for _, v in ctx.row_values(r - 1, d)]
+    prod(1 + b x), in `Fraction` arithmetic on `_row_values`."""
+    a = [v + r - 1 for _, v in _row_values(ctx, r, d)]
+    b = [v + r - 1 for _, v in _row_values(ctx, r - 1, d)]
     if fam == "dprime":
         a, b = b, a
     c = [Fraction(1)] + [Fraction(0)] * sup
@@ -1030,19 +1079,23 @@ def test_integer_rows_give_the_fraction_ratios_and_diagonals():
             ctx = ActionContext(window, assignment)
             for d in window.members[:40]:
                 for r in range(1, ctx.n + 1):
-                    for pivot, _ in ctx.row_values(r, d):
-                        for other in (r - 1, r + 1):
-                            got = _outcome(lambda: ctx._ratio(r, other, pivot, d))
-                            want = _outcome(lambda: _fraction_ratio(ctx, r, other, pivot, d))
-                            assert got == want, (C, seed, d, r, pivot, other)
-                            assert isinstance(got, (Fraction, tuple))
-                            outcomes.add(type(got))
+                    for other in (r - 1, r + 1):
+                        got = _outcome(lambda: _int_ratios(ctx, r, other, d))
+                        want = _outcome(lambda: [
+                            _fraction_ratio(ctx, r, other, pivot, d)
+                            for pivot, _ in _row_values(ctx, r, d)
+                        ])
+                        assert got == want, (C, seed, d, r, other)
+                        assert isinstance(got, tuple) or all(
+                            isinstance(x, Fraction) for x in got
+                        )
+                        outcomes.add(type(got))
                     for fam in ("d", "dprime"):
                         for sup in (1, 2, 5):
                             got = ctx._diag_coeff(fam, r, sup, d)
                             assert got == _fraction_diag(ctx, fam, r, sup, d), (C, d, fam, r, sup)
                             assert isinstance(got, Fraction)
-    assert outcomes == {Fraction, tuple}  # both ratios and coincident entries
+    assert outcomes == {list, tuple}  # both ratios and coincident entries
 
 
 def test_free_window_keeps_members_index_and_coordinates_aligned():

@@ -35,7 +35,7 @@ from wpimod.relations import (
     held_relations,
     vertices,
 )
-from wpimod.tableau import is_noncritical, tableau_from_values
+from wpimod.tableau import Tableau, is_noncritical, row_indices, tableau_from_values
 
 from helpers import (
     GL2,
@@ -47,9 +47,12 @@ from helpers import (
     diamond_set,
     fan_gl5,
     gl2_tableau,
+    reference_maximal_set,
+    reference_satisfies,
     rel,
     relation_subsets,
     spread_seed,
+    try_relation_set,
 )
 
 
@@ -628,5 +631,72 @@ def test_maximal_set_checks_criticality_once(monkeypatch):
     assert components >= 1
     built = _count_closure_orders(monkeypatch)
     maximal_set(l)
-    # the critical check's closure per component, then reduce_set's one closure
-    assert len(built) == components + 1
+    # one closure per component serves the critical check and the reduction
+    assert len(built) == components
+
+
+def _corpus_tableau(pi, rng):
+    """A random tableau on pi whose entries share a few classes.
+
+    Half the rows draw distinct offsets, so the corpus reaches past the
+    same-row scan: to noncritical, critical and unforceable held sets.
+    """
+    entries = {}
+    classes = ("a", "b", "c")[: rng.randint(1, 3)]
+    for i in range(1, pi.n + 1):
+        row = row_indices(pi, i)
+        if rng.random() < 0.5:
+            offsets = rng.sample(range(-4, 5), len(row))
+        else:
+            offsets = [rng.randint(-2, 2) for _ in row]
+        for t, off in zip(row, offsets):
+            entries[t] = (rng.choice(classes), off)
+    return Tableau(pi, entries)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_maximal_set_matches_the_reference_pipeline():
+    rng = random.Random(30)
+    pyramids = [Pyramid((1,) * n) for n in range(2, 6)] + [
+        Pyramid(rows) for rows in ((1, 2), (2, 2), (1, 1, 2), (1, 2, 2))
+    ]
+    kinds = {}
+    for pi in pyramids:
+        for _ in range(500):
+            l = _corpus_tableau(pi, rng)
+            got = _outcome(lambda: maximal_set(l))
+            assert got == _outcome(lambda: reference_maximal_set(l)), l.entries
+            kind = got if isinstance(got, str) else "set"
+            kinds[kind] = kinds.get(kind, 0) + 1
+    # every outcome: sets, critical tableaux, critical held sets, unforceable links
+    assert len(kinds) == 4 and min(kinds.values()) >= 20, kinds
+
+
+def test_satisfies_matches_the_pair_scan():
+    rng = random.Random(31)
+    verdicts = set()
+    for pi in (GL3, GL4, P12, Pyramid((1, 2, 2))):
+        rels = all_relations(pi)
+        for _ in range(200):
+            C = try_relation_set(pi, rng.sample(rels, rng.randint(0, 5)))
+            if C is None:
+                continue
+            l = _corpus_tableau(pi, rng)
+            verdict = satisfies(C, l)
+            assert verdict == reference_satisfies(C, l), (C, l.entries)
+            verdicts.add(verdict)
+        for _ in range(100):  # tableaux that satisfy their held edges
+            l = _corpus_tableau(pi, rng)
+            held = held_relations(l)
+            C = try_relation_set(pi, rng.sample(held, min(len(held), rng.randint(1, 6))))
+            if C is not None:
+                verdict = satisfies(C, l)
+                assert verdict == reference_satisfies(C, l), (C, l.entries)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}

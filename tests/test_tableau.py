@@ -30,7 +30,7 @@ def test_index_sets():
     # pyramid (1,2): row 1 has one triple, row 2 has three
     assert len(all_indices(P12)) == 4
     assert all(t.i < 2 for t in mutable_indices(GL2))
-    assert mutable_indices(P12) == [TriIndex(1, 1, 1)]
+    assert mutable_indices(P12) == (TriIndex(1, 1, 1),)
 
 
 def test_tableau_requires_all_entries():

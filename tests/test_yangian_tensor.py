@@ -756,15 +756,25 @@ def _ref_slot_t(M, slot, a, b, arg_shift, vec, order):
     return out
 
 
-def _ref_tensor_t(M, a, b, arg_shift, vec, order, lo, hi):
+def _ref_tensor_t(M, a, b, arg_shift, vec, order, lo, hi, memo=None):
+    """t_ab(u - arg_shift) on slots lo..hi-1: sum over mid of t_a,mid on slot
+    lo after t_mid,b on the rest.  Within one top-level call only a and lo
+    vary, so `memo` keeps each (index, slot) image once."""
+    if memo is None:
+        memo = {}
+    out = memo.get((a, lo))
+    if out is not None:
+        return out
     if hi - lo == 1:
-        return _ref_slot_t(M, lo, a, b, arg_shift, vec, order)
-    out = {}
-    for mid in range(1, M.n + 1):
-        inner = _ref_tensor_t(M, mid, b, arg_shift, vec, order, lo + 1, hi)
-        if inner:
-            for key, ser in _ref_slot_t(M, lo, a, mid, arg_shift, inner, order).items():
-                _ref_accum(out, key, ser)
+        out = _ref_slot_t(M, lo, a, b, arg_shift, vec, order)
+    else:
+        out = {}
+        for mid in range(1, M.n + 1):
+            inner = _ref_tensor_t(M, mid, b, arg_shift, vec, order, lo + 1, hi, memo)
+            if inner:
+                for key, ser in _ref_slot_t(M, lo, a, mid, arg_shift, inner, order).items():
+                    _ref_accum(out, key, ser)
+    memo[a, lo] = out
     return out
 
 
