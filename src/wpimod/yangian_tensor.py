@@ -20,6 +20,7 @@ import contextlib
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact_arith import InvSeries, as_scalar
 from .gt_module import MAX_WINDOW_MEMBERS, STRICT, ActionContext, FreeWindow
@@ -221,6 +222,32 @@ def integral_condition(lam: GlWeight, mu: GlWeight) -> bool:
 # -- evaluation factors -----------------------------------------------------
 
 
+# Distinct weights whose factor core `_factor_core` keeps, the least recently
+# used evicted first.  A sweep over a weight box builds the same weights in
+# many products; past this many distinct weights, it should keep and reuse
+# its own factors.
+FACTOR_MEMO_SIZE = 128
+
+
+@lru_cache(maxsize=FACTOR_MEMO_SIZE)
+def _factor_core(weight: GlWeight) -> tuple:
+    """The core that every evaluation factor of `weight` shares, built once
+    while stored: (seed, maximal set, free window, exact action context,
+    column store), the highest-weight tableau of the shifted coordinates
+    over the one-column pyramid and everything built from it.  A weight
+    whose core fails raises every time and is never stored.
+    """
+    n = weight.n
+    ls = weight.l_values()
+    seed = tableau_from_values(
+        Pyramid((1,) * n),
+        {TriIndex(1, i, j): ls[j - 1] for i in range(1, n + 1) for j in range(1, i + 1)},
+    )
+    relations = maximal_set(seed)
+    window = FreeWindow(relations, seed)
+    return seed, relations, window, ActionContext(window, seed.assignment), {}
+
+
 class EvaluationFactor:
     """A gl_n highest-weight module at an evaluation point.
 
@@ -229,26 +256,23 @@ class EvaluationFactor:
     integral shifts of the seed, graded by total lowering depth.  Inside,
     a shift is its position in `window.members`, which `window.index`
     appends as columns reach new shifts.
+
+    The module depends on the weight alone: t_ij(u) -> delta_ij +
+    E_ij/(u - point) puts the point only into the pole, which `_slot_t`
+    reads from the factor's own `point`.  So all factors of one weight share
+    one core, the seed, maximal set, window, action context and one store of
+    E_ab columns, from `_factor_core`, which keeps the cores of the last
+    FACTOR_MEMO_SIZE distinct weights and evicts the least recently used.
+    Of its own a factor has only `weight`, `n` and `point`; its `seed`,
+    `relations`, `window`, `ctx` and column store are the core's.
+    `depth` has no effect; it stays because callers pass it positionally.
     """
 
     def __init__(self, weight: GlWeight, point=0, depth: int = 3):
         self.weight = weight
         self.point = as_scalar(point)
-        self.depth = int(depth)
-        n = weight.n
-        self.n = n
-        pi = Pyramid((1,) * n)
-        ls = weight.l_values()
-        values = {}
-        for i in range(1, n + 1):
-            for j in range(1, i + 1):
-                values[TriIndex(1, i, j)] = ls[j - 1]
-        seed = tableau_from_values(pi, values)
-        self.seed = seed
-        self.relations = maximal_set(seed)
-        self.window = FreeWindow(self.relations, seed)
-        self.ctx = ActionContext(self.window, seed.assignment)
-        self._columns: dict = {}
+        self.n = weight.n
+        self.seed, self.relations, self.window, self.ctx, self._columns = _factor_core(weight)
 
     def highest(self) -> TableauDelta:
         return TableauDelta()
@@ -289,7 +313,8 @@ class EvaluationFactor:
     def _column(self, a: int, b: int, pos: int) -> tuple:
         """The image of member pos under E_ab, as ((target position, coefficient), ...).
 
-        Built once per (a, b, pos) and cached: E_aa, E_a,a+1 and E_a+1,a are
+        Built once per (a, b, pos) and weight, in the core's column store
+        that every factor of the weight shares: E_aa, E_a,a+1 and E_a+1,a are
         the d_a^(1), e_a^(1) and f_a^(1) columns of the factor's exact action
         context, which shares the window's positions, and an off-adjacent
         column is the commutator [E_a,mid, E_mid,b] of cached columns, with

@@ -389,6 +389,15 @@ def test_tensor_factor_count_is_checked_before_any_factor(tmp_path, capsys, monk
     assert report == {"v": 1, "error": "tensor product has more than 64 factors"}
 
 
+def test_a_critical_weight_is_refused_alike_on_every_run(tmp_path, capsys):
+    # a weight whose factor fails is never stored, so each run in one process
+    # builds it afresh and prints the same bytes
+    path = write_weights(tmp_path, "w.json", [("0", "1"), ("1", "0")])
+    for _ in range(3):
+        assert run(["tensor-check", "--weights", path]) == 4
+        assert capsys.readouterr().out == '{"error":"tableau is critical","v":1}\n'
+
+
 @pytest.mark.parametrize("body", [
     {"weights": [["1/0", "0"], ["1", "0"]]},
     {"weights": [["1", "0"], ["1", "0"]], "points": ["0", "1/0"]},

@@ -33,6 +33,13 @@ from wpimod.yangian_tensor import t_coefficient
 from helpers import add_into, drinfeld_b
 
 
+@pytest.fixture(autouse=True)
+def _empty_factor_store():
+    """Each test starts on an empty factor-core store, as in a fresh process:
+    factors of one weight share their columns and window across tests otherwise."""
+    yt._factor_core.cache_clear()
+
+
 def test_weyl_dimension():
     assert weyl_dimension(GlWeight((2, 0))) == 3
     assert weyl_dimension(GlWeight((1, 0))) == 2
@@ -648,6 +655,7 @@ def _recursive_E(f, a, b, vec):
 def test_cached_columns_match_recursive_commutators(weight, point):
     depth = 3 if len(weight) <= 3 else 2
     f = EvaluationFactor(GlWeight(weight), point, depth)
+    yt._factor_core.cache_clear()  # the reference gets a core of its own
     ref = EvaluationFactor(GlWeight(weight), point, depth)
     shifts = f.deltas(depth)
     mixed = {d: Fraction(k + 1, 3) for k, d in enumerate(shifts)}
@@ -993,6 +1001,7 @@ def test_position_columns_equal_recursive_commutators_on_seeded_factors():
     rng = random.Random(20261021)
     for weight, point in _seeded_factors(rng) + [(_LARGE_WEIGHT, Fraction(1, 3))]:
         f = EvaluationFactor(GlWeight(weight), point, 3)
+        yt._factor_core.cache_clear()  # the reference gets a core of its own
         ref = EvaluationFactor(GlWeight(weight), point, 3)
         for d in f.deltas(3):
             pos = f.window.index[d]
@@ -1237,3 +1246,84 @@ def test_raising_rows_off_the_offset_are_empty():
                         assert image == {}, (offset, i, key)
                     applied += c > 0 and bool(image)
     assert applied  # the rows with c_i > 0 do act
+
+
+# -- the factor-core store ----------------------------------------------------
+
+
+def _observed(weights, points, depth):
+    """What a product shows outside: its singular dimensions, t_ij^(r) for
+    r <= k on every basis vector, and every 2x2 quantum minor's images."""
+    M = _tensor(weights, points, depth)
+    k, keys = len(M.factors), M.basis(depth)
+    pairs = list(itertools.combinations(range(1, M.n + 1), 2))
+    return (
+        singular_dimensions(M, depth),
+        [t_coefficient(M, i, j, r, {key: Fraction(1)})
+         for i in range(1, M.n + 1) for j in range(1, M.n + 1)
+         for r in range(1, k + 1) for key in keys],
+        [quantum_minor(M, rows, cols, k).apply({key: Fraction(1)})
+         for rows in pairs for cols in pairs for key in keys],
+    )
+
+
+def test_a_warm_factor_store_gives_what_a_cold_one_gives():
+    rng = random.Random(20261031)
+    corpus = [(depth, [_seeded_weights(rng, n, kind) for _ in range(2)],
+               [0, 0] if kind == "integral" else
+               [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2)])
+              for n, depth in ((2, 3), (3, 2)) for kind in ("generic", "integral", "integral")]
+    extra = 0
+    for depth, weights, points in corpus:
+        for ws, ps in ((weights, points), (weights[::-1], points[::-1])):
+            yt._factor_core.cache_clear()
+            cold = _observed(ws, ps, depth)
+            extra += any(dim for offset, dim in cold[0].items() if any(offset))
+            for warm in (
+                lambda: _observed(ws[::-1], ps[::-1], depth),  # the other order
+                lambda: _observed(ws, [p + Fraction(1, 2) for p in ps], depth),  # other points
+                lambda: singular_dimensions(_tensor(ws, ps, depth + 2)),  # a deeper product
+            ):
+                yt._factor_core.cache_clear()
+                warm()
+                assert yt._factor_core.cache_info().currsize == len(set(map(tuple, ws)))
+                assert _observed(ws, ps, depth) == cold, (ws, ps)
+    assert extra  # the corpus has singular vectors past the top line
+
+
+def test_one_weight_at_two_points_shares_one_core():
+    weight = GlWeight((2, Fraction(1, 2), 0))
+    M = TensorModule([EvaluationFactor(weight, 0), EvaluationFactor(weight, Fraction(1, 3))], 2)
+    f, g = M.factors
+    assert f.window is g.window and f._columns is g._columns
+    assert (f.point, g.point) == (0, Fraction(1, 3))
+    # past r = 1 the coefficients carry each slot's own pole
+    for i in range(1, 4):
+        for j in range(1, 4):
+            for r in range(1, 4):
+                for key in M.basis():
+                    vec = {key: Fraction(1)}
+                    assert t_coefficient(M, i, j, r, vec) == _ref_t_coefficient(M, i, j, r, vec)
+
+
+def test_the_factor_store_stays_bounded():
+    bound = yt.FACTOR_MEMO_SIZE
+    first = EvaluationFactor(GlWeight((0, 0)))
+    for k in range(1, 2 * bound):
+        EvaluationFactor(GlWeight((k, 0)))
+        assert yt._factor_core.cache_info().currsize == min(k + 1, bound)
+    # the least recently used core went first: (0, 0) is built afresh
+    assert EvaluationFactor(GlWeight((0, 0))).window is not first.window
+    last = GlWeight((2 * bound - 1, 0))
+    assert EvaluationFactor(last).window is EvaluationFactor(last).window
+
+
+def test_a_weight_whose_factor_fails_is_never_stored():
+    errors = []
+    for _ in range(3):
+        with pytest.raises(ValueError) as info:
+            EvaluationFactor(GlWeight((0, 1)))
+        errors.append(str(info.value))
+    assert errors == ["tableau is critical"] * 3
+    info = yt._factor_core.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (0, 0, 3)
