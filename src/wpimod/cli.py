@@ -238,10 +238,11 @@ def enumerate_basis_cmd(relations_path, tableau_path, radius):
         {
             "command": "enumerate-basis",
             "radius": radius,
-            "count": len(window.members),
-            # a key is sorted (triple, offset) pairs, and JSON writes every
-            # tuple, a `TriIndex` too, as a list
-            "members": [d.key() for d in window.members],
+            "count": len(window.coords),
+            # a key is sorted (triple, offset) pairs, read off the
+            # coordinates with no shift built, and JSON writes every tuple,
+            # a `TriIndex` too, as a list
+            "members": list(map(window.checker.key, window.coords)),
         }
     )
     return EXIT_OK

@@ -25,7 +25,7 @@ from .exact_arith import (
 from .pyramid import e_generator_min_degree
 from .relations import (
     RelationSet,
-    _least_solution,
+    _relax,
     maximal_set,
     reduce_set,
     require_same_pyramid,
@@ -77,14 +77,21 @@ class ShiftChecker:
         # with both ends frozen is the seed's own, which holds.
         self.free = mutable_indices(seed.pyramid)
         self.slot = {t: k for k, t in enumerate(self.free)}
+        # the slots in `TriIndex` order, which a key follows; on a pyramid
+        # with more than one layer it is not the order of `free`
+        self._key_order = sorted(self.slot.items())
         free = self.slot
-        self.arcs = []  # (l, g, c): d_g >= d_l + c
+        # out-arcs over slots, (slot, c): d_g >= d_l + c from l in `_up`, and
+        # the same arcs reversed in `_down`
+        self._up: list[list] = [[] for _ in self.free]
+        self._down: list[list] = [[] for _ in self.free]
         self.floors: dict[TriIndex, int] = {}
         self.ceilings: dict[TriIndex, int] = {}
         for g, l, base, lo in self.checks:
             c = lo - base
             if g in free and l in free:
-                self.arcs.append((l, g, c))
+                self._up[free[l]].append((free[g], c))
+                self._down[free[g]].append((free[l], c))
             elif g in free:
                 self.floors[g] = max(self.floors.get(g, c), c)
             elif l in free:
@@ -102,8 +109,13 @@ class ShiftChecker:
 
     def coords(self, d: TableauDelta) -> tuple[int, ...]:
         """The coordinates of shift d."""
-        offsets = d.offsets
-        return tuple(offsets.get(t, 0) for t in self.free)
+        get = d.offsets.get
+        return tuple([get(t, 0) for t in self.free])
+
+    def key(self, coords: tuple[int, ...]) -> tuple:
+        """`TableauDelta.key` of the shift with the given coordinates, built
+        from them."""
+        return tuple([(t, coords[k]) for t, k in self._key_order if coords[k]])
 
     def solutions(
         self, low: int, high: int, depth: int | None = None, cap: int | None = None
@@ -120,103 +132,152 @@ class ShiftChecker:
         With `depth`, only shifts with -sum(d) <= depth; with `cap`, ValueError
         as soon as more than `cap` are found.  The order is unspecified.
 
-        Each free triple's exact interval comes from two least solutions
-        (`_least_solution`): of y = d - low over the lower bounds and the arcs,
-        and of z = high - d over the upper bounds and the reversed arcs.  The
-        triples are assigned depth-first, re-tightening after each assignment.
-        Bounds consistency is exact for difference constraints, so every
-        branch ends in a member (Freuder, JACM 1982) and the cost follows the
-        members, not the box.  The arcs have no positive cycle (d = 0 solves
-        them), so neither system is ever infeasible.  The vector of upper
-        bounds is itself a solution, the shallowest one extending the partial
+        Each free triple's exact interval comes from two least solutions,
+        lists over the slots: of y = d - low over the lower bounds and the
+        arcs, and of z = high - d over the upper bounds and the reversed
+        arcs.  The triples are assigned depth-first in slot order; after each
+        assignment `relations._relax` re-tightens y and z from that slot
+        only, so the work follows what the assignment changes.  Bounds
+        consistency is exact for difference constraints, so every branch ends
+        in a member (Freuder, JACM 1982) and the cost follows the members,
+        not the box.  The arcs have no positive cycle (d = 0 solves them), so
+        neither system is ever infeasible.  The vector of upper bounds is
+        itself a solution, the shallowest one extending the partial
         assignment, so pruning on its depth is exact as well.
         """
-        free, n = self.free, len(self.free)
-        up = self.arcs
-        down = [(g, l, c) for l, g, c in self.arcs]
-        y = _least_solution(free, up, {t: max(0, f - low) for t, f in self.floors.items()})
-        z = _least_solution(
-            free, down, {t: max(0, high - c) for t, c in self.ceilings.items()}
-        )
-        if any(y[t] + z[t] > high - low for t in free):
+        n, slot = len(self.free), self.slot
+        up, down = self._up, self._down
+        y, z = [0] * n, [0] * n
+        for t, f in self.floors.items():
+            y[slot[t]] = max(0, f - low)
+        for t, c in self.ceilings.items():
+            z[slot[t]] = max(0, high - c)
+        _relax(y, up, range(n))
+        _relax(z, down, range(n))
+        if any(a + b > high - low for a, b in zip(y, z)):
             return []
         # Coordinates only: a caller builds shifts after the search, since
-        # long-lived shifts allocated between its short-lived dicts would
+        # long-lived shifts allocated between its short-lived lists would
         # scatter over the allocator's pools and raise the process's peak
         # memory.
         found: list[tuple[int, ...]] = []
 
         def spare(z) -> float:
             """Depth left over by the shallowest completion, the upper bounds."""
-            return inf if depth is None else depth - (sum(z.values()) - n * high)
+            return inf if depth is None else depth - (sum(z) - n * high)
 
-        def extend(pos: int, y: dict, z: dict) -> None:
-            t = free[pos]
-            lo, hi = low + y[t], high - z[t]
+        def extend(pos: int, y: list, z: list) -> None:
+            lo, hi = low + y[pos], high - z[pos]
             if pos == n - 1:
                 # every value of the last interval completes a member; each
                 # step down from hi costs one unit of depth
                 lo = max(lo, hi - spare(z))
                 if cap is not None and len(found) + hi - lo + 1 > cap:
                     raise ValueError(f"basis window has more than {cap} members")
-                head = tuple(y[u] + low for u in free[:pos])
+                head = tuple(v + low for v in y[:pos])
                 found.extend(head + (a,) for a in range(lo, hi + 1))
                 return
             # Descending values: the shallowest completion only deepens, so
             # the first value that is too deep ends the loop.  At an end of
-            # its interval, t's own bound on that side is unchanged.
+            # its interval, the slot's own bound on that side is unchanged.
+            # Each lower value tightens z further, so z2 is re-tightened in
+            # place from the last one: no branch keeps its lists past its
+            # return.
+            z2 = z
             for a in range(hi, lo - 1, -1):
-                z2 = z if a == hi else _least_solution(free, down, {**z, t: high - a})
-                if spare(z2) < 0:
-                    break
-                y2 = y if a == lo else _least_solution(free, up, {**y, t: a - low})
+                if a < hi:
+                    if z2 is z:
+                        z2 = z[:]
+                    z2[pos] = high - a
+                    _relax(z2, down, (pos,))
+                    if spare(z2) < 0:
+                        break
+                y2 = y
+                if a > lo:
+                    y2 = y[:]
+                    y2[pos] = a - low
+                    _relax(y2, up, (pos,))
                 extend(pos + 1, y2, z2)
 
         if spare(z) < 0:
             return []
-        if not free:
+        if not n:
             return [()]
         extend(0, y, z)
         return found
 
 
-class _Positions(dict):
-    """A window's member positions by shift, and `at` its positions by
-    coordinates.  An unseen shift that `checker` accepts is appended to the
-    members; any other raises ValueError naming it.  With no checker, the
-    members are fixed."""
+class _Positions:
+    """A window's member positions, found by coordinates.
 
-    __slots__ = ("members", "coords", "at", "checker")
+    `coords` lists the members' coordinates in position order, `at` maps
+    each to its position, and `members` lists the members' shifts, built
+    from `coords` on first use.  `index[d]` is the position of shift d; a
+    shift with support off the free triples is never a member.  With `grows`,
+    an unseen shift that `checker` accepts is appended to the members;
+    any other raises ValueError naming it.  `get` and `in` never append.
+    """
 
-    def __init__(self, members: list, coords: list, checker: ShiftChecker | None = None):
-        super().__init__(zip(members, range(len(members))))
-        self.members, self.coords, self.checker = members, coords, checker
+    __slots__ = ("coords", "at", "checker", "grows", "_members")
+
+    def __init__(self, coords: list, checker: ShiftChecker, grows: bool = False):
+        self.coords, self.checker, self.grows = coords, checker, grows
         self.at = dict(zip(coords, range(len(coords))))
+        self._members: list[TableauDelta] | None = None
 
-    def __missing__(self, d: TableauDelta) -> int:
-        pos = None if self.checker is None else self.grow(d, self.checker.coords(d))
+    @property
+    def members(self) -> list[TableauDelta]:
+        if self._members is None:
+            self._members = list(map(self.checker.shift, self.coords))
+        return self._members
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    def _of(self, d: TableauDelta) -> tuple[int, ...] | None:
+        """The coordinates of d, or None when d has support off the free triples."""
+        coords = self.checker.coords(d)
+        return coords if len(coords) - coords.count(0) == len(d.offsets) else None
+
+    def get(self, d: TableauDelta) -> int | None:
+        coords = self._of(d)
+        return None if coords is None else self.at.get(coords)
+
+    def __contains__(self, d: TableauDelta) -> bool:
+        return self.get(d) is not None
+
+    def __getitem__(self, d: TableauDelta) -> int:
+        coords = self._of(d)
+        pos = None if coords is None else self.at.get(coords)
+        if pos is None and coords is not None and self.grows:
+            pos = self.grow(coords, d)
         if pos is None:
             raise ValueError(f"shift {d!r} is not a member of the window")
         return pos
 
-    def grow(self, d: TableauDelta, coords: tuple[int, ...]) -> int | None:
-        """The position of unseen shift d, with coordinates `coords`, appended
-        when the checker accepts it, else None."""
+    def grow(self, coords: tuple[int, ...], d: TableauDelta | None = None) -> int | None:
+        """The position of the unseen shift with coordinates `coords` (d, if
+        given), appended when the checker accepts it, else None."""
+        if d is None:
+            d = self.checker.shift(coords)
         if not self.checker.satisfied(d):
             return None
-        pos = self[d] = self.at[coords] = len(self.members)
-        self.members.append(d)
+        pos = self.at[coords] = len(self.coords)
         self.coords.append(coords)
+        if self._members is not None:
+            self._members.append(d)
         return pos
 
 
 class BasisWindow:
     """Finite slice of the shift lattice: all window shifts satisfying C.
 
-    `members` are sorted by key, `coords` holds their coordinates (offsets
-    over `free`), and `index` maps each member to its position; a shift
-    that is not a member raises ValueError there.  Raises ValueError when
-    the window has more than MAX_WINDOW_MEMBERS members.
+    The window is its list `coords` of member coordinates (offsets over
+    `free`), sorted by the members' keys.  `index` finds a shift's position
+    from its coordinates, and raises ValueError on a shift that is not a
+    member.  `members`, the members' shifts in the same order, is built on
+    first use.  Raises ValueError when the window has more than
+    MAX_WINDOW_MEMBERS members.
     """
 
     def __init__(self, C: RelationSet, seed: Tableau, radius: int):
@@ -224,13 +285,13 @@ class BasisWindow:
         self.radius = int(radius)
         self.checker = ShiftChecker(C, seed)
         self.free = self.checker.free
-        points = self.checker.points(-self.radius, self.radius, cap=MAX_WINDOW_MEMBERS)
-        pairs = sorted(
-            zip(map(self.checker.shift, points), points), key=lambda pair: pair[0].key()
-        )
-        self.members = [d for d, _ in pairs]
-        self.coords = [c for _, c in pairs]
-        self.index = _Positions(self.members, self.coords)
+        self.coords = self.checker.points(-self.radius, self.radius, cap=MAX_WINDOW_MEMBERS)
+        self.coords.sort(key=self.checker.key)
+        self.index = _Positions(self.coords, self.checker)
+
+    @property
+    def members(self) -> list[TableauDelta]:
+        return self.index.members
 
     def __contains__(self, d: TableauDelta) -> bool:
         return d in self.index
@@ -256,7 +317,7 @@ class BasisWindow:
         if to is not None:
             return to
         if self.radius is None:
-            return self.index.grow(self.checker.shift(coords), coords)
+            return self.index.grow(coords)
         if max(map(abs, coords), default=0) <= self.radius:
             return None
         return -1 if self.checker.satisfied(self.checker.shift(coords)) else None
@@ -265,19 +326,18 @@ class BasisWindow:
 class FreeWindow(BasisWindow):
     """A basis window with no box bound: gating only, never overflow.
 
-    `index` and `step` append an unseen shift that satisfies C to `members`
-    (and its coordinates to `coords`), so positions never move; `index`
-    raises ValueError on any other shift.  There is no box to enumerate, so
-    the members start empty.
+    `index` and `step` append an unseen shift that satisfies C to `coords`
+    (and to `members`), so positions never move; `index` raises ValueError
+    on any other shift.  There is no box to enumerate, so the members start
+    empty.
     """
 
     def __init__(self, C: RelationSet, seed: Tableau):
         self.seed = seed
         self.radius = None
         self.checker = ShiftChecker(C, seed)
-        self.members: list[TableauDelta] = []
         self.coords: list[tuple[int, ...]] = []
-        self.index = _Positions(self.members, self.coords, self.checker)
+        self.index = _Positions(self.coords, self.checker, grows=True)
 
 
 def enumerate_basis(C: RelationSet, l: Tableau, radius: int) -> BasisWindow:
@@ -869,7 +929,7 @@ def verify_defining_relations(
                 {
                     "family": "critical",
                     "indices": {},
-                    "shift": window.members[pos].key(),
+                    "shift": window.checker.key(coords),
                     "detail": f"equal entries at {tuple(x)}, {tuple(y)}",
                 }
             )
@@ -902,15 +962,7 @@ def verify_defining_relations(
             )
         eligible = eligible_by_margins.get(profile)
         if eligible is None:
-            margins = dict(profile)
-            eligible = eligible_by_margins[profile] = [
-                k
-                for k, d in enumerate(window.members)
-                if all(
-                    abs(d.get(t)) <= radius - margins.get(t.i, 0)
-                    for t in window.free
-                )
-            ]
+            eligible = eligible_by_margins[profile] = _eligible(window, dict(profile))
         # the eligible positions in the case's hit set, in their order
         scan = scans.get((words, profile))
         if scan is None:
@@ -943,9 +995,9 @@ def verify_defining_relations(
             {
                 "family": fam,
                 "indices": dict(idx),
-                "shift": window.members[pos].key(),
+                "shift": window.checker.key(window.coords[pos]),
                 "detail": sorted(
-                    (window.members[p].key() if isinstance(p, int) else p, str(c))
+                    (window.checker.key(window.coords[p]) if isinstance(p, int) else p, str(c))
                     for p, c in acc.items()
                 ),
             }
@@ -953,6 +1005,18 @@ def verify_defining_relations(
         if max_violations and len(report["violations"]) >= max_violations:
             return report
     return report
+
+
+def _eligible(window: BasisWindow, margins: dict[int, int]) -> list[int]:
+    """The positions of the members whose every coordinate on row i is at most
+    radius - margins[i] (0 for a row not listed) in absolute value, read off
+    the coordinates."""
+    bounds = [window.radius - margins.get(t.i, 0) for t in window.free]
+    return [
+        k
+        for k, coords in enumerate(window.coords)
+        if all(-b <= v <= b for v, b in zip(coords, bounds))
+    ]
 
 
 def _residual(ctx: ActionContext, terms, pos: int) -> dict:

@@ -11,6 +11,7 @@ maximal set of relations held by a tableau.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -248,24 +249,54 @@ def _arcs(C: RelationSet) -> list[tuple[TriIndex, TriIndex, int]]:
 def _least_solution(verts, arcs, start=None):
     """Least integral solution of the arcs (u, v, w): x_v >= x_u + w, x >= start.
 
-    Bellman-Ford longest paths from a virtual source with an arc of weight
-    start[v] (default 0, so the least nonnegative solution) to each vertex
-    (Cormen et al., section 24.4); None when a positive cycle makes the system
-    infeasible.  Started from the least solution of a looser system, the
-    relaxation needs only the passes that the tightening propagates.
+    Longest paths from a virtual source with an arc of weight start[v]
+    (default 0, so the least nonnegative solution) to each vertex (Cormen et
+    al., section 24.4), found by `_relax` from every vertex; None when a
+    positive cycle makes the system infeasible.
     """
     x = dict.fromkeys(verts, 0)
     if start:
         x.update(start)
-    for _ in range(len(x) + 1):
-        changed = False
-        for u, v, w in arcs:
-            if x[u] + w > x[v]:
-                x[v] = x[u] + w
-                changed = True
-        if not changed:
-            return x
-    return None
+    out: dict = {v: [] for v in x}
+    for u, v, w in arcs:
+        out[u].append((v, w))
+    return x if _relax(x, out, list(x)) else None
+
+
+def _relax(x, out, todo) -> bool:
+    """Raise x, in place, to the least solution above it of the arcs
+    out[u] = [(v, w), ...], each meaning x_v >= x_u + w; False on a positive
+    cycle.  Only arcs that leave a vertex of `todo` may be broken on entry.
+    x and out are indexed alike, as dicts over the vertices or lists over
+    slots 0..V-1.
+
+    The vertices whose value rose wait in a FIFO worklist, and each one taken
+    from it relaxes its out-arcs (Moore 1959).  A value is set by a chain of
+    relaxations; a chain of V arcs repeats a vertex, whose value it raised
+    above its own earlier value, so the closed part of the chain is a
+    positive cycle.  Without one the chains stay shorter than V, and a vertex
+    waits at most once per round of the FIFO, so the worst case is V rounds
+    over the E arcs, O(V E).  Started from a solution of a looser system,
+    the work follows what the tightening changes.
+    """
+    n = len(x)
+    chain: dict = {}  # arcs in the chain of relaxations that set each value
+    queue = deque(todo)
+    waiting = set(queue)
+    while queue:
+        u = queue.popleft()
+        waiting.discard(u)
+        xu, length = x[u], chain.get(u, 0) + 1
+        for v, w in out[u]:
+            if xu + w > x[v]:
+                if length == n:
+                    return False
+                x[v] = xu + w
+                chain[v] = length
+                if v not in waiting:
+                    waiting.add(v)
+                    queue.append(v)
+    return True
 
 
 def _symbolic_tableau(pi: Pyramid, entries: dict[TriIndex, tuple]) -> Tableau:

@@ -254,8 +254,8 @@ class EvaluationFactor:
     The carrier is the relation module of the maximal relation set of the
     highest-weight tableau over the one-column pyramid; basis vectors are
     integral shifts of the seed, graded by total lowering depth.  Inside,
-    a shift is its position in `window.members`, which `window.index`
-    appends as columns reach new shifts.
+    a shift is its position in the window, which `window.index` finds by
+    its coordinates and appends as columns reach new shifts.
 
     The module depends on the weight alone: t_ij(u) -> delta_ij +
     E_ij/(u - point) puts the point only into the pole, which `_slot_t`

@@ -155,6 +155,25 @@ def reference_maximal_set(l: Tableau) -> RelationSet:
     return C
 
 
+def reference_least_solution(verts, arcs, start=None):
+    """`relations._least_solution` by full Bellman-Ford passes over every arc
+    (Cormen et al., section 24.4): the least solution of x_v >= x_u + w over
+    the arcs (u, v, w) with x >= start (default 0), or None on a positive
+    cycle."""
+    x = dict.fromkeys(verts, 0)
+    if start:
+        x.update(start)
+    for _ in range(len(x) + 1):
+        changed = False
+        for u, v, w in arcs:
+            if x[u] + w > x[v]:
+                x[v] = x[u] + w
+                changed = True
+        if not changed:
+            return x
+    return None
+
+
 def rel(g, l, strict) -> Relation:
     return Relation(TriIndex(*g), TriIndex(*l), bool(strict))
 

@@ -1,5 +1,6 @@
 """Command-line surface: schemas, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,9 +13,19 @@ import wpimod
 
 from wpimod import Pyramid, RelationSet, cli, standard_set, tableau_to_json, yangian_tensor
 from wpimod.cli import MAX_BUDGET, MAX_EXPONENT, MAX_INSTANTIATIONS, run
-from wpimod.gt_module import MAX_WINDOW_MEMBERS
+from wpimod.gt_module import MAX_WINDOW_MEMBERS, ShiftChecker
+from wpimod.tableau import TableauDelta
 
-from helpers import GL2, GL3, bad_pattern_upper, fan_gl5, gl2_tableau, rel, standard_gl2
+from helpers import (
+    GL2,
+    GL3,
+    bad_pattern_upper,
+    fan_gl5,
+    gl2_tableau,
+    rel,
+    spread_seed,
+    standard_gl2,
+)
 from test_gt_module import reducible_gl3_pair
 
 
@@ -125,6 +136,28 @@ def test_enumerate_basis(tmp_path, capsys):
     )
     assert code == 0
     assert report["count"] == 3
+
+
+def test_enumerate_basis_prints_keys_from_coordinates(tmp_path, capsys, monkeypatch):
+    # the gl_4 radius-3 window of the module benchmark pool (800 members):
+    # every key is read off the coordinates, no shift is built, and the
+    # bytes are the ones recorded when each member was a shift
+    built = []
+    shift, normal = ShiftChecker.shift, TableauDelta._normal
+    monkeypatch.setattr(ShiftChecker, "shift", lambda self, c: built.append(c) or shift(self, c))
+    monkeypatch.setattr(
+        TableauDelta, "_normal", classmethod(lambda cls, o: built.append(o) or normal(o))
+    )
+    S = standard_set(Pyramid((1, 1, 1, 1)))
+    rels = write_relations(tmp_path, "s.json", S)
+    tab = write_tableau(tmp_path, "t.json", spread_seed(S, 9))
+    code = run(["enumerate-basis", "--relations", rels, "--tableau", tab, "--radius", "3"])
+    out = capsys.readouterr().out
+    assert code == 0 and built == []
+    assert json.loads(out)["count"] == 800
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8bb97b2233dc19c63cbe9a564229cb8b522b1b54568620620ed4b267f3af2593"
+    )
 
 
 def test_enumerate_basis_seeds_a_top_row_fan(tmp_path, capsys):

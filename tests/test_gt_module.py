@@ -939,6 +939,34 @@ def test_window_members_match_box_scan():
     assert cases >= 200 and tight >= 100
 
 
+def test_coordinate_eligibility_equals_the_shift_rule(monkeypatch):
+    # the oracle's eligible positions, read off the coordinates, are the
+    # members whose every offset on row i is within radius - margin(i); no
+    # shift is built for a window or for its eligibility scan
+    built = []
+    to_shift = gt_module.ShiftChecker.shift
+    monkeypatch.setattr(
+        gt_module.ShiftChecker, "shift", lambda self, c: built.append(c) or to_shift(self, c)
+    )
+    cases = kept = 0
+    for C, seed, radius in _window_corpus():
+        profiles = {profile for *_, profile, _ in gt_module._relation_table(C.pyramid, 2)}
+        built.clear()
+        window = enumerate_basis(C, seed, radius)
+        got = [gt_module._eligible(window, dict(p)) for p in sorted(profiles)]
+        assert built == [], (C, seed, radius)
+        for profile, eligible in zip(sorted(profiles), got):
+            margins = dict(profile)
+            want = [
+                k for k, d in enumerate(window.members)
+                if all(abs(d.get(t)) <= radius - margins.get(t.i, 0) for t in window.free)
+            ]
+            assert eligible == want, (C, seed, radius, profile)
+            kept += len(want)
+        cases += 1
+    assert cases >= 200 and kept > 0
+
+
 def test_window_step_matches_gating_box_and_index():
     cases = overflows = 0
     for C, seed, radius in itertools.islice(_window_corpus(), 0, None, 10):

@@ -47,6 +47,7 @@ from helpers import (
     diamond_set,
     fan_gl5,
     gl2_tableau,
+    reference_least_solution,
     reference_maximal_set,
     reference_satisfies,
     rel,
@@ -185,6 +186,47 @@ def test_least_solution_contract():
                     reached.add(v)
                     grew = True
         assert reached == vs, C
+
+
+def _random_system(rng):
+    """A seeded difference system: vertices, arcs (u, v, w) and a start
+    that is None or gives some vertices a value of either sign."""
+    verts = [f"v{k}" for k in range(rng.randint(1, 9))]
+    arcs = [
+        (rng.choice(verts), rng.choice(verts), rng.randint(-3, 2))
+        for _ in range(rng.randint(0, 3 * len(verts)))
+    ]
+    start = None
+    if rng.random() < 0.5:
+        start = {v: rng.randint(-4, 4) for v in rng.sample(verts, rng.randint(1, len(verts)))}
+    return verts, arcs, start
+
+
+def test_worklist_solver_matches_pass_reference():
+    rng = random.Random(32)
+    solved = cycles = started = 0
+    for _ in range(3000):
+        verts, arcs, start = _random_system(rng)
+        got = _least_solution(verts, arcs, start)
+        assert got == reference_least_solution(verts, arcs, start), (verts, arcs, start)
+        solved += got is not None
+        cycles += got is None
+        started += start is not None and got is not None
+    assert solved > 500 and cycles > 500 and started > 200
+
+
+def test_worklist_solver_finds_a_long_positive_cycle_at_once():
+    # a chain v0 < v1 < ... with its arcs listed backwards takes a pass per
+    # vertex in a pass-based solver, V passes over V arcs; the back arc
+    # closes a positive cycle, which the worklist meets within one round
+    n = 3000
+    verts = list(range(n))
+    chain = [(k, k + 1, 1) for k in reversed(range(n - 1))]
+    start = time.monotonic()
+    assert _least_solution(verts, chain + [(n - 1, 0, 1)]) is None
+    x = _least_solution(verts, chain)
+    assert time.monotonic() - start < 0.5
+    assert x == {k: k for k in verts}
 
 
 def test_noncritical_seed_is_least_solution_per_component():
