@@ -17,6 +17,7 @@ from fractions import Fraction
 from .exact_arith import scalar_to_json
 from .gt_module import (
     BasisWindow,
+    ShiftChecker,
     WindowOverflowError,
     is_irreducible,
     report_passes,
@@ -173,6 +174,30 @@ def _jsonable(obj):
     return obj
 
 
+class _Fragments(dict):
+    """`,[[k,i,j],v]` for each offset v of one triple, made on first lookup;
+    offset 0 writes nothing.  It holds only the offsets looked up."""
+
+    def __init__(self, t: TriIndex):
+        super().__init__({0: ""})
+        self.prefix = f",[[{t.k},{t.i},{t.j}],"
+
+    def __missing__(self, v: int) -> str:
+        text = self[v] = f"{self.prefix}{v}]"
+        return text
+
+
+def _keys_json(checker: ShiftChecker, coords: list) -> str:
+    """The text `json.dumps` writes, compact, for `[checker.key(c) for c in
+    coords]`, built with no key: each nonzero coordinate is the fragment
+    `,[[k,i,j],v]`, in `checker.key_order`, formatted the first time its value
+    shows, and a member drops its first comma."""
+    slots = [(k, _Fragments(t)) for t, k in checker.key_order]
+    return "[" + ",".join(
+        ["[" + "".join([f[c[k]] for k, f in slots])[1:] + "]" for c in coords]
+    ) + "]"
+
+
 def check_admissible_cmd(relations_path):
     """Decide admissibility of a relation set; exit 3 when not admissible."""
     C = _load_relations(relations_path)
@@ -234,16 +259,13 @@ def enumerate_basis_cmd(relations_path, tableau_path, radius):
         window = BasisWindow(C, seed, radius)
     except ValueError as exc:
         raise InputError(str(exc))
-    _emit(
-        {
-            "command": "enumerate-basis",
-            "radius": radius,
-            "count": len(window.coords),
-            # a key is sorted (triple, offset) pairs, read off the
-            # coordinates with no shift built, and JSON writes every tuple,
-            # a `TriIndex` too, as a list
-            "members": list(map(window.checker.key, window.coords)),
-        }
+    # The members are rendered from the coordinates in `TriIndex` order, with
+    # no key or shift built: the bytes json.dumps writes in `_emit` for the
+    # report whose "members" are the keys, (triple, offset) pairs.
+    members = _keys_json(window.checker, window.coords)
+    sys.stdout.write(
+        f'{{"command":"enumerate-basis","count":{len(window.coords)},'
+        f'"members":{members},"radius":{radius},"v":1}}\n'
     )
     return EXIT_OK
 

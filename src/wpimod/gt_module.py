@@ -79,7 +79,7 @@ class ShiftChecker:
         self.slot = {t: k for k, t in enumerate(self.free)}
         # the slots in `TriIndex` order, which a key follows; on a pyramid
         # with more than one layer it is not the order of `free`
-        self._key_order = sorted(self.slot.items())
+        self.key_order = sorted(self.slot.items())
         free = self.slot
         # out-arcs over slots, (slot, c): d_g >= d_l + c from l in `_up`, and
         # the same arcs reversed in `_down`
@@ -115,7 +115,7 @@ class ShiftChecker:
     def key(self, coords: tuple[int, ...]) -> tuple:
         """`TableauDelta.key` of the shift with the given coordinates, built
         from them."""
-        return tuple([(t, coords[k]) for t, k in self._key_order if coords[k]])
+        return tuple([(t, coords[k]) for t, k in self.key_order if coords[k]])
 
     def solutions(
         self, low: int, high: int, depth: int | None = None, cap: int | None = None

@@ -1,6 +1,7 @@
 """Command-line surface: schemas, exit codes, determinism."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import wpimod
 
 from wpimod import Pyramid, RelationSet, cli, standard_set, tableau_to_json, yangian_tensor
 from wpimod.cli import MAX_BUDGET, MAX_EXPONENT, MAX_INSTANTIATIONS, run
-from wpimod.gt_module import MAX_WINDOW_MEMBERS, ShiftChecker
+from wpimod.gt_module import MAX_WINDOW_MEMBERS, ShiftChecker, enumerate_basis
 from wpimod.tableau import TableauDelta
 
 from helpers import (
@@ -26,7 +27,7 @@ from helpers import (
     spread_seed,
     standard_gl2,
 )
-from test_gt_module import reducible_gl3_pair
+from test_gt_module import _window_corpus, reducible_gl3_pair
 
 
 def write_relations(tmp_path, name, C):
@@ -166,6 +167,43 @@ def test_enumerate_basis_seeds_a_top_row_fan(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == (
         '{"command":"enumerate-basis","count":1,"members":[[]],"radius":0,"v":1}\n'
+    )
+
+
+def test_enumerate_basis_renders_the_bytes_json_writes_for_the_keys(tmp_path, capsys):
+    # radius 0 (the seed alone, `[[]]`), negative offsets and multi-layer
+    # pyramids: the members are rendered from coordinates, and the line is
+    # json.dumps of the report whose members are the shifts' key tuples.  On
+    # the corpus's pyramids `free` lists the triples in `TriIndex` order; on
+    # (2, 2, 2) and (2, 2, 3) it does not, and the keys follow `TriIndex`.
+    reordered = [standard_set(Pyramid(rows)) for rows in [(2, 2, 2), (2, 2, 3)]]
+    extra = [(S, spread_seed(S), radius) for S in reordered for radius in (1, 2)]
+    cases = 0
+    for C, seed, radius in itertools.chain(_window_corpus(), extra):
+        rels = write_relations(tmp_path, "c.json", C)
+        tab = write_tableau(tmp_path, "t.json", seed)
+        code = run(["enumerate-basis", "--relations", rels, "--tableau", tab,
+                    "--radius", str(radius)])
+        window = enumerate_basis(C, seed, radius)
+        report = {"command": "enumerate-basis", "count": len(window.members),
+                  "members": [d.key() for d in window.members], "radius": radius, "v": 1}
+        want = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+        assert (code, capsys.readouterr().out) == (0, want), (C, seed, radius)
+        cases += 1
+    assert cases >= 200
+
+
+def test_enumerate_basis_at_a_huge_radius_is_instant(tmp_path, capsys):
+    # nothing is sized by the radius: a 3-member window at radius 10^9
+    rels = write_relations(tmp_path, "s.json", standard_gl2())
+    tab = write_tableau(tmp_path, "l.json", gl2_tableau(2, -1, 1))
+    start = time.perf_counter()
+    code = run(["enumerate-basis", "--relations", rels, "--tableau", tab,
+                "--radius", "1000000000"])
+    assert time.perf_counter() - start < 1
+    assert code == 0 and capsys.readouterr().out == (
+        '{"command":"enumerate-basis","count":3,"members":[[],[[[1,1,1],-1]],[[[1,1,1],1]]],'
+        '"radius":1000000000,"v":1}\n'
     )
 
 
