@@ -31,7 +31,7 @@ from .relations import (
     require_same_pyramid,
     satisfies,
 )
-from .supports import _member_entries, _row_layout, _row_support, _WallSets
+from .supports import _eligible, _member_entries, _row_layout, _row_peaks, _row_support, _WallSets
 from .tableau import (
     Tableau,
     TableauDelta,
@@ -888,13 +888,15 @@ def verify_defining_relations(
     members h = 0 (the criticality scan), so a walk that stays on members
     has a finite product whose value at eps = 0 is the term the relation
     module sums: zero exactly when some z is 1, since the module drops that
-    move.  So the module's residual is minus the limit of the sum over the
-    walks that visit a target that is not a member, and that limit is zero
-    when each of them has a sum of z - h of at least 1.
+    move.  So the module's residual at a member T is minus the limit of the
+    sum over the walks that end at T and visit a target that is not a
+    member, and that limit is zero when each of them has a sum of z - h of
+    at least 1.  A walk that ends off the members adds only to that
+    target's component, which the module does not have, so it never counts.
 
     The hit set holds the positions from which some walk of one of the
-    case's words visits a non-member with a sum of z - h of at most 0.  Two
-    kinds of move start such a walk: a wall, a move with a nonzero
+    case's words leaves the members and ends on one with a sum of z - h of
+    at most 0.  Two kinds of move leave: a wall, a move with a nonzero
     coefficient whose target breaks C; and a singular target, a move with a
     zero coefficient whose target breaks C and equals another entry of its
     own row, followed by a move of that row (0 times a pole).  In a
@@ -903,9 +905,10 @@ def verify_defining_relations(
     counts that walk the same way.  z and h depend only on each letter's
     family and row: a higher superscript multiplies the lowest one's
     coefficient by a polynomial, and diagonal letters do not move.  From an
-    eligible position no walk leaves the box (the margins); a move out of
-    it (-1 from `window.step`) would count as a non-member, so the overflow
-    error stays where it was.
+    eligible position no walk leaves the box (the margins), and a box shift
+    that keeps C is a member, so no scan meets -1 from `window.step`.  The
+    residue contexts are built at the first nonempty scan: a pass whose hit
+    sets are all empty is decided from the entries alone.
     """
     window = BasisWindow(C, l, radius)
     report: dict = {
@@ -942,14 +945,10 @@ def verify_defining_relations(
     # so that its detail is in Fraction.
     classes = l.classes()
     assignments = [generic_instantiate(classes, seed0 + k) for k in range(instantiations)]
-    stack = ActionContext._stacked(window, assignments)
-    if stack is None:
-        exact = {k: ActionContext(window, a) for k, a in enumerate(assignments)}
-        deciders = [(ctx, [(k, None)]) for k, ctx in exact.items()]
-    else:
-        exact = {}
-        deciders = [(stack, list(enumerate(instantiation_primes(instantiations))))]
+    deciders: list | None = None
+    exact: dict = {}
 
+    peaks = _row_peaks(window)
     eligible_by_margins: dict = {}
     scans: dict = {}
     for fam, idx, terms, profile, words in _relation_table(l.pyramid, budget):
@@ -962,11 +961,19 @@ def verify_defining_relations(
             )
         eligible = eligible_by_margins.get(profile)
         if eligible is None:
-            eligible = eligible_by_margins[profile] = _eligible(window, dict(profile))
-        # the eligible positions in the case's hit set, in their order
+            eligible = eligible_by_margins[profile] = _eligible(window, peaks, dict(profile))
         scan = scans.get((words, profile))
         if scan is None:
-            scan = scans[words, profile] = [p for p in eligible if walls.hit(words, p)]
+            scan = scans[words, profile] = walls.scan(words, eligible)
+        if not scan:
+            continue
+        if deciders is None:
+            stack = ActionContext._stacked(window, assignments)
+            if stack is None:
+                exact = {k: ActionContext(window, a) for k, a in enumerate(assignments)}
+                deciders = [(ctx, [(k, None)]) for k, ctx in exact.items()]
+            else:
+                deciders = [(stack, list(enumerate(instantiation_primes(instantiations))))]
         for ctx, lanes in deciders:
             # the first failing position of each instantiation; the scan ends
             # once the least instantiation has failed
@@ -1005,18 +1012,6 @@ def verify_defining_relations(
         if max_violations and len(report["violations"]) >= max_violations:
             return report
     return report
-
-
-def _eligible(window: BasisWindow, margins: dict[int, int]) -> list[int]:
-    """The positions of the members whose every coordinate on row i is at most
-    radius - margins[i] (0 for a row not listed) in absolute value, read off
-    the coordinates."""
-    bounds = [window.radius - margins.get(t.i, 0) for t in window.free]
-    return [
-        k
-        for k, coords in enumerate(window.coords)
-        if all(-b <= v <= b for v, b in zip(coords, bounds))
-    ]
 
 
 def _residual(ctx: ActionContext, terms, pos: int) -> dict:

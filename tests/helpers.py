@@ -10,9 +10,12 @@ from wpimod import (
     Tableau,
     TriIndex,
     all_relations,
+    enumerate_basis,
+    generic_instantiate,
     noncritical_satisfying_tableau,
     standard_set,
 )
+from wpimod.gt_module import ActionContext, WindowOverflowError, _relation_table, _residual
 from wpimod.relations import (
     ClosureOrder,
     Relation,
@@ -172,6 +175,69 @@ def reference_least_solution(verts, arcs, start=None):
         if not changed:
             return x
     return None
+
+
+def reference_verify(C: RelationSet, l: Tableau, radius: int, budget: int,
+                     instantiations: int = 3, seed0: int = 1,
+                     max_violations: int = 1) -> dict:
+    """`verify_defining_relations` by a full scan: each case is evaluated at
+    every eligible position, with no hit set, in each instantiation's own
+    exact context, and fails at its least failing instantiation's least
+    failing position."""
+    window = enumerate_basis(C, l, radius)
+    members = window.members
+    report: dict = {"families": {}, "violations": [], "members": len(members)}
+    for d in members:
+        for i in range(1, l.pyramid.n + 1):
+            row = row_indices(l.pyramid, i)
+            entries = [(l.entry(t)[0], l.entry(t)[1] + d.get(t)) for t in row]
+            for x, y in itertools.combinations(range(len(row)), 2):
+                if entries[x] == entries[y]:
+                    report["violations"].append({
+                        "family": "critical",
+                        "indices": {},
+                        "shift": d.key(),
+                        "detail": f"equal entries at {tuple(row[x])}, {tuple(row[y])}",
+                    })
+                    report["families"]["critical"] = "fail"
+                    return report
+    contexts = [
+        ActionContext(window, generic_instantiate(l.classes(), seed0 + k))
+        for k in range(instantiations)
+    ]
+    for fam, idx, terms, profile, _ in _relation_table(l.pyramid, budget):
+        if report["families"].setdefault(fam, "pass") == "fail" and max_violations:
+            continue
+        margins = dict(profile)
+        if any(m > radius for m in margins.values()):
+            raise WindowOverflowError(
+                f"window radius {radius} is too small for relation family {fam}"
+            )
+        eligible = [
+            pos for pos, d in enumerate(members)
+            if all(abs(d.get(t)) <= radius - margins.get(t.i, 0) for t in window.free)
+        ]
+        failing = next(
+            ((pos, acc) for ctx in contexts for pos in eligible
+             if (acc := _residual(ctx, terms, pos))),
+            None,
+        )
+        if failing is None:
+            continue
+        pos, acc = failing
+        report["families"][fam] = "fail"
+        report["violations"].append({
+            "family": fam,
+            "indices": dict(idx),
+            "shift": members[pos].key(),
+            "detail": sorted(
+                (members[p].key() if isinstance(p, int) else p, str(c))
+                for p, c in acc.items()
+            ),
+        })
+        if max_violations and len(report["violations"]) >= max_violations:
+            return report
+    return report
 
 
 def rel(g, l, strict) -> Relation:

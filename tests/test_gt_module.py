@@ -54,7 +54,7 @@ from wpimod.relations import (
     noncritical_satisfying_tableau,
     satisfies,
 )
-from wpimod.supports import _WallSets
+from wpimod.supports import _eligible, _row_peaks, _WallSets
 from wpimod.tableau import all_indices, mutable_indices, row_indices, shift
 from wpimod.yangian_tensor import _factor_core
 
@@ -66,6 +66,7 @@ from helpers import (
     bad_pattern_lower,
     bad_pattern_upper,
     gl2_tableau,
+    reference_verify,
     rel,
     relation_subsets,
     spread_seed,
@@ -838,6 +839,61 @@ def test_wall_sets_skip_only_zero_residuals():
     assert _WallSets(window).hit(words, pos)
 
 
+def test_oracle_matches_the_full_scan_reference():
+    """The oracle's reports equal those of `reference_verify`, which evaluates
+    every eligible position in exact contexts with no hit set, at the
+    canonical and spread seeds, stopping at the first violation and not."""
+    reports = failing = 0
+    for C in _wall_corpus():
+        for seed in (noncritical_satisfying_tableau(C), spread_seed(C)):
+            want = reference_verify(C, seed, 2, 2, max_violations=0)
+            for max_violations in (0, 1):
+                # with no violation, max_violations changes nothing
+                if max_violations and not report_passes(want):
+                    want = reference_verify(C, seed, 2, 2, max_violations=1)
+                got = verify_defining_relations(C, seed, 2, 2, max_violations=max_violations)
+                assert got == want, (C.edges, seed.entries, max_violations)
+                reports += 1
+            failing += not report_passes(want)
+    assert reports == 168 and failing > 0
+
+
+def test_single_ladder_letter_cases_have_empty_hit_sets():
+    """A case whose words each hold at most one ladder letter (dd, de, df) has
+    an empty hit set at every eligible position: a walk of one letter from a
+    member either stays on the members or ends off them, where the relation
+    module has no component."""
+    radius, budget = 2, 2
+    checked = set()
+    for C in _wall_corpus():
+        for seed in (noncritical_satisfying_tableau(C), spread_seed(C)):
+            window = enumerate_basis(C, seed, radius)
+            walls, peaks = _WallSets(window), _row_peaks(window)
+            for fam, idx, _, profile, words in gt_module._relation_table(C.pyramid, budget):
+                if any(len(w) > 1 for w in words):
+                    continue
+                for pos in _eligible(window, peaks, dict(profile)):
+                    assert not walls.hit(words, pos), (C.edges, seed.entries, fam, idx, pos)
+                    checked.add(fam)
+    assert checked == {"dd", "de", "df"}
+
+
+def test_a_pass_with_empty_hit_sets_builds_no_context(monkeypatch):
+    built = []
+    init = ActionContext.__init__
+    monkeypatch.setattr(
+        ActionContext, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k)
+    )
+    for C in (standard_gl2(), standard_set(GL3), standard_set(P22)):
+        for seed in (noncritical_satisfying_tableau(C), spread_seed(C)):
+            assert report_passes(verify_defining_relations(C, seed, 2, 2))
+    assert built == []
+    # a failing pass builds its contexts: the counter sees them
+    C = bad_pattern_upper()
+    assert not report_passes(verify_defining_relations(C, noncritical_satisfying_tableau(C), 2, 2))
+    assert built
+
+
 P = MODULUS
 
 
@@ -924,6 +980,12 @@ def _window_corpus():
                     yield C, seed, radius
     gl4 = standard_set(Pyramid((1, 1, 1, 1)))
     yield gl4, spread_seed(gl4), 3
+    # (2,2,2) lists its free triples out of `TriIndex` order, so a slot is not
+    # a key position there
+    p222 = standard_set(Pyramid((2, 2, 2)))
+    seeds = _integral_seeds(p222, rng, 2) + [noncritical_satisfying_tableau(p222), spread_seed(p222)]
+    for seed in seeds:
+        yield p222, seed, 1
 
 
 def test_window_members_match_box_scan():
@@ -953,7 +1015,8 @@ def test_coordinate_eligibility_equals_the_shift_rule(monkeypatch):
         profiles = {profile for *_, profile, _ in gt_module._relation_table(C.pyramid, 2)}
         built.clear()
         window = enumerate_basis(C, seed, radius)
-        got = [gt_module._eligible(window, dict(p)) for p in sorted(profiles)]
+        peaks = _row_peaks(window)
+        got = [_eligible(window, peaks, dict(p)) for p in sorted(profiles)]
         assert built == [], (C, seed, radius)
         for profile, eligible in zip(sorted(profiles), got):
             margins = dict(profile)
