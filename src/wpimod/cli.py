@@ -48,9 +48,9 @@ EXIT_FALSE = 3
 EXIT_INPUT = 4
 EXIT_OVERFLOW = 5
 
-# Upper bounds of verify-relations' --instantiations and --budget.  All
-# instantiations share one residue context, mod the product of one 61-bit
-# prime each, so its numbers grow with the instantiations; the relation cases
+# Upper bounds of verify-relations' --instantiations and --budget.  A case
+# that passes on a nonempty hit set is evaluated in the exact context of every
+# instantiation, so the work grows with the instantiations; the relation cases
 # grow with the square of the budget.  An unbounded value costs unbounded time
 # and memory; the defaults are 3 and 2.
 MAX_INSTANTIATIONS = 64

@@ -1,24 +1,19 @@
-"""Exact scalars, the oracle's residue modulus, generic instantiation, and the
-truncated series type that quantum-minor images are returned in.
+"""Exact scalars, generic instantiation, and the truncated series type that
+quantum-minor images are returned in.
 
-Scalars are plain `fractions.Fraction`; there is no floating-point mode anywhere
-in the package.  The generator actions and the Yangian series run on integers
-over a common denominator (see `gt_module.ActionContext` and
+Scalars are plain `fractions.Fraction`; there is no floating-point or modular
+mode anywhere in the package.  The generator actions and the Yangian series
+run on integers over a common denominator (see `gt_module.ActionContext` and
 `yangian_tensor._slot_t`), and the singular-vector elimination is
 fraction-free; `OperatorSeries.apply` hands its images back as `InvSeries`.
-Only the relation oracle runs on residues: it reduces each instantiation mod
-its own prime (`instantiation_primes`, from `MODULUS` down), where reduction
-is a ring map from the rationals whose denominators it keeps invertible, and
-decides them all at once mod their product (`crt_basis`).  `UniPoly` and
-`poly_series_quotient` remain as the reference expansion the ladder tests
-compare against.
+`UniPoly` and `poly_series_quotient` remain as the reference expansion the
+ladder tests compare against.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import prod
 from typing import Iterable
 
 
@@ -190,74 +185,6 @@ def poly_series_quotient(num: UniPoly, den: UniPoly, order: int) -> InvSeries:
             if t - gap < len(taylor):
                 full[t] = taylor[t - gap]
     return InvSeries(full[0], full[1:])
-
-
-# The Mersenne prime 2^61 - 1: the first of the relation oracle's instantiation
-# primes, whose residue contexts (`gt_module.ActionContext`) it runs on.
-MODULUS = 2**61 - 1
-
-# The first twelve primes: as Miller-Rabin bases they decide primality exactly
-# below 3.18 * 10^23 (Sorenson and Webster, Math. Comp. 2017), far above 2^61.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test, exact for n < 3.18 * 10^23."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-# Grown on demand by `instantiation_primes`, never at import.
-_PRIMES = [MODULUS]
-
-
-def instantiation_primes(count: int) -> list[int]:
-    """One prime per oracle instantiation: MODULUS, then the primes below it
-    in descending order (2^61 - 1, 2^61 - 31, 2^61 - 45, ...).  Cached."""
-    while len(_PRIMES) < count:
-        q = _PRIMES[-1] - 2
-        while not is_prime(q):
-            q -= 2
-        _PRIMES.append(q)
-    return _PRIMES[:count]
-
-
-def crt_basis(moduli: list[int]) -> list[int]:
-    """The idempotents e_k of Z/M = prod Z/m_k, M the product of the pairwise
-    coprime moduli: e_k is 1 mod m_k and 0 mod every other.  The lift of
-    residues r_k is sum(r_k e_k) mod M."""
-    M = prod(moduli)
-    return [M // m * pow(M // m, -1, m) % M for m in moduli]
-
-
-def residue(x, m: int) -> int:
-    """The residue of a rational mod m, in [0, m).
-
-    Raises ZeroDivisionError when the denominator is not a unit mod m.
-    """
-    x = Fraction(x)
-    try:
-        inv = pow(x.denominator, -1, m)
-    except ValueError:
-        raise ZeroDivisionError(f"{x} has a denominator that is not a unit mod {m}") from None
-    return x.numerator * inv % m
 
 
 class CriticalityError(ValueError):

@@ -12,16 +12,9 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from math import inf, lcm, prod
+from math import inf, lcm
 
-from .exact_arith import (
-    CriticalityError,
-    GenericAssignment,
-    crt_basis,
-    generic_instantiate,
-    instantiation_primes,
-    residue,
-)
+from .exact_arith import CriticalityError, GenericAssignment, generic_instantiate
 from .pyramid import e_generator_min_degree
 from .relations import (
     RelationSet,
@@ -348,22 +341,6 @@ CLIP = "clip"
 STRICT = "strict"
 
 
-def _reduction_is_faithful(values, radius: int, n: int, m: int) -> bool:
-    """Whether mod m, every window difference and value-plus-row-constant is
-    nonzero exactly when it is nonzero.
-
-    A window value is one of `values` plus an offset of at most `radius`; the
-    actions divide by differences of two such values and take powers of a
-    value plus a row constant in 0..n.  With D a common denominator, each of
-    these quantities times D is an integer below m in absolute value when
-    max |D v| + D (radius + n + 1) < m / 2, so it vanishes mod m only if it
-    vanishes, and D itself is a unit mod the prime m.
-    """
-    values = [Fraction(v) for v in values]
-    D = lcm(*(v.denominator for v in values))
-    return 2 * (max(abs(D * v) for v in values) + D * (radius + n + 1)) < m
-
-
 class ActionContext:
     """Instantiated generator actions over a basis window.
 
@@ -373,99 +350,39 @@ class ActionContext:
     cyclicity probe and the evaluation factors, which read each column once,
     call `_build_column` themselves.
 
-    Coefficients are exact `Fraction`s, or, with the internal `_modulus`, residues
-    in [0, m) computed by the same code: reduction mod a prime is a ring map, so
-    each residue is the reduction of the exact coefficient.  The code runs on
-    integers (`_row_ints`): residues, or the exact entries times `_scale`, the
-    least common denominator of the seed's values, so an exact coefficient
-    becomes a `Fraction` only once, at the end.  The modulus is kept only
-    when `_reduction_is_faithful` holds for the window's radius.  Then every
-    difference the actions divide by or multiply is zero mod m exactly when
-    it is zero, so STRICT overflow, CriticalityError and the e and f supports
-    are the exact ones.  Otherwise the context falls back to `Fraction` and
-    `modulus` is None.  Only the oracle asks for a modulus; the evaluation
-    factors of `yangian_tensor`, over a `FreeWindow`, are exact.
-
-    `_stacked` builds one residue context for several instantiations at once,
-    mod the product of one prime each (Chinese remainder theorem).
+    Coefficients are exact `Fraction`s.  The code runs on integers
+    (`_row_ints`): the entries times `_scale`, the least common denominator
+    of the seed's values, so a coefficient becomes a `Fraction` only once, at
+    the end (`_finish`).  The oracle builds one context per instantiation;
+    the evaluation factors of `yangian_tensor` build one per factor core,
+    over a `FreeWindow`.
     """
 
-    def __init__(
-        self,
-        window: BasisWindow,
-        assignment: GenericAssignment,
-        _modulus: int | None = None,
-    ):
+    def __init__(self, window: BasisWindow, assignment: GenericAssignment):
         self.window = window
         self.pyramid = window.seed.pyramid
         self.n = self.pyramid.n
-        base = {t: assignment.value(*e) for t, e in window.seed.entries.items()}
-        if _modulus is not None and not _reduction_is_faithful(
-            base.values(), window.radius, self.n, _modulus
-        ):
-            _modulus = None
-        self.modulus = _modulus
-        if _modulus is None:
-            self.base, self.one = base, Fraction(1)
-            exact = {t: Fraction(v) for t, v in base.items()}
-            self._scale = scale = lcm(*(v.denominator for v in exact.values()))
-            self._ints = {t: v.numerator * (scale // v.denominator) for t, v in exact.items()}
-        else:
-            self.base = {t: residue(v, _modulus) for t, v in base.items()}
-            self.one = 1
-            self._scale, self._ints = 1, self.base
+        values = {t: Fraction(assignment.value(*e)) for t, e in window.seed.entries.items()}
+        self._scale = scale = lcm(*(v.denominator for v in values.values()))
+        self._ints = {t: v.numerator * (scale // v.denominator) for t, v in values.items()}
         self._row_index = {r: row_indices(self.pyramid, r) for r in range(self.n + 1)}
         self._moves: dict = {}  # (row, step): each pivot's unit move
         # STRICT columns per generator: {member position: ((member position,
         # coefficient), ...)}, each built once by `_build_column`.
         self._columns: defaultdict = defaultdict(dict)
 
-    @classmethod
-    def _stacked(cls, window: BasisWindow, assignments: list) -> ActionContext | None:
-        """One residue context for all (at least one) `assignments`, or None.
-
-        Assignment k is reduced mod its own prime p_k (`instantiation_primes`),
-        and the context runs mod M = p_0 ... p_{K-1} on the CRT lifts of those
-        residues.  Z/M is the product of the fields Z/p_k, so a residue c of the
-        stacked context is, mod p_k, the residue of assignment k's own context.
-
-        None unless each reduction is faithful mod its own prime.  Then a
-        same-row difference, which is an integer within a class and never an
-        integer across classes (`GenericAssignment`), is zero mod one p_k
-        exactly when it is zero, hence zero mod M exactly when it is zero.  So
-        CriticalityError, STRICT overflow and the ladder supports are the exact
-        ones, and every denominator is a unit mod M.
-        """
-        primes = instantiation_primes(len(assignments))
-        lanes = [cls(window, a, _modulus=p) for a, p in zip(assignments, primes)]
-        if not lanes or any(lane.modulus is None for lane in lanes):
-            return None
-        stack, basis = lanes[0], crt_basis(primes)
-        stack.modulus = M = prod(primes)
-        stack.base = stack._ints = {
-            t: sum(lane.base[t] * e for lane, e in zip(lanes, basis)) % M
-            for t in stack.base
-        }
-        return stack
-
-    def _nonzero(self, vec: dict) -> dict:
-        """vec with every coefficient reduced and the zero ones dropped."""
-        m = self.modulus
-        if m is None:
-            return {d: c for d, c in vec.items() if c != 0}
-        return {d: r for d, c in vec.items() if (r := c % m)}
+    @staticmethod
+    def _nonzero(vec: dict) -> dict:
+        """vec with the zero coefficients dropped."""
+        return {d: c for d, c in vec.items() if c != 0}
 
     def _row_ints(self, r: int, d: TableauDelta) -> list[int]:
-        """Row r at shift d as integers, in row order: each value times
-        `_scale`, unreduced (residues plus shifts, with a modulus)."""
+        """Row r at shift d as integers, in row order: each value times `_scale`."""
         ints, scale, get = self._ints, self._scale, d.offsets.get
         return [ints[t] + scale * get(t, 0) for t in self._row_index.get(r, ())]
 
-    def _finish(self, num: int, den: int, power: int):
+    def _finish(self, num: int, den: int, power: int) -> Fraction:
         """The coefficient (num/den) / `_scale`^power of integers from `_row_ints`."""
-        m = self.modulus
-        if m is not None:
-            return num * pow(den, -1, m) % m if den != 1 else num % m
         if power >= 0:
             return Fraction(num, den * self._scale ** power)
         return Fraction(num * self._scale ** -power, den)
@@ -580,7 +497,7 @@ class ActionContext:
         fam, row, sup = gen
         d = self.window.members[pos]
         if fam in ("d", "dprime"):
-            val = self.one if sup == 0 else self._diag_coeff(fam, row, sup, d)
+            val = Fraction(1) if sup == 0 else self._diag_coeff(fam, row, sup, d)
             return ((pos, val),) if val != 0 else ()
         col = []
         for move, coeff in self.ladder_terms(fam, row, sup, d):
@@ -619,7 +536,7 @@ class ActionContext:
         scratch store of its own.
         """
         if not word:
-            return {pos: self.one}
+            return {pos: Fraction(1)}
         table = self._columns if policy == STRICT else defaultdict(dict)
         last = len(word) - 1
         cols = table[word[last]]
@@ -858,12 +775,12 @@ def verify_defining_relations(
     Returns a report dict with per-family status and the violations found
     (stopping after max_violations; pass 0 for exhaustive collection).  Each
     failing case reports its least failing instantiation at that
-    instantiation's least failing position, computed in `Fraction`.
+    instantiation's least failing position, in `Fraction`.  Raises ValueError
+    when `instantiations` or `budget` is below 1, which would check nothing.
 
-    The instantiations are decided in one walk: instantiation k by residues
-    mod its own prime p_k, all at once in the `ActionContext._stacked` context
-    mod their product.  Where some reduction is not faithful, each
-    instantiation is decided in its own exact context instead.
+    Every residual is decided over the rationals: instantiation k in its own
+    exact `ActionContext`, built when a case's scan first reaches k, so
+    instantiations past the least failing one are never built.
 
     A case is evaluated at an eligible position only when the position is
     in the case's hit set (`_WallSets`): elsewhere its residual is zero at
@@ -906,10 +823,14 @@ def verify_defining_relations(
     family and row: a higher superscript multiplies the lowest one's
     coefficient by a polynomial, and diagonal letters do not move.  From an
     eligible position no walk leaves the box (the margins), and a box shift
-    that keeps C is a member, so no scan meets -1 from `window.step`.  The
-    residue contexts are built at the first nonempty scan: a pass whose hit
-    sets are all empty is decided from the entries alone.
+    that keeps C is a member, so no scan meets -1 from `window.step`.  A
+    pass whose hit sets are all empty builds no context: it is decided from
+    the entries alone.
     """
+    if instantiations < 1 or budget < 1:
+        raise ValueError(
+            f"instantiations ({instantiations}) and budget ({budget}) must be at least 1"
+        )
     window = BasisWindow(C, l, radius)
     report: dict = {
         "families": {},
@@ -939,14 +860,9 @@ def verify_defining_relations(
             report["families"]["critical"] = "fail"
             return report
 
-    # Each decider is a context and its lanes (instantiation k, prime p):
-    # k fails where a residual is nonzero mod p, or anywhere nonzero when p is
-    # None (k's exact context).  A failure is recomputed in k's exact context,
-    # so that its detail is in Fraction.
+    # instantiation k's exact context, built when a scan first reaches it
     classes = l.classes()
-    assignments = [generic_instantiate(classes, seed0 + k) for k in range(instantiations)]
-    deciders: list | None = None
-    exact: dict = {}
+    contexts: list[ActionContext] = []
 
     peaks = _row_peaks(window)
     eligible_by_margins: dict = {}
@@ -967,36 +883,20 @@ def verify_defining_relations(
             scan = scans[words, profile] = walls.scan(words, eligible)
         if not scan:
             continue
-        if deciders is None:
-            stack = ActionContext._stacked(window, assignments)
-            if stack is None:
-                exact = {k: ActionContext(window, a) for k, a in enumerate(assignments)}
-                deciders = [(ctx, [(k, None)]) for k, ctx in exact.items()]
-            else:
-                deciders = [(stack, list(enumerate(instantiation_primes(instantiations))))]
-        for ctx, lanes in deciders:
-            # the first failing position of each instantiation; the scan ends
-            # once the least instantiation has failed
-            first: dict[int, int] = {}
-            for pos in scan:
-                acc = _residual(ctx, terms, pos)
-                if "criticality" in acc:
-                    first.setdefault(lanes[0][0], pos)
-                elif acc:
-                    for k, p in lanes:
-                        if k not in first and (p is None or any(c % p for c in acc.values())):
-                            first[k] = pos
-                if lanes[0][0] in first:
-                    break
-            if first:
+        # the least failing instantiation, at its least failing position
+        failing = None
+        for k in range(instantiations):
+            if k == len(contexts):
+                contexts.append(ActionContext(window, generic_instantiate(classes, seed0 + k)))
+            ctx = contexts[k]
+            failing = next(
+                ((pos, acc) for pos in scan if (acc := _residual(ctx, terms, pos))), None
+            )
+            if failing is not None:
                 break
-        else:
+        if failing is None:
             continue
-        k = min(first)
-        if k not in exact:
-            exact[k] = ActionContext(window, assignments[k])
-        pos = first[k]
-        acc = _residual(exact[k], terms, pos)
+        pos, acc = failing
         report["families"][fam] = "fail"
         report["violations"].append(
             {

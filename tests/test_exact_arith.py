@@ -1,9 +1,5 @@
-"""Scalars, polynomials, truncated inverse series, generic instantiation,
-the instantiation primes."""
+"""Scalars, polynomials, truncated inverse series, generic instantiation."""
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -17,8 +13,7 @@ from wpimod import (
     generic_instantiate,
     poly_series_quotient,
 )
-from wpimod.cli import MAX_INSTANTIATIONS
-from wpimod.exact_arith import MODULUS, instantiation_primes, is_prime, scalar_to_json
+from wpimod.exact_arith import scalar_to_json
 
 
 def test_as_scalar_forms():
@@ -131,33 +126,3 @@ def test_generic_instantiate_noninteger_gaps():
 def test_generic_assignment_offsets():
     g = generic_instantiate({"a"}, 1)
     assert g.value("a", 5) - g.value("a") == 5
-
-
-def test_instantiation_primes_are_the_primes_below_the_modulus():
-    assert instantiation_primes(5) == [2**61 - c for c in (1, 31, 45, 229, 259)]
-    assert instantiation_primes(64)[63] == 2**61 - 2605
-    for count in range(1, MAX_INSTANTIATIONS + 1):
-        primes = instantiation_primes(count)
-        assert len(set(primes)) == count and primes[0] == MODULUS
-
-
-def test_is_prime_matches_trial_division():
-    def trial(n):
-        return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
-
-    assert [n for n in range(3000) if is_prime(n)] == [n for n in range(3000) if trial(n)]
-    # strong pseudoprimes to the first four and to the first five prime bases,
-    # and a Carmichael number
-    for n in (3215031751, 2152302898747, 561):
-        assert not is_prime(n)
-    assert is_prime(2**31 - 1) and is_prime(MODULUS)
-
-
-def test_importing_wpimod_computes_no_instantiation_prime():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["wpimod"].__file__)))
-    code = "import wpimod; from wpimod import exact_arith; print(exact_arith._PRIMES)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True,
-    ).stdout
-    assert out.strip() == f"[{MODULUS}]"

@@ -1,7 +1,6 @@
 """Basis windows, generator actions, the relation verifier, irreducibility."""
 
 import itertools
-import math
 import random
 import re
 from fractions import Fraction
@@ -29,13 +28,10 @@ from wpimod import (
     verify_defining_relations,
 )
 from wpimod.exact_arith import (
-    MODULUS,
     CriticalityError,
     GenericAssignment,
     UniPoly,
-    instantiation_primes,
     poly_series_quotient,
-    residue,
 )
 from wpimod.gt_module import (
     CLIP,
@@ -180,11 +176,10 @@ def _quotient_terms(ctx, fam, r, sup, d):
 
 
 def _row_values(ctx, r, d):
-    """Row r at shift d as (triple, value) pairs: exact values, or residues
-    mod the context's modulus."""
-    m = ctx.modulus
+    """Row r at shift d as (triple, value) pairs, exact values read off the
+    context's integer entries over `_scale`."""
     return [
-        (t, ctx.base[t] + d.get(t) if m is None else (ctx.base[t] + d.get(t)) % m)
+        (t, Fraction(ctx._ints[t], ctx._scale) + d.get(t))
         for t in row_indices(ctx.pyramid, r)
     ]
 
@@ -330,7 +325,7 @@ def test_apply_word_on_a_free_window_grows_it_as_apply_does():
     stepped = EvaluationFactor(GlWeight((5, 0)), 0, 2)
     assert walked.window.members == []
     for word in ([("f", 1, 1)] * 3, [("e", 1, 1), ("f", 1, 1)], [("f", 1, 1)], []):
-        vec = {TableauDelta(): stepped.ctx.one}
+        vec = {TableauDelta(): Fraction(1)}
         for gen in reversed(word):
             vec = stepped.ctx.apply(gen, vec, CLIP)
         assert walked.ctx.apply_word(word, TableauDelta(), CLIP) == vec, word
@@ -516,7 +511,7 @@ def test_cyclicity_reached_set_is_the_same_for_budgets_1_to_3(rows):
     # the probe reads supports off the entries, so every instantiation's
     # coefficient closure must give its reached set
     contexts = [
-        (ActionContext(window, generic_instantiate(seed.classes(), k), _modulus=MODULUS), {})
+        (ActionContext(window, generic_instantiate(seed.classes(), k)), {})
         for k in (1, 2, 3)
     ]
     # every closure visits every member it reaches, so on the 180-member
@@ -544,7 +539,7 @@ def test_cyclicity_on_a_critical_window_raises_the_column_error():
                           rel((1, 3, 1), (1, 2, 2), False)])
     seed = critical_satisfying_tableau(C)
     window = enumerate_basis(C, seed, 1)
-    ctx = ActionContext(window, generic_instantiate(seed.classes(), 1), _modulus=MODULUS)
+    ctx = ActionContext(window, generic_instantiate(seed.classes(), 1))
     with pytest.raises(CriticalityError, match=re.escape(repr(TableauDelta()))):
         cyclicity_probe(window, TableauDelta(), 1)
     mid_walk = 0
@@ -571,43 +566,6 @@ def test_cyclicity_probe_builds_no_action_context(monkeypatch):
     assert len(cyclicity_probe(window, start, 1)) < len(window.members)
 
 
-def _reduced(image):
-    if not isinstance(image, dict):
-        return image
-    return {d: r for d, c in image.items() if (r := residue(c, MODULUS))}
-
-
-@pytest.mark.parametrize("rows", [(1, 1), (1, 2), (2, 2), (1, 1, 1)],
-                         ids=lambda rows: "x".join(map(str, rows)))
-def test_modular_images_are_exact_images_reduced(rows):
-    pyramid = Pyramid(rows)
-    S = standard_set(pyramid)
-    seed = spread_seed(S)
-    window = enumerate_basis(S, seed, 2)
-    assignment = generic_instantiate(seed.classes(), 2)
-    modular = ActionContext(window, assignment, _modulus=MODULUS)
-    assert modular.modulus == MODULUS  # the guard keeps small windows modular
-    exact = ActionContext(window, assignment)
-    words = sorted({
-        tuple(word)
-        for _, _, lhs, rhs in _relation_cases(pyramid, 2)
-        for _, word in lhs + rhs
-    })
-    gens = sorted({gen for word in words for gen in word})
-    assert {fam for fam, _, _ in gens} == {"d", "dprime", "e", "f"}
-    for d in window.members:
-        for gen in gens:
-            for policy in (CLIP, STRICT):
-                got = _image(lambda: dict(modular.column(gen, d, policy)))
-                want = _image(lambda: dict(exact.column(gen, d, policy)))
-                assert got == _reduced(want), (rows, gen, d, policy)
-        for word in words:
-            got = _image(lambda: modular.apply_word(list(word), d))
-            want = _image(lambda: exact.apply_word(list(word), d))
-            assert got == _reduced(want), (rows, word, d)
-    assert cyclicity_probe(window, TableauDelta(), 2) == set(window.members)
-
-
 def _oracle_cases():
     for bad in (bad_pattern_upper(), bad_pattern_lower()):
         yield bad, noncritical_satisfying_tableau(bad), 0
@@ -616,127 +574,12 @@ def _oracle_cases():
         yield S, spread_seed(S), 1
 
 
-def _decide_exactly(monkeypatch):
-    """Make the oracle decide each instantiation in its own exact context,
-    the path it takes when some reduction is not faithful."""
-    monkeypatch.setattr(ActionContext, "_stacked", staticmethod(lambda window, assignments: None))
-
-
-@pytest.mark.parametrize("C, seed, max_violations", list(_oracle_cases()),
-                         ids=["upper", "lower", "1x1", "1x2", "2x2", "1x1x1"])
-def test_modular_oracle_report_equals_exact_report(monkeypatch, C, seed, max_violations):
-    def reports():
-        return [
-            verify_defining_relations(
-                C, seed, 2, 3, instantiations=count, max_violations=max_violations
-            )
-            for count in (1, 3, 8)
-        ]
-
-    got = reports()
-    _decide_exactly(monkeypatch)
-    want = reports()
-    assert got == want
-    # the negative controls fail, the standard sets pass
-    assert all(report_passes(r) == (max_violations == 1) for r in got)
-
-
-@pytest.mark.parametrize("C, seed, max_violations", list(_oracle_cases())[:3],
-                         ids=["upper", "lower", "1x1"])
-def test_unfaithful_instantiation_falls_back_to_exact_contexts(
-    monkeypatch, C, seed, max_violations
-):
-    def report():
-        return verify_defining_relations(
-            C, seed, 2, 3, instantiations=3, max_violations=max_violations
-        )
-
-    faithful = gt_module._reduction_is_faithful
-    second = instantiation_primes(2)[1]
-    monkeypatch.setattr(
-        gt_module, "_reduction_is_faithful",
-        lambda values, radius, n, m: m != second and faithful(values, radius, n, m),
-    )
-    window = enumerate_basis(C, seed, 2)
-    assignments = [generic_instantiate(seed.classes(), 1 + k) for k in range(3)]
-    assert ActionContext._stacked(window, assignments[:1]) is not None
-    assert ActionContext._stacked(window, assignments) is None
-    got = report()
-    _decide_exactly(monkeypatch)
-    assert got == report()
-
-
-def test_stacked_residual_is_each_instantiations_residual():
-    """Mod p_k, the stacked context's residual is instantiation k's own residual."""
-    C = bad_pattern_upper()
-    seed = noncritical_satisfying_tableau(C)
-    radius, count = 2, 4
-    window = enumerate_basis(C, seed, radius)
-    assignments = [generic_instantiate(seed.classes(), 1 + k) for k in range(count)]
-    primes = instantiation_primes(count)
-    stack = ActionContext._stacked(window, assignments)
-    assert stack.modulus == math.prod(primes)
-    lanes = [ActionContext(window, a, _modulus=p) for a, p in zip(assignments, primes)]
-    assert [lane.modulus for lane in lanes] == primes
-    # the case the upper control fails (see the CI byte check)
-    _, _, lhs, rhs = next(
-        case for case in _relation_cases(C.pyramid, 2)
-        if case[:2] == ("ef", {"i": 2, "j": 2, "r": 1, "s": 1})
-    )
-    margins = gt_module._word_row_margins(lhs + rhs)
-    terms = lhs + [(-sign, word) for sign, word in rhs]
-    nonzero = set()
-    for pos, d in enumerate(window.members):
-        if any(abs(d.get(t)) > radius - margins.get(t.i, 0) for t in window.free):
-            continue
-        stacked = gt_module._residual(stack, terms, pos)
-        for k, (p, lane) in enumerate(zip(primes, lanes)):
-            got = {q: r for q, c in stacked.items() if (r := c % p)}
-            assert got == gt_module._residual(lane, terms, pos), (pos, k)
-            if got:
-                nonzero.add((pos, k))
-    # the case fails for every instantiation, at more than one position
-    assert {k for _, k in nonzero} == set(range(count))
-    assert len({pos for pos, _ in nonzero}) > 1
-
-
-@pytest.mark.parametrize("C, seed, max_violations", list(_oracle_cases()),
-                         ids=["upper", "lower", "1x1", "1x2", "2x2", "1x1x1"])
-def test_stacked_ladder_terms_are_each_instantiations_exact_terms(C, seed, max_violations):
-    """Mod p_k, the stacked context's ladder terms, with the raising sign and
-    the pole's powers taken on its integers, are instantiation k's exact
-    terms, and it raises CriticalityError where they do."""
-    pyramid, count = C.pyramid, 3
-    window = enumerate_basis(C, seed, 1)
-    assignments = [generic_instantiate(seed.classes(), 1 + k) for k in range(count)]
-    primes = instantiation_primes(count)
-    stack = ActionContext._stacked(window, assignments)
-    exact = [ActionContext(window, a) for a in assignments]
-    checked = 0
-    for r in range(1, pyramid.n):
-        lo = {"e": e_generator_min_degree(pyramid, r), "f": 1}
-        for fam in ("e", "f"):
-            for sup in range(lo[fam], lo[fam] + 3):
-                for d in window.members:
-                    got = _outcome(lambda: stack.ladder_terms(fam, r, sup, d))
-                    for p, ctx in zip(primes, exact):
-                        want = _outcome(lambda: ctx.ladder_terms(fam, r, sup, d))
-                        if isinstance(want, tuple):
-                            assert got == want, (fam, r, sup, d)
-                            continue
-                        assert [(m, c % p) for m, c in got] == [
-                            (m, residue(c, p)) for m, c in want
-                        ], (fam, r, sup, d, p)
-                        checked += len(want)
-    assert checked > 0
-
-
 def _reference_residual(ctx, terms, d):
     """lhs - rhs on the basis vector d, one `apply` per generator, TableauDelta keys."""
     acc = {}
     try:
         for sign, word in terms:
-            vec = {d: ctx.one}
+            vec = {d: Fraction(1)}
             for gen in reversed(word):
                 vec = ctx.apply(gen, vec)
             for dd, c in vec.items():
@@ -755,22 +598,19 @@ def test_indexed_residual_equals_per_word_apply(C, seed):
     members = window.members
     assignment = generic_instantiate(seed.classes(), 1)
     checked = 0
-    for modulus in (MODULUS, None):
-        walked = ActionContext(window, assignment, _modulus=modulus)
-        reference = ActionContext(window, assignment, _modulus=modulus)
-        assert walked.modulus == modulus
-        for _, _, lhs, rhs in _relation_cases(C.pyramid, 3):
-            margins = gt_module._word_row_margins(lhs + rhs)
-            terms = lhs + [(-sign, word) for sign, word in rhs]
-            for pos, d in enumerate(members):
-                if any(abs(d.get(t)) > radius - margins.get(t.i, 0) for t in window.free):
-                    continue
-                got = _image(lambda: gt_module._residual(walked, terms, pos))
-                if isinstance(got, dict):
-                    got = {members[p] if isinstance(p, int) else p: c for p, c in got.items()}
-                assert got == _image(lambda: _reference_residual(reference, terms, d)), (
-                    modulus, terms, d)
-                checked += 1
+    walked = ActionContext(window, assignment)
+    reference = ActionContext(window, assignment)
+    for _, _, lhs, rhs in _relation_cases(C.pyramid, 3):
+        margins = gt_module._word_row_margins(lhs + rhs)
+        terms = lhs + [(-sign, word) for sign, word in rhs]
+        for pos, d in enumerate(members):
+            if any(abs(d.get(t)) > radius - margins.get(t.i, 0) for t in window.free):
+                continue
+            got = _image(lambda: gt_module._residual(walked, terms, pos))
+            if isinstance(got, dict):
+                got = {members[p] if isinstance(p, int) else p: c for p, c in got.items()}
+            assert got == _image(lambda: _reference_residual(reference, terms, d)), (terms, d)
+            checked += 1
     assert checked > 0
 
 
@@ -888,39 +728,50 @@ def test_a_pass_with_empty_hit_sets_builds_no_context(monkeypatch):
         for seed in (noncritical_satisfying_tableau(C), spread_seed(C)):
             assert report_passes(verify_defining_relations(C, seed, 2, 2))
     assert built == []
-    # a failing pass builds its contexts: the counter sees them
+    # a failing pass builds only the contexts it walks: the upper control
+    # fails at its first instantiation, so one of the three is built
     C = bad_pattern_upper()
-    assert not report_passes(verify_defining_relations(C, noncritical_satisfying_tableau(C), 2, 2))
-    assert built
+    assert not report_passes(
+        verify_defining_relations(C, noncritical_satisfying_tableau(C), 2, 2, instantiations=3)
+    )
+    assert len(built) == 1
 
 
-P = MODULUS
+P = 2**61 - 1
 
 
 @pytest.mark.parametrize("C, offsets", [
     # a top-row entry and the row-1 entry of one class p apart: mod p the
-    # raising coefficient at the seed vanishes, so the reached set shrinks
+    # raising coefficient at the seed would vanish and shrink the reached set
     (RelationSet(GL2, [rel((1, 2, 1), (1, 2, 2), False)]),
      {(1, 2, 1): P, (1, 2, 2): P - 1, (1, 1, 1): 0}),
-    # two row-2 entries of one class p apart: mod p they coincide, a false
-    # CriticalityError or a pow() ValueError
+    # two row-2 entries of one class p apart: mod p they would coincide
     (standard_set(GL3),
      {(1, 3, 1): P + 10, (1, 3, 2): 5, (1, 3, 3): -10,
       (1, 2, 1): P, (1, 2, 2): 0, (1, 1, 1): 3}),
 ], ids=["gl2-rows-p-apart", "gl3-same-row-p-apart"])
-def test_guard_falls_back_to_fraction(monkeypatch, C, offsets):
+def test_guard_falls_back_to_fraction(C, offsets):
+    """Offsets 2^61 - 1 apart are exact gaps like any other: the oracle's
+    report is the full-scan reference's, and the probe reaches what the
+    exact coefficients reach."""
     seed = Tableau(C.pyramid, {TriIndex(*t): ("a", off) for t, off in offsets.items()})
     window = enumerate_basis(C, seed, 2)
-    ctx = ActionContext(window, generic_instantiate(seed.classes(), 1), _modulus=MODULUS)
-    assert ctx.modulus is None
+    report = verify_defining_relations(C, seed, 2, 2, instantiations=2)
+    assert report == reference_verify(C, seed, 2, 2, instantiations=2)
+    ctx = ActionContext(window, generic_instantiate(seed.classes(), 1))
+    assert cyclicity_probe(window, TableauDelta(), 2) == _reached_over_all_superscripts(
+        ctx, TableauDelta(), 2
+    )
 
-    def run():
-        report = verify_defining_relations(C, seed, 2, 2, instantiations=2)
-        return report, cyclicity_probe(window, TableauDelta(), 2)
 
-    got = run()
-    _decide_exactly(monkeypatch)
-    assert got == run()
+@pytest.mark.parametrize("instantiations, budget", [(0, 2), (-2, 2), (3, 0)])
+def test_an_oracle_over_nothing_is_value_error(instantiations, budget):
+    """No instantiation or no superscript checks nothing, so the
+    non-admissible upper control would pass: the library refuses it."""
+    C = bad_pattern_upper()
+    seed = noncritical_satisfying_tableau(C)
+    with pytest.raises(ValueError, match="must be at least 1"):
+        verify_defining_relations(C, seed, 2, budget, instantiations=instantiations)
 
 
 def _box_scan(checker, free, ranges, depth=None):
@@ -1173,6 +1024,10 @@ def test_integer_rows_give_the_fraction_ratios_and_diagonals():
         classes = seed.classes()
         for assignment in (generic_instantiate(classes, 1), _mixed_assignment(classes)):
             ctx = ActionContext(window, assignment)
+            assert all(
+                Fraction(ctx._ints[t], ctx._scale) == assignment.value(*e)
+                for t, e in seed.entries.items()
+            )
             for d in window.members[:40]:
                 for r in range(1, ctx.n + 1):
                     for other in (r - 1, r + 1):

@@ -24,7 +24,7 @@ from wpimod import (
     weyl_dimension,
 )
 import wpimod.yangian_tensor as yt
-from wpimod.exact_arith import MODULUS, InvSeries
+from wpimod.exact_arith import InvSeries
 from wpimod.gt_module import CLIP
 from wpimod.gt_module import MAX_WINDOW_MEMBERS
 from wpimod.tableau import TableauDelta, TriIndex
@@ -437,14 +437,17 @@ def test_each_weight_space_past_the_top_runs_one_elimination(monkeypatch):
     assert calls == [len(M.weight_space((h,))) for h in (1, 2, 3)]
 
 
+P = 2**61 - 1
+
+
 @pytest.mark.parametrize("modulus, weights", [
     (3, [("1/3", 0), ("1/5", "1/7")]),
-    (MODULUS, [(Fraction(1, MODULUS), 0), ("1/3", "1/5")]),
+    (P, [(Fraction(1, P), 0), ("1/3", "1/5")]),
 ])
 def test_denominator_divisible_by_the_modulus_falls_back_to_fraction(
         monkeypatch, modulus, weights):
     """No elimination reduces mod a prime: a weight denominator that the
-    prime divides (3, or 2^61 - 1, the oracle's first prime) is decided by
+    prime divides (3, or the Mersenne prime 2^61 - 1) is decided by
     the same exact integer elimination, one run per space past the top."""
     assert any(Fraction(x).denominator % modulus == 0 for x in weights[0])
     calls = _count_eliminations(monkeypatch)
@@ -694,7 +697,7 @@ def test_a_shift_that_breaks_the_relations_is_not_a_factor_member():
     before = list(f.window.members)
     for call in (
         lambda: f.E(1, 1, {outside: 1}),
-        lambda: f.ctx.apply(("f", 1, 1), {outside: f.ctx.one}, CLIP),
+        lambda: f.ctx.apply(("f", 1, 1), {outside: Fraction(1)}, CLIP),
         lambda: t_coefficient(M, 1, 2, 1, {(outside,): 1}),
     ):
         with pytest.raises(ValueError, match=re.escape(repr(outside))):
@@ -1031,7 +1034,7 @@ def test_diagonal_columns_are_the_row_sum_weight():
 
 
 # l = (p - 1, -1, -2) with p = 2^61 - 1: the row-2 entries differ by p
-_P_APART = [(MODULUS - 1, 0, 0), ("1/3", "1/5", "1/7")]
+_P_APART = [(P - 1, 0, 0), ("1/3", "1/5", "1/7")]
 
 
 def test_same_row_difference_divisible_by_the_modulus_falls_back_to_fraction():
@@ -1040,7 +1043,7 @@ def test_same_row_difference_divisible_by_the_modulus_falls_back_to_fraction():
     M = _tensor(_P_APART, [0, 0], 2)
     f = M.factors[0]
     col = f._column(3, 1, f.window.index[f.highest()])
-    assert any(c.denominator % MODULUS == 0 for _, c in col)
+    assert any(c.denominator % P == 0 for _, c in col)
     dims = singular_dimensions(M)
     assert dims == {(0, 0): 1, (0, 1): 0, (0, 2): 0, (1, 0): 0, (1, 1): 0, (2, 0): 0}
 
