@@ -24,14 +24,10 @@ from .relations import (
     require_same_pyramid,
     satisfies,
 )
-from .supports import _eligible, _member_entries, _row_layout, _row_peaks, _row_support, _WallSets
-from .tableau import (
-    Tableau,
-    TableauDelta,
-    TriIndex,
-    mutable_indices,
-    row_indices,
+from .supports import (
+    _bumped, _eligible, _member_entries, _row_layout, _row_peaks, _row_support, _WallSets,
 )
+from .tableau import Tableau, TableauDelta, mutable_indices
 
 
 class WindowOverflowError(RuntimeError):
@@ -47,54 +43,48 @@ MAX_WINDOW_MEMBERS = 100_000
 class ShiftChecker:
     """Fast satisfaction test for integral shifts of a fixed seed.
 
-    The class structure of the seed is shift-invariant, so the component
-    clause is checked once; per-shift work is one inequality per edge.  The
-    same inequalities, read as a difference system over the free triples,
-    let `points` list the accepted shifts of a box without scanning it.
-
     A shift's coordinates are its offsets over `free`, as a tuple; `slot`
-    maps each free triple to its place there.
+    maps each free triple to its place there.  The class structure of the
+    seed is shift-invariant, so the component clause is checked once, and
+    each edge is kept once, as an inequality over the slots: an arc
+    d_g >= d_l + c (from l in `_up`, reversed in `_down`), or, with one end
+    on the frozen top row (d = 0), a bound `floors[g]` or `ceilings[l]`.  An
+    edge with both ends frozen is the seed's own, which holds.  `satisfied`
+    reads them on coordinates; as a difference system they let `points` list
+    the accepted shifts of a box without scanning it.
     """
 
     def __init__(self, C: RelationSet, seed: Tableau):
         if not satisfies(C, seed):
             raise ValueError("seed tableau does not satisfy the relation set")
-        self.checks = []
-        for e in sorted(C.edges):
-            cg, og = seed.entry(e.greater)
-            cl, ol = seed.entry(e.lesser)
-            base = og - ol
-            self.checks.append((e.greater, e.lesser, base, 1 if e.strict else 0))
-        # Each check reads d_g - d_l >= lo - base.  An end on the frozen top
-        # row has d = 0, which leaves a unary bound on the other end; a check
-        # with both ends frozen is the seed's own, which holds.
         self.free = mutable_indices(seed.pyramid)
-        self.slot = {t: k for k, t in enumerate(self.free)}
+        self.slot = slot = {t: k for k, t in enumerate(self.free)}
         # the slots in `TriIndex` order, which a key follows; on a pyramid
         # with more than one layer it is not the order of `free`
-        self.key_order = sorted(self.slot.items())
-        free = self.slot
-        # out-arcs over slots, (slot, c): d_g >= d_l + c from l in `_up`, and
-        # the same arcs reversed in `_down`
+        self.key_order = sorted(slot.items())
         self._up: list[list] = [[] for _ in self.free]
         self._down: list[list] = [[] for _ in self.free]
-        self.floors: dict[TriIndex, int] = {}
-        self.ceilings: dict[TriIndex, int] = {}
-        for g, l, base, lo in self.checks:
-            c = lo - base
-            if g in free and l in free:
-                self._up[free[l]].append((free[g], c))
-                self._down[free[g]].append((free[l], c))
-            elif g in free:
+        self.floors: dict[int, int] = {}
+        self.ceilings: dict[int, int] = {}
+        for e in sorted(C.edges):
+            # d_g - d_l >= c: the edge's least gap (1 if strict) less the seed's
+            c = (1 if e.strict else 0) - (seed.entry(e.greater)[1] - seed.entry(e.lesser)[1])
+            g, l = slot.get(e.greater), slot.get(e.lesser)
+            if g is not None and l is not None:
+                self._up[l].append((g, c))
+                self._down[g].append((l, c))
+            elif g is not None:
                 self.floors[g] = max(self.floors.get(g, c), c)
-            elif l in free:
+            elif l is not None:
                 self.ceilings[l] = min(self.ceilings.get(l, -c), -c)
 
-    def satisfied(self, d: TableauDelta) -> bool:
-        for g, l, base, lo in self.checks:
-            if base + d.get(g) - d.get(l) < lo:
-                return False
-        return True
+    def satisfied(self, coords: tuple[int, ...]) -> bool:
+        """Whether the shift with the given coordinates keeps every edge."""
+        return (
+            all(coords[g] >= coords[l] + c for l, arcs in enumerate(self._up) for g, c in arcs)
+            and all(coords[k] >= f for k, f in self.floors.items())
+            and all(coords[k] <= c for k, c in self.ceilings.items())
+        )
 
     def shift(self, coords: tuple[int, ...]) -> TableauDelta:
         """The shift with the given coordinates."""
@@ -138,13 +128,12 @@ class ShiftChecker:
         itself a solution, the shallowest one extending the partial
         assignment, so pruning on its depth is exact as well.
         """
-        n, slot = len(self.free), self.slot
-        up, down = self._up, self._down
+        n, up, down = len(self.free), self._up, self._down
         y, z = [0] * n, [0] * n
-        for t, f in self.floors.items():
-            y[slot[t]] = max(0, f - low)
-        for t, c in self.ceilings.items():
-            z[slot[t]] = max(0, high - c)
+        for k, f in self.floors.items():
+            y[k] = max(0, f - low)
+        for k, c in self.ceilings.items():
+            z[k] = max(0, high - c)
         _relax(y, up, range(n))
         _relax(z, down, range(n))
         if any(a + b > high - low for a, b in zip(y, z)):
@@ -200,77 +189,16 @@ class ShiftChecker:
         return found
 
 
-class _Positions:
-    """A window's member positions, found by coordinates.
-
-    `coords` lists the members' coordinates in position order, `at` maps
-    each to its position, and `members` lists the members' shifts, built
-    from `coords` on first use.  `index[d]` is the position of shift d; a
-    shift with support off the free triples is never a member.  With `grows`,
-    an unseen shift that `checker` accepts is appended to the members;
-    any other raises ValueError naming it.  `get` and `in` never append.
-    """
-
-    __slots__ = ("coords", "at", "checker", "grows", "_members")
-
-    def __init__(self, coords: list, checker: ShiftChecker, grows: bool = False):
-        self.coords, self.checker, self.grows = coords, checker, grows
-        self.at = dict(zip(coords, range(len(coords))))
-        self._members: list[TableauDelta] | None = None
-
-    @property
-    def members(self) -> list[TableauDelta]:
-        if self._members is None:
-            self._members = list(map(self.checker.shift, self.coords))
-        return self._members
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def _of(self, d: TableauDelta) -> tuple[int, ...] | None:
-        """The coordinates of d, or None when d has support off the free triples."""
-        coords = self.checker.coords(d)
-        return coords if len(coords) - coords.count(0) == len(d.offsets) else None
-
-    def get(self, d: TableauDelta) -> int | None:
-        coords = self._of(d)
-        return None if coords is None else self.at.get(coords)
-
-    def __contains__(self, d: TableauDelta) -> bool:
-        return self.get(d) is not None
-
-    def __getitem__(self, d: TableauDelta) -> int:
-        coords = self._of(d)
-        pos = None if coords is None else self.at.get(coords)
-        if pos is None and coords is not None and self.grows:
-            pos = self.grow(coords, d)
-        if pos is None:
-            raise ValueError(f"shift {d!r} is not a member of the window")
-        return pos
-
-    def grow(self, coords: tuple[int, ...], d: TableauDelta | None = None) -> int | None:
-        """The position of the unseen shift with coordinates `coords` (d, if
-        given), appended when the checker accepts it, else None."""
-        if d is None:
-            d = self.checker.shift(coords)
-        if not self.checker.satisfied(d):
-            return None
-        pos = self.at[coords] = len(self.coords)
-        self.coords.append(coords)
-        if self._members is not None:
-            self._members.append(d)
-        return pos
-
-
 class BasisWindow:
     """Finite slice of the shift lattice: all window shifts satisfying C.
 
-    The window is its list `coords` of member coordinates (offsets over
-    `free`), sorted by the members' keys.  `index` finds a shift's position
-    from its coordinates, and raises ValueError on a shift that is not a
-    member.  `members`, the members' shifts in the same order, is built on
-    first use.  Raises ValueError when the window has more than
-    MAX_WINDOW_MEMBERS members.
+    Inside the engine a member is its coordinates (offsets over `free`):
+    the window is its list `coords`, sorted by the members' keys, and `at`
+    maps each to its position.  A shift is built only where one is named:
+    `position(d)` finds shift d's position and raises ValueError naming d
+    on a shift that is not a member, `member(pos)` builds the shift at a
+    position, and `members` builds them all on each call.  Raises
+    ValueError when the window has more than MAX_WINDOW_MEMBERS members.
     """
 
     def __init__(self, C: RelationSet, seed: Tableau, radius: int):
@@ -280,49 +208,58 @@ class BasisWindow:
         self.free = self.checker.free
         self.coords = self.checker.points(-self.radius, self.radius, cap=MAX_WINDOW_MEMBERS)
         self.coords.sort(key=self.checker.key)
-        self.index = _Positions(self.coords, self.checker)
+        self.at = dict(zip(self.coords, range(len(self.coords))))
 
     @property
     def members(self) -> list[TableauDelta]:
-        return self.index.members
+        return list(map(self.checker.shift, self.coords))
+
+    def member(self, pos: int) -> TableauDelta:
+        return self.checker.shift(self.coords[pos])
+
+    def _find(self, coords: tuple[int, ...]) -> int | None:
+        """The position of the member with coordinates `coords`, or None."""
+        return self.at.get(coords)
+
+    def _coords_of(self, d: TableauDelta) -> tuple[int, ...] | None:
+        """The coordinates of d, or None when d has support off the free triples."""
+        coords = self.checker.coords(d)
+        return coords if len(coords) - coords.count(0) == len(d.offsets) else None
+
+    def position(self, d: TableauDelta) -> int:
+        coords = self._coords_of(d)
+        pos = None if coords is None else self._find(coords)
+        if pos is None:
+            raise ValueError(f"shift {d!r} is not a member of the window")
+        return pos
 
     def __contains__(self, d: TableauDelta) -> bool:
-        return d in self.index
+        return self._coords_of(d) in self.at
 
-    def step(self, pos: int, move: TableauDelta) -> int | None:
-        """Where ladder move `move` takes member pos: the target's position,
-        None when the target breaks the relations, or -1 when it keeps them
-        but leaves the box (the members are every satisfying box shift).
-        With no box (`radius` None), a new target that keeps the relations
-        is appended to the members instead.
+    def step(self, pos: int, slot: int, step: int) -> int | None:
+        """Where the ladder move of `step` (+1 or -1) on coordinate `slot`
+        takes member pos: the target's position, None when the target breaks
+        the relations, or -1 when it keeps them but leaves the box.
 
-        The target is found by its coordinates, so a member target costs no
-        shift.  Only a target that is not a member and, in a basis window,
-        lies outside the box is built and checked against the relations: a
-        box shift that keeps them is a member.
+        The target is found by its coordinates.  Only a target that is not a
+        member and leaves the box, which only its moved slot can, is checked
+        against the relations: the members are every satisfying box shift.
         """
-        coords = list(self.coords[pos])
-        slot = self.checker.slot
-        for t, v in move.offsets.items():
-            coords[slot[t]] += v
-        coords = tuple(coords)
-        to = self.index.at.get(coords)
-        if to is not None:
-            return to
-        if self.radius is None:
-            return self.index.grow(coords)
-        if max(map(abs, coords), default=0) <= self.radius:
-            return None
-        return -1 if self.checker.satisfied(self.checker.shift(coords)) else None
+        coords = _bumped(self.coords[pos], slot, step)
+        to = self._find(coords)
+        if to is None and self.radius is not None and abs(coords[slot]) > self.radius:
+            return -1 if self.checker.satisfied(coords) else None
+        return to
 
 
 class FreeWindow(BasisWindow):
     """A basis window with no box bound: gating only, never overflow.
 
-    `index` and `step` append an unseen shift that satisfies C to `coords`
-    (and to `members`), so positions never move; `index` raises ValueError
-    on any other shift.  There is no box to enumerate, so the members start
-    empty.
+    Its coordinate lookup appends an unseen target that satisfies C to
+    `coords`, with no shift built, so `position` and `step` grow the window
+    and positions never move; `position` raises ValueError on any other
+    shift, and `in` never appends.  There is no box to enumerate, so the
+    members start empty.
     """
 
     def __init__(self, C: RelationSet, seed: Tableau):
@@ -330,7 +267,14 @@ class FreeWindow(BasisWindow):
         self.radius = None
         self.checker = ShiftChecker(C, seed)
         self.coords: list[tuple[int, ...]] = []
-        self.index = _Positions(self.coords, self.checker, grows=True)
+        self.at: dict[tuple[int, ...], int] = {}
+
+    def _find(self, coords: tuple[int, ...]) -> int | None:
+        pos = self.at.get(coords)
+        if pos is None and self.checker.satisfied(coords):
+            pos = self.at[coords] = len(self.coords)
+            self.coords.append(coords)
+        return pos
 
 
 def enumerate_basis(C: RelationSet, l: Tableau, radius: int) -> BasisWindow:
@@ -344,9 +288,10 @@ STRICT = "strict"
 class ActionContext:
     """Instantiated generator actions over a basis window.
 
-    Columns are keyed by the window's member positions.  STRICT columns are
-    stored once per generator and member, and the oracle's word walks and
-    the shift-keyed `column` share them; CLIP columns are never stored.  The
+    Columns are keyed by the window's member positions, and the formulas
+    read a member's rows off its coordinates.  STRICT columns are stored
+    once per generator and member, and the oracle's word walks and the
+    shift-keyed `column` share them; CLIP columns are never stored.  The
     cyclicity probe and the evaluation factors, which read each column once,
     call `_build_column` themselves.
 
@@ -362,11 +307,13 @@ class ActionContext:
         self.window = window
         self.pyramid = window.seed.pyramid
         self.n = self.pyramid.n
-        values = {t: Fraction(assignment.value(*e)) for t, e in window.seed.entries.items()}
-        self._scale = scale = lcm(*(v.denominator for v in values.values()))
-        self._ints = {t: v.numerator * (scale // v.denominator) for t, v in values.items()}
-        self._row_index = {r: row_indices(self.pyramid, r) for r in range(self.n + 1)}
-        self._moves: dict = {}  # (row, step): each pivot's unit move
+        values = [[(k, Fraction(assignment.value(cls, off))) for _, k, cls, off in row]
+                  for row in _row_layout(window)]
+        self._scale = scale = lcm(*(v.denominator for row in values for _, v in row))
+        # per row 0..n, in row order: each entry's (coordinate slot or None
+        # on the top row, seed value times _scale)
+        self._rows = {r: [(k, v.numerator * (scale // v.denominator)) for k, v in row]
+                      for r, row in enumerate(values)}
         # STRICT columns per generator: {member position: ((member position,
         # coefficient), ...)}, each built once by `_build_column`.
         self._columns: defaultdict = defaultdict(dict)
@@ -376,10 +323,11 @@ class ActionContext:
         """vec with the zero coefficients dropped."""
         return {d: c for d, c in vec.items() if c != 0}
 
-    def _row_ints(self, r: int, d: TableauDelta) -> list[int]:
-        """Row r at shift d as integers, in row order: each value times `_scale`."""
-        ints, scale, get = self._ints, self._scale, d.offsets.get
-        return [ints[t] + scale * get(t, 0) for t in self._row_index.get(r, ())]
+    def _row_ints(self, r: int, coords: tuple[int, ...]) -> list[int]:
+        """Row r of the member with coordinates `coords` as integers, in row
+        order: each value times `_scale`."""
+        scale = self._scale
+        return [v if k is None else v + scale * coords[k] for k, v in self._rows.get(r, ())]
 
     def _finish(self, num: int, den: int, power: int) -> Fraction:
         """The coefficient (num/den) / `_scale`^power of integers from `_row_ints`."""
@@ -389,8 +337,9 @@ class ActionContext:
 
     # -- diagonal series ---------------------------------------------------
 
-    def _diag_coeff(self, fam: str, r: int, sup: int, d: TableauDelta):
-        """Coefficient of u^-sup in the r-th diagonal series (d) or its inverse (dprime).
+    def _diag_coeff(self, fam: str, r: int, sup: int, coords: tuple[int, ...]):
+        """Coefficient of u^-sup in the r-th diagonal series (d) or its inverse
+        (dprime), at the member with coordinates `coords`.
 
         The series is prod(u + a) / (u^p prod(u + b)), a over row r and b over
         row r - 1 (each entry plus r - 1), p = p_r.  Both sides have the same
@@ -402,8 +351,8 @@ class ActionContext:
         """
         # on `_row_ints`, c_t is kept times _scale^t
         shift = (r - 1) * self._scale
-        a = [v + shift for v in self._row_ints(r, d)]
-        b = [v + shift for v in self._row_ints(r - 1, d)]
+        a = [v + shift for v in self._row_ints(r, coords)]
+        b = [v + shift for v in self._row_ints(r - 1, coords)]
         if fam == "dprime":
             a, b = b, a
         c = [1] + [0] * sup
@@ -417,13 +366,14 @@ class ActionContext:
 
     # -- ladder coefficient pieces ----------------------------------------
 
-    def _ratios(self, r: int, other_row: int, d: TableauDelta):
+    def _ratios(self, r: int, other_row: int, coords: tuple[int, ...]):
         """(power, [(pv, num, den), ...]): per pivot of row r, in row order, its
         integer pv and the product num over the other row of (entry - pv)
         over the product den over the rest of row r, from one `_row_ints`
-        read of each row.  Each difference is `_scale` times the exact one,
-        so the ratio is `_finish(num, den, power)`."""
-        row, others = self._row_ints(r, d), self._row_ints(other_row, d)
+        read of each row at the member with coordinates `coords`.  Each
+        difference is `_scale` times the exact one, so the ratio is
+        `_finish(num, den, power)`."""
+        row, others = self._row_ints(r, coords), self._row_ints(other_row, coords)
         out = []
         for p, pv in enumerate(row):
             num = den = 1
@@ -432,17 +382,19 @@ class ActionContext:
             for q, v in enumerate(row):
                 if q != p:
                     if v == pv:
+                        d = self.window.checker.shift(coords)
                         raise CriticalityError(f"coincident entries in row {r} at shift {d!r}")
                     den *= v - pv
             out.append((pv, num, den))
         return len(others) - (len(row) - 1), out
 
-    def ladder_terms(self, fam: str, r: int, sup: int, d: TableauDelta) -> list[tuple[TableauDelta, Fraction]]:
-        """Expansion of the raising (e) or lowering (f) generator on the shift basis vector.
+    def ladder_terms(self, fam: str, r: int, sup: int, coords: tuple) -> list[tuple[int, Fraction]]:
+        """Expansion of the raising (e) or lowering (f) generator on the basis
+        vector with coordinates `coords`.
 
-        Returns the (move, coefficient) pairs before gating, computed on each
-        call; each move is the unit shift of a pivot in row r, one step up (e)
-        or down (f), built once per context.
+        Returns the (slot, coefficient) pairs before gating, computed on each
+        call; each slot is the coordinate of a pivot in row r, which moves one
+        step up (e) or down (f).
         Each pivot contributes its ratio (`_ratios`) times a simple pole:
         -u^-gap / (u + pv + r) against row r + 1 for e, from the least
         superscript p_{r+1} - p_r + 1, and 1 / (u + pv + r - 1) against row
@@ -450,27 +402,22 @@ class ActionContext:
         taken on the integers, before `_finish`.
         """
         if fam == "e":
-            other, pole, lo, step = r + 1, r, e_generator_min_degree(self.pyramid, r), +1
+            other, pole, lo = r + 1, r, e_generator_min_degree(self.pyramid, r)
         else:
-            other, pole, lo, step = r - 1, r - 1, 1, -1
+            other, pole, lo = r - 1, r - 1, 1
         if sup < lo:
             raise ValueError(
                 f"{'raising' if fam == 'e' else 'lowering'} superscript {sup}"
                 f" below the minimum {lo} for row {r}"
             )
-        power, ratios = self._ratios(r, other, d)
-        moves = self._moves.get((r, step))
-        if moves is None:
-            moves = self._moves[r, step] = [
-                TableauDelta.unit(t, step) for t in self._row_index.get(r, ())
-            ]
+        power, ratios = self._ratios(r, other, coords)
         k, shift = sup - lo, pole * self._scale
         terms = []
-        for move, (pv, num, den) in zip(moves, ratios):
+        for (slot, _), (pv, num, den) in zip(self._rows.get(r, ()), ratios):
             num *= (-(pv + shift)) ** k
             coeff = self._finish(-num if fam == "e" else num, den, power + k)
             if coeff != 0:
-                terms.append((move, coeff))
+                terms.append((slot, coeff))
         return terms
 
     # -- vector-level application ------------------------------------------
@@ -483,9 +430,8 @@ class ActionContext:
         position, mapped back to members.  Raises ValueError when d is not a
         member of a `BasisWindow`.
         """
-        members = self.window.members
-        col = self._walk((gen,), self.window.index[d], policy)
-        return tuple((members[q], c) for q, c in col.items())
+        col = self._walk((gen,), self.window.position(d), policy)
+        return tuple((self.window.member(q), c) for q, c in col.items())
 
     def _build_column(self, gen: tuple, pos: int, policy: str) -> tuple:
         """The column of member pos, ((member position, coefficient), ...),
@@ -495,16 +441,18 @@ class ActionContext:
         is built, so neither is ever stored.
         """
         fam, row, sup = gen
-        d = self.window.members[pos]
+        coords = self.window.coords[pos]
         if fam in ("d", "dprime"):
-            val = Fraction(1) if sup == 0 else self._diag_coeff(fam, row, sup, d)
+            val = Fraction(1) if sup == 0 else self._diag_coeff(fam, row, sup, coords)
             return ((pos, val),) if val != 0 else ()
+        step = 1 if fam == "e" else -1
         col = []
-        for move, coeff in self.ladder_terms(fam, row, sup, d):
-            to = self.window.step(pos, move)
+        for slot, coeff in self.ladder_terms(fam, row, sup, coords):
+            to = self.window.step(pos, slot, step)
             if to == -1 and policy == STRICT:
+                target = self.window.checker.shift(_bumped(coords, slot, step))
                 raise WindowOverflowError(
-                    f"target {d + move!r} satisfies the relations but leaves the window"
+                    f"target {target!r} satisfies the relations but leaves the window"
                 )
             if to is not None and to >= 0:
                 col.append((to, coeff))
@@ -561,9 +509,8 @@ class ActionContext:
 
     def apply_word(self, word, d: TableauDelta, policy: str = STRICT) -> dict:
         """Apply a product of generators (rightmost acts first) to a window member."""
-        members = self.window.members
-        image = self._walk(word, self.window.index[d], policy)
-        return {members[p]: c for p, c in self._nonzero(image).items()}
+        image = self._walk(word, self.window.position(d), policy)
+        return {self.window.member(p): c for p, c in self._nonzero(image).items()}
 
 
 def _commutator(x: tuple, y: tuple) -> list:
@@ -835,7 +782,7 @@ def verify_defining_relations(
     report: dict = {
         "families": {},
         "violations": [],
-        "members": len(window.members),
+        "members": len(window.coords),
     }
 
     # criticality scan: equal same-row entries anywhere in the window
@@ -961,13 +908,8 @@ def cyclicity_probe(window: BasisWindow, start: TableauDelta, budget: int) -> se
     critical row raises, naming the least such row.
     """
     layout = _row_layout(window)
-    # per row, per pivot: (up move, down move)
-    moves = [
-        [(TableauDelta.unit(t, 1), TableauDelta.unit(t, -1)) for t, *_ in row]
-        for row in layout
-    ]
     ladder_rows = range(1, window.seed.pyramid.n) if budget >= 1 else ()
-    frontier = [window.index[start]]
+    frontier = [window.position(start)]
     reached = set(frontier)
     while frontier:
         nxt = []
@@ -977,13 +919,13 @@ def cyclicity_probe(window: BasisWindow, start: TableauDelta, budget: int) -> se
                 row = entries[r]
                 if len(set(row)) < len(row):
                     raise CriticalityError(
-                        f"coincident entries in row {r} at shift {window.members[p]!r}"
+                        f"coincident entries in row {r} at shift {window.member(p)!r}"
                     )
-                for other, way in ((r + 1, 0), (r - 1, 1)):
+                for other, step in ((r + 1, 1), (r - 1, -1)):
                     for j in _row_support(entries, r, other):
-                        q = window.step(p, moves[r][j][way])
+                        q = window.step(p, layout[r][j][1], step)
                         if q is not None and q >= 0 and q not in reached:
                             reached.add(q)
                             nxt.append(q)
         frontier = nxt
-    return {window.members[p] for p in reached}
+    return {window.member(p) for p in reached}

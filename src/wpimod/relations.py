@@ -72,23 +72,12 @@ class RelationSet:
         return C
 
     def _has_top_row_loop(self) -> bool:
+        """Whether the top-row edges, all weak, close a cycle: exactly a
+        positive cycle of their arcs at weight 1, which `_least_solution`
+        reports as infeasible.  Most sets have no top-row edge, and skip it."""
         n = self.pyramid.n
-        adj: dict[TriIndex, list[TriIndex]] = {}
-        for e in self.edges:
-            if e.greater.i == n and e.lesser.i == n:
-                adj.setdefault(e.greater, []).append(e.lesser)
-        state: dict[TriIndex, int] = {}
-
-        def dfs(v: TriIndex) -> bool:
-            state[v] = 1
-            for w in adj.get(v, ()):
-                s = state.get(w, 0)
-                if s == 1 or (s == 0 and dfs(w)):
-                    return True
-            state[v] = 2
-            return False
-
-        return any(state.get(v, 0) == 0 and dfs(v) for v in list(adj))
+        arcs = [(e.greater, e.lesser, 1) for e in self.edges if e.greater.i == e.lesser.i == n]
+        return bool(arcs) and _least_solution({v for a in arcs for v in a[:2]}, arcs) is None
 
     def sorted_edges(self) -> list[Relation]:
         return sorted(self.edges)

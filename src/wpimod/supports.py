@@ -94,16 +94,16 @@ class _WallSets:
     tells whether some support word of a case has order at most 0 at pos,
     and `scan` lists the hit positions among a case's eligible ones.
 
-    A target is a member exactly when its coordinates are in
-    `window.index.at`.  From a position eligible for a case no walk of its
-    words leaves the box (the margins), and a box shift that keeps C is a
-    member, so no walk from there meets `BasisWindow.step`'s -1.  The moves
-    of a (position, letter) are built on first use.
+    A target is a member exactly when its coordinates are in `window.at`.
+    From a position eligible for a case no walk of its words leaves the box
+    (the margins), and a box shift that keeps C is a member, so no walk from
+    there meets `BasisWindow.step`'s -1.  The moves of a (position, letter)
+    are built on first use.
     """
 
     def __init__(self, window: BasisWindow):
         self.window = window
-        self.at = window.index.at
+        self.at = window.at
         self.layout = _row_layout(window)
         self._entries: dict[int, list] = {}  # pos -> `_member_entries`
         # (pos, letter) -> ((z, target position or None), ...), one per pivot

@@ -46,6 +46,14 @@ def require_factor_count(count: int) -> None:
         raise ValueError(f"tensor product has more than {MAX_FACTORS} factors")
 
 
+def _depth(depth) -> int:
+    """`depth` as an int; ValueError when it is negative, which would probe nothing."""
+    depth = int(depth)
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    return depth
+
+
 class GlWeight:
     """A gl_n highest weight (lambda_1, ..., lambda_n) with exact entries.
 
@@ -257,8 +265,9 @@ class EvaluationFactor:
     The carrier is the relation module of the maximal relation set of the
     highest-weight tableau over the one-column pyramid; basis vectors are
     integral shifts of the seed, graded by total lowering depth.  Inside,
-    a shift is its position in the window, which `window.index` finds by
-    its coordinates and appends as columns reach new shifts.
+    a basis vector is its position in the window, whose columns move its
+    coordinates and append each new target; a shift is built only where
+    `E`, `column` or `deltas` takes or returns one.
 
     The module depends on the weight alone: t_ij(u) -> delta_ij +
     E_ij/(u - point) puts the point only into the pole, which `_slot_t`
@@ -295,7 +304,8 @@ class EvaluationFactor:
     def gl_weight(self, d: TableauDelta) -> tuple[Fraction, ...]:
         """Eigenvalues of the diagonal E_kk on the shifted basis vector: the
         u^-1 coefficients of d_k(u), sum(row k) - sum(row k - 1) + k - 1."""
-        return tuple(self.ctx._diag_coeff("d", k, 1, d) for k in range(1, self.n + 1))
+        coords = self.window.checker.coords(d)
+        return tuple(self.ctx._diag_coeff("d", k, 1, coords) for k in range(1, self.n + 1))
 
     def deltas(self, depth: int) -> list[TableauDelta]:
         """All basis shifts of total depth at most `depth`.
@@ -312,8 +322,8 @@ class EvaluationFactor:
 
         `_column` over member positions, with the positions mapped back to shifts.
         """
-        members = self.window.members
-        return tuple((members[p], c) for p, c in self._column(a, b, self.window.index[d]))
+        member = self.window.member
+        return tuple((member(p), c) for p, c in self._column(a, b, self.window.position(d)))
 
     def _column(self, a: int, b: int, pos: int) -> tuple:
         """The image of member pos under E_ab, as ((target position, coefficient), ...).
@@ -372,7 +382,7 @@ class TensorModule:
         if len(ns) > 1:
             raise ValueError("all factors must share the same rank")
         self.n = self.factors[0].n
-        self.depth = int(depth)
+        self.depth = _depth(depth)
         # `basis(self._grouped)` by root offset: every offset of height up to
         # `_grouped` reads its keys here
         self._grouped = -1
@@ -396,9 +406,10 @@ class TensorModule:
 
         Each factor's shifts are listed by depth, so the walk takes from each
         factor only the shifts that fit in the depth left.  Raises ValueError
-        past MAX_WINDOW_MEMBERS keys, as a basis window does.
+        on a negative depth, and past MAX_WINDOW_MEMBERS keys, as a basis
+        window does.
         """
-        depth = self.depth if depth is None else int(depth)
+        depth = self.depth if depth is None else _depth(depth)
         per = [[(f.depth_of(d), d) for d in f.deltas(depth)] for f in self.factors]
         out = []
 
@@ -441,11 +452,11 @@ class TensorModule:
 
     def _positions(self, key: tuple) -> tuple[int, ...]:
         """A key of shifts as the tuple of their member positions, one per factor."""
-        return tuple(f.window.index[d] for f, d in zip(self.factors, key))
+        return tuple(f.window.position(d) for f, d in zip(self.factors, key))
 
     def _shifts(self, positions: tuple[int, ...]) -> tuple:
         """The key of shifts at the given member positions."""
-        return tuple(f.window.members[p] for f, p in zip(self.factors, positions))
+        return tuple(f.window.member(p) for f, p in zip(self.factors, positions))
 
 
 def _add_scaled(out: dict, key, ser: list, cn: int = 1, cd: int = 1):
@@ -760,8 +771,9 @@ def singular_dimensions(M: TensorModule, depth: int | None = None) -> dict:
     """Kernel dimension per root-height offset, all offsets of height <= depth,
     in lexicographic order.
 
-    Raises ValueError, before probing any, when there are more than
-    MAX_WEIGHT_SPACES such offsets: comb(depth + n - 1, n - 1) of them.
+    Raises ValueError on a negative depth, and, before probing any, when
+    there are more than MAX_WEIGHT_SPACES such offsets: comb(depth + n - 1,
+    n - 1) of them.
 
     The basis of the whole depth is grouped by root offset once, before the
     first probe, and every weight space is read from it.  Where that basis
@@ -769,9 +781,9 @@ def singular_dimensions(M: TensorModule, depth: int | None = None) -> dict:
     first probed (heights rise 0, 1, ..., depth along the first offsets), so
     the least depth past a cap raises its own error, after the same probes.
     """
-    depth = M.depth if depth is None else int(depth)
+    depth = M.depth if depth is None else _depth(depth)
     shape = M.n - 1
-    if depth >= 0 and math.comb(depth + shape, shape) > MAX_WEIGHT_SPACES:
+    if math.comb(depth + shape, shape) > MAX_WEIGHT_SPACES:
         raise ValueError(
             f"depth {depth} has more than {MAX_WEIGHT_SPACES} root offsets"
             f" for gl_{M.n}"

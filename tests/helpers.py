@@ -177,6 +177,28 @@ def reference_least_solution(verts, arcs, start=None):
     return None
 
 
+def reference_top_row_loop(C: RelationSet) -> bool:
+    """`RelationSet._has_top_row_loop` by depth-first search: whether the
+    edges with both ends on the top row close a directed cycle."""
+    n = C.pyramid.n
+    adj: dict[TriIndex, list[TriIndex]] = {}
+    for e in C.edges:
+        if e.greater.i == n and e.lesser.i == n:
+            adj.setdefault(e.greater, []).append(e.lesser)
+    state: dict[TriIndex, int] = {}
+
+    def dfs(v: TriIndex) -> bool:
+        state[v] = 1
+        for w in adj.get(v, ()):
+            s = state.get(w, 0)
+            if s == 1 or (s == 0 and dfs(w)):
+                return True
+        state[v] = 2
+        return False
+
+    return any(state.get(v, 0) == 0 and dfs(v) for v in list(adj))
+
+
 def reference_verify(C: RelationSet, l: Tableau, radius: int, budget: int,
                      instantiations: int = 3, seed0: int = 1,
                      max_violations: int = 1) -> dict:

@@ -178,16 +178,17 @@ def _quotient_terms(ctx, fam, r, sup, d):
 def _row_values(ctx, r, d):
     """Row r at shift d as (triple, value) pairs, exact values read off the
     context's integer entries over `_scale`."""
+    seed = ctx._row_ints(r, (0,) * len(ctx.window.checker.free))
     return [
-        (t, Fraction(ctx._ints[t], ctx._scale) + d.get(t))
-        for t in row_indices(ctx.pyramid, r)
+        (t, Fraction(v, ctx._scale) + d.get(t))
+        for t, v in zip(row_indices(ctx.pyramid, r), seed)
     ]
 
 
 def _int_ratios(ctx, r, other_row, d):
     """Each pivot's ratio of row r against `other_row`, in row order, from
     the integers of `ActionContext._ratios`."""
-    power, parts = ctx._ratios(r, other_row, d)
+    power, parts = ctx._ratios(r, other_row, ctx.window.checker.coords(d))
     return [ctx._finish(num, den, power) for _, num, den in parts]
 
 
@@ -213,8 +214,10 @@ def test_closed_form_ladder_terms_match_quotient(rows):
                 for fam in ("e", "f"):
                     for sup in range(lo[fam], lo[fam] + 4):
                         for d in window.members:
+                            coords, step = window.checker.coords(d), 1 if fam == "e" else -1
                             got = _outcome(lambda: [
-                                (d + move, c) for move, c in ctx.ladder_terms(fam, r, sup, d)
+                                (d + unit(window.free[k], step), c)
+                                for k, c in ctx.ladder_terms(fam, r, sup, coords)
                             ])
                             want = _outcome(lambda: _quotient_terms(ctx, fam, r, sup, d))
                             assert got == want, (rows, inst, fam, r, sup, d)
@@ -352,7 +355,7 @@ def test_shift_keyed_and_walked_reads_share_one_column(monkeypatch):
     calls.clear()
     col = ctx.column(gen, d, STRICT)
     assert col == clipped and ctx.apply_word([gen], d, STRICT) == dict(col)
-    assert calls == [(gen, w.index[d], STRICT)]
+    assert calls == [(gen, w.position(d), STRICT)]
 
 
 def test_repeated_criticality_error_names_each_shift():
@@ -387,7 +390,7 @@ def test_dprime_convolution_is_delta():
     l = gl2_tableau(2, -1, 1)
     w = enumerate_basis(S, l, 1)
     ctx = ActionContext(w, generic_instantiate(l.classes(), 5))
-    d0 = TableauDelta()
+    d0 = w.checker.coords(TableauDelta())
     for total in range(1, 5):
         acc = Fraction(0)
         for s in range(total + 1):
@@ -675,7 +678,7 @@ def test_wall_sets_skip_only_zero_residuals():
         case[4] for case in gt_module._relation_table(C.pyramid, 3)
         if case[0] == violation["family"] and dict(case[1]) == violation["indices"]
     )
-    pos = window.index[TableauDelta(dict(violation["shift"]))]
+    pos = window.position(TableauDelta(dict(violation["shift"])))
     assert _WallSets(window).hit(words, pos)
 
 
@@ -750,7 +753,7 @@ P = 2**61 - 1
      {(1, 3, 1): P + 10, (1, 3, 2): 5, (1, 3, 3): -10,
       (1, 2, 1): P, (1, 2, 2): 0, (1, 1, 1): 3}),
 ], ids=["gl2-rows-p-apart", "gl3-same-row-p-apart"])
-def test_guard_falls_back_to_fraction(C, offsets):
+def test_offsets_a_prime_apart_are_exact_gaps(C, offsets):
     """Offsets 2^61 - 1 apart are exact gaps like any other: the oracle's
     report is the full-scan reference's, and the probe reaches what the
     exact coefficients reach."""
@@ -784,9 +787,8 @@ def _box_scan(checker, free, ranges, depth=None):
     for combo in itertools.product(*ranges):
         if depth is not None and -sum(combo) > depth:
             continue
-        d = TableauDelta(dict(zip(free, combo)))
-        if checker.satisfied(d):
-            out.append(d)
+        if checker.satisfied(combo):
+            out.append(TableauDelta(dict(zip(free, combo))))
     return out
 
 
@@ -837,6 +839,21 @@ def _window_corpus():
     seeds = _integral_seeds(p222, rng, 2) + [noncritical_satisfying_tableau(p222), spread_seed(p222)]
     for seed in seeds:
         yield p222, seed, 1
+
+
+def test_coordinate_satisfaction_equals_the_tableau_rule():
+    """`ShiftChecker.satisfied` on a box point's coordinates is
+    `relations.satisfies` on the seed shifted by it, at every box point of
+    every corpus window."""
+    points = kept = 0
+    for C, seed, radius in _window_corpus():
+        checker = enumerate_basis(C, seed, radius).checker
+        for combo in itertools.product(range(-radius, radius + 1), repeat=len(checker.free)):
+            want = satisfies(C, shift(seed, checker.shift(combo)))
+            assert checker.satisfied(combo) == want, (C, seed, combo)
+            points += 1
+            kept += want
+    assert 0 < kept < points
 
 
 def test_window_members_match_box_scan():
@@ -890,13 +907,14 @@ def test_window_step_matches_gating_box_and_index():
                 for amount in (1, -1):
                     move = unit(t, amount)
                     tgt = d + move
-                    if not window.checker.satisfied(tgt):
+                    if not window.checker.satisfied(window.checker.coords(tgt)):
                         want = None
                     elif max(map(abs, tgt.offsets.values()), default=0) > radius:
                         want = -1
                     else:
-                        want = window.index[tgt]
-                    assert window.step(pos, move) == want, (C, seed, radius, d, move)
+                        want = window.position(tgt)
+                    got = window.step(pos, window.checker.slot[t], amount)
+                    assert got == want, (C, seed, radius, d, move)
                     overflows += want == -1
         cases += 1
     assert cases >= 20 and overflows > 0
@@ -915,20 +933,21 @@ def test_step_checks_only_targets_that_are_not_members(monkeypatch):
     w = enumerate_basis(standard_gl2(), l, 1)
     up, down = unit((1, 1, 1), 1), unit((1, 1, 1), -1)
     # a member target is placed with no relation check
-    assert up in w and w.step(w.index[TableauDelta()], up) == w.index[up]
+    # (1,1,1) is the only free triple, at slot 0
+    assert up in w and w.step(w.position(TableauDelta()), 0, 1) == w.position(up)
     assert calls == []
     # the raise from +1 keeps the relations but leaves the box: -1
-    assert w.step(w.index[up], up) == -1 and calls == [up + up]
+    assert w.step(w.position(up), 0, 1) == -1 and calls == [w.checker.coords(up + up)]
     # the lowering from -1 breaks l_11 > l_22: gated
-    assert w.step(w.index[down], down) is None
+    assert w.step(w.position(down), 0, -1) is None
     # a free window appends each new target that keeps the relations
     f = FreeWindow(standard_gl2(), l)
-    assert f.index[TableauDelta()] == 0
-    assert f.step(0, up) == 1 and f.step(1, up) == 2
-    assert f.step(2, up) is None  # l_11 = 4 breaks l_21 >= l_11
+    assert f.position(TableauDelta()) == 0
+    assert f.step(0, 0, 1) == 1 and f.step(1, 0, 1) == 2
+    assert f.step(2, 0, 1) is None  # l_11 = 4 breaks l_21 >= l_11
     assert f.members == [unit((1, 1, 1), k) for k in range(3)]
     calls.clear()
-    assert f.step(0, up) == 1 and calls == []
+    assert f.step(0, 0, 1) == 1 and calls == []
 
 
 def _step_windows():
@@ -964,10 +983,11 @@ def test_coordinate_step_equals_the_shift_reference():
                 for amount in (1, -1):
                     move = unit(t, amount)
                     tgt = d + move
-                    want = window.index.get(tgt)
+                    want = window.position(tgt) if tgt in window else None
                     if want is None:
-                        want = -1 if checker.satisfied(tgt) else None
-                    assert window.step(pos, move) == want, (C, seed, radius, d, move)
+                        want = -1 if checker.satisfied(checker.coords(tgt)) else None
+                    got = window.step(pos, checker.slot[t], amount)
+                    assert got == want, (C, seed, radius, d, move)
                     seen.add(want if want in (-1, None) else "member")
     assert seen == {-1, None, "member"}
 
@@ -1025,8 +1045,8 @@ def test_integer_rows_give_the_fraction_ratios_and_diagonals():
         for assignment in (generic_instantiate(classes, 1), _mixed_assignment(classes)):
             ctx = ActionContext(window, assignment)
             assert all(
-                Fraction(ctx._ints[t], ctx._scale) == assignment.value(*e)
-                for t, e in seed.entries.items()
+                v == assignment.value(*seed.entry(t))
+                for r in range(ctx.n + 1) for t, v in _row_values(ctx, r, TableauDelta())
             )
             for d in window.members[:40]:
                 for r in range(1, ctx.n + 1):
@@ -1043,7 +1063,7 @@ def test_integer_rows_give_the_fraction_ratios_and_diagonals():
                         outcomes.add(type(got))
                     for fam in ("d", "dprime"):
                         for sup in (1, 2, 5):
-                            got = ctx._diag_coeff(fam, r, sup, d)
+                            got = ctx._diag_coeff(fam, r, sup, window.checker.coords(d))
                             assert got == _fraction_diag(ctx, fam, r, sup, d), (C, d, fam, r, sup)
                             assert isinstance(got, Fraction)
     assert outcomes == {list, tuple}  # both ratios and coincident entries
@@ -1052,18 +1072,18 @@ def test_integer_rows_give_the_fraction_ratios_and_diagonals():
 def test_free_window_keeps_members_index_and_coordinates_aligned():
     C = standard_set(Pyramid((1, 1, 1)))
     w = FreeWindow(C, spread_seed(C))
-    assert w.index[TableauDelta()] == 0
+    assert w.position(TableauDelta()) == 0
     rng = random.Random(5)
     for _ in range(300):  # growth through step
-        w.step(rng.randrange(len(w.members)), unit(rng.choice(w.checker.free), rng.choice((1, -1))))
+        w.step(rng.randrange(len(w.members)), rng.randrange(len(w.checker.free)), rng.choice((1, -1)))
     grown = len(w.members)
-    for d in w.checker.solutions(-3, 3):  # growth through index
-        w.index[d]
+    for d in w.checker.solutions(-3, 3):  # growth through position
+        w.position(d)
     assert 1 < grown < len(w.members)
-    assert w.index.members is w.members and w.index.coords is w.coords
-    assert len(w.members) == len(w.coords) == len(w.index) == len(w.index.at)
+    assert [w.member(p) for p in range(len(w.coords))] == w.members
+    assert len(w.members) == len(w.coords) == len(w.at)
     for p, (d, c) in enumerate(zip(w.members, w.coords)):
-        assert w.index[d] == w.index.at[c] == p
+        assert w.position(d) == w.at[c] == p
         assert w.checker.coords(d) == c and w.checker.shift(c) == d
 
 

@@ -50,6 +50,7 @@ from helpers import (
     reference_least_solution,
     reference_maximal_set,
     reference_satisfies,
+    reference_top_row_loop,
     rel,
     relation_subsets,
     spread_seed,
@@ -71,6 +72,26 @@ def test_top_row_loop_rejected():
     with pytest.raises(ValueError):
         RelationSet(GL2, [rel((1, 2, 1), (1, 2, 2), False),
                           rel((1, 2, 2), (1, 2, 1), False)])
+
+
+def test_top_row_loop_matches_the_depth_first_reference():
+    """Seeded random sets of top-row edges, with a few edges below the top
+    row mixed in: a loop is a positive cycle of the top-row arcs at weight 1."""
+    rng = random.Random(36)
+    loops = checked = 0
+    for rows in [(1, 1, 1, 1), (1, 1, 1, 1, 1), (2, 2), (1, 2, 2)]:
+        pyramid = Pyramid(rows)
+        top = row_indices(pyramid, pyramid.n)
+        pairs = [rel(g, l, False) for g in top for l in top if g.j != l.j]
+        below = [r for r in all_relations(pyramid) if r.lesser.i < pyramid.n]
+        for _ in range(150):
+            edges = rng.sample(pairs, rng.randint(0, min(len(pairs), 7)))
+            C = RelationSet._subset(pyramid, edges + rng.sample(below, 2))
+            want = reference_top_row_loop(C)
+            assert C._has_top_row_loop() == want, (rows, C)
+            loops += want
+            checked += 1
+    assert 0 < loops < checked
 
 
 def test_vertices_standard_gl2():
