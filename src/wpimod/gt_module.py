@@ -318,11 +318,6 @@ class ActionContext:
         # coefficient), ...)}, each built once by `_build_column`.
         self._columns: defaultdict = defaultdict(dict)
 
-    @staticmethod
-    def _nonzero(vec: dict) -> dict:
-        """vec with the zero coefficients dropped."""
-        return {d: c for d, c in vec.items() if c != 0}
-
     def _row_ints(self, r: int, coords: tuple[int, ...]) -> list[int]:
         """Row r of the member with coordinates `coords` as integers, in row
         order: each value times `_scale`."""
@@ -465,52 +460,42 @@ class ActionContext:
         Targets violating the relation set are dropped (gating); satisfying
         targets outside the window raise (strict) or are dropped (clip).
         """
-        out: dict = {}
-        for d, c in vec.items():
-            if c == 0:
-                continue
-            for tgt, coeff in self.column(gen, d, policy):
-                out[tgt] = out.get(tgt, 0) + c * coeff
-        return self._nonzero(out)
+        return _combine((c, self.column(gen, d, policy)) for d, c in vec.items() if c != 0)
 
     def _walk(self, word, pos: int, policy: str = STRICT) -> dict:
-        """A word (rightmost acts first) on window member pos, keyed by member position.
+        """A word (rightmost acts first) on window member pos, keyed by member
+        position, zeros dropped.
 
-        The image is merged and reduced after every generator but the
-        leftmost, as `apply` does, so the same columns are built in the same
-        order and raise the same errors.  The leftmost generator's image is
-        returned unreduced; callers reduce what they sum it into.  A STRICT
-        walk reads and fills the context's column store, a CLIP walk a
-        scratch store of its own.
+        Each generator's image is summed by `_combine`, as `apply` sums it,
+        so the same columns are built in the same order and raise the same
+        errors.  A STRICT walk reads and fills the context's column store, a
+        CLIP walk a scratch store of its own.
         """
-        if not word:
-            return {pos: Fraction(1)}
         table = self._columns if policy == STRICT else defaultdict(dict)
-        last = len(word) - 1
-        cols = table[word[last]]
-        col = cols.get(pos)
-        if col is None:
-            col = cols[pos] = self._build_column(word[last], pos, policy)
-        vec = dict(col)
-        for i in range(last - 1, -1, -1):
-            if not vec:
-                break
-            gen = word[i]
-            cols = table[gen]
-            out: dict = {}
-            for p, c in vec.items():
-                col = cols.get(p)
-                if col is None:
-                    col = cols[p] = self._build_column(gen, p, policy)
-                for q, coeff in col:
-                    out[q] = out.get(q, 0) + c * coeff
-            vec = self._nonzero(out) if i else out
+        vec = {pos: Fraction(1)}
+        for gen in reversed(word):
+            cols, build = table[gen], self._build_column
+            vec = _combine((c, cols[p] if p in cols else cols.setdefault(p, build(gen, p, policy)))
+                           for p, c in vec.items())
         return vec
 
     def apply_word(self, word, d: TableauDelta, policy: str = STRICT) -> dict:
         """Apply a product of generators (rightmost acts first) to a window member."""
         image = self._walk(word, self.window.position(d), policy)
-        return {self.window.member(p): c for p, c in self._nonzero(image).items()}
+        return {self.window.member(p): c for p, c in image.items()}
+
+
+def _combine(terms) -> dict:
+    """The sum of c * col over the (c, col) pairs of `terms`, each col an
+    iterable of (key, coefficient) pairs, zero coefficients dropped: every
+    scalar sum of the generator actions and the Yangian factors."""
+    out: dict = {}
+    get = out.get
+    for c, col in terms:
+        for key, x in col:
+            prev = get(key)
+            out[key] = c * x if prev is None else prev + c * x
+    return {key: x for key, x in out.items() if x}
 
 
 def _commutator(x: tuple, y: tuple) -> list:
@@ -851,8 +836,7 @@ def verify_defining_relations(
                 "indices": dict(idx),
                 "shift": window.checker.key(window.coords[pos]),
                 "detail": sorted(
-                    (window.checker.key(window.coords[p]) if isinstance(p, int) else p, str(c))
-                    for p, c in acc.items()
+                    (window.checker.key(window.coords[p]), str(c)) for p, c in acc.items()
                 ),
             }
         )
@@ -863,18 +847,8 @@ def verify_defining_relations(
 
 def _residual(ctx: ActionContext, terms, pos: int) -> dict:
     """lhs - rhs of one relation case on window member pos, keyed by member
-    position, zeros dropped.
-
-    A formula that meets coincident entries gives {"criticality": message}.
-    """
-    acc: dict = {}
-    try:
-        for sign, word in terms:
-            for p, c in ctx._walk(word, pos).items():
-                acc[p] = acc.get(p, 0) + sign * c
-    except CriticalityError as exc:
-        return {"criticality": str(exc)}
-    return ctx._nonzero(acc)
+    position, zeros dropped: the signed sum of its words' walks (`_combine`)."""
+    return _combine((sign, ctx._walk(word, pos).items()) for sign, word in terms)
 
 
 def report_passes(report: dict) -> bool:

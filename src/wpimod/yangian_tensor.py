@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact_arith import InvSeries, as_scalar
-from .gt_module import MAX_WINDOW_MEMBERS, STRICT, ActionContext, FreeWindow
+from .gt_module import MAX_WINDOW_MEMBERS, STRICT, ActionContext, FreeWindow, _combine
 from .pyramid import Pyramid
 from .relations import maximal_set
 from .tableau import TableauDelta, TriIndex, tableau_from_values
@@ -310,9 +310,10 @@ class EvaluationFactor:
     def deltas(self, depth: int) -> list[TableauDelta]:
         """All basis shifts of total depth at most `depth`.
 
-        Raises ValueError past MAX_WINDOW_MEMBERS shifts, as a basis window does.
+        Raises ValueError on a negative depth, and past MAX_WINDOW_MEMBERS
+        shifts, as a basis window does.
         """
-        depth = int(depth)
+        depth = _depth(depth)
         out = self.window.checker.solutions(-depth, 0, depth=depth, cap=MAX_WINDOW_MEMBERS)
         out.sort(key=lambda d: (self.depth_of(d), d.key()))
         return out
@@ -348,23 +349,17 @@ class EvaluationFactor:
             gen = ("d", a, 1) if a == b else ("e", a, 1) if b == a + 1 else ("f", b, 1)
             return self.ctx._build_column(gen, pos, STRICT)
         mid = b - 1 if a < b else b + 1
-        out: dict = {}
-        for inner, outer, sign in (((mid, b), (a, mid), 1), ((a, mid), (mid, b), -1)):
-            for p1, c1 in self._column(*inner, pos):
-                for p2, c2 in self._column(*outer, p1):
-                    out[p2] = out.get(p2, 0) + sign * c1 * c2
-        return tuple(self.ctx._nonzero(out).items())
+        return tuple(_combine(
+            (sign * c1, self._column(*outer, p1))
+            for inner, outer, sign in (((mid, b), (a, mid), 1), ((a, mid), (mid, b), -1))
+            for p1, c1 in self._column(*inner, pos)
+        ).items())
 
     def E(self, a: int, b: int, vec: dict) -> dict:
         """The gl_n basis element E_ab on a sparse vector {shift: coefficient}."""
         if not (1 <= a <= self.n and 1 <= b <= self.n):
             raise IndexError(f"index out of range for gl_{self.n}")
-        out: dict = {}
-        for d, c in vec.items():
-            for tgt, coeff in self.column(a, b, d):
-                prev = out.get(tgt)
-                out[tgt] = c * coeff if prev is None else prev + c * coeff
-        return {d: c for d, c in out.items() if c != 0}
+        return _combine((c, self.column(a, b, d)) for d, c in vec.items())
 
 
 # -- tensor modules ---------------------------------------------------------
@@ -491,8 +486,9 @@ def _fractions(ser: list) -> list[Fraction]:
 
 
 def _slot_t(M: TensorModule, slot: int, a: int, b: int, arg_shift: int, vec: dict,
-            order: int) -> dict:
-    """t_ab(u - arg_shift) acting on factor `slot` of scaled-series vectors.
+            order: int, out: dict) -> None:
+    """Add t_ab(u - arg_shift), acting on factor `slot` of the scaled-series
+    vector `vec`, into `out` in place, with `_add_scaled`.
 
     Keys are tuples of member positions, one per factor, and values scaled
     series (`_add_scaled`).  t_ab(u - s) = delta_ab + E_ab/(u - pole) with
@@ -508,7 +504,6 @@ def _slot_t(M: TensorModule, slot: int, a: int, b: int, arg_shift: int, vec: dic
     f = M.factors[slot]
     pd = f.point.denominator
     pn = f.point.numerator + arg_shift * pd
-    out: dict = {}
     for key, ser in vec.items():
         if a == b:
             _add_scaled(out, key, ser)
@@ -530,7 +525,6 @@ def _slot_t(M: TensorModule, slot: int, a: int, b: int, arg_shift: int, vec: dic
         for d2, coeff in col:
             _add_scaled(out, key[:slot] + (d2,) + key[slot + 1:], p,
                         coeff.numerator, coeff.denominator)
-    return out
 
 
 def _tensor_t(M: TensorModule, a: int, b: int, arg_shift: int, vec: dict, order: int, lo: int,
@@ -544,7 +538,9 @@ def _tensor_t(M: TensorModule, a: int, b: int, arg_shift: int, vec: dict, order:
     to the image of mid on [s + 1, hi).  Each (slot, index) image is built
     once, so k slots of gl_n cost at most (k - 2) n^2 + 2n `_slot_t` calls:
     n on the last slot, where only mid = b is nonzero, n^2 on each middle
-    one and n on the first, where only c = a is needed.
+    one and n on the first, where only c = a is needed.  Every `_slot_t`
+    call of one (slot, c) adds into that image's dict, so nothing is merged
+    twice.
     """
     images = {b: vec}
     for slot in range(hi - 1, lo - 1, -1):
@@ -552,8 +548,7 @@ def _tensor_t(M: TensorModule, a: int, b: int, arg_shift: int, vec: dict, order:
         for c in (a,) if slot == lo else range(1, M.n + 1):
             out: dict = {}
             for mid, inner in images.items():
-                for key, ser in _slot_t(M, slot, c, mid, arg_shift, inner, order).items():
-                    _add_scaled(out, key, ser)
+                _slot_t(M, slot, c, mid, arg_shift, inner, order, out)
             if out:
                 nxt[c] = out
         images = nxt

@@ -262,6 +262,42 @@ def reference_verify(C: RelationSet, l: Tableau, radius: int, budget: int,
     return report
 
 
+def reference_walk_order(window, word, pos: int) -> int:
+    """The least sum of z - h over the walks of support word `word` (ladder
+    letters (family, row) in the order they act) from window member pos
+    that leave the members and end on one, at most 1 (also when there is no
+    such walk): every choice of pivots enumerated, with no memo.
+
+    A step moves pivot j of its letter's row one step up (e) or down (f);
+    its z is 1 when j's entry equals an entry of the adjacent row (r + 1
+    for e, r - 1 for f), and its h counts the other entries of row r equal
+    to j's, both read off the seed's entries plus the current coordinates.
+    Members are the coordinates in `window.at`, so a walk must stay in the
+    window's box: only positions at least len(word) inside it compare.
+    """
+    pyramid, seed, slot = window.seed.pyramid, window.seed, window.checker.slot
+    rows = [row_indices(pyramid, r) for r in range(pyramid.n + 1)]
+
+    def entries(coords, r):
+        return [(seed.entry(t)[0], seed.entry(t)[1] + (coords[slot[t]] if t in slot else 0))
+                for t in rows[r]]
+
+    best = 1
+    for pivots in itertools.product(*(range(len(rows[r])) for _, r in word)):
+        coords, total, left = window.coords[pos], 0, False
+        for (fam, r), j in zip(word, pivots):
+            row = entries(coords, r)
+            adjacent = entries(coords, r + 1 if fam == "e" else r - 1)
+            total += (row[j] in adjacent) - (row.count(row[j]) - 1)
+            moved = list(coords)
+            moved[slot[rows[r][j]]] += 1 if fam == "e" else -1
+            coords = tuple(moved)
+            left = left or coords not in window.at
+        if left and coords in window.at:
+            best = min(best, total)
+    return best
+
+
 def rel(g, l, strict) -> Relation:
     return Relation(TriIndex(*g), TriIndex(*l), bool(strict))
 

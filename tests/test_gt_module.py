@@ -63,6 +63,7 @@ from helpers import (
     bad_pattern_upper,
     gl2_tableau,
     reference_verify,
+    reference_walk_order,
     rel,
     relation_subsets,
     spread_seed,
@@ -589,7 +590,7 @@ def _reference_residual(ctx, terms, d):
                 acc[dd] = acc.get(dd, 0) + sign * c
     except CriticalityError as exc:
         return {"criticality": str(exc)}
-    return ctx._nonzero(acc)
+    return {dd: c for dd, c in acc.items() if c != 0}
 
 
 @pytest.mark.parametrize("C, seed", [(C, seed) for C, seed, _ in _oracle_cases()],
@@ -699,6 +700,37 @@ def test_oracle_matches_the_full_scan_reference():
                 reports += 1
             failing += not report_passes(want)
     assert reports == 168 and failing > 0
+
+
+def test_wall_orders_equal_the_brute_force_walks():
+    """`_WallSets.order` equals `reference_walk_order` for every support word
+    of 2 or 3 letters, at every member within radius - 3 of zero, in radius-3
+    windows of the wall corpus at the canonical and spread seeds.
+
+    The GL3 set {(1,2,1) > (1,3,1) >= (1,2,2)} joins the corpus: at its
+    canonical zero shift, ((e,1),(e,2),(f,2)) has order 0 only through a walk
+    whose first step stays on the members (the `len(rest) > 1` branch)."""
+    radius = 3
+    pinned = RelationSet(GL3, [rel((1, 2, 1), (1, 3, 1), True),
+                               rel((1, 3, 1), (1, 2, 2), False)])
+    checked = 0
+    for C in [*_wall_corpus(), pinned]:
+        letters = [(fam, r) for r in range(1, C.pyramid.n) for fam in "ef"]
+        words = [w for k in (2, 3) for w in itertools.product(letters, repeat=k)]
+        for seed in (noncritical_satisfying_tableau(C), spread_seed(C)):
+            window = enumerate_basis(C, seed, radius)
+            walls = _WallSets(window)
+            for pos, coords in enumerate(window.coords):
+                if any(abs(c) > radius - 3 for c in coords):
+                    continue
+                for word in words:
+                    want = reference_walk_order(window, word, pos)
+                    assert walls.order(word, pos) == want, (C.edges, seed.entries, word, pos)
+                    checked += 1
+    assert checked > 0
+    window = enumerate_basis(pinned, noncritical_satisfying_tableau(pinned), radius)
+    zero = window.position(TableauDelta())
+    assert _WallSets(window).order((("e", 1), ("e", 2), ("f", 2)), zero) == 0
 
 
 def test_single_ladder_letter_cases_have_empty_hit_sets():

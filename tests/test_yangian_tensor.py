@@ -376,7 +376,8 @@ def _tensor(weights, points, depth):
     lambda M: M.basis(-1),
     lambda M: singular_dimensions(M, -1),
     lambda M: only_top_singular(M, -1),
-], ids=["module", "basis", "singular-dimensions", "only-top-singular"])
+    lambda M: M.factors[0].deltas(-1),
+], ids=["module", "basis", "singular-dimensions", "only-top-singular", "factor-deltas"])
 def test_a_negative_depth_is_value_error(call):
     """A negative depth holds no key and no offset, so a report over it would
     be vacuous: every entry point refuses it."""
