@@ -751,13 +751,14 @@ def verify_defining_relations(
     own row, followed by a move of that row (0 times a pole).  In a
     three-letter word a zero move may also be followed by a move that makes
     two entries of a row equal and a move of one of them, and `_WallSets`
-    counts that walk the same way.  z and h depend only on each letter's
-    family and row: a higher superscript multiplies the lowest one's
-    coefficient by a polynomial, and diagonal letters do not move.  From an
-    eligible position no walk leaves the box (the margins), and a box shift
-    that keeps C is a member, so no scan meets -1 from `window.step`.  A
-    pass whose hit sets are all empty builds no context: it is decided from
-    the entries alone.
+    counts that walk the same way: it reads z and h off the coordinates of
+    each step's start, on the members and off them alike.  z and h depend
+    only on each letter's family and row: a higher superscript multiplies
+    the lowest one's coefficient by a polynomial, and diagonal letters do
+    not move.  From an eligible position no walk leaves the box (the
+    margins), and a box shift that keeps C is a member, so no residual
+    evaluated there meets -1 from `window.step`.  A pass whose hit sets are
+    all empty builds no context: it is decided from the entries alone.
     """
     if instantiations < 1 or budget < 1:
         raise ValueError(
@@ -895,8 +896,8 @@ def cyclicity_probe(window: BasisWindow, start: TableauDelta, budget: int) -> se
                     raise CriticalityError(
                         f"coincident entries in row {r} at shift {window.member(p)!r}"
                     )
-                for other, step in ((r + 1, 1), (r - 1, -1)):
-                    for j in _row_support(entries, r, other):
+                for step in (1, -1):
+                    for j in _row_support(row, entries[r + step]):
                         q = window.step(p, layout[r][j][1], step)
                         if q is not None and q >= 0 and q not in reached:
                             reached.add(q)

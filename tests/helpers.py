@@ -252,10 +252,7 @@ def reference_verify(C: RelationSet, l: Tableau, radius: int, budget: int,
             "family": fam,
             "indices": dict(idx),
             "shift": members[pos].key(),
-            "detail": sorted(
-                (members[p].key() if isinstance(p, int) else p, str(c))
-                for p, c in acc.items()
-            ),
+            "detail": sorted((members[p].key(), str(c)) for p, c in acc.items()),
         })
         if max_violations and len(report["violations"]) >= max_violations:
             return report

@@ -258,6 +258,8 @@ def _image(fn):
         return fn()
     except WindowOverflowError:
         return "overflow"
+    except CriticalityError as exc:
+        return ("critical", str(exc))
 
 
 def test_shared_context_matches_fresh_context_per_call():
@@ -581,15 +583,12 @@ def _oracle_cases():
 def _reference_residual(ctx, terms, d):
     """lhs - rhs on the basis vector d, one `apply` per generator, TableauDelta keys."""
     acc = {}
-    try:
-        for sign, word in terms:
-            vec = {d: Fraction(1)}
-            for gen in reversed(word):
-                vec = ctx.apply(gen, vec)
-            for dd, c in vec.items():
-                acc[dd] = acc.get(dd, 0) + sign * c
-    except CriticalityError as exc:
-        return {"criticality": str(exc)}
+    for sign, word in terms:
+        vec = {d: Fraction(1)}
+        for gen in reversed(word):
+            vec = ctx.apply(gen, vec)
+        for dd, c in vec.items():
+            acc[dd] = acc.get(dd, 0) + sign * c
     return {dd: c for dd, c in acc.items() if c != 0}
 
 
@@ -612,7 +611,7 @@ def test_indexed_residual_equals_per_word_apply(C, seed):
                 continue
             got = _image(lambda: gt_module._residual(walked, terms, pos))
             if isinstance(got, dict):
-                got = {members[p] if isinstance(p, int) else p: c for p, c in got.items()}
+                got = {members[p]: c for p, c in got.items()}
             assert got == _image(lambda: _reference_residual(reference, terms, d)), (terms, d)
             checked += 1
     assert checked > 0
@@ -704,19 +703,25 @@ def test_oracle_matches_the_full_scan_reference():
 
 def test_wall_orders_equal_the_brute_force_walks():
     """`_WallSets.order` equals `reference_walk_order` for every support word
-    of 2 or 3 letters, at every member within radius - 3 of zero, in radius-3
-    windows of the wall corpus at the canonical and spread seeds.
+    of 1, 2 or 3 letters, at every member within radius - 3 of zero, in
+    radius-3 windows of the wall corpus at the canonical and spread seeds.
 
-    The GL3 set {(1,2,1) > (1,3,1) >= (1,2,2)} joins the corpus: at its
-    canonical zero shift, ((e,1),(e,2),(f,2)) has order 0 only through a walk
-    whose first step stays on the members (the `len(rest) > 1` branch)."""
+    Two GL3 sets join the corpus.  At the canonical zero shift of
+    {(1,2,1) > (1,3,1) >= (1,2,2)}, ((e,1),(e,2),(f,2)) has order 0 only
+    through a walk whose first step stays on the members.  The critical set
+    {(1,2,1) >= (1,1,1), (1,2,2) >= (1,1,1)} has equal row-2 entries at its
+    canonical zero shift, so a step from that member has h = 1 there.  The
+    one-letter words have order 1 everywhere: a walk that never left the
+    members does not count, even where its one step has z - h <= 0."""
     radius = 3
     pinned = RelationSet(GL3, [rel((1, 2, 1), (1, 3, 1), True),
                                rel((1, 3, 1), (1, 2, 2), False)])
+    critical = RelationSet(GL3, [rel((1, 2, 1), (1, 1, 1), False),
+                                 rel((1, 2, 2), (1, 1, 1), False)])
     checked = 0
-    for C in [*_wall_corpus(), pinned]:
+    for C in [*_wall_corpus(), pinned, critical]:
         letters = [(fam, r) for r in range(1, C.pyramid.n) for fam in "ef"]
-        words = [w for k in (2, 3) for w in itertools.product(letters, repeat=k)]
+        words = [w for k in (1, 2, 3) for w in itertools.product(letters, repeat=k)]
         for seed in (noncritical_satisfying_tableau(C), spread_seed(C)):
             window = enumerate_basis(C, seed, radius)
             walls = _WallSets(window)
