@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import inf, lcm
 
 from .exact_arith import CriticalityError, GenericAssignment, generic_instantiate
@@ -503,152 +504,118 @@ def _commutator(x: tuple, y: tuple) -> list:
     return [(1, [x, y]), (-1, [y, x])]
 
 
+def _shifted_commutator(x: tuple, y: tuple, r: int, s: int) -> list:
+    """The words of [x^(r), y^(s+1)] - [x^(r+1), y^(s)] for letters x, y = (family, row)."""
+    low = _commutator((*x, r + 1), (*y, s))
+    return _commutator((*x, r), (*y, s + 1)) + [(-c, word) for c, word in low]
+
+
+def _nested_commutator(x: tuple, y: tuple, z: tuple) -> list:
+    """The words of [x, [y, z]]."""
+    inner = _commutator(y, z)
+    return [(c, [x, *word]) for c, word in inner] + [(-c, [*word, x]) for c, word in inner]
+
+
+def _mirror(sign: int, *sides) -> tuple:
+    """Each side's words with e and f swapped and every product reversed, times sign."""
+    swap = {"e": "f", "f": "e"}
+    return tuple([(sign * c, [(swap.get(fam, fam), row, sup) for fam, row, sup in reversed(word)])
+                  for c, word in words] for words in sides)
+
+
 def _relation_cases(pyramid, budget: int):
     """Yield (family name, index dict, lhs words, rhs words) for every case.
 
     Words are lists of (signed coefficient, [generators]); both sides are sums
-    of such words applied right-to-left.
+    of such words applied right-to-left.  The families are the defining
+    relations of the shifted Yangian whose quotient is the finite W-algebra
+    (Brundan-Kleshchev, Adv. Math. 2006).  Each f family is the `_mirror` of
+    the e family listed before it, times -1 for df and ff-far: the e family
+    runs over its row's e superscripts, from `e_generator_min_degree` on, and
+    its mirror over the f superscripts 1..budget.  One asymmetry is kept:
+    serre-e takes r, s from the first two of row i's e superscripts and t,
+    which it names, from the first of row j's, while serre-f takes r, s in
+    (1, 2) and t = 1 whatever the budget, and names no t.
     """
     n = pyramid.n
-    d_sups = range(1, budget + 1)
+    d_sups = f_sups = range(1, budget + 1)
 
     def e_sups(i):
         lo = e_generator_min_degree(pyramid, i)
         return range(lo, lo + budget)
 
-    f_sups = range(1, budget + 1)
+    def de(i, j, r, s):
+        sign = (1 if i == j else 0) - (1 if i == j + 1 else 0)
+        rhs = [(sign, [("d", i, t), ("e", j, r + s - t - 1)]) for t in range(r) if sign]
+        return _commutator(("d", i, r), ("e", j, s)), rhs
+
+    def ee(i, r, s):
+        x, y = ("e", i, r), ("e", i, s)
+        return _shifted_commutator(("e", i), ("e", i), r, s), [(1, [x, y]), (1, [y, x])]
+
+    def ee_adj(i, r, s):
+        rhs = [(-1, [("e", i, r), ("e", i + 1, s)])]
+        return _shifted_commutator(("e", i), ("e", i + 1), r, s), rhs
+
+    def far(i, j, r, s):
+        return _commutator(("e", i, r), ("e", j, s)), []
+
+    def serre(i, j, r, s, t):
+        x, y, z = ("e", i, r), ("e", i, s), ("e", j, t)
+        return _nested_commutator(x, y, z) + _nested_commutator(y, x, z), []
 
     # 1: torus commutativity
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            for r in d_sups:
-                for s in d_sups:
-                    lhs = _commutator(("d", i, r), ("d", j, s))
-                    yield ("dd", {"i": i, "j": j, "r": r, "s": s}, lhs, [])
+            for r, s in product(d_sups, d_sups):
+                lhs = _commutator(("d", i, r), ("d", j, s))
+                yield ("dd", {"i": i, "j": j, "r": r, "s": s}, lhs, [])
     # 2: ladder pairing against the torus
     for i in range(1, n):
         for j in range(1, n):
-            for r in e_sups(i):
-                for s in f_sups:
-                    lhs = _commutator(("e", i, r), ("f", j, s))
-                    rhs = []
-                    if i == j:
-                        for t in range(0, r + s):
-                            rhs.append(
-                                (-1, [("dprime", i, t), ("d", i + 1, r + s - t - 1)])
-                            )
-                    yield ("ef", {"i": i, "j": j, "r": r, "s": s}, lhs, rhs)
+            for r, s in product(e_sups(i), f_sups):
+                lhs = _commutator(("e", i, r), ("f", j, s))
+                rhs = [(-1, [("dprime", i, t), ("d", i + 1, r + s - t - 1)])
+                       for t in range(r + s) if i == j]
+                yield ("ef", {"i": i, "j": j, "r": r, "s": s}, lhs, rhs)
     # 3 and 4: torus moves ladders
     for i in range(1, n + 1):
         for j in range(1, n):
             for r in d_sups:
                 for s in e_sups(j):
-                    sign = (1 if i == j else 0) - (1 if i == j + 1 else 0)
-                    lhs = _commutator(("d", i, r), ("e", j, s))
-                    rhs = [
-                        (sign, [("d", i, t), ("e", j, r + s - t - 1)])
-                        for t in range(0, r)
-                        if sign
-                    ]
-                    yield ("de", {"i": i, "j": j, "r": r, "s": s}, lhs, rhs)
+                    yield ("de", {"i": i, "j": j, "r": r, "s": s}, *de(i, j, r, s))
                 for s in f_sups:
-                    sign = (1 if i == j + 1 else 0) - (1 if i == j else 0)
-                    lhs = _commutator(("d", i, r), ("f", j, s))
-                    rhs = [
-                        (sign, [("f", j, r + s - t - 1), ("d", i, t)])
-                        for t in range(0, r)
-                        if sign
-                    ]
-                    yield ("df", {"i": i, "j": j, "r": r, "s": s}, lhs, rhs)
+                    yield ("df", {"i": i, "j": j, "r": r, "s": s}, *_mirror(-1, *de(i, j, r, s)))
     # 5: same-row quadratic
     for i in range(1, n):
-        for r in e_sups(i):
-            for s in e_sups(i):
-                lhs = [
-                    (1, [("e", i, r), ("e", i, s + 1)]),
-                    (-1, [("e", i, s + 1), ("e", i, r)]),
-                    (-1, [("e", i, r + 1), ("e", i, s)]),
-                    (1, [("e", i, s), ("e", i, r + 1)]),
-                ]
-                rhs = [
-                    (1, [("e", i, r), ("e", i, s)]),
-                    (1, [("e", i, s), ("e", i, r)]),
-                ]
-                yield ("ee", {"i": i, "r": r, "s": s}, lhs, rhs)
-        for r in f_sups:
-            for s in f_sups:
-                lhs = [
-                    (1, [("f", i, r + 1), ("f", i, s)]),
-                    (-1, [("f", i, s), ("f", i, r + 1)]),
-                    (-1, [("f", i, r), ("f", i, s + 1)]),
-                    (1, [("f", i, s + 1), ("f", i, r)]),
-                ]
-                rhs = [
-                    (1, [("f", i, r), ("f", i, s)]),
-                    (1, [("f", i, s), ("f", i, r)]),
-                ]
-                yield ("ff", {"i": i, "r": r, "s": s}, lhs, rhs)
+        for r, s in product(e_sups(i), e_sups(i)):
+            yield ("ee", {"i": i, "r": r, "s": s}, *ee(i, r, s))
+        for r, s in product(f_sups, f_sups):
+            yield ("ff", {"i": i, "r": r, "s": s}, *_mirror(1, *ee(i, r, s)))
     # 6: adjacent-row quadratic
     for i in range(1, n - 1):
-        for r in e_sups(i):
-            for s in e_sups(i + 1):
-                lhs = [
-                    (1, [("e", i, r), ("e", i + 1, s + 1)]),
-                    (-1, [("e", i + 1, s + 1), ("e", i, r)]),
-                    (-1, [("e", i, r + 1), ("e", i + 1, s)]),
-                    (1, [("e", i + 1, s), ("e", i, r + 1)]),
-                ]
-                rhs = [(-1, [("e", i, r), ("e", i + 1, s)])]
-                yield ("ee-adj", {"i": i, "r": r, "s": s}, lhs, rhs)
-        for r in f_sups:
-            for s in f_sups:
-                lhs = [
-                    (1, [("f", i, r + 1), ("f", i + 1, s)]),
-                    (-1, [("f", i + 1, s), ("f", i, r + 1)]),
-                    (-1, [("f", i, r), ("f", i + 1, s + 1)]),
-                    (1, [("f", i + 1, s + 1), ("f", i, r)]),
-                ]
-                rhs = [(-1, [("f", i + 1, s), ("f", i, r)])]
-                yield ("ff-adj", {"i": i, "r": r, "s": s}, lhs, rhs)
+        for r, s in product(e_sups(i), e_sups(i + 1)):
+            yield ("ee-adj", {"i": i, "r": r, "s": s}, *ee_adj(i, r, s))
+        for r, s in product(f_sups, f_sups):
+            yield ("ff-adj", {"i": i, "r": r, "s": s}, *_mirror(1, *ee_adj(i, r, s)))
     # 7: distant commutation
     for i in range(1, n):
         for j in range(i + 2, n):
-            for r in e_sups(i):
-                for s in e_sups(j):
-                    lhs = _commutator(("e", i, r), ("e", j, s))
-                    yield ("ee-far", {"i": i, "j": j, "r": r, "s": s}, lhs, [])
-            for r in f_sups:
-                for s in f_sups:
-                    lhs = _commutator(("f", i, r), ("f", j, s))
-                    yield ("ff-far", {"i": i, "j": j, "r": r, "s": s}, lhs, [])
+            for r, s in product(e_sups(i), e_sups(j)):
+                yield ("ee-far", {"i": i, "j": j, "r": r, "s": s}, *far(i, j, r, s))
+            for r, s in product(f_sups, f_sups):
+                yield ("ff-far", {"i": i, "j": j, "r": r, "s": s}, *_mirror(-1, *far(i, j, r, s)))
     # 8: cubic triples for neighbours
     for i in range(1, n):
         for j in (i - 1, i + 1):
             if not 1 <= j <= n - 1:
                 continue
-            for r in e_sups(i)[:2]:
-                for s in e_sups(i)[:2]:
-                    for t in e_sups(j)[:1]:
-                        lhs = []
-                        for a, b in ((r, s), (s, r)):
-                            lhs += [
-                                (1, [("e", i, a), ("e", i, b), ("e", j, t)]),
-                                (-1, [("e", i, a), ("e", j, t), ("e", i, b)]),
-                                (-1, [("e", i, b), ("e", j, t), ("e", i, a)]),
-                                (1, [("e", j, t), ("e", i, b), ("e", i, a)]),
-                            ]
-                        yield ("serre-e", {"i": i, "j": j, "r": r, "s": s, "t": t}, lhs, [])
-            for r in [1, 2]:
-                for s in [1, 2]:
-                    lhs = []
-                    for a, b in ((r, s), (s, r)):
-                        lhs += [
-                            (1, [("f", i, a), ("f", i, b), ("f", j, 1)]),
-                            (-1, [("f", i, a), ("f", j, 1), ("f", i, b)]),
-                            (-1, [("f", i, b), ("f", j, 1), ("f", i, a)]),
-                            (1, [("f", j, 1), ("f", i, b), ("f", i, a)]),
-                        ]
-                    yield ("serre-f", {"i": i, "j": j, "r": r, "s": s}, lhs, [])
+            for r, s, t in product(e_sups(i)[:2], e_sups(i)[:2], e_sups(j)[:1]):
+                idx = {"i": i, "j": j, "r": r, "s": s, "t": t}
+                yield ("serre-e", idx, *serre(i, j, r, s, t))
+            for r, s in product((1, 2), (1, 2)):
+                idx = {"i": i, "j": j, "r": r, "s": s}
+                yield ("serre-f", idx, *_mirror(1, *serre(i, j, r, s, 1)))
 
 
 def _word_row_margins(words) -> dict[int, int]:

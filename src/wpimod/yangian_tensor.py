@@ -658,7 +658,8 @@ def _dependencies(M: TensorModule, keys, order: int):
     at earlier pivots and is stored divided by the gcd of its entries and
     its combination's.  Only the rows i with c_i > 0 on the keys' root
     offset c are applied: t_{i,i+1} maps them into the space at
-    c - alpha_i, which is empty when c_i = 0.
+    c - alpha_i, which is empty when c_i = 0.  At offset 0 no row applies,
+    so the highest vector, the space's one key, is the kernel.
 
     A key whose vector reduces to zero yields its combination divided by the
     combination's entry at the key, as `Fraction`s in key order.  That is a
@@ -732,21 +733,12 @@ def find_singular_vectors(M: TensorModule, offset) -> list[dict]:
     on the weight space, with one scalar Q = prod (u - point) of degree k for
     every key and deg P <= k.  If c_0, ..., c_k of a combination's image
     vanish, then P = Q * (P/Q) is a polynomial in O(u^-1), so P = 0.
-
-    Offset 0 is decided without eliminating: its space is the highest
-    vector alone, and every t_ij(u) with i < j kills it.  Under the
-    coproduct t_ij is a sum of t_{i,c_1} x ... x t_{c_{k-1},j}, and on the
-    factors' highest vectors a term survives only if no factor gets a
-    raising E_ab (a < b), which needs a chain i >= c_1 >= ... >= j.  None
-    exists.
     """
     offset = tuple(int(c) for c in offset)
     if len(offset) != M.n - 1 or any(c < 0 for c in offset):
         raise ValueError(
             f"offset must be {M.n - 1} nonnegative integers for gl_{M.n}, got {offset}"
         )
-    if not any(offset):
-        return [{M.highest(): Fraction(1)}]
     return list(_dependencies(M, M.weight_space(offset), len(M.factors)))
 
 

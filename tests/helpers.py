@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 
 from wpimod import (
     Pyramid,
@@ -293,6 +295,22 @@ def reference_walk_order(window, word, pos: int) -> int:
         if left and coords in window.at:
             best = min(best, total)
     return best
+
+
+def relation_table_digest(pyramid: Pyramid, budgets) -> str:
+    """The sha256 of the oracle's relation tables at each budget, in order.
+
+    Each case is hashed in a form that fixes everything the oracle reads:
+    its family, its indices in order, its signed terms as a sorted multiset,
+    its row margins and its sorted support words.  The order of the terms
+    inside a case is left out: `_residual` sums them and reports sorted.
+    """
+    h = hashlib.sha256()
+    for budget in budgets:
+        for fam, idx, terms, margins, support in _relation_table(pyramid, budget):
+            h.update(json.dumps([fam, idx, sorted(terms), margins, sorted(support)]).encode())
+            h.update(b"\n")
+    return h.hexdigest()
 
 
 def rel(g, l, strict) -> Relation:

@@ -66,6 +66,7 @@ from helpers import (
     reference_walk_order,
     rel,
     relation_subsets,
+    relation_table_digest,
     spread_seed,
     standard_gl2,
     try_relation_set,
@@ -1158,3 +1159,29 @@ def test_member_cap_counts_members(monkeypatch):
     monkeypatch.setattr(gt_module, "MAX_WINDOW_MEMBERS", 799)
     with pytest.raises(ValueError, match="basis window has more than 799 members"):
         enumerate_basis(S, seed, 3)
+
+
+# The oracle's relation tables at budgets 1, 2 and 3, as recorded before the
+# f families were built as mirrors of the e families (`relation_table_digest`).
+RELATION_TABLE_DIGESTS = {
+    (1, 1): "7a9fa7cbea030db35a8ba1390f7246a427bb07313c3dc648cbf0f48b51fb1e21",
+    (1, 2): "2e0d1ab9c6401dd32390404cad2f8336b685e2305e03cf061728b49321ee0b66",
+    (2, 2): "7a9fa7cbea030db35a8ba1390f7246a427bb07313c3dc648cbf0f48b51fb1e21",
+    (1, 1, 1): "1abd12eaf1f1534680fe2592cf46b57830f2948c517a7700014757708fc85241",
+    (1, 1, 2): "b893ccd66a13796ded8d8eeb819f2a27ba0b6103f6d3f6618d51708d7def236f",
+    (1, 2, 2): "88883119c39abd8d80612ace62aca65a83cf870b97462fb1937a8b7b9e47df47",
+    (2, 2, 2): "1abd12eaf1f1534680fe2592cf46b57830f2948c517a7700014757708fc85241",
+    (1, 1, 3): "dd424e80bf15912543b0cfabcfa99c0714ed18aac813c3de2a4711abdee80e5b",
+    (1, 1, 1, 1): "a161643799c80f9243918e6173361f6716bf01208c574edee4ffc40dc70b9a37",
+    (1, 2, 2, 3): "dec39f145cc591611df8e33ec82e087bea60bfbedc6314e40f1bcbc53e6fbd52",
+    (1, 1, 1, 1, 1): "f1bd70c37c96ee60acb1b4742c39e6f3156216fda95f41a6db1e081254107e88",
+    (1,) * 6: "1815883f7eac919ad68aefae0418e9e16f6de77932292e526a358bd50f117ab4",
+}
+
+
+@pytest.mark.parametrize("rows", RELATION_TABLE_DIGESTS,
+                         ids=lambda rows: "x".join(map(str, rows)))
+def test_relation_tables_match_the_recorded_digests(rows):
+    """Every case's family, indices, signed terms, margins and support words,
+    in table order, at budgets 1, 2 and 3."""
+    assert relation_table_digest(Pyramid(rows), (1, 2, 3)) == RELATION_TABLE_DIGESTS[rows]

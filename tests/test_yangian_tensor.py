@@ -448,8 +448,25 @@ def test_each_weight_space_past_the_top_runs_one_elimination(monkeypatch):
     calls = _count_eliminations(monkeypatch)
     M = _tensor([("1/3", 0), ("1/5", "1/7")], [0, 1], 3)
     assert singular_dimensions(M) == {(0,): 1, (1,): 0, (2,): 0, (3,): 0}
-    # offset 0 is the highest vector alone, decided without eliminating
-    assert calls == [len(M.weight_space((h,))) for h in (1, 2, 3)]
+    # offset 0 is the highest vector alone, a one-key elimination with no rows
+    assert calls == [len(M.weight_space((h,))) for h in (0, 1, 2, 3)] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("weights, points", [
+    ([("1/3",)], [0]),
+    ([(2,), ("-1/2",)], [0, "1/3"]),
+    ([(1, 0)], [0]),
+    ([("1/3", 0), ("1/5", "1/7")], [0, 1]),
+    ([(2, 1, 0), ("1/3", "1/7", 0)], [0, 0]),
+    ([("1/2", "-1/2", 1), (-1, -1, "3/2")], [0, 0]),
+], ids=["gl1", "gl1-pair", "gl2", "gl2-pair", "gl3-pair", "gl3-half-integral"])
+def test_top_space_is_its_own_kernel(weights, points):
+    """At offset 0 the elimination applies no raising row, so its one key,
+    the highest vector, is the whole kernel."""
+    M = _tensor(weights, points, 2)
+    top = (0,) * (M.n - 1)
+    assert M.weight_space(top) == [M.highest()]
+    assert find_singular_vectors(M, top) == [{M.highest(): Fraction(1)}]
 
 
 P = 2**61 - 1
@@ -463,13 +480,13 @@ def test_denominator_divisible_by_a_prime_is_decided_exactly(
         monkeypatch, modulus, weights):
     """No elimination reduces mod a prime: a weight denominator that the
     prime divides (3, or the Mersenne prime 2^61 - 1) is decided by
-    the same exact integer elimination, one run per space past the top."""
+    the same exact integer elimination, one run per space."""
     assert any(Fraction(x).denominator % modulus == 0 for x in weights[0])
     calls = _count_eliminations(monkeypatch)
     M = _tensor(weights, [0, 1], 3)
     # the exact result: only the top line is singular
     assert singular_dimensions(M) == {(0,): 1, (1,): 0, (2,): 0, (3,): 0}
-    assert len(calls) == 3
+    assert len(calls) == 4
 
 
 def test_rank_drop_mod_p_is_decided_in_fraction():
