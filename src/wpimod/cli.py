@@ -4,6 +4,13 @@ Exit codes: 0 success / property true, 3 property false, 4 input or usage error,
 5 window overflow.  Every report is a UTF-8, newline-terminated JSON document
 with a schema version field "v": 1; key order is sorted, so identical inputs
 (including seeds) give byte-identical output.
+
+Only the layers the parser and the shared loaders need are imported here
+(`relations`, `tableau`, `pyramid`, `exact_arith`).  Each command imports its
+own layer when it runs: `enumerate-basis`, `verify-relations` and
+`irreducible` load `gt_module` (with `supports`), `tensor-check` loads
+`yangian_tensor` too, and `check-admissible`, `reduce` and `rr-remove` load
+neither.
 """
 
 from __future__ import annotations
@@ -13,16 +20,9 @@ import json
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .exact_arith import scalar_to_json
-from .gt_module import (
-    BasisWindow,
-    ShiftChecker,
-    WindowOverflowError,
-    is_irreducible,
-    report_passes,
-    verify_defining_relations,
-)
 from .pyramid import Pyramid
 from .relations import (
     RelationSet,
@@ -32,16 +32,9 @@ from .relations import (
     rr_remove,
 )
 from .tableau import TriIndex, tableau_from_json
-from .yangian_tensor import (
-    EvaluationFactor,
-    GlWeight,
-    TensorModule,
-    integral_condition,
-    is_generic,
-    only_top_line,
-    require_factor_count,
-    singular_dimensions,
-)
+
+if TYPE_CHECKING:
+    from .gt_module import ShiftChecker
 
 EXIT_OK = 0
 EXIT_FALSE = 3
@@ -132,6 +125,8 @@ def _rational(x) -> Fraction:
 
 
 def _load_weights(path: str):
+    from .yangian_tensor import GlWeight
+
     obj = _load_json(path)
     _check_version(obj, path)
     try:
@@ -253,6 +248,8 @@ def rr_remove_cmd(relations_path, triple_str):
 
 def enumerate_basis_cmd(relations_path, tableau_path, radius):
     """List the window shifts satisfying the relation set around a seed."""
+    from .gt_module import BasisWindow
+
     C = _load_relations(relations_path)
     seed = _load_seed(tableau_path, C)
     try:
@@ -272,6 +269,8 @@ def enumerate_basis_cmd(relations_path, tableau_path, radius):
 
 def verify_relations_cmd(relations_path, tableau_path, radius, budget, instantiations, seed):
     """Run the defining-relation oracle; exit 3 on violations, 5 on overflow."""
+    from .gt_module import WindowOverflowError, report_passes, verify_defining_relations
+
     C = _load_relations(relations_path)
     tab = _load_seed(tableau_path, C)
     try:
@@ -302,6 +301,8 @@ def verify_relations_cmd(relations_path, tableau_path, radius, budget, instantia
 
 def irreducible_cmd(relations_path, tableau_path):
     """Test irreducibility of the relation module over the given seed."""
+    from .gt_module import is_irreducible
+
     C = _load_relations(relations_path)
     tab = _load_tableau(tableau_path, C.pyramid)
     try:
@@ -314,6 +315,16 @@ def irreducible_cmd(relations_path, tableau_path):
 
 def tensor_check_cmd(weights_path, depth, mode):
     """Probe a tensor product of evaluation modules for extra singular vectors."""
+    from .yangian_tensor import (
+        EvaluationFactor,
+        TensorModule,
+        integral_condition,
+        is_generic,
+        only_top_line,
+        require_factor_count,
+        singular_dimensions,
+    )
+
     weights, points = _load_weights(weights_path)
     try:  # before any factor is built or any pair of weights compared
         require_factor_count(len(weights))

@@ -12,7 +12,7 @@ import pytest
 
 import wpimod
 
-from wpimod import Pyramid, RelationSet, cli, standard_set, tableau_to_json, yangian_tensor
+from wpimod import Pyramid, RelationSet, standard_set, tableau_to_json, yangian_tensor
 from wpimod.cli import MAX_BUDGET, MAX_EXPONENT, MAX_INSTANTIATIONS, run
 from wpimod.gt_module import MAX_WINDOW_MEMBERS, ShiftChecker, enumerate_basis
 from wpimod.tableau import TableauDelta
@@ -452,8 +452,9 @@ def test_tensor_factor_count_is_checked_before_any_factor(tmp_path, capsys, monk
     def refuse(*args):
         raise AssertionError("an oversized product reached its factors")
 
-    monkeypatch.setattr(cli, "is_generic", refuse)
-    monkeypatch.setattr(cli, "EvaluationFactor", refuse)
+    # tensor-check imports both from its layer when it runs
+    monkeypatch.setattr(yangian_tensor, "is_generic", refuse)
+    monkeypatch.setattr(yangian_tensor, "EvaluationFactor", refuse)
     path = write_weights(tmp_path, "w.json", [("0", "1")] + [("1/3", "1/5")] * 1200)
     code, report = invoke(capsys, ["tensor-check", "--weights", path, "--depth", "1"])
     assert code == 4
@@ -676,3 +677,44 @@ def test_importing_the_cli_loads_no_click():
     code = "import sys, wpimod.cli; sys.exit('click' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+# The layers that the relation-set commands never use.
+LAZY_LAYERS = ("wpimod.gt_module", "wpimod.supports", "wpimod.yangian_tensor")
+
+
+def _fresh_process(argv):
+    """Import `wpimod` and `wpimod.cli` in a fresh interpreter and, given an
+    argv, run it; the exit code (None with no argv) and the LAZY_LAYERS that
+    are then in `sys.modules`."""
+    src = os.path.dirname(os.path.dirname(wpimod.__file__))
+    call = "None" if argv is None else f"wpimod.cli.run({argv!r})"
+    code = (
+        "import json, sys, wpimod, wpimod.cli\n"
+        f"code = {call}\n"
+        f"loaded = [m for m in {LAZY_LAYERS!r} if m in sys.modules]\n"
+        "sys.stderr.write(json.dumps([code, loaded]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    return json.loads(proc.stderr)
+
+
+@pytest.mark.parametrize("argv, code, loaded", [
+    (None, None, []),
+    (["check-admissible", "--relations", "{relations}"], 0, []),
+    (["reduce", "--relations", "{relations}"], 0, []),
+    (["rr-remove", "--relations", "{relations}", "--triple", "1,2,2"], 0, []),
+    (["--help"], 0, []),
+    (["check-admissible"], 4, []),
+    (["enumerate-basis", "--relations", "{relations}"], 0, list(LAZY_LAYERS[:2])),
+    (["verify-relations", "--relations", "{relations}"], 0, list(LAZY_LAYERS[:2])),
+    (["irreducible", "--relations", "{relations}", "--tableau", "{tableau}"], 0,
+     list(LAZY_LAYERS[:2])),
+    (["tensor-check", "--weights", "{weights}", "--depth", "1"], 0, list(LAZY_LAYERS)),
+], ids=["import", "check-admissible", "reduce", "rr-remove", "help", "usage-error",
+        "enumerate-basis", "verify-relations", "irreducible", "tensor-check"])
+def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, code, loaded):
+    if argv is not None:
+        argv = _inputs(tmp_path, argv)
+    assert _fresh_process(argv) == [code, loaded]
