@@ -34,7 +34,7 @@ from .relations import (
 from .tableau import TriIndex, tableau_from_json
 
 if TYPE_CHECKING:
-    from .gt_module import ShiftChecker
+    from .gt_module import BasisWindow
 
 EXIT_OK = 0
 EXIT_FALSE = 3
@@ -182,14 +182,14 @@ class _Fragments(dict):
         return text
 
 
-def _keys_json(checker: ShiftChecker, coords: list) -> str:
-    """The text `json.dumps` writes, compact, for `[checker.key(c) for c in
-    coords]`, built with no key: each nonzero coordinate is the fragment
-    `,[[k,i,j],v]`, in `checker.key_order`, formatted the first time its value
-    shows, and a member drops its first comma."""
-    slots = [(k, _Fragments(t)) for t, k in checker.key_order]
+def _keys_json(window: BasisWindow) -> str:
+    """The text `json.dumps` writes, compact, for `[window.key(c) for c in
+    window.coords]`, built with no key: each nonzero coordinate is the
+    fragment `,[[k,i,j],v]`, in `window.key_order`, formatted the first time
+    its value shows, and a member drops its first comma."""
+    slots = [(k, _Fragments(t)) for t, k in window.key_order]
     return "[" + ",".join(
-        ["[" + "".join([f[c[k]] for k, f in slots])[1:] + "]" for c in coords]
+        ["[" + "".join([f[c[k]] for k, f in slots])[1:] + "]" for c in window.coords]
     ) + "]"
 
 
@@ -259,7 +259,7 @@ def enumerate_basis_cmd(relations_path, tableau_path, radius):
     # The members are rendered from the coordinates in `TriIndex` order, with
     # no key or shift built: the bytes json.dumps writes in `_emit` for the
     # report whose "members" are the keys, (triple, offset) pairs.
-    members = _keys_json(window.checker, window.coords)
+    members = _keys_json(window)
     sys.stdout.write(
         f'{{"command":"enumerate-basis","count":{len(window.coords)},'
         f'"members":{members},"radius":{radius},"v":1}}\n'
@@ -317,6 +317,7 @@ def tensor_check_cmd(weights_path, depth, mode):
     """Probe a tensor product of evaluation modules for extra singular vectors."""
     from .yangian_tensor import (
         EvaluationFactor,
+        GlWeight,
         TensorModule,
         integral_condition,
         is_generic,
@@ -330,18 +331,20 @@ def tensor_check_cmd(weights_path, depth, mode):
         require_factor_count(len(weights))
     except ValueError as exc:
         raise InputError(str(exc))
-    conditions = {"generic": is_generic(weights)}
+    # The conditions are stated at point 0.  A factor of weight w at point a is
+    # the factor of weight w - a at 0 times the scalar series u/(u - a), which
+    # moves no submodule, so each condition reads w - a.
+    shifted = [GlWeight([v - p for v in w.values]) for w, p in zip(weights, points)]
+    conditions = {"generic": is_generic(shifted)}
     if mode == "integral":
         if len(weights) != 2:
             raise InputError("integral mode needs exactly two weights")
         try:
-            conditions["integral"] = integral_condition(weights[0], weights[1])
+            conditions["integral"] = integral_condition(*shifted)
         except ValueError as exc:
             raise InputError(str(exc))
     try:
-        factors = [
-            EvaluationFactor(w, p, depth) for w, p in zip(weights, points)
-        ]
+        factors = [EvaluationFactor(w, p) for w, p in zip(weights, points)]
         M = TensorModule(factors, depth)
         dims = singular_dimensions(M, depth)
     except ValueError as exc:

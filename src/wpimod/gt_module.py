@@ -26,9 +26,9 @@ from .relations import (
     satisfies,
 )
 from .supports import (
-    _bumped, _eligible, _member_entries, _row_layout, _row_peaks, _row_support, _WallSets,
+    _bumped, _eligible, _member_entries, _row_peaks, _row_support, _WallSets,
 )
-from .tableau import Tableau, TableauDelta, mutable_indices
+from .tableau import Tableau, TableauDelta, mutable_indices, row_indices
 
 
 class WindowOverflowError(RuntimeError):
@@ -41,28 +41,50 @@ class WindowOverflowError(RuntimeError):
 MAX_WINDOW_MEMBERS = 100_000
 
 
-class ShiftChecker:
-    """Fast satisfaction test for integral shifts of a fixed seed.
+class BasisWindow:
+    """Finite slice of the shift lattice: all window shifts satisfying C.
 
-    A shift's coordinates are its offsets over `free`, as a tuple; `slot`
-    maps each free triple to its place there.  The class structure of the
-    seed is shift-invariant, so the component clause is checked once, and
-    each edge is kept once, as an inequality over the slots: an arc
-    d_g >= d_l + c (from l in `_up`, reversed in `_down`), or, with one end
-    on the frozen top row (d = 0), a bound `floors[g]` or `ceilings[l]`.  An
-    edge with both ends frozen is the seed's own, which holds.  `satisfied`
-    reads them on coordinates; as a difference system they let `points` list
-    the accepted shifts of a box without scanning it.
+    Inside the engine a member is its coordinates, its offsets over `free`
+    as a tuple; `slot` maps each free triple to its place there.  The window
+    is its list `coords`, sorted by the members' keys, and `at` maps each to
+    its position.  A shift is built only where one is named: `position(d)`
+    finds shift d's position and raises ValueError naming d on a shift that
+    is not a member, `member(pos)` builds the shift at a position, and
+    `members` builds them all on each call.  Raises ValueError when the
+    window has more than MAX_WINDOW_MEMBERS members.
+
+    The class structure of the seed is shift-invariant, so the component
+    clause is checked once, and each edge is kept once, as an inequality
+    over the slots: an arc d_g >= d_l + c (from l in `_up`, reversed in
+    `_down`), or, with one end on the frozen top row (d = 0), a bound
+    `floors[g]` or `ceilings[l]`.  An edge with both ends frozen is the
+    seed's own, which holds.  `satisfied` reads them on coordinates; as a
+    difference system they let `points` list the accepted shifts of a box
+    without scanning it.  `layout` holds, per row 0..n of the pyramid, each
+    triple's (triple, slot or None on the frozen top row, class, seed
+    offset), from which the generator actions and the supports read a
+    member's entries.
     """
 
-    def __init__(self, C: RelationSet, seed: Tableau):
+    def __init__(self, C: RelationSet, seed: Tableau, radius: int):
+        self.radius = int(radius)
+        self._build(C, seed)
+        self.coords = self.points(-self.radius, self.radius, cap=MAX_WINDOW_MEMBERS)
+        self.coords.sort(key=self.key)
+        self.at = dict(zip(self.coords, range(len(self.coords))))
+
+    def _build(self, C: RelationSet, seed: Tableau) -> None:
+        """The seed, slots, edge system and layout every window starts from."""
         if not satisfies(C, seed):
             raise ValueError("seed tableau does not satisfy the relation set")
+        self.seed = seed
         self.free = mutable_indices(seed.pyramid)
         self.slot = slot = {t: k for k, t in enumerate(self.free)}
         # the slots in `TriIndex` order, which a key follows; on a pyramid
         # with more than one layer it is not the order of `free`
         self.key_order = sorted(slot.items())
+        self.layout = [[(t, slot.get(t), *seed.entry(t)) for t in row_indices(seed.pyramid, r)]
+                       for r in range(seed.pyramid.n + 1)]
         self._up: list[list] = [[] for _ in self.free]
         self._down: list[list] = [[] for _ in self.free]
         self.floors: dict[int, int] = {}
@@ -91,10 +113,11 @@ class ShiftChecker:
         """The shift with the given coordinates."""
         return TableauDelta._normal({t: v for t, v in zip(self.free, coords) if v})
 
-    def coords(self, d: TableauDelta) -> tuple[int, ...]:
-        """The coordinates of shift d."""
+    def coords_of(self, d: TableauDelta) -> tuple[int, ...] | None:
+        """The coordinates of shift d, or None when d has support off the free triples."""
         get = d.offsets.get
-        return tuple([get(t, 0) for t in self.free])
+        coords = tuple([get(t, 0) for t in self.free])
+        return coords if len(coords) - coords.count(0) == len(d.offsets) else None
 
     def key(self, coords: tuple[int, ...]) -> tuple:
         """`TableauDelta.key` of the shift with the given coordinates, built
@@ -189,53 +212,26 @@ class ShiftChecker:
         extend(0, y, z)
         return found
 
-
-class BasisWindow:
-    """Finite slice of the shift lattice: all window shifts satisfying C.
-
-    Inside the engine a member is its coordinates (offsets over `free`):
-    the window is its list `coords`, sorted by the members' keys, and `at`
-    maps each to its position.  A shift is built only where one is named:
-    `position(d)` finds shift d's position and raises ValueError naming d
-    on a shift that is not a member, `member(pos)` builds the shift at a
-    position, and `members` builds them all on each call.  Raises
-    ValueError when the window has more than MAX_WINDOW_MEMBERS members.
-    """
-
-    def __init__(self, C: RelationSet, seed: Tableau, radius: int):
-        self.seed = seed
-        self.radius = int(radius)
-        self.checker = ShiftChecker(C, seed)
-        self.free = self.checker.free
-        self.coords = self.checker.points(-self.radius, self.radius, cap=MAX_WINDOW_MEMBERS)
-        self.coords.sort(key=self.checker.key)
-        self.at = dict(zip(self.coords, range(len(self.coords))))
-
     @property
     def members(self) -> list[TableauDelta]:
-        return list(map(self.checker.shift, self.coords))
+        return list(map(self.shift, self.coords))
 
     def member(self, pos: int) -> TableauDelta:
-        return self.checker.shift(self.coords[pos])
+        return self.shift(self.coords[pos])
 
     def _find(self, coords: tuple[int, ...]) -> int | None:
         """The position of the member with coordinates `coords`, or None."""
         return self.at.get(coords)
 
-    def _coords_of(self, d: TableauDelta) -> tuple[int, ...] | None:
-        """The coordinates of d, or None when d has support off the free triples."""
-        coords = self.checker.coords(d)
-        return coords if len(coords) - coords.count(0) == len(d.offsets) else None
-
     def position(self, d: TableauDelta) -> int:
-        coords = self._coords_of(d)
+        coords = self.coords_of(d)
         pos = None if coords is None else self._find(coords)
         if pos is None:
             raise ValueError(f"shift {d!r} is not a member of the window")
         return pos
 
     def __contains__(self, d: TableauDelta) -> bool:
-        return self._coords_of(d) in self.at
+        return self.coords_of(d) in self.at
 
     def step(self, pos: int, slot: int, step: int) -> int | None:
         """Where the ladder move of `step` (+1 or -1) on coordinate `slot`
@@ -249,7 +245,7 @@ class BasisWindow:
         coords = _bumped(self.coords[pos], slot, step)
         to = self._find(coords)
         if to is None and self.radius is not None and abs(coords[slot]) > self.radius:
-            return -1 if self.checker.satisfied(coords) else None
+            return -1 if self.satisfied(coords) else None
         return to
 
 
@@ -264,15 +260,14 @@ class FreeWindow(BasisWindow):
     """
 
     def __init__(self, C: RelationSet, seed: Tableau):
-        self.seed = seed
         self.radius = None
-        self.checker = ShiftChecker(C, seed)
+        self._build(C, seed)
         self.coords: list[tuple[int, ...]] = []
         self.at: dict[tuple[int, ...], int] = {}
 
     def _find(self, coords: tuple[int, ...]) -> int | None:
         pos = self.at.get(coords)
-        if pos is None and self.checker.satisfied(coords):
+        if pos is None and self.satisfied(coords):
             pos = self.at[coords] = len(self.coords)
             self.coords.append(coords)
         return pos
@@ -309,7 +304,7 @@ class ActionContext:
         self.pyramid = window.seed.pyramid
         self.n = self.pyramid.n
         values = [[(k, Fraction(assignment.value(cls, off))) for _, k, cls, off in row]
-                  for row in _row_layout(window)]
+                  for row in window.layout]
         self._scale = scale = lcm(*(v.denominator for row in values for _, v in row))
         # per row 0..n, in row order: each entry's (coordinate slot or None
         # on the top row, seed value times _scale)
@@ -378,7 +373,7 @@ class ActionContext:
             for q, v in enumerate(row):
                 if q != p:
                     if v == pv:
-                        d = self.window.checker.shift(coords)
+                        d = self.window.shift(coords)
                         raise CriticalityError(f"coincident entries in row {r} at shift {d!r}")
                     den *= v - pv
             out.append((pv, num, den))
@@ -446,7 +441,7 @@ class ActionContext:
         for slot, coeff in self.ladder_terms(fam, row, sup, coords):
             to = self.window.step(pos, slot, step)
             if to == -1 and policy == STRICT:
-                target = self.window.checker.shift(_bumped(coords, slot, step))
+                target = self.window.shift(_bumped(coords, slot, step))
                 raise WindowOverflowError(
                     f"target {target!r} satisfies the relations but leaves the window"
                 )
@@ -741,11 +736,11 @@ def verify_defining_relations(
     # criticality scan: equal same-row entries anywhere in the window
     walls = _WallSets(window)
     for pos, coords in enumerate(window.coords):
-        for i, row in enumerate(_member_entries(walls.layout, coords)):
+        for i, row in enumerate(_member_entries(window.layout, coords)):
             if len(set(row)) == len(row):
                 continue
             x, y = next(
-                (walls.layout[i][x][0], walls.layout[i][y][0])
+                (window.layout[i][x][0], window.layout[i][y][0])
                 for x in range(len(row)) for y in range(x + 1, len(row))
                 if row[x] == row[y]
             )
@@ -753,7 +748,7 @@ def verify_defining_relations(
                 {
                     "family": "critical",
                     "indices": {},
-                    "shift": window.checker.key(coords),
+                    "shift": window.key(coords),
                     "detail": f"equal entries at {tuple(x)}, {tuple(y)}",
                 }
             )
@@ -802,9 +797,9 @@ def verify_defining_relations(
             {
                 "family": fam,
                 "indices": dict(idx),
-                "shift": window.checker.key(window.coords[pos]),
+                "shift": window.key(window.coords[pos]),
                 "detail": sorted(
-                    (window.checker.key(window.coords[p]), str(c)) for p, c in acc.items()
+                    (window.key(window.coords[p]), str(c)) for p, c in acc.items()
                 ),
             }
         )
@@ -849,7 +844,7 @@ def cyclicity_probe(window: BasisWindow, start: TableauDelta, budget: int) -> se
     from each member in breadth-first order, so the first member with a
     critical row raises, naming the least such row.
     """
-    layout = _row_layout(window)
+    layout = window.layout
     ladder_rows = range(1, window.seed.pyramid.n) if budget >= 1 else ()
     frontier = [window.position(start)]
     reached = set(frontier)

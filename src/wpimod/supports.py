@@ -11,24 +11,12 @@ from __future__ import annotations
 from math import inf
 from typing import TYPE_CHECKING
 
-from .tableau import row_indices
-
 if TYPE_CHECKING:
     from .gt_module import BasisWindow
 
 
-def _row_layout(window: BasisWindow) -> list:
-    """Per row 0..n of the window's pyramid, each triple's (triple,
-    coordinate slot or None on the frozen top row, class, seed offset)."""
-    pyramid, seed, slot = window.seed.pyramid, window.seed, window.checker.slot
-    return [
-        [(t, slot.get(t), *seed.entry(t)) for t in row_indices(pyramid, r)]
-        for r in range(pyramid.n + 1)
-    ]
-
-
 def _row_entries(row: list, coords: tuple) -> list:
-    """The entries (class, seed offset + coordinate) of one `_row_layout` row
+    """The entries (class, seed offset + coordinate) of one `BasisWindow.layout` row
     at the shift with coordinates `coords`."""
     return [(cls, off if k is None else off + coords[k]) for _, k, cls, off in row]
 
@@ -64,10 +52,7 @@ def _row_support(row: list, adjacent: list) -> list[int]:
 def _row_peaks(window: BasisWindow) -> list[tuple[int, ...]]:
     """Per member, in position order, the largest absolute coordinate on each
     row 1..n-1, read off the coordinates."""
-    free = window.free
-    rows = [
-        [k for k, t in enumerate(free) if t.i == i] for i in range(1, window.seed.pyramid.n)
-    ]
+    rows = [[k for _, k, _, _ in row] for row in window.layout[1:-1]]
     return [tuple([max([abs(c[k]) for k in row]) for row in rows]) for c in window.coords]
 
 
@@ -106,8 +91,6 @@ class _WallSets:
 
     def __init__(self, window: BasisWindow):
         self.window = window
-        self.at = window.at
-        self.layout = _row_layout(window)
         # (coords, letter) -> ((z - h, target coords, target is a member), ...)
         self._moves: dict = {}
         self._walks: dict = {}  # (support word, coords, left) -> least sum
@@ -117,12 +100,13 @@ class _WallSets:
         if got is None:
             fam, r = letter
             step = 1 if fam == "e" else -1
-            row = _row_entries(self.layout[r], coords)
-            held = _row_support(row, _row_entries(self.layout[r + step], coords))
+            layout, at = self.window.layout, self.window.at
+            row = _row_entries(layout[r], coords)
+            held = _row_support(row, _row_entries(layout[r + step], coords))
             moves = []
-            for j, (_, k, _, _) in enumerate(self.layout[r]):
+            for j, (_, k, _, _) in enumerate(layout[r]):
                 to = _bumped(coords, k, step)
-                moves.append(((j not in held) - (row.count(row[j]) - 1), to, to in self.at))
+                moves.append(((j not in held) - (row.count(row[j]) - 1), to, to in at))
             got = self._moves[coords, letter] = tuple(moves)
         return got
 
@@ -131,7 +115,7 @@ class _WallSets:
         end on a member and have left the members (`left` says whether the
         walk so far has): inf when there is none."""
         if not word:
-            return 0 if left and coords in self.at else inf
+            return 0 if left and coords in self.window.at else inf
         if not left and len(word) == 1:
             return inf
         key = (word, coords, left)

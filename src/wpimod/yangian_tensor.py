@@ -145,7 +145,7 @@ class IntervalSet:
         self.bounded = tuple(bounded)
         self.rays = tuple(rays)
 
-    def contains(self, x) -> bool:
+    def __contains__(self, x) -> bool:
         x = as_scalar(x)
         for lo, hi, excluded in self.bounded:
             if lo <= x <= hi and (x - lo).denominator == 1 and x not in excluded:
@@ -155,9 +155,6 @@ class IntervalSet:
             if gap.denominator == 1 and gap >= 0 and x not in excluded:
                 return True
         return False
-
-    def __contains__(self, x) -> bool:
-        return self.contains(x)
 
 
 def _integer_chains(values, indices):
@@ -279,7 +276,8 @@ class EvaluationFactor:
     grew (see `_factor_core`).
     Of its own a factor has only `weight`, `n` and `point`; its `seed`,
     `relations`, `window`, `ctx` and column store are the core's.
-    `depth` has no effect; it stays because callers pass it positionally.
+    `depth` has no effect.  Outside the tests, the benchmark's jobs
+    (`perfbench/jobs.py`) are the last caller that passes it.
     """
 
     def __init__(self, weight: GlWeight, point=0, depth: int = 3):
@@ -304,7 +302,7 @@ class EvaluationFactor:
     def gl_weight(self, d: TableauDelta) -> tuple[Fraction, ...]:
         """Eigenvalues of the diagonal E_kk on the shifted basis vector: the
         u^-1 coefficients of d_k(u), sum(row k) - sum(row k - 1) + k - 1."""
-        coords = self.window.checker.coords(d)
+        coords = self.window.coords_of(d)
         return tuple(self.ctx._diag_coeff("d", k, 1, coords) for k in range(1, self.n + 1))
 
     def deltas(self, depth: int) -> list[TableauDelta]:
@@ -314,7 +312,7 @@ class EvaluationFactor:
         shifts, as a basis window does.
         """
         depth = _depth(depth)
-        out = self.window.checker.solutions(-depth, 0, depth=depth, cap=MAX_WINDOW_MEMBERS)
+        out = self.window.solutions(-depth, 0, depth=depth, cap=MAX_WINDOW_MEMBERS)
         out.sort(key=lambda d: (self.depth_of(d), d.key()))
         return out
 

@@ -274,7 +274,7 @@ def reference_walk_order(window, word, pos: int) -> int:
     Members are the coordinates in `window.at`, so a walk must stay in the
     window's box: only positions at least len(word) inside it compare.
     """
-    pyramid, seed, slot = window.seed.pyramid, window.seed, window.checker.slot
+    pyramid, seed, slot = window.seed.pyramid, window.seed, window.slot
     rows = [row_indices(pyramid, r) for r in range(pyramid.n + 1)]
 
     def entries(coords, r):

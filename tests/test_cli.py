@@ -14,7 +14,7 @@ import wpimod
 
 from wpimod import Pyramid, RelationSet, standard_set, tableau_to_json, yangian_tensor
 from wpimod.cli import MAX_BUDGET, MAX_EXPONENT, MAX_INSTANTIATIONS, run
-from wpimod.gt_module import MAX_WINDOW_MEMBERS, ShiftChecker, enumerate_basis
+from wpimod.gt_module import MAX_WINDOW_MEMBERS, BasisWindow, enumerate_basis
 from wpimod.tableau import TableauDelta
 
 from helpers import (
@@ -144,8 +144,8 @@ def test_enumerate_basis_prints_keys_from_coordinates(tmp_path, capsys, monkeypa
     # every key is read off the coordinates, no shift is built, and the
     # bytes are the ones recorded when each member was a shift
     built = []
-    shift, normal = ShiftChecker.shift, TableauDelta._normal
-    monkeypatch.setattr(ShiftChecker, "shift", lambda self, c: built.append(c) or shift(self, c))
+    shift, normal = BasisWindow.shift, TableauDelta._normal
+    monkeypatch.setattr(BasisWindow, "shift", lambda self, c: built.append(c) or shift(self, c))
     monkeypatch.setattr(
         TableauDelta, "_normal", classmethod(lambda cls, o: built.append(o) or normal(o))
     )
@@ -264,6 +264,32 @@ def test_tensor_check(tmp_path, capsys):
     assert code == 3
     assert report["conditions"]["integral"] is False
     assert report["singular_dimensions"]["1"] >= 1
+
+
+def test_tensor_check_integral_condition_reads_the_points(tmp_path, capsys):
+    # gl_2 dominant pairs in [-1, 2]^2, the second weight at point b in
+    # [-3, 3], in both factor orders, at full depth: a factor of weight w at
+    # point a is the factor of weight w - a at 0 up to a scalar series, so
+    # an integral condition that holds is a product with only the top line
+    weights = [w for w in itertools.product(range(-1, 3), repeat=2) if w[0] >= w[1]]
+    claims = 0
+    for lam, mu, b in itertools.product(weights, weights, range(-3, 4)):
+        depth = lam[0] - lam[1] + mu[0] - mu[1]
+        for factors, points in (((lam, mu), (0, b)), ((mu, lam), (b, 0))):
+            path = tmp_path / "w.json"
+            path.write_text(json.dumps({
+                "v": 1, "weights": [[str(x) for x in w] for w in factors],
+                "points": [str(p) for p in points],
+            }))
+            code, report = invoke(capsys, ["tensor-check", "--weights", str(path),
+                                           "--depth", str(depth), "--mode", "integral"])
+            assert code == (0 if report["only_top_line"] else 3)
+            if report["conditions"]["integral"]:
+                claims += 1
+                assert report["only_top_line"], (factors, points)
+    # 1,216 of the 1,400 products; read with no point, the condition claims
+    # 1,260, and 68 of them are reducible
+    assert claims == 1216
 
 
 def test_tensor_check_five_generic_gl2_factors_is_clean(tmp_path, capsys):

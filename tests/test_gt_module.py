@@ -180,7 +180,7 @@ def _quotient_terms(ctx, fam, r, sup, d):
 def _row_values(ctx, r, d):
     """Row r at shift d as (triple, value) pairs, exact values read off the
     context's integer entries over `_scale`."""
-    seed = ctx._row_ints(r, (0,) * len(ctx.window.checker.free))
+    seed = ctx._row_ints(r, (0,) * len(ctx.window.free))
     return [
         (t, Fraction(v, ctx._scale) + d.get(t))
         for t, v in zip(row_indices(ctx.pyramid, r), seed)
@@ -190,7 +190,7 @@ def _row_values(ctx, r, d):
 def _int_ratios(ctx, r, other_row, d):
     """Each pivot's ratio of row r against `other_row`, in row order, from
     the integers of `ActionContext._ratios`."""
-    power, parts = ctx._ratios(r, other_row, ctx.window.checker.coords(d))
+    power, parts = ctx._ratios(r, other_row, ctx.window.coords_of(d))
     return [ctx._finish(num, den, power) for _, num, den in parts]
 
 
@@ -216,7 +216,7 @@ def test_closed_form_ladder_terms_match_quotient(rows):
                 for fam in ("e", "f"):
                     for sup in range(lo[fam], lo[fam] + 4):
                         for d in window.members:
-                            coords, step = window.checker.coords(d), 1 if fam == "e" else -1
+                            coords, step = window.coords_of(d), 1 if fam == "e" else -1
                             got = _outcome(lambda: [
                                 (d + unit(window.free[k], step), c)
                                 for k, c in ctx.ladder_terms(fam, r, sup, coords)
@@ -394,7 +394,7 @@ def test_dprime_convolution_is_delta():
     l = gl2_tableau(2, -1, 1)
     w = enumerate_basis(S, l, 1)
     ctx = ActionContext(w, generic_instantiate(l.classes(), 5))
-    d0 = w.checker.coords(TableauDelta())
+    d0 = w.coords_of(TableauDelta())
     for total in range(1, 5):
         acc = Fraction(0)
         for s in range(total + 1):
@@ -815,8 +815,8 @@ def test_an_oracle_over_nothing_is_value_error(instantiations, budget):
         verify_defining_relations(C, seed, 2, budget, instantiations=instantiations)
 
 
-def _box_scan(checker, free, ranges, depth=None):
-    """Every box point the checker accepts: the enumeration `solutions` replaced.
+def _box_scan(window, free, ranges, depth=None):
+    """Every box point the window accepts: the enumeration `solutions` replaced.
 
     The reference form of `BasisWindow` (ranges all [-r, r]) and of
     `EvaluationFactor.deltas` (ranges all [-depth, 0], plus -sum <= depth).
@@ -825,7 +825,7 @@ def _box_scan(checker, free, ranges, depth=None):
     for combo in itertools.product(*ranges):
         if depth is not None and -sum(combo) > depth:
             continue
-        if checker.satisfied(combo):
+        if window.satisfied(combo):
             out.append(TableauDelta(dict(zip(free, combo))))
     return out
 
@@ -880,15 +880,15 @@ def _window_corpus():
 
 
 def test_coordinate_satisfaction_equals_the_tableau_rule():
-    """`ShiftChecker.satisfied` on a box point's coordinates is
+    """`BasisWindow.satisfied` on a box point's coordinates is
     `relations.satisfies` on the seed shifted by it, at every box point of
     every corpus window."""
     points = kept = 0
     for C, seed, radius in _window_corpus():
-        checker = enumerate_basis(C, seed, radius).checker
-        for combo in itertools.product(range(-radius, radius + 1), repeat=len(checker.free)):
-            want = satisfies(C, shift(seed, checker.shift(combo)))
-            assert checker.satisfied(combo) == want, (C, seed, combo)
+        window = enumerate_basis(C, seed, radius)
+        for combo in itertools.product(range(-radius, radius + 1), repeat=len(window.free)):
+            want = satisfies(C, shift(seed, window.shift(combo)))
+            assert window.satisfied(combo) == want, (C, seed, combo)
             points += 1
             kept += want
     assert 0 < kept < points
@@ -899,10 +899,10 @@ def test_window_members_match_box_scan():
     for C, seed, radius in _window_corpus():
         window = enumerate_basis(C, seed, radius)
         box = [range(-radius, radius + 1)] * len(window.free)
-        want = sorted(_box_scan(window.checker, window.free, box), key=lambda d: d.key())
+        want = sorted(_box_scan(window, window.free, box), key=lambda d: d.key())
         assert [d.key() for d in window.members] == [d.key() for d in want], (C, seed, radius)
         cases += 1
-        tight += 0 in window.checker.floors.values() or 0 in window.checker.ceilings.values()
+        tight += 0 in window.floors.values() or 0 in window.ceilings.values()
     # 210 cases; in 182 of them a top-row relation sits at its bound
     assert cases >= 200 and tight >= 100
 
@@ -912,9 +912,9 @@ def test_coordinate_eligibility_equals_the_shift_rule(monkeypatch):
     # members whose every offset on row i is within radius - margin(i); no
     # shift is built for a window or for its eligibility scan
     built = []
-    to_shift = gt_module.ShiftChecker.shift
+    to_shift = gt_module.BasisWindow.shift
     monkeypatch.setattr(
-        gt_module.ShiftChecker, "shift", lambda self, c: built.append(c) or to_shift(self, c)
+        gt_module.BasisWindow, "shift", lambda self, c: built.append(c) or to_shift(self, c)
     )
     cases = kept = 0
     for C, seed, radius in _window_corpus():
@@ -945,13 +945,13 @@ def test_window_step_matches_gating_box_and_index():
                 for amount in (1, -1):
                     move = unit(t, amount)
                     tgt = d + move
-                    if not window.checker.satisfied(window.checker.coords(tgt)):
+                    if not window.satisfied(window.coords_of(tgt)):
                         want = None
                     elif max(map(abs, tgt.offsets.values()), default=0) > radius:
                         want = -1
                     else:
                         want = window.position(tgt)
-                    got = window.step(pos, window.checker.slot[t], amount)
+                    got = window.step(pos, window.slot[t], amount)
                     assert got == want, (C, seed, radius, d, move)
                     overflows += want == -1
         cases += 1
@@ -959,14 +959,14 @@ def test_window_step_matches_gating_box_and_index():
 
 
 def test_step_checks_only_targets_that_are_not_members(monkeypatch):
-    satisfied = gt_module.ShiftChecker.satisfied
+    satisfied = gt_module.BasisWindow.satisfied
     calls = []
 
-    def counting(checker, d):
+    def counting(window, d):
         calls.append(d)
-        return satisfied(checker, d)
+        return satisfied(window, d)
 
-    monkeypatch.setattr(gt_module.ShiftChecker, "satisfied", counting)
+    monkeypatch.setattr(gt_module.BasisWindow, "satisfied", counting)
     l = gl2_tableau(3, -1, 1)  # l_21 >= l_11 > l_22 holds for l_11 in 0..3
     w = enumerate_basis(standard_gl2(), l, 1)
     up, down = unit((1, 1, 1), 1), unit((1, 1, 1), -1)
@@ -975,7 +975,7 @@ def test_step_checks_only_targets_that_are_not_members(monkeypatch):
     assert up in w and w.step(w.position(TableauDelta()), 0, 1) == w.position(up)
     assert calls == []
     # the raise from +1 keeps the relations but leaves the box: -1
-    assert w.step(w.position(up), 0, 1) == -1 and calls == [w.checker.coords(up + up)]
+    assert w.step(w.position(up), 0, 1) == -1 and calls == [w.coords_of(up + up)]
     # the lowering from -1 breaks l_11 > l_22: gated
     assert w.step(w.position(down), 0, -1) is None
     # a free window appends each new target that keeps the relations
@@ -1014,8 +1014,7 @@ def test_coordinate_step_equals_the_shift_reference():
     seen = set()
     for C, seed, radius in _step_windows():
         window = enumerate_basis(C, seed, radius)
-        checker = window.checker
-        assert [checker.shift(c) for c in window.coords] == window.members
+        assert [window.shift(c) for c in window.coords] == window.members
         for pos, d in enumerate(window.members):
             for t in window.free:
                 for amount in (1, -1):
@@ -1023,8 +1022,8 @@ def test_coordinate_step_equals_the_shift_reference():
                     tgt = d + move
                     want = window.position(tgt) if tgt in window else None
                     if want is None:
-                        want = -1 if checker.satisfied(checker.coords(tgt)) else None
-                    got = window.step(pos, checker.slot[t], amount)
+                        want = -1 if window.satisfied(window.coords_of(tgt)) else None
+                    got = window.step(pos, window.slot[t], amount)
                     assert got == want, (C, seed, radius, d, move)
                     seen.add(want if want in (-1, None) else "member")
     assert seen == {-1, None, "member"}
@@ -1101,7 +1100,7 @@ def test_integer_rows_give_the_fraction_ratios_and_diagonals():
                         outcomes.add(type(got))
                     for fam in ("d", "dprime"):
                         for sup in (1, 2, 5):
-                            got = ctx._diag_coeff(fam, r, sup, window.checker.coords(d))
+                            got = ctx._diag_coeff(fam, r, sup, window.coords_of(d))
                             assert got == _fraction_diag(ctx, fam, r, sup, d), (C, d, fam, r, sup)
                             assert isinstance(got, Fraction)
     assert outcomes == {list, tuple}  # both ratios and coincident entries
@@ -1113,16 +1112,16 @@ def test_free_window_keeps_members_index_and_coordinates_aligned():
     assert w.position(TableauDelta()) == 0
     rng = random.Random(5)
     for _ in range(300):  # growth through step
-        w.step(rng.randrange(len(w.members)), rng.randrange(len(w.checker.free)), rng.choice((1, -1)))
+        w.step(rng.randrange(len(w.members)), rng.randrange(len(w.free)), rng.choice((1, -1)))
     grown = len(w.members)
-    for d in w.checker.solutions(-3, 3):  # growth through position
+    for d in w.solutions(-3, 3):  # growth through position
         w.position(d)
     assert 1 < grown < len(w.members)
     assert [w.member(p) for p in range(len(w.coords))] == w.members
     assert len(w.members) == len(w.coords) == len(w.at)
     for p, (d, c) in enumerate(zip(w.members, w.coords)):
         assert w.position(d) == w.at[c] == p
-        assert w.checker.coords(d) == c and w.checker.shift(c) == d
+        assert w.coords_of(d) == c and w.shift(c) == d
 
 
 @pytest.mark.parametrize("weight", [
@@ -1132,8 +1131,8 @@ def test_free_window_keeps_members_index_and_coordinates_aligned():
 def test_depth_bounded_deltas_match_box_scan(weight):
     f = EvaluationFactor(GlWeight(weight), depth=2)
     for k in range(5):
-        free = f.window.checker.free
-        want = _box_scan(f.window.checker, free, [range(-k, 1)] * len(free), depth=k)
+        free = f.window.free
+        want = _box_scan(f.window, free, [range(-k, 1)] * len(free), depth=k)
         want.sort(key=lambda d: (f.depth_of(d), d.key()))
         assert f.deltas(k) == want, (weight, k)
 

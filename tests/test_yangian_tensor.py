@@ -739,20 +739,20 @@ def test_a_shift_that_breaks_the_relations_is_not_a_factor_member():
 
 def test_free_window_checks_each_new_member_once(monkeypatch):
     f = EvaluationFactor(GlWeight((3, Fraction(1, 2), 0)), Fraction(1, 3), depth=2)
-    checker = f.window.checker
-    satisfied = checker.satisfied
+    window = f.window
+    satisfied = window.satisfied
     checked = []
 
     def counting(coords):
         checked.append(coords)
         return satisfied(coords)
 
-    monkeypatch.setattr(checker, "satisfied", counting)
+    monkeypatch.setattr(window, "satisfied", counting)
     for d in f.deltas(2):
         for a in range(1, 4):
             for b in range(1, 4):
                 f.E(a, b, {d: Fraction(1)})
-    members = [checker.coords(d) for d in f.window.members]
+    members = [window.coords_of(d) for d in f.window.members]
     assert len(members) > len(f.deltas(2))
     assert all(checked.count(d) == 1 for d in members)
     assert all(satisfied(d) for d in members)
