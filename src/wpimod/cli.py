@@ -3,7 +3,9 @@
 Exit codes: 0 success / property true, 3 property false, 4 input or usage error,
 5 window overflow.  Every report is a UTF-8, newline-terminated JSON document
 with a schema version field "v": 1; key order is sorted, so identical inputs
-(including seeds) give byte-identical output.
+(including seeds) give byte-identical output.  `run` is the one place input
+errors are reported: an `InputError` raised here and every `ValueError` a
+library call raises end in exit 4 with the message as the report's "error".
 
 Only the layers the parser and the shared loaders need are imported here
 (`relations`, `tableau`, `pyramid`, `exact_arith`).  Each command imports its
@@ -78,28 +80,23 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-def _check_version(obj: dict, path: str):
+def _read(path: str, parse):
+    """`parse` of the version-1 JSON object in the file; its errors name the file."""
+    obj = _load_json(path)
     if type(obj.get("v")) is not int or obj["v"] != 1:
         raise InputError(f"{path}: expected schema version field \"v\": 1")
+    try:
+        return parse(obj)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"{path}: {exc}")
 
 
 def _load_relations(path: str) -> RelationSet:
-    obj = _load_json(path)
-    _check_version(obj, path)
-    try:
-        pi = Pyramid.from_json(obj["pyramid"])
-        return RelationSet.from_json(pi, obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: {exc}")
+    return _read(path, lambda obj: RelationSet.from_json(Pyramid.from_json(obj["pyramid"]), obj))
 
 
 def _load_tableau(path: str, pi: Pyramid):
-    obj = _load_json(path)
-    _check_version(obj, path)
-    try:
-        tab = tableau_from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: {exc}")
+    tab = _read(path, tableau_from_json)
     if tab.pyramid != pi:
         raise InputError(f"{path}: tableau is on {tab.pyramid}, the relations on {pi}")
     return tab
@@ -109,10 +106,7 @@ def _load_seed(tableau_path: str | None, C: RelationSet):
     """The --tableau seed, or the noncritical satisfying tableau of C without one."""
     if tableau_path is not None:
         return _load_tableau(tableau_path, C.pyramid)
-    try:
-        return noncritical_satisfying_tableau(C)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    return noncritical_satisfying_tableau(C)
 
 
 def _rational(x) -> Fraction:
@@ -127,9 +121,7 @@ def _rational(x) -> Fraction:
 def _load_weights(path: str):
     from .yangian_tensor import GlWeight
 
-    obj = _load_json(path)
-    _check_version(obj, path)
-    try:
+    def parse(obj):
         raw_weights = obj["weights"]
         if not isinstance(raw_weights, list) or not all(isinstance(w, list) for w in raw_weights):
             raise ValueError("weights must be a JSON array of arrays")
@@ -137,9 +129,9 @@ def _load_weights(path: str):
         if not isinstance(raw_points, list):
             raise ValueError("points must be a JSON array")
         weights = [GlWeight([_rational(x) for x in w]) for w in raw_weights]
-        points = [_rational(x) for x in raw_points]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"{path}: {exc}")
+        return weights, [_rational(x) for x in raw_points]
+
+    weights, points = _read(path, parse)
     if len(points) != len(weights):
         raise InputError(f"{path}: need one evaluation point per weight")
     return weights, points
@@ -209,11 +201,7 @@ def check_admissible_cmd(relations_path):
 
 def reduce_cmd(relations_path):
     """Print the unique reduced representative of a noncritical relation set."""
-    C = _load_relations(relations_path)
-    try:
-        R = reduce_set(C)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    R = reduce_set(_load_relations(relations_path))
     _emit(
         {
             "command": "reduce",
@@ -231,10 +219,7 @@ def rr_remove_cmd(relations_path, triple_str):
         k, i, j = (int(x) for x in triple_str.split(","))
     except ValueError:
         raise InputError(f"bad triple {triple_str!r}; expected k,i,j")
-    try:
-        R = rr_remove(C, TriIndex(k, i, j))
-    except ValueError as exc:
-        raise InputError(str(exc))
+    R = rr_remove(C, TriIndex(k, i, j))
     _emit(
         {
             "command": "rr-remove",
@@ -252,10 +237,7 @@ def enumerate_basis_cmd(relations_path, tableau_path, radius):
 
     C = _load_relations(relations_path)
     seed = _load_seed(tableau_path, C)
-    try:
-        window = BasisWindow(C, seed, radius)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    window = BasisWindow(C, seed, radius)
     # The members are rendered from the coordinates in `TriIndex` order, with
     # no key or shift built: the bytes json.dumps writes in `_emit` for the
     # report whose "members" are the keys, (triple, offset) pairs.
@@ -280,8 +262,6 @@ def verify_relations_cmd(relations_path, tableau_path, radius, budget, instantia
     except WindowOverflowError as exc:
         _emit({"command": "verify-relations", "overflow": str(exc)})
         return EXIT_OVERFLOW
-    except ValueError as exc:
-        raise InputError(str(exc))
     passes = report_passes(report)
     _emit(
         {
@@ -305,10 +285,7 @@ def irreducible_cmd(relations_path, tableau_path):
 
     C = _load_relations(relations_path)
     tab = _load_tableau(tableau_path, C.pyramid)
-    try:
-        verdict = is_irreducible(C, tab)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    verdict = is_irreducible(C, tab)
     _emit({"command": "irreducible", "irreducible": verdict})
     return EXIT_OK if verdict else EXIT_FALSE
 
@@ -327,10 +304,7 @@ def tensor_check_cmd(weights_path, depth, mode):
     )
 
     weights, points = _load_weights(weights_path)
-    try:  # before any factor is built or any pair of weights compared
-        require_factor_count(len(weights))
-    except ValueError as exc:
-        raise InputError(str(exc))
+    require_factor_count(len(weights))  # before any factor is built or pair compared
     # The conditions are stated at point 0.  A factor of weight w at point a is
     # the factor of weight w - a at 0 times the scalar series u/(u - a), which
     # moves no submodule, so each condition reads w - a.
@@ -339,16 +313,9 @@ def tensor_check_cmd(weights_path, depth, mode):
     if mode == "integral":
         if len(weights) != 2:
             raise InputError("integral mode needs exactly two weights")
-        try:
-            conditions["integral"] = integral_condition(*shifted)
-        except ValueError as exc:
-            raise InputError(str(exc))
-    try:
-        factors = [EvaluationFactor(w, p) for w, p in zip(weights, points)]
-        M = TensorModule(factors, depth)
-        dims = singular_dimensions(M, depth)
-    except ValueError as exc:
-        raise InputError(str(exc))
+        conditions["integral"] = integral_condition(*shifted)
+    factors = [EvaluationFactor(w, p) for w, p in zip(weights, points)]
+    dims = singular_dimensions(TensorModule(factors, depth), depth)
     only_top = only_top_line(dims)
     _emit(
         {
@@ -441,7 +408,7 @@ def run(argv=None) -> int:
         return args.pop("func")(**args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
         _emit({"error": str(exc)})
         return EXIT_INPUT
 

@@ -11,6 +11,7 @@ maximal set of relations held by a tableau.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from functools import lru_cache
 from typing import NamedTuple
@@ -524,6 +525,13 @@ def _literal_admissible(C: RelationSet, closures=None):
     return True, {"reason": "admissible", "witnesses": witnesses}
 
 
+# Most images `_row_images` lists for one row: m!/(m - k)! for a row of m
+# triples, k of them in the support, so m! when all are (720 on a gl_6 top
+# row).  9! keeps every row of gl_9 and under; a row past it is refused
+# before any row is listed.
+MAX_ROW_IMAGES = 362_880
+
+
 def _row_images(pi: Pyramid, support=None):
     """Each row's sorted (layer, position) pairs and their images, sorted.
 
@@ -533,14 +541,24 @@ def _row_images(pi: Pyramid, support=None):
     supported pairs of the row, the other pairs taking the leftover targets in
     increasing order: that completion is the least of all images agreeing on
     the support, so the list is the unrestricted one with every image dropped
-    that moves the support like an earlier one.
+    that moves the support like an earlier one.  Raises ValueError, before
+    any row is listed, when a row has more than MAX_ROW_IMAGES images.
     """
-    out = []
+    rows = []
     for i in range(1, pi.n + 1):
         pairs = sorted((t.k, t.j) for t in row_indices(pi, i))
         moved = pairs if support is None else [
             p for p in pairs if TriIndex(p[0], i, p[1]) in support
         ]
+        count = math.perm(len(pairs), len(moved))
+        if count > MAX_ROW_IMAGES:
+            raise ValueError(
+                f"row {i} has {count} relabelings of its related triples,"
+                f" more than {MAX_ROW_IMAGES}"
+            )
+        rows.append((pairs, moved))
+    out = []
+    for pairs, moved in rows:
         images = []
         for perm in itertools.permutations(pairs, len(moved)):
             head = dict(zip(moved, perm))
@@ -675,7 +693,8 @@ def is_admissible(C: RelationSet):
 
     Returns (verdict, certificate); a passing certificate carries that least
     relabeling, when it is not the identity; a failing one names the
-    identity-labeling obstruction.
+    identity-labeling obstruction.  Raises ValueError when the search would
+    list more than MAX_ROW_IMAGES images of one row (`_row_images`).
     """
     closures = _closures(C)
     if any(order.gt(v, v) for comp, order in closures for v in vertices(comp)):

@@ -652,6 +652,27 @@ def test_usage_errors_are_input_errors(tmp_path, capsys, argv, named):
     assert named in report["error"]
 
 
+@pytest.mark.parametrize("module, name, argv", [
+    ("wpimod.cli", "is_admissible", ["check-admissible", "--relations", "{relations}"]),
+    ("wpimod.cli", "reduce_set", ["reduce", "--relations", "{relations}"]),
+    ("wpimod.cli", "rr_remove", ["rr-remove", "--relations", "{relations}", "--triple", "1,2,2"]),
+    ("wpimod.gt_module", "BasisWindow", ["enumerate-basis", "--relations", "{relations}"]),
+    ("wpimod.gt_module", "verify_defining_relations",
+     ["verify-relations", "--relations", "{relations}"]),
+    ("wpimod.gt_module", "is_irreducible",
+     ["irreducible", "--relations", "{relations}", "--tableau", "{tableau}"]),
+    ("wpimod.yangian_tensor", "is_generic", ["tensor-check", "--weights", "{weights}"]),
+], ids=lambda x: x[0] if isinstance(x, list) else None)
+def test_a_library_value_error_is_an_input_error(tmp_path, capsys, monkeypatch,
+                                                 module, name, argv):
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(f"{module}.{name}", boom)
+    assert run(_inputs(tmp_path, argv)) == 4
+    assert capsys.readouterr().out == '{"error":"boom","v":1}\n'
+
+
 def test_a_repeated_option_keeps_its_last_value(tmp_path, capsys):
     argv = _inputs(tmp_path, ["enumerate-basis", "--relations", "{relations}",
                               "--tableau", "{tableau}", "--radius", "5", "--radius", "2"])

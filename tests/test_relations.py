@@ -687,6 +687,27 @@ def test_is_admissible_builds_one_closure_per_component(monkeypatch):
     assert len(built) == components
 
 
+def _reversed_interlacing(n):
+    """(1,n,j+1) >= (1,n-1,j) > (1,n,j) on the one-column gl_n pyramid: every
+    triple of the top two rows is related, so the top row has n! images."""
+    return RelationSet(Pyramid((1,) * n), [
+        r for j in range(1, n)
+        for r in (rel((1, n, j + 1), (1, n - 1, j), False), rel((1, n - 1, j), (1, n, j), True))
+    ])
+
+
+def test_row_images_past_the_bound_are_refused(monkeypatch):
+    # gl_8's top row has 8! = 40320 images, under the bound: they are listed
+    # and searched, and none passes
+    ok, cert = is_admissible(_reversed_interlacing(8))
+    assert not ok and cert["reason"] == "order"
+    # on gl_6, row 5 has 5! = 120 images and row 6 has 720
+    monkeypatch.setattr(relations, "MAX_ROW_IMAGES", 100)
+    with pytest.raises(ValueError, match="^row 5 has 120 relabelings of its related triples, "
+                                         "more than 100$"):
+        is_admissible(_reversed_interlacing(6))
+
+
 def test_maximal_set_checks_criticality_once(monkeypatch):
     l = spread_seed(standard_set(GL3))
     H = RelationSet(GL3, held_relations(l))
