@@ -11,7 +11,13 @@ the empty space at c - alpha_i when c_i = 0.  One fraction-free integer
 elimination takes each kernel exactly: the series are integers over one
 denominator, and the elimination scales rows by integers instead of dividing,
 so a `Fraction` is built only for the returned vectors.  Inside, tensor keys
-are tuples of positions in each factor's member list.
+are tuples of positions in each factor's member list: each factor lists its
+members of bounded depth once, with their key ranks and root offsets read
+off the coordinates, and the weight spaces are walked from those lists, so a
+shift is built only for a key that leaves the library.  A weight space's
+keys go through the coproduct together, once per raising row.  The diagonal
+E_aa and the raising E_ab that would leave the weights below the highest are
+read off a member's root offset, with no Gelfand-Tsetlin formula.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -274,8 +281,9 @@ class EvaluationFactor:
     FACTOR_MEMO_SIZE distinct weights and evicts the least recently used;
     the bound counts weights, and each core holds what its deepest product
     grew (see `_factor_core`).
-    Of its own a factor has only `weight`, `n` and `point`; its `seed`,
-    `relations`, `window`, `ctx` and column store are the core's.
+    Of its own a factor has only `weight`, `n`, `point` and the row of each
+    window coordinate; its `seed`, `relations`, `window`, `ctx` and column
+    store are the core's.
     `depth` has no effect.  Outside the tests, the benchmark's jobs
     (`perfbench/jobs.py`) are the last caller that passes it.
     """
@@ -285,6 +293,8 @@ class EvaluationFactor:
         self.point = as_scalar(point)
         self.n = weight.n
         self.seed, self.relations, self.window, self.ctx, self._columns = _factor_core(weight)
+        # per window coordinate in row i, the index of c_i in a root offset
+        self._rows = tuple(t.i - 1 for t in self.window.free)
 
     def highest(self) -> TableauDelta:
         return TableauDelta()
@@ -299,22 +309,50 @@ class EvaluationFactor:
             out[t.i - 1] -= v
         return tuple(out)
 
+    def _offset_at(self, coords: tuple[int, ...]) -> tuple[int, ...]:
+        """`root_offset` of the shift with the given window coordinates."""
+        out = [0] * (self.n - 1)
+        for i, v in zip(self._rows, coords):
+            out[i] -= v
+        return tuple(out)
+
+    def _weight_at(self, a: int, c: tuple[int, ...]) -> Fraction:
+        """Entry a of the gl_n weight lambda - sum c_i alpha_i at root offset
+        c: lambda_a - c_a + c_{a-1}, with c_0 = c_n = 0."""
+        return self.weight.values[a - 1] + ((c[a - 2] if a > 1 else 0)
+                                            - (c[a - 1] if a < self.n else 0))
+
     def gl_weight(self, d: TableauDelta) -> tuple[Fraction, ...]:
-        """Eigenvalues of the diagonal E_kk on the shifted basis vector: the
-        u^-1 coefficients of d_k(u), sum(row k) - sum(row k - 1) + k - 1."""
-        coords = self.window.coords_of(d)
-        return tuple(self.ctx._diag_coeff("d", k, 1, coords) for k in range(1, self.n + 1))
+        """Eigenvalues of the diagonal E_kk on the shifted basis vector, read off
+        its root offset (`_weight_at`).  They are the u^-1 coefficients of
+        d_k(u), sum(row k) - sum(row k - 1) + k - 1: lowering row k by one
+        lowers E_kk by one and raises E_k+1,k+1 by one."""
+        c = self.root_offset(d)
+        return tuple(self._weight_at(a, c) for a in range(1, self.n + 1))
+
+    def _members(self, depth: int) -> list[tuple[int, int, int, tuple[int, ...]]]:
+        """(depth, rank, position, root offset) of every member of depth at
+        most `depth`, in (depth, key) order, read off the coordinates: the
+        rank is the member's place among them in key order, so ranks compare
+        as the shifts' keys do.  Raises ValueError past MAX_WINDOW_MEMBERS
+        members, as a basis window does.
+        """
+        window = self.window
+        coords = window.points(-depth, 0, depth=depth, cap=MAX_WINDOW_MEMBERS)
+        coords.sort(key=window.key)
+        out = [(-sum(c), rank, window._find(c), self._offset_at(c))
+               for rank, c in enumerate(coords)]
+        out.sort()
+        return out
 
     def deltas(self, depth: int) -> list[TableauDelta]:
-        """All basis shifts of total depth at most `depth`.
+        """All basis shifts of total depth at most `depth`, in (depth, key) order.
 
         Raises ValueError on a negative depth, and past MAX_WINDOW_MEMBERS
         shifts, as a basis window does.
         """
-        depth = _depth(depth)
-        out = self.window.solutions(-depth, 0, depth=depth, cap=MAX_WINDOW_MEMBERS)
-        out.sort(key=lambda d: (self.depth_of(d), d.key()))
-        return out
+        member = self.window.member
+        return [member(pos) for _, _, pos, _ in self._members(_depth(depth))]
 
     def column(self, a: int, b: int, d: TableauDelta) -> tuple:
         """The image of the basis shift d under E_ab, as ((target, coefficient), ...).
@@ -328,11 +366,15 @@ class EvaluationFactor:
         """The image of member pos under E_ab, as ((target position, coefficient), ...).
 
         Built once per (a, b, pos) and weight, in the core's column store
-        that every factor of the weight shares: E_aa, E_a,a+1 and E_a+1,a are
-        the d_a^(1), e_a^(1) and f_a^(1) columns of the factor's exact action
-        context, which shares the window's positions, and an off-adjacent
-        column is the commutator [E_a,mid, E_mid,b] of cached columns, with
-        mid the index next to b on the side of a.
+        that every factor of the weight shares.  Two columns are read off the
+        member's root offset c alone: E_aa is entry a of its gl_n weight,
+        lambda_a - c_a + c_{a-1} (`_weight_at`), and a raising E_ab (a < b)
+        is empty when c_r = 0 for some a <= r < b, since its target would
+        lie above the highest weight.  Otherwise E_a,a+1 and E_a+1,a are the
+        e_a^(1) and f_a^(1) columns of the factor's exact action context,
+        which shares the window's positions, and an off-adjacent column is
+        the commutator [E_a,mid, E_mid,b] of cached columns, with mid the
+        index next to b on the side of a.
         """
         key = (a, b, pos)
         col = self._columns.get(key)
@@ -343,9 +385,17 @@ class EvaluationFactor:
         return col
 
     def _build_column(self, a: int, b: int, pos: int) -> tuple:
-        if abs(a - b) <= 1:
-            gen = ("d", a, 1) if a == b else ("e", a, 1) if b == a + 1 else ("f", b, 1)
-            return self.ctx._build_column(gen, pos, STRICT)
+        if a <= b:
+            c = self._offset_at(self.window.coords[pos])
+            if a == b:
+                w = self._weight_at(a, c)
+                return ((pos, w),) if w else ()
+            if 0 in c[a - 1:b - 1]:
+                # E_ab would raise the weight past c_r = 0 for some a <= r < b,
+                # above the highest weight, where no member lies
+                return ()
+        if abs(a - b) == 1:
+            return self.ctx._build_column(("e", a, 1) if b == a + 1 else ("f", b, 1), pos, STRICT)
         mid = b - 1 if a < b else b + 1
         return tuple(_combine(
             (sign * c1, self._column(*outer, p1))
@@ -376,8 +426,8 @@ class TensorModule:
             raise ValueError("all factors must share the same rank")
         self.n = self.factors[0].n
         self.depth = _depth(depth)
-        # `basis(self._grouped)` by root offset: every offset of height up to
-        # `_grouped` reads its keys here
+        # the keys of `_walk(self._grouped)` by root offset: every offset of
+        # height up to `_grouped` reads its keys here
         self._grouped = -1
         self._spaces: dict[tuple, list[tuple]] = {}
 
@@ -395,61 +445,88 @@ class TensorModule:
         return tuple(out)
 
     def basis(self, depth: int | None = None) -> list[tuple]:
-        """Keys of total depth at most `depth`, in (depth, keys) order.
+        """Keys of total depth at most `depth`, in (depth, keys) order: the
+        keys of `_walk`, as shifts.
 
-        Each factor's shifts are listed by depth, so the walk takes from each
-        factor only the shifts that fit in the depth left.  Raises ValueError
-        on a negative depth, and past MAX_WINDOW_MEMBERS keys, as a basis
-        window does.
+        Raises ValueError on a negative depth, and past MAX_WINDOW_MEMBERS
+        keys, as a basis window does.
         """
         depth = self.depth if depth is None else _depth(depth)
-        per = [[(f.depth_of(d), d) for d in f.deltas(depth)] for f in self.factors]
+        return self._shift_keys(key for key, _ in self._walk(depth))
+
+    def weight_space(self, offset) -> list[tuple]:
+        """Basis keys whose root-height offset equals the given tuple, in basis
+        order: `_space` as shifts."""
+        return self._shift_keys(self._space(tuple(int(c) for c in offset)))
+
+    def _space(self, offset: tuple) -> list[tuple]:
+        """The position keys of the weight space at `offset`, in basis order
+        (the module's own list).
+
+        Read from the deepest walk grouped so far (`_group`): a key's depth
+        is its offset's height, so `_walk(depth)` holds the whole weight
+        space of every offset of height up to depth, in the same order.  A
+        deeper offset first groups the walk of its own height.
+        """
+        if sum(offset) > self._grouped:
+            self._group(sum(offset))
+        return self._spaces.get(offset, [])
+
+    def _group(self, depth: int) -> None:
+        """Group `_walk(depth)` by root offset, in place of any shallower grouping."""
+        spaces: dict[tuple, list[tuple]] = {}
+        for key, offset in self._walk(depth):
+            spaces.setdefault(offset, []).append(key)
+        self._spaces, self._grouped = spaces, depth
+
+    def _walk(self, depth: int) -> list[tuple[tuple, tuple]]:
+        """(key, root offset) of every key of total depth at most `depth`, in
+        (depth, keys) order, each key a tuple of member positions.
+
+        Each factor lists its members by depth (`EvaluationFactor._members`),
+        so the walk takes from each factor only the members that fit in the
+        depth left, and sums their root offsets as it goes.  The keys are
+        sorted by depth and then by the factors' ranks, which compare as
+        their shifts' keys do.  Raises ValueError past MAX_WINDOW_MEMBERS
+        members of a factor or keys, as a basis window does.
+        """
+        per = [f._members(depth) for f in self.factors]
         out = []
 
-        def walk(slot: int, left: int, prefix: tuple) -> None:
+        def walk(slot: int, left: int, ranks: tuple, key: tuple, offset: tuple) -> None:
             if slot == len(per):
-                out.append(prefix)
+                out.append((depth - left, ranks, key, offset))
                 if len(out) > MAX_WINDOW_MEMBERS:
                     raise ValueError(
                         f"tensor basis has more than {MAX_WINDOW_MEMBERS} members"
                     )
                 return
-            for k, d in per[slot]:
+            for k, rank, pos, c in per[slot]:
                 if k > left:
                     break
-                walk(slot + 1, left - k, prefix + (d,))
+                walk(slot + 1, left - k, ranks + (rank,), key + (pos,),
+                     tuple(map(operator.add, offset, c)))
 
-        walk(0, depth, ())
-        out.sort(key=lambda k: (self.depth_of(k), tuple(d.key() for d in k)))
-        return out
+        walk(0, depth, (), (), (0,) * (self.n - 1))
+        out.sort()
+        return [(key, offset) for _, _, key, offset in out]
 
-    def weight_space(self, offset) -> list[tuple]:
-        """Basis keys whose root-height offset equals the given tuple, in basis order.
-
-        Read from the deepest basis grouped so far (`_group`): a key's depth
-        is its offset's height, so `basis(depth)` holds the whole weight
-        space of every offset of height up to depth, in the same order.  A
-        deeper offset first groups the basis of its own height.
-        """
-        offset = tuple(int(c) for c in offset)
-        if sum(offset) > self._grouped:
-            self._group(sum(offset))
-        return list(self._spaces.get(offset, ()))
-
-    def _group(self, depth: int) -> None:
-        """Group `basis(depth)` by root offset, in place of any shallower grouping."""
-        spaces: dict[tuple, list[tuple]] = {}
-        for k in self.basis(depth):
-            spaces.setdefault(self.root_offset(k), []).append(k)
-        self._spaces, self._grouped = spaces, depth
+    def _offset(self, positions: tuple[int, ...]) -> tuple[int, ...]:
+        """`root_offset` of the key at the given member positions."""
+        return tuple(map(sum, zip(*(f._offset_at(f.window.coords[p])
+                                    for f, p in zip(self.factors, positions)))))
 
     def _positions(self, key: tuple) -> tuple[int, ...]:
         """A key of shifts as the tuple of their member positions, one per factor."""
         return tuple(f.window.position(d) for f, d in zip(self.factors, key))
 
-    def _shifts(self, positions: tuple[int, ...]) -> tuple:
-        """The key of shifts at the given member positions."""
-        return tuple(f.window.member(p) for f, p in zip(self.factors, positions))
+    def _shift_keys(self, keys) -> list[tuple]:
+        """Keys of member positions as keys of shifts, each factor's shift at
+        a position built once."""
+        built: list[dict] = [{} for _ in self.factors]
+        return [tuple(memo[p] if p in memo else memo.setdefault(p, f.window.member(p))
+                      for f, memo, p in zip(self.factors, built, key))
+                for key in keys]
 
 
 def _add_scaled(out: dict, key, ser: list, cn: int = 1, cd: int = 1):
@@ -572,7 +649,8 @@ def t_coefficient(M: TensorModule, i: int, j: int, r: int, vec: dict) -> dict:
         return dict(vec) if i == j else {}
     vec = {M._positions(key): c for key, c in vec.items()}
     out_ser = _tensor_t(M, i, j, 0, _as_series_vec(vec, r), r, 0, len(M.factors))
-    return {M._shifts(key): Fraction(s[r + 1], s[0]) for key, s in out_ser.items() if s[r + 1]}
+    out = {key: Fraction(s[r + 1], s[0]) for key, s in out_ser.items() if s[r + 1]}
+    return dict(zip(M._shift_keys(out), out.values()))
 
 
 def _perm_sign(perm) -> int:
@@ -630,7 +708,7 @@ class OperatorSeries:
             for key, s in cur.items():
                 _add_scaled(out, key, s, sgn)
         out = {k: _fractions(s) for k, s in out.items() if any(s[1:])}
-        return {M._shifts(k): InvSeries(s[0], s[1:]) for k, s in out.items()}
+        return dict(zip(M._shift_keys(out), (InvSeries(s[0], s[1:]) for s in out.values())))
 
 
 def quantum_minor(M: TensorModule, a_rows, b_cols, order: int,
@@ -641,23 +719,47 @@ def quantum_minor(M: TensorModule, a_rows, b_cols, order: int,
 # -- singular vectors -------------------------------------------------------
 
 
+def _raising_images(M: TensorModule, keys, rows, order: int) -> list[list[tuple[int, dict]]]:
+    """Per key of member positions, (i, image of the key under t_{i,i+1}(u))
+    for each row i of `rows`, as scaled series at `order`.
+
+    The whole space goes through `_tensor_t` once per row: each key carries
+    its index as a trailing key component, which no slot touches, and the
+    images are split by that index.  No two keys share a target there, so
+    each image holds the series, in the order, that the key's own
+    `_tensor_t` would.
+    """
+    one = [1, 1] + [0] * order  # 1 as a scaled series
+    start = {key + (idx,): one for idx, key in enumerate(keys)}
+    images: list[list] = [[] for _ in keys]
+    for i in rows:
+        parts: list[dict] = [{} for _ in keys]
+        for target, s in _tensor_t(M, i, i + 1, 0, start, order, 0, len(M.factors)).items():
+            parts[target[-1]][target[:-1]] = s
+        for image, part in zip(images, parts):
+            image.append((i, part))
+    return images
+
+
 def _dependencies(M: TensorModule, keys, order: int):
     """Yield a kernel vector of the raising coefficients for each dependent key.
 
-    Each key's image, the coefficients of t_{i,i+1}(u) with the targets as
-    member positions, is one integer vector over (i, target key, t): each
-    scaled series is multiplied by L / D, with L the lcm of the image's
-    denominators D.  The key's combination starts at L times the key, so
-    the vector is always the image of its combination.  The vector is
-    reduced against the echelon vectors of the keys before it without
-    dividing: against a vector e with pivot value p, where the vector holds
-    c, with g = gcd(p, c), both the vector and its combination become
-    (p/g) times themselves minus (c/g) times e's.  Each echelon vector is 0
-    at earlier pivots and is stored divided by the gcd of its entries and
-    its combination's.  Only the rows i with c_i > 0 on the keys' root
-    offset c are applied: t_{i,i+1} maps them into the space at
-    c - alpha_i, which is empty when c_i = 0.  At offset 0 no row applies,
-    so the highest vector, the space's one key, is the kernel.
+    The keys are tuples of member positions (`TensorModule._space`), and
+    their images are taken together (`_raising_images`).  Each key's image,
+    the coefficients of t_{i,i+1}(u) with the targets as member positions,
+    is one integer vector over (i, target key, t): each scaled series is
+    multiplied by L / D, with L the lcm of the image's denominators D.  The
+    key's combination starts at L times the key, so the vector is always the
+    image of its combination.  The vector is reduced against the echelon
+    vectors of the keys before it without dividing: against a vector e with
+    pivot value p, where the vector holds c, with g = gcd(p, c), both the
+    vector and its combination become (p/g) times themselves minus (c/g)
+    times e's.  Each echelon vector is 0 at earlier pivots and is stored
+    divided by the gcd of its entries and its combination's.  Only the rows
+    i with c_i > 0 on the keys' root offset c are applied: t_{i,i+1} maps
+    them into the space at c - alpha_i, which is empty when c_i = 0.  At
+    offset 0 no row applies, so the highest vector, the space's one key, is
+    the kernel.
 
     A key whose vector reduces to zero yields its combination divided by the
     combination's entry at the key, as `Fraction`s in key order.  That is a
@@ -668,15 +770,16 @@ def _dependencies(M: TensorModule, keys, order: int):
     These are the reduced-echelon null-space basis vectors with the keys as
     columns, whatever integer multiples the reduction went through.
     """
-    rows = [i for i, c in enumerate(M.root_offset(keys[0]), 1) if c] if keys else []
-    one = [1, 1] + [0] * order  # 1 as a scaled series
+    rows = [i for i, c in enumerate(M._offset(keys[0]), 1) if c] if keys else []
     echelon = []  # (pivot, pivot value, vector, combination of key positions)
-    for idx, key in enumerate(keys):
-        start = {M._positions(key): one}
-        images = [(i, _tensor_t(M, i, i + 1, 0, start, order, 0, len(M.factors))) for i in rows]
-        scale = math.lcm(*(s[0] for _, image in images for s in image.values()))
+    images = _raising_images(M, keys, rows, order)
+    for idx in range(len(keys)):
+        # each key's images are dropped once read, so they are never all held
+        # beside the echelon vectors built from them
+        key_images, images[idx] = images[idx], None
+        scale = math.lcm(*(s[0] for _, image in key_images for s in image.values()))
         vec = {(i, ok, t): x * (scale // s[0])
-               for i, image in images for ok, s in image.items()
+               for i, image in key_images for ok, s in image.items()
                for t, x in enumerate(s[1:]) if x}
         combo = {idx: scale}
         for pivot, p, e, e_combo in echelon:
@@ -711,7 +814,8 @@ def find_singular_vectors(M: TensorModule, offset) -> list[dict]:
     gl_n (ValueError otherwise); the returned vectors are sparse dicts over
     the weight-space basis keys, the reduced-echelon null-space basis in key
     order, with `Fraction` entries.  One fraction-free integer elimination,
-    `_dependencies`, takes them.
+    `_dependencies`, takes them over member positions, and only the returned
+    vectors' keys are built as shifts.
 
     The kernel K_T of every t_{i,i+1}^(r) is the space of singular vectors,
     those killed by every t_ij(u) with i < j.  The RTT relation gives
@@ -737,7 +841,8 @@ def find_singular_vectors(M: TensorModule, offset) -> list[dict]:
         raise ValueError(
             f"offset must be {M.n - 1} nonnegative integers for gl_{M.n}, got {offset}"
         )
-    return list(_dependencies(M, M.weight_space(offset), len(M.factors)))
+    return [dict(zip(M._shift_keys(v), v.values()))
+            for v in _dependencies(M, M._space(offset), len(M.factors))]
 
 
 def _offsets(shape: int, depth: int):
@@ -760,11 +865,12 @@ def singular_dimensions(M: TensorModule, depth: int | None = None) -> dict:
     there are more than MAX_WEIGHT_SPACES such offsets: comb(depth + n - 1,
     n - 1) of them.
 
-    The basis of the whole depth is grouped by root offset once, before the
-    first probe, and every weight space is read from it.  Where that basis
-    is past a member cap, the depths are grouped one by one as they are
-    first probed (heights rise 0, 1, ..., depth along the first offsets), so
-    the least depth past a cap raises its own error, after the same probes.
+    The keys of the whole depth (`TensorModule._walk`) are grouped by root
+    offset once, before the first probe, and every weight space is read
+    from them.  Where those keys are past a member cap, the depths are
+    grouped one by one as they are first probed (heights rise 0, 1, ...,
+    depth along the first offsets), so the least depth past a cap raises its
+    own error, after the same probes.
     """
     depth = M.depth if depth is None else _depth(depth)
     shape = M.n - 1

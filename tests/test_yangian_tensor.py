@@ -407,9 +407,9 @@ def test_weight_space_groups_the_basis_once_per_depth(monkeypatch):
     M = _tensor([(2, 1, 0), (Fraction(1, 3), Fraction(1, 7), 0)], [0, Fraction(1, 2)], 3)
     ref = _tensor([(2, 1, 0), (Fraction(1, 3), Fraction(1, 7), 0)], [0, Fraction(1, 2)], 3)
     calls = []
-    basis = TensorModule.basis
-    monkeypatch.setattr(TensorModule, "basis", lambda self, depth=None: (
-        calls.append(depth) if self is M else None) or basis(self, depth))
+    walk = TensorModule._walk
+    monkeypatch.setattr(TensorModule, "_walk", lambda self, depth: (
+        calls.append(depth) if self is M else None) or walk(self, depth))
     offsets = [c for c in itertools.product(range(4), repeat=2) if sum(c) <= 3]
     for offset in offsets * 2:
         space = M.weight_space(offset)
@@ -424,9 +424,9 @@ def test_singular_dimensions_groups_one_basis_for_every_depth(monkeypatch):
     M = _tensor([(1, 0), (1, 0)], [0, -1], 40)
     ref = _tensor([(1, 0), (1, 0)], [0, -1], 40)
     calls = []
-    basis = TensorModule.basis
-    monkeypatch.setattr(TensorModule, "basis", lambda self, depth=None: (
-        calls.append(depth) if self is M else None) or basis(self, depth))
+    walk = TensorModule._walk
+    monkeypatch.setattr(TensorModule, "_walk", lambda self, depth: (
+        calls.append(depth) if self is M else None) or walk(self, depth))
     dims = singular_dimensions(M)
     assert calls == [40]
     # the reference groups each depth's basis as its offset is probed
@@ -493,7 +493,7 @@ def test_rank_drop_mod_p_is_decided_in_fraction():
     """The two keys' raising images are dependent mod 3 but not over the
     rationals; the exact elimination finds no singular vector."""
     M = _tensor([("2", "0"), ("1", "0")], [0, 1], 3)
-    keys = M.weight_space((1,))
+    keys = M._space((1,))
     assert len(keys) == 2
     rows = _raising_rows(M, keys, _order(M, (1,)))
     minors = [u[0] * v[1] - u[1] * v[0] for u, v in itertools.combinations(rows, 2)]
@@ -521,11 +521,12 @@ def _corpus_pairs(n, count, rng):
 
 def _raising_rows(M, keys, order):
     """The raising coefficients as a dense `Fraction` matrix: one row per
-    (i, target key, t) coefficient of t_{i,i+1}(u), one column per key."""
-    rows = [i for i, c in enumerate(M.root_offset(keys[0]), 1) if c]
+    (i, target key, t) coefficient of t_{i,i+1}(u), one column per key of
+    member positions, each key's image taken on its own."""
+    rows = [i for i, c in enumerate(M._offset(keys[0]), 1) if c]
     images = []
     for key in keys:
-        start = yt._as_series_vec({M._positions(key): 1}, order)
+        start = yt._as_series_vec({key: 1}, order)
         images.append({
             (i, ok, t): c
             for i in rows
@@ -550,7 +551,7 @@ def test_integer_elimination_matches_the_fraction_kernel_on_a_seeded_corpus():
     for kind, M in modules:
         order = len(M.factors)
         for offset in itertools.product(range(M.depth + 1), repeat=M.n - 1):
-            keys = M.weight_space(offset)
+            keys = M._space(offset)
             if sum(offset) > M.depth or not keys:
                 continue
             got = list(yt._dependencies(M, keys, order))
@@ -1010,8 +1011,8 @@ def test_default_order_kernel_equals_the_kernel_five_orders_past_it():
                         continue
                     got = find_singular_vectors(M, offset)
                     assert [list(v.items()) for v in got] == [
-                        list(v.items())
-                        for v in yt._dependencies(M, M.weight_space(offset), k + 5)
+                        list(zip(M._shift_keys(v), v.values()))
+                        for v in yt._dependencies(M, M._space(offset), k + 5)
                     ], (weights, points, offset)
                     nonzero += bool(got) and any(offset)
     assert nonzero  # the corpus has singular vectors past the top line
@@ -1063,6 +1064,37 @@ def test_diagonal_columns_are_the_row_sum_weight():
             pos = f.window.position(d)
             for a, w in enumerate(_row_sum_weight(f, d), start=1):
                 assert f._column(a, a, pos) == (((pos, w),) if w else ()), (weight, d, a)
+
+
+def test_weight_gate_columns_equal_the_gelfand_tsetlin_columns():
+    """E_aa read off the root offset c is the d_a^(1) column of the action
+    context, and a raising E_ab (a < b) that the weight gate skips, some
+    c_r = 0 with a <= r < b, is empty when built by the Gelfand-Tsetlin
+    formula.  Every other raising column equals the formula's too, and some
+    of them would be skipped by a gate one row wider on either side."""
+    rng = random.Random(20261043)
+    factors = _seeded_factors(rng) + [((2, 2, 0), Fraction(1, 2)), ((3, 1, 0, -2), -1)]
+    skipped = widened = 0
+    for weight, point in factors:
+        f = EvaluationFactor(GlWeight(weight), point, 3)
+        yt._factor_core.cache_clear()  # the reference gets a core of its own
+        ref = EvaluationFactor(GlWeight(weight), point, 3)
+        for d in f.deltas(3):
+            pos, c = f.window.position(d), f.root_offset(d)
+            coords = f.window.coords[pos]
+            for a in range(1, f.n + 1):
+                w = f.ctx._diag_coeff("d", a, 1, coords)
+                assert f._column(a, a, pos) == (((pos, w),) if w else ()), (weight, d, a)
+            for a, b in itertools.combinations(range(1, f.n + 1), 2):
+                want = _recursive_E(ref, a, b, {d: Fraction(1)})
+                got = {f.window.members[p]: x for p, x in f._column(a, b, pos)}
+                assert got == want, (weight, d, a, b)
+                if 0 in c[a - 1:b - 1]:
+                    assert want == {}, (weight, d, a, b)
+                    skipped += 1
+                elif want and 0 in c[max(a - 2, 0):b]:
+                    widened += 1
+    assert skipped and widened
 
 
 # l = (p - 1, -1, -2) with p = 2^61 - 1: the row-2 entries differ by p
@@ -1269,18 +1301,53 @@ def test_raising_rows_off_the_offset_are_empty():
     for M, depth in _raising_reference_modules():
         order = len(M.factors)
         for offset in itertools.product(range(depth + 1), repeat=M.n - 1):
-            keys = M.weight_space(offset)
+            keys = M._space(offset)
             if sum(offset) > depth or not keys:
                 continue
             for i, c in enumerate(offset, 1):
                 for key in keys:
-                    image = yt._tensor_t(M, i, i + 1, 0,
-                                         yt._as_series_vec({M._positions(key): 1}, order),
+                    image = yt._tensor_t(M, i, i + 1, 0, yt._as_series_vec({key: 1}, order),
                                          order, 0, len(M.factors))
                     if c == 0:
                         assert image == {}, (offset, i, key)
                     applied += c > 0 and bool(image)
     assert applied  # the rows with c_i > 0 do act
+
+
+@pytest.mark.parametrize("spaces", ["corpus", "fractional-points"])
+def test_batched_raising_images_equal_the_per_key_images(spaces):
+    """`_raising_images` takes a weight space's keys through the coproduct
+    together; split by source, each row's image is, series for series and in
+    the same order, the key's own `_tensor_t` image.  Off point 0 the pole
+    recurrence runs its pd != 1 branch."""
+    if spaces == "corpus":
+        cases = [(M, offset, len(M.factors)) for M, offset in _corpus_spaces()]
+    else:
+        modules = [
+            _tensor([("1/3", "1/7", "2/5"), ("1/5", "1/2", "3/11")], ["1/2", "-2/3"], 3),
+            _tensor([("1/3", "1/7"), ("2/5", "1/11"), ("1/13", "3/7")], ["1/3", 0, "-3/4"], 3),
+            _tensor([(1, 0), (1, 0)], ["1/2", "-1/2"], 4),
+            _tensor([(2, 1, 0), ("1/2", "-1/2", 1)], ["-5/3", "1/4"], 3),
+            _tensor([(2, 2, 0, -1), ("1/3", "1/5", "1/7", "1/11")], ["2/7", "-1/2"], 2),
+        ]
+        cases = [(M, offset, len(M.factors) + extra)
+                 for M in modules for extra in (0, 2)
+                 for offset in itertools.product(range(M.depth + 1), repeat=M.n - 1)
+                 if sum(offset) <= M.depth and M._space(offset)]
+    one = [1, 1]
+    compared = 0
+    for M, offset, order in cases:
+        keys = M._space(offset)
+        rows = range(1, M.n)
+        batched = yt._raising_images(M, keys, rows, order)
+        for key, images in zip(keys, batched):
+            assert [i for i, _ in images] == list(rows)
+            for i, image in images:
+                alone = yt._tensor_t(M, i, i + 1, 0, {key: one + [0] * order}, order,
+                                     0, len(M.factors))
+                assert list(image.items()) == list(alone.items()), (offset, key, i)
+                compared += bool(alone)
+    assert compared
 
 
 # -- the factor-core store ----------------------------------------------------
