@@ -87,7 +87,7 @@ def _read(path: str, parse):
         raise InputError(f"{path}: expected schema version field \"v\": 1")
     try:
         return parse(obj)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: {exc}")
 
 
@@ -110,12 +110,16 @@ def _load_seed(tableau_path: str | None, C: RelationSet):
 
 
 def _rational(x) -> Fraction:
-    """A weight or point entry as a Fraction; an exponent past MAX_EXPONENT is a ValueError."""
+    """A weight or point entry as a Fraction; ValueError on a zero denominator
+    or an exponent past MAX_EXPONENT."""
     text = str(x)
     exp = _EXPONENT.search(text)
     if exp and (len(exp.group(1)) > len(str(MAX_EXPONENT)) or int(exp.group(1)) > MAX_EXPONENT):
         raise ValueError(f"{text!r} has a decimal exponent above {MAX_EXPONENT} in magnitude")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
 
 
 def _load_weights(path: str):

@@ -24,6 +24,14 @@ def as_scalar(x) -> Fraction:
     return Fraction(x)
 
 
+def as_integer(x, name: str) -> int:
+    """An integral value as an int; ValueError naming `name` on 5/2, never 2."""
+    value = x if type(x) is int else as_scalar(x)
+    if value.denominator != 1:
+        raise ValueError(f"{name} must be an integer, got {x}")
+    return int(value)
+
+
 def scalar_to_json(x: Fraction) -> str:
     """Serialize a rational as "p/q" (always with the denominator)."""
     return f"{x.numerator}/{x.denominator}"

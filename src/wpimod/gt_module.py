@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import product
 from math import inf, lcm
 
-from .exact_arith import CriticalityError, GenericAssignment, generic_instantiate
+from .exact_arith import CriticalityError, GenericAssignment, as_integer, generic_instantiate
 from .pyramid import e_generator_min_degree
 from .relations import (
     RelationSet,
@@ -35,9 +35,9 @@ class WindowOverflowError(RuntimeError):
     """A shift target satisfies the relation set but lies outside the window."""
 
 
-# Most members a basis window may hold.  `BasisWindow` raises ValueError as
-# soon as its enumeration passes this count, so an oversized radius costs a
-# bounded amount of time and memory; the CLI reports it as an input error.
+# Most members a basis window may hold, read at each call: `BasisWindow.points`
+# raises ValueError as soon as it passes this count, so an oversized radius or
+# depth costs bounded time and memory; the CLI reports it as an input error.
 MAX_WINDOW_MEMBERS = 100_000
 
 
@@ -50,8 +50,8 @@ class BasisWindow:
     its position.  A shift is built only where one is named: `position(d)`
     finds shift d's position and raises ValueError naming d on a shift that
     is not a member, `member(pos)` builds the shift at a position, and
-    `members` builds them all on each call.  Raises ValueError when the
-    window has more than MAX_WINDOW_MEMBERS members.
+    `members` builds them all on each call.  Raises ValueError on a
+    non-integral radius and past MAX_WINDOW_MEMBERS members.
 
     The class structure of the seed is shift-invariant, so the component
     clause is checked once, and each edge is kept once, as an inequality
@@ -67,9 +67,9 @@ class BasisWindow:
     """
 
     def __init__(self, C: RelationSet, seed: Tableau, radius: int):
-        self.radius = int(radius)
+        self.radius = as_integer(radius, "radius")
         self._build(C, seed)
-        self.coords = self.points(-self.radius, self.radius, cap=MAX_WINDOW_MEMBERS)
+        self.coords = self.points(-self.radius, self.radius)
         self.coords.sort(key=self.key)
         self.at = dict(zip(self.coords, range(len(self.coords))))
 
@@ -124,20 +124,12 @@ class BasisWindow:
         from them."""
         return tuple([(t, coords[k]) for t, k in self.key_order if coords[k]])
 
-    def solutions(
-        self, low: int, high: int, depth: int | None = None, cap: int | None = None
-    ) -> list[TableauDelta]:
-        """The shifts of `points`, in its order."""
-        return [self.shift(c) for c in self.points(low, high, depth, cap)]
-
-    def points(
-        self, low: int, high: int, depth: int | None = None, cap: int | None = None
-    ) -> list[tuple[int, ...]]:
+    def points(self, low: int, high: int, depth: int | None = None) -> list[tuple[int, ...]]:
         """The coordinates of every accepted shift with low <= d_t <= high on
         the free triples.
 
-        With `depth`, only shifts with -sum(d) <= depth; with `cap`, ValueError
-        as soon as more than `cap` are found.  The order is unspecified.
+        With `depth`, only shifts with -sum(d) <= depth.  ValueError as soon
+        as more than MAX_WINDOW_MEMBERS are found.  The order is unspecified.
 
         Each free triple's exact interval comes from two least solutions,
         lists over the slots: of y = d - low over the lower bounds and the
@@ -178,8 +170,8 @@ class BasisWindow:
                 # every value of the last interval completes a member; each
                 # step down from hi costs one unit of depth
                 lo = max(lo, hi - spare(z))
-                if cap is not None and len(found) + hi - lo + 1 > cap:
-                    raise ValueError(f"basis window has more than {cap} members")
+                if len(found) + hi - lo + 1 > MAX_WINDOW_MEMBERS:
+                    raise ValueError(f"basis window has more than {MAX_WINDOW_MEMBERS} members")
                 head = tuple(v + low for v in y[:pos])
                 found.extend(head + (a,) for a in range(lo, hi + 1))
                 return

@@ -22,14 +22,13 @@ read off a member's root offset, with no Gelfand-Tsetlin formula.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_arith import InvSeries, as_scalar
+from .exact_arith import InvSeries, as_integer, as_scalar
 from .gt_module import MAX_WINDOW_MEMBERS, STRICT, ActionContext, FreeWindow, _combine
 from .pyramid import Pyramid
 from .relations import maximal_set
@@ -54,8 +53,8 @@ def require_factor_count(count: int) -> None:
 
 
 def _depth(depth) -> int:
-    """`depth` as an int; ValueError when it is negative, which would probe nothing."""
-    depth = int(depth)
+    """`depth` as an int; ValueError when it is not an integer or is negative."""
+    depth = as_integer(depth, "depth")
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     return depth
@@ -338,7 +337,7 @@ class EvaluationFactor:
         members, as a basis window does.
         """
         window = self.window
-        coords = window.points(-depth, 0, depth=depth, cap=MAX_WINDOW_MEMBERS)
+        coords = window.points(-depth, 0, depth=depth)
         coords.sort(key=window.key)
         out = [(-sum(c), rank, window._find(c), self._offset_at(c))
                for rank, c in enumerate(coords)]
@@ -348,8 +347,8 @@ class EvaluationFactor:
     def deltas(self, depth: int) -> list[TableauDelta]:
         """All basis shifts of total depth at most `depth`, in (depth, key) order.
 
-        Raises ValueError on a negative depth, and past MAX_WINDOW_MEMBERS
-        shifts, as a basis window does.
+        Raises ValueError on a depth that is not a nonnegative integer, and
+        past MAX_WINDOW_MEMBERS shifts, as a basis window does.
         """
         member = self.window.member
         return [member(pos) for _, _, pos, _ in self._members(_depth(depth))]
@@ -448,16 +447,16 @@ class TensorModule:
         """Keys of total depth at most `depth`, in (depth, keys) order: the
         keys of `_walk`, as shifts.
 
-        Raises ValueError on a negative depth, and past MAX_WINDOW_MEMBERS
-        keys, as a basis window does.
+        Raises ValueError on a depth that is not a nonnegative integer, and
+        past MAX_WINDOW_MEMBERS keys, as a basis window does.
         """
         depth = self.depth if depth is None else _depth(depth)
         return self._shift_keys(key for key, _ in self._walk(depth))
 
     def weight_space(self, offset) -> list[tuple]:
         """Basis keys whose root-height offset equals the given tuple, in basis
-        order: `_space` as shifts."""
-        return self._shift_keys(self._space(tuple(int(c) for c in offset)))
+        order: `_space` as shifts; ValueError on a non-integral entry."""
+        return self._shift_keys(self._space(tuple(as_integer(c, "offset entry") for c in offset)))
 
     def _space(self, offset: tuple) -> list[tuple]:
         """The position keys of the weight space at `offset`, in basis order
@@ -510,11 +509,6 @@ class TensorModule:
         walk(0, depth, (), (), (0,) * (self.n - 1))
         out.sort()
         return [(key, offset) for _, _, key, offset in out]
-
-    def _offset(self, positions: tuple[int, ...]) -> tuple[int, ...]:
-        """`root_offset` of the key at the given member positions."""
-        return tuple(map(sum, zip(*(f._offset_at(f.window.coords[p])
-                                    for f, p in zip(self.factors, positions)))))
 
     def _positions(self, key: tuple) -> tuple[int, ...]:
         """A key of shifts as the tuple of their member positions, one per factor."""
@@ -741,25 +735,26 @@ def _raising_images(M: TensorModule, keys, rows, order: int) -> list[list[tuple[
     return images
 
 
-def _dependencies(M: TensorModule, keys, order: int):
-    """Yield a kernel vector of the raising coefficients for each dependent key.
+def _dependencies(M: TensorModule, offset: tuple, order: int):
+    """Yield a kernel vector of the raising coefficients for each dependent
+    key of the weight space at root offset `offset`.
 
-    The keys are tuples of member positions (`TensorModule._space`), and
-    their images are taken together (`_raising_images`).  Each key's image,
-    the coefficients of t_{i,i+1}(u) with the targets as member positions,
-    is one integer vector over (i, target key, t): each scaled series is
-    multiplied by L / D, with L the lcm of the image's denominators D.  The
-    key's combination starts at L times the key, so the vector is always the
-    image of its combination.  The vector is reduced against the echelon
-    vectors of the keys before it without dividing: against a vector e with
-    pivot value p, where the vector holds c, with g = gcd(p, c), both the
-    vector and its combination become (p/g) times themselves minus (c/g)
-    times e's.  Each echelon vector is 0 at earlier pivots and is stored
-    divided by the gcd of its entries and its combination's.  Only the rows
-    i with c_i > 0 on the keys' root offset c are applied: t_{i,i+1} maps
-    them into the space at c - alpha_i, which is empty when c_i = 0.  At
-    offset 0 no row applies, so the highest vector, the space's one key, is
-    the kernel.
+    The keys are tuples of member positions, the module's own list at the
+    offset (`TensorModule._space`), and their images are taken together
+    (`_raising_images`).  Each key's image, the coefficients of t_{i,i+1}(u)
+    with the targets as member positions, is one integer vector over (i,
+    target key, t): each scaled series is multiplied by L / D, with L the
+    lcm of the image's denominators D.  The key's combination starts at L
+    times the key, so the vector is always the image of its combination.  The
+    vector is reduced against the echelon vectors of the keys before it
+    without dividing: against a vector e with pivot value p, where the
+    vector holds c, with g = gcd(p, c), both the vector and its combination
+    become (p/g) times themselves minus (c/g) times e's.  Each echelon vector
+    is 0 at earlier pivots and is stored divided by the gcd of its entries
+    and its combination's.  Only the rows i with c_i > 0 on the offset c are
+    applied: t_{i,i+1} maps the keys into the space at c - alpha_i, which is
+    empty when c_i = 0.  At offset 0 no row applies, so the highest vector,
+    the space's one key, is the kernel.
 
     A key whose vector reduces to zero yields its combination divided by the
     combination's entry at the key, as `Fraction`s in key order.  That is a
@@ -770,7 +765,8 @@ def _dependencies(M: TensorModule, keys, order: int):
     These are the reduced-echelon null-space basis vectors with the keys as
     columns, whatever integer multiples the reduction went through.
     """
-    rows = [i for i, c in enumerate(M._offset(keys[0]), 1) if c] if keys else []
+    keys = M._space(offset)
+    rows = [i for i, c in enumerate(offset, 1) if c] if keys else []
     echelon = []  # (pivot, pivot value, vector, combination of key positions)
     images = _raising_images(M, keys, rows, order)
     for idx in range(len(keys)):
@@ -836,13 +832,13 @@ def find_singular_vectors(M: TensorModule, offset) -> list[dict]:
     every key and deg P <= k.  If c_0, ..., c_k of a combination's image
     vanish, then P = Q * (P/Q) is a polynomial in O(u^-1), so P = 0.
     """
-    offset = tuple(int(c) for c in offset)
+    offset = tuple(as_integer(c, "offset entry") for c in offset)
     if len(offset) != M.n - 1 or any(c < 0 for c in offset):
         raise ValueError(
             f"offset must be {M.n - 1} nonnegative integers for gl_{M.n}, got {offset}"
         )
     return [dict(zip(M._shift_keys(v), v.values()))
-            for v in _dependencies(M, M._space(offset), len(M.factors))]
+            for v in _dependencies(M, offset, len(M.factors))]
 
 
 def _offsets(shape: int, depth: int):
@@ -861,16 +857,16 @@ def singular_dimensions(M: TensorModule, depth: int | None = None) -> dict:
     """Kernel dimension per root-height offset, all offsets of height <= depth,
     in lexicographic order.
 
-    Raises ValueError on a negative depth, and, before probing any, when
-    there are more than MAX_WEIGHT_SPACES such offsets: comb(depth + n - 1,
-    n - 1) of them.
+    Raises ValueError on a depth that is not a nonnegative integer, and,
+    before probing any offset, when there are more than MAX_WEIGHT_SPACES
+    such offsets, comb(depth + n - 1, n - 1) of them, or when the whole
+    depth is past a member cap.
 
     The keys of the whole depth (`TensorModule._walk`) are grouped by root
     offset once, before the first probe, and every weight space is read
-    from them.  Where those keys are past a member cap, the depths are
-    grouped one by one as they are first probed (heights rise 0, 1, ...,
-    depth along the first offsets), so the least depth past a cap raises its
-    own error, after the same probes.
+    from them, so a depth whose basis is past a member cap (a factor's
+    window or the tensor basis, MAX_WINDOW_MEMBERS) raises its error before
+    any elimination.
     """
     depth = M.depth if depth is None else _depth(depth)
     shape = M.n - 1
@@ -879,9 +875,7 @@ def singular_dimensions(M: TensorModule, depth: int | None = None) -> dict:
             f"depth {depth} has more than {MAX_WEIGHT_SPACES} root offsets"
             f" for gl_{M.n}"
         )
-    if shape and depth > 0:
-        with contextlib.suppress(ValueError):
-            M._group(depth)
+    M._group(depth)
     return {
         combo: len(find_singular_vectors(M, combo))
         for combo in _offsets(shape, depth)

@@ -12,7 +12,9 @@ import pytest
 
 import wpimod
 
-from wpimod import Pyramid, RelationSet, standard_set, tableau_to_json, yangian_tensor
+from wpimod import (
+    Pyramid, RelationSet, gt_module, standard_set, tableau_to_json, yangian_tensor,
+)
 from wpimod.cli import MAX_BUDGET, MAX_EXPONENT, MAX_INSTANTIATIONS, run
 from wpimod.gt_module import MAX_WINDOW_MEMBERS, BasisWindow, enumerate_basis
 from wpimod.tableau import TableauDelta
@@ -422,18 +424,34 @@ def test_window_past_member_cap_is_input_error(tmp_path, capsys, command):
 
 def test_tensor_depth_past_member_cap_is_input_error(tmp_path, capsys, monkeypatch):
     # a generic gl_2 factor is infinite-dimensional: depth 5 has 6 basis shifts,
-    # and the tensor product of two such factors has 21 keys of depth <= 5
+    # and the tensor product of two such factors has 21 keys of depth <= 5; a
+    # factor's window stops at the windows' cap, the tensor basis at its own
     one = write_weights(tmp_path, "one.json", [("1/3", "1/7")])
     two = write_weights(tmp_path, "two.json", [("1/3", "1/7"), ("1/5", "1/2")])
-    for path, size, error in ((one, 6, "basis window"), (two, 21, "tensor basis")):
+    for path, layer, size, error in ((one, gt_module, 6, "basis window"),
+                                     (two, yangian_tensor, 21, "tensor basis")):
         argv = ["tensor-check", "--weights", path, "--depth", "5"]
-        monkeypatch.setattr(yangian_tensor, "MAX_WINDOW_MEMBERS", size)
-        code, report = invoke(capsys, argv)
-        assert code == 0 and report["only_top_line"] is True
-        monkeypatch.setattr(yangian_tensor, "MAX_WINDOW_MEMBERS", size - 1)
-        code, report = invoke(capsys, argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(layer, "MAX_WINDOW_MEMBERS", size)
+            code, report = invoke(capsys, argv)
+            assert code == 0 and report["only_top_line"] is True
+            patch.setattr(layer, "MAX_WINDOW_MEMBERS", size - 1)
+            code, report = invoke(capsys, argv)
         assert code == 4
         assert report == {"v": 1, "error": f"{error} has more than {size - 1} members"}
+
+
+def test_tensor_depth_past_the_tensor_basis_cap_is_input_error_quickly(tmp_path, capsys):
+    # four generic gl_2 factors have C(41, 4) = 101,270 keys of depth <= 37,
+    # while each factor has 38 shifts: the whole depth's basis is refused
+    # before any weight space is probed
+    path = write_weights(tmp_path, "w.json", [("1/3", "1/7"), ("1/5", "1/2"),
+                                              ("2/9", "0"), ("1/11", "3/4")])
+    start = time.perf_counter()
+    code, report = invoke(capsys, ["tensor-check", "--weights", path, "--depth", "37"])
+    assert time.perf_counter() - start < 5.0
+    assert code == 4
+    assert report == {"v": 1, "error": f"tensor basis has more than {MAX_WINDOW_MEMBERS} members"}
 
 
 def test_tensor_depth_past_the_weight_space_cap_is_input_error_quickly(tmp_path, capsys):
@@ -515,6 +533,18 @@ def test_malformed_weights_are_input_errors(tmp_path, capsys, body):
     code, report = invoke(capsys, ["tensor-check", "--weights", str(p), "--depth", "1"])
     assert code == 4
     assert set(report) == {"v", "error"}
+
+
+@pytest.mark.parametrize("body, text", [
+    ({"weights": [["1/0", "0"], ["1", "0"]]}, "1/0"),
+    ({"weights": [["1", "0"], ["1", "0"]], "points": ["0", "-3/00"]}, "-3/00"),
+], ids=["weight", "point"])
+def test_a_zero_denominator_names_its_text(tmp_path, capsys, body, text):
+    p = tmp_path / "w.json"
+    p.write_text(json.dumps({"v": 1, **body}) + "\n", encoding="utf-8")
+    code, report = invoke(capsys, ["tensor-check", "--weights", str(p), "--depth", "1"])
+    assert code == 4
+    assert report == {"v": 1, "error": f"{p}: '{text}' has a zero denominator"}
 
 
 @pytest.mark.parametrize("kind", ["relations", "tableau", "weights"])

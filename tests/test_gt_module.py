@@ -1114,7 +1114,7 @@ def test_free_window_keeps_members_index_and_coordinates_aligned():
     for _ in range(300):  # growth through step
         w.step(rng.randrange(len(w.members)), rng.randrange(len(w.free)), rng.choice((1, -1)))
     grown = len(w.members)
-    for d in w.solutions(-3, 3):  # growth through position
+    for d in map(w.shift, w.points(-3, 3)):  # growth through position
         w.position(d)
     assert 1 < grown < len(w.members)
     assert [w.member(p) for p in range(len(w.coords))] == w.members
@@ -1147,6 +1147,18 @@ def test_tight_window_cost_follows_members_not_box():
     assert len(full.members) == 4096
     assert len(enumerate_basis(S, seed, 8).members) < 4096
     assert enumerate_basis(S, seed, 40).members == full.members
+
+
+@pytest.mark.parametrize("radius", [2.5, Fraction(5, 2), "5/2"], ids=str)
+def test_a_non_integral_radius_is_value_error(radius):
+    """A radius of 5/2 is not truncated to 2; an integral Fraction is taken
+    as its integer."""
+    S = standard_set(Pyramid((1, 1, 1)))
+    seed = spread_seed(S)
+    with pytest.raises(ValueError, match=r"^radius must be an integer, got (5/2|2\.5)$"):
+        enumerate_basis(S, seed, radius)
+    window = enumerate_basis(S, seed, Fraction(2))
+    assert window.radius == 2 and window.coords == enumerate_basis(S, seed, 2).coords
 
 
 def test_member_cap_counts_members(monkeypatch):

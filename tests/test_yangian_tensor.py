@@ -24,6 +24,7 @@ from wpimod import (
     weyl_dimension,
 )
 import wpimod.yangian_tensor as yt
+from wpimod import gt_module
 from wpimod.exact_arith import InvSeries
 from wpimod.gt_module import CLIP
 from wpimod.gt_module import MAX_WINDOW_MEMBERS
@@ -386,14 +387,36 @@ def test_a_negative_depth_is_value_error(call):
         call(M)
 
 
+@pytest.mark.parametrize("call, value", [
+    (lambda M: TensorModule(M.factors, 2.9), "depth must be an integer, got 2.9"),
+    (lambda M: M.basis(Fraction(3, 2)), "depth must be an integer, got 3/2"),
+    (lambda M: singular_dimensions(M, 2.5), "depth must be an integer, got 2.5"),
+    (lambda M: M.factors[0].deltas(2.5), "depth must be an integer, got 2.5"),
+    (lambda M: M.weight_space((Fraction(3, 2),)), "offset entry must be an integer, got 3/2"),
+    (lambda M: find_singular_vectors(M, (Fraction(3, 2),)),
+     "offset entry must be an integer, got 3/2"),
+], ids=["module", "basis", "singular-dimensions", "factor-deltas", "weight-space",
+        "singular-vectors"])
+def test_a_non_integral_depth_or_offset_is_value_error(call, value):
+    """A depth of 2.9 or an offset of 3/2 is not truncated to 2 or 1: every
+    entry point refuses it, and takes an integral Fraction as its integer."""
+    M = _tensor([("1/3", 0), ("1/5", "1/7")], [0, 1], 2)
+    with pytest.raises(ValueError, match=f"^{re.escape(value)}$"):
+        call(M)
+    assert TensorModule(M.factors, Fraction(2)).depth == 2
+    assert M.basis(Fraction(1)) == M.basis(1)
+    assert M.weight_space((Fraction(1),)) == M.weight_space((1,))
+    assert find_singular_vectors(M, (Fraction(1),)) == find_singular_vectors(M, (1,))
+
+
 def _count_eliminations(monkeypatch):
-    """Record len(keys) for each `_dependencies` run."""
+    """Record the number of keys for each `_dependencies` run."""
     calls = []
     dependencies = yt._dependencies
 
-    def counting_dependencies(M, keys, order):
-        calls.append(len(keys))
-        return dependencies(M, keys, order)
+    def counting_dependencies(M, offset, order):
+        calls.append(len(M._space(offset)))
+        return dependencies(M, offset, order)
 
     monkeypatch.setattr(yt, "_dependencies", counting_dependencies)
     return calls
@@ -434,14 +457,23 @@ def test_singular_dimensions_groups_one_basis_for_every_depth(monkeypatch):
     assert dims[(0,)] == dims[(1,)] == 1 and sum(dims.values()) == 2
 
 
-def test_singular_dimensions_past_a_cap_raises_the_least_depths_error(monkeypatch):
-    # two generic gl_2 factors: depth 5 has 21 keys, past 20, while each
-    # factor has 6 shifts; at depth 30 each factor has 31, past 20 too, so
-    # the error of the whole depth's basis would name the factor's window
-    monkeypatch.setattr(yt, "MAX_WINDOW_MEMBERS", 20)
+@pytest.mark.parametrize("layer, error", [
+    (yt, "tensor basis"),
+    (gt_module, "basis window"),
+], ids=["tensor-basis", "basis-window"])
+def test_singular_dimensions_past_a_member_cap_is_refused_before_any_probe(
+        monkeypatch, layer, error):
+    # two generic gl_2 factors at depth 30: each factor has 31 shifts and the
+    # product C(32, 2) = 496 keys, so lowering the tensor basis's cap to 20
+    # names the tensor basis, and lowering the windows' cap names a factor's
+    # window; either is raised by the whole depth's grouping, before any
+    # weight space is probed
+    calls = _count_eliminations(monkeypatch)
+    monkeypatch.setattr(layer, "MAX_WINDOW_MEMBERS", 20)
     M = _tensor([("1/3", "1/7"), ("1/5", "1/2")], [0, 0], 30)
-    with pytest.raises(ValueError, match="^tensor basis has more than 20 members$"):
+    with pytest.raises(ValueError, match=f"^{error} has more than 20 members$"):
         singular_dimensions(M)
+    assert calls == []
 
 
 def test_each_weight_space_past_the_top_runs_one_elimination(monkeypatch):
@@ -493,9 +525,8 @@ def test_rank_drop_mod_p_is_decided_in_fraction():
     """The two keys' raising images are dependent mod 3 but not over the
     rationals; the exact elimination finds no singular vector."""
     M = _tensor([("2", "0"), ("1", "0")], [0, 1], 3)
-    keys = M._space((1,))
-    assert len(keys) == 2
-    rows = _raising_rows(M, keys, _order(M, (1,)))
+    assert len(M._space((1,))) == 2
+    rows = _raising_rows(M, (1,), _order(M, (1,)))
     minors = [u[0] * v[1] - u[1] * v[0] for u, v in itertools.combinations(rows, 2)]
     assert all(m.denominator % 3 for m in minors)
     assert all(m.numerator % 3 == 0 for m in minors)  # rank 1 mod 3
@@ -519,13 +550,14 @@ def _corpus_pairs(n, count, rng):
     return pairs
 
 
-def _raising_rows(M, keys, order):
-    """The raising coefficients as a dense `Fraction` matrix: one row per
-    (i, target key, t) coefficient of t_{i,i+1}(u), one column per key of
-    member positions, each key's image taken on its own."""
-    rows = [i for i, c in enumerate(M._offset(keys[0]), 1) if c]
+def _raising_rows(M, offset, order):
+    """The raising coefficients on the weight space at `offset` as a dense
+    `Fraction` matrix: one row per (i, target key, t) coefficient of
+    t_{i,i+1}(u), one column per key of member positions, each key's image
+    taken on its own."""
+    rows = [i for i, c in enumerate(offset, 1) if c]
     images = []
-    for key in keys:
+    for key in M._space(offset):
         start = yt._as_series_vec({key: 1}, order)
         images.append({
             (i, ok, t): c
@@ -554,9 +586,9 @@ def test_integer_elimination_matches_the_fraction_kernel_on_a_seeded_corpus():
             keys = M._space(offset)
             if sum(offset) > M.depth or not keys:
                 continue
-            got = list(yt._dependencies(M, keys, order))
+            got = list(yt._dependencies(M, offset, order))
             ref = [{k: c for k, c in zip(keys, v) if c != 0}
-                   for v in _rational_kernel(_raising_rows(M, keys, order), len(keys))]
+                   for v in _rational_kernel(_raising_rows(M, offset, order), len(keys))]
             assert [list(v.items()) for v in got] == [list(v.items()) for v in ref], \
                 (kind, [f.weight for f in M.factors], offset)
             assert all(type(c) is Fraction for v in got for c in v.values())
@@ -1012,7 +1044,7 @@ def test_default_order_kernel_equals_the_kernel_five_orders_past_it():
                     got = find_singular_vectors(M, offset)
                     assert [list(v.items()) for v in got] == [
                         list(zip(M._shift_keys(v), v.values()))
-                        for v in yt._dependencies(M, M._space(offset), k + 5)
+                        for v in yt._dependencies(M, offset, k + 5)
                     ], (weights, points, offset)
                     nonzero += bool(got) and any(offset)
     assert nonzero  # the corpus has singular vectors past the top line
