@@ -569,6 +569,33 @@ def _row_images(pi: Pyramid, support=None):
     return out
 
 
+def _least_chain(rows):
+    """The first tuple of `itertools.product(*rows)` whose adjacent rows do
+    not cross, or None.
+
+    Each row lists (image, up, down) entries; two adjacent entries cross when
+    the upper one's down-halves and the lower one's up-halves agree at some
+    position.  `least(i, above)` is the first completion of rows i.. under an
+    entry with down-halves `above`: a depth-first search in list order, so
+    the first completion it meets is the least.  It is memoized for the call,
+    so each (row, halves above) state is searched once: at most the sum over
+    adjacent rows of the products of their entry counts.
+    """
+
+    @lru_cache(maxsize=None)
+    def least(i, above):
+        if i == len(rows):
+            return ()
+        for entry in rows[i]:
+            if all(x != y for x, y in zip(above, entry[1])):
+                rest = least(i + 1, entry[2])
+                if rest is not None:
+                    return (entry, *rest)
+        return None
+
+    return least(0, ())
+
+
 def _least_passing_relabeling(C: RelationSet, closures):
     """The least relabeling under which C meets the labelled conditions, or None.
 
@@ -586,6 +613,8 @@ def _least_passing_relabeling(C: RelationSet, closures):
       - none: a diamond bridges its pair under every relabeling, and an
         adjoining pair with neither a diamond nor a split candidate is
         bridged under none.
+    Each row's fitting images, in increasing order, carry their halves, and
+    `_least_chain` finds the least chain of them with no cross.
     """
     n = C.pyramid.n
     rows = _row_images(C.pyramid, vertices(C))
@@ -635,36 +664,17 @@ def _least_passing_relabeling(C: RelationSet, closures):
             for _, _, l, g in crosses[i - 1]
         )
 
-    def no_cross(d, u):
-        return all(x != y for x, y in zip(d, u))
-
-    # backward: keep each image of row i that some images of rows i+1..n complete
-    alive = {}
-    later = {()}  # up-halves of row i + 1's kept images
-    for i in range(n, 0, -1):
-        completes = {}
-        alive[i] = []
-        for im in rows[i - 1][1]:
-            if not fits(i, im):
-                continue
-            d = down(i, im)
-            if d not in completes:
-                completes[d] = any(no_cross(d, u) for u in later)
-            if completes[d]:
-                alive[i].append(im)
-        if not alive[i]:
-            return None
-        later = {up(i, im) for im in alive[i]}
-    # forward: the least kept image of each row that fits the row above
-    relabeling = {}
-    d = ()
-    for i in range(1, n + 1):
-        pairs = rows[i - 1][0]
-        im = next(im for im in alive[i] if no_cross(d, up(i, im)))
-        if im != tuple(pairs):
-            relabeling[i] = dict(zip(pairs, im))
-        d = down(i, im)
-    return relabeling
+    chain = _least_chain([
+        [(im, up(i, im), down(i, im)) for im in images if fits(i, im)]
+        for i, (_, images) in enumerate(rows, 1)
+    ])
+    if chain is None:
+        return None
+    return {
+        i: dict(zip(pairs, im))
+        for i, ((pairs, _), (im, _, _)) in enumerate(zip(rows, chain), 1)
+        if im != tuple(pairs)
+    }
 
 
 def is_admissible(C: RelationSet):
@@ -682,14 +692,11 @@ def is_admissible(C: RelationSet):
     with its own witness, unsearched.
 
     Every labelled condition reads one row or two adjacent rows, so the
-    relabelings that pass form a chain of constraints, which a directional
-    pass solves without backtracking (Freuder, JACM 1982): a backward pass
-    from row n keeps each image of row i that some images of rows i+1..n
-    complete, and a forward pass from row 1 takes the least kept image of
-    each row that fits the image chosen above it.  Every kept image extends to
-    a passing relabeling, so each greedy choice is the least first row, then
-    the least second row given the first, and so on: the least relabeling of
-    the product order, the first that the product enumeration would meet.
+    relabelings that pass form a chain of constraints: a depth-first search
+    over the rows, each row's images in increasing order, meets the least
+    passing relabeling of the product order first, the one the product
+    enumeration would meet, and memoized on (row, halves of the row above) it
+    searches each state once (`_least_chain`).
 
     Returns (verdict, certificate); a passing certificate carries that least
     relabeling, when it is not the identity; a failing one names the

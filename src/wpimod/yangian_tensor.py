@@ -303,10 +303,7 @@ class EvaluationFactor:
 
     def root_offset(self, d: TableauDelta) -> tuple[int, ...]:
         """Per-row lowering counts (c_1, ..., c_{n-1})."""
-        out = [0] * (self.n - 1)
-        for t, v in d.offsets.items():
-            out[t.i - 1] -= v
-        return tuple(out)
+        return self._offset_at(self.window.coords_of(d))
 
     def _offset_at(self, coords: tuple[int, ...]) -> tuple[int, ...]:
         """`root_offset` of the shift with the given window coordinates."""
@@ -637,6 +634,8 @@ def _as_series_vec(vec: dict, order: int) -> dict:
 
 def t_coefficient(M: TensorModule, i: int, j: int, r: int, vec: dict) -> dict:
     """Apply the single generator coefficient t_ij^(r) (t^(0) is delta_ij)."""
+    i, j = as_integer(i, "row index"), as_integer(j, "column index")
+    r = as_integer(r, "coefficient index r")
     if r < 0:
         raise ValueError(f"coefficient index r must be >= 0, got {r}")
     if r == 0:
@@ -670,15 +669,18 @@ class OperatorSeries:
     def __init__(self, M: TensorModule, a_rows, b_cols, order: int,
                  lo: int = 0, hi: int | None = None):
         self.M = M
-        self.a_rows = tuple(int(a) for a in a_rows)
-        self.b_cols = tuple(int(b) for b in b_cols)
+        self.a_rows = tuple(as_integer(a, "row index") for a in a_rows)
+        self.b_cols = tuple(as_integer(b, "column index") for b in b_cols)
         if len(self.a_rows) != len(self.b_cols):
             raise ValueError("row and column index lists must have equal length")
-        self.order = int(order)
+        self.order = as_integer(order, "truncation order")
         if self.order < 0:
             raise ValueError(f"truncation order must be >= 0, got {order}")
-        self.lo = lo
-        self.hi = len(M.factors) if hi is None else hi
+        self.lo = as_integer(lo, "lo")
+        self.hi = len(M.factors) if hi is None else as_integer(hi, "hi")
+        if not 0 <= self.lo <= self.hi <= len(M.factors):
+            raise ValueError(f"factor slots need 0 <= lo <= hi <= {len(M.factors)}, "
+                             f"got lo {self.lo}, hi {self.hi}")
         self.repeated = (
             len(set(self.a_rows)) < len(self.a_rows)
             or len(set(self.b_cols)) < len(self.b_cols)

@@ -15,12 +15,14 @@ from wpimod import (
     enumerate_basis,
     generic_instantiate,
     noncritical_satisfying_tableau,
+    permute,
     standard_set,
 )
 from wpimod.gt_module import ActionContext, WindowOverflowError, _relation_table, _residual
 from wpimod.relations import (
     ClosureOrder,
     Relation,
+    _literal_admissible,
     _row_images,
     decompose,
     is_noncritical_set,
@@ -80,6 +82,35 @@ def _row_relabelings(pi: Pyramid, support=None):
     ]
     for combo in itertools.product(*per_row):
         yield {row: mapping for row, mapping in combo if mapping is not None}
+
+
+def _reference_is_admissible(C, support=None):
+    """The labelled conditions tried under every within-row relabeling in turn.
+
+    With a support, only the relabelings `_row_relabelings` keeps for it: the
+    least one per way of moving the supported triples.
+    """
+    if not is_satisfiable(C):
+        return False, {"reason": "unsatisfiable"}
+    first_fail = None
+    for relabeling in _row_relabelings(C.pyramid, support):
+        sC = C
+        try:
+            for row, mapping in relabeling.items():
+                sC = permute(sC, row, mapping)
+        except ValueError:
+            continue
+        ok, cert = _literal_admissible(sC)
+        if ok:
+            if relabeling:
+                cert["relabeling"] = {
+                    row: sorted((a, b) for a, b in m.items() if a != b)
+                    for row, m in relabeling.items()
+                }
+            return True, cert
+        if first_fail is None:
+            first_fail = cert
+    return False, first_fail
 
 
 def drinfeld_b(M: TensorModule, m: int, order: int) -> OperatorSeries:

@@ -1,5 +1,6 @@
 """Relation sets: satisfaction, criticality, reduction, admissibility."""
 
+import itertools
 import random
 import time
 
@@ -28,8 +29,8 @@ from wpimod import relations
 from wpimod.relations import (
     ClosureOrder,
     _arcs,
+    _least_chain,
     _least_solution,
-    _literal_admissible,
     critical_pair,
     has_cross,
     held_relations,
@@ -41,6 +42,7 @@ from helpers import (
     GL2,
     GL3,
     P12,
+    _reference_is_admissible,
     _row_relabelings,
     bad_pattern_lower,
     bad_pattern_upper,
@@ -410,35 +412,6 @@ def test_admissibility_permutation_invariance():
         assert is_admissible(C)[0] == is_admissible(sC)[0]
 
 
-def _reference_is_admissible(C, support=None):
-    """The labelled conditions tried under every within-row relabeling in turn.
-
-    With a support, only the relabelings `_row_relabelings` keeps for it: the
-    least one per way of moving the supported triples.
-    """
-    if not is_satisfiable(C):
-        return False, {"reason": "unsatisfiable"}
-    first_fail = None
-    for relabeling in _row_relabelings(C.pyramid, support):
-        sC = C
-        try:
-            for row, mapping in relabeling.items():
-                sC = permute(sC, row, mapping)
-        except ValueError:
-            continue
-        ok, cert = _literal_admissible(sC)
-        if ok:
-            if relabeling:
-                cert["relabeling"] = {
-                    row: sorted((a, b) for a, b in m.items() if a != b)
-                    for row, m in relabeling.items()
-                }
-            return True, cert
-        if first_fail is None:
-            first_fail = cert
-    return False, first_fail
-
-
 GL4 = Pyramid((1, 1, 1, 1))
 GL5 = Pyramid((1, 1, 1, 1, 1))
 
@@ -459,6 +432,62 @@ def test_admissibility_certificate_matches_full_relabeling_search():
     for C in [*relation_subsets(GL2, 5), *relation_subsets(P12, 5),
               *relation_subsets(GL3, 3), *gl4]:
         assert is_admissible(C) == _reference_is_admissible(C), C
+
+
+def _crosses(upper, lower):
+    return any(x == y for x, y in zip(upper[2], lower[1]))
+
+
+def _reference_least_chain(rows):
+    """The first tuple of the full product with no adjacent rows crossing."""
+    for chain in itertools.product(*rows):
+        if not any(_crosses(a, b) for a, b in zip(chain, chain[1:])):
+            return chain
+    return None
+
+
+def _greedy_chain(rows):
+    """Each row's first entry that the row above does not cross: no backing up."""
+    chain = []
+    for row in rows:
+        entry = next((e for e in row if not chain or not _crosses(chain[-1], e)), None)
+        if entry is None:
+            return None
+        chain.append(entry)
+    return tuple(chain)
+
+
+def test_least_chain_is_the_first_passing_product_tuple():
+    """On seeded rows of 0-4 sorted images with halves of width 0-2 over
+    {0, 1}, `_least_chain` meets the first passing tuple of the product,
+    also where a greedy row-by-row choice does not."""
+    rng = random.Random(45)
+
+    def halves():
+        return tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 2)))
+
+    backs_up = 0
+    for _ in range(3000):
+        rows = [
+            [(im, halves(), halves()) for im in sorted(rng.sample(range(8), rng.randint(0, 4)))]
+            for _ in range(rng.randint(1, 4))
+        ]
+        expected = _reference_least_chain(rows)
+        assert _least_chain(rows) == expected, rows
+        backs_up += _greedy_chain(rows) != expected
+    assert backs_up >= 120
+
+
+def test_least_chain_searches_each_row_and_halves_once():
+    """11 rows of 4 images share one down-half, and the last row crosses
+    each of them: an unmemoized search visits 4^11 partial chains, seconds
+    where the memoized one takes microseconds, and still ends, so a lost
+    memo fails the bound rather than hanging."""
+    rows = [[(im, (1,), (0,)) for im in range(4)] for _ in range(11)]
+    rows.append([(0, (0,), ())])
+    start = time.perf_counter()
+    assert _least_chain(rows) is None
+    assert time.perf_counter() - start < 0.5
 
 
 def _noncritical_sets(pi, edges, count, seed=7):

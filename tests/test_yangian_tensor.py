@@ -395,8 +395,20 @@ def test_a_negative_depth_is_value_error(call):
     (lambda M: M.weight_space((Fraction(3, 2),)), "offset entry must be an integer, got 3/2"),
     (lambda M: find_singular_vectors(M, (Fraction(3, 2),)),
      "offset entry must be an integer, got 3/2"),
+    (lambda M: quantum_minor(M, (1.5,), (2,), 2), "row index must be an integer, got 1.5"),
+    (lambda M: quantum_minor(M, (1,), (2.9,), 2), "column index must be an integer, got 2.9"),
+    (lambda M: quantum_minor(M, (1,), (2,), 2.5), "truncation order must be an integer, got 2.5"),
+    (lambda M: quantum_minor(M, (1,), (2,), 2, Fraction(1, 2)), "lo must be an integer, got 1/2"),
+    (lambda M: quantum_minor(M, (1,), (2,), 2, 0, 1.5), "hi must be an integer, got 1.5"),
+    (lambda M: t_coefficient(M, 1.5, 2, 2, {M.highest(): Fraction(1)}),
+     "row index must be an integer, got 1.5"),
+    (lambda M: t_coefficient(M, 2, Fraction(3, 2), 2, {M.highest(): Fraction(1)}),
+     "column index must be an integer, got 3/2"),
+    (lambda M: t_coefficient(M, 2, 1, 2.5, {M.highest(): Fraction(1)}),
+     "coefficient index r must be an integer, got 2.5"),
 ], ids=["module", "basis", "singular-dimensions", "factor-deltas", "weight-space",
-        "singular-vectors"])
+        "singular-vectors", "minor-row", "minor-column", "minor-order", "minor-lo", "minor-hi",
+        "t-row", "t-column", "t-r"])
 def test_a_non_integral_depth_or_offset_is_value_error(call, value):
     """A depth of 2.9 or an offset of 3/2 is not truncated to 2 or 1: every
     entry point refuses it, and takes an integral Fraction as its integer."""
@@ -407,6 +419,21 @@ def test_a_non_integral_depth_or_offset_is_value_error(call, value):
     assert M.basis(Fraction(1)) == M.basis(1)
     assert M.weight_space((Fraction(1),)) == M.weight_space((1,))
     assert find_singular_vectors(M, (Fraction(1),)) == find_singular_vectors(M, (1,))
+    top = {M.highest(): Fraction(1)}
+    assert t_coefficient(M, Fraction(2), Fraction(1), Fraction(2), top) == (
+        t_coefficient(M, 2, 1, 2, top)) != {}
+    whole = quantum_minor(M, (Fraction(2),), (Fraction(1),), Fraction(2), Fraction(0),
+                          Fraction(2)).apply(top)
+    assert whole == quantum_minor(M, (2,), (1,), 2).apply(top) != {}
+
+
+@pytest.mark.parametrize("lo, hi", [(-1, 2), (0, 3), (2, 1), (3, None)])
+def test_factor_slots_out_of_range_is_value_error(lo, hi):
+    """Slot -1 does not wrap to the last factor, and slot 3 of two factors is
+    refused before any image is built."""
+    M = _tensor([("1/3", 0), ("1/5", "1/7")], [0, 1], 2)
+    with pytest.raises(ValueError, match="^factor slots need 0 <= lo <= hi <= 2, got lo "):
+        quantum_minor(M, (1,), (2,), 2, lo, hi)
 
 
 def _count_eliminations(monkeypatch):
