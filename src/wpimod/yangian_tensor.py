@@ -52,6 +52,12 @@ def require_factor_count(count: int) -> None:
         raise ValueError(f"tensor product has more than {MAX_FACTORS} factors")
 
 
+def _require_indices(n: int, indices) -> None:
+    """Raise IndexError unless every index lies in 1..n."""
+    if not all(1 <= x <= n for x in indices):
+        raise IndexError(f"index out of range for gl_{n}")
+
+
 def _depth(depth) -> int:
     """`depth` as an int; ValueError when it is not an integer or is negative."""
     depth = as_integer(depth, "depth")
@@ -250,7 +256,11 @@ def _factor_core(weight: GlWeight) -> tuple:
     bound counts weights, not bytes: a stored core keeps the window and the
     columns of the deepest product built on its weight, 0.39 MB for the
     generic gl_3 pair [1/3, 1/7, 2/5], [1/5, 1/2, 3/11] at depth 8.
+    A weight that is not good (`GlWeight.is_good`) raises ValueError: its
+    carrier would break the gl_n relations, so it is no gl_n module.
     """
+    if not weight.is_good():
+        raise ValueError(f"weight {[str(v) for v in weight.values]} is not good")
     n = weight.n
     ls = weight.l_values()
     seed = tableau_from_values(
@@ -375,8 +385,7 @@ class EvaluationFactor:
         key = (a, b, pos)
         col = self._columns.get(key)
         if col is None:
-            if not (1 <= a <= self.n and 1 <= b <= self.n):
-                raise IndexError(f"index out of range for gl_{self.n}")
+            _require_indices(self.n, (a, b))
             col = self._columns[key] = self._build_column(a, b, pos)
         return col
 
@@ -401,8 +410,7 @@ class EvaluationFactor:
 
     def E(self, a: int, b: int, vec: dict) -> dict:
         """The gl_n basis element E_ab on a sparse vector {shift: coefficient}."""
-        if not (1 <= a <= self.n and 1 <= b <= self.n):
-            raise IndexError(f"index out of range for gl_{self.n}")
+        _require_indices(self.n, (a, b))
         return _combine((c, self.column(a, b, d)) for d, c in vec.items())
 
 
@@ -636,6 +644,7 @@ def t_coefficient(M: TensorModule, i: int, j: int, r: int, vec: dict) -> dict:
     """Apply the single generator coefficient t_ij^(r) (t^(0) is delta_ij)."""
     i, j = as_integer(i, "row index"), as_integer(j, "column index")
     r = as_integer(r, "coefficient index r")
+    _require_indices(M.n, (i, j))
     if r < 0:
         raise ValueError(f"coefficient index r must be >= 0, got {r}")
     if r == 0:
@@ -673,6 +682,7 @@ class OperatorSeries:
         self.b_cols = tuple(as_integer(b, "column index") for b in b_cols)
         if len(self.a_rows) != len(self.b_cols):
             raise ValueError("row and column index lists must have equal length")
+        _require_indices(M.n, self.a_rows + self.b_cols)
         self.order = as_integer(order, "truncation order")
         if self.order < 0:
             raise ValueError(f"truncation order must be >= 0, got {order}")

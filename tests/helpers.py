@@ -18,7 +18,13 @@ from wpimod import (
     permute,
     standard_set,
 )
-from wpimod.gt_module import ActionContext, WindowOverflowError, _relation_table, _residual
+from wpimod.gt_module import (
+    ActionContext,
+    WindowOverflowError,
+    _combine,
+    _relation_table,
+    _residual,
+)
 from wpimod.relations import (
     ClosureOrder,
     Relation,
@@ -290,6 +296,20 @@ def reference_verify(C: RelationSet, l: Tableau, radius: int, budget: int,
         if max_violations and len(report["violations"]) >= max_violations:
             return report
     return report
+
+
+def gl_relations_hold(f, depth: int) -> bool:
+    """[E_ab, E_cd] v = delta_bc E_ad v - delta_da E_cb v for every shift v
+    of depth <= `depth` of the evaluation factor `f`: its carrier is a gl_n
+    module there."""
+    idx = range(1, f.n + 1)
+    for v in f.deltas(depth):
+        img = {(a, b): f.E(a, b, {v: 1}) for a in idx for b in idx}
+        for a, b, c, d in itertools.product(idx, repeat=4):
+            if _combine([(1, f.E(a, b, img[c, d]).items()), (-1, f.E(c, d, img[a, b]).items()),
+                         (-(b == c), img[a, d].items()), (int(d == a), img[c, b].items())]):
+                return False
+    return True
 
 
 def reference_walk_order(window, word, pos: int) -> int:

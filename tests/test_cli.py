@@ -154,7 +154,9 @@ def test_enumerate_basis_prints_keys_from_coordinates(tmp_path, capsys, monkeypa
     S = standard_set(Pyramid((1, 1, 1, 1)))
     rels = write_relations(tmp_path, "s.json", S)
     tab = write_tableau(tmp_path, "t.json", spread_seed(S, 9))
+    start = time.perf_counter()
     code = run(["enumerate-basis", "--relations", rels, "--tableau", tab, "--radius", "3"])
+    assert time.perf_counter() - start < 10
     out = capsys.readouterr().out
     assert code == 0 and built == []
     assert json.loads(out)["count"] == 800
@@ -514,6 +516,15 @@ def test_a_critical_weight_is_refused_alike_on_every_run(tmp_path, capsys):
         assert capsys.readouterr().out == '{"error":"tableau is critical","v":1}\n'
 
 
+def test_a_weight_that_is_not_good_is_refused(tmp_path, capsys):
+    # its carrier would break the gl_3 relations, so it is no factor at all
+    path = write_weights(tmp_path, "w.json", [("-2", "0", "-1")])
+    assert run(["tensor-check", "--weights", path]) == 4
+    assert capsys.readouterr().out == (
+        '{"error":"weight [\'-2\', \'0\', \'-1\'] is not good","v":1}\n'
+    )
+
+
 @pytest.mark.parametrize("body", [
     {"weights": [["1/0", "0"], ["1", "0"]]},
     {"weights": [["1", "0"], ["1", "0"]], "points": ["0", "1/0"]},
@@ -524,13 +535,16 @@ def test_a_critical_weight_is_refused_alike_on_every_run(tmp_path, capsys):
     {"weights": [[f"1e{MAX_EXPONENT + 1}", "0"], ["1", "0"]]},
     {"weights": [["1", "0"], ["1", "0"]], "points": ["0", f"2.5E-{MAX_EXPONENT + 1}"]},
     {"weights": [[f"1e+000{MAX_EXPONENT + 1}", "0"], ["1", "0"]]},
+    {"weights": [["1e100000000", "0"], ["1", "0"]]},
 ], ids=["zero-denominator-weight", "zero-denominator-point", "points-string",
         "weight-string", "weights-string", "exponent-weight", "exponent-point",
-        "padded-exponent-weight"])
+        "padded-exponent-weight", "exponent-1e100000000"])
 def test_malformed_weights_are_input_errors(tmp_path, capsys, body):
     p = tmp_path / "w.json"
     p.write_text(json.dumps({"v": 1, **body}) + "\n", encoding="utf-8")
+    start = time.perf_counter()
     code, report = invoke(capsys, ["tensor-check", "--weights", str(p), "--depth", "1"])
+    assert time.perf_counter() - start < 30
     assert code == 4
     assert set(report) == {"v", "error"}
 
@@ -558,7 +572,9 @@ def test_integer_literal_past_the_digit_limit_is_input_error(tmp_path, capsys, k
         "tableau": ["enumerate-basis", "--relations", rels, "--tableau", str(p)],
         "weights": ["tensor-check", "--weights", str(p)],
     }[kind]
+    start = time.perf_counter()
     code, report = invoke(capsys, argv)
+    assert time.perf_counter() - start < 30
     assert code == 4
     assert set(report) == {"v", "error"} and "huge.json" in report["error"]
 
@@ -575,7 +591,9 @@ def test_deeply_nested_json_is_input_error(tmp_path, capsys, kind):
         "tableau": ["enumerate-basis", "--relations", rels, "--tableau", str(p)],
         "weights": ["tensor-check", "--weights", str(p)],
     }[kind]
+    start = time.perf_counter()
     code, report = invoke(capsys, argv)
+    assert time.perf_counter() - start < 30
     assert code == 4
     assert set(report) == {"v", "error"} and "deep.json" in report["error"]
 

@@ -31,7 +31,7 @@ from wpimod.gt_module import MAX_WINDOW_MEMBERS
 from wpimod.tableau import TableauDelta, TriIndex
 from wpimod.yangian_tensor import t_coefficient
 
-from helpers import add_into, drinfeld_b
+from helpers import add_into, drinfeld_b, gl_relations_hold
 
 
 @pytest.fixture(autouse=True)
@@ -63,6 +63,25 @@ def test_is_good():
     assert GlWeight((2, 1, 0)).is_good()
     assert not GlWeight((0, 1, 0)).is_good()  # difference equals the index gap
     assert GlWeight((Fraction(1, 2), 0, 7)).is_good()
+
+
+def test_a_factor_is_a_gl_module_or_refused():
+    # a weight that is not good, such as (-2, 0, -1), gives a carrier whose
+    # E_32 kills the top vector v, so [E_23, E_32] v = 0, not v: it is refused
+    halves = [Fraction(k, 2) for k in range(-4, 5)]
+    built = 0
+    for w in itertools.chain(itertools.product(halves, repeat=2),
+                             itertools.product(range(-2, 3), repeat=3)):
+        try:
+            f = EvaluationFactor(GlWeight(w))
+        except ValueError as exc:
+            assert GlWeight(w).is_good() or "is not good" in str(exc), w
+            continue
+        assert gl_relations_hold(f, 3), w
+        built += 1
+    assert built == 65 + 35
+    with pytest.raises(ValueError, match=re.escape("weight ['-2', '0', '-1'] is not good")):
+        EvaluationFactor(GlWeight((-2, 0, -1)))
 
 
 def _members(s, lo=-6, hi=6):
@@ -828,6 +847,12 @@ def test_out_of_range_indices_raise():
             f.column(a, b, f.highest())
         with pytest.raises(IndexError):
             quantum_minor(M, [a], [b], 2).apply({M.highest(): Fraction(1)})
+    # no shortcut skips the check: t^(0), the empty vector, repeated rows
+    v = {M.highest(): Fraction(1)}
+    for call in (lambda: t_coefficient(M, 9, 9, 0, v), lambda: t_coefficient(M, 3, 1, 1, {}),
+                 lambda: quantum_minor(M, (3, 3), (1, 2), 2).apply(v)):
+        with pytest.raises(IndexError, match="index out of range for gl_2"):
+            call()
 
 
 # -- reference: the full truncated product with the geometric series ---------
