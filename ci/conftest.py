@@ -49,6 +49,7 @@ def weights(*factors, points=None):
 
 
 ODD_PRIMES = [p for p in range(3, 138) if all(p % q for q in range(2, p))]
+SIXTEEN = [f"1/{p} 1/{q}" for p, q in zip(ODD_PRIMES[::2], ODD_PRIMES[1::2])]
 
 WEIGHTS = {
     "gap": weights("1000000000000 0", "1 0"),
@@ -60,8 +61,11 @@ WEIGHTS = {
     "half_integral": weights("1/2 -1/2 1", "-1 -1 3/2"),
     "gl3_fractional": weights("1/3 1/7 2/5", "1/5 1/2 3/11", points="1/2 -2/3"),
     "gl2_fractional": weights("1/3 1/7", "2/5 1/11", "1/13 3/7", points="1/3 0 -3/4"),
-    "sixteen_generic": weights(*(f"1/{p} 1/{q}"
-                                 for p, q in zip(ODD_PRIMES[::2], ODD_PRIMES[1::2]))),
+    "sixteen_generic": weights(*SIXTEEN),
+    # 16 distinct point denominators 2, 3, 5, ..., 53: the scale is their
+    # product, about 3.3e19
+    "sixteen_fractional": weights(
+        *SIXTEEN, points=" ".join(f"1/{p}" for p in [2] + ODD_PRIMES[:15])),
     "four_generic": weights("1/3 1/7", "1/5 1/2", "2/9 0", "1/11 3/4"),
     "gl3_linked_pair": weights("2 2 0", "1 1/2 1"),
     "gl4_linked_pair": weights("3 1 0 -2", "1 0 0 -1"),

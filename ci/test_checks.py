@@ -34,11 +34,15 @@ CLI = {  # id: (argv, exit code, pinned stdout, timeout in seconds)
     # a half-integral pair that meets the integral condition has a singular
     # vector at (1,1)
     "half-integral": ("tensor-check --weights half_integral --mode integral --depth 2", 3, {"sha256": "040b3cfadb584cce1129ec9b61e10b1e9d409fb440f219206cf5ccca24b34b8e"}, 60),
-    # fractional points run the pole recurrence's pd != 1 branch
+    # fractional points give the series a scale above 1, the lcm of the
+    # points' denominators, and each pole is the scale times a point
     "gl3-fractional": ("tensor-check --weights gl3_fractional --depth 4", 0, {"sha256": "5fce73a190e3ea23955d90ebfcd8bfcc2d713ae7d3d52042677a501cbbb4499f"}, 20),
     "gl2-fractional": ("tensor-check --weights gl2_fractional --depth 3", 0, {"sha256": "f48d3d9f944eac3b28c71104aa7806af7cdc510c849be0f349ab564861b80925"}, 20),
     # 16 generic gl_2 factors: each factor's image is built once per index
     "sixteen-generic": ("tensor-check --weights sixteen_generic --depth 1", 0, {"sha256": "465a0ec8f88403a97b3a29757ec76c25fe89f96e2767569865b2ac1e738489d3"}, 10),
+    # the same factors at points 1/2, 1/3, ..., 1/53, at depth 2: integer
+    # growth under the largest scale
+    "sixteen-fractional": ("tensor-check --weights sixteen_fractional --depth 2", 0, {"sha256": "ce0d920f898d0cfbe8f218fb83d523cbbd6a06e49d7351dd2c43006bbff59229"}, 60),
     # a depth whose tensor basis is past 100,000 keys is refused before any probe
     "four-generic-37": ("tensor-check --weights four_generic --depth 37", 4, {"out": '{"error":"tensor basis has more than 100000 members","v":1}'}, 10),
     # admissibility row by row: a gl_6 set whose triples have 172,800 images

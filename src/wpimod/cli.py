@@ -8,7 +8,8 @@ errors are reported: an `InputError` raised here and every `ValueError` a
 library call raises end in exit 4 with the message as the report's "error".
 
 Only the layers the parser and the shared loaders need are imported here
-(`relations`, `tableau`, `pyramid`, `exact_arith`).  Each command imports its
+(`relations`, `tableau` and `pyramid`, with the `exact_arith` that `tableau`
+imports).  Each command imports its
 own layer when it runs: `enumerate-basis`, `verify-relations` and
 `irreducible` load `gt_module` (with `supports`), `tensor-check` loads
 `yangian_tensor` too, and `check-admissible`, `reduce` and `rr-remove` load
@@ -24,7 +25,6 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .exact_arith import scalar_to_json
 from .pyramid import Pyramid
 from .relations import (
     RelationSet,
@@ -160,8 +160,6 @@ def _jsonable(obj):
         return [_jsonable(x) for x in obj]
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, Fraction):
-        return scalar_to_json(obj)
     return obj
 
 

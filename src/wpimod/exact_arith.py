@@ -32,11 +32,6 @@ def as_integer(x, name: str) -> int:
     return int(value)
 
 
-def scalar_to_json(x: Fraction) -> str:
-    """Serialize a rational as "p/q" (always with the denominator)."""
-    return f"{x.numerator}/{x.denominator}"
-
-
 class UniPoly:
     """Univariate polynomial in the formal variable u, ascending coefficients.
 

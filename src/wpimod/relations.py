@@ -236,17 +236,14 @@ def _arcs(C: RelationSet) -> list[tuple[TriIndex, TriIndex, int]]:
     return [(e.lesser, e.greater, 1 if e.strict else 0) for e in C.edges]
 
 
-def _least_solution(verts, arcs, start=None):
-    """Least integral solution of the arcs (u, v, w): x_v >= x_u + w, x >= start.
+def _least_solution(verts, arcs):
+    """Least nonnegative integral solution of the arcs (u, v, w): x_v >= x_u + w.
 
-    Longest paths from a virtual source with an arc of weight start[v]
-    (default 0, so the least nonnegative solution) to each vertex (Cormen et
-    al., section 24.4), found by `_relax` from every vertex; None when a
-    positive cycle makes the system infeasible.
+    Longest paths from a virtual source with an arc of weight 0 to each
+    vertex (Cormen et al., section 24.4), found by `_relax` from every
+    vertex; None when a positive cycle makes the system infeasible.
     """
     x = dict.fromkeys(verts, 0)
-    if start:
-        x.update(start)
     out: dict = {v: [] for v in x}
     for u, v, w in arcs:
         out[u].append((v, w))

@@ -10,11 +10,16 @@ offset c only the rows with c_i > 0 are applied, since t_{i,i+1} maps into
 the empty space at c - alpha_i when c_i = 0.  One fraction-free integer
 elimination takes each kernel exactly: the series are integers over one
 denominator, and the elimination scales rows by integers instead of dividing,
-so a `Fraction` is built only for the returned vectors.  Inside, tensor keys
-are tuples of positions in each factor's member list: each factor lists its
-members of bounded depth once, with their key ranks and root offsets read
-off the coordinates, and the weight spaces are walked from those lists, so a
-shift is built only for a key that leaves the library.  A weight space's
+so a `Fraction` is built only for the returned vectors.  The coproduct runs on
+series in v = D*u, with D the product's scale, the lcm of its points'
+denominators, so every pole D*point is an integer; a series is scaled by D^t
+at coefficient t once on the way in and once on the way out, and a kernel
+needs neither, since that scaling is an invertible diagonal change of the
+image coordinates.  Inside, tensor keys are tuples of positions in each
+factor's member list: each factor lists its members of bounded depth once,
+with their key ranks and root offsets read off the coordinates, and the
+weight spaces are walked from those lists, so a shift is built only for a
+key that leaves the library.  A weight space's
 keys go through the coproduct together, once per raising row.  The diagonal
 E_aa and the raising E_ab that would leave the weights below the highest are
 read off a member's root offset, with no Gelfand-Tsetlin formula.
@@ -283,13 +288,13 @@ class EvaluationFactor:
     `E`, `column` or `deltas` takes or returns one.
 
     The module depends on the weight alone: t_ij(u) -> delta_ij +
-    E_ij/(u - point) puts the point only into the pole, which `_slot_t`
-    reads from the factor's own `point`.  So all factors of one weight share
-    one core, the seed, maximal set, window, action context and one store of
-    E_ab columns, from `_factor_core`, which keeps the cores of the last
-    FACTOR_MEMO_SIZE distinct weights and evicts the least recently used;
-    the bound counts weights, and each core holds what its deepest product
-    grew (see `_factor_core`).
+    E_ij/(u - point) puts the point only into the pole, which a tensor
+    module holds as the integer scale*point (`TensorModule.poles`).  So all
+    factors of one weight share one core, the seed, maximal set, window,
+    action context and one store of E_ab columns, from `_factor_core`,
+    which keeps the cores of the last FACTOR_MEMO_SIZE distinct weights and
+    evicts the least recently used; the bound counts weights, and each core
+    holds what its deepest product grew (see `_factor_core`).
     Of its own a factor has only `weight`, `n`, `point` and the row of each
     window coordinate; its `seed`, `relations`, `window`, `ctx` and column
     store are the core's.
@@ -430,6 +435,10 @@ class TensorModule:
             raise ValueError("all factors must share the same rank")
         self.n = self.factors[0].n
         self.depth = _depth(depth)
+        # the series of the coproduct are in v = scale*u, so every pole,
+        # scale times a factor's point, is an integer
+        self.scale = math.lcm(*(f.point.denominator for f in self.factors))
+        self.poles = tuple(int(f.point * self.scale) for f in self.factors)
         # the keys of `_walk(self._grouped)` by root offset: every offset of
         # height up to `_grouped` reads its keys here
         self._grouped = -1
@@ -553,10 +562,11 @@ def _add_scaled(out: dict, key, ser: list, cn: int = 1, cd: int = 1):
         tgt[t] = tgt[t] * up + cn * ser[t]
 
 
-def _fractions(ser: list) -> list[Fraction]:
-    """The exact coefficients [c_0, ..., c_T] of a scaled series."""
+def _fractions(ser: list, scale: int) -> list[Fraction]:
+    """The exact u-coefficients [c_0, ..., c_T] of a scaled series in
+    v = scale*u: coefficient t is divided by scale^t."""
     den = ser[0]
-    return [Fraction(x, den) for x in ser[1:]]
+    return [Fraction(x, den * scale ** t) for t, x in enumerate(ser[1:])]
 
 
 def _slot_t(M: TensorModule, slot: int, a: int, b: int, arg_shift: int, vec: dict,
@@ -565,40 +575,27 @@ def _slot_t(M: TensorModule, slot: int, a: int, b: int, arg_shift: int, vec: dic
     vector `vec`, into `out` in place, with `_add_scaled`.
 
     Keys are tuples of member positions, one per factor, and values scaled
-    series (`_add_scaled`).  t_ab(u - s) = delta_ab + E_ab/(u - pole) with
-    pole = s + point; dividing a series by (u - pole) is the recurrence
-    p_0 = 0, p_t = c_{t-1} + pole*p_{t-1}.  For a series over D and
-    pole = pn/pd, r_t = n_{t-1} pd^(t-1) + pn r_{t-1} (r_0 = 0) is p_t times
-    D pd^(t-1); each r_t is then brought over the last one's denominator.
-    With point = p/pd in lowest terms, pn = p + s pd, and pn/pd is in
-    lowest terms too: gcd(p + s pd, pd) = gcd(p, pd) = 1.  Image series are
-    not reduced to lowest terms: their values are exact either way, and
+    series (`_add_scaled`) in v = D*u, D the module's scale.  t_ab(u - s) =
+    delta_ab + E_ab/(u - s - point) = delta_ab + D*E_ab/(v - P), with the
+    integer pole P = D*(point + s); dividing a series by (v - P) is the
+    recurrence q_0 = 0, q_t = c_{t-1} + P*q_{t-1}.  Image series are not
+    reduced to lowest terms: their values are exact either way, and
     `Fraction` or the kernel's gcd step reduces them once.
     """
     f = M.factors[slot]
-    pd = f.point.denominator
-    pn = f.point.numerator + arg_shift * pd
+    pole = M.poles[slot] + arg_shift * M.scale
     for key, ser in vec.items():
         if a == b:
             _add_scaled(out, key, ser)
         col = f._column(a, b, key[slot])
         if not col:
             continue
-        size = min(len(ser) - 1, order + 1)
-        p = [ser[0]] + [0] * size
-        r, w = 0, 1
-        for t in range(1, size):
-            r = ser[t] * w + pn * r
-            p[t + 1] = r
-            w *= pd
-        if pd != 1 and size > 1:
-            w //= pd  # pd^(size - 2), the scale of the last r_t
-            p[0] *= w
-            for t in range(1, size - 1):
-                p[t + 1] *= w // pd ** (t - 1)
+        q = [ser[0]] + [0] * min(len(ser) - 1, order + 1)
+        for t in range(2, len(q)):
+            q[t] = ser[t - 1] + pole * q[t - 1]
         for d2, coeff in col:
-            _add_scaled(out, key[:slot] + (d2,) + key[slot + 1:], p,
-                        coeff.numerator, coeff.denominator)
+            _add_scaled(out, key[:slot] + (d2,) + key[slot + 1:], q,
+                        M.scale * coeff.numerator, coeff.denominator)
 
 
 def _tensor_t(M: TensorModule, a: int, b: int, arg_shift: int, vec: dict, order: int, lo: int,
@@ -629,12 +626,13 @@ def _tensor_t(M: TensorModule, a: int, b: int, arg_shift: int, vec: dict, order:
     return images.get(a, {})
 
 
-def _as_series_vec(vec: dict, order: int) -> dict:
-    """Scalar and InvSeries values as scaled series (`_add_scaled`)."""
+def _as_series_vec(vec: dict, order: int, scale: int) -> dict:
+    """Scalar and InvSeries values in u as scaled series in v = scale*u
+    (`_add_scaled`): coefficient t is multiplied by scale^t."""
     out = {}
     for key, c in vec.items():
         xs = (c.constant, *c.coeffs) if isinstance(c, InvSeries) else (c,) + (0,) * order
-        xs = [as_scalar(x) for x in xs]
+        xs = [as_scalar(x) * scale ** t for t, x in enumerate(xs)]
         den = math.lcm(*(x.denominator for x in xs))
         out[key] = [den] + [x.numerator * (den // x.denominator) for x in xs]
     return out
@@ -650,26 +648,9 @@ def t_coefficient(M: TensorModule, i: int, j: int, r: int, vec: dict) -> dict:
     if r == 0:
         return dict(vec) if i == j else {}
     vec = {M._positions(key): c for key, c in vec.items()}
-    out_ser = _tensor_t(M, i, j, 0, _as_series_vec(vec, r), r, 0, len(M.factors))
-    out = {key: Fraction(s[r + 1], s[0]) for key, s in out_ser.items() if s[r + 1]}
+    out_ser = _tensor_t(M, i, j, 0, _as_series_vec(vec, r, M.scale), r, 0, len(M.factors))
+    out = {key: Fraction(s[r + 1], s[0] * M.scale ** r) for key, s in out_ser.items() if s[r + 1]}
     return dict(zip(M._shift_keys(out), out.values()))
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 class OperatorSeries:
@@ -701,10 +682,11 @@ class OperatorSeries:
         M = self.M
         if self.repeated:
             return {}
-        vec = _as_series_vec({M._positions(key): c for key, c in vec.items()}, self.order)
+        vec = _as_series_vec({M._positions(key): c for key, c in vec.items()}, self.order,
+                             M.scale)
         out: dict = {}
         for sigma in itertools.permutations(range(len(self.a_rows))):
-            sgn = _perm_sign(sigma)
+            sgn = (-1) ** sum(x > y for x, y in itertools.combinations(sigma, 2))
             cur = vec
             for pos in range(len(sigma) - 1, -1, -1):
                 cur = _tensor_t(M, self.a_rows[sigma[pos]], self.b_cols[pos], pos, cur,
@@ -713,7 +695,7 @@ class OperatorSeries:
                     break
             for key, s in cur.items():
                 _add_scaled(out, key, s, sgn)
-        out = {k: _fractions(s) for k, s in out.items() if any(s[1:])}
+        out = {k: _fractions(s, M.scale) for k, s in out.items() if any(s[1:])}
         return dict(zip(M._shift_keys(out), (InvSeries(s[0], s[1:]) for s in out.values())))
 
 
@@ -842,7 +824,10 @@ def find_singular_vectors(M: TensorModule, offset) -> list[dict]:
     one simple pole, so under the k-fold coproduct t_{i,i+1}(u) = P(u)/Q(u)
     on the weight space, with one scalar Q = prod (u - point) of degree k for
     every key and deg P <= k.  If c_0, ..., c_k of a combination's image
-    vanish, then P = Q * (P/Q) is a polynomial in O(u^-1), so P = 0.
+    vanish, then P = Q * (P/Q) is a polynomial in O(u^-1), so P = 0.  The
+    images are taken in v = D*u, D the module's scale (`_slot_t`): their
+    coefficient t is D^t times the u-coefficient, so the same combinations
+    vanish.
     """
     offset = tuple(as_integer(c, "offset entry") for c in offset)
     if len(offset) != M.n - 1 or any(c < 0 for c in offset):

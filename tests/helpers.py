@@ -197,14 +197,11 @@ def reference_maximal_set(l: Tableau) -> RelationSet:
     return C
 
 
-def reference_least_solution(verts, arcs, start=None):
+def reference_least_solution(verts, arcs):
     """`relations._least_solution` by full Bellman-Ford passes over every arc
-    (Cormen et al., section 24.4): the least solution of x_v >= x_u + w over
-    the arcs (u, v, w) with x >= start (default 0), or None on a positive
-    cycle."""
+    (Cormen et al., section 24.4): the least nonnegative solution of
+    x_v >= x_u + w over the arcs (u, v, w), or None on a positive cycle."""
     x = dict.fromkeys(verts, 0)
-    if start:
-        x.update(start)
     for _ in range(len(x) + 1):
         changed = False
         for u, v, w in arcs:

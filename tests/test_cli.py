@@ -561,6 +561,39 @@ def test_a_zero_denominator_names_its_text(tmp_path, capsys, body, text):
     assert report == {"v": 1, "error": f"{p}: '{text}' has a zero denominator"}
 
 
+_MIXED_RANKS = {"weights": [["1", "0"], ["1", "0", "0"]]}
+
+
+@pytest.mark.parametrize("argv, body, error", [
+    (["tensor-check"], {"weights": [["1", "0"], ["1", "0"]], "points": ["0"]},
+     "{path}: need one evaluation point per weight"),
+    (["tensor-check", "--mode", "integral"], {"weights": [["1", "0"]] * 3},
+     "integral mode needs exactly two weights"),
+    (["tensor-check"], {"weights": []}, "need at least one factor"),
+    (["tensor-check"], _MIXED_RANKS, "all factors must share the same rank"),
+    (["tensor-check", "--mode", "integral"], _MIXED_RANKS, "weights must have the same length"),
+    (["tensor-check"], {"weights": [[]]}, "{path}: weight needs at least one entry"),
+    (["check-admissible"],
+     {"pyramid": {"rows": [1, 1]},
+      "edges": [{"greater": {"k": 1, "i": 9, "j": 1}, "lesser": {"k": 1, "i": 2, "j": 1},
+                 "strict": False}]},
+     "{path}: relation Relation(greater=TriIndex(k=1, i=9, j=1), lesser=TriIndex(k=1, i=2, "
+     "j=1), strict=False) is not an allowed pattern"),
+    (["rr-remove", "--triple", "1,2"], {"pyramid": {"rows": [1, 1]}, "edges": []},
+     "bad triple '1,2'; expected k,i,j"),
+    (["check-admissible"], {"pyramid": {"rows": []}, "edges": []},
+     "{path}: pyramid needs at least one row"),
+], ids=["fewer-points", "integral-three", "no-weights", "mixed-ranks", "integral-mixed-ranks",
+        "empty-weight", "triple-off-the-pyramid", "bad-triple", "no-rows"])
+def test_each_input_error_exits_4_with_its_message(tmp_path, capsys, argv, body, error):
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps({"v": 1, **body}) + "\n", encoding="utf-8")
+    option = "--weights" if argv[0] == "tensor-check" else "--relations"
+    assert run(argv + [option, str(p)]) == 4
+    message = json.dumps(error.format(path=p))
+    assert capsys.readouterr().out == f'{{"error":{message},"v":1}}\n'
+
+
 @pytest.mark.parametrize("kind", ["relations", "tableau", "weights"])
 def test_integer_literal_past_the_digit_limit_is_input_error(tmp_path, capsys, kind):
     # json.load raises a plain ValueError, not JSONDecodeError, past 4,300 digits

@@ -13,14 +13,11 @@ from wpimod import (
     generic_instantiate,
     poly_series_quotient,
 )
-from wpimod.exact_arith import scalar_to_json
 
 
 def test_as_scalar_forms():
     assert as_scalar("3/7") == Fraction(3, 7)
     assert as_scalar(2) == Fraction(2)
-    assert scalar_to_json(Fraction(-3, 7)) == "-3/7"
-    assert scalar_to_json(Fraction(5)) == "5/1"
 
 
 def test_unipoly_normalization_and_degree():

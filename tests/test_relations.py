@@ -212,30 +212,25 @@ def test_least_solution_contract():
 
 
 def _random_system(rng):
-    """A seeded difference system: vertices, arcs (u, v, w) and a start
-    that is None or gives some vertices a value of either sign."""
+    """A seeded difference system: vertices and arcs (u, v, w)."""
     verts = [f"v{k}" for k in range(rng.randint(1, 9))]
     arcs = [
         (rng.choice(verts), rng.choice(verts), rng.randint(-3, 2))
         for _ in range(rng.randint(0, 3 * len(verts)))
     ]
-    start = None
-    if rng.random() < 0.5:
-        start = {v: rng.randint(-4, 4) for v in rng.sample(verts, rng.randint(1, len(verts)))}
-    return verts, arcs, start
+    return verts, arcs
 
 
 def test_worklist_solver_matches_pass_reference():
     rng = random.Random(32)
-    solved = cycles = started = 0
+    solved = cycles = 0
     for _ in range(3000):
-        verts, arcs, start = _random_system(rng)
-        got = _least_solution(verts, arcs, start)
-        assert got == reference_least_solution(verts, arcs, start), (verts, arcs, start)
+        verts, arcs = _random_system(rng)
+        got = _least_solution(verts, arcs)
+        assert got == reference_least_solution(verts, arcs), (verts, arcs)
         solved += got is not None
         cycles += got is None
-        started += start is not None and got is not None
-    assert solved > 500 and cycles > 500 and started > 200
+    assert solved > 500 and cycles > 500
 
 
 def test_worklist_solver_finds_a_long_positive_cycle_at_once():

@@ -604,12 +604,12 @@ def _raising_rows(M, offset, order):
     rows = [i for i, c in enumerate(offset, 1) if c]
     images = []
     for key in M._space(offset):
-        start = yt._as_series_vec({key: 1}, order)
+        start = yt._as_series_vec({key: 1}, order, M.scale)
         images.append({
             (i, ok, t): c
             for i in rows
             for ok, s in yt._tensor_t(M, i, i + 1, 0, start, order, 0, len(M.factors)).items()
-            for t, c in enumerate(yt._fractions(s))
+            for t, c in enumerate(yt._fractions(s, M.scale))
         })
     coords = sorted({coord for image in images for coord in image})
     return [[image.get(coord, Fraction(0)) for image in images] for coord in coords]
@@ -717,6 +717,36 @@ def test_singular_vectors_equal_the_dense_reduced_echelon_basis():
         combined += sum(len(v) > 1 for v in ref)
     assert len(_dense_singular_vectors(nullity_two, (1,))) == 2
     assert combined > 2  # vectors that combine several keys, past the nullity-2 case
+
+
+def test_points_move_no_singular_vector():
+    """The twist t(u) -> u/(u - a) t(u) takes the factor of weight lambda at
+    point a to the factor of weight lambda - a at point 0 and moves no
+    submodule.  So at fractional points, where the module's scale is above
+    1, the singular vectors are those of the shifted weights at points 0,
+    key for key, on every offset up to the depth."""
+    rng = random.Random(20261021)
+    points = [Fraction(p, q) for q in (2, 3, 5, 7) for p in (-3, -1, 1, 2) if p % q]
+    cases = [([lam, mu], depth) for n, depth, count in ((2, 4, 6), (3, 3, 3))
+             for pairs in _corpus_pairs(n, count, rng).values() for lam, mu in pairs]
+    # (1,0)^{(x)3} at points 0, -1, -2, two singular vectors at offset (1,),
+    # and a singular vector at offset (1,) from the outer factors
+    cases += [([(1, 0), (2, 1), (3, 2)], 3), ([(2, 0), ("1/6", "-5/6"), (3, 2)], 3)]
+    compared = nonzero = 0
+    for weights, depth in cases:
+        at = [rng.choice(points) for _ in weights]
+        moved = _tensor([[Fraction(v) + a for v in w] for w, a in zip(weights, at)], at, depth)
+        still = _tensor(weights, [0] * len(weights), depth)
+        assert moved.scale > 1 and still.scale == 1
+        for offset in itertools.product(range(depth + 1), repeat=moved.n - 1):
+            if sum(offset) <= depth:
+                got = find_singular_vectors(moved, offset)
+                want = find_singular_vectors(still, offset)
+                assert [list(v.items()) for v in got] == [list(v.items()) for v in want], \
+                    (weights, at, offset)
+                compared += 1
+                nonzero += any(offset) and bool(got)
+    assert compared > 150 and nonzero > 5
 
 
 def test_negative_orders_are_value_errors():
@@ -1047,12 +1077,12 @@ def test_scaled_series_sums_equal_fraction_sums():
             ser = [frac() for _ in range(rng.randint(1, 5))]
             c = rng.choice([None, frac()])
             add_into(fractions, key, ser, c)
-            s = yt._as_series_vec({0: InvSeries(ser[0], ser[1:])}, 0)[0]
+            s = yt._as_series_vec({0: InvSeries(ser[0], ser[1:])}, 0, 1)[0]
             if c is None:
                 yt._add_scaled(scaled, key, s)
             else:
                 yt._add_scaled(scaled, key, s, c.numerator, c.denominator)
-        assert {k: yt._fractions(s) for k, s in scaled.items()} == fractions
+        assert {k: yt._fractions(s, 1) for k, s in scaled.items()} == fractions
         assert all(s[0] > 0 for s in scaled.values())
 
 
@@ -1390,8 +1420,8 @@ def test_raising_rows_off_the_offset_are_empty():
                 continue
             for i, c in enumerate(offset, 1):
                 for key in keys:
-                    image = yt._tensor_t(M, i, i + 1, 0, yt._as_series_vec({key: 1}, order),
-                                         order, 0, len(M.factors))
+                    start = yt._as_series_vec({key: 1}, order, M.scale)
+                    image = yt._tensor_t(M, i, i + 1, 0, start, order, 0, len(M.factors))
                     if c == 0:
                         assert image == {}, (offset, i, key)
                     applied += c > 0 and bool(image)
@@ -1402,8 +1432,8 @@ def test_raising_rows_off_the_offset_are_empty():
 def test_batched_raising_images_equal_the_per_key_images(spaces):
     """`_raising_images` takes a weight space's keys through the coproduct
     together; split by source, each row's image is, series for series and in
-    the same order, the key's own `_tensor_t` image.  Off point 0 the pole
-    recurrence runs its pd != 1 branch."""
+    the same order, the key's own `_tensor_t` image.  Off point 0 the
+    module's scale is above 1, and the series run in v = scale*u."""
     if spaces == "corpus":
         cases = [(M, offset, len(M.factors)) for M, offset in _corpus_spaces()]
     else:
