@@ -7,6 +7,13 @@ with a schema version field "v": 1; key order is sorted, so identical inputs
 errors are reported: an `InputError` raised here and every `ValueError` a
 library call raises end in exit 4 with the message as the report's "error".
 
+The argparse parser `_PARSER` is the one definition of the command line.
+When argv starts with a command, `run` hands the rest of it to that
+command's subparser (`_COMMANDS`), which is the parser the full parse hands
+it to, so help, usage and error texts are the same; any other argv (none, an
+unknown command, -h or --help) takes the full parse.  Each input file is read
+once, as bytes decoded as strict UTF-8.
+
 Only the layers the parser and the shared loaders need are imported here
 (`relations`, `tableau` and `pyramid`, with the `exact_arith` that `tableau`
 imports).  Each command imports its
@@ -62,9 +69,12 @@ class InputError(Exception):
 
 
 def _load_json(path: str) -> dict:
+    """The JSON object in the file: its bytes read at once and decoded as
+    strict UTF-8, so a byte-order mark or a UTF-16 file is an error."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        obj = json.loads(data.decode("utf-8"))
     except FileNotFoundError:
         raise InputError(f"file not found: {path}")
     except json.JSONDecodeError as exc:
@@ -141,10 +151,12 @@ def _load_weights(path: str):
     return weights, points
 
 
+# Built once: `json.dumps` with options builds a new encoder on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _emit(report: dict) -> None:
-    report = dict(report)
-    report["v"] = 1
-    sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+    sys.stdout.write(_ENCODER.encode({**report, "v": 1}) + "\n")
 
 
 def _triple(t: TriIndex) -> list[int]:
@@ -357,7 +369,7 @@ def _integer(lo=None, hi=None):
     return parse
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(
         prog="wpimod",
         description="Exact relation Gelfand-Tsetlin modules and Yangian tensor probes.",
@@ -395,18 +407,32 @@ def _build_parser() -> _Parser:
     sub = command("tensor-check", tensor_check_cmd, ("--weights",))
     defaulted(sub, "--depth", type=_integer(0), default=3)
     defaulted(sub, "--mode", choices=("generic", "integral"), default="generic")
-    return parser
+    return parser, commands.choices
 
 
-# Built once: building it costs more than a parse.
-_PARSER = _build_parser()
+# Built once: building it costs more than a parse.  `_COMMANDS` maps each
+# command name to its subparser, a parser of `_PARSER`.
+_PARSER, _COMMANDS = _build_parser()
+
+
+def _parse(argv: list[str]) -> dict:
+    """The arguments of argv as `_PARSER.parse_args` gives them, less "command".
+
+    A command's arguments go straight to its own subparser, which the full
+    parse hands them to as well, so its help, usage and error texts are the
+    same; only an argv that does not start with a command (none, an unknown
+    one, -h or --help) takes the full parse.
+    """
+    sub = _COMMANDS.get(argv[0]) if argv else None
+    args = vars(sub.parse_args(argv[1:]) if sub else _PARSER.parse_args(argv))
+    args.pop("command", None)
+    return args
 
 
 def run(argv=None) -> int:
     """Entry point returning the exit code instead of raising SystemExit."""
     try:
-        args = vars(_PARSER.parse_args(argv))
-        del args["command"]
+        args = _parse(sys.argv[1:] if argv is None else argv)
         return args.pop("func")(**args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

@@ -248,7 +248,8 @@ class FreeWindow(BasisWindow):
     `coords`, with no shift built, so `position` and `step` grow the window
     and positions never move; `position` raises ValueError on any other
     shift, and `in` never appends.  There is no box to enumerate, so the
-    members start empty.
+    members start empty; `_admit` appends a point of `points`, which
+    satisfies C by construction, with no check.
     """
 
     def __init__(self, C: RelationSet, seed: Tableau):
@@ -260,6 +261,13 @@ class FreeWindow(BasisWindow):
     def _find(self, coords: tuple[int, ...]) -> int | None:
         pos = self.at.get(coords)
         if pos is None and self.satisfied(coords):
+            pos = self._admit(coords)
+        return pos
+
+    def _admit(self, coords: tuple[int, ...]) -> int:
+        """The position of coordinates known to satisfy C, appended if unseen."""
+        pos = self.at.get(coords)
+        if pos is None:
             pos = self.at[coords] = len(self.coords)
             self.coords.append(coords)
         return pos

@@ -52,14 +52,18 @@ class RelationSet:
     __slots__ = ("pyramid", "edges")
 
     def __init__(self, pyramid: Pyramid, edges):
-        self.pyramid = pyramid
-        es = set()
-        for e in edges:
-            rel = Relation(TriIndex(*e.greater), TriIndex(*e.lesser), bool(e.strict))
+        self._keep(pyramid, [
+            Relation(TriIndex(*e.greater), TriIndex(*e.lesser), bool(e.strict)) for e in edges
+        ])
+
+    def _keep(self, pyramid: Pyramid, rels: list[Relation]) -> None:
+        """Check `rels`, `Relation`s of `TriIndex`es and bools, in order, and
+        keep them: each must be an allowed pattern, and no top-row loop."""
+        for rel in rels:
             if not _relation_shape_ok(pyramid, rel):
                 raise ValueError(f"relation {rel} is not an allowed pattern")
-            es.add(rel)
-        self.edges = frozenset(es)
+        self.pyramid = pyramid
+        self.edges = frozenset(rels)
         if self._has_top_row_loop():
             raise ValueError("relation set contains a top-row loop")
 
@@ -115,8 +119,10 @@ class RelationSet:
             ]
         }
 
-    @staticmethod
-    def from_json(pi: Pyramid, obj: dict) -> "RelationSet":
+    @classmethod
+    def from_json(cls, pi: Pyramid, obj: dict) -> "RelationSet":
+        """The set of the "edges" array; each relation is built once, from
+        triples and a "strict" flag whose JSON types are checked."""
         edges = []
         for e in obj["edges"]:
             if type(e["strict"]) is not bool:
@@ -124,7 +130,9 @@ class RelationSet:
             edges.append(Relation(
                 triple_from_json(e["greater"]), triple_from_json(e["lesser"]), e["strict"]
             ))
-        return RelationSet(pi, edges)
+        C = object.__new__(cls)
+        C._keep(pi, edges)
+        return C
 
 
 def vertices(C: RelationSet) -> set[TriIndex]:

@@ -136,16 +136,21 @@ class Tableau:
         entries: dict[TriIndex, tuple],
         assignment: GenericAssignment | None = None,
     ):
-        self.pyramid = pyramid
-        self.entries = {}
-        for t, (cls, off) in entries.items():
-            t = TriIndex(*t)
+        self._keep(pyramid, {TriIndex(*t): (cls, int(off)) for t, (cls, off) in entries.items()},
+                   assignment)
+
+    def _keep(self, pyramid: Pyramid, entries: dict[TriIndex, tuple],
+              assignment: GenericAssignment | None = None) -> None:
+        """Check `entries`, `TriIndex` keys and (class, int offset) values,
+        and keep them, not copied: every key valid, every triple present."""
+        for t in entries:
             if not valid_index(pyramid, t):
                 raise ValueError(f"index {tuple(t)} invalid for {pyramid}")
-            self.entries[t] = (cls, int(off))
         for t in all_indices(pyramid):
-            if t not in self.entries:
+            if t not in entries:
                 raise ValueError(f"missing entry at {tuple(t)}")
+        self.pyramid = pyramid
+        self.entries = entries
         self.assignment = assignment
 
     def entry(self, t: TriIndex) -> tuple:
@@ -244,4 +249,6 @@ def tableau_from_json(obj: dict) -> Tableau:
         if t in entries:
             raise ValueError(f"entry {tuple(t)} listed twice")
         entries[t] = (cls, off)
-    return Tableau(pi, entries)
+    l = object.__new__(Tableau)
+    l._keep(pi, entries)
+    return l

@@ -351,7 +351,7 @@ class EvaluationFactor:
         window = self.window
         coords = window.points(-depth, 0, depth=depth)
         coords.sort(key=window.key)
-        out = [(-sum(c), rank, window._find(c), self._offset_at(c))
+        out = [(-sum(c), rank, window._admit(c), self._offset_at(c))
                for rank, c in enumerate(coords)]
         out.sort()
         return out
@@ -631,8 +631,11 @@ def _as_series_vec(vec: dict, order: int, scale: int) -> dict:
     (`_add_scaled`): coefficient t is multiplied by scale^t."""
     out = {}
     for key, c in vec.items():
-        xs = (c.constant, *c.coeffs) if isinstance(c, InvSeries) else (c,) + (0,) * order
-        xs = [as_scalar(x) * scale ** t for t, x in enumerate(xs)]
+        if not isinstance(c, InvSeries):  # a scalar c is [den(c), num(c), 0, ...]
+            c = as_scalar(c)
+            out[key] = [c.denominator, c.numerator] + [0] * order
+            continue
+        xs = [as_scalar(x) * scale ** t for t, x in enumerate((c.constant, *c.coeffs))]
         den = math.lcm(*(x.denominator for x in xs))
         out[key] = [den] + [x.numerator * (den // x.denominator) for x in xs]
     return out

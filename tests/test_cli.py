@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ import wpimod
 from wpimod import (
     Pyramid, RelationSet, gt_module, standard_set, tableau_to_json, yangian_tensor,
 )
+from wpimod import cli
 from wpimod.cli import MAX_BUDGET, MAX_EXPONENT, MAX_INSTANTIATIONS, run
 from wpimod.gt_module import MAX_WINDOW_MEMBERS, BasisWindow, enumerate_basis
 from wpimod.tableau import TableauDelta
@@ -711,7 +713,7 @@ def _inputs(tmp_path, argv):
     return [files[a]() if a in files else a for a in argv]
 
 
-@pytest.mark.parametrize("argv, named", [
+USAGE_ERRORS = [
     ([], "COMMAND"),
     (["frobnicate"], "frobnicate"),
     (["check-admissible"], "--relations"),
@@ -724,9 +726,13 @@ def _inputs(tmp_path, argv):
     (["tensor-check", "--weights", "{weights}", "--mode", "exact"], "--mode"),
     (["rr-remove", "--relations", "{relations}"], "--triple"),
     (["irreducible", "--relations", "{relations}"], "--tableau"),
-], ids=["no-command", "unknown-command", "missing-relations", "no-value", "unknown-option",
-        "abbreviated-relations", "abbreviated-instantiations", "non-integer-radius",
-        "non-integer-seed", "bad-mode", "missing-triple", "missing-tableau"])
+]
+
+
+@pytest.mark.parametrize("argv, named", USAGE_ERRORS, ids=[
+    "no-command", "unknown-command", "missing-relations", "no-value", "unknown-option",
+    "abbreviated-relations", "abbreviated-instantiations", "non-integer-radius",
+    "non-integer-seed", "bad-mode", "missing-triple", "missing-tableau"])
 def test_usage_errors_are_input_errors(tmp_path, capsys, argv, named):
     code, report = invoke(capsys, _inputs(tmp_path, argv))
     assert code == 4 and set(report) == {"v", "error"}
@@ -761,7 +767,7 @@ def test_a_repeated_option_keeps_its_last_value(tmp_path, capsys):
     assert code == 0 and report["radius"] == 2 and report["count"] == 3
 
 
-@pytest.mark.parametrize("argv", [
+HELP = [
     ["--help"],
     ["check-admissible", "--help"],
     ["reduce", "--help"],
@@ -770,7 +776,10 @@ def test_a_repeated_option_keeps_its_last_value(tmp_path, capsys):
     ["verify-relations", "-h"],
     ["irreducible", "--help"],
     ["tensor-check", "--help"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", HELP)
 def test_help_exits_zero(capsys, argv):
     assert run(argv) == 0
     out = capsys.readouterr().out
@@ -779,7 +788,7 @@ def test_help_exits_zero(capsys, argv):
         assert "verify-relations" in out and "tensor-check" in out
 
 
-@pytest.mark.parametrize("argv, defaults", [
+DEFAULTS = [
     (["check-admissible", "--relations", "{relations}"], []),
     (["reduce", "--relations", "{relations}"], []),
     (["rr-remove", "--relations", "{relations}", "--triple", "1,2,2"], []),
@@ -789,8 +798,12 @@ def test_help_exits_zero(capsys, argv):
      ["--radius", "2", "--budget", "2", "--instantiations", "3", "--seed", "1"]),
     (["irreducible", "--relations", "{relations}", "--tableau", "{tableau}"], []),
     (["tensor-check", "--weights", "{weights}"], ["--depth", "3", "--mode", "generic"]),
-], ids=["check-admissible", "reduce", "rr-remove", "enumerate-basis", "verify-relations",
-        "irreducible", "tensor-check"])
+]
+
+
+@pytest.mark.parametrize("argv, defaults", DEFAULTS, ids=[
+    "check-admissible", "reduce", "rr-remove", "enumerate-basis", "verify-relations",
+    "irreducible", "tensor-check"])
 def test_defaults_left_out_equal_defaults_given(tmp_path, capsys, argv, defaults):
     argv = _inputs(tmp_path, argv)
     code = run(argv)
@@ -798,6 +811,65 @@ def test_defaults_left_out_equal_defaults_given(tmp_path, capsys, argv, defaults
     assert code in (0, 3) and out.startswith('{"')
     assert run(argv + defaults) == code
     assert capsys.readouterr().out == out
+
+
+def _parse_outcome(parse, argv, capsys):
+    """What parse(argv) gives: its arguments less "command", an InputError's
+    text, or a SystemExit's code with the text printed."""
+    try:
+        args = dict(parse(argv))
+    except cli.InputError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, capsys.readouterr().out
+    args.pop("command", None)
+    return "args", args
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in USAGE_ERRORS] + HELP + [
+    argv + extra for argv, defaults in DEFAULTS for extra in ([], defaults)])
+def test_direct_dispatch_equals_the_full_parse(tmp_path, capsys, monkeypatch, argv):
+    argv = _inputs(tmp_path, argv)
+    full = _parse_outcome(lambda a: vars(cli._PARSER.parse_args(a)), argv, capsys)
+    if argv and argv[0] in cli._COMMANDS:  # a command's argv skips the full parse
+        monkeypatch.setattr(cli._PARSER, "parse_args", None)
+    assert _parse_outcome(cli._parse, argv, capsys) == full
+
+
+def test_run_reads_sys_argv_without_an_argv(tmp_path, capsys, monkeypatch):
+    argv = _inputs(tmp_path, ["check-admissible", "--relations", "{relations}"])
+    for args in (argv, argv[:1], []):
+        code = run(args)
+        out = capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv", ["wpimod", *args])
+        assert run() == code and capsys.readouterr().out == out
+    assert out == '{"error":"the following arguments are required: COMMAND","v":1}\n'
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-admissible", "--relations", "{relations}"],
+    ["irreducible", "--relations", "{relations}", "--tableau", "{tableau}"],
+    ["tensor-check", "--weights", "{weights}"],
+], ids=["relations", "tableau", "weights"])
+@pytest.mark.parametrize("encode, error", [
+    (lambda text: b"\xef\xbb\xbf" + text.encode(),
+     "malformed JSON in {path}: line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    (lambda text: text.encode().replace(b'"v"', b'"\xff"', 1),
+     "unreadable JSON in {path}: 'utf-8' codec can't decode byte 0xff in position 2: "
+     "invalid start byte"),
+    (lambda text: text.encode("utf-16"),
+     "unreadable JSON in {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+     "invalid start byte"),
+], ids=["utf-8-bom", "invalid-utf-8", "utf-16"])
+def test_inputs_are_strict_utf_8(tmp_path, capsys, argv, encode, error):
+    # each file is valid JSON of its kind before it is encoded, and
+    # json.loads would read the BOM and UTF-16 files if handed their bytes
+    argv = _inputs(tmp_path, argv)
+    path = tmp_path / "bad.json"  # the last input, encoded
+    path.write_bytes(encode(Path(argv[-1]).read_text(encoding="utf-8")))
+    assert run(argv[:-1] + [str(path)]) == 4
+    assert capsys.readouterr().out == json.dumps({"error": error.format(path=path), "v": 1},
+                                                 separators=(",", ":")) + "\n"
 
 
 def test_importing_the_cli_loads_no_click():
