@@ -77,6 +77,8 @@ def _load_json(path: str) -> dict:
         obj = json.loads(data.decode("utf-8"))
     except FileNotFoundError:
         raise InputError(f"file not found: {path}")
+    except OSError as exc:  # a directory, an unreadable file
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"

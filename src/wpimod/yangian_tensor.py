@@ -33,11 +33,12 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
+from . import gt_module
 from .exact_arith import InvSeries, as_integer, as_scalar
 from .gt_module import MAX_WINDOW_MEMBERS, STRICT, ActionContext, FreeWindow, _combine
 from .pyramid import Pyramid
 from .relations import maximal_set
-from .tableau import TableauDelta, TriIndex, tableau_from_values
+from .tableau import Tableau, TableauDelta, TriIndex, tableau_from_values
 
 # Most weight spaces `singular_dimensions` probes.  comb(depth + n - 1, n - 1)
 # root offsets have height <= depth, and past this count the depth is refused
@@ -244,23 +245,48 @@ def integral_condition(lam: GlWeight, mu: GlWeight) -> bool:
 # -- evaluation factors -----------------------------------------------------
 
 
-# Distinct weights whose factor core `_factor_core` keeps, the least recently
-# used evicted first.  A sweep over a weight box builds the same weights in
-# many products; past this many distinct weights, it should keep and reuse
-# its own factors.
+# Distinct weights whose factor core `_factor_core` keeps, and distinct seed
+# shapes whose relation set, window and member lists `_factor_shape` keeps,
+# the least recently used evicted first.  A sweep over a weight box builds
+# the same weights in many products; past this many distinct weights, it
+# should keep and reuse its own factors.
 FACTOR_MEMO_SIZE = 128
+
+
+@lru_cache(maxsize=FACTOR_MEMO_SIZE)
+def _factor_shape(pyramid: Pyramid, entries: tuple) -> tuple:
+    """What every factor whose seed has these entries shares, built once
+    while stored: (maximal set, free window, `EvaluationFactor._members`
+    lists by depth).  `entries` are the seed's (triple, (class, offset))
+    pairs, as `tableau_from_values` gives them.
+
+    The relation set and the basis depend only on which entries of the seed
+    differ by integers, and by how much, not on the weight's values, so
+    the window is built over a seed with no assignment: a read of the
+    values through it raises.  Its positions are appended and never move,
+    so each weight keeps its own columns keyed by them.  A shape whose
+    maximal set fails raises every time and is never stored.
+    """
+    seed = Tableau(pyramid, dict(entries))
+    relations = maximal_set(seed)
+    return relations, FreeWindow(relations, seed), {}
 
 
 @lru_cache(maxsize=FACTOR_MEMO_SIZE)
 def _factor_core(weight: GlWeight) -> tuple:
     """The core that every evaluation factor of `weight` shares, built once
-    while stored: (seed, maximal set, free window, exact action context,
-    column store), the highest-weight tableau of the shifted coordinates
-    over the one-column pyramid and everything built from it.  A weight
+    while stored: (seed, maximal set, free window, member lists by depth,
+    exact action context, column store).  The seed is the highest-weight
+    tableau of the shifted coordinates over the one-column pyramid, with
+    the weight's values; the maximal set, window and member lists are its
+    shape's (`_factor_shape`), shared with every weight of that shape, and
+    the action context and column store are the weight's own.  A weight
     whose core fails raises every time and is never stored.  The store's
-    bound counts weights, not bytes: a stored core keeps the window and the
-    columns of the deepest product built on its weight, 0.39 MB for the
-    generic gl_3 pair [1/3, 1/7, 2/5], [1/5, 1/2, 3/11] at depth 8.
+    bound counts weights, not bytes: a stored core keeps the columns of
+    the deepest product built on its weight, and its shape the window and
+    member lists of each depth built on any weight of the shape: 0.31 MB
+    for the generic gl_3 pair [1/3, 1/7, 2/5], [1/5, 1/2, 3/11], one shape,
+    at depth 8, under tracemalloc.
     A weight that is not good (`GlWeight.is_good`) raises ValueError: its
     carrier would break the gl_n relations, so it is no gl_n module.
     """
@@ -272,9 +298,8 @@ def _factor_core(weight: GlWeight) -> tuple:
         Pyramid((1,) * n),
         {TriIndex(1, i, j): ls[j - 1] for i in range(1, n + 1) for j in range(1, i + 1)},
     )
-    relations = maximal_set(seed)
-    window = FreeWindow(relations, seed)
-    return seed, relations, window, ActionContext(window, seed.assignment), {}
+    relations, window, member_lists = _factor_shape(seed.pyramid, tuple(seed.entries.items()))
+    return seed, relations, window, member_lists, ActionContext(window, seed.assignment), {}
 
 
 class EvaluationFactor:
@@ -290,11 +315,14 @@ class EvaluationFactor:
     The module depends on the weight alone: t_ij(u) -> delta_ij +
     E_ij/(u - point) puts the point only into the pole, which a tensor
     module holds as the integer scale*point (`TensorModule.poles`).  So all
-    factors of one weight share one core, the seed, maximal set, window,
-    action context and one store of E_ab columns, from `_factor_core`,
-    which keeps the cores of the last FACTOR_MEMO_SIZE distinct weights and
-    evicts the least recently used; the bound counts weights, and each core
-    holds what its deepest product grew (see `_factor_core`).
+    factors of one weight share one core from `_factor_core`: the seed, the
+    exact action context and one store of E_ab columns are the weight's
+    own, and the maximal set, the window and the member lists by depth are
+    its seed's shape's (`_factor_shape`), shared with every weight whose
+    seed has the same classes and offsets.  Each store keeps its last
+    FACTOR_MEMO_SIZE entries and evicts the least recently used; the bound
+    counts weights and shapes, and each holds what its deepest product
+    grew (see `_factor_core`).
     Of its own a factor has only `weight`, `n`, `point` and the row of each
     window coordinate; its `seed`, `relations`, `window`, `ctx` and column
     store are the core's.
@@ -306,7 +334,8 @@ class EvaluationFactor:
         self.weight = weight
         self.point = as_scalar(point)
         self.n = weight.n
-        self.seed, self.relations, self.window, self.ctx, self._columns = _factor_core(weight)
+        (self.seed, self.relations, self.window, self._member_lists, self.ctx,
+         self._columns) = _factor_core(weight)
         # per window coordinate in row i, the index of c_i in a root offset
         self._rows = tuple(t.i - 1 for t in self.window.free)
 
@@ -347,13 +376,22 @@ class EvaluationFactor:
         rank is the member's place among them in key order, so ranks compare
         as the shifts' keys do.  Raises ValueError past MAX_WINDOW_MEMBERS
         members, as a basis window does.
+
+        Each depth's list is built once per shape and kept in its member
+        lists, which every factor of the shape reads and none changes; a
+        kept list is held against the cap again, which is read at call time.
         """
-        window = self.window
-        coords = window.points(-depth, 0, depth=depth)
-        coords.sort(key=window.key)
-        out = [(-sum(c), rank, window._admit(c), self._offset_at(c))
-               for rank, c in enumerate(coords)]
-        out.sort()
+        out = self._member_lists.get(depth)
+        if out is None:
+            window = self.window
+            coords = window.points(-depth, 0, depth=depth)
+            coords.sort(key=window.key)
+            out = [(-sum(c), rank, window._admit(c), self._offset_at(c))
+                   for rank, c in enumerate(coords)]
+            out.sort()
+            self._member_lists[depth] = out
+        elif len(out) > gt_module.MAX_WINDOW_MEMBERS:
+            raise ValueError(f"basis window has more than {gt_module.MAX_WINDOW_MEMBERS} members")
         return out
 
     def deltas(self, depth: int) -> list[TableauDelta]:

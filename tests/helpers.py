@@ -36,7 +36,13 @@ from wpimod.relations import (
     vertices,
 )
 from wpimod.tableau import row_indices
-from wpimod.yangian_tensor import OperatorSeries, TensorModule, quantum_minor
+from wpimod.yangian_tensor import (
+    OperatorSeries,
+    TensorModule,
+    _factor_core,
+    _factor_shape,
+    quantum_minor,
+)
 
 GL2 = Pyramid((1, 1))
 GL3 = Pyramid((1, 1, 1))
@@ -117,6 +123,12 @@ def _reference_is_admissible(C, support=None):
         if first_fail is None:
             first_fail = cert
     return False, first_fail
+
+
+def clear_factor_stores() -> None:
+    """Empty the factor-core and seed-shape stores, as in a fresh process."""
+    _factor_core.cache_clear()
+    _factor_shape.cache_clear()
 
 
 def drinfeld_b(M: TensorModule, m: int, order: int) -> OperatorSeries:

@@ -97,6 +97,23 @@ def test_missing_file_and_bad_version(tmp_path, capsys):
     assert code == 4 and '"v": 1' in report["error"]
 
 
+def test_a_directory_as_an_input_file_is_input_error(tmp_path, capsys):
+    # reading a directory fails with an OSError other than a missing file;
+    # each of the three loaders reports it as one line naming the file
+    relations = write_relations(tmp_path, "s.json", standard_gl2())
+    folder = str(tmp_path)
+    for argv in (["check-admissible", "--relations", folder],
+                 ["enumerate-basis", "--relations", relations, "--tableau", folder],
+                 ["tensor-check", "--weights", folder]):
+        code = run(argv)
+        out = capsys.readouterr().out
+        assert code == 4, argv
+        assert out.count("\n") == 1 and out.endswith("\n"), argv
+        report = json.loads(out)
+        assert set(report) == {"v", "error"} and report["v"] == 1, argv
+        assert report["error"].startswith(f"cannot read {folder}: "), argv
+
+
 def test_reduce_drops_implied_edge(tmp_path, capsys):
     S = standard_gl2()
     from wpimod import RelationSet

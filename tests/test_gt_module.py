@@ -52,7 +52,6 @@ from wpimod.relations import (
 )
 from wpimod.supports import _eligible, _row_peaks, _WallSets
 from wpimod.tableau import all_indices, mutable_indices, row_indices, shift
-from wpimod.yangian_tensor import _factor_core
 
 from helpers import (
     GL2,
@@ -61,6 +60,7 @@ from helpers import (
     P22,
     bad_pattern_lower,
     bad_pattern_upper,
+    clear_factor_stores,
     gl2_tableau,
     reference_verify,
     reference_walk_order,
@@ -324,11 +324,11 @@ def test_non_member_shift_is_a_value_error():
 
 
 def test_apply_word_on_a_free_window_grows_it_as_apply_does():
-    # factors of one weight share one stored core: clearing the store gives
-    # each of the two a fresh window of its own
-    _factor_core.cache_clear()
+    # factors of one weight share one stored core and shape: clearing the
+    # stores gives each of the two a fresh window of its own
+    clear_factor_stores()
     walked = EvaluationFactor(GlWeight((5, 0)), 0, 2)
-    _factor_core.cache_clear()
+    clear_factor_stores()
     stepped = EvaluationFactor(GlWeight((5, 0)), 0, 2)
     assert walked.window.members == []
     for word in ([("f", 1, 1)] * 3, [("e", 1, 1), ("f", 1, 1)], [("f", 1, 1)], []):

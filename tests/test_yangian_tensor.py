@@ -31,14 +31,15 @@ from wpimod.gt_module import MAX_WINDOW_MEMBERS
 from wpimod.tableau import TableauDelta, TriIndex
 from wpimod.yangian_tensor import t_coefficient
 
-from helpers import add_into, drinfeld_b, gl_relations_hold
+from helpers import add_into, clear_factor_stores, drinfeld_b, gl_relations_hold
 
 
 @pytest.fixture(autouse=True)
 def _empty_factor_store():
-    """Each test starts on an empty factor-core store, as in a fresh process:
-    factors of one weight share their columns and window across tests otherwise."""
-    yt._factor_core.cache_clear()
+    """Each test starts on empty factor-core and shape stores, as in a fresh
+    process: factors of one weight share their columns, and factors of one
+    seed shape their window, across tests otherwise."""
+    clear_factor_stores()
 
 
 def test_weyl_dimension():
@@ -799,7 +800,7 @@ def _recursive_E(f, a, b, vec):
 def test_cached_columns_match_recursive_commutators(weight, point):
     depth = 3 if len(weight) <= 3 else 2
     f = EvaluationFactor(GlWeight(weight), point, depth)
-    yt._factor_core.cache_clear()  # the reference gets a core of its own
+    clear_factor_stores()  # the reference gets a core and shape of its own
     ref = EvaluationFactor(GlWeight(weight), point, depth)
     shifts = f.deltas(depth)
     mixed = {d: Fraction(k + 1, 3) for k, d in enumerate(shifts)}
@@ -1154,7 +1155,7 @@ def test_position_columns_equal_recursive_commutators_on_seeded_factors():
     rng = random.Random(20261021)
     for weight, point in _seeded_factors(rng) + [(_LARGE_WEIGHT, Fraction(1, 3))]:
         f = EvaluationFactor(GlWeight(weight), point, 3)
-        yt._factor_core.cache_clear()  # the reference gets a core of its own
+        clear_factor_stores()  # the reference gets a core and shape of its own
         ref = EvaluationFactor(GlWeight(weight), point, 3)
         for d in f.deltas(3):
             pos = f.window.position(d)
@@ -1194,7 +1195,7 @@ def test_weight_gate_columns_equal_the_gelfand_tsetlin_columns():
     skipped = widened = 0
     for weight, point in factors:
         f = EvaluationFactor(GlWeight(weight), point, 3)
-        yt._factor_core.cache_clear()  # the reference gets a core of its own
+        clear_factor_stores()  # the reference gets a core and shape of its own
         ref = EvaluationFactor(GlWeight(weight), point, 3)
         for d in f.deltas(3):
             pos, c = f.window.position(d), f.root_offset(d)
@@ -1495,7 +1496,7 @@ def test_a_warm_factor_store_gives_what_a_cold_one_gives():
     extra = 0
     for depth, weights, points in corpus:
         for ws, ps in ((weights, points), (weights[::-1], points[::-1])):
-            yt._factor_core.cache_clear()
+            clear_factor_stores()
             cold = _observed(ws, ps, depth)
             extra += any(dim for offset, dim in cold[0].items() if any(offset))
             for warm in (
@@ -1503,7 +1504,7 @@ def test_a_warm_factor_store_gives_what_a_cold_one_gives():
                 lambda: _observed(ws, [p + Fraction(1, 2) for p in ps], depth),  # other points
                 lambda: singular_dimensions(_tensor(ws, ps, depth + 2)),  # a deeper product
             ):
-                yt._factor_core.cache_clear()
+                clear_factor_stores()
                 warm()
                 assert yt._factor_core.cache_info().currsize == len(set(map(tuple, ws)))
                 assert _observed(ws, ps, depth) == cold, (ws, ps)
@@ -1523,6 +1524,55 @@ def test_one_weight_at_two_points_shares_one_core():
                 for key in M.basis():
                     vec = {key: Fraction(1)}
                     assert t_coefficient(M, i, j, r, vec) == _ref_t_coefficient(M, i, j, r, vec)
+
+
+def test_factors_of_one_seed_shape_share_their_window_and_nothing_of_their_values():
+    """Generic weights of one rank have seeds of one shape: one relation set,
+    window and member lists, built over a seed with no values, and an action
+    context and column store per weight.  Seeds that differ in an offset
+    alone are two shapes, with two bases."""
+    for a, b in ((("1/3", "1/7"), ("2/5", "-1/2")),
+                 (("1/3", "1/7", "2/5"), ("1/5", "1/2", "3/11"))):
+        f, g = (EvaluationFactor(GlWeight(w)) for w in (a, b))
+        assert f.relations is g.relations and f.window is g.window
+        assert f._member_lists is g._member_lists
+        assert f.ctx is not g.ctx and f._columns is not g._columns
+        assert f.seed.value(TriIndex(1, 1, 1)) == Fraction(a[0])
+        with pytest.raises(ValueError, match="not instantiated"):
+            f.window.seed.value(TriIndex(1, 1, 1))
+    # the seeds of (0, 0) and (0, -1) have entries (0, 0), (0, 0) and (0, -1)
+    # against (0, -2): one class each, one offset apart
+    f, g = EvaluationFactor(GlWeight((0, 0))), EvaluationFactor(GlWeight((0, -1)))
+    assert f.seed.entries != g.seed.entries
+    assert {cls for cls, _ in f.seed.entries.values()} == {cls for cls, _ in g.seed.entries.values()}
+    assert f.window is not g.window and f._member_lists is not g._member_lists
+    assert (len(f.deltas(2)), len(g.deltas(2))) == (1, 2)  # the gl_2 dimensions
+
+
+def test_warm_shared_shapes_in_any_order_give_what_cold_stores_give():
+    """Each product's singular dimensions, t_ij^(r) images and quantum-minor
+    images are the same when every store is emptied before it as when the
+    products run shuffled on warm shapes that other weights built."""
+    rng = random.Random(20261049)
+    corpus = [
+        ([_seeded_weights(rng, n, kind) for _ in range(2)],
+         [0, 0] if at_zero else [Fraction(rng.randint(-4, 4), rng.randint(2, 5)) for _ in range(2)],
+         depth)
+        for n, depth in ((2, 3), (3, 2)) for kind in ("generic", "integral")
+        for at_zero in (True, False) for _ in range(2)
+    ]
+    cold = []
+    for ws, ps, depth in corpus:
+        clear_factor_stores()
+        cold.append(_observed(ws, ps, depth))
+    clear_factor_stores()
+    order = list(range(len(corpus)))
+    rng.shuffle(order)
+    for idx in order:
+        assert _observed(*corpus[idx]) == cold[idx], corpus[idx]
+    weights = {tuple(w) for ws, _, _ in corpus for w in ws}
+    assert yt._factor_shape.cache_info().currsize < len(weights)  # some shapes were shared
+    assert any(any(dim for offset, dim in dims.items() if any(offset)) for dims, _, _ in cold)
 
 
 def test_the_factor_store_stays_bounded():
