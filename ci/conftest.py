@@ -104,6 +104,7 @@ def inputs(tmp_path_factory):
     }
     tableaux = {
         "gl3_spread_seed": spread_seed(sets["gl3_standard"]),
+        "gl4_spread_seed": spread_seed(sets["gl4_standard"]),
         "p122_seed": spread_seed(sets["p122_standard"]),
         "p222_seed": spread_seed(sets["p222_standard"]),
         "gl2_seed": tableau(gl(2), "0", [-1, 0, -3]),

@@ -76,9 +76,11 @@ CLI = {  # id: (argv, exit code, pinned stdout, timeout in seconds)
     "gl4-linked-pair": ("tensor-check --weights gl4_linked_pair --mode integral --depth 2", 0, {"sha256": "5281a3a020dce75d5bd0b30f926cc4957cb79827a8d86126b72d86f1ebc7c65b"}, 60),
     # windows listed from coordinates: a key's triple order is not the free
     # triples' order on (1,2,2) and (2,2,2), the empty gl_4 set keeps all
-    # 15,625 box points, and nothing is sized by a radius of 10^9
+    # 15,625 box points, the standard gl_4 set at its spread seed is whole
+    # (4,096 members) at radius 9, and nothing is sized by a radius of 10^9
     "p122-window": ("enumerate-basis --relations p122_standard --tableau p122_seed --radius 2", 0, {"sha256": "3d5a742f6053a82a592c5391d10c77c12229358fd8b1ae4f838833d34ff30a60"}, 10),
     "p222-window": ("enumerate-basis --relations p222_standard --tableau p222_seed --radius 2", 0, {"sha256": "e5b071b8dd10789e0298ee093cef25741df01d95662b9fa884a8332f8c80a4f0"}, 10),
+    "gl4-spread-window": ("enumerate-basis --relations gl4_standard --tableau gl4_spread_seed --radius 9", 0, {"sha256": "bfe075224353fb61d860216937c37bc2714e1e617c55ce2ad098c155c159b114"}, 10),
     "gl4-empty-window": ("enumerate-basis --relations gl4_empty --radius 2", 0, {"sha256": "53582efa13b65add52f0b79f78e6696cc831def6d0f27d9c0ed02f0f2a29a164"}, 10),
     "gl2-huge-radius": ("enumerate-basis --relations gl2_standard --tableau gl2_seed --radius 1000000000", 0, {"sha256": "a2789d8bef8fbe9964999cabe3726458731d8825b2fda3b80b57d79f2972457f"}, 5),
 }

@@ -46,12 +46,13 @@ class BasisWindow:
 
     Inside the engine a member is its coordinates, its offsets over `free`
     as a tuple; `slot` maps each free triple to its place there.  The window
-    is its list `coords`, sorted by the members' keys, and `at` maps each to
-    its position.  A shift is built only where one is named: `position(d)`
-    finds shift d's position and raises ValueError naming d on a shift that
-    is not a member, `member(pos)` builds the shift at a position, and
-    `members` builds them all on each call.  Raises ValueError on a
-    non-integral radius and past MAX_WINDOW_MEMBERS members.
+    is its list `coords`, in the order of the members' keys as `points`
+    finds them, and `at` maps each to its position.  A shift is built only
+    where one is named: `position(d)` finds shift d's position and raises
+    ValueError naming d on a shift that is not a member, `member(pos)`
+    builds the shift at a position, and `members` builds them all on each
+    call.  Raises ValueError on a non-integral radius and past
+    MAX_WINDOW_MEMBERS members.
 
     The class structure of the seed is shift-invariant, so the component
     clause is checked once, and each edge is kept once, as an inequality
@@ -70,7 +71,6 @@ class BasisWindow:
         self.radius = as_integer(radius, "radius")
         self._build(C, seed)
         self.coords = self.points(-self.radius, self.radius)
-        self.coords.sort(key=self.key)
         self.at = dict(zip(self.coords, range(len(self.coords))))
 
     def _build(self, C: RelationSet, seed: Tableau) -> None:
@@ -129,20 +129,39 @@ class BasisWindow:
         the free triples.
 
         With `depth`, only shifts with -sum(d) <= depth.  ValueError as soon
-        as more than MAX_WINDOW_MEMBERS are found.  The order is unspecified.
+        as more than MAX_WINDOW_MEMBERS are found: the last slot's run of
+        values is counted before it is listed, and every other interval is
+        walked lazily, so an oversized box fails at once.  The coordinates
+        come in the order of their keys (`key`), so no caller sorts them.
 
         Each free triple's exact interval comes from two least solutions,
         lists over the slots: of y = d - low over the lower bounds and the
         arcs, and of z = high - d over the upper bounds and the reversed
-        arcs.  The triples are assigned depth-first in slot order; after each
-        assignment `relations._relax` re-tightens y and z from that slot
+        arcs.  The triples are assigned depth-first in `key_order`; after
+        each assignment `relations._relax` re-tightens y and z from that slot
         only, so the work follows what the assignment changes.  Bounds
-        consistency is exact for difference constraints, so every branch ends
-        in a member (Freuder, JACM 1982) and the cost follows the members,
-        not the box.  The arcs have no positive cycle (d = 0 solves them), so
-        neither system is ever infeasible.  The vector of upper bounds is
-        itself a solution, the shallowest one extending the partial
-        assignment, so pruning on its depth is exact as well.
+        consistency is exact for difference constraints in any slot order,
+        so every value of a tightened interval extends to a member (Freuder,
+        JACM 1982) and the cost follows the members, not the box.  The arcs
+        have no positive cycle (d = 0 solves them), so neither system is ever
+        infeasible.  The vector of upper bounds is itself a solution, the
+        shallowest one extending the partial assignment, so pruning on its
+        depth is exact as well.
+
+        A key lists the nonzero coordinates in `TriIndex` order, and a key
+        that is a prefix of another sorts first.  So below an assigned prefix
+        the members come in three runs, each in key order:
+        (A) the prefix followed by zeros, which is the prefix's own key;
+        (B) the nonzero values of the next slot, ascending, each followed by
+            its own runs; their keys go on with that slot's (triple, value);
+        (C) the value 0 followed by the completions that still hold a
+            nonzero value, whose keys go on with a later triple.
+        (A) is a member exactly when 0 lies in the tightened interval of
+        every slot left and, with `depth`, the prefix's own depth fits: d = 0
+        keeps every arc between slots left, and the arcs to assigned slots,
+        the floors and the ceilings are already inside the intervals.  (C)
+        is taken only when a slot left can still be nonzero, which bounds
+        consistency makes exact without `depth`.
         """
         n, up, down = len(self.free), self._up, self._down
         y, z = [0] * n, [0] * n
@@ -159,49 +178,91 @@ class BasisWindow:
         # scatter over the allocator's pools and raise the process's peak
         # memory.
         found: list[tuple[int, ...]] = []
+        order = [k for _, k in self.key_order]
+        rests = [order[i:] for i in range(n + 1)]
+        values = [0] * n  # the assigned coordinates, 0 on the slots still free
 
         def spare(z) -> float:
             """Depth left over by the shallowest completion, the upper bounds."""
             return inf if depth is None else depth - (sum(z) - n * high)
 
-        def extend(pos: int, y: list, z: list) -> None:
-            lo, hi = low + y[pos], high - z[pos]
-            if pos == n - 1:
-                # every value of the last interval completes a member; each
-                # step down from hi costs one unit of depth
-                lo = max(lo, hi - spare(z))
-                if len(found) + hi - lo + 1 > MAX_WINDOW_MEMBERS:
-                    raise ValueError(f"basis window has more than {MAX_WINDOW_MEMBERS} members")
-                head = tuple(v + low for v in y[:pos])
-                found.extend(head + (a,) for a in range(lo, hi + 1))
+        def full() -> ValueError:
+            return ValueError(f"basis window has more than {MAX_WINDOW_MEMBERS} members")
+
+        def extend(i: int, y: list, z: list, bare: bool, used: int) -> None:
+            # slot k = order[i] is next; `bare`: the rest may be all zero;
+            # `used`: the depth of the assigned prefix
+            k = order[i]
+            lo, hi = low + y[k], high - z[k]
+            # no value below hi - spare(z) fits: each step down from hi costs
+            # at least one unit of depth
+            first = lo if depth is None else max(lo, hi - spare(z))
+            if i == n - 1:
+                # every value of the last interval completes a member: 0
+                # first when the rest may be zero, then the others ascending
+                zero = first <= 0 <= hi
+                if len(found) + hi - first + 1 - (zero and not bare) > MAX_WINDOW_MEMBERS:
+                    raise full()
+                before, after = tuple(values[:k]), tuple(values[k + 1:])
+                if zero and bare:
+                    found.append(before + (0,) + after)
+                found.extend([before + (a,) + after for a in range(first, hi + 1) if a])
                 return
-            # Descending values: the shallowest completion only deepens, so
-            # the first value that is too deep ends the loop.  At an end of
-            # its interval, the slot's own bound on that side is unchanged.
-            # Each lower value tightens z further, so z2 is re-tightened in
-            # place from the last one: no branch keeps its lists past its
-            # return.
-            z2 = z
-            for a in range(hi, lo - 1, -1):
-                if a < hi:
-                    if z2 is z:
-                        z2 = z[:]
-                    z2[pos] = high - a
-                    _relax(z2, down, (pos,))
-                    if spare(z2) < 0:
+            # (A) the prefix followed by zeros, when 0 fits every slot left
+            if bare and (depth is None or used <= depth):
+                for j in rests[i]:
+                    if y[j] > -low or z[j] > high:
                         break
-                y2 = y
+                else:
+                    found.append(tuple(values))
+                    if len(found) > MAX_WINDOW_MEMBERS:
+                        raise full()
+            # (B) the nonzero values, ascending.  A higher value only loosens
+            # the depth, so a value too deep is skipped.  y only tightens as
+            # the value rises, so it is re-tightened in place from the last
+            # value; z is tightened afresh from the node's own for each.  At
+            # an end of the interval, that side's bound is unchanged.
+            y2 = y
+            for a in range(first, hi + 1):
+                if not a:
+                    continue
+                z2 = z
+                if a < hi:
+                    z2 = z[:]
+                    z2[k] = high - a
+                    _relax(z2, down, (k,))
+                    if depth is not None and spare(z2) < 0:
+                        continue
                 if a > lo:
-                    y2 = y[:]
-                    y2[pos] = a - low
-                    _relax(y2, up, (pos,))
-                extend(pos + 1, y2, z2)
+                    if y2 is y:
+                        y2 = y[:]
+                    y2[k] = a - low
+                    _relax(y2, up, (k,))
+                values[k] = a
+                extend(i + 1, y2, z2, True, used - a)
+            values[k] = 0
+            # (C) the value 0, when a later slot can still take a nonzero value
+            if first <= 0 <= hi:
+                y3, z3 = y, z
+                if lo < 0:
+                    y3 = y[:]
+                    y3[k] = -low
+                    _relax(y3, up, (k,))
+                if hi > 0:
+                    z3 = z[:]
+                    z3[k] = high
+                    _relax(z3, down, (k,))
+                if depth is None or spare(z3) >= 0:
+                    for j in rests[i + 1]:
+                        if y3[j] < -low or z3[j] < high:
+                            extend(i + 1, y3, z3, False, used)
+                            break
 
         if spare(z) < 0:
             return []
         if not n:
             return [()]
-        extend(0, y, z)
+        extend(0, y, z, True, 0)
         return found
 
     @property

@@ -373,9 +373,9 @@ class EvaluationFactor:
     def _members(self, depth: int) -> list[tuple[int, int, int, tuple[int, ...]]]:
         """(depth, rank, position, root offset) of every member of depth at
         most `depth`, in (depth, key) order, read off the coordinates: the
-        rank is the member's place among them in key order, so ranks compare
-        as the shifts' keys do.  Raises ValueError past MAX_WINDOW_MEMBERS
-        members, as a basis window does.
+        rank is the member's index in `BasisWindow.points`, which lists them
+        in key order, so ranks compare as the shifts' keys do.  Raises
+        ValueError past MAX_WINDOW_MEMBERS members, as a basis window does.
 
         Each depth's list is built once per shape and kept in its member
         lists, which every factor of the shape reads and none changes; a
@@ -385,7 +385,6 @@ class EvaluationFactor:
         if out is None:
             window = self.window
             coords = window.points(-depth, 0, depth=depth)
-            coords.sort(key=window.key)
             out = [(-sum(c), rank, window._admit(c), self._offset_at(c))
                    for rank, c in enumerate(coords)]
             out.sort()

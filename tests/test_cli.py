@@ -443,6 +443,19 @@ def test_window_past_member_cap_is_input_error(tmp_path, capsys, command):
     assert report["error"] == f"basis window has more than {MAX_WINDOW_MEMBERS} members"
 
 
+@pytest.mark.parametrize("command", ["enumerate-basis", "verify-relations"])
+@pytest.mark.parametrize("rows", [(1, 1, 1), (1, 1, 1, 1), (2, 2, 2)], ids=str)
+def test_window_past_member_cap_at_a_huge_radius_is_instant(tmp_path, capsys, command, rows):
+    # the empty set keeps every box point, so the first interval listed is
+    # 2 * 10^9 + 1 values long: it is counted against the cap, never listed
+    path = write_relations(tmp_path, "empty.json", RelationSet(Pyramid(rows), []))
+    start = time.perf_counter()
+    code, report = invoke(capsys, [command, "--relations", path, "--radius", "1000000000"])
+    assert time.perf_counter() - start < 1
+    assert code == 4
+    assert report == {"v": 1, "error": f"basis window has more than {MAX_WINDOW_MEMBERS} members"}
+
+
 def test_tensor_depth_past_member_cap_is_input_error(tmp_path, capsys, monkeypatch):
     # a generic gl_2 factor is infinite-dimensional: depth 5 has 6 basis shifts,
     # and the tensor product of two such factors has 21 keys of depth <= 5; a

@@ -907,6 +907,22 @@ def test_window_members_match_box_scan():
     assert cases >= 200 and tight >= 100
 
 
+def test_window_points_come_in_key_order():
+    """`points` lists a box's members, and a depth's, in key order as it
+    finds them: no caller sorts them.  The corpus has (2,2,2), whose slots
+    are not key positions, and the gl_4 standard set at radius 3."""
+    cases = 0
+    for C, seed, radius in _window_corpus():
+        window = enumerate_basis(C, seed, radius)
+        found = window.points(-radius, radius)
+        assert found == sorted(found, key=window.key), (C, seed, radius)
+        for depth in range(4):
+            found = window.points(-depth, 0, depth=depth)
+            assert found == sorted(found, key=window.key), (C, seed, depth)
+        cases += 1
+    assert cases >= 200
+
+
 def test_coordinate_eligibility_equals_the_shift_rule(monkeypatch):
     # the oracle's eligible positions, read off the coordinates, are the
     # members whose every offset on row i is within radius - margin(i); no
