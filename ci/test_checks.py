@@ -66,6 +66,9 @@ CLI = {  # id: (argv, exit code, pinned stdout, timeout in seconds)
     # only walks that end on a member count: the passing gl_4 set evaluates
     # no case, the critical top-row set fails at its first member
     "gl4-one-edge": ("verify-relations --relations gl4_one_edge", 0, {"sha256": "2973eaea315cd031391d680a6d332e81fcb02002206fc90408ba9e49a4303b92"}, 20),
+    # the same set at radius 3 (67,228 members), where the hit sets are
+    # decided over the support table of a large window
+    "gl4-one-edge-3": ("verify-relations --relations gl4_one_edge --radius 3", 0, {"sha256": "b7d8678fec627bec28fc590793666d2e63923994c96f970db3229414a4e68022"}, 30),
     "gl4-top-edge": ("verify-relations --relations gl4_top_edge --tableau gl4_top_seed", 3, {"sha256": "ec1098c34015e77106d084b112cfa035042befd7d08ce68566ac9d05dc7b07be"}, 20),
     # maximal sets with links across columns, from integer-linked tableaux
     # and weights

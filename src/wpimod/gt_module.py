@@ -25,9 +25,7 @@ from .relations import (
     require_same_pyramid,
     satisfies,
 )
-from .supports import (
-    _bumped, _eligible, _member_entries, _row_peaks, _row_support, _WallSets,
-)
+from .supports import _bumped, _eligible, _row_peaks, _SupportTable, _WallSets
 from .tableau import Tableau, TableauDelta, mutable_indices, row_indices
 
 
@@ -751,9 +749,9 @@ def verify_defining_relations(
     target the identity holds there: the sum over the walks of the case's
     words (a walk picks a pivot for each ladder letter) of the products of
     their coefficients is 0.  A ladder coefficient is +-N / D times a
-    polynomial (`_row_support`), and a factor x_s - x_t of N or D vanishes
-    at eps = 0, to order exactly 1, when the entries of s and t are equal,
-    and not at all otherwise.  So a step has order at least z - h in eps:
+    polynomial (`supports._SupportTable`), and a factor x_s - x_t of N or D
+    vanishes at eps = 0, to order exactly 1, when the entries of s and t are
+    equal, and not at all otherwise.  So a step has order at least z - h in eps:
     z is 1 when its pivot's entry equals an entry of the adjacent row (a
     zero coefficient), and h counts the other entries of its own row equal
     to it (a pole).  Diagonal letters have polynomial coefficients.  On
@@ -775,12 +773,13 @@ def verify_defining_relations(
     three-letter word a zero move may also be followed by a move that makes
     two entries of a row equal and a move of one of them, and `_WallSets`
     counts that walk the same way: it reads z and h off the coordinates of
-    each step's start, on the members and off them alike.  z and h depend
-    only on each letter's family and row: a higher superscript multiplies
-    the lowest one's coefficient by a polynomial, and diagonal letters do
-    not move.  From an eligible position no walk leaves the box (the
-    margins), and a box shift that keeps C is a member, so no residual
-    evaluated there meets -1 from `window.step`.  A pass whose hit sets are
+    each step's start, on the members and off them alike, by the window's
+    one support table, whose same-row pairs the criticality scan reads
+    too.  z and h depend only on each letter's family and row: a higher
+    superscript multiplies the lowest one's coefficient by a polynomial, and
+    diagonal letters do not move.  From an eligible position no walk leaves
+    the box (the margins), and a box shift that keeps C is a member, so no
+    residual evaluated there meets -1 from `window.step`.  A pass whose hit sets are
     all empty builds no context: it is decided from the entries alone.
     """
     if instantiations < 1 or budget < 1:
@@ -796,15 +795,11 @@ def verify_defining_relations(
 
     # criticality scan: equal same-row entries anywhere in the window
     walls = _WallSets(window)
-    for pos, coords in enumerate(window.coords):
-        for i, row in enumerate(_member_entries(window.layout, coords)):
-            if len(set(row)) == len(row):
-                continue
-            x, y = next(
-                (window.layout[i][x][0], window.layout[i][y][0])
-                for x in range(len(row)) for y in range(x + 1, len(row))
-                if row[x] == row[y]
-            )
+    rows = [r for r, pairs in enumerate(walls.table.pairs) if pairs]
+    for coords in window.coords if rows else ():
+        pair = walls.table.critical(coords, rows)
+        if pair is not None:
+            _, x, y = pair
             report["violations"].append(
                 {
                     "family": "critical",
@@ -891,11 +886,11 @@ def cyclicity_probe(window: BasisWindow, start: TableauDelta, budget: int) -> se
     The walk runs over member positions; a `start` that is not a member raises
     ValueError.  Eigenvalue separation makes every summand with a nonzero
     coefficient reachable, so the closure of supports is the generated
-    subspace's basis.  The supports are read off the entries by
-    `_row_support`, with no coefficient computed, and the same entries raise
-    `CriticalityError` exactly where the coefficients would.  Targets are
-    placed by `window.step`; a target that breaks the relations or leaves the
-    box is dropped.
+    subspace's basis.  The supports are read off the coordinates by one
+    `supports._SupportTable` per call, with no coefficient computed, and its
+    same-row pairs raise `CriticalityError` exactly where the coefficients
+    would.  Targets are placed by `window.step`; a target that breaks the
+    relations or leaves the box is dropped.
 
     The reached set is the same for every budget >= 1, so only each row's
     lowest superscript (`e_generator_min_degree` for e, 1 for f) is walked;
@@ -905,23 +900,22 @@ def cyclicity_probe(window: BasisWindow, start: TableauDelta, budget: int) -> se
     from each member in breadth-first order, so the first member with a
     critical row raises, naming the least such row.
     """
-    layout = window.layout
+    table = _SupportTable(window.layout)
     ladder_rows = range(1, window.seed.pyramid.n) if budget >= 1 else ()
     frontier = [window.position(start)]
     reached = set(frontier)
     while frontier:
         nxt = []
         for p in frontier:
-            entries = _member_entries(layout, window.coords[p])
+            coords = window.coords[p]
             for r in ladder_rows:
-                row = entries[r]
-                if len(set(row)) < len(row):
+                if table.critical(coords, (r,)) is not None:
                     raise CriticalityError(
                         f"coincident entries in row {r} at shift {window.member(p)!r}"
                     )
-                for step in (1, -1):
-                    for j in _row_support(row, entries[r + step]):
-                        q = window.step(p, layout[r][j][1], step)
+                for fam, step in (("e", 1), ("f", -1)):
+                    for k, z, _ in table.rule(coords, (fam, r)):
+                        q = None if z else window.step(p, k, step)
                         if q is not None and q >= 0 and q not in reached:
                             reached.add(q)
                             nxt.append(q)

@@ -288,7 +288,9 @@ def _factor_core(weight: GlWeight) -> tuple:
     for the generic gl_3 pair [1/3, 1/7, 2/5], [1/5, 1/2, 3/11], one shape,
     at depth 8, under tracemalloc.
     A weight that is not good (`GlWeight.is_good`) raises ValueError: its
-    carrier would break the gl_n relations, so it is no gl_n module.
+    carrier would break the gl_n relations, so it is no gl_n module.  A
+    good weight whose seed has no maximal set (`maximal_set` raises) raises
+    ValueError naming the weight and that failure.
     """
     if not weight.is_good():
         raise ValueError(f"weight {[str(v) for v in weight.values]} is not good")
@@ -298,7 +300,10 @@ def _factor_core(weight: GlWeight) -> tuple:
         Pyramid((1,) * n),
         {TriIndex(1, i, j): ls[j - 1] for i in range(1, n + 1) for j in range(1, i + 1)},
     )
-    relations, window, member_lists = _factor_shape(seed.pyramid, tuple(seed.entries.items()))
+    try:
+        relations, window, member_lists = _factor_shape(seed.pyramid, tuple(seed.entries.items()))
+    except ValueError as err:
+        raise ValueError(f"weight {[str(v) for v in weight.values]} has no factor: {err}") from err
     return seed, relations, window, member_lists, ActionContext(window, seed.assignment), {}
 
 

@@ -357,6 +357,44 @@ def reference_walk_order(window, word, pos: int) -> int:
     return best
 
 
+def reference_row_entries(row: list, coords: tuple) -> list:
+    """The entries (class, seed offset + coordinate) of one `BasisWindow.layout`
+    row at the shift with coordinates `coords`."""
+    return [(cls, off if k is None else off + coords[k]) for _, k, cls, off in row]
+
+
+def reference_row_support(row: list, adjacent: list) -> list[int]:
+    """The pivots of a row (indices into its entries `row`) whose ladder move
+    toward the adjacent row, with entries `adjacent`, has a nonzero
+    coefficient: those whose entry equals no adjacent entry, compared as
+    lists of entries."""
+    adjacent = set(adjacent)
+    return [j for j, entry in enumerate(row) if entry not in adjacent]
+
+
+def reference_supports(window, coords: tuple, letter: tuple) -> list[tuple[int, bool, int]]:
+    """Per pivot of the letter's row, in row order: (slot, z, h) at `coords`,
+    from the entry lists: z when the pivot is out of `reference_row_support`,
+    h the other entries of its row equal to its own."""
+    fam, r = letter
+    layout = window.layout
+    row = reference_row_entries(layout[r], coords)
+    adjacent = reference_row_entries(layout[r + 1 if fam == "e" else r - 1], coords)
+    held = reference_row_support(row, adjacent)
+    return [(k, j not in held, row.count(row[j]) - 1) for j, (_, k, _, _) in enumerate(layout[r])]
+
+
+def reference_critical_pair(window, coords: tuple, rows) -> tuple | None:
+    """The first equal pair (row, x, y) of `rows` at `coords`, x before y in
+    row order, from the entry lists: None when there is none."""
+    for r in rows:
+        row = reference_row_entries(window.layout[r], coords)
+        for x, y in itertools.combinations(range(len(row)), 2):
+            if row[x] == row[y]:
+                return r, window.layout[r][x][0], window.layout[r][y][0]
+    return None
+
+
 def relation_table_digest(pyramid: Pyramid, budgets) -> str:
     """The sha256 of the oracle's relation tables at each budget, in order.
 

@@ -545,7 +545,9 @@ def test_a_critical_weight_is_refused_alike_on_every_run(tmp_path, capsys):
     path = write_weights(tmp_path, "w.json", [("0", "1"), ("1", "0")])
     for _ in range(3):
         assert run(["tensor-check", "--weights", path]) == 4
-        assert capsys.readouterr().out == '{"error":"tableau is critical","v":1}\n'
+        assert capsys.readouterr().out == (
+            '{"error":"weight [\'0\', \'1\'] has no factor: tableau is critical","v":1}\n'
+        )
 
 
 def test_a_weight_that_is_not_good_is_refused(tmp_path, capsys):

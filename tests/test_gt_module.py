@@ -50,7 +50,7 @@ from wpimod.relations import (
     noncritical_satisfying_tableau,
     satisfies,
 )
-from wpimod.supports import _eligible, _row_peaks, _WallSets
+from wpimod.supports import _bumped, _eligible, _row_peaks, _SupportTable, _WallSets
 from wpimod.tableau import all_indices, mutable_indices, row_indices, shift
 
 from helpers import (
@@ -62,6 +62,8 @@ from helpers import (
     bad_pattern_upper,
     clear_factor_stores,
     gl2_tableau,
+    reference_critical_pair,
+    reference_supports,
     reference_verify,
     reference_walk_order,
     rel,
@@ -739,6 +741,62 @@ def test_wall_orders_equal_the_brute_force_walks():
     assert _WallSets(window).order((("e", 1), ("e", 2), ("f", 2)), zero) == 0
 
 
+def test_support_table_equals_the_entry_list_rule():
+    """`_SupportTable`'s z and h for every ladder letter and pivot, and its
+    first equal pair over all rows, equal `reference_supports` and
+    `reference_critical_pair`, which compare lists of entries, at every
+    member of the wall corpus's radius-2 windows and at every target of a
+    member's ladder moves, at the canonical and spread seeds.
+
+    The critical GL3 set {(1,2,1) >= (1,1,1), (1,2,2) >= (1,1,1)} joins the
+    corpus: its canonical seed has row-2 entries c0 + 0 and c0 + 1, so the
+    member one e_2 step from its zero shift, on (1,2,1), has equal row-2
+    entries: each row-2 pivot has h = 1 there, and the first equal pair is
+    in row 2."""
+    critical = RelationSet(GL3, [rel((1, 2, 1), (1, 1, 1), False),
+                                 rel((1, 2, 2), (1, 1, 1), False)])
+    points = zeros = poles = pairs = 0
+    for C in [*_wall_corpus(), critical]:
+        rows = range(C.pyramid.n + 1)
+        for seed in (noncritical_satisfying_tableau(C), spread_seed(C)):
+            window = enumerate_basis(C, seed, 2)
+            table = _SupportTable(window.layout)
+            seen = set(window.coords)
+            for coords in window.coords:
+                for letter in table.letters:
+                    step = 1 if letter[0] == "e" else -1
+                    seen.update(_bumped(coords, k, step) for k, *_ in table.rule(coords, letter))
+            for coords in seen:
+                for letter in table.letters:
+                    got = table.rule(coords, letter)
+                    assert got == reference_supports(window, coords, letter), (C, coords, letter)
+                    zeros += sum(z for _, z, _ in got)
+                    poles += sum(h for _, _, h in got)
+                got = table.critical(coords, rows)
+                assert got == reference_critical_pair(window, coords, rows), (C, coords)
+                pairs += got is not None
+                points += 1
+    assert points > 0 and zeros > 0 and poles > 0 and pairs > 0
+    window = enumerate_basis(critical, noncritical_satisfying_tableau(critical), 2)
+    table = _SupportTable(window.layout)
+    up = _bumped(window.coords[window.position(TableauDelta())], window.slot[TriIndex(1, 2, 1)], 1)
+    assert up in window.at
+    assert [h for _, _, h in table.rule(up, ("e", 2))] == [1, 1]
+    assert table.critical(up, range(4)) == (2, TriIndex(1, 2, 1), TriIndex(1, 2, 2))
+
+
+def test_wall_order_refuses_a_word_past_three_letters():
+    """The flat walk covers support words of at most 3 letters; a longer one
+    raises ValueError naming it instead of returning an order."""
+    C = standard_set(GL3)
+    walls = _WallSets(enumerate_basis(C, noncritical_satisfying_tableau(C), 2))
+    word = (("e", 1), ("e", 2), ("f", 2), ("f", 1))
+    with pytest.raises(ValueError, match=re.escape(repr(word))):
+        walls.order(word, 0)
+    with pytest.raises(ValueError, match=re.escape(repr(word))):
+        walls.hit(frozenset([word]), 0)
+
+
 def test_single_ladder_letter_cases_have_empty_hit_sets():
     """A case whose words each hold at most one ladder letter (dd, de, df) has
     an empty hit set at every eligible position: a walk of one letter from a
@@ -1212,3 +1270,13 @@ def test_relation_tables_match_the_recorded_digests(rows):
     """Every case's family, indices, signed terms, margins and support words,
     in table order, at budgets 1, 2 and 3."""
     assert relation_table_digest(Pyramid(rows), (1, 2, 3)) == RELATION_TABLE_DIGESTS[rows]
+
+
+@pytest.mark.parametrize("rows", RELATION_TABLE_DIGESTS,
+                         ids=lambda rows: "x".join(map(str, rows)))
+def test_support_words_have_at_most_three_letters(rows):
+    """`_WallSets.order` walks support words of at most 3 letters: every case
+    of the relation tables at budgets 1, 2, 3 and 16 keeps to that."""
+    for budget in (1, 2, 3, 16):
+        for case in gt_module._relation_table(Pyramid(rows), budget):
+            assert all(len(w) <= 3 for w in case[4]), (budget, case[0], case[4])

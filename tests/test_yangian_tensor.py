@@ -1593,6 +1593,6 @@ def test_a_weight_whose_factor_fails_is_never_stored():
         with pytest.raises(ValueError) as info:
             EvaluationFactor(GlWeight((0, 1)))
         errors.append(str(info.value))
-    assert errors == ["tableau is critical"] * 3
+    assert errors == ["weight ['0', '1'] has no factor: tableau is critical"] * 3
     info = yt._factor_core.cache_info()
     assert (info.currsize, info.hits, info.misses) == (0, 0, 3)
