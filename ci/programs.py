@@ -77,6 +77,25 @@ def library_paths():
     return "\n".join(sorted(lines))
 
 
+def t_matrices():
+    """t_ij^(r) for every i, j and r <= 2, and the 2x2 quantum minor of rows
+    (1, 2) and columns (2, 3) at order 2, on every basis key of depth <= 3
+    of the generic gl_3 pair at points 0 and 1/2."""
+    weights = [["1/3", "1/7", "2/5"], ["1/5", "1/2", "3/11"]]
+    M = TensorModule([EvaluationFactor(GlWeight(w), p) for w, p in zip(weights, (0, "1/2"))], 3)
+    minor = quantum_minor(M, (1, 2), (2, 3), 2)
+    lines = []
+    for key in M.basis(3):
+        name = [d.key() for d in key]
+        for i, j, r in itertools.product((1, 2, 3), (1, 2, 3), (1, 2)):
+            image = sorted(([d.key() for d in k], str(c))
+                           for k, c in t_coefficient(M, i, j, r, {key: 1}).items())
+            lines.append(json.dumps({"ijr": [i, j, r], "key": name, "image": image}))
+        image = sorted(([d.key() for d in k], repr(s)) for k, s in minor.apply({key: 1}).items())
+        lines.append(json.dumps({"minor": name, "image": image}))
+    return "\n".join(sorted(lines))
+
+
 def sparse_sums():
     """EvaluationFactor.E for every (a, b) of a gl_4 factor at point 1/3 on
     every shift of depth <= 3 (E_14 and E_41 are nested commutators of cached

@@ -13,7 +13,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import inf, lcm
+from math import gcd, inf, lcm
 
 from .exact_arith import CriticalityError, GenericAssignment, as_integer, generic_instantiate
 from .pyramid import e_generator_min_degree
@@ -308,7 +308,9 @@ class FreeWindow(BasisWindow):
     and positions never move; `position` raises ValueError on any other
     shift, and `in` never appends.  There is no box to enumerate, so the
     members start empty; `_admit` appends a point of `points`, which
-    satisfies C by construction, with no check.
+    satisfies C by construction, with no check.  Since positions never
+    move, `member(pos)` builds each position's shift once and keeps it, one
+    object for every reader of the window.
     """
 
     def __init__(self, C: RelationSet, seed: Tableau):
@@ -316,6 +318,13 @@ class FreeWindow(BasisWindow):
         self._build(C, seed)
         self.coords: list[tuple[int, ...]] = []
         self.at: dict[tuple[int, ...], int] = {}
+        self._shifts: list[TableauDelta | None] = []  # per position, once built
+
+    def member(self, pos: int) -> TableauDelta:
+        d = self._shifts[pos]
+        if d is None:
+            d = self._shifts[pos] = self.shift(self.coords[pos])
+        return d
 
     def _find(self, coords: tuple[int, ...]) -> int | None:
         pos = self.at.get(coords)
@@ -329,6 +338,7 @@ class FreeWindow(BasisWindow):
         if pos is None:
             pos = self.at[coords] = len(self.coords)
             self.coords.append(coords)
+            self._shifts.append(None)
         return pos
 
 
@@ -347,15 +357,17 @@ class ActionContext:
     read a member's rows off its coordinates.  STRICT columns are stored
     once per generator and member, and the oracle's word walks and the
     shift-keyed `column` share them; CLIP columns are never stored.  The
-    cyclicity probe and the evaluation factors, which read each column once,
-    call `_build_column` themselves.
+    evaluation factors, which keep columns of their own, read the ladder
+    terms themselves (`ladder_ints`).
 
-    Coefficients are exact `Fraction`s.  The code runs on integers
-    (`_row_ints`): the entries times `_scale`, the least common denominator
-    of the seed's values, so a coefficient becomes a `Fraction` only once, at
-    the end (`_finish`).  The oracle builds one context per instantiation;
-    the evaluation factors of `yangian_tensor` build one per factor core,
-    over a `FreeWindow`.
+    Coefficients are exact.  The code runs on integers (`_row_ints`): the
+    entries times `_scale`, the least common denominator of the seed's
+    values.  A ladder coefficient leaves as an integer (num, den) pair in
+    lowest terms (`ladder_ints`), which the columns here make a `Fraction`
+    once (`ladder_terms`); a diagonal one becomes a `Fraction` at the end
+    (`_finish`).  The oracle builds one context per instantiation; the
+    evaluation factors of `yangian_tensor` build one per factor core, over
+    a `FreeWindow`.
     """
 
     def __init__(self, window: BasisWindow, assignment: GenericAssignment):
@@ -438,18 +450,19 @@ class ActionContext:
             out.append((pv, num, den))
         return len(others) - (len(row) - 1), out
 
-    def ladder_terms(self, fam: str, r: int, sup: int, coords: tuple) -> list[tuple[int, Fraction]]:
+    def ladder_ints(self, fam: str, r: int, sup: int, coords: tuple) -> list[tuple[int, int, int]]:
         """Expansion of the raising (e) or lowering (f) generator on the basis
-        vector with coordinates `coords`.
+        vector with coordinates `coords`, in integers.
 
-        Returns the (slot, coefficient) pairs before gating, computed on each
-        call; each slot is the coordinate of a pivot in row r, which moves one
-        step up (e) or down (f).
+        Returns the (slot, num, den) terms before gating, computed on each
+        call, each coefficient num/den nonzero, in lowest terms by one gcd,
+        with den > 0; each slot is the coordinate of a pivot in row r, which
+        moves one step up (e) or down (f).
         Each pivot contributes its ratio (`_ratios`) times a simple pole:
         -u^-gap / (u + pv + r) against row r + 1 for e, from the least
         superscript p_{r+1} - p_r + 1, and 1 / (u + pv + r - 1) against row
         r - 1 for f, from superscript 1.  The sign and the pole's powers are
-        taken on the integers, before `_finish`.
+        taken on the integers, with `_scale`'s powers as `_finish` takes them.
         """
         if fam == "e":
             other, pole, lo = r + 1, r, e_generator_min_degree(self.pyramid, r)
@@ -462,13 +475,22 @@ class ActionContext:
             )
         power, ratios = self._ratios(r, other, coords)
         k, shift = sup - lo, pole * self._scale
+        power += k
+        up, down = (self._scale ** -power, 1) if power < 0 else (1, self._scale ** power)
+        if fam == "e":
+            up = -up
         terms = []
         for (slot, _), (pv, num, den) in zip(self._rows.get(r, ()), ratios):
-            num *= (-(pv + shift)) ** k
-            coeff = self._finish(-num if fam == "e" else num, den, power + k)
-            if coeff != 0:
-                terms.append((slot, coeff))
+            num *= (-(pv + shift)) ** k * up
+            if num:
+                den *= down
+                g = gcd(num, den) if den > 0 else -gcd(num, den)
+                terms.append((slot, num // g, den // g))
         return terms
+
+    def ladder_terms(self, fam: str, r: int, sup: int, coords: tuple) -> list[tuple[int, Fraction]]:
+        """`ladder_ints` as (slot, coefficient) pairs, each coefficient a `Fraction`."""
+        return [(slot, Fraction(num, den)) for slot, num, den in self.ladder_ints(fam, r, sup, coords)]
 
     # -- vector-level application ------------------------------------------
 
@@ -692,9 +714,10 @@ def _relation_table(pyramid, budget: int) -> tuple:
     Each case is (family, indices as (name, value) pairs, terms, margins,
     support words): terms is lhs - rhs as one signed sum of words, every sign
     +1 or -1, margins is the case's `_word_row_margins` as sorted (row, steps)
-    pairs, and the support words are the frozenset of its words' nonempty
-    `_support_word`s.  All of it is immutable, so no caller can change the
-    cached table.
+    pairs, and the support words are its words' distinct nonempty
+    `_support_word`s, sorted, so the wall sets walk them in one order
+    whatever the hash seed.  All of it is immutable, so no caller can change
+    the cached table.
     """
     return tuple(
         (
@@ -703,7 +726,7 @@ def _relation_table(pyramid, budget: int) -> tuple:
             tuple((sign, tuple(word)) for sign, word in lhs)
             + tuple((-sign, tuple(word)) for sign, word in rhs),
             tuple(sorted(_word_row_margins(lhs + rhs).items())),
-            frozenset(w for _, word in lhs + rhs if (w := _support_word(word))),
+            tuple(sorted({w for _, word in lhs + rhs if (w := _support_word(word))})),
         )
         for fam, idx, lhs, rhs in _relation_cases(pyramid, budget)
     )

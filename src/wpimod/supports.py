@@ -177,13 +177,15 @@ class _WallSets:
                         best = d + d2
         return best
 
-    def hit(self, words: frozenset, pos: int) -> bool:
+    def hit(self, words: tuple, pos: int) -> bool:
         return any(self.order(w, pos) <= 0 for w in words)
 
-    def scan(self, words: frozenset, eligible: list) -> list[int]:
+    def scan(self, words: tuple, eligible: list) -> list[int]:
         """The positions of `eligible` in the hit set of a case with support
-        words `words`, in their order: none when no word has two letters."""
-        words = frozenset(w for w in words if len(w) > 1)
+        words `words`, in their order: none when no word has two letters.
+        The words are walked in their given order, so the moves built are
+        the same in every process."""
+        words = tuple(w for w in words if len(w) > 1)
         return [p for p in eligible if self.hit(words, p)] if words else []
 
 

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 from . import gt_module
 from .exact_arith import InvSeries, as_integer, as_scalar
-from .gt_module import MAX_WINDOW_MEMBERS, STRICT, ActionContext, FreeWindow, _combine
+from .gt_module import MAX_WINDOW_MEMBERS, ActionContext, FreeWindow, _combine
 from .pyramid import Pyramid
 from .relations import maximal_set
 from .tableau import Tableau, TableauDelta, TriIndex, tableau_from_values
@@ -313,9 +313,11 @@ class EvaluationFactor:
     The carrier is the relation module of the maximal relation set of the
     highest-weight tableau over the one-column pyramid; basis vectors are
     integral shifts of the seed, graded by total lowering depth.  Inside,
-    a basis vector is its position in the window, whose columns move its
-    coordinates and append each new target; a shift is built only where
-    `E`, `column` or `deltas` takes or returns one.
+    a basis vector is its position in the window, whose columns, integer
+    (target, num, den) triples, move its coordinates and append each new
+    target; a shift is built only where `E`, `column` or `deltas` takes or
+    returns one, once per position of the shape's window
+    (`FreeWindow.member`).
 
     The module depends on the weight alone: t_ij(u) -> delta_ij +
     E_ij/(u - point) puts the point only into the pole, which a tensor
@@ -363,9 +365,13 @@ class EvaluationFactor:
 
     def _weight_at(self, a: int, c: tuple[int, ...]) -> Fraction:
         """Entry a of the gl_n weight lambda - sum c_i alpha_i at root offset
-        c: lambda_a - c_a + c_{a-1}, with c_0 = c_n = 0."""
-        return self.weight.values[a - 1] + ((c[a - 2] if a > 1 else 0)
-                                            - (c[a - 1] if a < self.n else 0))
+        c: lambda_a plus `_lift`."""
+        return self.weight.values[a - 1] + self._lift(a, c)
+
+    def _lift(self, a: int, c: tuple[int, ...]) -> int:
+        """c_{a-1} - c_a at root offset c, with c_0 = c_n = 0: what entry a
+        of the weight gains there."""
+        return (c[a - 2] if a > 1 else 0) - (c[a - 1] if a < self.n else 0)
 
     def gl_weight(self, d: TableauDelta) -> tuple[Fraction, ...]:
         """Eigenvalues of the diagonal E_kk on the shifted basis vector, read off
@@ -410,24 +416,30 @@ class EvaluationFactor:
     def column(self, a: int, b: int, d: TableauDelta) -> tuple:
         """The image of the basis shift d under E_ab, as ((target, coefficient), ...).
 
-        `_column` over member positions, with the positions mapped back to shifts.
+        `_column` over member positions, with the positions mapped back to
+        shifts and each coefficient a `Fraction`.
         """
         member = self.window.member
-        return tuple((member(p), c) for p, c in self._column(a, b, self.window.position(d)))
+        return tuple((member(p), Fraction(num, den))
+                     for p, num, den in self._column(a, b, self.window.position(d)))
 
     def _column(self, a: int, b: int, pos: int) -> tuple:
-        """The image of member pos under E_ab, as ((target position, coefficient), ...).
+        """The image of member pos under E_ab, as ((target position, num,
+        den), ...): each coefficient num/den nonzero, in lowest terms, with
+        den > 0.
 
         Built once per (a, b, pos) and weight, in the core's column store
         that every factor of the weight shares.  Two columns are read off the
         member's root offset c alone: E_aa is entry a of its gl_n weight,
-        lambda_a - c_a + c_{a-1} (`_weight_at`), and a raising E_ab (a < b)
+        lambda_a - c_a + c_{a-1} (`_weight_at`), the integer `_lift` times
+        lambda_a's denominator added to its numerator, and a raising E_ab (a < b)
         is empty when c_r = 0 for some a <= r < b, since its target would
         lie above the highest weight.  Otherwise E_a,a+1 and E_a+1,a are the
-        e_a^(1) and f_a^(1) columns of the factor's exact action context,
-        which shares the window's positions, and an off-adjacent column is
-        the commutator [E_a,mid, E_mid,b] of cached columns, with mid the
-        index next to b on the side of a.
+        e_a^(1) and f_a^(1) terms of the factor's exact action context
+        (`ActionContext.ladder_ints`), each target placed by `window.step`,
+        and an off-adjacent column is the commutator [E_a,mid, E_mid,b] of
+        cached columns, with mid the index next to b on the side of a, its
+        (num, den) products summed per target and reduced once.
         """
         key = (a, b, pos)
         col = self._columns.get(key)
@@ -437,23 +449,44 @@ class EvaluationFactor:
         return col
 
     def _build_column(self, a: int, b: int, pos: int) -> tuple:
+        window = self.window
         if a <= b:
-            c = self._offset_at(self.window.coords[pos])
+            c = self._offset_at(window.coords[pos])
             if a == b:
-                w = self._weight_at(a, c)
-                return ((pos, w),) if w else ()
+                lam = self.weight.values[a - 1]
+                num = lam.numerator + self._lift(a, c) * lam.denominator
+                return ((pos, num, lam.denominator),) if num else ()
             if 0 in c[a - 1:b - 1]:
                 # E_ab would raise the weight past c_r = 0 for some a <= r < b,
                 # above the highest weight, where no member lies
                 return ()
         if abs(a - b) == 1:
-            return self.ctx._build_column(("e", a, 1) if b == a + 1 else ("f", b, 1), pos, STRICT)
+            fam, row, step = ("e", a, 1) if b == a + 1 else ("f", b, -1)
+            # a free window has no box: a target is a member or breaks C
+            return tuple((to, num, den)
+                         for slot, num, den in self.ctx.ladder_ints(fam, row, 1, window.coords[pos])
+                         if (to := window.step(pos, slot, step)) is not None)
         mid = b - 1 if a < b else b + 1
-        return tuple(_combine(
-            (sign * c1, self._column(*outer, p1))
-            for inner, outer, sign in (((mid, b), (a, mid), 1), ((a, mid), (mid, b), -1))
-            for p1, c1 in self._column(*inner, pos)
-        ).items())
+        sums: dict = {}  # target position -> [num, den], over a common den
+        for inner, outer, sign in (((mid, b), (a, mid), 1), ((a, mid), (mid, b), -1)):
+            for p1, n1, d1 in self._column(*inner, pos):
+                for p2, n2, d2 in self._column(*outer, p1):
+                    num, den = sign * n1 * n2, d1 * d2
+                    acc = sums.get(p2)
+                    if acc is None:
+                        sums[p2] = [num, den]
+                    elif acc[1] == den:
+                        acc[0] += num
+                    else:
+                        g = math.gcd(acc[1], den)
+                        acc[0] = acc[0] * (den // g) + num * (acc[1] // g)
+                        acc[1] *= den // g
+        out = []
+        for p, (num, den) in sums.items():
+            if num:
+                g = math.gcd(num, den)
+                out.append((p, num // g, den // g))
+        return tuple(out)
 
     def E(self, a: int, b: int, vec: dict) -> dict:
         """The gl_n basis element E_ab on a sparse vector {shift: coefficient}."""
@@ -571,12 +604,10 @@ class TensorModule:
         return tuple(f.window.position(d) for f, d in zip(self.factors, key))
 
     def _shift_keys(self, keys) -> list[tuple]:
-        """Keys of member positions as keys of shifts, each factor's shift at
-        a position built once."""
-        built: list[dict] = [{} for _ in self.factors]
-        return [tuple(memo[p] if p in memo else memo.setdefault(p, f.window.member(p))
-                      for f, memo, p in zip(self.factors, built, key))
-                for key in keys]
+        """Keys of member positions as keys of shifts, each shift the one its
+        factor's window keeps for the position (`FreeWindow.member`)."""
+        members = [f.window.member for f in self.factors]
+        return [tuple(member(p) for member, p in zip(members, key)) for key in keys]
 
 
 def _add_scaled(out: dict, key, ser: list, cn: int = 1, cd: int = 1):
@@ -635,9 +666,8 @@ def _slot_t(M: TensorModule, slot: int, a: int, b: int, arg_shift: int, vec: dic
         q = [ser[0]] + [0] * min(len(ser) - 1, order + 1)
         for t in range(2, len(q)):
             q[t] = ser[t - 1] + pole * q[t - 1]
-        for d2, coeff in col:
-            _add_scaled(out, key[:slot] + (d2,) + key[slot + 1:], q,
-                        M.scale * coeff.numerator, coeff.denominator)
+        for d2, num, den in col:
+            _add_scaled(out, key[:slot] + (d2,) + key[slot + 1:], q, M.scale * num, den)
 
 
 def _tensor_t(M: TensorModule, a: int, b: int, arg_shift: int, vec: dict, order: int, lo: int,

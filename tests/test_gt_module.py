@@ -1,8 +1,11 @@
 """Basis windows, generator actions, the relation verifier, irreducibility."""
 
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -712,8 +715,9 @@ def test_wall_orders_equal_the_brute_force_walks():
     Two GL3 sets join the corpus.  At the canonical zero shift of
     {(1,2,1) > (1,3,1) >= (1,2,2)}, ((e,1),(e,2),(f,2)) has order 0 only
     through a walk whose first step stays on the members.  The critical set
-    {(1,2,1) >= (1,1,1), (1,2,2) >= (1,1,1)} has equal row-2 entries at its
-    canonical zero shift, so a step from that member has h = 1 there.  The
+    {(1,2,1) >= (1,1,1), (1,2,2) >= (1,1,1)} has row-2 entries one apart at
+    its canonical zero shift and equal one e_2 step from it, at a member of
+    the window, so a step from that member has h = 1 there.  The
     one-letter words have order 1 everywhere: a walk that never left the
     members does not count, even where its one step has z - h <= 0."""
     radius = 3
@@ -795,6 +799,44 @@ def test_wall_order_refuses_a_word_past_three_letters():
         walls.order(word, 0)
     with pytest.raises(ValueError, match=re.escape(repr(word))):
         walls.hit(frozenset([word]), 0)
+
+
+# Counts the moves the oracle's wall sets build on one GL3 set, with edges
+# (1,2,1) > (1,3,3), (1,2,2) > (1,3,1), (1,3,1) >= (1,2,1), (1,3,1) >= (1,3,3).
+# When the support words were walked in a frozenset's order, the count
+# followed the string hash seed: 53 moves under seed 0, 48 under seed 1.
+_MOVE_COUNT = """
+from wpimod import gt_module
+from wpimod.pyramid import Pyramid
+from wpimod.relations import Relation, RelationSet, noncritical_satisfying_tableau
+from wpimod.tableau import TriIndex
+
+built = []
+class Counted(gt_module._WallSets):
+    def __init__(self, window):
+        super().__init__(window)
+        built.append(self)
+gt_module._WallSets = Counted
+edges = [((1, 2, 1), (1, 3, 3), True), ((1, 2, 2), (1, 3, 1), True),
+         ((1, 3, 1), (1, 2, 1), False), ((1, 3, 1), (1, 3, 3), False)]
+C = RelationSet(Pyramid((1, 1, 1)), [Relation(TriIndex(*g), TriIndex(*l), s) for g, l, s in edges])
+gt_module.verify_defining_relations(C, noncritical_satisfying_tableau(C), 2, 2)
+print(sum(len(walls._moves) for walls in built))
+"""
+
+
+def test_wall_sets_build_the_same_moves_under_any_hash_seed():
+    """The oracle's work is a function of its input: two processes with
+    different string hash seeds build the same moves on a set whose count
+    once differed between them."""
+    src = os.path.dirname(os.path.dirname(gt_module.__file__))
+    counts = {
+        subprocess.run([sys.executable, "-c", _MOVE_COUNT], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                       timeout=60, check=True).stdout
+        for seed in ("0", "1")
+    }
+    assert len(counts) == 1 and int(counts.pop()) > 0
 
 
 def test_single_ladder_letter_cases_have_empty_hit_sets():

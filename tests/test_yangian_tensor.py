@@ -814,13 +814,13 @@ def test_cached_columns_match_recursive_commutators(weight, point):
 def test_each_column_is_built_once(monkeypatch):
     f = EvaluationFactor(GlWeight((3, Fraction(1, 2), 0, -1)), Fraction(1, 3), depth=2)
     calls = []
-    build = f.ctx._build_column
+    build = f._build_column
 
-    def counting_build(gen, pos, policy):
-        calls.append((gen, pos, policy))
-        return build(gen, pos, policy)
+    def counting_build(a, b, pos):
+        calls.append((a, b, pos))
+        return build(a, b, pos)
 
-    monkeypatch.setattr(f.ctx, "_build_column", counting_build)
+    monkeypatch.setattr(f, "_build_column", counting_build)
     shifts = f.deltas(2)
     pairs = [(a, b) for a in range(1, 5) for b in range(1, 5)]
     first = [f.E(a, b, {d: Fraction(1)}) for a, b in pairs for d in shifts]
@@ -1151,6 +1151,11 @@ def _seeded_factors(rng):
 _LARGE_WEIGHT = (2**60 - 1, 0)
 
 
+def _fractions(col):
+    """A position column's (target, num, den) triples as (target, `Fraction`) pairs."""
+    return tuple((p, Fraction(num, den)) for p, num, den in col)
+
+
 def test_position_columns_equal_recursive_commutators_on_seeded_factors():
     rng = random.Random(20261021)
     for weight, point in _seeded_factors(rng) + [(_LARGE_WEIGHT, Fraction(1, 3))]:
@@ -1161,7 +1166,7 @@ def test_position_columns_equal_recursive_commutators_on_seeded_factors():
             pos = f.window.position(d)
             for a in range(1, f.n + 1):
                 for b in range(1, f.n + 1):
-                    got = {f.window.members[p]: c for p, c in f._column(a, b, pos)}
+                    got = {f.window.members[p]: c for p, c in _fractions(f._column(a, b, pos))}
                     assert got == _recursive_E(ref, a, b, {d: Fraction(1)}), (weight, point, a, b, d)
 
 
@@ -1181,7 +1186,7 @@ def test_diagonal_columns_are_the_row_sum_weight():
         for d in f.deltas(3):
             pos = f.window.position(d)
             for a, w in enumerate(_row_sum_weight(f, d), start=1):
-                assert f._column(a, a, pos) == (((pos, w),) if w else ()), (weight, d, a)
+                assert _fractions(f._column(a, a, pos)) == (((pos, w),) if w else ()), (weight, d, a)
 
 
 def test_weight_gate_columns_equal_the_gelfand_tsetlin_columns():
@@ -1202,10 +1207,10 @@ def test_weight_gate_columns_equal_the_gelfand_tsetlin_columns():
             coords = f.window.coords[pos]
             for a in range(1, f.n + 1):
                 w = f.ctx._diag_coeff("d", a, 1, coords)
-                assert f._column(a, a, pos) == (((pos, w),) if w else ()), (weight, d, a)
+                assert _fractions(f._column(a, a, pos)) == (((pos, w),) if w else ()), (weight, d, a)
             for a, b in itertools.combinations(range(1, f.n + 1), 2):
                 want = _recursive_E(ref, a, b, {d: Fraction(1)})
-                got = {f.window.members[p]: x for p, x in f._column(a, b, pos)}
+                got = {f.window.members[p]: x for p, x in _fractions(f._column(a, b, pos))}
                 assert got == want, (weight, d, a, b)
                 if 0 in c[a - 1:b - 1]:
                     assert want == {}, (weight, d, a, b)
@@ -1224,10 +1229,42 @@ def test_same_row_difference_divisible_by_a_prime_is_decided_exactly():
     the exact columns keep it, and only the top line is singular."""
     M = _tensor(_P_APART, [0, 0], 2)
     f = M.factors[0]
-    col = f._column(3, 1, f.window.position(f.highest()))
+    col = _fractions(f._column(3, 1, f.window.position(f.highest())))
     assert any(c.denominator % P == 0 for _, c in col)
     dims = singular_dimensions(M)
     assert dims == {(0, 0): 1, (0, 1): 0, (0, 2): 0, (1, 0): 0, (1, 1): 0, (2, 0): 0}
+
+
+def test_position_columns_are_reduced_integer_triples():
+    """Every column of the seeded factors, the large weight and the two
+    weights of _P_APART, on each member of depth <= 3, is a tuple of (target,
+    num, den) triples in lowest terms with den > 0, and equals the `Fraction`
+    reference: the row-sum weight on the diagonal, the recursive commutator
+    off it."""
+    rng = random.Random(20261052)
+    corpus = _seeded_factors(rng) + [(_LARGE_WEIGHT, Fraction(1, 3))] + [(w, 0) for w in _P_APART]
+    checked = 0
+    for weight, point in corpus:
+        f = EvaluationFactor(GlWeight(weight), point, 3)
+        clear_factor_stores()  # the reference gets a core and shape of its own
+        ref = EvaluationFactor(GlWeight(weight), point, 3)
+        for d in f.deltas(3):
+            pos = f.window.position(d)
+            diagonal = _row_sum_weight(f, d)
+            for a in range(1, f.n + 1):
+                for b in range(1, f.n + 1):
+                    col = f._column(a, b, pos)
+                    for _, num, den in col:
+                        assert type(num) is int and type(den) is int, (weight, a, b, d)
+                        assert num and den > 0 and math.gcd(num, den) == 1, (weight, a, b, d)
+                        checked += 1
+                    if a == b:
+                        w = diagonal[a - 1]
+                        assert _fractions(col) == (((pos, w),) if w else ()), (weight, d, a)
+                    else:
+                        got = {f.window.members[p]: c for p, c in _fractions(col)}
+                        assert got == _recursive_E(ref, a, b, {d: Fraction(1)}), (weight, a, b, d)
+    assert checked
 
 
 def _shift_column(f, a, b, d, cache):
@@ -1361,6 +1398,49 @@ def test_position_keys_match_a_shift_keyed_reference(name):
             assert [list(v.items()) for v in got] == [list(v.items()) for v in ref], offset
             kernels += len(got)
     assert kernels >= 1
+
+
+def test_free_window_members_are_built_once_per_position():
+    """`FreeWindow.member(pos)` is one object per position, equal to the shift
+    at its coordinates and shared by every factor of the shape; the keys of
+    `t_coefficient` and quantum-minor images are those objects, and the
+    images equal the shift-keyed reference (`_shift_slot_t`) on the seeded
+    factors, paired by rank."""
+    rng = random.Random(20261053)
+    factors = _seeded_factors(rng)
+    for n in (2, 3, 4):
+        pair = [(w, p) for w, p in factors if len(w) == n][:2]
+        M = TensorModule([EvaluationFactor(GlWeight(w), p, 2) for w, p in pair], 2)
+        keys = M.basis()
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        caches = [{} for _ in M.factors]
+        images = []
+        for i, j in pairs:
+            for r in (1, 2):
+                for key in keys:
+                    got = t_coefficient(M, i, j, r, {key: Fraction(1)})
+                    ref = _shift_series(M, (i,), (j,), r, {key: 1}, caches)
+                    assert list(got.items()) == [(k, s[r]) for k, s in ref.items() if s[r]]
+                    images.append(got)
+        for rows, cols in (((1, 2), (1, 2)), ((2, 1), (1, n))):
+            op = quantum_minor(M, rows, cols, 2)
+            for key in keys:
+                got = op.apply({key: Fraction(1)})
+                ref = _shift_series(M, rows, cols, 2, {key: 1}, caches)
+                assert list(got.items()) == [(k, InvSeries(s[0], s[1:])) for k, s in ref.items()]
+                images.append(got)
+        for f in M.factors:
+            window = f.window
+            for pos, coords in enumerate(window.coords):
+                assert window.member(pos) is window.member(pos)
+                assert window.member(pos) == window.shift(coords)
+        for key in [*keys, *(k for image in images for k in image)]:
+            for f, d in zip(M.factors, key):
+                assert d is f.window.member(f.window.position(d))
+    # two generic gl_3 weights have one shape: one window, one shift per member
+    f, g = (EvaluationFactor(GlWeight(w)) for w in (("1/3", "1/7", "2/5"), ("1/5", "1/2", "3/11")))
+    assert f.window is g.window
+    assert all(x is y for x, y in zip(f.deltas(3), g.deltas(3)))
 
 
 # -- adjacent raising rows ----------------------------------------------------
