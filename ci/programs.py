@@ -77,6 +77,21 @@ def library_paths():
     return "\n".join(sorted(lines))
 
 
+def gl4_probe():
+    """cyclicity_probe at budget 2 from every 20th member of the gl_4
+    standard window at radius 3 at its spread seed (800 members)."""
+    C = standard_set(Pyramid((1, 1, 1, 1)))
+    window = enumerate_basis(C, spread_seed(C), 3)
+    lines = []
+    for start in window.members[::20]:
+        try:
+            reached = sorted(d.key() for d in cyclicity_probe(window, start, 2))
+        except CriticalityError as exc:
+            reached = str(exc)
+        lines.append(json.dumps({"start": start.key(), "reached": reached}))
+    return "\n".join(sorted(lines))
+
+
 def t_matrices():
     """t_ij^(r) for every i, j and r <= 2, and the 2x2 quantum minor of rows
     (1, 2) and columns (2, 3) at order 2, on every basis key of depth <= 3

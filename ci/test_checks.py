@@ -98,6 +98,8 @@ def test_cli(check, inputs, argv, exit, pin, timeout):
 LIBRARY = {  # `programs.py` function: (timeout in seconds, sha256 of its stdout)
     "gl3_box": (60, "04b280bd95dbf3297bda5f52bce7f0cf6fef36ead0c92151b099ca1654eafe1e"),
     "library_paths": (30, "a161156af558bd774b779d86fd4a3788ee38bb267a8ba8c38607729d7c3b53a2"),
+    # the probe on an 800-member window, every 20th start
+    "gl4_probe": (30, "d8494e3388ebb76afe86798987378d814a6f3ba0b726a6cf02885715583fb997"),
     # every t_ij^(r), r <= 2, and one quantum minor at depth 3, where the
     # pool's products stop at depth 2
     "t_matrices": (30, "7cf346a8fedf6c89b5ffa3e676c9ffd1c7bd7a9b52d42307450652e7729bfd14"),

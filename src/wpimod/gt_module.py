@@ -910,37 +910,45 @@ def cyclicity_probe(window: BasisWindow, start: TableauDelta, budget: int) -> se
     ValueError.  Eigenvalue separation makes every summand with a nonzero
     coefficient reachable, so the closure of supports is the generated
     subspace's basis.  The supports are read off the coordinates by one
-    `supports._SupportTable` per call, with no coefficient computed, and its
-    same-row pairs raise `CriticalityError` exactly where the coefficients
-    would.  Targets are placed by `window.step`; a target that breaks the
-    relations or leaves the box is dropped.
+    `supports._SupportTable` per call, with no coefficient computed: its
+    z-only reader `open_slots` names the moves with a nonzero coefficient,
+    and its same-row pairs raise `CriticalityError` exactly where the
+    coefficients would.  A move's target is looked up by its coordinates
+    (`_find`).  In a window with a box that is one dict lookup: the members
+    are exactly the box shifts that satisfy the relations, so a target that
+    breaks them or leaves the box is absent and dropped, with no check of
+    its own; a `FreeWindow` admits a target that satisfies them.
 
     The reached set is the same for every budget >= 1, so only each row's
     lowest superscript (`e_generator_min_degree` for e, 1 for f) is walked;
-    budget 0 reaches only `start`.  Superscript s has the targets of the
-    lowest one, lo, with coefficient +-N / D * (-(v_t + pole))^(s - lo): its
-    support is a subset of lo's.  Rows are walked as e_1, f_1, e_2, f_2, ...
-    from each member in breadth-first order, so the first member with a
+    budget 0 reaches only `start`, with no row checked.  Superscript s has
+    the targets of the lowest one, lo, with coefficient +-N / D *
+    (-(v_t + pole))^(s - lo): its support is a subset of lo's.  Members are
+    walked in breadth-first order, each checked over all ladder rows at once
+    and then walked as e_1, f_1, e_2, f_2, ..., so the first member with a
     critical row raises, naming the least such row.
     """
     table = _SupportTable(window.layout)
     ladder_rows = range(1, window.seed.pyramid.n) if budget >= 1 else ()
+    letters = [((fam, r), step) for r in ladder_rows for fam, step in (("e", 1), ("f", -1))]
+    find, open_slots = window._find, table.open_slots
     frontier = [window.position(start)]
     reached = set(frontier)
     while frontier:
         nxt = []
         for p in frontier:
             coords = window.coords[p]
-            for r in ladder_rows:
-                if table.critical(coords, (r,)) is not None:
-                    raise CriticalityError(
-                        f"coincident entries in row {r} at shift {window.member(p)!r}"
-                    )
-                for fam, step in (("e", 1), ("f", -1)):
-                    for k, z, _ in table.rule(coords, (fam, r)):
-                        q = None if z else window.step(p, k, step)
-                        if q is not None and q >= 0 and q not in reached:
-                            reached.add(q)
-                            nxt.append(q)
+            pair = table.critical(coords, ladder_rows)
+            if pair is not None:
+                raise CriticalityError(
+                    f"coincident entries in row {pair[0]} at shift {window.member(p)!r}"
+                )
+            padded = coords + (0,)
+            for letter, step in letters:
+                for k in open_slots(padded, letter):
+                    q = find(_bumped(coords, k, step))
+                    if q is not None and q not in reached:
+                        reached.add(q)
+                        nxt.append(q)
         frontier = nxt
     return {window.member(p) for p in reached}

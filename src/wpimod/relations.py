@@ -265,6 +265,21 @@ def _relax(x, out, todo) -> bool:
     x and out are indexed alike, as dicts over the vertices or lists over
     slots 0..V-1.
 
+    When none of them is broken, x already solves the system and is left as
+    it is, with no worklist built: the common case of the single-slot
+    re-tightenings in `BasisWindow.points`.  Otherwise `_worklist` raises x.
+    """
+    for u in todo:
+        xu = x[u]
+        for v, w in out[u]:
+            if xu + w > x[v]:
+                return _worklist(x, out, todo)
+    return True
+
+
+def _worklist(x, out, todo) -> bool:
+    """`_relax` on a system with a broken arc.
+
     The vertices whose value rose wait in a FIFO worklist, and each one taken
     from it relaxes its out-arcs (Moore 1959).  A value is set by a chain of
     relaxations; a chain of V arcs repeats a vertex, whose value it raised

@@ -5,10 +5,11 @@ letter (family, row), each pivot's slot and the same-class entries of the
 adjacent row and of its own row with their seed-offset gaps, and each row's
 same-class pairs.  The support rule (`_SupportTable.rule`) and the
 criticality test (`_SupportTable.critical`) are then integer comparisons on
-coordinates.  `cyclicity_probe` walks the moves in the support, the
-defining-relation oracle's criticality scan reads the pairs, and its wall
-sets (`_WallSets`), one flat walk over cached moves, find where a relation
-case can fail among the positions eligible for it (`_eligible`).
+coordinates.  `cyclicity_probe` walks the moves in the support, named by
+the z-only reader `_SupportTable.open_slots`; the defining-relation
+oracle's criticality scan reads the pairs, and its wall sets (`_WallSets`),
+one flat walk over cached moves, find where a relation case can fail among
+the positions eligible for it (`_eligible`).
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ class _SupportTable:
     An entry is (class, seed offset + coordinate), so t's entry equals s's
     exactly when c_t - c_s is that gap, at coordinates c; an entry of the
     frozen top row has slot -1, and the readers append its coordinate, 0,
-    to c.  So t's z is 1 when c_t - c_s equals the gap for some adjacent s,
-    and its h counts the q with c_t - c_q equal to theirs (`rule`).  `pairs`
-    holds per row 0..n its same-class pairs (x, y), x before y in row order,
-    with their slots and gap, for the criticality scan (`critical`).
+    to c (`open_slots` is handed c with it appended).  So t's z is 1 when
+    c_t - c_s equals the gap for some adjacent s, and its h counts the q
+    with c_t - c_q equal to theirs (`rule`); `open_slots` reads z alone,
+    off the same table.  `pairs` holds per row 0..n its same-class pairs
+    (x, y), x before y in row order, with their slots and gap, for the
+    criticality scan (`critical`).
 
     The support rule.  In `ActionContext.ladder_terms`, the move of pivot t
     in row r (up for e, down for f) has coefficient +-N / D times a power of
@@ -85,6 +88,20 @@ class _SupportTable:
                 if c - coords[s] == gap:
                     h += 1
             out.append((k, z, h))
+        return out
+
+    def open_slots(self, coords: tuple, letter: tuple) -> list[int]:
+        """The slots of the letter's pivots whose move has a nonzero
+        coefficient, those with z = 0 in `rule`, in row order.  `coords`
+        ends with the top row's 0: the caller appends it once per shift."""
+        out = []
+        for k, adjacent, _ in self.letters[letter]:
+            c = coords[k]
+            for s, gap in adjacent:
+                if c - coords[s] == gap:
+                    break
+            else:
+                out.append(k)
         return out
 
     def critical(self, coords: tuple, rows) -> tuple | None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from collections import deque
 
 from wpimod import (
     Pyramid,
@@ -18,6 +19,7 @@ from wpimod import (
     permute,
     standard_set,
 )
+from wpimod.exact_arith import CriticalityError
 from wpimod.gt_module import (
     ActionContext,
     WindowOverflowError,
@@ -35,6 +37,7 @@ from wpimod.relations import (
     is_satisfiable,
     vertices,
 )
+from wpimod.supports import _SupportTable
 from wpimod.tableau import row_indices
 from wpimod.yangian_tensor import (
     OperatorSeries,
@@ -225,6 +228,32 @@ def reference_least_solution(verts, arcs):
     return None
 
 
+def reference_relax(x, out, todo) -> bool:
+    """`relations._relax` by its FIFO worklist alone (Moore 1959), built on
+    every call: x raised in place to the least solution above it of the
+    arcs out[u] = [(v, w), ...], each meaning x_v >= x_u + w, where only
+    arcs leaving `todo` may be broken on entry; False on a positive cycle,
+    found as a chain of V relaxations."""
+    n = len(x)
+    chain: dict = {}
+    queue = deque(todo)
+    waiting = set(queue)
+    while queue:
+        u = queue.popleft()
+        waiting.discard(u)
+        xu, length = x[u], chain.get(u, 0) + 1
+        for v, w in out[u]:
+            if xu + w > x[v]:
+                if length == n:
+                    return False
+                x[v] = xu + w
+                chain[v] = length
+                if v not in waiting:
+                    waiting.add(v)
+                    queue.append(v)
+    return True
+
+
 def reference_top_row_loop(C: RelationSet) -> bool:
     """`RelationSet._has_top_row_loop` by depth-first search: whether the
     edges with both ends on the top row close a directed cycle."""
@@ -393,6 +422,35 @@ def reference_critical_pair(window, coords: tuple, rows) -> tuple | None:
             if row[x] == row[y]:
                 return r, window.layout[r][x][0], window.layout[r][y][0]
     return None
+
+
+def reference_cyclicity(window, start, budget: int) -> set:
+    """`cyclicity_probe` placing each target by `window.step` and reading z
+    off `_SupportTable.rule`, each row checked by `critical` just before its
+    moves: the shifts reached from `start` along moves with z = 0 whose
+    target is a member, or the `CriticalityError` of the first member in
+    breadth-first order with a critical row, naming the least such row."""
+    table = _SupportTable(window.layout)
+    ladder_rows = range(1, window.seed.pyramid.n) if budget >= 1 else ()
+    frontier = [window.position(start)]
+    reached = set(frontier)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            coords = window.coords[p]
+            for r in ladder_rows:
+                if table.critical(coords, (r,)) is not None:
+                    raise CriticalityError(
+                        f"coincident entries in row {r} at shift {window.member(p)!r}"
+                    )
+                for fam, step in (("e", 1), ("f", -1)):
+                    for k, z, _ in table.rule(coords, (fam, r)):
+                        q = None if z else window.step(p, k, step)
+                        if q is not None and q >= 0 and q not in reached:
+                            reached.add(q)
+                            nxt.append(q)
+        frontier = nxt
+    return {window.member(p) for p in reached}
 
 
 def relation_table_digest(pyramid: Pyramid, budgets) -> str:

@@ -44,6 +44,8 @@ from wpimod.gt_module import (
     _relation_cases,
 )
 from wpimod.relations import (
+    _least_solution,
+    _relax,
     all_relations,
     critical_satisfying_tableau,
     is_admissible,
@@ -66,6 +68,8 @@ from helpers import (
     clear_factor_stores,
     gl2_tableau,
     reference_critical_pair,
+    reference_cyclicity,
+    reference_relax,
     reference_supports,
     reference_verify,
     reference_walk_order,
@@ -565,6 +569,142 @@ def test_cyclicity_on_a_critical_window_raises_the_column_error():
     assert mid_walk > 0
 
 
+def _critical_gl3_window():
+    """The critical GL3 set of the column-error test, at radius 1: row 2 of
+    its seed holds two equal entries."""
+    C = RelationSet(GL3, [rel((1, 3, 1), (1, 2, 1), False),
+                          rel((1, 3, 1), (1, 2, 2), False)])
+    return enumerate_basis(C, critical_satisfying_tableau(C), 1)
+
+
+def _probe_outcome(probe, window, start, budget):
+    """The probe's reached set, or the text of its `CriticalityError`."""
+    try:
+        return probe(window, start, budget)
+    except CriticalityError as exc:
+        return str(exc)
+
+
+def test_cyclicity_probe_equals_the_step_reference():
+    """The probe, which looks its targets up by coordinates, reaches the same
+    set as `reference_cyclicity`, which places them by `window.step`, and
+    raises the same `CriticalityError` text: on the standard sets of GL2,
+    P12, (2,2), GL3, (1,2,2) and gl_4 at their spread seeds at radii 1 to 3,
+    the reducible GL3 pair and the critical GL3 set, at budgets 0 to 2, from
+    every member of a window of at most 60 and about 20 spread starts of a
+    larger one."""
+    windows = []
+    for rows in ((1, 1), (1, 2), (2, 2), (1, 1, 1), (1, 2, 2), (1, 1, 1, 1)):
+        C = standard_set(Pyramid(rows))
+        windows += [enumerate_basis(C, spread_seed(C), radius) for radius in (1, 2, 3)]
+    C, seed = reducible_gl3_pair()
+    windows += [enumerate_basis(C, seed, 2), _critical_gl3_window()]
+    sizes, errors, left = set(), 0, 0
+    for window in windows:
+        members = window.members
+        for start in members[::max(1, len(members) // 20)] if len(members) > 60 else members:
+            for budget in (0, 1, 2):
+                want = _probe_outcome(reference_cyclicity, window, start, budget)
+                assert _probe_outcome(cyclicity_probe, window, start, budget) == want, (
+                    window.seed, start, budget)
+                if isinstance(want, str):
+                    errors += 1
+                else:
+                    sizes.add(len(want) < len(members))
+        # moves that leave the box to a shift that keeps the relations: the
+        # targets the probe must drop although they are not gated
+        left += sum(
+            window.at.get(c) is None and window.satisfied(c)
+            for coords in window.coords for k in range(len(coords)) for step in (1, -1)
+            for c in [_bumped(coords, k, step)]
+        )
+    # the reducible pair has starts that reach only part of its window, and
+    # the critical set raises
+    assert sizes == {False, True} and errors > 0 and left > 0
+
+
+def test_cyclicity_on_a_free_window_grows_it_as_the_step_reference_does():
+    """A `FreeWindow` has no box: its lookup admits every target that
+    satisfies the relations, so on the finite-dimensional standard modules
+    of GL2, P12 and GL3 at their spread seeds the probe reaches the whole
+    module, as `reference_cyclicity` does and as a box past its extent
+    lists it."""
+    for rows in ((1, 1), (1, 2), (1, 1, 1)):
+        C = standard_set(Pyramid(rows))
+        seed = spread_seed(C)
+        whole = set(enumerate_basis(C, seed, 12).members)
+        got = cyclicity_probe(FreeWindow(C, seed), TableauDelta(), 2)
+        assert got == reference_cyclicity(FreeWindow(C, seed), TableauDelta(), 2) == whole
+        assert len(whole) > 1
+
+
+def test_cyclicity_at_budget_zero_on_a_critical_window_reaches_only_the_start():
+    """Budget 0 walks no row, so no row is checked: from every member of the
+    critical GL3 window the probe returns {start} and does not raise, while
+    budget 1 raises from every one of them."""
+    window = _critical_gl3_window()
+    for start in window.members:
+        assert cyclicity_probe(window, start, 0) == {start}
+        with pytest.raises(CriticalityError):
+            cyclicity_probe(window, start, 1)
+
+
+def test_relax_returns_at_once_where_the_worklist_changes_nothing():
+    """`relations._relax` equals `reference_relax`, its worklist alone, in
+    verdict and in x.
+
+    On the slot systems that `BasisWindow.points` builds, y over the arcs
+    and z over the reversed ones, each slot is re-tightened to every value
+    of its interval, with the slot's arcs broken and not broken; on seeded
+    random systems, positive cycles among them, every vertex is relaxed
+    from zero, as `_least_solution` does."""
+    rng = random.Random(5401)
+    broken = kept = 0
+    for rows in ((1, 1), (1, 2), (2, 2), (1, 1, 1), (1, 2, 2), (1, 1, 1, 1)):
+        pi = Pyramid(rows)
+        sets = [C for C in relation_subsets(pi, 3) if is_satisfiable(C) and is_noncritical_set(C)]
+        for C in [standard_set(pi), *rng.sample(sets, min(4, len(sets)))]:
+            window = enumerate_basis(C, spread_seed(C), 0)
+            n, low, high = len(window.free), -2, 2
+            y, z = [0] * n, [0] * n
+            for k, f in window.floors.items():
+                y[k] = max(0, f - low)
+            for k, c in window.ceilings.items():
+                z[k] = max(0, high - c)
+            systems = [(y, window._up), (z, window._down)]
+            for x, out in systems:
+                want = x[:]
+                assert reference_relax(want, out, range(n))
+                assert _relax(x, out, range(n)) and x == want
+            for k in range(n):
+                for a in range(low + y[k], high - z[k] + 1):
+                    for (x, out), value in zip(systems, (a - low, high - a)):
+                        x = x[:]
+                        x[k] = value
+                        if any(value + w > x[v] for v, w in out[k]):
+                            broken += 1
+                        else:
+                            kept += 1
+                        want = x[:]
+                        verdict = reference_relax(want, out, (k,))
+                        assert _relax(x, out, (k,)) == verdict and x == want, (C, k, a)
+    assert broken > 0 and kept > 0
+    cycles = 0
+    for _ in range(400):
+        size = rng.randint(2, 6)
+        out = {v: [] for v in range(size)}
+        for _ in range(rng.randint(1, 2 * size)):
+            u, v = rng.sample(range(size), 2)
+            out[u].append((v, rng.choice((-1, 0, 0, 1))))
+        x, want = dict.fromkeys(out, 0), dict.fromkeys(out, 0)
+        verdict = reference_relax(want, out, list(want))
+        assert _relax(x, out, list(x)) == verdict and x == want, out
+        cycles += not verdict
+    assert cycles > 0
+    assert _relax([0, 0], [[(1, 1)], [(0, 0)]], (0,)) is False
+    assert _least_solution("ab", [("a", "b", 1), ("b", "a", 0)]) is None
+
+
 def test_cyclicity_probe_builds_no_action_context(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the probe built an instantiated context")
@@ -787,6 +927,35 @@ def test_support_table_equals_the_entry_list_rule():
     assert up in window.at
     assert [h for _, _, h in table.rule(up, ("e", 2))] == [1, 1]
     assert table.critical(up, range(4)) == (2, TriIndex(1, 2, 1), TriIndex(1, 2, 2))
+
+
+def test_open_slots_read_z_off_the_one_letter_table():
+    """`_SupportTable.open_slots`, the z-only reader, names the slots whose
+    z is 0 in `rule` and in `reference_supports`, in row order, at every
+    member of the wall corpus's radius-2 windows and at every target of
+    their ladder moves, at the canonical and spread seeds.  The table holds
+    no second per-letter table for it: `letters` and `pairs` only."""
+    points = opened = closed = 0
+    for C in _wall_corpus():
+        for seed in (noncritical_satisfying_tableau(C), spread_seed(C)):
+            window = enumerate_basis(C, seed, 2)
+            table = _SupportTable(window.layout)
+            assert set(vars(table)) == {"letters", "pairs"}
+            seen = set(window.coords)
+            for coords in window.coords:
+                for letter in table.letters:
+                    step = 1 if letter[0] == "e" else -1
+                    seen.update(_bumped(coords, k, step) for k, *_ in table.rule(coords, letter))
+            for coords in seen:
+                for letter in table.letters:
+                    got = table.open_slots(coords + (0,), letter)
+                    assert got == [k for k, z, _ in table.rule(coords, letter) if not z]
+                    assert got == [k for k, z, _ in reference_supports(window, coords, letter)
+                                   if not z], (C, coords, letter)
+                    opened += len(got)
+                    closed += len(table.letters[letter]) - len(got)
+                points += 1
+    assert points > 0 and opened > 0 and closed > 0, (points, opened, closed)
 
 
 def test_wall_order_refuses_a_word_past_three_letters():
