@@ -40,6 +40,9 @@ CLI = {  # id: (argv, exit code, pinned stdout, timeout in seconds)
     "gl2-fractional": ("tensor-check --weights gl2_fractional --depth 3", 0, {"sha256": "f48d3d9f944eac3b28c71104aa7806af7cdc510c849be0f349ab564861b80925"}, 20),
     # 16 generic gl_2 factors: each factor's image is built once per index
     "sixteen-generic": ("tensor-check --weights sixteen_generic --depth 1", 0, {"sha256": "465a0ec8f88403a97b3a29757ec76c25fe89f96e2767569865b2ac1e738489d3"}, 10),
+    # at depth 2 one weight space holds 136 keys, and the elimination's
+    # integers grow with every pivot
+    "sixteen-generic-2": ("tensor-check --weights sixteen_generic --depth 2", 0, {"sha256": "ce0d920f898d0cfbe8f218fb83d523cbbd6a06e49d7351dd2c43006bbff59229"}, 60),
     # the same factors at points 1/2, 1/3, ..., 1/53, at depth 2: integer
     # growth under the largest scale
     "sixteen-fractional": ("tensor-check --weights sixteen_fractional --depth 2", 0, {"sha256": "ce0d920f898d0cfbe8f218fb83d523cbbd6a06e49d7351dd2c43006bbff59229"}, 60),

@@ -374,13 +374,17 @@ class ActionContext:
         self.window = window
         self.pyramid = window.seed.pyramid
         self.n = self.pyramid.n
-        values = [[(k, Fraction(assignment.value(cls, off))) for _, k, cls, off in row]
-                  for row in window.layout]
-        self._scale = scale = lcm(*(v.denominator for row in values for _, v in row))
+        # an entry's value is its class's value plus an integer offset, so
+        # it has the class value's denominator
+        classes = assignment.class_values
+        self._scale = scale = lcm(*(classes[cls].denominator
+                                    for row in window.layout for _, _, cls, _ in row))
         # per row 0..n, in row order: each entry's (coordinate slot or None
         # on the top row, seed value times _scale)
-        self._rows = {r: [(k, v.numerator * (scale // v.denominator)) for k, v in row]
-                      for r, row in enumerate(values)}
+        self._rows = {r: [(k, classes[cls].numerator * (scale // classes[cls].denominator)
+                           + off * scale)
+                          for _, k, cls, off in row]
+                      for r, row in enumerate(window.layout)}
         # STRICT columns per generator: {member position: ((member position,
         # coefficient), ...)}, each built once by `_build_column`.
         self._columns: defaultdict = defaultdict(dict)

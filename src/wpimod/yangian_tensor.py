@@ -19,8 +19,11 @@ image coordinates.  Inside, tensor keys are tuples of positions in each
 factor's member list: each factor lists its members of bounded depth once,
 with their key ranks and root offsets read off the coordinates, and the
 weight spaces are walked from those lists, so a shift is built only for a
-key that leaves the library.  A weight space's
-keys go through the coproduct together, once per raising row.  The diagonal
+key that leaves the library.  `find_singular_vectors` takes one weight
+space's keys through the coproduct together, once per raising row;
+`singular_dimensions` takes a batch of whole spaces, of at least
+PROBE_BATCH_KEYS keys, through it together, and counts each space's kernel
+off the same elimination, building no `Fraction`.  The diagonal
 E_aa and the raising E_ab that would leave the weights below the highest are
 read off a member's root offset, with no Gelfand-Tsetlin formula.
 """
@@ -45,6 +48,12 @@ from .tableau import Tableau, TableauDelta, TriIndex, tableau_from_values
 # before any is probed: a finite-dimensional product never reaches the member
 # caps, so they alone would not bound it.
 MAX_WEIGHT_SPACES = 100_000
+
+# Fewest keys a batch of weight spaces that `singular_dimensions` takes
+# through the coproduct together holds before it is closed; the last may
+# hold fewer.  A batch holds at most this many plus the largest space's
+# keys, less one, and its images are held until its spaces are eliminated.
+PROBE_BATCH_KEYS = 256
 
 # Most factors a `TensorModule` may have.  The coproduct costs about n^2
 # `_slot_t` calls per factor, and the basis walk recurses once per factor;
@@ -784,63 +793,61 @@ def quantum_minor(M: TensorModule, a_rows, b_cols, order: int,
 
 def _raising_images(M: TensorModule, keys, rows, order: int) -> list[list[tuple[int, dict]]]:
     """Per key of member positions, (i, image of the key under t_{i,i+1}(u))
-    for each row i of `rows`, as scaled series at `order`.
+    for each row i of its own `rows` entry, rows ascending, as scaled series
+    at `order`.
 
-    The whole space goes through `_tensor_t` once per row: each key carries
-    its index as a trailing key component, which no slot touches, and the
-    images are split by that index.  No two keys share a target there, so
-    each image holds the series, in the order, that the key's own
+    The keys, of one weight space or of several, go through `_tensor_t`
+    once per row, each pass over the keys whose rows hold it: each key
+    carries its index as a trailing key component, which no slot touches,
+    and the images are split by that index.  No two keys share a target
+    there, so each image holds the series, in the order, that the key's own
     `_tensor_t` would.
     """
     one = [1, 1] + [0] * order  # 1 as a scaled series
-    start = {key + (idx,): one for idx, key in enumerate(keys)}
     images: list[list] = [[] for _ in keys]
-    for i in rows:
-        parts: list[dict] = [{} for _ in keys]
+    for i in range(1, M.n):
+        parts = {idx: {} for idx, key_rows in enumerate(rows) if i in key_rows}
+        if not parts:
+            continue
+        start = {keys[idx] + (idx,): one for idx in parts}
         for target, s in _tensor_t(M, i, i + 1, 0, start, order, 0, len(M.factors)).items():
             parts[target[-1]][target[:-1]] = s
-        for image, part in zip(images, parts):
-            image.append((i, part))
+        for idx, part in parts.items():
+            images[idx].append((i, part))
     return images
 
 
-def _dependencies(M: TensorModule, offset: tuple, order: int):
-    """Yield a kernel vector of the raising coefficients for each dependent
-    key of the weight space at root offset `offset`.
+def _dependencies(images: list):
+    """Yield (index, combination) for each dependent key of a weight space,
+    given each key's raising images in key order (`_raising_images`).
 
-    The keys are tuples of member positions, the module's own list at the
-    offset (`TensorModule._space`), and their images are taken together
-    (`_raising_images`).  Each key's image, the coefficients of t_{i,i+1}(u)
-    with the targets as member positions, is one integer vector over (i,
-    target key, t): each scaled series is multiplied by L / D, with L the
-    lcm of the image's denominators D.  The key's combination starts at L
-    times the key, so the vector is always the image of its combination.  The
-    vector is reduced against the echelon vectors of the keys before it
-    without dividing: against a vector e with pivot value p, where the
-    vector holds c, with g = gcd(p, c), both the vector and its combination
-    become (p/g) times themselves minus (c/g) times e's.  Each echelon vector
-    is 0 at earlier pivots and is stored divided by the gcd of its entries
-    and its combination's.  Only the rows i with c_i > 0 on the offset c are
-    applied: t_{i,i+1} maps the keys into the space at c - alpha_i, which is
-    empty when c_i = 0.  At offset 0 no row applies, so the highest vector,
-    the space's one key, is the kernel.
+    Each key's image, the coefficients of t_{i,i+1}(u) with the targets as
+    member positions, is one integer vector over (i, target key, t): each
+    scaled series is multiplied by L / D, with L the lcm of the image's
+    denominators D.  The key's combination, a dict from key index to an
+    integer, starts at L times the key, so the vector is always the image
+    of its combination.  The vector is reduced against the echelon vectors
+    of the keys before it without dividing: against a vector e with pivot
+    value p, where the vector holds c, with g = gcd(p, c), both the vector
+    and its combination become (p/g) times themselves minus (c/g) times
+    e's.  Each echelon vector is 0 at earlier pivots and is stored divided
+    by the gcd of its entries and its combination's.  Each key's images
+    are dropped from `images` once read, so they are never all held beside
+    the echelon vectors built from them.  A key with no image, such as the
+    highest vector at offset 0, where no row applies, is dependent.
 
-    A key whose vector reduces to zero yields its combination divided by the
-    combination's entry at the key, as `Fraction`s in key order.  That is a
-    kernel vector, 1 at the key and supported on the earlier independent
-    keys (every echelon combination is made of independent keys only), and
-    it is the only one: two such vectors differ by a kernel vector on the
-    independent keys, whose images are linearly independent, so they agree.
-    These are the reduced-echelon null-space basis vectors with the keys as
-    columns, whatever integer multiples the reduction went through.
+    A key whose vector reduces to zero yields its combination, whose entry
+    at the key is nonzero.  Divided by that entry, it is a kernel vector, 1
+    at the key and supported on the earlier independent keys (every
+    echelon combination is made of independent keys only), and it is the
+    only one: two such vectors differ by a kernel vector on the
+    independent keys, whose images are linearly independent, so they
+    agree.  These are the reduced-echelon null-space basis vectors with the
+    keys as columns, whatever integer multiples the reduction went
+    through.  Their count, the kernel's dimension, needs no `Fraction`.
     """
-    keys = M._space(offset)
-    rows = [i for i, c in enumerate(offset, 1) if c] if keys else []
-    echelon = []  # (pivot, pivot value, vector, combination of key positions)
-    images = _raising_images(M, keys, rows, order)
-    for idx in range(len(keys)):
-        # each key's images are dropped once read, so they are never all held
-        # beside the echelon vectors built from them
+    echelon = []  # (pivot, pivot value, vector, combination of key indices)
+    for idx in range(len(images)):
         key_images, images[idx] = images[idx], None
         scale = math.lcm(*(s[0] for _, image in key_images for s in image.values()))
         vec = {(i, ok, t): x * (scale // s[0])
@@ -860,8 +867,7 @@ def _dependencies(M: TensorModule, offset: tuple, order: int):
                         part[coord] = part.get(coord, 0) - c * x
         vec = {coord: x for coord, x in vec.items() if x}
         if not vec:
-            den = combo[idx]
-            yield {keys[j]: Fraction(c, den) for j, c in sorted(combo.items()) if c}
+            yield idx, combo
             continue
         pivot, p = next(iter(vec.items()))
         g = math.gcd(*vec.values(), *combo.values())
@@ -872,6 +878,24 @@ def _dependencies(M: TensorModule, offset: tuple, order: int):
         echelon.append((pivot, p // g, vec, combo))
 
 
+def _rows(offset: tuple) -> tuple[int, ...]:
+    """The raising rows i with c_i > 0 at root offset c: t_{i,i+1} maps the
+    weight space at c into the one at c - alpha_i, which is empty when c_i
+    = 0, so only these rows are applied there."""
+    return tuple(i for i, c in enumerate(offset, 1) if c)
+
+
+def _kernel(M: TensorModule, offset: tuple, order: int) -> list[dict]:
+    """The reduced-echelon kernel of the raising series at `order` on the
+    weight space at `offset`, over member positions, with `Fraction`
+    entries in key order: one `_raising_images` pass over the space, one
+    `_dependencies` elimination."""
+    keys = M._space(offset)
+    images = _raising_images(M, keys, [_rows(offset)] * len(keys), order)
+    return [{keys[j]: Fraction(c, combo[idx]) for j, c in sorted(combo.items()) if c}
+            for idx, combo in _dependencies(images)]
+
+
 def find_singular_vectors(M: TensorModule, offset) -> list[dict]:
     """Exact kernel of all raising series t_{i,i+1}(u) on one weight space.
 
@@ -879,8 +903,8 @@ def find_singular_vectors(M: TensorModule, offset) -> list[dict]:
     gl_n (ValueError otherwise); the returned vectors are sparse dicts over
     the weight-space basis keys, the reduced-echelon null-space basis in key
     order, with `Fraction` entries.  One fraction-free integer elimination,
-    `_dependencies`, takes them over member positions, and only the returned
-    vectors' keys are built as shifts.
+    `_dependencies`, takes them over member positions (`_kernel`), and only
+    the returned vectors' keys are built as shifts.
 
     The kernel K_T of every t_{i,i+1}^(r) is the space of singular vectors,
     those killed by every t_ij(u) with i < j.  The RTT relation gives
@@ -910,7 +934,7 @@ def find_singular_vectors(M: TensorModule, offset) -> list[dict]:
             f"offset must be {M.n - 1} nonnegative integers for gl_{M.n}, got {offset}"
         )
     return [dict(zip(M._shift_keys(v), v.values()))
-            for v in _dependencies(M, offset, len(M.factors))]
+            for v in _kernel(M, offset, len(M.factors))]
 
 
 def _offsets(shape: int, depth: int):
@@ -938,7 +962,13 @@ def singular_dimensions(M: TensorModule, depth: int | None = None) -> dict:
     offset once, before the first probe, and every weight space is read
     from them, so a depth whose basis is past a member cap (a factor's
     window or the tensor basis, MAX_WINDOW_MEMBERS) raises its error before
-    any elimination.
+    any elimination.  The spaces are probed in batches: whole spaces, in
+    offset order, until a batch holds at least PROBE_BATCH_KEYS keys.  A
+    batch goes through the coproduct once per raising row
+    (`_raising_images`), each key under its own space's rows, and each
+    space's images go to one elimination (`_dependencies`), whose dependent
+    keys are counted: the kernels of `find_singular_vectors`, with no
+    `Fraction` and no shift built.
     """
     depth = M.depth if depth is None else _depth(depth)
     shape = M.n - 1
@@ -948,10 +978,32 @@ def singular_dimensions(M: TensorModule, depth: int | None = None) -> dict:
             f" for gl_{M.n}"
         )
     M._group(depth)
-    return {
-        combo: len(find_singular_vectors(M, combo))
-        for combo in _offsets(shape, depth)
-    }
+    dims: dict = {}
+    batch: list = []  # (offset, keys) of the spaces not yet probed
+    size = 0
+    for offset in _offsets(shape, depth):
+        keys = M._space(offset)
+        batch.append((offset, keys))
+        size += len(keys)
+        if size >= PROBE_BATCH_KEYS:
+            _probe(M, batch, dims)
+            batch, size = [], 0
+    _probe(M, batch, dims)
+    return dims
+
+
+def _probe(M: TensorModule, spaces: list, dims: dict) -> None:
+    """Set dims[offset] to the kernel dimension of each (offset, keys)
+    weight space of `spaces`, all taken through the coproduct together."""
+    keys, rows = [], []
+    for offset, space in spaces:
+        keys += space
+        rows += [_rows(offset)] * len(space)
+    images = _raising_images(M, keys, rows, len(M.factors))
+    for offset, space in spaces:
+        # each space's images leave the batch's list as they are eliminated
+        part, images[:len(space)] = images[:len(space)], ()
+        dims[offset] = sum(1 for _ in _dependencies(part))
 
 
 def only_top_line(dims: dict) -> bool:

@@ -461,9 +461,9 @@ def _count_eliminations(monkeypatch):
     calls = []
     dependencies = yt._dependencies
 
-    def counting_dependencies(M, offset, order):
-        calls.append(len(M._space(offset)))
-        return dependencies(M, offset, order)
+    def counting_dependencies(images):
+        calls.append(len(images))
+        return dependencies(images)
 
     monkeypatch.setattr(yt, "_dependencies", counting_dependencies)
     return calls
@@ -529,6 +529,59 @@ def test_each_weight_space_past_the_top_runs_one_elimination(monkeypatch):
     assert singular_dimensions(M) == {(0,): 1, (1,): 0, (2,): 0, (3,): 0}
     # offset 0 is the highest vector alone, a one-key elimination with no rows
     assert calls == [len(M.weight_space((h,))) for h in (0, 1, 2, 3)] == [1, 2, 3, 4]
+
+
+def _batch_corpus():
+    """Seeded products with and without singular vectors past the top: the
+    moved-point, linked gl_3 and half-integral weights of the CI inputs, a
+    finite-dimensional gl_2 pair at points 0 and -1, and generic gl_2 to
+    gl_4 pairs and gl_2 products of 3 and 4 factors at fractional points."""
+    rng = random.Random(20261055)
+    yield [(1, 0), (1, 0)], [0, -1], 3
+    yield [(2, 2, 0), (1, "1/2", 1)], [0, 0], 3
+    yield [("1/2", "-1/2", 1), (-1, -1, "3/2")], [0, 0], 3
+    yield [(2, 0), (2, 0)], [0, -1], 4
+    points = [Fraction(p, q) for q in (2, 3, 5) for p in (-2, -1, 1, 2) if p % q]
+    for n, k, depth in ((2, 2, 5), (3, 2, 3), (4, 2, 2), (2, 3, 3), (2, 4, 2)):
+        for _ in range(2):
+            yield ([_seeded_weights(rng, n, "generic") for _ in range(k)],
+                   [rng.choice(points) for _ in range(k)], depth)
+
+
+@pytest.mark.parametrize("batch_keys", [1, 10**9], ids=["each-space-alone", "one-batch"])
+def test_batched_dimensions_equal_the_one_space_kernels(monkeypatch, batch_keys):
+    """However the spaces are cut into batches, each dimension is the
+    length of `find_singular_vectors` on that space, taken alone on a fresh
+    module."""
+    monkeypatch.setattr(yt, "PROBE_BATCH_KEYS", batch_keys)
+    extra = 0
+    for weights, points, depth in _batch_corpus():
+        dims = singular_dimensions(_tensor(weights, points, depth))
+        ref = _tensor(weights, points, depth)
+        assert dims == {c: len(find_singular_vectors(ref, c))
+                        for c in yt._offsets(ref.n - 1, depth)}, (weights, points)
+        extra += sum(dim for c, dim in dims.items() if any(c))
+    assert extra >= 4  # kernels past the top line are counted too
+
+
+def test_batches_are_bounded_and_eliminate_each_space_once(monkeypatch):
+    """With the bound at 64 keys, a batch closes at its first space that
+    reaches it, so no coproduct pass holds more than 64 + 105 - 1 keys, 105
+    the largest space; every space still runs one elimination, over its
+    own keys."""
+    M = _tensor([("1/3", "1/7", "2/5"), ("1/5", "1/2", "3/11")], [0, 0], 8)
+    offsets = list(yt._offsets(2, 8))
+    sizes = [len(M._space(c)) for c in offsets]
+    assert sum(sizes) == 1190 and max(sizes) == 105
+    monkeypatch.setattr(yt, "PROBE_BATCH_KEYS", 64)
+    inputs = []
+    tensor_t = yt._tensor_t
+    monkeypatch.setattr(yt, "_tensor_t", lambda M, a, b, shift, vec, *rest: (
+        inputs.append(len(vec)) or tensor_t(M, a, b, shift, vec, *rest)))
+    calls = _count_eliminations(monkeypatch)
+    assert yt.only_top_line(singular_dimensions(M))
+    assert calls == sizes
+    assert max(inputs) <= 64 + 105 - 1
 
 
 @pytest.mark.parametrize("weights, points", [
@@ -633,7 +686,7 @@ def test_integer_elimination_matches_the_fraction_kernel_on_a_seeded_corpus():
             keys = M._space(offset)
             if sum(offset) > M.depth or not keys:
                 continue
-            got = list(yt._dependencies(M, offset, order))
+            got = yt._kernel(M, offset, order)
             ref = [{k: c for k, c in zip(keys, v) if c != 0}
                    for v in _rational_kernel(_raising_rows(M, offset, order), len(keys))]
             assert [list(v.items()) for v in got] == [list(v.items()) for v in ref], \
@@ -1130,7 +1183,7 @@ def test_default_order_kernel_equals_the_kernel_five_orders_past_it():
                     got = find_singular_vectors(M, offset)
                     assert [list(v.items()) for v in got] == [
                         list(zip(M._shift_keys(v), v.values()))
-                        for v in yt._dependencies(M, offset, k + 5)
+                        for v in yt._kernel(M, offset, k + 5)
                     ], (weights, points, offset)
                     nonzero += bool(got) and any(offset)
     assert nonzero  # the corpus has singular vectors past the top line
@@ -1537,7 +1590,7 @@ def test_batched_raising_images_equal_the_per_key_images(spaces):
     for M, offset, order in cases:
         keys = M._space(offset)
         rows = range(1, M.n)
-        batched = yt._raising_images(M, keys, rows, order)
+        batched = yt._raising_images(M, keys, [rows] * len(keys), order)
         for key, images in zip(keys, batched):
             assert [i for i, _ in images] == list(rows)
             for i, image in images:
