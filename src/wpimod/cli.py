@@ -8,11 +8,18 @@ errors are reported: an `InputError` raised here and every `ValueError` a
 library call raises end in exit 4 with the message as the report's "error".
 
 The argparse parser `_PARSER` is the one definition of the command line.
-When argv starts with a command, `run` hands the rest of it to that
-command's subparser (`_COMMANDS`), which is the parser the full parse hands
-it to, so help, usage and error texts are the same; any other argv (none, an
-unknown command, -h or --help) takes the full parse.  Each input file is read
-once, as bytes decoded as strict UTF-8.
+`_build_parser` declares each option through one helper that also keeps the
+`Action` argparse returns in its command's `_Table` (`_COMMANDS`), so each
+table is read off that declaration.  When argv starts with a command and the
+rest of it is whole `option value` pairs that the table accepts as they
+stand, `_parse` reads the arguments off the table; argparse runs only where
+it writes text.  Any other rest of argv (help, `--opt=value`, `--`, a value
+starting with "-", a stray token, a value its type refuses or outside its
+choices, a missing required option) goes to the command's subparser, the
+parser the full parse hands it to, so help, usage and error texts are
+argparse's own; any other argv (none, an unknown command, -h or --help)
+takes the full parse.  Each input file is read once, at most
+MAX_INPUT_BYTES of it, as bytes decoded as strict UTF-8.
 
 Only the layers the parser and the shared loaders need are imported here
 (`relations`, `tableau` and `pyramid`, with the `exact_arith` that `tableau`
@@ -63,17 +70,29 @@ MAX_BUDGET = 16
 MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?0*(\d+)")
 
+# Upper bound of an input file's size.  An endless file (/dev/zero) read with
+# no bound ends in MemoryError.  The first read asks for _FIRST_READ bytes,
+# far below the bound: a read allocates all it asks for, and a whole-bound
+# read would cost a small file more than reading it.
+MAX_INPUT_BYTES = 16 * 1024 * 1024
+_FIRST_READ = 1 << 16
+
 
 class InputError(Exception):
     pass
 
 
 def _load_json(path: str) -> dict:
-    """The JSON object in the file: its bytes read at once and decoded as
-    strict UTF-8, so a byte-order mark or a UTF-16 file is an error."""
+    """The JSON object in the file: its bytes read at once, at most
+    MAX_INPUT_BYTES of them, and decoded as strict UTF-8, so a byte-order
+    mark or a UTF-16 file is an error."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            data = fh.read(_FIRST_READ)
+            if len(data) == _FIRST_READ:
+                data += fh.read(MAX_INPUT_BYTES + 1 - _FIRST_READ)
+        if len(data) > MAX_INPUT_BYTES:
+            raise InputError(f"{path}: input is larger than {MAX_INPUT_BYTES} bytes")
         obj = json.loads(data.decode("utf-8"))
     except FileNotFoundError:
         raise InputError(f"file not found: {path}")
@@ -371,62 +390,118 @@ def _integer(lo=None, hi=None):
     return parse
 
 
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+class _Table:
+    """One command's options as its subparser declares them: its subparser,
+    each option string's `Action`, the required actions and each dest's
+    default, the command's `func` included.  `_build_parser` fills it with
+    the actions `add_argument` returns."""
+
+    __slots__ = ("parser", "options", "required", "defaults")
+
+    def __init__(self, parser: _Parser, func):
+        self.parser = parser
+        self.options: dict[str, argparse.Action] = {}
+        self.required: set[argparse.Action] = set()
+        self.defaults: dict = {"func": func}
+
+    def read(self, rest: list[str]) -> dict | None:
+        """The arguments of `rest` as the subparser gives them, when `rest` is
+        whole `option value` pairs that it takes as they stand: every option
+        a declared string, no value starting with "-", each value converted
+        by its type and in its choices, every required option given.  The
+        last occurrence of an option wins and the defaults fill the rest.
+        None for any other `rest`, which the subparser reads instead."""
+        if len(rest) % 2:
+            return None
+        args = dict(self.defaults)
+        seen = set()
+        for option, text in zip(rest[::2], rest[1::2]):
+            action = self.options.get(option)
+            if action is None or text.startswith("-"):
+                return None
+            value = text
+            if action.type is not None:
+                try:
+                    value = action.type(text)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            args[action.dest] = value
+            seen.add(action)
+        return args if self.required <= seen else None
+
+
+def _build_parser() -> tuple[_Parser, dict[str, _Table]]:
     parser = _Parser(
         prog="wpimod",
         description="Exact relation Gelfand-Tsetlin modules and Yangian tensor probes.",
         allow_abbrev=False,
     )
     commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    tables = {}
 
     def command(name, func, inputs=("--relations",)):
+        """Declare the command; returns the helper that declares its options."""
         sub = commands.add_parser(
             name, help=func.__doc__, description=func.__doc__, allow_abbrev=False
         )
         sub.set_defaults(func=func)
-        for option in inputs:
-            sub.add_argument(option, dest=option[2:] + "_path", required=True, metavar="PATH")
-        return sub
+        table = tables[name] = _Table(sub, func)
 
-    def defaulted(sub, option, **kwargs):
-        sub.add_argument(option, help="default: %(default)s", **kwargs)
+        def option(flag, **kwargs):
+            # every option is a plain store action with one value: the table
+            # reads exactly that
+            action = sub.add_argument(flag, **kwargs)
+            table.options.update(dict.fromkeys(action.option_strings, action))
+            if action.required:
+                table.required.add(action)
+            table.defaults[action.dest] = action.default
 
+        for path_option in inputs:
+            option(path_option, dest=path_option[2:] + "_path", required=True, metavar="PATH")
+        return option
+
+    default = "default: %(default)s"
     command("check-admissible", check_admissible_cmd)
     command("reduce", reduce_cmd)
-    sub = command("rr-remove", rr_remove_cmd)
-    sub.add_argument("--triple", dest="triple_str", required=True,
-                     help="extremal triple as k,i,j")
-    sub = command("enumerate-basis", enumerate_basis_cmd)
-    sub.add_argument("--tableau", dest="tableau_path", metavar="PATH")
-    defaulted(sub, "--radius", type=_integer(0), default=2)
-    sub = command("verify-relations", verify_relations_cmd)
-    sub.add_argument("--tableau", dest="tableau_path", metavar="PATH")
-    defaulted(sub, "--radius", type=_integer(0), default=2)
-    defaulted(sub, "--budget", type=_integer(1, MAX_BUDGET), default=2)
-    defaulted(sub, "--instantiations", type=_integer(1, MAX_INSTANTIATIONS), default=3)
-    defaulted(sub, "--seed", type=_integer(), default=1)
+    option = command("rr-remove", rr_remove_cmd)
+    option("--triple", dest="triple_str", required=True, help="extremal triple as k,i,j")
+    option = command("enumerate-basis", enumerate_basis_cmd)
+    option("--tableau", dest="tableau_path", metavar="PATH")
+    option("--radius", type=_integer(0), default=2, help=default)
+    option = command("verify-relations", verify_relations_cmd)
+    option("--tableau", dest="tableau_path", metavar="PATH")
+    option("--radius", type=_integer(0), default=2, help=default)
+    option("--budget", type=_integer(1, MAX_BUDGET), default=2, help=default)
+    option("--instantiations", type=_integer(1, MAX_INSTANTIATIONS), default=3, help=default)
+    option("--seed", type=_integer(), default=1, help=default)
     command("irreducible", irreducible_cmd, ("--relations", "--tableau"))
-    sub = command("tensor-check", tensor_check_cmd, ("--weights",))
-    defaulted(sub, "--depth", type=_integer(0), default=3)
-    defaulted(sub, "--mode", choices=("generic", "integral"), default="generic")
-    return parser, commands.choices
+    option = command("tensor-check", tensor_check_cmd, ("--weights",))
+    option("--depth", type=_integer(0), default=3, help=default)
+    option("--mode", choices=("generic", "integral"), default="generic", help=default)
+    return parser, tables
 
 
 # Built once: building it costs more than a parse.  `_COMMANDS` maps each
-# command name to its subparser, a parser of `_PARSER`.
+# command name to its table, whose `parser` is a subparser of `_PARSER`.
 _PARSER, _COMMANDS = _build_parser()
 
 
 def _parse(argv: list[str]) -> dict:
     """The arguments of argv as `_PARSER.parse_args` gives them, less "command".
 
-    A command's arguments go straight to its own subparser, which the full
-    parse hands them to as well, so its help, usage and error texts are the
-    same; only an argv that does not start with a command (none, an unknown
-    one, -h or --help) takes the full parse.
+    A command's arguments are read off its table when they are whole
+    `option value` pairs it accepts (`_Table.read`), with no argparse call;
+    any other arguments of a command go straight to its own subparser, which
+    the full parse hands them to as well, so its help, usage and error texts
+    are the same; only an argv that does not start with a command (none, an
+    unknown one, -h or --help) takes the full parse.
     """
-    sub = _COMMANDS.get(argv[0]) if argv else None
-    args = vars(sub.parse_args(argv[1:]) if sub else _PARSER.parse_args(argv))
+    table = _COMMANDS.get(argv[0]) if argv else None
+    if table is not None:
+        return table.read(argv[1:]) or vars(table.parser.parse_args(argv[1:]))
+    args = vars(_PARSER.parse_args(argv))
     args.pop("command", None)
     return args
 

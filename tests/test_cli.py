@@ -524,6 +524,33 @@ def test_oversized_inputs_are_input_errors_quickly(tmp_path, capsys, argv, body,
     assert report["error"].endswith(error)
 
 
+@pytest.mark.parametrize("padding", [0, 1 << 17], ids=["small", "past-the-first-read"])
+def test_an_input_one_byte_past_the_size_cap_is_input_error(tmp_path, capsys, monkeypatch,
+                                                            padding):
+    path = write_relations(tmp_path, "s.json", standard_gl2())
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(" " * padding)  # JSON allows trailing whitespace
+    size = os.path.getsize(path)
+    argv = ["check-admissible", "--relations", path]
+    monkeypatch.setattr(cli, "MAX_INPUT_BYTES", size)
+    code, report = invoke(capsys, argv)
+    assert code == 0 and report["admissible"] is True
+    monkeypatch.setattr(cli, "MAX_INPUT_BYTES", size - 1)
+    assert run(argv) == 4
+    assert capsys.readouterr().out == json.dumps(
+        {"error": f"{path}: input is larger than {size - 1} bytes", "v": 1},
+        separators=(",", ":")) + "\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_an_endless_input_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    code, report = invoke(capsys, ["check-admissible", "--relations", "/dev/zero"])
+    assert time.perf_counter() - start < 5.0
+    assert code == 4
+    assert report == {"v": 1, "error": f"/dev/zero: input is larger than {cli.MAX_INPUT_BYTES} bytes"}
+
+
 def test_tensor_factor_count_is_checked_before_any_factor(tmp_path, capsys, monkeypatch):
     # the count error wins over a weight that no factor can be built from
     # ([0, 1] is critical), and no pair of weights is compared
@@ -858,10 +885,63 @@ def _parse_outcome(parse, argv, capsys):
     return "args", args
 
 
+@pytest.mark.parametrize("argv, defaults", DEFAULTS, ids=[
+    "check-admissible", "reduce", "rr-remove", "enumerate-basis", "verify-relations",
+    "irreducible", "tensor-check"])
+def test_exact_pairs_are_read_off_the_table(tmp_path, capsys, monkeypatch, argv, defaults):
+    argvs = [_inputs(tmp_path, argv), _inputs(tmp_path, argv + defaults)]
+    outs = [(run(a), capsys.readouterr().out) for a in argvs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed an exact pair argv")
+
+    for parser in [cli._PARSER, *(table.parser for table in cli._COMMANDS.values())]:
+        monkeypatch.setattr(parser, "parse_args", refuse)
+    assert [(run(a), capsys.readouterr().out) for a in argvs] == outs
+
+
+@pytest.mark.parametrize("name", [argv[0] for argv, _ in DEFAULTS])
+def test_each_table_is_its_subparsers_declaration(name):
+    # the table holds what the subparser declares, each option once, and no
+    # option that add_argument alone declared is missing from it
+    table = cli._COMMANDS[name]
+    declared = [a for a in table.parser._actions if "-h" not in a.option_strings]
+
+    def fields(a):
+        return a.dest, a.type, a.choices, a.default, a.required
+
+    assert {s: fields(a) for s, a in table.options.items()} == {
+        s: fields(a) for a in declared for s in a.option_strings}
+    assert table.required == {a for a in declared if a.required}
+    assert table.defaults == {"func": table.parser.get_default("func"),
+                              **{a.dest: a.default for a in declared}}
+    assert table.defaults["func"].__name__ == name.replace("-", "_") + "_cmd"
+
+
+EDGE_CASES = [
+    ["verify-relations", "--relations", "{relations}", "--seed", "-1"],
+    ["check-admissible", "--relations=", "{relations}"],  # one token, joined in the test
+    ["check-admissible", "--relations", ""],
+    ["check-admissible", "--relations", "{relations}", "stray"],
+    ["enumerate-basis", "stray", "--relations", "{relations}", "--radius"],
+    ["check-admissible", "--", "--relations", "{relations}"],
+    ["check-admissible", "--relations", "{relations}", "-h"],
+    ["tensor-check", "--weights", "{weights}", "--depth", "3.0"],
+    ["verify-relations", "--relations", "{relations}", "--budget", "0"],
+    ["enumerate-basis", "--relations", "{relations}", "--radius", "two", "--radius", "2"],
+    ["verify-relations", "--seed", "4", "--instantiations", "2", "--budget", "1",
+     "--radius", "1", "--tableau", "{tableau}", "--relations", "{relations}"],
+    ["irreducible", "--relations", "{relations}", "--tableau", "x.json", "--tableau", "{tableau}"],
+]
+
+
 @pytest.mark.parametrize("argv", [argv for argv, _ in USAGE_ERRORS] + HELP + [
-    argv + extra for argv, defaults in DEFAULTS for extra in ([], defaults)])
+    argv + extra for argv, defaults in DEFAULTS for extra in ([], defaults)] + EDGE_CASES)
 def test_direct_dispatch_equals_the_full_parse(tmp_path, capsys, monkeypatch, argv):
     argv = _inputs(tmp_path, argv)
+    if "--relations=" in argv:  # --relations=<path>, once the path is known
+        i = argv.index("--relations=")
+        argv[i:i + 2] = [argv[i] + argv[i + 1]]
     full = _parse_outcome(lambda a: vars(cli._PARSER.parse_args(a)), argv, capsys)
     if argv and argv[0] in cli._COMMANDS:  # a command's argv skips the full parse
         monkeypatch.setattr(cli._PARSER, "parse_args", None)
